@@ -10,7 +10,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/serve ./internal/prof ./internal/hostmem \
                 ./internal/obsd
 
-.PHONY: build vet test race bench check trace-smoke metrics-smoke explain-smoke bench-gate wall-gate fuse-smoke serve-smoke qlog-smoke prof-smoke dash-smoke
+.PHONY: build vet test race bench check trace-smoke metrics-smoke explain-smoke bench-gate bench-smoke fuse-smoke serve-smoke qlog-smoke prof-smoke dash-smoke
 
 build:
 	$(GO) build ./...
@@ -50,28 +50,22 @@ explain-smoke:
 	$(GO) run ./cmd/explaincheck /tmp/blu-explain-smoke.json
 
 # Perf-regression gate: run the benchdiff suite and compare the modeled
-# (deterministic) timings against the committed BENCH_0.json baseline.
+# (deterministic) timings and H2D bytes against the committed
+# BENCH_0.json baseline.
 bench-gate:
 	$(GO) run ./cmd/benchdiff -out /tmp/blu-bench-current.json
 
-# Wall-clock regression gate: the suite runs three times, the modeled
-# columns must not drift across repeats, and the median wall_ms_p50 per
-# experiment may grow at most 4x (threshold 3.0) over the BENCH_4.json
-# baseline, above a 10ms noise floor. The generous threshold, noise
-# floor and median-of-repeats make the gate stable enough that CI now
-# runs it as a blocking step alongside the modeled bench-gate.
-# -trend-slope additionally fails the run if a gated sustained-serving
-# trend series (queue depth, shed rate) drifts upward faster than
-# 50 units/s instead of holding steady state; it engages once a
-# baseline that carries series is committed.
-wall-gate:
-	$(GO) run ./cmd/benchdiff -baseline BENCH_4.json -wall-repeats 3 \
-		-wall-threshold 3.0 -wall-floor-ms 10 -trend-slope 50 \
-		-out /tmp/blu-bench-wall.json
+# Wall-clock smoke: one short pass of the repository benchmark
+# (benchmark/README.md) — builds bluserve, drives every workload over
+# HTTP and checks each answer against the reference engine; exits
+# non-zero on a wrong answer. The numbers it prints are too short to
+# compare; `go run ./benchmark` is where wall-clock numbers come from.
+bench-smoke:
+	$(GO) run ./benchmark -quick
 
 # Data-path fusion smoke: run the BD + ROLAP suites through a fused and
 # an unfused engine over the same dataset, diff every result table
-# byte-for-byte, and assert the fused run moved fewer H2D bytes.
+# (floats to 1e-9 relative, everything else exact), and assert the fused run moved fewer H2D bytes.
 fuse-smoke:
 	$(GO) run ./cmd/fusecheck
 
@@ -111,4 +105,4 @@ prof-smoke:
 dash-smoke:
 	$(GO) run ./cmd/dashcheck -artifacts /tmp/blu-dash-artifacts
 
-check: vet test race trace-smoke metrics-smoke explain-smoke fuse-smoke serve-smoke qlog-smoke prof-smoke dash-smoke bench-gate
+check: vet test race trace-smoke metrics-smoke explain-smoke fuse-smoke serve-smoke qlog-smoke prof-smoke dash-smoke bench-gate bench-smoke

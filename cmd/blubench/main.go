@@ -10,9 +10,7 @@
 // -serve holds the process open after the experiments with the admin
 // HTTP surface (/metrics, /healthz, /debug/queries) mounted, so the full
 // run's telemetry can be scraped; -metrics-json writes the same snapshot
-// to a file and exits. -qlog writes the sustained-serving experiments'
-// structured query log (one JSON record per submission, with the
-// wall-clock phase breakdown) to a file.
+// to a file and exits.
 package main
 
 import (
@@ -28,7 +26,6 @@ import (
 	"blugpu/internal/bench"
 	"blugpu/internal/explain"
 	"blugpu/internal/metrics"
-	"blugpu/internal/qlog"
 	"blugpu/internal/trace"
 )
 
@@ -41,7 +38,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of every query to this file (load via chrome://tracing or ui.perfetto.dev)")
 	serve := flag.String("serve", "", "after the experiments, serve /metrics, /healthz and /debug/queries on this host:port until interrupted")
 	metricsJSON := flag.String("metrics-json", "", "write the final metrics snapshot as JSON to this file")
-	qlogOut := flag.String("qlog", "", "write the sustained-serving experiments' structured query log (JSONL) to this file")
 	explainOut := flag.String("explain", "", "run the explain suite and write its EXPLAIN ANALYZE reports as a JSON array to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: blubench [flags] [experiment]...\nexperiments: all %s\nflags:\n",
@@ -54,22 +50,12 @@ func main() {
 	if *traceOut != "" {
 		tracer = trace.New()
 	}
-	var queryLog *qlog.Logger
-	if *qlogOut != "" {
-		f, err := os.Create(*qlogOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "blubench:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		queryLog = qlog.New(f)
-	}
 
 	start := time.Now()
 	fmt.Printf("generating dataset (sf=%g, seed=%d)...\n", *sf, *seed)
 	h, err := bench.NewHarness(bench.Config{
 		SF: *sf, Seed: *seed, Devices: *devices, Degree: *degree, Race: *race,
-		Trace: tracer, QueryLog: queryLog,
+		Trace: tracer,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "blubench:", err)
@@ -107,7 +93,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
-		fmt.Printf("trace: %d queries, %d spans -> %s\n", tracer.Queries(), len(tracer.Spans()), *traceOut)
+		fmt.Printf("trace: %d queries, %d spans -> %s\n", tracer.Queries(), tracer.Held(), *traceOut)
 	}
 
 	if *explainOut != "" {

@@ -249,7 +249,7 @@ func (sh *shell) cmdTrace(fields []string, line string) bool {
 	if len(fields) < 2 {
 		state := "off"
 		if tr := eng.Tracer(); tr != nil {
-			state = fmt.Sprintf("on (%d queries, %d spans)", tr.Queries(), len(tr.Spans()))
+			state = fmt.Sprintf("on (%d queries, %d spans)", tr.Queries(), tr.Held())
 		}
 		fmt.Printf("tracing: %s\nusage: \\trace on|off|show|save <file>\n", state)
 		return false
@@ -294,7 +294,7 @@ func (sh *shell) cmdTrace(fields []string, line string) bool {
 			return false
 		}
 		fmt.Printf("wrote %d spans to %s (load via chrome://tracing or ui.perfetto.dev)\n",
-			len(tr.Spans()), fields[2])
+			tr.Held(), fields[2])
 	default:
 		fmt.Println("usage: \\trace on|off|show|save <file>")
 	}

@@ -3,8 +3,12 @@
 // pipeline, one with it disabled — runs the full BD Insights and Cognos
 // ROLAP query sets through both, and demands
 //
-//   - byte-for-byte identical result tables (fusion is a pure transfer
-//     optimization; any drift is a correctness bug), and
+//   - identical result tables (fusion is a pure transfer optimization;
+//     any drift is a correctness bug) under bench.DiffResults, the rule
+//     the differential tests use: integers, strings and NULLs exact,
+//     floats to 1e-9 relative, because float SUMs accumulate through
+//     racing device atomics and their last bits depend on thread order
+//     whichever path runs, and
 //   - a real H2D byte reduction with at least one fused chain executed
 //     (otherwise the fused path silently stopped engaging).
 //
@@ -16,12 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"blugpu/internal/bench"
-	"blugpu/internal/columnar"
-	"blugpu/internal/engine"
 	"blugpu/internal/workload"
 )
 
@@ -53,23 +53,23 @@ func main() {
 	qs := append(workload.BDInsights(), workload.CognosROLAP()...)
 	mismatches := 0
 	for _, q := range qs {
-		want, err := run(staged.Eng, q)
+		want, err := staged.Eng.QueryNamed(q.ID, q.SQL)
 		if err != nil {
 			fail(2, "%s (fusion off): %v", q.ID, err)
 		}
-		got, err := run(fused.Eng, q)
+		got, err := fused.Eng.QueryNamed(q.ID, q.SQL)
 		if err != nil {
 			fail(2, "%s (fusion on): %v", q.ID, err)
 		}
-		if want != got {
+		if msg := bench.DiffResults(want, got); msg != "" {
 			mismatches++
-			fmt.Fprintf(os.Stderr, "fusecheck: %s: fused result differs from staged\n", q.ID)
+			fmt.Fprintf(os.Stderr, "fusecheck: %s: fused result differs from staged: %s\n", q.ID, msg)
 		}
 	}
 	if mismatches > 0 {
 		fail(1, "%d of %d queries differ between fused and staged runs", mismatches, len(qs))
 	}
-	fmt.Printf("fusecheck: %d queries byte-identical across fused and staged runs\n", len(qs))
+	fmt.Printf("fusecheck: %d queries identical across fused and staged runs\n", len(qs))
 
 	chains, saved, uploaded := fused.Eng.Monitor().FusedStats()
 	h2dOn, _ := fused.Eng.Monitor().Transfers()
@@ -84,40 +84,4 @@ func main() {
 		fail(1, "fusion did not reduce H2D traffic")
 	}
 	fmt.Println("fusecheck: ok")
-}
-
-// run executes one query and renders its result table exactly: every
-// cell in row-major order, floats by bit pattern, NULLs marked. Two
-// equal renderings mean byte-identical tables.
-func run(e *engine.Engine, q workload.Query) (string, error) {
-	res, err := e.QueryNamed(q.ID, q.SQL)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	tbl := res.Table
-	cols := tbl.Columns()
-	for _, c := range cols {
-		b.WriteString(c.Name())
-		b.WriteByte('\t')
-	}
-	b.WriteByte('\n')
-	for ri := 0; ri < tbl.Rows(); ri++ {
-		for _, c := range cols {
-			v := c.Value(ri)
-			switch {
-			case v.Null:
-				b.WriteString("NULL")
-			case v.Type == columnar.Float64:
-				b.WriteString(strconv.FormatFloat(v.F, 'x', -1, 64))
-			case v.Type == columnar.Int64:
-				b.WriteString(strconv.FormatInt(v.I, 10))
-			default:
-				b.WriteString(v.S)
-			}
-			b.WriteByte('\t')
-		}
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
 }

@@ -76,7 +76,7 @@ func TestExperimentDispatch(t *testing.T) {
 	if err := h.Run("nope", io.Discard); err == nil {
 		t.Error("unknown experiment should error")
 	}
-	if len(Experiments()) != 10 {
+	if len(Experiments()) != 9 {
 		t.Errorf("experiments = %v", Experiments())
 	}
 }

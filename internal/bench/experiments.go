@@ -18,7 +18,7 @@ import (
 
 // Experiments lists the runnable experiment ids in paper order.
 func Experiments() []string {
-	return []string{"table1", "fig5", "fig6", "fig7", "table2", "table3", "fig8", "fig9", "faults", "serve"}
+	return []string{"table1", "fig5", "fig6", "fig7", "table2", "table3", "fig8", "fig9", "faults"}
 }
 
 // Run dispatches one experiment by id.
@@ -43,8 +43,6 @@ func (h *Harness) Run(name string, w io.Writer) error {
 		return h.Fig9(w)
 	case "faults":
 		return h.Faults(w)
-	case "serve":
-		return h.Serve(w)
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (have %s)", name, strings.Join(Experiments(), ", "))
 	}

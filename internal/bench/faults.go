@@ -53,7 +53,7 @@ func (h *Harness) Faults(w io.Writer) error {
 			fmt.Fprintf(w, "INVARIANT VIOLATED: %s failed under faults: %v\n", q.ID, err)
 			continue
 		}
-		if msg := diffResults(want, got); msg != "" {
+		if msg := DiffResults(want, got); msg != "" {
 			mismatches++
 			fmt.Fprintf(w, "MISMATCH %s: %s\n", q.ID, msg)
 		}
@@ -112,12 +112,12 @@ func (h *Harness) newFaultedEngine(inj *fault.Injector) (*engine.Engine, error) 
 	return eng, nil
 }
 
-// diffResults compares two query results row by row and returns a short
+// DiffResults compares two query results row by row and returns a short
 // description of the first difference, or "" when identical. Integer,
 // string and NULL cells must match exactly; float cells compare with a
 // 1e-9 relative tolerance, because parallel float aggregation is
 // order-sensitive in the last bits whichever path runs.
-func diffResults(want, got *engine.Result) string {
+func DiffResults(want, got *engine.Result) string {
 	wt, gt := want.Table, got.Table
 	if wt.Rows() != gt.Rows() {
 		return fmt.Sprintf("%d rows vs %d", gt.Rows(), wt.Rows())

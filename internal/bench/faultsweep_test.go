@@ -97,7 +97,7 @@ func TestFaultSweepDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("invariant violated: %s errored under faults: %v", q.ID, err)
 				}
-				if msg := diffResults(baseline[i], res); msg != "" {
+				if msg := DiffResults(baseline[i], res); msg != "" {
 					t.Errorf("%s differs from fault-free run: %s", q.ID, msg)
 				}
 			}

@@ -63,7 +63,7 @@ func TestFusionDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (fusion on): %v", q.ID, err)
 		}
-		if msg := diffResults(want, got); msg != "" {
+		if msg := DiffResults(want, got); msg != "" {
 			t.Errorf("%s: fused result differs from staged: %s", q.ID, msg)
 		}
 	}
@@ -141,7 +141,7 @@ func TestFusedChainFaultSweep(t *testing.T) {
 				if err != nil {
 					t.Fatalf("invariant violated: %s errored under faults: %v", q.ID, err)
 				}
-				if msg := diffResults(baseline[i], res); msg != "" {
+				if msg := DiffResults(baseline[i], res); msg != "" {
 					t.Errorf("%s: fused-under-fault differs from unfused baseline: %s", q.ID, msg)
 				}
 			}

@@ -21,7 +21,6 @@ import (
 	"blugpu/internal/engine"
 	"blugpu/internal/fault"
 	"blugpu/internal/optimizer"
-	"blugpu/internal/qlog"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 	"blugpu/internal/workload"
@@ -54,9 +53,6 @@ type Config struct {
 	// Trace, when set, records per-query span trees across every engine
 	// the harness builds (including the throughput and fault engines).
 	Trace *trace.Tracer
-	// QueryLog, when set, receives one structured record per submission
-	// from the sustained-serving experiments (blubench -qlog).
-	QueryLog *qlog.Logger
 }
 
 // Harness owns the generated dataset and a hybrid engine.

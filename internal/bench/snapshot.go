@@ -10,16 +10,16 @@ import (
 	"time"
 
 	"blugpu/internal/monitor"
-	"blugpu/internal/serve"
 	"blugpu/internal/workload"
 )
 
 // roundMs quantizes a modeled-millisecond value to 1e-6 ms (one modeled
-// nanosecond). Modeled time is deterministic only up to float-summation
-// order — the parallel host pool accumulates chunk durations in
-// completion order, which drifts by ~1 ulp run to run. Quantizing keeps
-// committed snapshots tidy and byte-comparable while sitting many orders
-// of magnitude below any real regression.
+// nanosecond), which keeps committed snapshots tidy while sitting many
+// orders of magnitude below any real regression. Modeled time is
+// run-to-run exact at a fixed GOMAXPROCS (kernel costs count probe
+// displacement per key, not per racing row — DESIGN.md §3); the GPU-off
+// columns still vary with GOMAXPROCS, so snapshots from machines with
+// different core counts are not bit-comparable.
 func roundMs(v float64) float64 { return math.Round(v*1e6) / 1e6 }
 
 // SnapshotSchema versions the BENCH_<n>.json layout. Bump it when a
@@ -36,13 +36,6 @@ type ExperimentSnap struct {
 	ModeledOnMs  float64 `json:"modeled_on_ms"`
 	ModeledOffMs float64 `json:"modeled_off_ms"`
 	WallMs       float64 `json:"wall_ms"`
-	// WallMsP50/WallMsP95 are per-query wall-clock latency quantiles from
-	// the monitor's wall histogram (bucket resolution). Machine-dependent:
-	// p95 is informational only, while p50 gates when CompareGated runs
-	// with a WallThreshold — generous fraction, noise floor, and a median
-	// over repeated runs (MergeRepeats) keep the gate honest.
-	WallMsP50 float64 `json:"wall_ms_p50,omitempty"`
-	WallMsP95 float64 `json:"wall_ms_p95,omitempty"`
 	// KernelExecs and TransferBytes are the GPU activity the experiment
 	// generated (deltas on the engine's monitor), so a plan change that
 	// silently moves work off the device shows up even when modeled time
@@ -60,44 +53,6 @@ type ExperimentSnap struct {
 	// across the experiment's group-bys — estimate-accountability
 	// tracking, informational only (never gated).
 	KMVMeanRelErr float64 `json:"kmv_mean_rel_err"`
-	// QPS/P99WallMs/ShedRate come from the sustained-serving experiment:
-	// delivered throughput, tail client latency and shed fraction under a
-	// saturated multi-user mix. Wall-clock and load-dependent, so they are
-	// trend columns only — never gated.
-	QPS       float64 `json:"qps,omitempty"`
-	P99WallMs float64 `json:"p99_wall_ms,omitempty"`
-	ShedRate  float64 `json:"shed_rate,omitempty"`
-	// QueueWaitMsP50/ExecWallMsP50/SerializeMsP50 are the sustained run's
-	// wall-clock phase medians from the server's per-query breakdown:
-	// time queued, time inside the engine call, and time serializing the
-	// client payload. Machine- and load-dependent trend columns —
-	// informational only, never gated.
-	QueueWaitMsP50 float64 `json:"queue_wait_ms_p50,omitempty"`
-	ExecWallMsP50  float64 `json:"exec_wall_ms_p50,omitempty"`
-	SerializeMsP50 float64 `json:"serialize_ms_p50,omitempty"`
-	// Series are in-run trend series the embedded obsd scraper recorded
-	// during the sustained experiment (queue depth, shed rate, wall-
-	// latency quantiles). Sample values are wall-clock trend data, but a
-	// sustained run is supposed to be steady-state, so each series'
-	// least-squares slope should sit near zero regardless of machine —
-	// benchdiff gates on slope (GateOptions.TrendSlopeMax), not on the
-	// samples.
-	Series []SeriesSnap `json:"series,omitempty"`
-}
-
-// SeriesSnap is one trend series recorded over a sustained run: the
-// sampled values (downsampled to at most trendMaxPoints, quantized like
-// the modeled columns) plus their least-squares slope in units per
-// second. A drifting slope means the run never reached steady state —
-// queue depth climbing, latency inflating — which medians alone hide.
-// Gated marks series whose steady-state value is flat (queue depth,
-// shed rate) and may face the slope ceiling; run-to-date quantile
-// series ramp by construction early in a run and stay informational.
-type SeriesSnap struct {
-	Name    string    `json:"name"`
-	Samples []float64 `json:"samples"`
-	Slope   float64   `json:"slope"`
-	Gated   bool      `json:"gated,omitempty"`
 }
 
 // CounterSnap is the engine-wide counter state after the suite ran.
@@ -132,12 +87,6 @@ func monitorTotals(m *monitor.Monitor) (kernels uint64, h2dBytes, d2hBytes int64
 	}
 	h2d, d2h := m.Transfers()
 	return kernels, h2d.Bytes, d2h.Bytes
-}
-
-// wallQuantiles converts a wall-histogram delta into (p50, p95)
-// milliseconds.
-func wallQuantiles(h monitor.Hist) (p50, p95 float64) {
-	return h.Quantile(0.50).Milliseconds(), h.Quantile(0.95).Milliseconds()
 }
 
 // kmvMean turns before/after KMV error histogram totals into the mean
@@ -176,7 +125,6 @@ func TakeSnapshot(cfg Config) (*Snapshot, error) {
 	runSet := func(name string, qs []workload.Query) error {
 		k0, h0, d0 := monitorTotals(h.Eng.Monitor())
 		kmv0 := h.Eng.Monitor().KMVError()
-		w0 := h.Eng.Monitor().WallHist()
 		start := time.Now()
 		runs, err := h.RunSet(qs)
 		if err != nil {
@@ -194,7 +142,6 @@ func TakeSnapshot(cfg Config) (*Snapshot, error) {
 			TransferD2HBytes: d1 - d0,
 			KMVMeanRelErr:    kmvMean(kmv0, h.Eng.Monitor().KMVError()),
 		}
-		e.WallMsP50, e.WallMsP95 = wallQuantiles(h.Eng.Monitor().WallHist().Sub(w0))
 		for _, r := range runs {
 			e.ModeledOnMs += r.GPUOn.Milliseconds()
 			e.ModeledOffMs += r.GPUOff.Milliseconds()
@@ -226,7 +173,6 @@ func TakeSnapshot(cfg Config) (*Snapshot, error) {
 	rolap.KernelExecs, rolap.TransferH2DBytes, rolap.TransferD2HBytes = monitorTotals(mon)
 	rolap.TransferBytes = rolap.TransferH2DBytes + rolap.TransferD2HBytes
 	rolap.KMVMeanRelErr = kmvMean(monitor.KMVErrorStats{}, mon.KMVError())
-	rolap.WallMsP50, rolap.WallMsP95 = wallQuantiles(mon.WallHist())
 	for _, r := range ran {
 		rolap.ModeledOnMs += r.GPUOn.Milliseconds()
 		rolap.ModeledOffMs += r.GPUOff.Milliseconds()
@@ -237,7 +183,6 @@ func TakeSnapshot(cfg Config) (*Snapshot, error) {
 	// Mixed concurrent workload: gate the two DES makespans.
 	k0, h0, d0 := monitorTotals(h.Eng.Monitor())
 	kmv0 := h.Eng.Monitor().KMVError()
-	w0 := h.Eng.Monitor().WallHist()
 	start = time.Now()
 	onRes, offRes, err := h.Fig8(io.Discard)
 	if err != nil {
@@ -256,36 +201,7 @@ func TakeSnapshot(cfg Config) (*Snapshot, error) {
 		TransferD2HBytes: d1 - d0,
 		KMVMeanRelErr:    kmvMean(kmv0, h.Eng.Monitor().KMVError()),
 	}
-	mixed.WallMsP50, mixed.WallMsP95 = wallQuantiles(h.Eng.Monitor().WallHist().Sub(w0))
 	snap.Experiments = append(snap.Experiments, mixed)
-
-	// Sustained serving: a scaled-down user mix through the admission-
-	// controlled serving layer with a tight queue, so the shed path is
-	// exercised. Every column is load- and machine-dependent trend data;
-	// the modeled and transfer columns stay zero because concurrent
-	// interleaving makes cache hit patterns (and so H2D traffic)
-	// nondeterministic — zero base means the gate skips them.
-	start = time.Now()
-	sus, err := h.RunSustained(
-		workload.UserMix{Simple: 28, Intermediate: 9, Complex: 4, QueriesPerUser: 1},
-		serve.Config{QueueCapacity: 8},
-	)
-	if err != nil {
-		return nil, fmt.Errorf("serve_sustained: %w", err)
-	}
-	sustained := ExperimentSnap{
-		Name:           "serve_sustained",
-		Queries:        int(sus.Snapshot.Admitted),
-		WallMs:         float64(time.Since(start).Nanoseconds()) / 1e6,
-		QPS:            sus.QPS,
-		P99WallMs:      sus.P99Ms,
-		ShedRate:       sus.ShedRate,
-		QueueWaitMsP50: sus.QueueWaitP50Ms,
-		ExecWallMsP50:  sus.ExecWallP50Ms,
-		SerializeMsP50: sus.SerializeP50Ms,
-		Series:         sus.Series,
-	}
-	snap.Experiments = append(snap.Experiments, sustained)
 
 	m := h.Eng.Monitor()
 	snap.Counters.KernelExecs, _, _ = monitorTotals(m)
@@ -334,59 +250,14 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%s/%s: %.3f -> %.3f (%+.1f%%)", r.Experiment, r.Metric, r.Base, r.Current, r.Frac*100)
 }
 
-// GateOptions tunes CompareGated.
-type GateOptions struct {
-	// Threshold is the allowed fractional growth of the deterministic
-	// modeled columns (0.05 allows 5%).
-	Threshold float64
-	// WallThreshold, when positive, graduates wall_ms_p50 from
-	// informational to gated: the current median may exceed the
-	// baseline's by at most this fraction. Wall clock is machine- and
-	// load-dependent, so callers pick generous thresholds (3.0 = 4x)
-	// and median the column over repeated runs before comparing.
-	WallThreshold float64
-	// WallFloorMs exempts experiments whose baseline wall_ms_p50 sits
-	// below the floor: sub-floor medians are dominated by scheduler
-	// noise and histogram bucket resolution, not by code under test.
-	// Defaults to 25ms when WallThreshold is set.
-	WallFloorMs float64
-	// TrendSlopeMax, when positive, gates the recorded trend-series
-	// slopes: a current slope above this ceiling (units per second —
-	// queue entries/s, ms of latency per second, …) fails the diff. A
-	// steady-state sustained run has slopes near zero on any machine, so
-	// the gate catches within-run drift (latency inflating, queue
-	// climbing, shed rate ramping) that medians average away. Only
-	// series the baseline carries AND marks Gated face the ceiling, so
-	// old baselines without series never fail and the run-to-date
-	// quantile series (which ramp by construction) stay informational.
-	TrendSlopeMax float64
-}
-
-func (o GateOptions) withDefaults() GateOptions {
-	if o.WallThreshold > 0 && o.WallFloorMs <= 0 {
-		o.WallFloorMs = 25
-	}
-	return o
-}
-
-// Compare diffs cur against base and returns the modeled-time
-// regressions exceeding threshold (e.g. 0.05 allows 5% growth). Only the
-// deterministic modeled columns gate; wall-clock and counters are
-// reported by callers but never fail the comparison. Snapshots from
+// Compare diffs cur against base and returns the regressions exceeding
+// threshold (e.g. 0.05 allows 5% growth). Only the deterministic columns
+// gate — modeled time and H2D bytes; wall_ms and the other counters are
+// reported by WriteDiff but never fail the comparison. Snapshots from
 // different configurations (schema, SF, seed, devices, degree) are not
 // comparable and return an error. An experiment present in base but
 // missing from cur is itself a regression.
 func Compare(base, cur *Snapshot, threshold float64) ([]Regression, error) {
-	return CompareGated(base, cur, GateOptions{Threshold: threshold})
-}
-
-// CompareGated is Compare with the full gate surface: the deterministic
-// modeled columns always gate at opt.Threshold, and when
-// opt.WallThreshold is set the wall_ms_p50 column gates too (above the
-// floor).
-func CompareGated(base, cur *Snapshot, opt GateOptions) ([]Regression, error) {
-	opt = opt.withDefaults()
-	threshold := opt.Threshold
 	if base.Schema != cur.Schema {
 		return nil, fmt.Errorf("bench: snapshot schema mismatch: base %d, current %d", base.Schema, cur.Schema)
 	}
@@ -435,43 +306,6 @@ func CompareGated(base, cur *Snapshot, opt GateOptions) ([]Regression, error) {
 			baseH2D = float64(b.TransferBytes)
 		}
 		check("transfer_h2d_bytes", baseH2D, float64(c.TransferH2DBytes))
-		// wall_ms_p50 gates only on request (WallThreshold > 0) and only
-		// above the noise floor: wall clock is real elapsed time on
-		// whatever machine took the snapshots, so the fractional
-		// threshold is generous and sub-floor medians — dominated by
-		// scheduler jitter and histogram bucket width — never gate.
-		if opt.WallThreshold > 0 && b.WallMsP50 >= opt.WallFloorMs {
-			if frac := c.WallMsP50/b.WallMsP50 - 1; frac > opt.WallThreshold {
-				regs = append(regs, Regression{
-					Experiment: b.Name, Metric: "wall_ms_p50",
-					Base: b.WallMsP50, Current: c.WallMsP50, Frac: frac,
-				})
-			}
-		}
-		// Trend-slope gate: the current run's slope is judged against the
-		// absolute ceiling, not against the baseline slope — steady state
-		// means ~0 on every machine, so "did the baseline also drift?" is
-		// not a defense. Frac reports the fractional excess over the
-		// ceiling rather than over the base.
-		if opt.TrendSlopeMax > 0 && len(b.Series) > 0 {
-			curSeries := make(map[string]SeriesSnap, len(c.Series))
-			for _, s := range c.Series {
-				curSeries[s.Name] = s
-			}
-			for _, bs := range b.Series {
-				cs, ok := curSeries[bs.Name]
-				if !ok || !bs.Gated {
-					continue
-				}
-				if cs.Slope > opt.TrendSlopeMax {
-					regs = append(regs, Regression{
-						Experiment: b.Name, Metric: "slope(" + bs.Name + ")",
-						Base: bs.Slope, Current: cs.Slope,
-						Frac: cs.Slope/opt.TrendSlopeMax - 1,
-					})
-				}
-			}
-		}
 	}
 	sort.Slice(regs, func(i, j int) bool {
 		if regs[i].Experiment != regs[j].Experiment {
@@ -482,95 +316,9 @@ func CompareGated(base, cur *Snapshot, opt GateOptions) ([]Regression, error) {
 	return regs, nil
 }
 
-// MergeRepeats folds repeated snapshots of the same configuration into
-// one. The deterministic modeled columns must agree across every repeat
-// — any drift beyond the rounding quantum is an error, because it would
-// mean the "deterministic" columns are not — and the wall-clock columns
-// (wall_ms, wall_ms_p50, wall_ms_p95) are replaced by their
-// per-experiment median, so a single noisy run cannot trip the wall
-// gate.
-func MergeRepeats(snaps []*Snapshot) (*Snapshot, error) {
-	if len(snaps) == 0 {
-		return nil, fmt.Errorf("bench: MergeRepeats needs at least one snapshot")
-	}
-	for i, s := range snaps[1:] {
-		// A zero-threshold comparison in both directions proves the
-		// modeled columns did not drift across repeats (the one-quantum
-		// absolute slack still applies).
-		for _, pair := range [2][2]*Snapshot{{snaps[0], s}, {s, snaps[0]}} {
-			regs, err := Compare(pair[0], pair[1], 0)
-			if err != nil {
-				return nil, fmt.Errorf("bench: repeat %d: %w", i+2, err)
-			}
-			if len(regs) > 0 {
-				return nil, fmt.Errorf("bench: modeled columns drifted across repeats (run %d): %s", i+2, regs[0])
-			}
-		}
-	}
-	out := *snaps[0]
-	out.Experiments = append([]ExperimentSnap(nil), snaps[0].Experiments...)
-	for ei := range out.Experiments {
-		var wall, p50, p95 []float64
-		for _, s := range snaps {
-			if ei < len(s.Experiments) {
-				e := s.Experiments[ei]
-				wall = append(wall, e.WallMs)
-				p50 = append(p50, e.WallMsP50)
-				p95 = append(p95, e.WallMsP95)
-			}
-		}
-		out.Experiments[ei].WallMs = median(wall)
-		out.Experiments[ei].WallMsP50 = median(p50)
-		out.Experiments[ei].WallMsP95 = median(p95)
-		// Trend slopes median by series name like the wall columns; the
-		// samples stay from the first run (their length varies with wall
-		// duration across repeats, so there is no per-sample pairing).
-		out.Experiments[ei].Series = append([]SeriesSnap(nil), out.Experiments[ei].Series...)
-		for si, bs := range out.Experiments[ei].Series {
-			var slopes []float64
-			for _, s := range snaps {
-				if ei >= len(s.Experiments) {
-					continue
-				}
-				for _, cs := range s.Experiments[ei].Series {
-					if cs.Name == bs.Name {
-						slopes = append(slopes, cs.Slope)
-					}
-				}
-			}
-			out.Experiments[ei].Series[si].Slope = median(slopes)
-		}
-	}
-	return &out, nil
-}
-
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-}
-
 // WriteDiff renders a human-readable comparison table of every
-// experiment in both snapshots, marking the gated modeled columns.
-// wall_ms_p50 renders as informational; use WriteDiffOpts to mark it
-// gated.
+// experiment in both snapshots, marking the gated columns ok/FAIL.
 func WriteDiff(w io.Writer, base, cur *Snapshot, regs []Regression) {
-	WriteDiffOpts(w, base, cur, regs, GateOptions{})
-}
-
-// WriteDiffOpts is WriteDiff with the gate configuration that produced
-// regs, so the table's gate column matches what CompareGated enforced:
-// with a WallThreshold set, wall_ms_p50 rows at or above the floor show
-// ok/FAIL instead of blank.
-func WriteDiffOpts(w io.Writer, base, cur *Snapshot, regs []Regression, opt GateOptions) {
-	opt = opt.withDefaults()
 	bad := make(map[string]bool, len(regs))
 	for _, r := range regs {
 		bad[r.Experiment+"/"+r.Metric] = true
@@ -604,9 +352,6 @@ func WriteDiffOpts(w io.Writer, base, cur *Snapshot, regs []Regression, opt Gate
 		row("modeled_on_ms", b.ModeledOnMs, c.ModeledOnMs, true)
 		row("modeled_off_ms", b.ModeledOffMs, c.ModeledOffMs, true)
 		row("wall_ms", b.WallMs, c.WallMs, false)
-		row("wall_ms_p50", b.WallMsP50, c.WallMsP50,
-			opt.WallThreshold > 0 && b.WallMsP50 >= opt.WallFloorMs)
-		row("wall_ms_p95", b.WallMsP95, c.WallMsP95, false)
 		row("kernel_execs", float64(b.KernelExecs), float64(c.KernelExecs), false)
 		row("transfer_bytes", float64(b.TransferBytes), float64(c.TransferBytes), false)
 		baseH2D := float64(b.TransferH2DBytes)
@@ -616,23 +361,5 @@ func WriteDiffOpts(w io.Writer, base, cur *Snapshot, regs []Regression, opt Gate
 		row("transfer_h2d_bytes", baseH2D, float64(c.TransferH2DBytes), true)
 		row("transfer_d2h_bytes", float64(b.TransferD2HBytes), float64(c.TransferD2HBytes), false)
 		row("kmv_mean_rel_err", b.KMVMeanRelErr, c.KMVMeanRelErr, false)
-		if b.QPS != 0 || c.QPS != 0 {
-			row("qps", b.QPS, c.QPS, false)
-			row("p99_wall_ms", b.P99WallMs, c.P99WallMs, false)
-			row("shed_rate", b.ShedRate, c.ShedRate, false)
-			row("queue_wait_ms_p50", b.QueueWaitMsP50, c.QueueWaitMsP50, false)
-			row("exec_wall_ms_p50", b.ExecWallMsP50, c.ExecWallMsP50, false)
-			row("serialize_ms_p50", b.SerializeMsP50, c.SerializeMsP50, false)
-		}
-		if len(b.Series) > 0 {
-			curSeries := make(map[string]SeriesSnap, len(c.Series))
-			for _, s := range c.Series {
-				curSeries[s.Name] = s
-			}
-			for _, bs := range b.Series {
-				cs, ok := curSeries[bs.Name]
-				row("slope("+bs.Name+")", bs.Slope, cs.Slope, ok && bs.Gated && opt.TrendSlopeMax > 0)
-			}
-		}
 	}
 }

@@ -28,7 +28,7 @@ func quickSnapshot(t *testing.T) *Snapshot {
 
 func TestSnapshotCoversSuite(t *testing.T) {
 	s := quickSnapshot(t)
-	want := []string{"bd_complex", "bd_intermediate", "rolap_gated", "mixed_makespan", "serve_sustained"}
+	want := []string{"bd_complex", "bd_intermediate", "rolap_gated", "mixed_makespan"}
 	if len(s.Experiments) != len(want) {
 		t.Fatalf("got %d experiments, want %d", len(s.Experiments), len(want))
 	}
@@ -36,17 +36,6 @@ func TestSnapshotCoversSuite(t *testing.T) {
 		e := s.Experiments[i]
 		if e.Name != name {
 			t.Errorf("experiment %d = %q, want %q", i, e.Name, name)
-		}
-		if name == "serve_sustained" {
-			// Wall-clock trend columns only; modeled stays zero by design
-			// so the deterministic gate never engages.
-			if e.ModeledOnMs != 0 || e.ModeledOffMs != 0 || e.TransferH2DBytes != 0 {
-				t.Errorf("serve_sustained must not carry gated columns: %+v", e)
-			}
-			if e.QPS <= 0 {
-				t.Errorf("serve_sustained: qps = %g, want > 0", e.QPS)
-			}
-			continue
 		}
 		if e.ModeledOnMs <= 0 || e.ModeledOffMs <= 0 {
 			t.Errorf("%s: modeled times must be positive: on=%g off=%g", name, e.ModeledOnMs, e.ModeledOffMs)
@@ -178,266 +167,6 @@ func TestCompareGatesTransferH2D(t *testing.T) {
 	}
 }
 
-// TestWallGateGraduation exercises the wall_ms_p50 gate through
-// CompareGated: off by default, floor-exempt when the baseline median is
-// noise-small, tripping past the threshold above the floor, and passing
-// on improvement.
-func TestWallGateGraduation(t *testing.T) {
-	base := quickSnapshot(t)
-	clone := func() *Snapshot {
-		cur := *base
-		cur.Experiments = append([]ExperimentSnap(nil), base.Experiments...)
-		return &cur
-	}
-	// Give the baseline a wall median well above the default 25ms floor
-	// so the gate is armed for the first experiment.
-	baseWall := clone()
-	baseWall.Experiments[0].WallMsP50 = 100
-
-	// 5x growth with the wall gate off (plain Compare) never trips.
-	cur := clone()
-	cur.Experiments[0].WallMsP50 = 500
-	regs, err := Compare(baseWall, cur, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("wall growth with gate off must pass: %v", regs)
-	}
-
-	// The same growth under a 3.0 (allow 4x) wall threshold trips on
-	// exactly the wall metric.
-	opts := GateOptions{Threshold: 0.05, WallThreshold: 3.0}
-	regs, err = CompareGated(baseWall, cur, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || regs[0].Metric != "wall_ms_p50" || regs[0].Experiment != base.Experiments[0].Name {
-		t.Fatalf("5x wall growth must trip a 3.0 gate once, got %v", regs)
-	}
-	if regs[0].Frac < 3.9 || regs[0].Frac > 4.1 {
-		t.Fatalf("frac = %g, want ~4.0", regs[0].Frac)
-	}
-
-	// The gated row must render ok/FAIL in the opts-aware diff table,
-	// and stay blank (informational) in the plain one.
-	var gatedTab, plainTab strings.Builder
-	WriteDiffOpts(&gatedTab, baseWall, cur, regs, opts)
-	WriteDiff(&plainTab, baseWall, cur, nil)
-	if !strings.Contains(gatedTab.String(), "FAIL") {
-		t.Fatalf("opts-aware diff must mark the failed wall gate:\n%s", gatedTab.String())
-	}
-	if strings.Contains(plainTab.String(), "FAIL") {
-		t.Fatalf("plain diff must leave wall_ms_p50 informational:\n%s", plainTab.String())
-	}
-
-	// 3x growth passes the allow-4x gate.
-	cur = clone()
-	cur.Experiments[0].WallMsP50 = 300
-	if regs, err = CompareGated(baseWall, cur, opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("3x growth must pass an allow-4x gate: %v", regs)
-	}
-
-	// Improvement passes.
-	cur = clone()
-	cur.Experiments[0].WallMsP50 = 10
-	if regs, err = CompareGated(baseWall, cur, opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("wall improvement must pass: %v", regs)
-	}
-
-	// A baseline median below the floor never gates, however large the
-	// growth — sub-floor medians are bucket noise.
-	subFloor := clone()
-	subFloor.Experiments[0].WallMsP50 = 5
-	cur = clone()
-	cur.Experiments[0].WallMsP50 = 500
-	if regs, err = CompareGated(subFloor, cur, opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("sub-floor baseline must never gate: %v", regs)
-	}
-}
-
-// TestMergeRepeats proves the repeat fold: wall columns become the
-// per-experiment median, the modeled columns must be repeat-stable, and
-// any modeled drift is an error rather than a silent average.
-func TestMergeRepeats(t *testing.T) {
-	base := quickSnapshot(t)
-	repeat := func(wallP50 float64) *Snapshot {
-		s := *base
-		s.Experiments = append([]ExperimentSnap(nil), base.Experiments...)
-		s.Experiments[0].WallMsP50 = wallP50
-		return &s
-	}
-
-	merged, err := MergeRepeats([]*Snapshot{repeat(10), repeat(90), repeat(30)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Experiments[0].WallMsP50; got != 30 {
-		t.Fatalf("median of {10,90,30} = %g, want 30", got)
-	}
-	// The merged snapshot keeps the deterministic columns untouched.
-	if merged.Experiments[0].ModeledOnMs != base.Experiments[0].ModeledOnMs {
-		t.Fatal("merge must not touch modeled columns")
-	}
-
-	// Drift in a modeled column across repeats is an error in either
-	// direction.
-	drifted := repeat(10)
-	drifted.Experiments[0].ModeledOnMs *= 1.01
-	if _, err := MergeRepeats([]*Snapshot{repeat(10), drifted}); err == nil {
-		t.Fatal("modeled drift up across repeats must error")
-	}
-	if _, err := MergeRepeats([]*Snapshot{drifted, repeat(10)}); err == nil {
-		t.Fatal("modeled drift down across repeats must error")
-	}
-
-	if _, err := MergeRepeats(nil); err == nil {
-		t.Fatal("empty repeat set must error")
-	}
-}
-
-// TestTrendSeriesRecorded: the sustained experiment carries the trend
-// series the embedded obsd scraper recorded during the run — at minimum
-// queue depth with the before/after bracket samples.
-func TestTrendSeriesRecorded(t *testing.T) {
-	s := quickSnapshot(t)
-	sus := s.Experiments[len(s.Experiments)-1]
-	if sus.Name != "serve_sustained" {
-		t.Fatalf("last experiment = %q, want serve_sustained", sus.Name)
-	}
-	if len(sus.Series) == 0 {
-		t.Fatal("serve_sustained carries no trend series")
-	}
-	byName := map[string]SeriesSnap{}
-	for _, ss := range sus.Series {
-		byName[ss.Name] = ss
-		if len(ss.Samples) < 2 {
-			t.Errorf("%s: %d samples, want >= 2 (pre/post scrapes bracket the run)", ss.Name, len(ss.Samples))
-		}
-		if len(ss.Samples) > trendMaxPoints {
-			t.Errorf("%s: %d samples exceed the %d-point cap", ss.Name, len(ss.Samples), trendMaxPoints)
-		}
-		// Run-to-date quantile series ramp by construction; only the
-		// steady-state series may face the slope ceiling.
-		if strings.Contains(ss.Name, "wall_ms") && ss.Gated {
-			t.Errorf("%s: quantile series must not be slope-gated", ss.Name)
-		}
-	}
-	qd, ok := byName["queue_depth"]
-	if !ok {
-		t.Fatalf("queue_depth series missing; recorded: %v", keysOf(byName))
-	}
-	if !qd.Gated {
-		t.Error("queue_depth must be slope-gated")
-	}
-}
-
-func keysOf(m map[string]SeriesSnap) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-// TestTrendSlopeGate: the slope ceiling trips only when requested, only
-// on series the baseline carries, and judges the current slope against
-// the absolute ceiling (steady state ≈ 0), not the baseline's slope.
-func TestTrendSlopeGate(t *testing.T) {
-	base := quickSnapshot(t)
-	withSlope := func(slope float64) *Snapshot {
-		s := *base
-		s.Experiments = append([]ExperimentSnap(nil), base.Experiments...)
-		last := len(s.Experiments) - 1
-		s.Experiments[last].Series = []SeriesSnap{
-			{Name: "queue_depth", Samples: []float64{0, 1}, Slope: slope, Gated: true},
-			{Name: "p99_wall_ms", Samples: []float64{0, 1}, Slope: slope * 100},
-		}
-		return &s
-	}
-
-	// Drifting current slope fails once the gate is armed — and only on
-	// the Gated series: the ungated quantile series drifts 100x harder
-	// in the same snapshot without tripping.
-	regs, err := CompareGated(withSlope(0.01), withSlope(5), GateOptions{TrendSlopeMax: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || regs[0].Metric != "slope(queue_depth)" {
-		t.Fatalf("drifting slope must gate exactly the gated series: %v", regs)
-	}
-	if regs[0].Current != 5 || regs[0].Frac <= 0 {
-		t.Fatalf("regression records the offending slope: %+v", regs[0])
-	}
-
-	// Below the ceiling passes, even when worse than the baseline.
-	regs, err = CompareGated(withSlope(0.0), withSlope(0.4), GateOptions{TrendSlopeMax: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("sub-ceiling slope must pass: %v", regs)
-	}
-
-	// Unarmed gate (TrendSlopeMax zero) never trips.
-	regs, err = CompareGated(withSlope(0.01), withSlope(100), GateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("unarmed slope gate must not trip: %v", regs)
-	}
-
-	// A baseline without series (pre-series snapshot) never gates.
-	noSeries := *base
-	noSeries.Experiments = append([]ExperimentSnap(nil), base.Experiments...)
-	noSeries.Experiments[len(noSeries.Experiments)-1].Series = nil
-	regs, err = CompareGated(&noSeries, withSlope(100), GateOptions{TrendSlopeMax: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range regs {
-		if strings.HasPrefix(r.Metric, "slope(") {
-			t.Fatalf("series-less baseline must not slope-gate: %v", regs)
-		}
-	}
-
-	// The diff table marks the failed slope row.
-	bad, cur := withSlope(0.01), withSlope(5)
-	regs, err = CompareGated(bad, cur, GateOptions{TrendSlopeMax: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	WriteDiffOpts(&sb, bad, cur, regs, GateOptions{TrendSlopeMax: 0.5})
-	if !strings.Contains(sb.String(), "slope(queue_depth)") || !strings.Contains(sb.String(), "FAIL") {
-		t.Fatalf("diff table must render the failed slope row:\n%s", sb.String())
-	}
-
-	// MergeRepeats medians the slopes without touching the input.
-	r1, r2, r3 := withSlope(1), withSlope(9), withSlope(3)
-	merged, err := MergeRepeats([]*Snapshot{r1, r2, r3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := len(merged.Experiments) - 1
-	if got := merged.Experiments[last].Series[0].Slope; got != 3 {
-		t.Fatalf("median slope of {1,9,3} = %g, want 3", got)
-	}
-	if r1.Experiments[last].Series[0].Slope != 1 {
-		t.Fatal("MergeRepeats mutated its input snapshot")
-	}
-}
-
 func TestCompareMissingExperiment(t *testing.T) {
 	base := quickSnapshot(t)
 	cur := *base
@@ -500,20 +229,19 @@ func TestSnapshotDeterministicModeledColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs, err := Compare(a, b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("two snapshots of the same config differ in modeled time: %v", regs)
+	// Threshold 0 in both directions: neither run may exceed the other in
+	// any gated column.
+	for _, pair := range [2][2]*Snapshot{{a, b}, {b, a}} {
+		regs, err := Compare(pair[0], pair[1], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(regs) != 0 {
+			t.Fatalf("two snapshots of the same config differ in a gated column: %v", regs)
+		}
 	}
 	for i := range a.Experiments {
-		// Modeled time drifts by at most one 1e-6 ms quantum (float
-		// summation order in the parallel host pool); activity counters
-		// must match exactly.
-		dOn := a.Experiments[i].ModeledOnMs - b.Experiments[i].ModeledOnMs
-		if dOn < -1e-6 || dOn > 1e-6 ||
-			a.Experiments[i].KernelExecs != b.Experiments[i].KernelExecs {
+		if a.Experiments[i].KernelExecs != b.Experiments[i].KernelExecs {
 			t.Fatalf("experiment %s not deterministic:\n%+v\n%+v",
 				a.Experiments[i].Name, a.Experiments[i], b.Experiments[i])
 		}

@@ -510,7 +510,6 @@ func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql
 		name = "query"
 	}
 	e.mon.RecordQuery(name, f.modeled, f.gpuUsed)
-	e.mon.RecordQueryWall(vtime.Duration(time.Since(wallStart).Seconds()))
 	// The scheduler's breaker probations expire in virtual time; each
 	// query's modeled duration is what makes that clock move.
 	if e.sched != nil {

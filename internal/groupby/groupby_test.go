@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -529,6 +530,48 @@ func TestK3BeatsK1OnManyAggs(t *testing.T) {
 	if k3.Stats.KernelTime >= k1.Stats.KernelTime {
 		t.Errorf("k3 (%v) should beat k1 (%v) with 8 aggregates at low contention",
 			k3.Stats.KernelTime, k1.Stats.KernelTime)
+	}
+}
+
+// TestKernelCostIgnoresInsertOrder: a kernel's modeled time is a function
+// of its input, not of which device thread won which slot claim. The keys
+// are skewed onto 64 spaced home slots (32 colliding keys each, a few
+// hot), so 32-slot probe chains form and the claim order differs run to
+// run once two or more device workers race.
+func TestKernelCostIgnoresInsertOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // deviceWorkers follows GOMAXPROCS
+	const rows, groups = 40000, 2048
+	keys := make([]uint64, rows)
+	x := uint64(20160626)
+	for i := range keys {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		u := x % groups
+		g := u * u / groups // quadratic skew towards the low keys
+		keys[i] = g%64*64 + (g/64)<<20
+	}
+	model := vtime.Default()
+	dev := testDevice()
+	for _, k := range []Kernel{K1Regular, K3RowLock} {
+		in := buildInput(keys, stdAggs, groups)
+		var first vtime.Duration
+		for run := 0; run < 20; run++ {
+			res := reserveFor(t, dev, in)
+			out, err := RunGPU(in, res, model, GPUOptions{Kernel: k, Pinned: true})
+			res.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				first = out.Stats.KernelTime
+				checkResult(t, in, out)
+			} else if out.Stats.KernelTime != first {
+				t.Errorf("%v: run %d modeled %.9f ms, run 0 modeled %.9f ms",
+					k, run, out.Stats.KernelTime.Milliseconds(), first.Milliseconds())
+				break
+			}
+		}
 	}
 }
 

@@ -12,7 +12,12 @@ import (
 // kernelStats accumulates measured work counts from a functional kernel
 // run; they feed the cost formulas.
 type kernelStats struct {
-	probes     atomic.Uint64 // extra probe steps beyond the first slot
+	// disp sums, over the distinct keys, how many slots past its home
+	// each key was claimed. Recorded once per key by the claiming thread:
+	// for linear probing the final set of occupied slots — and so this sum
+	// — does not depend on which thread won which claim, unlike a per-row
+	// probe count, which does.
+	disp       atomic.Uint64
 	full       atomic.Bool   // table overflow observed
 	flushes    atomic.Uint64 // kernel-2 shared-memory flushes
 	mergeEntry atomic.Uint64 // kernel-2 entries merged into device memory
@@ -29,6 +34,7 @@ func insertNarrow(t *deviceTable, key, hash uint64, st *kernelStats) int {
 		cur := t.buf.AtomicLoad(base)
 		if cur == EmptyKey {
 			if t.buf.AtomicCAS(base, EmptyKey, key) {
+				st.disp.Add(uint64(step))
 				return s
 			}
 			cur = t.buf.AtomicLoad(base)
@@ -37,7 +43,6 @@ func insertNarrow(t *deviceTable, key, hash uint64, st *kernelStats) int {
 			return s
 		}
 		s = (s + 1) & mask
-		st.probes.Add(1)
 	}
 	st.full.Store(true)
 	return -1
@@ -57,6 +62,7 @@ func insertWide(t *deviceTable, key []byte, hash uint64, st *kernelStats, keyBuf
 		cur := t.buf.Words()[base]
 		if cur == EmptyKey {
 			copy(t.buf.Words()[base:base+t.keyWords], keyBuf)
+			st.disp.Add(uint64(step))
 			return s
 		}
 		if wordsEqual(t.buf.Words()[base:base+t.keyWords], keyBuf) {
@@ -64,7 +70,6 @@ func insertWide(t *deviceTable, key []byte, hash uint64, st *kernelStats, keyBuf
 		}
 		t.locks.Unlock(s)
 		s = (s + 1) & mask
-		st.probes.Add(1)
 	}
 	st.full.Store(true)
 	return -1
@@ -161,7 +166,7 @@ func runKernel1(in *Input, t *deviceTable, dev *gpu.Device, model *vtime.CostMod
 			return 0, err
 		}
 		groups = countGroups(t)
-		return kernel1Cost(in, t, st, model, groups), nil
+		return kernel1Cost(in, st, model, groups), nil
 	})
 	if kr.Err != nil {
 		return 0, 0, kr.Err
@@ -172,10 +177,21 @@ func runKernel1(in *Input, t *deviceTable, dev *gpu.Device, model *vtime.CostMod
 	return kr.Modeled, groups, nil
 }
 
-func kernel1Cost(in *Input, t *deviceTable, st *kernelStats, model *vtime.CostModel, groups int) vtime.Duration {
+// probeSteps models the hash-insert probe steps of a kernel run: one per
+// row plus each row's walk from its key's home slot, taking the mean
+// displacement over keys as every row's. A pure function of the input,
+// so the modeled cost is too.
+func probeSteps(in *Input, st *kernelStats, groups int) float64 {
 	rows := float64(in.NumRows)
-	probes := rows + float64(st.probes.Load())
-	insert := vtime.Duration(probes / model.GPUHashInsertRate)
+	if groups == 0 {
+		return rows
+	}
+	return rows + float64(st.disp.Load())*rows/float64(groups)
+}
+
+func kernel1Cost(in *Input, st *kernelStats, model *vtime.CostModel, groups int) vtime.Duration {
+	rows := float64(in.NumRows)
+	insert := vtime.Duration(probeSteps(in, st, groups) / model.GPUHashInsertRate)
 	var aggT vtime.Duration
 	cf := model.AtomicContentionFactor(rows, float64(groups))
 	aggWork := rows * float64(len(in.Aggs))
@@ -389,9 +405,8 @@ func runKernel3(in *Input, t *deviceTable, dev *gpu.Device, model *vtime.CostMod
 		}
 		groups = countGroups(t)
 		rows := float64(in.NumRows)
-		probes := rows + float64(st.probes.Load())
 		lf := model.LockContentionFactor(rows, float64(groups))
-		return vtime.Duration(probes/model.GPUHashInsertRate) +
+		return vtime.Duration(probeSteps(in, st, groups)/model.GPUHashInsertRate) +
 			vtime.Duration(rows/model.GPULockRate*lf) +
 			vtime.Duration(rows*float64(len(in.Aggs))/model.GPUPlainAggRate), nil
 	})

@@ -109,21 +109,6 @@ func (h *Hist) Quantiles() (p50, p95, p99 vtime.Duration) {
 	return h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
 }
 
-// Sub returns the histogram of samples observed since prev, assuming
-// prev is an earlier copy of h (counts monotonically grew from it).
-// The max of the delta is not recoverable from buckets alone; it is
-// carried over from h, an upper bound for the interval.
-func (h Hist) Sub(prev Hist) Hist {
-	var out Hist
-	for i := 0; i < histBuckets; i++ {
-		out.counts[i] = h.counts[i] - prev.counts[i]
-	}
-	out.n = h.n - prev.n
-	out.sum = h.sum - prev.sum
-	out.max = h.max
-	return out
-}
-
 // HistBucket is one exported histogram bucket: the cumulative count of
 // samples at or below UpperBound. The Prometheus exposition's le series
 // is built directly from these.

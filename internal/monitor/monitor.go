@@ -126,10 +126,6 @@ type Monitor struct {
 	// is the KMV estimator relative-error distribution (see estimator.go).
 	decisions map[[2]string]uint64
 	kmvErr    Hist
-	// wall is the wall-clock (not modeled) per-query latency
-	// distribution, recorded by the engine around each execution — the
-	// first instrument of the ROADMAP's wall-clock campaign.
-	wall Hist
 	// fusedChains / fusedSaved / fusedUploaded count completed fused
 	// device chains and their H2D bytes avoided (cache hits) vs moved
 	// (cache fills).
@@ -205,24 +201,6 @@ func (m *Monitor) RecordQuery(name string, modeled vtime.Duration, gpuUsed bool)
 	if gpuUsed {
 		qs.gpuRuns++
 	}
-}
-
-// RecordQueryWall accumulates one query's wall-clock execution time into
-// the global wall-latency histogram. Wall time is real elapsed time, not
-// modeled: it varies run to run and is reported but never gated on.
-func (m *Monitor) RecordQueryWall(d vtime.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.wall.Observe(d)
-}
-
-// WallHist returns a copy of the wall-clock per-query latency histogram.
-// Callers can diff two snapshots with Hist.Sub to get quantiles for just
-// the queries run in between.
-func (m *Monitor) WallHist() Hist {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wall
 }
 
 // RecordFusedChain accumulates one completed fused device chain: saved is
@@ -392,7 +370,6 @@ func (m *Monitor) Reset() {
 	m.degrade = newDegradeState()
 	m.decisions = nil
 	m.kmvErr = Hist{}
-	m.wall = Hist{}
 	m.fusedChains, m.fusedSaved, m.fusedUploaded = 0, 0, 0
 }
 

@@ -140,8 +140,10 @@ func spanDigest(spans []trace.Span) (devices []int, transferBytes int64, fallbac
 	return devices, transferBytes, fallback
 }
 
-// captureTrace snapshots the query's span subtree off the executor's
-// tracer into the live ring. The serving layer reaches the tracer via
+// captureTrace moves the query's span subtree out of the executor's
+// tracer into the live ring, so in a serving process the bounded ring is
+// the only long-term holder of spans. It runs after the inline-EXPLAIN
+// report has read the same spans. The serving layer reaches the tracer via
 // a runtime capability check rather than widening Executor — stub
 // executors in tests simply have no traces to retain.
 func (s *Server) captureTrace(reqID, name, session string, class workload.Class, res *engine.Result, total time.Duration, slow bool) []trace.Span {
@@ -156,7 +158,7 @@ func (s *Server) captureTrace(reqID, name, session string, class workload.Class,
 	if tr == nil {
 		return nil
 	}
-	spans := tr.QuerySpans(res.TraceSeq)
+	spans := tr.TakeQuery(res.TraceSeq)
 	if len(spans) == 0 {
 		return nil
 	}

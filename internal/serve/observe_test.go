@@ -340,6 +340,80 @@ func TestRequestIDJoin(t *testing.T) {
 	reconcile(t, s)
 }
 
+// TestTracerHoldsNoFinishedQueries: the server moves each finished
+// query's spans from the engine's tracer into the bounded ring, so what
+// the tracer holds does not grow with the number of queries served, while
+// /debug/trace/{id} still serves the newest query and a slow one that the
+// recency ring has long since evicted.
+func TestTracerHoldsNoFinishedQueries(t *testing.T) {
+	eng := newServeTestEngine(t)
+	tr := trace.New()
+	eng.SetTracer(tr)
+	// A request is slow exactly when the injected clock advances under it.
+	var now time.Duration
+	var tick time.Duration
+	s, err := New(eng, Config{Clock: func() time.Time {
+		now += tick
+		return time.Unix(0, 0).Add(now)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewMux(s, nil))
+	defer srv.Close()
+
+	const n, slowAt, checkAt = 200, 10, 20
+	var heldEarly int
+	for i := 0; i < n; i++ {
+		tick = 0
+		if i == slowAt {
+			tick = time.Second
+		}
+		_, err := s.Do(context.Background(), Request{
+			SQL: "SELECT k, SUM(v) AS s FROM t GROUP BY k", RequestID: fmt.Sprintf("req-%03d", i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == checkAt-1 {
+			heldEarly = tr.Held()
+		}
+	}
+	if got := tr.Held(); got != heldEarly {
+		t.Fatalf("tracer holds %d spans after %d queries, %d after %d: retention grows with traffic", got, n, heldEarly, checkAt)
+	}
+	if got := tr.Queries(); got != n {
+		t.Fatalf("tracer saw %d queries, want %d", got, n)
+	}
+	for _, id := range []string{fmt.Sprintf("req-%03d", n-1), fmt.Sprintf("req-%03d", slowAt)} {
+		resp, err := http.Get(srv.URL + "/debug/trace/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := new(bytes.Buffer)
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/debug/trace/%s → %d: %s", id, resp.StatusCode, body.String())
+		}
+		if err := trace.ValidateChrome(body.Bytes()); err != nil {
+			t.Fatalf("/debug/trace/%s invalid: %v", id, err)
+		}
+		if !bytes.Contains(body.Bytes(), []byte(`"request_id":"`+id+`"`)) {
+			t.Fatalf("/debug/trace/%s export lacks the request ID", id)
+		}
+	}
+	// An ordinary early request is gone: the ring is the only holder.
+	resp, err := http.Get(srv.URL + "/debug/trace/req-000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("evicted trace → %d, want 404", resp.StatusCode)
+	}
+}
+
 func TestGeneratedRequestID(t *testing.T) {
 	eng := newServeTestEngine(t)
 	s, _ := New(eng, Config{})

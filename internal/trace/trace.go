@@ -25,6 +25,7 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -80,11 +81,22 @@ type span struct {
 	ended  bool
 }
 
+// snapshot copies the span out, attributes included, so the copy stays
+// stable while the tracer keeps appending.
+func (s *span) snapshot() Span {
+	sp := s.Span
+	sp.Attrs = append([]Attr(nil), s.Attrs...)
+	return sp
+}
+
 // Tracer collects spans. Safe for concurrent use; the zero value is not
 // usable — call New.
 type Tracer struct {
-	mu      sync.Mutex
-	spans   []*span
+	mu sync.Mutex
+	// byQuery holds each query's spans in creation order, so one query's
+	// subtree is read (QuerySpans) or removed (TakeQuery) without touching
+	// any other query's spans.
+	byQuery map[uint64][]*span
 	byID    map[SpanID]*span
 	lastID  SpanID
 	queries uint64
@@ -95,7 +107,7 @@ type Tracer struct {
 
 // New returns an empty tracer.
 func New() *Tracer {
-	return &Tracer{byID: make(map[SpanID]*span)}
+	return &Tracer{byQuery: make(map[uint64][]*span), byID: make(map[SpanID]*span)}
 }
 
 // Context addresses one span of one tracer. The zero value is a valid
@@ -124,7 +136,7 @@ func (t *Tracer) newSpanLocked(parent SpanID, query uint64, depth int, cat, name
 		ID: t.lastID, Parent: parent, Query: query, Depth: depth,
 		Cat: cat, Name: name, Start: at, End: at,
 	}, cursor: at}
-	t.spans = append(t.spans, s)
+	t.byQuery[query] = append(t.byQuery[query], s)
 	t.byID[s.ID] = s
 	return s
 }
@@ -263,16 +275,30 @@ func (t *Tracer) RecordDeviceEvent(parent SpanID, device int, kind, name string,
 	s.Attrs = append(s.Attrs, Int("device", int64(device)), Int("bytes", bytes))
 }
 
-// Spans returns a snapshot of every span in creation order.
+// Spans returns a snapshot of every held span: queries in start order,
+// each query's spans in creation order.
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	for i, s := range t.spans {
-		out[i] = s.Span
-		out[i].Attrs = append([]Attr(nil), s.Attrs...)
+	held := make([]uint64, 0, len(t.byQuery))
+	for q := range t.byQuery {
+		held = append(held, q)
+	}
+	sort.Slice(held, func(i, j int) bool { return held[i] < held[j] })
+	out := make([]Span, 0, len(t.byID))
+	for _, q := range held {
+		for _, s := range t.byQuery[q] {
+			out = append(out, s.snapshot())
+		}
 	}
 	return out
+}
+
+// Held returns the number of spans the tracer currently holds.
+func (t *Tracer) Held() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.byID)
 }
 
 // QuerySpans returns a snapshot of every span belonging to query
@@ -281,14 +307,29 @@ func (t *Tracer) Spans() []Span {
 func (t *Tracer) QuerySpans(q uint64) []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Span
-	for _, s := range t.spans {
-		if s.Query != q {
-			continue
-		}
-		sp := s.Span
-		sp.Attrs = append([]Attr(nil), s.Attrs...)
-		out = append(out, sp)
+	spans := t.byQuery[q]
+	out := make([]Span, len(spans))
+	for i, s := range spans {
+		out[i] = s.snapshot()
+	}
+	return out
+}
+
+// TakeQuery removes query q's spans from the tracer and returns them in
+// creation order. A long-running server calls it once per finished query
+// and keeps what it wants in a bounded Ring, so the tracer holds only
+// in-flight queries; a tracer nobody takes from retains the whole
+// session for export. Events that arrive for a taken query count as
+// orphans.
+func (t *Tracer) TakeQuery(q uint64) []Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	spans := t.byQuery[q]
+	delete(t.byQuery, q)
+	out := make([]Span, len(spans))
+	for i, s := range spans {
+		out[i] = s.Span
+		delete(t.byID, s.ID)
 	}
 	return out
 }
@@ -315,7 +356,7 @@ func (t *Tracer) FaultAttrCount() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var n uint64
-	for _, s := range t.spans {
+	for _, s := range t.byID {
 		for _, a := range s.Attrs {
 			if a.Key == "fault" {
 				n++
@@ -329,7 +370,7 @@ func (t *Tracer) FaultAttrCount() uint64 {
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spans = nil
+	t.byQuery = make(map[uint64][]*span)
 	t.byID = make(map[SpanID]*span)
 	t.lastID = 0
 	t.queries = 0

@@ -165,6 +165,38 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestTakeQuery: taking a finished query removes exactly its spans, in
+// creation order, and leaves interleaved spans of other queries held.
+func TestTakeQuery(t *testing.T) {
+	tr := New()
+	q1 := tr.StartQuery("a", 0)
+	q2 := tr.StartQuery("b", 0)
+	op1 := q1.Begin("op", "x", 0)
+	op2 := q2.Begin("op", "y", 0)
+	tr.RecordDeviceEvent(op1.ID(), 0, "kernel", "k", 8, vtime.Millisecond)
+	op1.End(1)
+	q1.End(1)
+
+	took := tr.TakeQuery(q1.Query())
+	if len(took) != 3 || took[0].Name != "a" || took[1].Name != "x" || took[2].Cat != "kernel" {
+		t.Fatalf("took %+v", took)
+	}
+	if tr.Held() != 2 || len(tr.QuerySpans(q1.Query())) != 0 || len(tr.TakeQuery(q1.Query())) != 0 {
+		t.Fatalf("query 1 still held: %d spans", tr.Held())
+	}
+	if rest := tr.Spans(); len(rest) != 2 || rest[0].Name != "b" || rest[1].ID != op2.ID() {
+		t.Fatalf("other query disturbed: %+v", rest)
+	}
+	// A late event for the taken query has no span to land on.
+	tr.RecordDeviceEvent(op1.ID(), 0, "kernel", "late", 8, vtime.Millisecond)
+	if tr.Orphans() != 1 || tr.Held() != 2 {
+		t.Fatalf("orphans = %d, held = %d", tr.Orphans(), tr.Held())
+	}
+	if tr.Queries() != 2 {
+		t.Fatalf("queries = %d: taking must not rewind the sequence", tr.Queries())
+	}
+}
+
 // buildFixedTrace assembles the same span tree every call — the
 // determinism fixture for the export tests.
 func buildFixedTrace() *Tracer {
