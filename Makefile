@@ -10,7 +10,12 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/serve ./internal/prof ./internal/hostmem \
                 ./internal/obsd
 
-.PHONY: build vet test race bench check trace-smoke metrics-smoke explain-smoke bench-gate bench-smoke fuse-smoke serve-smoke qlog-smoke prof-smoke dash-smoke
+# The one directory `make check` writes outside the checkout: blubench's
+# exports in, blucheck's failure evidence and benchdiff's fresh snapshot
+# out (CI uploads it when the job fails).
+SMOKE_DIR ?= $(or $(TMPDIR),/tmp)/blucheck
+
+.PHONY: build vet test race bench check smoke bench-gate bench-smoke
 
 build:
 	$(GO) build ./...
@@ -28,32 +33,25 @@ bench:
 	$(GO) test -bench 'ParallelGather|PartialKeyBuild' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort
 
-# End-to-end tracing smoke: run one small traced experiment through
-# blubench and validate the exported JSON against the trace-event schema.
-trace-smoke:
-	$(GO) run ./cmd/blubench -sf 0.004 -trace /tmp/blu-trace-smoke.json fig5 > /dev/null
-	$(GO) run ./cmd/tracecheck /tmp/blu-trace-smoke.json
-
-# End-to-end metrics smoke: boot bluserve, warm it up, scrape every admin
-# endpoint against the live server and validate the exposition syntax.
-# sf=0.02 is the smallest scale where the optimizer routes work to the
-# GPU, so the scrape covers the kernel/transfer/scheduler families.
-metrics-smoke:
-	$(GO) run ./cmd/bluserve -sf 0.02 -smoke
-
-# End-to-end explain smoke: run the EXPLAIN ANALYZE suite through
-# blubench and validate every report — schema, decode, and full
-# reconciliation (no unattributed operators, no orphaned device events,
-# no monitor-vs-span counter mismatches).
-explain-smoke:
-	$(GO) run ./cmd/blubench -sf 0.004 -explain /tmp/blu-explain-smoke.json fig5 > /dev/null
-	$(GO) run ./cmd/explaincheck /tmp/blu-explain-smoke.json
+# End-to-end smoke: blubench exports one small traced experiment and
+# its EXPLAIN ANALYZE reports (so the binary's own export path is what
+# gets checked), then blucheck runs every suite — the two file
+# validators, the fused-vs-staged differential, and the serving suites,
+# each against serve.NewStack, the assembly bluserve runs. See
+# cmd/blucheck for what each suite asserts; a failing serving suite
+# leaves its evidence under $(SMOKE_DIR)/<suite>/.
+# suites: trace explain fuse metrics serve qlog prof dash
+smoke:
+	mkdir -p $(SMOKE_DIR)
+	$(GO) run ./cmd/blubench -sf 0.004 -trace $(SMOKE_DIR)/trace.json -explain $(SMOKE_DIR)/explain.json fig5 > /dev/null
+	$(GO) run ./cmd/blucheck -artifacts $(SMOKE_DIR) all
 
 # Perf-regression gate: run the benchdiff suite and compare the modeled
 # (deterministic) timings and H2D bytes against the committed
 # BENCH_0.json baseline.
 bench-gate:
-	$(GO) run ./cmd/benchdiff -out /tmp/blu-bench-current.json
+	mkdir -p $(SMOKE_DIR)
+	$(GO) run ./cmd/benchdiff -out $(SMOKE_DIR)/bench-current.json
 
 # Wall-clock smoke: one short pass of the repository benchmark
 # (benchmark/README.md) — builds bluserve, drives every workload over
@@ -63,46 +61,4 @@ bench-gate:
 bench-smoke:
 	$(GO) run ./benchmark -quick
 
-# Data-path fusion smoke: run the BD + ROLAP suites through a fused and
-# an unfused engine over the same dataset, diff every result table
-# (floats to 1e-9 relative, everything else exact), and assert the fused run moved fewer H2D bytes.
-fuse-smoke:
-	$(GO) run ./cmd/fusecheck
-
-# End-to-end serving smoke: boot bluserve with a deliberately small
-# admission queue, drive a multi-user mix through POST /query over HTTP
-# (retrying shed 429s), run one inline EXPLAIN ANALYZE, drain, verify
-# the post-drain 503, and reconcile the admission ledger via
-# /debug/serve.
-serve-smoke:
-	$(GO) run ./cmd/bluserve -sf 0.02 -queue 4 -serve-smoke
-
-# Wall-clock observability smoke: post identified queries over HTTP and
-# prove the request-ID join end to end — query log (validated, phases
-# summing to the wall total), /debug/trace/{id} Chrome JSON, EXPLAIN
-# ANALYZE request_id, and the blu_go_*/blu_slo_* metric families. On
-# failure the /metrics scrape, slow traces and query log land in
-# /tmp/blu-qlog-artifacts for CI upload.
-qlog-smoke:
-	$(GO) run ./cmd/qlogcheck -artifacts /tmp/blu-qlog-artifacts
-
-# Resource-attribution smoke: post identified queries with the prof
-# accountant and profile captor attached, then prove the blu_prof_*
-# ledger on /metrics reconciles against the query log per class and
-# phase, and that /debug/prof/capture + /debug/prof/hotspots serve. On
-# failure the scrape, digest, capture and query log land in
-# /tmp/blu-prof-artifacts for CI upload.
-prof-smoke:
-	$(GO) run ./cmd/profcheck -artifacts /tmp/blu-prof-artifacts
-
-# Embedded-observability smoke: boot the serving stack with an obsd
-# store on an injected clock, trip every circuit breaker, and prove the
-# AllBreakersOpen page alert fires within one `for:` window, resolves
-# after recovery, and shows the full lifecycle on /debug/alerts,
-# blu_alerts_*, the query log and /debug/dash — byte-identically across
-# two runs. On failure the alert JSON, dash HTML, scrape and query log
-# land in /tmp/blu-dash-artifacts for CI upload.
-dash-smoke:
-	$(GO) run ./cmd/dashcheck -artifacts /tmp/blu-dash-artifacts
-
-check: vet test race trace-smoke metrics-smoke explain-smoke fuse-smoke serve-smoke qlog-smoke prof-smoke dash-smoke bench-gate bench-smoke
+check: vet test race smoke bench-gate bench-smoke

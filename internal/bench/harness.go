@@ -45,7 +45,7 @@ type Config struct {
 	Race bool
 	// NoFusion disables the fused device data path (and its column cache)
 	// on every engine the harness builds — the control arm for fusion
-	// A/B runs (cmd/fusecheck, TestFusionDifferential).
+	// A/B runs (`blucheck fuse`, TestFusionDifferential).
 	NoFusion bool
 	// Faults optionally injects GPU faults into the harness engine
 	// (robustness experiments); nil disables injection.

@@ -13,7 +13,7 @@ import "blugpu/internal/monitor"
 //
 // with the residue being work not yet resolved at snapshot time. A
 // drained server has residue zero — the double-entry reconciliation the
-// saturation tests and serve-smoke assert.
+// saturation tests and `blucheck serve` assert.
 type AdmissionSnapshot struct {
 	QueueDepth    int  `json:"queue_depth"`
 	QueueCapacity int  `json:"queue_capacity"` // configured bound
@@ -28,6 +28,7 @@ type AdmissionSnapshot struct {
 	TimedOut     uint64 `json:"timed_out"`
 	Drained      uint64 `json:"drained"`
 	ExecErrors   uint64 `json:"exec_errors"` // subset of Admitted that failed in the engine
+	Panics       uint64 `json:"panics"`      // subset of ExecErrors: executor panics recovered
 	PlaceRetries uint64 `json:"place_retries"`
 	SlowQueries  uint64 `json:"slow_queries"` // resolved over the slow-query threshold
 
@@ -96,6 +97,7 @@ func collectAdmission(r *Registry, a *AdmissionSnapshot) {
 	outcomes.With(L("outcome", "timed_out")).AddUint(a.TimedOut)
 	outcomes.With(L("outcome", "drained")).AddUint(a.Drained)
 	r.Counter("blu_serve_exec_errors_total", "Admitted queries that failed in parse/plan/execution (still counted as admitted).").With().AddUint(a.ExecErrors)
+	r.Counter("blu_serve_panics_total", "Executor panics the serving layer recovered into a query error (subset of exec errors).").With().AddUint(a.Panics)
 	r.Counter("blu_serve_place_retries_total", "Pre-execution placement backoff retries taken while the fleet was unhealthy.").With().AddUint(a.PlaceRetries)
 	r.Counter("blu_serve_slow_queries_total", "Submissions that resolved over the slow-query wall-clock threshold.").With().AddUint(a.SlowQueries)
 

@@ -206,7 +206,7 @@ func jsonFloat(v float64) string {
 	return formatFloat(v)
 }
 
-// --- exposition validation (the check behind `make metrics-smoke`) ---
+// --- exposition validation (the check behind `blucheck metrics`) ---
 
 var (
 	nameRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)

@@ -191,7 +191,7 @@ func (l *Logger) Records() uint64 {
 // Validate checks a query-log stream line by line: every line must
 // decode as a Record with a known schema, event and outcome, a
 // non-empty request ID, a parseable timestamp, and non-negative phase
-// and total times. It is the schema check behind `make qlog-smoke`.
+// and total times. It is the schema check behind `blucheck qlog`.
 func Validate(data []byte) error {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -106,10 +106,6 @@ func NewMux(s *Server, admin http.Handler) *http.ServeMux {
 // sample, not an archive.
 func handleTrace(s *Server, w http.ResponseWriter, req *http.Request) {
 	ring := s.TraceRing()
-	if ring == nil {
-		http.Error(w, "no trace ring attached", http.StatusNotFound)
-		return
-	}
 	key := strings.TrimPrefix(req.URL.Path, "/debug/trace/")
 	var entries []trace.RingEntry
 	if key == "slow" {

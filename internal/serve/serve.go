@@ -17,7 +17,7 @@
 //
 //	submitted == admitted + shed + timed_out + drained
 //
-// once the server is idle. The saturation tests and serve-smoke assert
+// once the server is idle. The saturation tests and `blucheck serve` assert
 // this both on the Server's own counters and on the /metrics scrape.
 package serve
 
@@ -179,8 +179,9 @@ type Request struct {
 	// "serve-<n>").
 	Name string
 	// Explain additionally returns the EXPLAIN ANALYZE decision audit.
-	// Explain runs are serialized server-side (the audit's counter
-	// deltas are not concurrency-safe), so they wait on each other.
+	// Explain runs wait on each other: the engine serializes the audited
+	// epoch on its own mutex (ExplainAnalyzeNamedCtx), because the
+	// audit's counter deltas are not concurrency-safe.
 	Explain bool
 	// Deadline overrides Config.DefaultDeadline for this query.
 	Deadline time.Duration
@@ -275,6 +276,7 @@ type Server struct {
 	timedOut     uint64
 	drained      uint64
 	execErrors   uint64
+	panics       uint64 // subset of execErrors: executor panics recovered
 	placeRetries uint64
 	slowQueries  uint64
 	classCounts  map[workload.Class]*classCounters
@@ -286,8 +288,6 @@ type Server struct {
 
 	clock func() time.Time
 	ring  *trace.Ring // live sampled trace retention
-
-	explainMu sync.Mutex
 }
 
 // New builds a Server over an executor.
@@ -597,7 +597,11 @@ func (s *Server) run(ctx context.Context, req Request, tk *ticket, class workloa
 			backoff := s.cfg.PlaceBackoff
 			for retries < s.cfg.PlaceRetries &&
 				metrics.HealthStatus(sch) == metrics.HealthUnhealthy && execCtx.Err() == nil {
-				time.Sleep(backoff)
+				select {
+				case <-execCtx.Done():
+					continue // deadline or drain: the loop condition ends the backoff
+				case <-time.After(backoff):
+				}
 				backoff *= 2
 				retries++
 			}
@@ -620,19 +624,33 @@ func (s *Server) run(ctx context.Context, req Request, tk *ticket, class workloa
 	var res *engine.Result
 	var rep *explain.Report
 	var err error
-	if req.Explain {
-		s.explainMu.Lock()
-		rep, res, err = s.exec.ExplainAnalyzeNamedCtx(execCtx, name, req.SQL)
-		s.explainMu.Unlock()
-	} else {
-		res, err = s.exec.QueryNamedCtxAttrs(execCtx, name, req.SQL, attrs...)
-	}
+	panicked := false
+	func() {
+		// A panicking executor must not take the slot with it: recover
+		// turns the panic into this query's error, so the release,
+		// accounting and query-log record below run exactly as they do
+		// for any other failed execution.
+		defer func() {
+			if r := recover(); r != nil {
+				panicked = true
+				res, rep, err = nil, nil, fmt.Errorf("panic: %v", r)
+			}
+		}()
+		if req.Explain {
+			rep, res, err = s.exec.ExplainAnalyzeNamedCtx(execCtx, name, req.SQL)
+		} else {
+			res, err = s.exec.QueryNamedCtxAttrs(execCtx, name, req.SQL, attrs...)
+		}
+	}()
 	execWall := time.Since(execStart)
 
 	s.mu.Lock()
 	delete(s.cancels, tk)
 	s.active[class]--
 	s.placeRetries += uint64(retries)
+	if panicked {
+		s.panics++
+	}
 	canceled := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	if canceled {
 		s.timedOut++
@@ -865,6 +883,7 @@ func (s *Server) AdmissionSnapshot() *metrics.AdmissionSnapshot {
 		TimedOut:      s.timedOut,
 		Drained:       s.drained,
 		ExecErrors:    s.execErrors,
+		Panics:        s.panics,
 		PlaceRetries:  s.placeRetries,
 		SlowQueries:   s.slowQueries,
 	}

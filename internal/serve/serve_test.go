@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"blugpu/internal/engine"
 	"blugpu/internal/explain"
 	"blugpu/internal/gpu"
+	"blugpu/internal/qlog"
 	"blugpu/internal/sched"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
@@ -511,6 +514,58 @@ func TestExecErrorStillAdmitted(t *testing.T) {
 		t.Fatalf("admitted=%d exec_errors=%d, want 1/1", snap.Admitted, snap.ExecErrors)
 	}
 	reconcile(t, s)
+}
+
+// panicOnceExec panics on its first execution and behaves like an idle
+// stubExec afterwards.
+type panicOnceExec struct {
+	stubExec
+	once sync.Once
+}
+
+func (p *panicOnceExec) QueryNamedCtxAttrs(ctx context.Context, name, sql string, attrs ...trace.Attr) (*engine.Result, error) {
+	p.once.Do(func() { panic("executor blew up") })
+	return p.stubExec.QueryNamedCtxAttrs(ctx, name, sql, attrs...)
+}
+
+func TestPanickingExecutorReleasesSlot(t *testing.T) {
+	// With a class limit of 1 a leaked slot is fatal: the next query of
+	// the class would queue forever behind work that no longer exists.
+	var logBuf bytes.Buffer
+	s, err := New(&panicOnceExec{}, Config{
+		ClassLimits: map[workload.Class]int{workload.Simple: 1, workload.Intermediate: 1, workload.Complex: 1},
+		Log:         qlog.New(&logBuf),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Do(context.Background(), Request{SQL: "SELECT x FROM t", Class: workload.Simple, RequestID: "boom-1"})
+	if err == nil || !strings.Contains(err.Error(), "panic: executor blew up") {
+		t.Fatalf("panicking executor: err = %v, want the recovered panic", err)
+	}
+	snap := s.AdmissionSnapshot()
+	if snap.Inflight != 0 {
+		t.Fatalf("inflight = %d after the panic, want 0 (slot leaked)", snap.Inflight)
+	}
+	if snap.Admitted != 1 || snap.ExecErrors != 1 || snap.Panics != 1 {
+		t.Fatalf("admitted=%d exec_errors=%d panics=%d, want 1/1/1", snap.Admitted, snap.ExecErrors, snap.Panics)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := s.Do(ctx, Request{SQL: "SELECT x FROM t", Class: workload.Simple}); err != nil {
+		t.Fatalf("next query of the class was not admitted: %v", err)
+	}
+	reconcile(t, s)
+
+	recs, err := qlog.Decode(logBuf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].RequestID != "boom-1" || recs[0].Outcome != qlog.OutcomeError ||
+		!strings.Contains(recs[0].Error, "panic: executor blew up") {
+		t.Fatalf("query log does not carry the panic under its request ID: %+v", recs)
+	}
 }
 
 // newServeTestEngine builds a tiny real engine for end-to-end tests.

@@ -118,7 +118,7 @@ type chromeEvent struct {
 // ValidateChrome checks that data is a well-formed Chrome trace-event
 // JSON array of complete events: every event must carry name, cat,
 // ph=="X", non-negative ts and dur, and pid/tid. It is the schema check
-// behind `make trace-smoke`.
+// behind `blucheck trace`.
 func ValidateChrome(data []byte) error {
 	var events []chromeEvent
 	if err := json.Unmarshal(data, &events); err != nil {
