@@ -15,7 +15,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
 # out (CI uploads it when the job fails).
 SMOKE_DIR ?= $(or $(TMPDIR),/tmp)/blucheck
 
-.PHONY: build vet test race bench check smoke bench-gate bench-smoke
+.PHONY: build vet test race bench check smoke bench-gate bench-smoke orphans
 
 build:
 	$(GO) build ./...
@@ -61,4 +61,15 @@ bench-gate:
 bench-smoke:
 	$(GO) run ./benchmark -quick
 
-check: vet test race smoke bench-gate bench-smoke
+# Orphan gate: every internal package must be reachable from a shipped
+# binary (cmd/*) or the repository benchmark. One that only tests, Go
+# benchmarks or examples import is wired in on measured merit or deleted
+# (ROADMAP aim 2). Prints the offenders, and nothing when there are none.
+orphans:
+	@mkdir -p $(SMOKE_DIR)
+	@$(GO) list ./internal/... | sort > $(SMOKE_DIR)/pkgs-all.txt
+	@$(GO) list -deps ./cmd/... ./benchmark | grep '^blugpu/internal' | sort > $(SMOKE_DIR)/pkgs-reached.txt
+	@orphans=$$(comm -23 $(SMOKE_DIR)/pkgs-all.txt $(SMOKE_DIR)/pkgs-reached.txt); \
+		if [ -n "$$orphans" ]; then echo "$$orphans"; exit 1; fi
+
+check: vet orphans test race smoke bench-gate bench-smoke

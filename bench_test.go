@@ -22,10 +22,10 @@ import (
 	"blugpu/internal/bench"
 	"blugpu/internal/bsort"
 	"blugpu/internal/columnar"
-	"blugpu/internal/gjoin"
 	"blugpu/internal/gpu"
 	"blugpu/internal/groupby"
 	"blugpu/internal/sched"
+	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 	"blugpu/internal/workload"
 )
@@ -282,107 +282,20 @@ func BenchmarkAblationReservation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	noop := func(*gpu.Reservation) error { return nil }
 	for i := 0; i < b.N; i++ {
-		p1, err := s.TryPlace(7 << 30)
-		if err != nil {
+		dev, err := s.Run(trace.Context{}, 0, 7<<30, nil, func(*gpu.Reservation) error {
+			// Second 7GB task cannot fit while the first holds the device:
+			// fallback path.
+			if dev, _ := s.Run(trace.Context{}, 0, 7<<30, nil, noop); dev != nil {
+				b.Fatal("expected rejection")
+			}
+			return nil
+		})
+		if dev == nil {
 			b.Fatal(err)
 		}
-		// Second 7GB task cannot fit: fallback path.
-		if _, err := s.TryPlace(7 << 30); err == nil {
-			b.Fatal("expected rejection")
-		}
-		p1.Release()
 	}
-}
-
-// BenchmarkGPUJoinVsCPU exercises the future-work join kernel.
-func BenchmarkGPUJoinVsCPU(b *testing.B) {
-	model := vtime.Default()
-	build := make([]int64, 4096)
-	probe := make([]int64, 1_000_000)
-	for i := range build {
-		build[i] = int64(i)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := range probe {
-		probe[i] = int64(rng.Intn(4096))
-	}
-	b.Run("cpu", func(b *testing.B) {
-		var st gjoin.Stats
-		for i := 0; i < b.N; i++ {
-			_, stats, err := gjoin.RunCPU(build, probe, model, 24)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st = stats
-		}
-		b.ReportMetric(st.Modeled.Microseconds(), "modeled-us")
-	})
-	b.Run("gpu", func(b *testing.B) {
-		dev := gpu.NewDevice(0, vtime.TeslaK40())
-		outCap := len(probe) + 16
-		var st gjoin.Stats
-		for i := 0; i < b.N; i++ {
-			res, err := dev.Reserve(gjoin.MemoryDemand(len(build), len(probe), outCap))
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, stats, err := gjoin.RunGPU(build, probe, res, model, outCap, true)
-			res.Release()
-			if err != nil {
-				b.Fatal(err)
-			}
-			st = stats
-		}
-		b.ReportMetric(st.Modeled.Microseconds(), "modeled-us")
-	})
-}
-
-// BenchmarkPartitionedGroupBy compares one device against the
-// multi-device partitioned path.
-func BenchmarkPartitionedGroupBy(b *testing.B) {
-	model := vtime.Default()
-	in := syntheticInput(400_000, 50_000, 4)
-	b.Run("single-device", func(b *testing.B) {
-		dev := gpu.NewDevice(0, vtime.TeslaK40())
-		var modeled vtime.Duration
-		for i := 0; i < b.N; i++ {
-			res, err := dev.Reserve(groupby.MemoryDemand(in))
-			if err != nil {
-				b.Fatal(err)
-			}
-			out, err := groupby.RunGPU(in, res, model, groupby.GPUOptions{Pinned: true})
-			res.Release()
-			if err != nil {
-				b.Fatal(err)
-			}
-			modeled = out.Stats.Modeled
-		}
-		b.ReportMetric(modeled.Microseconds(), "modeled-us")
-	})
-	b.Run("two-devices", func(b *testing.B) {
-		d0 := gpu.NewDevice(0, vtime.TeslaK40())
-		d1 := gpu.NewDevice(1, vtime.TeslaK40())
-		var modeled vtime.Duration
-		for i := 0; i < b.N; i++ {
-			r0, err := d0.Reserve(groupby.MemoryDemand(in))
-			if err != nil {
-				b.Fatal(err)
-			}
-			r1, err := d1.Reserve(groupby.MemoryDemand(in))
-			if err != nil {
-				b.Fatal(err)
-			}
-			out, err := groupby.RunGPUPartitioned(in, []*gpu.Reservation{r0, r1}, model, groupby.GPUOptions{Pinned: true})
-			r0.Release()
-			r1.Release()
-			if err != nil {
-				b.Fatal(err)
-			}
-			modeled = out.Stats.Modeled
-		}
-		b.ReportMetric(modeled.Microseconds(), "modeled-us")
-	})
 }
 
 // --- helpers ---
@@ -449,53 +362,4 @@ func itoa(n int) string {
 		return "512k"
 	}
 	return "n"
-}
-
-// BenchmarkAblationFeedbackModerator compares the static moderator with
-// the learning one after warm-up (the paper's future-work feature).
-func BenchmarkAblationFeedbackModerator(b *testing.B) {
-	model := vtime.Default()
-	in := syntheticInput(120_000, 12, 4)
-	run := func(b *testing.B, fb *groupby.FeedbackModerator) vtime.Duration {
-		dev := gpu.NewDevice(0, vtime.TeslaK40())
-		var modeled vtime.Duration
-		for i := 0; i < b.N; i++ {
-			res, err := dev.Reserve(groupby.MemoryDemand(in))
-			if err != nil {
-				b.Fatal(err)
-			}
-			out, err := groupby.RunGPU(in, res, model, groupby.GPUOptions{Pinned: true, Feedback: fb})
-			res.Release()
-			if err != nil {
-				b.Fatal(err)
-			}
-			modeled = out.Stats.Modeled
-		}
-		return modeled
-	}
-	b.Run("static", func(b *testing.B) {
-		m := run(b, nil)
-		b.ReportMetric(m.Microseconds(), "modeled-us")
-	})
-	b.Run("learned", func(b *testing.B) {
-		fb := groupby.NewFeedbackModerator()
-		fb.Epsilon = 0
-		// Warm up: teach it both kernels' costs for this signature.
-		dev := gpu.NewDevice(0, vtime.TeslaK40())
-		for _, k := range []groupby.Kernel{groupby.K1Regular, groupby.K2Shared} {
-			res, err := dev.Reserve(groupby.MemoryDemand(in))
-			if err != nil {
-				b.Fatal(err)
-			}
-			out, err := groupby.RunGPU(in, res, vtime.Default(), groupby.GPUOptions{Kernel: k, Pinned: true, Feedback: fb})
-			res.Release()
-			if err != nil {
-				b.Fatal(err)
-			}
-			fb.Observe(in, k, out.Stats.Modeled)
-		}
-		b.ResetTimer()
-		m := run(b, fb)
-		b.ReportMetric(m.Microseconds(), "modeled-us")
-	})
 }

@@ -11,7 +11,7 @@ import (
 	"os"
 
 	"blugpu/internal/bench"
-	"blugpu/internal/engine"
+	"blugpu/internal/des"
 	"blugpu/internal/vtime"
 	"blugpu/internal/workload"
 )
@@ -59,29 +59,42 @@ func main() {
 
 	// Multi-user mode: the JMeter-style 7/2/1 analyst mix, GPU on vs off.
 	fmt.Println("\nmulti-user mode (7 dashboard / 2 report / 1 data-scientist users):")
-	mix := workload.DefaultUserMix()
-	var streams []engine.Stream
-	for _, qs := range workload.BDInsightsStreams(mix) {
-		var s engine.Stream
+	// Each distinct statement runs once per path for its resource profile;
+	// the streams then replay through the discrete-event simulator sharing
+	// the host CPU pool and the device fleet (paper Sections 5.2.2, 5.3).
+	profiled := map[string]bench.QueryRun{}
+	var onStreams, offStreams [][]des.Profile
+	for _, qs := range workload.BDInsightsStreams(workload.DefaultUserMix()) {
+		var on, off []des.Profile
 		for _, q := range qs {
-			s = append(s, q.SQL)
+			r, seen := profiled[q.ID]
+			if !seen {
+				if r, err = h.RunBoth(q); err != nil {
+					log.Fatal(err)
+				}
+				profiled[q.ID] = r
+			}
+			on = append(on, r.ProfileOn)
+			off = append(off, r.ProfileOff)
 		}
-		streams = append(streams, s)
+		onStreams = append(onStreams, on)
+		offStreams = append(offStreams, off)
 	}
-	h.Eng.SetGPUEnabled(true)
-	on, err := h.Eng.RunConcurrent(streams, 0)
+	cfg := des.Config{CPUCapacity: vtime.PowerS824().EffectiveParallelism(96)}
+	off, err := des.Run(cfg, offStreams)
 	if err != nil {
 		log.Fatal(err)
 	}
-	h.Eng.SetGPUEnabled(false)
-	off, err := h.Eng.RunConcurrent(streams, 0)
+	for _, d := range h.Eng.Devices() {
+		cfg.Devices = append(cfg.Devices, des.DeviceSpec{Mem: d.TotalMemory()})
+	}
+	on, err := des.Run(cfg, onStreams)
 	if err != nil {
 		log.Fatal(err)
 	}
-	h.Eng.SetGPUEnabled(true)
 	fmt.Printf("  makespan GPU on %8.2fms, off %8.2fms -> %.2fx\n",
-		on.Res.Makespan.Seconds()*1e3, off.Res.Makespan.Seconds()*1e3,
-		off.Res.Makespan.Seconds()/on.Res.Makespan.Seconds())
+		on.Makespan.Seconds()*1e3, off.Makespan.Seconds()*1e3,
+		off.Makespan.Seconds()/on.Makespan.Seconds())
 
 	fmt.Println("\nmonitor:")
 	h.Eng.Monitor().Report(os.Stdout)

@@ -200,38 +200,32 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 		if cfg.Scheduler != nil && j.r.Len() >= cfg.GPUThreshold {
 			// Device path: the job needs two entry buffers on the device.
 			need := int64(j.r.Len()) * 16
-			if placement, err := cfg.Scheduler.TryPlaceTraced(js, traceAt, need); err == nil {
-				placement.Reservation().BindSpan(js.ID())
-				dups, t, gerr := gpuRadixSort(entries, j.r, placement.Reservation(), cfg.Model, cfg.Pinned)
-				placement.Release()
-				if gerr == nil {
-					cfg.Scheduler.ReportSuccess(placement.Device())
-					gpuBusy[placement.Device().ID()] += t
-					st.GPUJobs++
-					st.Requeues += len(dups)
-					for _, d := range dups {
-						queue = append(queue, job{r: d, depth: j.depth + 1, requeued: true})
-					}
-					endJob(js, rekeyT+t, trace.Str("path", "gpu"),
-						trace.Int("rows", int64(j.r.Len())), trace.Int("dups", int64(len(dups))))
-					continue
+			var dups []Range
+			var t vtime.Duration
+			dev, err := cfg.Scheduler.Run(js, traceAt, need, nil, func(res *gpu.Reservation) (err error) {
+				dups, t, err = gpuRadixSort(entries, j.r, res, cfg.Model, cfg.Pinned)
+				return err
+			})
+			if err == nil {
+				gpuBusy[dev.ID()] += t
+				st.GPUJobs++
+				st.Requeues += len(dups)
+				for _, d := range dups {
+					queue = append(queue, job{r: d, depth: j.depth + 1, requeued: true})
 				}
+				endJob(js, rekeyT+t, trace.Str("path", "gpu"),
+					trace.Int("rows", int64(j.r.Len())), trace.Int("dups", int64(len(dups))))
+				continue
+			}
+			st.Fallbacks++
+			if cfg.Monitor != nil {
+				cfg.Monitor.RecordFallback("sort", errors.Is(err, gpu.ErrInjected))
+			}
+			if dev != nil {
 				// gpuRadixSort touches the host entries only after every
 				// transfer succeeded, so the range is intact for the host
 				// path below.
-				if errors.Is(gerr, gpu.ErrInjected) {
-					cfg.Scheduler.ReportFailure(placement.Device())
-				}
-				st.Fallbacks++
-				if cfg.Monitor != nil {
-					cfg.Monitor.RecordFallback("sort", errors.Is(gerr, gpu.ErrInjected))
-				}
-				js.Annotate(trace.Str("gpu-error", gerr.Error()))
-			} else {
-				st.Fallbacks++
-				if cfg.Monitor != nil {
-					cfg.Monitor.RecordFallback("sort", errors.Is(err, gpu.ErrInjected))
-				}
+				js.Annotate(trace.Str("gpu-error", err.Error()))
 			}
 			// No device admitted the job (or it failed): fall back to the
 			// host, like Section 2.1.1's fallback path.

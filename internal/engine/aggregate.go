@@ -261,12 +261,12 @@ type gpuRunInfo struct {
 	devices  []int
 }
 
-// runAggregateGPU places the task on the fleet and runs the device path,
-// retrying once on a different device when an operation faults. Every
-// attempt's reservation is released exactly once, before any retry or
-// fallback runs. Each attempt gets a span under the group-by operator's
-// span op; the reservation is bound to it, so every kernel, transfer and
-// injected fault of the attempt lands on that span in the trace.
+// runAggregateGPU runs the device path through the scheduler, retrying
+// once on a different device when an operation faults; sched.Run releases
+// every attempt's reservation before any retry or fallback runs. Each
+// attempt gets a span under the group-by operator's span op; the
+// reservation is bound to it, so every kernel, transfer and injected
+// fault of the attempt lands on that span in the trace.
 func (e *Engine) runAggregateGPU(in *groupby.Input, demand int64, pinned bool, f *frame, op trace.Context) (*groupby.Result, gpuRunInfo, error) {
 	var info gpuRunInfo
 	if e.sched == nil {
@@ -278,24 +278,23 @@ func (e *Engine) runAggregateGPU(in *groupby.Input, demand int64, pinned bool, f
 	for attempt := 0; attempt < maxGPUAttempts; attempt++ {
 		info.attempts++
 		g := op.Begin("gpu", fmt.Sprintf("gpu-groupby attempt %d", attempt+1), f.at())
-		placement, err := e.sched.TryPlaceExcludingTraced(g, f.at(), demand, exclude)
-		if err != nil {
+		var out *groupby.Result
+		dev, err := e.sched.Run(g, f.at(), demand, exclude, func(res *gpu.Reservation) (err error) {
+			out, err = groupby.RunGPU(in, res, e.model, groupby.GPUOptions{
+				Race:   e.cfg.Race,
+				Pinned: pinned,
+			})
+			return err
+		})
+		if dev == nil {
 			// Busy fleet or the remaining devices' reservations faulted:
 			// waiting briefly is an option (Section 2.1.1); the prototype
 			// falls back to the CPU instead.
 			g.End(f.at(), trace.Str("error", err.Error()))
 			return nil, info, err
 		}
-		placement.Reservation().BindSpan(g.ID())
-		dev := placement.Device()
 		info.devices = append(info.devices, dev.ID())
-		out, err := groupby.RunGPU(in, placement.Reservation(), e.model, groupby.GPUOptions{
-			Race:   e.cfg.Race,
-			Pinned: pinned,
-		})
-		placement.Release()
 		if err == nil {
-			e.sched.ReportSuccess(dev)
 			// Sample device memory for the monitor at the query's
 			// virtual-time offsets: the demand held for the kernel's
 			// duration, then released.
@@ -306,15 +305,11 @@ func (e *Engine) runAggregateGPU(in *groupby.Input, demand int64, pinned bool, f
 				trace.Str("kernel", out.Stats.Kernel))
 			return out, info, nil
 		}
-		faulted := errors.Is(err, gpu.ErrInjected)
-		if faulted {
-			e.sched.ReportFailure(dev)
-		}
 		g.End(f.at(), trace.Int("device", int64(dev.ID())), trace.Str("error", err.Error()))
 		lastErr = err
 		if attempt+1 < maxGPUAttempts {
 			info.retries++
-			e.mon.RecordGPURetry("groupby", faulted)
+			e.mon.RecordGPURetry("groupby", errors.Is(err, gpu.ErrInjected))
 			if exclude == nil {
 				exclude = make(map[int]bool)
 			}

@@ -215,51 +215,6 @@ func TestDefaultsApplied(t *testing.T) {
 	_ = vtime.Default()
 }
 
-func TestRunConcurrent(t *testing.T) {
-	e := newTestEngine(t, 120_000)
-	big := "SELECT s_month, s_store_sk, SUM(s_qty) AS t FROM sales GROUP BY s_month, s_store_sk"
-	small := "SELECT s_month, COUNT(*) AS c FROM sales GROUP BY s_month"
-	streams := []Stream{{big, small}, {big, small}, {big}}
-	on, err := e.RunConcurrent(streams, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(on.Res.Queries) != 5 {
-		t.Fatalf("queries simulated = %d, want 5", len(on.Res.Queries))
-	}
-	if len(on.Profiles) != 2 {
-		t.Errorf("distinct profiles = %d, want 2", len(on.Profiles))
-	}
-	e.SetGPUEnabled(false)
-	off, err := e.RunConcurrent(streams, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetGPUEnabled(true)
-	if on.Res.Makespan >= off.Res.Makespan {
-		t.Errorf("offloaded concurrent run (%v) should beat CPU-only (%v)",
-			on.Res.Makespan, off.Res.Makespan)
-	}
-	// Memory series from the DES shows the big query's reservations.
-	var peak int64
-	for _, series := range on.Res.MemSeries {
-		for _, s := range series {
-			if s.Used > peak {
-				peak = s.Used
-			}
-		}
-	}
-	if peak <= 0 {
-		t.Error("concurrent run should show device-memory usage")
-	}
-	if _, err := e.RunConcurrent(nil, 0); err == nil {
-		t.Error("empty streams should error")
-	}
-	if _, err := e.RunConcurrent([]Stream{{"BAD SQL"}}, 0); err == nil {
-		t.Error("bad SQL should surface from profiling")
-	}
-}
-
 func TestMonitorMemSamplesFromEngine(t *testing.T) {
 	e := newTestEngine(t, 120_000)
 	if _, err := e.Query("SELECT s_month, s_store_sk, SUM(s_qty) AS t FROM sales GROUP BY s_month, s_store_sk"); err != nil {

@@ -292,14 +292,9 @@ func (e *Engine) QueryNamed(name, sql string) (*Result, error) {
 	return e.QueryNamedCtx(context.Background(), name, sql)
 }
 
-// QueryCtx is Query bounded by a context: execution checks the context
-// between operators and aborts with its error as soon as it is canceled
-// or its deadline passes, releasing every reservation it holds.
-func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
-	return e.QueryNamedCtx(ctx, "", sql)
-}
-
-// QueryNamedCtx is QueryNamed bounded by a context (see QueryCtx).
+// QueryNamedCtx is QueryNamed bounded by a context: execution checks the
+// context between operators and aborts with its error as soon as it is
+// canceled or its deadline passes, releasing every reservation it holds.
 func (e *Engine) QueryNamedCtx(ctx context.Context, name, sql string) (*Result, error) {
 	return e.QueryNamedCtxAttrs(ctx, name, sql)
 }
@@ -334,7 +329,7 @@ func (e *Engine) QueryNamedCtxAttrs(ctx context.Context, name, sql string, attrs
 	var res *Result
 	execWall, err := prof.Phase(ctx, "exec", func(ctx context.Context) error {
 		var xerr error
-		res, _, xerr = e.executeWith(ctx, name, p, sql, nil, attrs...)
+		res, xerr = e.executeWith(ctx, name, p, sql, nil, attrs...)
 		return xerr
 	})
 	if res != nil {
@@ -434,21 +429,28 @@ func (e *Engine) prognoses(n plan.Node) []optimizer.Prognosis {
 	return out
 }
 
-// Execute runs a lowered plan.
-func (e *Engine) Execute(p *plan.Plan) (*Result, error) {
-	res, _, err := e.executeWith(context.Background(), "", p, "", nil)
-	return res, err
+// QueryError is the error of a query that failed or was canceled after
+// execution began. It reads exactly like the cause it wraps and carries
+// the query's sequence number on the attached tracer (0 when tracing is
+// off), so whoever owns the tracer can still take the failed query's
+// span subtree out of it.
+type QueryError struct {
+	TraceSeq uint64
+	Err      error
 }
+
+func (e *QueryError) Error() string { return e.Err.Error() }
+func (e *QueryError) Unwrap() error { return e.Err }
 
 // executeWith runs a lowered plan under a query root span when a tracer
 // is attached (consecutive queries lay out back to back on the engine's
 // virtual clock, so one trace file holds a whole session), with an
-// optional explain collector threaded through the query context. It
-// additionally returns the query's 1-based sequence number on the tracer
-// (0 when tracing is off), which EXPLAIN ANALYZE uses to carve the
-// query's span subtree out of a shared tracer. attrs are annotated onto
+// optional explain collector threaded through the query context. The
+// query's 1-based sequence number on the tracer — the key for carving its
+// span subtree out of a shared tracer — comes back as Result.TraceSeq,
+// or inside a *QueryError when execution fails. attrs are annotated onto
 // the root span (admission attribution from the serving layer).
-func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql string, col *explain.Collector, attrs ...trace.Attr) (*Result, uint64, error) {
+func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql string, col *explain.Collector, attrs ...trace.Attr) (*Result, error) {
 	wallStart := time.Now()
 	q := qctx{ctx: ctx, col: col, wall: &wallAcc{}}
 	requestID := qlog.RequestIDFrom(ctx)
@@ -473,7 +475,7 @@ func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql
 		if q.tc.Enabled() {
 			q.tc.End(q.base, trace.Str("error", err.Error()))
 		}
-		return nil, q.tc.Query(), err
+		return nil, &QueryError{TraceSeq: q.tc.Query(), Err: err}
 	}
 	cols := p.Output
 	if len(cols) == 0 {
@@ -515,7 +517,7 @@ func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql
 	if e.sched != nil {
 		e.sched.Advance(res.Modeled)
 	}
-	return res, q.tc.Query(), nil
+	return res, nil
 }
 
 // qctx is the per-query trace context threaded through execution: the

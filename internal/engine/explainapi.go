@@ -82,7 +82,7 @@ func (e *Engine) ExplainAnalyzeNamed(name, sql string) (*explain.Report, *Result
 
 // ExplainAnalyzeNamedCtx is ExplainAnalyzeNamed under a caller context:
 // cancellation aborts the audited query between operators exactly as it
-// does for QueryCtx. The audited epoch — monitor deltas, the hostmem
+// does for QueryNamedCtx. The audited epoch — monitor deltas, the hostmem
 // watermark reset, the temporary tracer — is serialized on an
 // engine-level mutex, so concurrent ExplainAnalyze calls queue rather
 // than corrupt each other's per-query deltas. Plain queries running
@@ -136,12 +136,12 @@ func (e *Engine) ExplainAnalyzeNamedCtx(ctx context.Context, name, sql string) (
 			busy0[i] = d.Util()
 		}
 
-		var seq uint64
 		var xerr error
-		res, seq, xerr = e.executeWith(ctx, name, p, sql, col)
+		res, xerr = e.executeWith(ctx, name, p, sql, col)
 		if xerr != nil {
 			return xerr
 		}
+		seq := res.TraceSeq
 
 		after := e.monTotals()
 		host1 := e.registry.Stats()

@@ -9,7 +9,6 @@ import (
 	"blugpu/internal/gpu"
 	"blugpu/internal/groupby"
 	"blugpu/internal/plan"
-	"blugpu/internal/sched"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 )
@@ -49,6 +48,11 @@ import (
 // twice its group-by input, which empirically covers the benchmark
 // workloads without regressing modeled time.
 const fuseFactor = 2.0
+
+// errFuseDecline is what a placed fused attempt returns to sched.Run when
+// it gives the reservation back without having tried the device: not a
+// fault, so it leaves the breaker alone.
+var errFuseDecline = errors.New("engine: fused chain declined")
 
 // chainStage describes one fused pipeline stage in execution order
 // (deepest first), recorded by the exec hooks as the host operators run.
@@ -184,14 +188,121 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	// slack for word-rounding of the packed image.
 	chainDemand := demand + cr.scratchBytes() + 64
 
+	// Committed to the fused attempt once attempt gets past its two
+	// declines; fx then describes it, fault or not.
+	fx := &fusedExec{stages: len(cr.stages)}
+	var (
+		out          *groupby.Result
+		declineAttrs []trace.Attr
+		spilled      int64
+		fillT        vtime.Duration
+		stageT       vtime.Duration
+	)
+	g := op.Begin("gpu", "fused-chain", f.at())
+	attempt := func(res *gpu.Reservation) error {
+		dev := res.Device()
+		// Fuse/decline policy: how cold is the cache for this chain's entry
+		// columns on the chosen device?
+		if miss := e.fcache.MissBytes(dev.ID(), entryCols); float64(miss) > fuseFactor*float64(inputBytes) {
+			declineAttrs = []trace.Attr{trace.Str("decline", "cold-cache"), trace.Int("miss_bytes", miss)}
+			return errFuseDecline
+		}
+
+		// Track live chain intermediates for spill-on-fault.
+		var live []*gpu.Buffer
+		fault := func(cause error) error {
+			// Break the chain cleanly: spill the live device intermediates to
+			// host scratch before the reservation goes. The spill is a direct
+			// host copy, not a CopyFromDevice — the device is already
+			// failing, and routing the rescue copies through the fault
+			// injector would fire faults with no retry/fallback to pair them
+			// with, breaking the monitor's one-fault-one-handling ledger. The
+			// spilled volume is recorded on the chain span instead.
+			for _, b := range live {
+				scratch := make([]uint64, b.Len())
+				copy(scratch, b.Words())
+				spilled += b.Bytes()
+			}
+			return cause
+		}
+
+		// Acquire the chain's input columns on the device: hits pin resident
+		// entries, misses upload through the cache (reserve + H2D under this
+		// chain's span).
+		lease, err := e.fcache.Ensure(dev, entryCols, g.ID(), e.model, true, e.cfg.Degree)
+		if err != nil {
+			if errors.Is(err, gpu.ErrInjected) {
+				return fault(err)
+			}
+			// No room even after eviction: decline, staged may still fit.
+			declineAttrs = []trace.Attr{trace.Str("decline", err.Error())}
+			return errFuseDecline
+		}
+		defer lease.Release()
+		fx.saved, fx.uploaded, fillT = lease.Saved, lease.Uploaded, lease.Modeled
+
+		// Run the chain stages on-device: each stage writes its intermediate
+		// (selection vector / derived codes) into the chain reservation and
+		// charges streaming time over its input rows.
+		runStage := func(name string, words int, work float64) error {
+			if words > 0 {
+				buf, err := res.AllocWords(words)
+				if err != nil {
+					return err
+				}
+				live = append(live, buf)
+			}
+			kr := dev.RunKernelSpan(name, g.ID(), nil, func(_ *gpu.Grid) (vtime.Duration, error) {
+				if work <= 0 {
+					return 0, nil
+				}
+				return vtime.Duration(work / e.model.GPUScanRate), nil
+			})
+			if kr.Err != nil {
+				return kr.Err
+			}
+			stageT += kr.Modeled
+			return nil
+		}
+		for _, st := range cr.stages {
+			switch st.op {
+			case "filter":
+				if err := runStage("fused_filter", int(fusion.DeviceBytes(st.outRows)/8), float64(st.inRows)); err != nil {
+					return fault(err)
+				}
+			case "derive":
+				words := int(fusion.DeviceBytes(st.inRows)/8) * st.cols
+				if err := runStage("fused_derive", words, float64(st.inRows*st.cols)); err != nil {
+					return fault(err)
+				}
+			}
+		}
+		// Pack the surviving rows into the group-by's compressed input layout
+		// (keys + payload codes) — the fused replacement for the staged
+		// path's host-side MEMCPY + H2D upload.
+		if err := runStage("fused_pack", packWords, float64(in.NumRows)); err != nil {
+			return fault(err)
+		}
+
+		out, err = groupby.RunGPU(in, res, e.model, groupby.GPUOptions{
+			Race:   e.cfg.Race,
+			Pinned: pinned,
+			Fused:  true,
+		})
+		if err != nil {
+			return fault(err)
+		}
+		fx.highWater = res.Used()
+		return nil
+	}
+
 	// Cache affinity: the column cache is per-device, and the scheduler's
 	// free-memory ranking would otherwise steer successive chains *away*
 	// from the warm device (its resident bytes read as load). Prefer the
 	// device with the fewest miss bytes for this chain's columns; ties
 	// resolve to the first device, concentrating fills instead of
 	// duplicating them per device.
-	g := op.Begin("gpu", "fused-chain", f.at())
-	var placement *sched.Placement
+	var dev *gpu.Device
 	var err error
 	if devs := e.sched.Devices(); len(devs) > 1 {
 		prefer, bestMiss := devs[0], e.fcache.MissBytes(devs[0].ID(), entryCols)
@@ -206,8 +317,8 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 				exclude[d.ID()] = true
 			}
 		}
-		placement, err = e.sched.TryPlaceExcludingTraced(g, f.at(), chainDemand, exclude)
-		if placement == nil {
+		dev, err = e.sched.Run(g, f.at(), chainDemand, exclude, attempt)
+		if dev == nil {
 			// Preferred device declined; widen to the fleet. The swallowed
 			// failure is recorded as a place retry — exactly what the
 			// scheduler does when it moves down its own candidate ranking —
@@ -216,146 +327,39 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 			e.mon.RecordGPURetry("place", errors.Is(err, gpu.ErrInjected))
 		}
 	}
-	if placement == nil {
-		placement, err = e.sched.TryPlaceExcludingTraced(g, f.at(), chainDemand, nil)
+	if dev == nil {
+		dev, err = e.sched.Run(g, f.at(), chainDemand, nil, attempt)
 	}
-	if err != nil {
-		// Resident cache bytes must never starve live queries: purge and
-		// retry once.
-		if e.fcache.PurgeAll() > 0 {
-			e.mon.RecordGPURetry("place", errors.Is(err, gpu.ErrInjected))
-			placement, err = e.sched.TryPlaceExcludingTraced(g, f.at(), chainDemand, nil)
-		}
-		if err != nil {
-			// A terminal injected fault must surface as a faulted CPU
-			// fallback (the staged path's discipline); declining to the
-			// staged path would leave it unhandled. Non-faulted failures
-			// (busy fleet, demand too large) decline to the smaller staged
-			// demand.
-			if errors.Is(err, gpu.ErrInjected) {
-				g.End(f.at(), trace.Str("error", err.Error()))
-				return nil, info, nil, err
-			}
-			g.End(f.at(), trace.Str("decline", err.Error()))
-			return nil, info, nil, nil
-		}
+	// Resident cache bytes must never starve live queries: purge and
+	// retry once.
+	if dev == nil && e.fcache.PurgeAll() > 0 {
+		e.mon.RecordGPURetry("place", errors.Is(err, gpu.ErrInjected))
+		dev, err = e.sched.Run(g, f.at(), chainDemand, nil, attempt)
 	}
-	dev := placement.Device()
-	res := placement.Reservation()
-	res.BindSpan(g.ID())
-
-	// Fuse/decline policy: how cold is the cache for this chain's entry
-	// columns on the chosen device?
-	if miss := e.fcache.MissBytes(dev.ID(), entryCols); float64(miss) > fuseFactor*float64(inputBytes) {
-		placement.Release()
-		g.End(f.at(), trace.Int("device", int64(dev.ID())),
-			trace.Str("decline", "cold-cache"), trace.Int("miss_bytes", miss))
+	switch {
+	case dev == nil && errors.Is(err, gpu.ErrInjected):
+		// A terminal injected fault must surface as a faulted CPU
+		// fallback (the staged path's discipline); declining to the
+		// staged path would leave it unhandled.
+		g.End(f.at(), trace.Str("error", err.Error()))
+		return nil, info, nil, err
+	case dev == nil:
+		// Non-faulted failures (busy fleet, demand too large) decline to
+		// the smaller staged demand.
+		g.End(f.at(), trace.Str("decline", err.Error()))
+		return nil, info, nil, nil
+	case errors.Is(err, errFuseDecline):
+		g.End(f.at(), append([]trace.Attr{trace.Int("device", int64(dev.ID()))}, declineAttrs...)...)
 		return nil, info, nil, nil
 	}
-
-	// Committed to the fused attempt from here on.
 	info.attempts++
 	info.devices = append(info.devices, dev.ID())
-	fx := &fusedExec{stages: len(cr.stages)}
-
-	// Track live chain intermediates for spill-on-fault.
-	var live []*gpu.Buffer
-	fault := func(cause error) (*groupby.Result, gpuRunInfo, *fusedExec, error) {
-		// Break the chain cleanly: spill the live device intermediates to
-		// host scratch, then release the chain's claims. The spill is a
-		// direct host copy, not a CopyFromDevice — the device is already
-		// failing, and routing the rescue copies through the fault
-		// injector would fire faults with no retry/fallback to pair them
-		// with, breaking the monitor's one-fault-one-handling ledger. The
-		// spilled volume is recorded on the chain span instead.
-		var spilled int64
-		for _, b := range live {
-			scratch := make([]uint64, b.Len())
-			copy(scratch, b.Words())
-			spilled += b.Bytes()
-		}
-		placement.Release()
-		if errors.Is(cause, gpu.ErrInjected) {
-			e.sched.ReportFailure(dev)
-		}
+	if err != nil {
 		g.End(f.at(), trace.Int("device", int64(dev.ID())),
-			trace.Int("spill_bytes", spilled), trace.Str("error", cause.Error()))
-		return nil, info, fx, cause
+			trace.Int("spill_bytes", spilled), trace.Str("error", err.Error()))
+		return nil, info, fx, err
 	}
-
-	// Acquire the chain's input columns on the device: hits pin resident
-	// entries, misses upload through the cache (reserve + H2D under this
-	// chain's span).
-	lease, err := e.fcache.Ensure(dev, entryCols, g.ID(), e.model, true, e.cfg.Degree)
-	if err != nil {
-		if errors.Is(err, gpu.ErrInjected) {
-			return fault(err)
-		}
-		// No room even after eviction: decline, staged may still fit.
-		placement.Release()
-		g.End(f.at(), trace.Int("device", int64(dev.ID())), trace.Str("decline", err.Error()))
-		info = gpuRunInfo{}
-		return nil, info, nil, nil
-	}
-	defer lease.Release()
-	fx.saved, fx.uploaded = lease.Saved, lease.Uploaded
-
-	// Run the chain stages on-device: each stage writes its intermediate
-	// (selection vector / derived codes) into the chain reservation and
-	// charges streaming time over its input rows.
-	var stageT vtime.Duration
-	runStage := func(name string, words int, work float64) error {
-		if words > 0 {
-			buf, err := res.AllocWords(words)
-			if err != nil {
-				return err
-			}
-			live = append(live, buf)
-		}
-		kr := dev.RunKernelSpan(name, g.ID(), nil, func(_ *gpu.Grid) (vtime.Duration, error) {
-			if work <= 0 {
-				return 0, nil
-			}
-			return vtime.Duration(work / e.model.GPUScanRate), nil
-		})
-		if kr.Err != nil {
-			return kr.Err
-		}
-		stageT += kr.Modeled
-		return nil
-	}
-	for _, st := range cr.stages {
-		switch st.op {
-		case "filter":
-			if err := runStage("fused_filter", int(fusion.DeviceBytes(st.outRows)/8), float64(st.inRows)); err != nil {
-				return fault(err)
-			}
-		case "derive":
-			words := int(fusion.DeviceBytes(st.inRows)/8) * st.cols
-			if err := runStage("fused_derive", words, float64(st.inRows*st.cols)); err != nil {
-				return fault(err)
-			}
-		}
-	}
-	// Pack the surviving rows into the group-by's compressed input layout
-	// (keys + payload codes) — the fused replacement for the staged
-	// path's host-side MEMCPY + H2D upload.
-	if err := runStage("fused_pack", packWords, float64(in.NumRows)); err != nil {
-		return fault(err)
-	}
-
-	out, err := groupby.RunGPU(in, res, e.model, groupby.GPUOptions{
-		Race:   e.cfg.Race,
-		Pinned: pinned,
-		Fused:  true,
-	})
-	if err != nil {
-		return fault(err)
-	}
-	fx.highWater = res.Used()
-	placement.Release()
-	e.sched.ReportSuccess(dev)
-	fill := lease.Modeled - overlap
+	fill := fillT - overlap
 	if fill < 0 {
 		fill = 0
 	}
@@ -367,7 +371,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	// the same per-query footprint with fusion on or off.
 	e.addGPU(f, total, demand)
 	e.mon.RecordMemSample(dev.ID(), vtime.Time(f.modeled.Seconds()), 0, dev.TotalMemory())
-	e.mon.RecordFusedChain(lease.Saved, lease.Uploaded)
+	e.mon.RecordFusedChain(fx.saved, fx.uploaded)
 	g.End(f.at(),
 		trace.Int("device", int64(dev.ID())),
 		trace.Str("kernel", out.Stats.Kernel),

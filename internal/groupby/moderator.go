@@ -55,10 +55,6 @@ type GPUOptions struct {
 	// Pinned reports whether the input was staged through the registered
 	// host segment (fast transfers).
 	Pinned bool
-	// Feedback, when set, lets the learning moderator override the static
-	// kernel choice once it has observed this query signature, and
-	// records every execution's outcome.
-	Feedback *FeedbackModerator
 	// Fused marks a fused-chain execution: the input vectors are already
 	// resident on the device (uploaded or reused by the fused pipeline),
 	// so no input staging or H2D transfer happens here. The chain-exit
@@ -116,9 +112,6 @@ func RunGPU(in *Input, res *gpu.Reservation, model *vtime.CostModel, opts GPUOpt
 	}
 	dev := res.Device()
 	primary := opts.Kernel
-	if primary == KAuto && opts.Feedback != nil {
-		primary = opts.Feedback.Choose(in, dev)
-	}
 	if primary == KAuto {
 		primary = ChooseKernel(in, dev)
 	}
@@ -183,9 +176,6 @@ func RunGPU(in *Input, res *gpu.Reservation, model *vtime.CostModel, opts GPUOpt
 		return nil, err
 	}
 	raced := []string{primary.String()}
-	if opts.Feedback != nil {
-		opts.Feedback.Observe(in, primary, winner.modeled)
-	}
 
 	if opts.Race {
 		second := secondChoice(primary, in, dev)
@@ -198,9 +188,6 @@ func RunGPU(in *Input, res *gpu.Reservation, model *vtime.CostModel, opts GPUOpt
 			if res.Size()-res.Used() >= need {
 				if alt, err := runOne(second); err == nil {
 					raced = append(raced, second.String())
-					if opts.Feedback != nil {
-						opts.Feedback.Observe(in, second, alt.modeled)
-					}
 					if alt.modeled < winner.modeled {
 						winner = alt
 					}

@@ -255,13 +255,6 @@ func collectSched(r *Registry, s *sched.Scheduler) {
 	for _, snap := range s.Snapshot() {
 		outstanding.With(L("device", strconv.Itoa(snap.Device))).Set(float64(snap.Outstanding))
 	}
-
-	if delays := s.QueueDelays(); len(delays) > 0 {
-		qd := r.Histogram("blu_device_queue_delay_seconds", "Wall-clock time blocking placements spent queued for device memory, by the device that eventually granted them (immediate grants observe ~0).")
-		for _, d := range delays {
-			histFromBuckets(qd.With(L("device", strconv.Itoa(d.Device))), d.Buckets, d.SumSeconds, d.Count)
-		}
-	}
 }
 
 func collectDevices(r *Registry, devices []*gpu.Device, now vtime.Time) {

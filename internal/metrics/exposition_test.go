@@ -66,7 +66,13 @@ func testSources(t *testing.T) Sources {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TryPlace(1 << 20); err != nil {
+	// One finished placement for the scheduler's counters, then a direct
+	// reservation held past the scrape for the occupancy gauges.
+	noop := func(*gpu.Reservation) error { return nil }
+	if _, err := s.Run(trace.Context{}, 0, 1<<20, nil, noop); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := devices[0].Reserve(1 << 20); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < sched.DefaultFailThreshold; i++ {

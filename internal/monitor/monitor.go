@@ -187,11 +187,25 @@ func (m *Monitor) RecordEvaluator(name string, rows int64, d vtime.Duration) {
 	es.hist.Observe(d)
 }
 
+// MaxQueryNames caps the distinct query names the monitor keeps a rollup
+// row for. A server names every unnamed request uniquely, so without a
+// cap the rows — and every scrape that renders them — grow with the
+// number of requests ever served.
+const MaxQueryNames = 1024
+
+// otherQueries is the rollup row that absorbs executions under names
+// first seen after MaxQueryNames distinct ones.
+const otherQueries = "_other"
+
 // RecordQuery accumulates one completed query execution under name.
 func (m *Monitor) RecordQuery(name string, modeled vtime.Duration, gpuUsed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	qs := m.queries[name]
+	if qs == nil && len(m.queries) >= MaxQueryNames {
+		name = otherQueries
+		qs = m.queries[name]
+	}
 	if qs == nil {
 		qs = &queryAgg{name: name}
 		m.queries[name] = qs

@@ -1,13 +1,13 @@
 package sched
 
 // Robustness coverage: the Devices() copy, reservation-race retry across
-// the fleet, the circuit breaker's trip/probe/recover cycle, PlaceCtx
-// cancellation, partitioned rollback under injected faults, and
-// reservation-leak stress under -race.
+// the fleet, what Run owes a panicking or failing fn, the circuit
+// breaker's trip/probe/recover cycle, and reservation-leak stress under
+// -race.
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -81,18 +81,17 @@ func TestDevicesReturnsCopy(t *testing.T) {
 
 // A reservation that fails on the best-ranked device must move on to
 // the remaining eligible devices instead of giving up.
-func TestTryPlaceRetriesNextDevice(t *testing.T) {
+func TestRunRetriesNextDevice(t *testing.T) {
 	s, inj, _ := faultyFleet(fault.Config{})
 	sink := &recordSink{}
 	s.SetSink(sink)
 	inj.KillDevice(0) // device 0 wins the idle tie-break, then its Reserve fails
-	p, err := s.TryPlace(1 << 30)
+	dev, err := run(s, 1<<30, noop)
 	if err != nil {
-		t.Fatalf("TryPlace gave up instead of retrying device 1: %v", err)
+		t.Fatalf("Run gave up instead of retrying device 1: %v", err)
 	}
-	defer p.Release()
-	if p.Device().ID() != 1 {
-		t.Errorf("placed on device %d, want 1", p.Device().ID())
+	if dev.ID() != 1 {
+		t.Errorf("placed on device %d, want 1", dev.ID())
 	}
 	if len(sink.retries) != 1 || sink.retries[0] != "place" || sink.faulted != 1 {
 		t.Errorf("retry accounting: ops=%v faulted=%d, want one faulted place", sink.retries, sink.faulted)
@@ -101,16 +100,91 @@ func TestTryPlaceRetriesNextDevice(t *testing.T) {
 
 // When every candidate's reservation fails, the terminal error wraps
 // both ErrNoDevice and the last reservation failure.
-func TestTryPlaceTerminalErrorClassifiable(t *testing.T) {
+func TestRunTerminalErrorClassifiable(t *testing.T) {
 	s, inj, _ := faultyFleet(fault.Config{})
 	inj.KillDevice(0)
 	inj.KillDevice(1)
-	_, err := s.TryPlace(1 << 30)
-	if !errors.Is(err, ErrNoDevice) {
-		t.Fatalf("want ErrNoDevice, got %v", err)
+	dev, err := run(s, 1<<30, noop)
+	if dev != nil || !errors.Is(err, ErrNoDevice) {
+		t.Fatalf("want no device and ErrNoDevice, got %v, %v", dev, err)
 	}
 	if !errors.Is(err, gpu.ErrInjected) || !errors.Is(err, gpu.ErrDeviceLost) {
 		t.Errorf("terminal error should carry the fault cause: %v", err)
+	}
+}
+
+// A panic inside fn must not keep device memory, and says nothing about
+// the device: the breaker stays as it was.
+func TestRunReleasesOnPanic(t *testing.T) {
+	s, devs := twoK40s()
+	s.ReportFailure(devs[0]) // a count a wrongly reported success would reset
+	before := s.Health()
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the panic fn raised", r)
+			}
+		}()
+		run(s, 1<<30, func(res *gpu.Reservation) error {
+			if _, err := res.AllocWords(1 << 20); err != nil {
+				t.Error(err)
+			}
+			panic("boom")
+		})
+		t.Error("Run swallowed the panic")
+	}()
+	for _, d := range devs {
+		if d.FreeMemory() != d.TotalMemory() || d.Outstanding() != 0 {
+			t.Errorf("device %d after panic: %d of %d bytes free, %d outstanding",
+				d.ID(), d.FreeMemory(), d.TotalMemory(), d.Outstanding())
+		}
+	}
+	if after := s.Health(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("panic moved the breaker: %+v -> %+v", before, after)
+	}
+}
+
+// What fn returns decides what the device's breaker hears.
+func TestRunBreakerRule(t *testing.T) {
+	decline := errors.New("caller declined")
+	cases := []struct {
+		name      string
+		demand    int64
+		fnErr     error
+		wantFails int // consecutive failures afterwards, starting from 1
+	}{
+		{"nil is a success", 1 << 30, nil, 0},
+		{"injected fault is a failure", 1 << 30, fmt.Errorf("kernel: %w", gpu.ErrInjected), 2},
+		{"plain error is neither", 1 << 30, gpu.ErrOutOfMemory, 1},
+		{"sentinel decline is neither", 1 << 30, decline, 1},
+		{"not placed is neither", 64 << 30, nil, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := gpu.NewDevice(0, vtime.TeslaK40())
+			s, err := New(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.ReportFailure(d)
+			ran := false
+			dev, err := run(s, c.demand, func(*gpu.Reservation) error {
+				ran = true
+				return c.fnErr
+			})
+			if placed := c.demand <= d.TotalMemory(); ran != placed || (dev != nil) != placed {
+				t.Fatalf("placed=%v but fn ran=%v, dev=%v", placed, ran, dev)
+			}
+			if ran && err != c.fnErr {
+				t.Errorf("Run returned %v, want fn's %v", err, c.fnErr)
+			}
+			if got := s.Health()[0].ConsecutiveFails; got != c.wantFails {
+				t.Errorf("consecutive failures = %d, want %d", got, c.wantFails)
+			}
+			if d.FreeMemory() != d.TotalMemory() {
+				t.Error("reservation outlived Run")
+			}
+		})
 	}
 }
 
@@ -120,14 +194,18 @@ func TestCircuitBreakerTripProbeRecover(t *testing.T) {
 	s.SetSink(sink)
 	s.SetBreaker(3, 100*vtime.Millisecond)
 	inj.KillDevice(0)
-
-	// Three consecutive failed placements trip device 0's breaker.
-	for i := 0; i < 3; i++ {
-		p, err := s.TryPlace(1 << 30)
+	place := func() int {
+		t.Helper()
+		dev, err := run(s, 1<<30, noop)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Release()
+		return dev.ID()
+	}
+
+	// Three consecutive failed placements trip device 0's breaker.
+	for i := 0; i < 3; i++ {
+		place()
 	}
 	h := s.Health()
 	if !h[0].Quarantined || h[0].Trips != 1 {
@@ -141,14 +219,9 @@ func TestCircuitBreakerTripProbeRecover(t *testing.T) {
 	// stays frozen across many placements.
 	before := inj.Counts().Total()
 	for i := 0; i < 5; i++ {
-		p, err := s.TryPlace(1 << 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Device().ID() != 1 {
+		if place() != 1 {
 			t.Errorf("placement %d on quarantined device", i)
 		}
-		p.Release()
 	}
 	if got := inj.Counts().Total(); got != before {
 		t.Errorf("quarantined device still probed: faults %d -> %d", before, got)
@@ -157,11 +230,7 @@ func TestCircuitBreakerTripProbeRecover(t *testing.T) {
 	// Probation expiry re-admits half-open: one probe, and since the
 	// device is still dead, one more failure re-trips immediately.
 	s.Advance(200 * vtime.Millisecond)
-	p, err := s.TryPlace(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Release()
+	place()
 	if got := inj.Counts().Total(); got != before+1 {
 		t.Errorf("half-open probe count: faults %d -> %d, want one probe", before, got)
 	}
@@ -173,15 +242,9 @@ func TestCircuitBreakerTripProbeRecover(t *testing.T) {
 	// breaker records a recovery.
 	inj.ReviveDevice(0)
 	s.Advance(200 * vtime.Millisecond)
-	p, err = s.TryPlace(1 << 30)
-	if err != nil {
-		t.Fatal(err)
+	if id := place(); id != 0 {
+		t.Errorf("revived device not re-admitted: placed on %d", id)
 	}
-	if p.Device().ID() != 0 {
-		t.Errorf("revived device not re-admitted: placed on %d", p.Device().ID())
-	}
-	s.ReportSuccess(p.Device())
-	p.Release()
 	h = s.Health()
 	if h[0].Quarantined || h[0].Recoveries != 1 || h[0].ConsecutiveFails != 0 {
 		t.Errorf("recovery not recorded: %+v", h[0])
@@ -194,93 +257,7 @@ func TestCircuitBreakerTripProbeRecover(t *testing.T) {
 	}
 }
 
-func TestPlaceCtxCancel(t *testing.T) {
-	s, _ := twoK40s()
-	// Fill the fleet so PlaceCtx must wait.
-	p0, err := s.TryPlace(11 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := s.TryPlace(11 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p0.Release()
-	defer p1.Release()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, err := s.PlaceCtx(ctx, 4<<30); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("PlaceCtx did not unblock promptly on cancellation")
-	}
-
-	// Pre-cancelled context returns immediately without placing.
-	done, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if _, err := s.PlaceCtx(done, 4<<30); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want Canceled, got %v", err)
-	}
-}
-
-func TestPlaceCtxWakesOnRelease(t *testing.T) {
-	s, _ := twoK40s()
-	p0, _ := s.TryPlace(11 << 30)
-	p1, _ := s.TryPlace(11 << 30)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	got := make(chan *Placement, 1)
-	errc := make(chan error, 1)
-	go func() {
-		p, err := s.PlaceCtx(ctx, 4<<30)
-		if err != nil {
-			errc <- err
-			return
-		}
-		got <- p
-	}()
-	time.Sleep(10 * time.Millisecond)
-	p0.Release()
-	select {
-	case p := <-got:
-		p.Release()
-	case err := <-errc:
-		t.Fatalf("PlaceCtx errored: %v", err)
-	case <-time.After(2 * time.Second):
-		t.Fatal("PlaceCtx did not wake on release")
-	}
-	p1.Release()
-}
-
-// PlacePartitioned with an injected reservation fault must roll back
-// every chunk it already reserved — verified by fleet-free-memory
-// accounting.
-func TestPlacePartitionedRollbackUnderFaults(t *testing.T) {
-	s, inj, devs := faultyFleet(fault.Config{})
-	inj.KillDevice(1)
-	// 20 GB needs both 12 GB cards; device 1's chunk reservation faults,
-	// so the chunk on device 0 must be released.
-	_, _, err := s.PlacePartitioned(20 << 30)
-	if !errors.Is(err, ErrNoDevice) {
-		t.Fatalf("want ErrNoDevice, got %v", err)
-	}
-	if !errors.Is(err, gpu.ErrInjected) {
-		t.Errorf("rollback error should carry the fault cause: %v", err)
-	}
-	free, total := fleetFree(devs)
-	if free != total {
-		t.Errorf("rollback leaked %d bytes", total-free)
-	}
-	// Health: the faulted device took one failure.
-	if h := s.Health(); h[1].ConsecutiveFails != 1 {
-		t.Errorf("device 1 failure not recorded: %+v", h[1])
-	}
-}
-
-// Concurrent Place/Release stress (run under -race): after all workers
+// Concurrent placement stress (run under -race): after all workers
 // drain, the fleet's free memory must equal its capacity — no
 // reservation leaks, with and without injected faults.
 func TestConcurrentPlaceReleaseNoLeak(t *testing.T) {
@@ -295,17 +272,18 @@ func TestConcurrentPlaceReleaseNoLeak(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < iters; i++ {
 				demand := int64(1+rng.Intn(4)) << 30
-				p, err := s.Place(demand)
+				err := runWhenFree(s, demand, func(res *gpu.Reservation) error {
+					if rng.Intn(4) == 0 {
+						time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+					}
+					if rng.Intn(8) == 0 {
+						res.Release() // an early release must stay safe
+					}
+					return nil
+				})
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
-				}
-				if rng.Intn(4) == 0 {
-					time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
-				}
-				p.Release()
-				if rng.Intn(8) == 0 {
-					p.Release() // double release must stay safe
 				}
 			}
 		}(w)
@@ -322,10 +300,10 @@ func TestConcurrentPlaceReleaseNoLeak(t *testing.T) {
 	}
 }
 
-// Same stress with injected reservation faults: TryPlace may fail, but
-// whatever succeeds must release cleanly and the accounting must
+// Same stress with injected reservation faults: Run may place nothing,
+// but whatever it places must release cleanly and the accounting must
 // balance.
-func TestConcurrentTryPlaceFaultsNoLeak(t *testing.T) {
+func TestConcurrentRunFaultsNoLeak(t *testing.T) {
 	s, _, devs := faultyFleet(fault.Config{Seed: 11, Reserve: 0.3})
 	var wg sync.WaitGroup
 	const workers = 16
@@ -339,17 +317,14 @@ func TestConcurrentTryPlaceFaultsNoLeak(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < iters; i++ {
 				demand := int64(1+rng.Intn(4)) << 30
-				p, err := s.TryPlace(demand)
-				if err != nil {
-					mu.Lock()
-					failed++
-					mu.Unlock()
-					continue
-				}
+				dev, _ := run(s, demand, noop)
 				mu.Lock()
-				placed++
+				if dev == nil {
+					failed++
+				} else {
+					placed++
+				}
 				mu.Unlock()
-				p.Release()
 			}
 		}(w)
 	}
@@ -359,7 +334,7 @@ func TestConcurrentTryPlaceFaultsNoLeak(t *testing.T) {
 		t.Errorf("faulted stress leaked %d bytes", total-free)
 	}
 	if placed == 0 {
-		t.Error("every TryPlace failed; stress exercised nothing")
+		t.Error("every Run failed to place; stress exercised nothing")
 	}
 	t.Logf("placed=%d failed=%d", placed, failed)
 }

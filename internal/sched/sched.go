@@ -8,9 +8,10 @@
 // task on the least-loaded device that can satisfy its whole demand up
 // front. Devices need not be homogeneous.
 //
-// When no device fits, the caller chooses between the two behaviours of
-// Section 2.1.1: wait until memory becomes available, or fall back to the
-// CPU path.
+// When no device fits, Section 2.1.1 offers two behaviours: wait until
+// memory becomes available, or fall back to the CPU path. Like the
+// paper's prototype this scheduler never waits: Run reports that nothing
+// was placed and the caller takes the CPU path.
 //
 // Beyond the paper's happy path, the scheduler tracks per-device health
 // with a circuit breaker: a device whose operations keep failing (fault
@@ -22,21 +23,18 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"blugpu/internal/gpu"
-	"blugpu/internal/monitor"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 )
 
-// ErrNoDevice is returned by TryPlace when no device can currently satisfy
-// the task's memory demand.
+// ErrNoDevice is returned by Run when no device can currently satisfy the
+// task's memory demand.
 var ErrNoDevice = errors.New("sched: no device can satisfy the request")
 
 // ErrTooLarge is returned when the demand exceeds every device's total
@@ -79,7 +77,6 @@ type health struct {
 // It is safe for concurrent use.
 type Scheduler struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	devices []*gpu.Device
 	byID    map[int]int // device ID -> index into devices/health
 	health  []health
@@ -95,13 +92,6 @@ type Scheduler struct {
 	// here.
 	placements uint64
 	placeFails uint64
-
-	// queueDelay is the per-device histogram of wall-clock time blocking
-	// Place/PlaceCtx callers spent waiting for a grant, keyed by the
-	// device that ultimately granted it. Immediate grants observe ~0, so
-	// the count is the placement count and the tail is the queue. Wall
-	// time, not virtual: this measures real scheduler back-pressure.
-	queueDelay map[int]*monitor.Hist
 }
 
 // New builds a scheduler over the given devices.
@@ -122,7 +112,6 @@ func New(devices ...*gpu.Device) (*Scheduler, error) {
 		}
 		s.byID[d.ID()] = i
 	}
-	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
 
@@ -164,9 +153,6 @@ func (s *Scheduler) Advance(d vtime.Duration) {
 	s.mu.Lock()
 	s.now = s.now.Add(d)
 	s.mu.Unlock()
-	// A probation may just have expired; wake blocked placers so they
-	// reconsider the re-admitted device.
-	s.cond.Broadcast()
 }
 
 // Now returns the scheduler's virtual clock.
@@ -273,88 +259,61 @@ func (s *Scheduler) eligibleLocked(i int) bool {
 	return true
 }
 
-// Placement is a task admitted to a device: a reservation covering its
-// whole memory demand. Release both frees the reservation and wakes any
-// tasks blocked in Place.
-type Placement struct {
-	sched *Scheduler
-	res   *gpu.Reservation
-	once  sync.Once
-}
-
-// Device returns the device the task was placed on.
-func (p *Placement) Device() *gpu.Device { return p.res.Device() }
-
-// Reservation returns the underlying memory reservation.
-func (p *Placement) Reservation() *gpu.Reservation { return p.res }
-
-// Release frees the reservation and wakes waiting tasks. Idempotent.
-func (p *Placement) Release() {
-	p.once.Do(func() {
-		p.res.Release()
-		p.sched.mu.Lock()
-		p.sched.cond.Broadcast()
-		p.sched.mu.Unlock()
-	})
-}
-
-// TryPlace attempts to admit a task needing memNeed bytes, without
-// blocking. Among eligible devices with enough free memory it picks the
-// one with the fewest outstanding jobs, breaking ties toward the most
-// free memory.
-func (s *Scheduler) TryPlace(memNeed int64) (*Placement, error) {
-	return s.TryPlaceExcluding(memNeed, nil)
-}
-
-// TryPlaceExcluding is TryPlace restricted to devices whose ID is not in
-// exclude. Callers retrying after an operation fault on one device use
-// it to move the retry to the rest of the fleet.
-func (s *Scheduler) TryPlaceExcluding(memNeed int64, exclude map[int]bool) (*Placement, error) {
-	if memNeed <= 0 {
-		return nil, fmt.Errorf("sched: invalid memory demand %d", memNeed)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.tryPlaceLocked(memNeed, exclude, trace.Context{})
-	if err != nil {
-		s.placeFails++
-	}
-	return p, err
-}
-
-// TryPlaceTraced is TryPlace recorded as a placement span: a "place"
-// child of tc at virtual time at, annotated with the demand, the chosen
-// device or terminal error, every breaker-quarantine skip, and — via
-// the reservation's bound span — any injected reservation fault.
-func (s *Scheduler) TryPlaceTraced(tc trace.Context, at vtime.Time, memNeed int64) (*Placement, error) {
-	return s.TryPlaceExcludingTraced(tc, at, memNeed, nil)
-}
-
-// TryPlaceExcludingTraced is TryPlaceExcluding recorded as a placement
-// span (see TryPlaceTraced).
-func (s *Scheduler) TryPlaceExcludingTraced(tc trace.Context, at vtime.Time, memNeed int64, exclude map[int]bool) (*Placement, error) {
-	if memNeed <= 0 {
-		return nil, fmt.Errorf("sched: invalid memory demand %d", memNeed)
+// Run is the one way to obtain device memory: it admits a task needing
+// demand bytes, hands fn the reservation, and settles everything the
+// attempt owes afterwards. Among eligible devices not in exclude with
+// enough free memory it picks the one with the fewest outstanding jobs,
+// breaking ties toward the most free memory; callers retrying after an
+// operation fault pass the faulted device in exclude.
+//
+// The placement is recorded as a "place" child span of tc at virtual
+// time at — demand, chosen device or terminal error, every
+// breaker-quarantine skip — and the reservation is bound to tc, so every
+// kernel, transfer and injected fault fn causes lands on the caller's
+// span. The reservation is released exactly once when fn returns or
+// panics. fn's error then feeds the device's breaker: nil counts as a
+// success, an injected fault (gpu.ErrInjected) as a failure, anything
+// else — a decline, a full table, a cancellation — as neither.
+//
+// dev is nil exactly when nothing was placed; fn never ran and err is the
+// placement error (ErrTooLarge, or ErrNoDevice wrapping the last
+// reservation failure). Otherwise err is fn's.
+func (s *Scheduler) Run(tc trace.Context, at vtime.Time, demand int64, exclude map[int]bool, fn func(*gpu.Reservation) error) (*gpu.Device, error) {
+	if demand <= 0 {
+		return nil, fmt.Errorf("sched: invalid memory demand %d", demand)
 	}
 	child := tc.Begin("sched", "place", at)
 	s.mu.Lock()
-	p, err := s.tryPlaceLocked(memNeed, exclude, child)
+	res, err := s.placeLocked(demand, exclude, child)
 	if err != nil {
 		s.placeFails++
 	}
 	s.mu.Unlock()
-	attrs := []trace.Attr{trace.Int("demand_bytes", memNeed)}
+	attrs := []trace.Attr{trace.Int("demand_bytes", demand)}
 	if err != nil {
-		attrs = append(attrs, trace.Str("error", err.Error()))
-	} else {
-		attrs = append(attrs, trace.Int("device", int64(p.Device().ID())))
+		child.End(at, append(attrs, trace.Str("error", err.Error()))...)
+		return nil, err
 	}
-	child.End(at, attrs...)
-	return p, err
+	dev := res.Device()
+	child.End(at, append(attrs, trace.Int("device", int64(dev.ID())))...)
+	res.BindSpan(tc.ID())
+	err = func() error {
+		// Deferred so a panicking fn cannot keep device memory. The panic
+		// then passes the breaker report below by: it says nothing about
+		// the device.
+		defer res.Release()
+		return fn(res)
+	}()
+	if err == nil {
+		s.ReportSuccess(dev)
+	} else if errors.Is(err, gpu.ErrInjected) {
+		s.ReportFailure(dev)
+	}
+	return dev, err
 }
 
-// tryPlaceLocked ranks every eligible device that can take the demand
-// and attempts the reservation down the ranking: a device whose Reserve
+// placeLocked ranks every eligible device that can take the demand and
+// attempts the reservation down the ranking: a device whose Reserve
 // fails (lost a race with a direct reservation, or faulted) does not
 // give up the placement while other candidates remain. The terminal
 // error wraps the last reservation failure so callers can classify it.
@@ -362,7 +321,7 @@ func (s *Scheduler) TryPlaceExcludingTraced(tc trace.Context, at vtime.Time, mem
 // tc, when enabled, is the placement span: reservations run under its
 // id (attributing reserve faults to it) and quarantine skips become
 // attributes on it.
-func (s *Scheduler) tryPlaceLocked(memNeed int64, exclude map[int]bool, tc trace.Context) (*Placement, error) {
+func (s *Scheduler) placeLocked(memNeed int64, exclude map[int]bool, tc trace.Context) (*gpu.Reservation, error) {
 	type candidate struct {
 		idx  int
 		jobs int
@@ -412,7 +371,7 @@ func (s *Scheduler) tryPlaceLocked(memNeed int64, exclude map[int]bool, tc trace
 		res, err := s.devices[c.idx].ReserveSpan(memNeed, tc.ID())
 		if err == nil {
 			s.placements++
-			return &Placement{sched: s, res: res}, nil
+			return res, nil
 		}
 		lastErr = err
 		faulted := errors.Is(err, gpu.ErrInjected)
@@ -431,165 +390,12 @@ func (s *Scheduler) tryPlaceLocked(memNeed int64, exclude map[int]bool, tc trace
 	return nil, ErrNoDevice
 }
 
-// Place admits a task needing memNeed bytes, blocking until a device can
-// satisfy it. It returns ErrTooLarge immediately when no device could ever
-// fit the demand.
-func (s *Scheduler) Place(memNeed int64) (*Placement, error) {
-	return s.placeWait(nil, memNeed)
-}
-
-// PlaceCtx is Place bounded by a context: it returns ctx.Err() as soon
-// as the context is cancelled or times out while waiting for memory.
-func (s *Scheduler) PlaceCtx(ctx context.Context, memNeed int64) (*Placement, error) {
-	stop := context.AfterFunc(ctx, func() {
-		// Taking the lock orders the broadcast after the waiter is
-		// actually parked in Wait, so the wakeup cannot be missed.
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
-	return s.placeWait(ctx, memNeed)
-}
-
-func (s *Scheduler) placeWait(ctx context.Context, memNeed int64) (*Placement, error) {
-	if memNeed <= 0 {
-		return nil, fmt.Errorf("sched: invalid memory demand %d", memNeed)
-	}
-	waitStart := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				s.placeFails++
-				return nil, err
-			}
-		}
-		p, err := s.tryPlaceLocked(memNeed, nil, trace.Context{})
-		if err == nil {
-			s.observeQueueDelayLocked(p, time.Since(waitStart))
-			return p, nil
-		}
-		if errors.Is(err, ErrTooLarge) {
-			s.placeFails++
-			return nil, err
-		}
-		s.cond.Wait()
-	}
-}
-
-// PlacePartitioned splits a demand too large for one device across
-// several, reserving a chunk on every eligible device that can take one
-// (paper Section 2.2: large inputs are range-partitioned across GPUs and
-// the partial results merged). The caller gets one placement per chunk
-// and the chunk sizes; it returns ErrNoDevice if the combined free
-// memory cannot cover the demand right now. On failure every chunk
-// already reserved is rolled back — partial placements never leak.
-func (s *Scheduler) PlacePartitioned(memNeed int64) ([]*Placement, []int64, error) {
-	if memNeed <= 0 {
-		return nil, nil, fmt.Errorf("sched: invalid memory demand %d", memNeed)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	remaining := memNeed
-	var placements []*Placement
-	var sizes []int64
-	rollback := func() {
-		for _, p := range placements {
-			p.res.Release()
-		}
-	}
-	var lastErr error
-	for i, d := range s.devices {
-		if remaining == 0 {
-			break
-		}
-		if !s.eligibleLocked(i) {
-			continue
-		}
-		free := d.FreeMemory()
-		if free <= 0 {
-			continue
-		}
-		chunk := remaining
-		if chunk > free {
-			chunk = free
-		}
-		res, err := d.Reserve(chunk)
-		if err != nil {
-			lastErr = err
-			if errors.Is(err, gpu.ErrInjected) {
-				s.reportFailureLocked(i)
-			}
-			continue
-		}
-		placements = append(placements, &Placement{sched: s, res: res})
-		sizes = append(sizes, chunk)
-		remaining -= chunk
-	}
-	if remaining > 0 {
-		rollback()
-		s.placeFails++
-		if lastErr != nil {
-			return nil, nil, fmt.Errorf("%w: %w", ErrNoDevice, lastErr)
-		}
-		return nil, nil, ErrNoDevice
-	}
-	s.placements += uint64(len(placements))
-	return placements, sizes, nil
-}
-
 // PlaceCounts returns (successful placements, terminal placement
-// failures) since the scheduler was built. Partitioned placements count
-// one per reserved chunk.
+// failures) since the scheduler was built.
 func (s *Scheduler) PlaceCounts() (ok, fail uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.placements, s.placeFails
-}
-
-// observeQueueDelayLocked records how long a blocking placement waited
-// before device p granted it. Caller holds s.mu.
-func (s *Scheduler) observeQueueDelayLocked(p *Placement, d time.Duration) {
-	id := p.res.Device().ID()
-	if s.queueDelay == nil {
-		s.queueDelay = make(map[int]*monitor.Hist)
-	}
-	h := s.queueDelay[id]
-	if h == nil {
-		h = &monitor.Hist{}
-		s.queueDelay[id] = h
-	}
-	h.Observe(vtime.Duration(d.Seconds()))
-}
-
-// QueueDelay is the exported per-device queue-delay distribution.
-type QueueDelay struct {
-	Device     int
-	Count      uint64
-	SumSeconds float64
-	MaxSeconds float64
-	Buckets    []monitor.HistBucket
-}
-
-// QueueDelays returns the wall-clock queue-delay histograms of blocking
-// placements, one per device that granted any, sorted by device id.
-func (s *Scheduler) QueueDelays() []QueueDelay {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]QueueDelay, 0, len(s.queueDelay))
-	for id, h := range s.queueDelay {
-		out = append(out, QueueDelay{
-			Device:     id,
-			Count:      h.Count(),
-			SumSeconds: h.Total().Seconds(),
-			MaxSeconds: h.Max().Seconds(),
-			Buckets:    h.Buckets(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
-	return out
 }
 
 // Snapshot reports the fleet state for monitoring and tests.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"sort"
 	"time"
 
@@ -142,12 +143,21 @@ func spanDigest(spans []trace.Span) (devices []int, transferBytes int64, fallbac
 
 // captureTrace moves the query's span subtree out of the executor's
 // tracer into the live ring, so in a serving process the bounded ring is
-// the only long-term holder of spans. It runs after the inline-EXPLAIN
-// report has read the same spans. The serving layer reaches the tracer via
-// a runtime capability check rather than widening Executor — stub
+// the only long-term holder of spans — whatever the query's outcome: a
+// failed or canceled execution names its subtree through the
+// engine.QueryError it returns. It runs after the inline-EXPLAIN report
+// has read the same spans. The serving layer reaches the tracer via a
+// runtime capability check rather than widening Executor — stub
 // executors in tests simply have no traces to retain.
-func (s *Server) captureTrace(reqID, name, session string, class workload.Class, res *engine.Result, total time.Duration, slow bool) []trace.Span {
-	if s.ring == nil || res == nil || res.TraceSeq == 0 {
+func (s *Server) captureTrace(reqID, name, session string, class workload.Class, res *engine.Result, execErr error, total time.Duration, slow bool) []trace.Span {
+	var seq uint64
+	var qe *engine.QueryError
+	if res != nil {
+		seq = res.TraceSeq
+	} else if errors.As(execErr, &qe) {
+		seq = qe.TraceSeq
+	}
+	if s.ring == nil || seq == 0 {
 		return nil
 	}
 	tp, ok := s.exec.(interface{ Tracer() *trace.Tracer })
@@ -158,7 +168,7 @@ func (s *Server) captureTrace(reqID, name, session string, class workload.Class,
 	if tr == nil {
 		return nil
 	}
-	spans := tr.TakeQuery(res.TraceSeq)
+	spans := tr.TakeQuery(seq)
 	if len(spans) == 0 {
 		return nil
 	}
@@ -167,7 +177,7 @@ func (s *Server) captureTrace(reqID, name, session string, class workload.Class,
 		Query:     name,
 		Session:   session,
 		Class:     string(class),
-		Seq:       res.TraceSeq,
+		Seq:       seq,
 		Wall:      total,
 		At:        s.clock(),
 		Slow:      slow,

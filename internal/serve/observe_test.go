@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"blugpu/internal/metrics"
+	"blugpu/internal/monitor"
 	"blugpu/internal/qlog"
 	"blugpu/internal/trace"
 	"blugpu/internal/workload"
@@ -411,6 +415,81 @@ func TestTracerHoldsNoFinishedQueries(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted trace → %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestFailedQuerySpansReachRing: a query whose deadline passes once
+// execution has begun hands its spans to the ring like any other
+// outcome instead of leaving them in the tracer for the life of the
+// process.
+func TestFailedQuerySpansReachRing(t *testing.T) {
+	eng := newServeTestEngine(t)
+	tr := trace.New()
+	eng.SetTracer(tr)
+	s, err := New(eng, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := tr.Held()
+	const n = 20
+	for i := 0; i < n; i++ {
+		// Already expired when the engine first looks: parse and plan do
+		// not check, the first operator does — after the root span opened.
+		_, err := s.Do(context.Background(), Request{
+			SQL: "SELECT k, SUM(v) AS s FROM t GROUP BY k", Deadline: time.Nanosecond,
+		})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("query %d: want DeadlineExceeded, got %v", i, err)
+		}
+	}
+	if got := tr.Queries(); got != n {
+		t.Fatalf("tracer saw %d queries, want %d: the deadline fired before execution began", got, n)
+	}
+	if got := tr.Held(); got != held {
+		t.Errorf("tracer holds %d spans after %d failed queries, %d before", got, n, held)
+	}
+	if added, retained, _ := s.TraceRing().Stats(); added != n || retained != n {
+		t.Errorf("ring took %d entries and retains %d, want %d", added, retained, n)
+	}
+	reconcile(t, s)
+}
+
+// TestUnnamedRequestsDoNotGrowMonitor: every unnamed request gets a
+// unique query name, so the monitor's per-name rollups must fold the
+// overflow into one row instead of growing with the requests served —
+// without losing an execution.
+func TestUnnamedRequestsDoNotGrowMonitor(t *testing.T) {
+	eng := newServeTestEngine(t)
+	s, err := New(eng, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5000
+	for i := 0; i < n; i++ {
+		if _, err := s.Do(context.Background(), Request{SQL: "SELECT k FROM t WHERE k = 3"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := eng.Monitor().Queries()
+	if len(rows) > monitor.MaxQueryNames+1 {
+		t.Errorf("monitor keeps %d query rows after %d unnamed requests, cap is %d+1", len(rows), n, monitor.MaxQueryNames)
+	}
+	var buf bytes.Buffer
+	if err := metrics.Collect(metrics.Sources{Monitor: eng.Monitor()}).WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "blu_query_executions_total{") {
+			v, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			sum += v
+		}
+	}
+	if sum != n {
+		t.Errorf("blu_query_executions_total sums to %d, want %d", sum, n)
 	}
 }
 

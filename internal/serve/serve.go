@@ -729,7 +729,7 @@ func (s *Server) run(ctx context.Context, req Request, tk *ticket, class workloa
 		errMsg = serErr.Error()
 	}
 
-	spans := s.captureTrace(reqID, name, req.Session, class, res, total, slow)
+	spans := s.captureTrace(reqID, name, req.Session, class, res, err, total, slow)
 
 	s.mu.Lock()
 	s.wallHists[class].Observe(vtime.Duration(total.Seconds()))

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"blugpu/internal/columnar"
+	"blugpu/internal/des"
 	"blugpu/internal/engine"
+	"blugpu/internal/vtime"
 )
 
 func smallDataset(t *testing.T) *Dataset {
@@ -233,22 +235,38 @@ func TestMultiUserConcurrentExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	mix := UserMix{Simple: 3, Intermediate: 2, Complex: 1, QueriesPerUser: 2}
-	var streams []engine.Stream
+	// Each distinct statement runs once for its resource profile; the
+	// streams then replay through the discrete-event simulator.
+	profiles := map[string]des.Profile{}
+	var streams [][]des.Profile
 	for _, qs := range BDInsightsStreams(mix) {
-		var s engine.Stream
+		var s []des.Profile
 		for _, q := range qs {
-			s = append(s, q.SQL)
+			p, seen := profiles[q.ID]
+			if !seen {
+				res, err := e.Query(q.SQL)
+				if err != nil {
+					t.Fatalf("%s: %v", q.ID, err)
+				}
+				p = res.Profile
+				profiles[q.ID] = p
+			}
+			s = append(s, p)
 		}
 		streams = append(streams, s)
 	}
-	res, err := e.RunConcurrent(streams, 0)
+	cfg := des.Config{CPUCapacity: vtime.PowerS824().EffectiveParallelism(96)}
+	for _, d := range e.Devices() {
+		cfg.Devices = append(cfg.Devices, des.DeviceSpec{Mem: d.TotalMemory()})
+	}
+	res, err := des.Run(cfg, streams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Res.Queries) != mix.Users()*2 {
-		t.Errorf("simulated queries = %d, want %d", len(res.Res.Queries), mix.Users()*2)
+	if len(res.Queries) != mix.Users()*2 {
+		t.Errorf("simulated queries = %d, want %d", len(res.Queries), mix.Users()*2)
 	}
-	if res.Res.Makespan <= 0 {
+	if res.Makespan <= 0 {
 		t.Error("makespan missing")
 	}
 }
