@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -145,7 +146,7 @@ var explainSuite = []struct{ name, sql string }{
 func writeExplainReports(h *bench.Harness, path string) error {
 	reports := make([]*explain.Report, 0, len(explainSuite))
 	for _, q := range explainSuite {
-		rep, _, err := h.Eng.ExplainAnalyzeNamed(q.name, q.sql)
+		rep, _, err := h.Eng.ExplainAnalyzeNamedCtx(context.Background(), q.name, q.sql)
 		if err != nil {
 			return fmt.Errorf("explain %s: %w", q.name, err)
 		}

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"blugpu/internal/metrics"
+	"blugpu/internal/qlog"
 	"blugpu/internal/serve"
 	"blugpu/internal/workload"
 )
@@ -15,14 +17,33 @@ import (
 // checkServe drives the full serving lifecycle over HTTP against a
 // stack with a deliberately small admission queue: a multi-user BD
 // Insights mix through POST /query (retrying shed submissions), one
-// inline EXPLAIN ANALYZE, a graceful drain, the post-drain 503, and a
-// final counter reconciliation via /debug/serve.
+// inline EXPLAIN ANALYZE, a graceful drain, the post-drain 503, every
+// refusal joined to the query log by the request ID its client was
+// given, and a final counter reconciliation via /debug/serve.
 func checkServe(c *check) error {
 	err := c.boot(sfGPU, false, serve.StackOptions{Config: serve.Config{QueueCapacity: 4}, Background: true})
 	if err != nil {
 		return err
 	}
 	mix := workload.UserMix{Simple: 14, Intermediate: 4, Complex: 2, QueriesPerUser: 2}
+
+	// Every refusal must tell its client the ID it was logged under, in
+	// header and body alike; the IDs are joined to the query log below.
+	var refusedMu sync.Mutex
+	var refusedIDs []string
+	refused := func(hdr http.Header, body []byte) error {
+		var eb struct {
+			RequestID string `json:"request_id"`
+		}
+		id := hdr.Get("X-Request-ID")
+		if err := json.Unmarshal(body, &eb); err != nil || id == "" || id != eb.RequestID {
+			return fmt.Errorf("refusal carries X-Request-ID %q, want the same ID in its body: %.200s", id, body)
+		}
+		refusedMu.Lock()
+		refusedIDs = append(refusedIDs, id)
+		refusedMu.Unlock()
+		return nil
+	}
 
 	var submitted, admitted, shedRetries atomic.Uint64
 	user := func(u int, stream []workload.Query) error {
@@ -33,13 +54,16 @@ func checkServe(c *check) error {
 					return fmt.Errorf("%s: %s never admitted", session, q.ID)
 				}
 				submitted.Add(1)
-				code, _, body, err := c.post("/query", map[string]any{
+				code, hdr, body, err := c.post("/query", map[string]any{
 					"sql": q.SQL, "session": session, "class": string(q.Class), "name": q.ID,
 				}, "")
 				if err != nil {
 					return err
 				}
 				if code == http.StatusTooManyRequests {
+					if err := refused(hdr, body); err != nil {
+						return fmt.Errorf("%s: %s: 429: %w", session, q.ID, err)
+					}
 					shedRetries.Add(1)
 					time.Sleep(2 * time.Millisecond)
 					continue
@@ -103,14 +127,35 @@ func checkServe(c *check) error {
 		return fmt.Errorf("drain force-canceled %d queries with no load in flight", rep.ForcedCancels)
 	}
 	submitted.Add(1)
-	code, _, body, err = c.post("/query", map[string]any{"sql": "SELECT 1 FROM store_sales LIMIT 1"}, "")
+	code, hdr, body, err := c.post("/query", map[string]any{"sql": "SELECT 1 FROM store_sales LIMIT 1"}, "")
 	if err != nil {
 		return err
 	}
 	if code != http.StatusServiceUnavailable {
 		return fmt.Errorf("post-drain /query: HTTP %d %.200s, want 503", code, body)
 	}
+	if err := refused(hdr, body); err != nil {
+		return fmt.Errorf("post-drain 503: %w", err)
+	}
 	c.logf("drain ok (flushed=%d, post-drain submissions refused)", rep.Flushed)
+
+	// Every refusal is in the query log once, under the ID its client got.
+	recs, _, err := c.records()
+	if err != nil {
+		return err
+	}
+	shedLogged := map[string]int{}
+	for _, rec := range recs {
+		if rec.Event == qlog.EventQuery && rec.Outcome == qlog.OutcomeShed {
+			shedLogged[rec.RequestID]++
+		}
+	}
+	for _, id := range refusedIDs {
+		if shedLogged[id] != 1 {
+			return fmt.Errorf("refusal %s has %d shed records in the query log, want 1", id, shedLogged[id])
+		}
+	}
+	c.logf("%d refusals joined to the query log by the request ID their client got", len(refusedIDs))
 
 	// Reconcile: the server's ledger must match the client's count, the
 	// four outcomes must partition it exactly, and /debug/serve must

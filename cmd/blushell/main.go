@@ -218,7 +218,7 @@ func (sh *shell) cmdExplain(fields []string, line string) bool {
 			fmt.Println("usage: \\explain analyze <sql>")
 			return false
 		}
-		rep, res, err := sh.eng.ExplainAnalyzeNamed("", sql)
+		rep, res, err := sh.eng.ExplainAnalyzeNamedCtx(context.Background(), "", sql)
 		if err != nil {
 			fmt.Println("error:", err)
 			return false

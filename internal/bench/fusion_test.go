@@ -8,6 +8,7 @@ package bench
 // faulted retry or fallback and the decision audit naming the cause.
 
 import (
+	"context"
 	"testing"
 
 	"blugpu/internal/engine"
@@ -190,7 +191,7 @@ func TestFusedFaultExplainAttribution(t *testing.T) {
 	eng := fusionEngine(t, data, inj, false)
 
 	sql := workload.BDInsights()[0].SQL
-	rep, err := eng.ExplainAnalyze(sql)
+	rep, _, err := eng.ExplainAnalyzeNamedCtx(context.Background(), "", sql)
 	if err != nil {
 		t.Fatal(err)
 	}

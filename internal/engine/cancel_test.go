@@ -100,7 +100,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 	// Pass 1: count the cancellation checks this plan performs.
 	e := newCancelTestEngine(t, 4000)
 	probe := &countdownCtx{remaining: -1}
-	if _, err := e.QueryNamedCtx(probe, "", sql); err != nil {
+	if _, err := e.QueryNamedCtxAttrs(probe, "", sql); err != nil {
 		t.Fatal(err)
 	}
 	total := probe.checks
@@ -113,7 +113,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 	// leaked reservation cannot hide behind an earlier run's.
 	for k := 0; k < total; k++ {
 		e := newCancelTestEngine(t, 4000)
-		res, err := e.QueryNamedCtx(&countdownCtx{remaining: k}, "", sql)
+		res, err := e.QueryNamedCtxAttrs(&countdownCtx{remaining: k}, "", sql)
 		if err == nil {
 			t.Fatalf("cancel at check %d/%d: query completed, want cancellation", k, total)
 		}
@@ -136,7 +136,7 @@ func TestQueryCtxPreCanceled(t *testing.T) {
 	e := newCancelTestEngine(t, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.QueryNamedCtx(ctx, "", "SELECT s_month FROM sales WHERE s_month = 3"); !errors.Is(err, context.Canceled) {
+	if _, err := e.QueryNamedCtxAttrs(ctx, "", "SELECT s_month FROM sales WHERE s_month = 3"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled query returned %v, want context.Canceled", err)
 	}
 	assertClean(t, e, "after pre-canceled query")
@@ -148,7 +148,7 @@ func TestQueryCtxDeadline(t *testing.T) {
 	e := newCancelTestEngine(t, 100)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := e.QueryNamedCtx(ctx, "", "SELECT s_month FROM sales WHERE s_month = 3"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.QueryNamedCtxAttrs(ctx, "", "SELECT s_month FROM sales WHERE s_month = 3"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired query returned %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -164,10 +164,10 @@ func TestQueryCtxBackgroundUnchanged(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.QueryNamedCtx(ctx, "", sql); err == nil {
+	if _, err := e.QueryNamedCtxAttrs(ctx, "", sql); err == nil {
 		t.Fatal("canceled query should error")
 	}
-	got, err := e.QueryNamedCtx(context.Background(), "", sql)
+	got, err := e.QueryNamedCtxAttrs(context.Background(), "", sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,25 +289,27 @@ func (e *Engine) Query(sql string) (*Result, error) {
 // the query's root span in the trace and its rollup row in the monitor;
 // empty picks an automatic "q<N>" name.
 func (e *Engine) QueryNamed(name, sql string) (*Result, error) {
-	return e.QueryNamedCtx(context.Background(), name, sql)
+	return e.QueryNamedCtxAttrs(context.Background(), name, sql)
 }
 
-// QueryNamedCtx is QueryNamed bounded by a context: execution checks the
-// context between operators and aborts with its error as soon as it is
-// canceled or its deadline passes, releasing every reservation it holds.
-func (e *Engine) QueryNamedCtx(ctx context.Context, name, sql string) (*Result, error) {
-	return e.QueryNamedCtxAttrs(ctx, name, sql)
-}
-
-// QueryNamedCtxAttrs is QueryNamedCtx with caller attributes annotated
-// onto the query's root span when a tracer is attached — the serving
-// layer uses it to attribute admission decisions (class, queue wait,
-// session) in the same trace that holds the query's operator spans.
+// QueryNamedCtxAttrs is QueryNamed bounded by a context — execution
+// checks it between operators and aborts with its error once canceled or
+// past its deadline, releasing every reservation it holds — with caller
+// attributes annotated onto the query's root span when a tracer is
+// attached: the serving layer attributes admission decisions (class,
+// queue wait, session) in the trace that holds the operator spans.
 func (e *Engine) QueryNamedCtxAttrs(ctx context.Context, name, sql string, attrs ...trace.Attr) (*Result, error) {
-	// Each phase runs under prof.Phase so CPU-profile samples carry
-	// class/phase/request labels and the request's resource account (when
-	// one is bound to ctx) charges exactly the durations the query log
-	// will record — the two surfaces reconcile by construction.
+	_, res, err := e.run(ctx, name, sql, false, attrs)
+	return res, err
+}
+
+// run is the one parse → plan → exec path behind every query and audit
+// entry point. Each phase runs under prof.Phase so CPU-profile samples
+// carry class/phase/request labels and the request's resource account
+// (when one is bound to ctx) charges exactly the durations the query log
+// will record — the two surfaces reconcile by construction. With audit
+// set, exec is the audited epoch and a report comes back with the result.
+func (e *Engine) run(ctx context.Context, name, sql string, audit bool, attrs []trace.Attr) (*explain.Report, *Result, error) {
 	var stmt *sqlparse.SelectStmt
 	parseWall, err := prof.Phase(ctx, "parse", func(ctx context.Context) error {
 		var perr error
@@ -315,7 +317,7 @@ func (e *Engine) QueryNamedCtxAttrs(ctx context.Context, name, sql string, attrs
 		return perr
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var p *plan.Plan
 	planWall, err := prof.Phase(ctx, "plan", func(ctx context.Context) error {
@@ -324,12 +326,21 @@ func (e *Engine) QueryNamedCtxAttrs(ctx context.Context, name, sql string, attrs
 		return perr
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	if audit {
+		e.explainMu.Lock()
+		defer e.explainMu.Unlock()
+	}
+	var rep *explain.Report
 	var res *Result
 	execWall, err := prof.Phase(ctx, "exec", func(ctx context.Context) error {
 		var xerr error
-		res, xerr = e.executeWith(ctx, name, p, sql, nil, attrs...)
+		if audit {
+			rep, res, xerr = e.executeAudited(ctx, name, p, sql, attrs)
+		} else {
+			res, xerr = e.executeWith(ctx, name, p, sql, nil, attrs...)
+		}
 		return xerr
 	})
 	if res != nil {
@@ -337,7 +348,7 @@ func (e *Engine) QueryNamedCtxAttrs(ctx context.Context, name, sql string, attrs
 		res.Wall.Plan = planWall
 		res.Wall.Exec = execWall
 	}
-	return res, err
+	return rep, res, err
 }
 
 // Explain parses and plans a statement and renders the logical plan plus

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// TestConcurrentExplainAnalyze runs several EXPLAIN ANALYZE audits on
+// TestConcurrentExplainAudits runs several EXPLAIN ANALYZE audits on
 // one engine at once. The audited epoch — the hostmem watermark reset,
 // the monitor deltas, the temporary tracer — is serialized on the
 // engine's explainMu, so every report must come back individually sane:
 // reconciled, with a positive pinned-host watermark and per-device busy
 // deltas that were not polluted by the sibling audits. Run under -race
 // this also proves the watermark reset itself is data-race free.
-func TestConcurrentExplainAnalyze(t *testing.T) {
+func TestConcurrentExplainAudits(t *testing.T) {
 	e := newTestEngine(t, 60_000)
 	const sql = "SELECT s_month, SUM(s_qty) AS t FROM sales GROUP BY s_month ORDER BY t DESC"
 

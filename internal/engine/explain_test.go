@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -58,11 +59,11 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	// caches are lopsided), after which every run is a full cache hit on
 	// the same device.
 	for i := 0; i < 2; i++ {
-		if _, err := e.ExplainAnalyze(sql); err != nil {
+		if _, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "", sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, _, err := e.ExplainAnalyzeNamed("qa", sql)
+	rep, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "qa", sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 
 	// And the render must be reproducible live, not just against the
 	// committed file: a third run renders byte-identically.
-	rep2, _, err := e.ExplainAnalyzeNamed("qa", sql)
+	rep2, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "qa", sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 func TestExplainAnalyzeReconciliation(t *testing.T) {
 	e := newTestEngine(t, 120_000)
 	const sql = "SELECT s_month, SUM(s_qty) AS t, COUNT(*) AS c FROM sales WHERE s_qty > 1 GROUP BY s_month ORDER BY t DESC"
-	rep, res, err := e.ExplainAnalyzeNamed("recon", sql)
+	rep, res, err := e.ExplainAnalyzeNamedCtx(context.Background(), "recon", sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestExplainAnalyzeReconciliation(t *testing.T) {
 func TestExplainAnalyzeCPUPath(t *testing.T) {
 	e := newTestEngine(t, 120_000)
 	e.SetGPUEnabled(false)
-	rep, _, err := e.ExplainAnalyzeNamed("cpu-path", "SELECT s_month, SUM(s_qty) AS t FROM sales GROUP BY s_month")
+	rep, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "cpu-path", "SELECT s_month, SUM(s_qty) AS t FROM sales GROUP BY s_month")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +212,13 @@ func TestExplainAnalyzeCPUPath(t *testing.T) {
 // TestExplainAnalyzeErrors covers parse and plan failures.
 func TestExplainAnalyzeErrors(t *testing.T) {
 	e := newTestEngine(t, 100)
-	if _, err := e.ExplainAnalyze("NOT SQL"); err == nil {
+	if _, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "", "NOT SQL"); err == nil {
 		t.Error("parse error must surface")
 	}
-	if _, _, err := e.ExplainAnalyzeNamed("x", "SELECT nope FROM sales GROUP BY"); err == nil {
+	if _, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "x", "SELECT nope FROM sales GROUP BY"); err == nil {
 		t.Error("plan error must surface")
 	}
-	if _, err := e.ExplainAnalyze("SELECT missing_col FROM sales"); err == nil {
+	if _, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "", "SELECT missing_col FROM sales"); err == nil {
 		t.Error("execution error must surface")
 	}
 	// After an error with no tracer pre-attached, the temporary tracer
@@ -231,7 +232,7 @@ func TestExplainAnalyzeErrors(t *testing.T) {
 // the report and matches the span-side job count.
 func TestExplainAnalyzeSortAudit(t *testing.T) {
 	e := newTestEngine(t, 120_000)
-	rep, _, err := e.ExplainAnalyzeNamed("sorted", "SELECT s_store_sk, s_price FROM sales ORDER BY s_price DESC LIMIT 20")
+	rep, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "sorted", "SELECT s_store_sk, s_price FROM sales ORDER BY s_price DESC LIMIT 20")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,7 @@ import (
 	"blugpu/internal/explain"
 	"blugpu/internal/gpu"
 	"blugpu/internal/plan"
-	"blugpu/internal/prof"
 	"blugpu/internal/qlog"
-	"blugpu/internal/sqlparse"
 	"blugpu/internal/trace"
 )
 
@@ -61,133 +59,81 @@ func (t monTotals) sub(o monTotals) explain.Totals {
 	}
 }
 
-// ExplainAnalyze runs sql and returns the decision audit: the plan-time
-// prognosis next to what actually ran, reconciled against the span tree
-// and the monitor counters.
-func (e *Engine) ExplainAnalyze(sql string) (*explain.Report, error) {
-	rep, _, err := e.ExplainAnalyzeNamed("", sql)
-	return rep, err
-}
-
-// ExplainAnalyzeNamed is ExplainAnalyze under an explicit query name
-// (empty picks the tracer's automatic "q<N>"). It also returns the
-// query result, which the shell prints below the audit.
-//
-// A tracer is required for span attribution; when none is attached the
-// engine installs a temporary one for the duration of the call and
-// detaches it afterwards.
-func (e *Engine) ExplainAnalyzeNamed(name, sql string) (*explain.Report, *Result, error) {
-	return e.ExplainAnalyzeNamedCtx(context.Background(), name, sql)
-}
-
-// ExplainAnalyzeNamedCtx is ExplainAnalyzeNamed under a caller context:
-// cancellation aborts the audited query between operators exactly as it
-// does for QueryNamedCtx. The audited epoch — monitor deltas, the hostmem
-// watermark reset, the temporary tracer — is serialized on an
-// engine-level mutex, so concurrent ExplainAnalyze calls queue rather
+// ExplainAnalyzeNamedCtx is QueryNamedCtxAttrs plus the decision audit:
+// the plan-time prognosis next to what actually ran, reconciled against
+// the span tree and the monitor counters. The audited epoch — monitor
+// deltas, the hostmem watermark reset, the temporary tracer — is
+// serialized on an engine-level mutex, so concurrent audits queue rather
 // than corrupt each other's per-query deltas. Plain queries running
-// concurrently still pollute the deltas; for an exact audit run it
-// alone.
-func (e *Engine) ExplainAnalyzeNamedCtx(ctx context.Context, name, sql string) (*explain.Report, *Result, error) {
-	var stmt *sqlparse.SelectStmt
-	parseWall, err := prof.Phase(ctx, "parse", func(ctx context.Context) error {
-		var perr error
-		stmt, perr = sqlparse.Parse(sql)
-		return perr
-	})
+// concurrently still pollute the deltas; for an exact audit run it alone.
+func (e *Engine) ExplainAnalyzeNamedCtx(ctx context.Context, name, sql string, attrs ...trace.Attr) (*explain.Report, *Result, error) {
+	return e.run(ctx, name, sql, true, attrs)
+}
+
+// executeAudited is run's exec phase for an audit: the execution plus
+// the report build, so both bill to exec and the query log and the prof
+// accountant agree. Span attribution needs a tracer; when none is attached
+// a temporary one is installed for the call. Caller holds e.explainMu.
+func (e *Engine) executeAudited(ctx context.Context, name string, p *plan.Plan, sql string, attrs []trace.Attr) (*explain.Report, *Result, error) {
+	tr := e.tracer.Load()
+	if tr == nil {
+		tr = trace.New()
+		e.tracer.Store(tr)
+		defer e.tracer.Store(nil)
+	}
+	col := explain.NewCollector(e.prognoses(p.Root))
+	before := e.monTotals()
+	orphans0 := tr.Orphans()
+	host0 := e.registry.Stats()
+	e.registry.ResetWatermark()
+	busy0 := make([]gpu.Utilization, len(e.devices))
+	for i, d := range e.devices {
+		busy0[i] = d.Util()
+	}
+
+	res, err := e.executeWith(ctx, name, p, sql, col, attrs...)
 	if err != nil {
 		return nil, nil, err
 	}
-	var p *plan.Plan
-	planWall, err := prof.Phase(ctx, "plan", func(ctx context.Context) error {
-		var perr error
-		p, perr = plan.Build(stmt)
-		return perr
-	})
-	if err != nil {
-		return nil, nil, err
+	seq := res.TraceSeq
+
+	after := e.monTotals()
+	host1 := e.registry.Stats()
+	busy := make([]explain.DeviceBusy, len(e.devices))
+	for i, d := range e.devices {
+		u := d.Util()
+		busy[i] = explain.DeviceBusy{
+			Device: d.ID(),
+			Kernel: u.Kernel - busy0[i].Kernel,
+			H2D:    u.H2D - busy0[i].H2D,
+			D2H:    u.D2H - busy0[i].D2H,
+		}
 	}
-
-	e.explainMu.Lock()
-	defer e.explainMu.Unlock()
-
-	// The exec phase covers everything the serving layer bills to exec
-	// for an explain request: the audited execution plus the report
-	// build. Its duration lands in res.Wall.Exec so the query log and
-	// the prof accountant agree.
-	var (
-		rep *explain.Report
-		res *Result
-	)
-	execWall, err := prof.Phase(ctx, "exec", func(ctx context.Context) error {
-		tr := e.tracer.Load()
-		if tr == nil {
-			tr = trace.New()
-			e.tracer.Store(tr)
-			defer e.tracer.Store(nil)
-		}
-		col := explain.NewCollector(e.prognoses(p.Root))
-		before := e.monTotals()
-		orphans0 := tr.Orphans()
-		host0 := e.registry.Stats()
-		e.registry.ResetWatermark()
-		busy0 := make([]gpu.Utilization, len(e.devices))
-		for i, d := range e.devices {
-			busy0[i] = d.Util()
-		}
-
-		var xerr error
-		res, xerr = e.executeWith(ctx, name, p, sql, col)
-		if xerr != nil {
-			return xerr
-		}
-		seq := res.TraceSeq
-
-		after := e.monTotals()
-		host1 := e.registry.Stats()
-		busy := make([]explain.DeviceBusy, len(e.devices))
-		for i, d := range e.devices {
-			u := d.Util()
-			busy[i] = explain.DeviceBusy{
-				Device: d.ID(),
-				Kernel: u.Kernel - busy0[i].Kernel,
-				H2D:    u.H2D - busy0[i].H2D,
-				D2H:    u.D2H - busy0[i].D2H,
-			}
-		}
-		if name == "" {
-			// Mirror the tracer's automatic root-span naming.
-			name = fmt.Sprintf("q%d", seq)
-		}
-		rep = explain.Build(explain.Input{
-			Query:      name,
-			RequestID:  qlog.RequestIDFrom(ctx),
-			SQL:        sql,
-			Plan:       fmt.Sprintf("%s", p.Root),
-			GPUEnabled: e.GPUEnabled(),
-			Thresholds: e.thresholds,
-			Modeled:    res.Modeled,
-			Rows:       res.Table.Rows(),
-			Ops:        col.Ops(),
-			Spans:      tr.QuerySpans(seq),
-			Monitor:    after.sub(before),
-			Host: explain.HostMemStats{
-				WatermarkBytes: host1.Watermark,
-				FreeSpans:      host1.FreeSpans,
-				MaxFreeSpans:   host1.MaxFreeSpans,
-				Allocs:         host1.Allocs - host0.Allocs,
-				Fails:          host1.Fails - host0.Fails,
-			},
-			Busy:    busy,
-			Orphans: tr.Orphans() - orphans0,
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+	if name == "" {
+		// Mirror the tracer's automatic root-span naming.
+		name = fmt.Sprintf("q%d", seq)
 	}
-	res.Wall.Parse = parseWall
-	res.Wall.Plan = planWall
-	res.Wall.Exec = execWall
+	rep := explain.Build(explain.Input{
+		Query:      name,
+		RequestID:  qlog.RequestIDFrom(ctx),
+		SQL:        sql,
+		Plan:       fmt.Sprintf("%s", p.Root),
+		GPUEnabled: e.GPUEnabled(),
+		Thresholds: e.thresholds,
+		Modeled:    res.Modeled,
+		Rows:       res.Table.Rows(),
+		Ops:        col.Ops(),
+		Spans:      tr.QuerySpans(seq),
+		Monitor:    after.sub(before),
+		Host: explain.HostMemStats{
+			WatermarkBytes: host1.Watermark,
+			FreeSpans:      host1.FreeSpans,
+			MaxFreeSpans:   host1.MaxFreeSpans,
+			Allocs:         host1.Allocs - host0.Allocs,
+			Fails:          host1.Fails - host0.Fails,
+		},
+		Busy:    busy,
+		Orphans: tr.Orphans() - orphans0,
+	})
 	return rep, res, nil
 }

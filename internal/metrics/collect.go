@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"context"
 	"strconv"
 
+	"blugpu/internal/engine"
 	"blugpu/internal/explain"
 	"blugpu/internal/gpu"
 	"blugpu/internal/monitor"
@@ -44,15 +46,14 @@ type Sources struct {
 }
 
 // EngineLike is the slice of the engine API the metrics layer needs;
-// *engine.Engine satisfies it structurally, without this package
-// importing the engine.
+// *engine.Engine satisfies it.
 type EngineLike interface {
 	Monitor() *monitor.Monitor
 	Scheduler() *sched.Scheduler
 	Devices() []*gpu.Device
 	Tracer() *trace.Tracer
 	GPUEnabled() bool
-	ExplainAnalyze(sql string) (*explain.Report, error)
+	ExplainAnalyzeNamedCtx(ctx context.Context, name, sql string, attrs ...trace.Attr) (*explain.Report, *engine.Result, error)
 }
 
 // SourcesFromEngine adapts an engine into the scrape-time source
@@ -63,6 +64,10 @@ type EngineLike interface {
 // Admission source — it is a property of the serving layer, which a
 // bare engine does not have.
 func SourcesFromEngine(e EngineLike) func() Sources {
+	explainQuery := func(sql string) (*explain.Report, error) {
+		rep, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "", sql)
+		return rep, err
+	}
 	return func() Sources {
 		return Sources{
 			Monitor:    e.Monitor(),
@@ -70,7 +75,7 @@ func SourcesFromEngine(e EngineLike) func() Sources {
 			Devices:    e.Devices(),
 			Tracer:     e.Tracer(),
 			GPUEnabled: e.GPUEnabled(),
-			Explain:    e.ExplainAnalyze,
+			Explain:    explainQuery,
 			Runtime:    SampleRuntime,
 		}
 	}

@@ -50,6 +50,7 @@ type errorBody struct {
 	Error      string `json:"error"`
 	Reason     string `json:"reason,omitempty"`
 	RetryAfter int    `json:"retry_after_seconds,omitempty"`
+	RequestID  string `json:"request_id,omitempty"`
 }
 
 // NewMux builds the serving surface:
@@ -146,7 +147,7 @@ func handleQuery(s *Server, w http.ResponseWriter, req *http.Request) {
 	}
 	// The client's X-Request-ID is honored as the correlation key; an
 	// absent header gets a server-generated ID. Either way the ID is
-	// echoed back on the response (success and refusal alike).
+	// echoed back in the header and the body, whatever the outcome.
 	reqID := req.Header.Get("X-Request-ID")
 
 	// Serializing inside the hook lets the server time real JSON
@@ -190,10 +191,7 @@ func handleQuery(s *Server, w http.ResponseWriter, req *http.Request) {
 		Serialize: serialize,
 	})
 	if err != nil {
-		if reqID != "" {
-			w.Header().Set("X-Request-ID", reqID)
-		}
-		writeQueryError(s, w, err)
+		writeQueryError(w, err, reqID)
 		return
 	}
 	w.Header().Set("X-Request-ID", resp.RequestID)
@@ -204,9 +202,13 @@ func handleQuery(s *Server, w http.ResponseWriter, req *http.Request) {
 
 // writeQueryError maps serving errors onto status codes: shed → 429
 // with Retry-After, drain refusals → 503 with Retry-After, deadline →
-// 504, everything else (parse/plan/execution) → 400.
-func writeQueryError(s *Server, w http.ResponseWriter, err error) {
+// 504, everything else (parse/plan/execution) → 400. The request ID is
+// the one Do logged; a request rejected uncounted has only clientID.
+func writeQueryError(w http.ResponseWriter, err error, clientID string) {
+	body := errorBody{Error: err.Error(), RequestID: clientID}
+	code := http.StatusBadRequest
 	var refused *RefusedError
+	var counted *requestError
 	switch {
 	case errors.As(err, &refused):
 		// RetryAfter is derived at shed time from the queue depth and
@@ -217,16 +219,21 @@ func writeQueryError(s *Server, w http.ResponseWriter, err error) {
 			retry = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		code := http.StatusTooManyRequests
+		code = http.StatusTooManyRequests
 		if refused.Draining {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, errorBody{Error: err.Error(), Reason: refused.Reason, RetryAfter: retry})
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error(), Reason: "deadline"})
-	default:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		body.Reason, body.RetryAfter, body.RequestID = refused.Reason, retry, refused.RequestID
+	case errors.As(err, &counted):
+		body.RequestID = counted.id
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			code, body.Reason = http.StatusGatewayTimeout, "deadline"
+		}
 	}
+	if body.RequestID != "" {
+		w.Header().Set("X-Request-ID", body.RequestID)
+	}
+	writeJSON(w, code, body)
 }
 
 // TableRows materializes result columns row-major for JSON: NULL → null,

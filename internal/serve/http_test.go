@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"blugpu/internal/metrics"
+	"blugpu/internal/qlog"
 	"blugpu/internal/workload"
 )
 
@@ -227,4 +230,64 @@ func TestHTTPBadRequests(t *testing.T) {
 	if code, _, _ := postQuery(t, srv, `{"sql":"SELECT 1 FROM t","class":"wizard"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad class: %d, want 400", code)
 	}
+}
+
+// TestRequestIDOnEveryOutcome: a client that sends no X-Request-ID must
+// still learn the ID its submission was logged under, whatever became of
+// it — header and body agree, and exactly one query-log record carries
+// that ID — so "why was my query shed?" can be answered from the log.
+func TestRequestIDOnEveryOutcome(t *testing.T) {
+	gate := make(chan struct{})
+	exec := &gatedEngine{Engine: newServeTestEngine(t), gate: gate}
+	var logBuf bytes.Buffer
+	s, err := New(exec, Config{
+		QueueCapacity: 1,
+		ClassLimits:   map[workload.Class]int{workload.Simple: 1, workload.Intermediate: 1, workload.Complex: 1},
+		Log:           qlog.New(&logBuf),
+		SlowQuery:     -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := NewMux(s, nil)
+	check := func(ctx context.Context, what, sql string, wantCode int, wantOutcome string) {
+		t.Helper()
+		body := fmt.Sprintf(`{"sql":%q,"class":"simple"}`, sql)
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, req)
+		if w.Code != wantCode {
+			t.Fatalf("%s: HTTP %d %s, want %d", what, w.Code, w.Body, wantCode)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("%s: body %s: %v", what, w.Body, err)
+		}
+		id := w.Header().Get("X-Request-ID")
+		if !strings.HasPrefix(id, "blu-") || eb.RequestID != id {
+			t.Fatalf("%s: header X-Request-ID %q, body request_id %q, want one generated ID", what, id, eb.RequestID)
+		}
+		var outcomes []string
+		for _, rec := range decodeLog(t, &logBuf) {
+			if rec.RequestID == id {
+				outcomes = append(outcomes, rec.Outcome)
+			}
+		}
+		if len(outcomes) != 1 || outcomes[0] != wantOutcome {
+			t.Fatalf("%s: log records under %s have outcomes %v, want one %s", what, id, outcomes, wantOutcome)
+		}
+	}
+
+	const sql = "SELECT k, SUM(v) AS s FROM t GROUP BY k"
+	var helpers sync.WaitGroup
+	parkSubmissions(t, s, 1, &helpers) // holds the simple slot
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	check(ctx, "abandoned while queued", sql, http.StatusGatewayTimeout, qlog.OutcomeTimedOut)
+	parkSubmissions(t, s, 1, &helpers) // fills the queue
+	check(context.Background(), "shed", sql, http.StatusTooManyRequests, qlog.OutcomeShed)
+	close(gate)
+	helpers.Wait()
+	check(context.Background(), "parse error", "SELECT nonsense FROM missing", http.StatusBadRequest, qlog.OutcomeError)
+	reconcile(t, s)
 }

@@ -7,31 +7,28 @@ import (
 
 	"blugpu/internal/engine"
 	"blugpu/internal/metrics"
-	"blugpu/internal/qlog"
 	"blugpu/internal/trace"
 	"blugpu/internal/workload"
 )
 
-// SLO is one user class's wall-latency objective: at least Objective
+// slo is one user class's wall-latency objective: at least objective
 // (a fraction, e.g. 0.99) of submissions should resolve end-to-end
-// within Threshold. The metrics layer turns the observed wall-latency
+// within threshold. The metrics layer turns the observed wall-latency
 // distribution against these targets into error-budget burn-rate
 // gauges (blu_slo_*). Wall latency is real time — the SLO surface is
 // informational and never gated, unlike the modeled-time benchmarks.
-type SLO struct {
-	Threshold time.Duration
-	Objective float64
+type slo struct {
+	threshold time.Duration
+	objective float64
 }
 
-// defaultSLOs are deliberately loose: the modeled engine runs queries
+// classSLOs are deliberately loose: the modeled engine runs queries
 // in microseconds of real time, so these only trip under genuine
 // saturation or pathological host load.
-func defaultSLOs() map[workload.Class]SLO {
-	return map[workload.Class]SLO{
-		workload.Simple:       {Threshold: 50 * time.Millisecond, Objective: 0.99},
-		workload.Intermediate: {Threshold: 200 * time.Millisecond, Objective: 0.95},
-		workload.Complex:      {Threshold: time.Second, Objective: 0.90},
-	}
+var classSLOs = map[workload.Class]slo{
+	workload.Simple:       {threshold: 50 * time.Millisecond, objective: 0.99},
+	workload.Intermediate: {threshold: 200 * time.Millisecond, objective: 0.95},
+	workload.Complex:      {threshold: time.Second, objective: 0.90},
 }
 
 // dequeueWindow bounds the per-class dequeue-timestamp ring the
@@ -65,7 +62,7 @@ func (s *Server) retryAfterLocked() time.Duration {
 	for _, c := range classOrder {
 		stamps = append(stamps, s.dequeues[c]...)
 	}
-	return retryAfterHint(s.queueDepthLocked(), stamps, s.clock(), s.cfg.RetryAfter)
+	return retryAfterHint(s.queueDepthLocked(), stamps, s.clock(), retryAfterFallback)
 }
 
 // retryAfterHint estimates how long a shed client should wait before
@@ -149,15 +146,15 @@ func spanDigest(spans []trace.Span) (devices []int, transferBytes int64, fallbac
 // has read the same spans. The serving layer reaches the tracer via a
 // runtime capability check rather than widening Executor — stub
 // executors in tests simply have no traces to retain.
-func (s *Server) captureTrace(reqID, name, session string, class workload.Class, res *engine.Result, execErr error, total time.Duration, slow bool) []trace.Span {
+func (s *Server) captureTrace(sub *submission) []trace.Span {
 	var seq uint64
 	var qe *engine.QueryError
-	if res != nil {
-		seq = res.TraceSeq
-	} else if errors.As(execErr, &qe) {
+	if sub.Result != nil {
+		seq = sub.Result.TraceSeq
+	} else if errors.As(sub.err, &qe) {
 		seq = qe.TraceSeq
 	}
-	if s.ring == nil || seq == 0 {
+	if seq == 0 {
 		return nil
 	}
 	tp, ok := s.exec.(interface{ Tracer() *trace.Tracer })
@@ -173,14 +170,14 @@ func (s *Server) captureTrace(reqID, name, session string, class workload.Class,
 		return nil
 	}
 	s.ring.Add(trace.RingEntry{
-		RequestID: reqID,
-		Query:     name,
-		Session:   session,
-		Class:     string(class),
+		RequestID: sub.RequestID,
+		Query:     sub.Query,
+		Session:   sub.Session,
+		Class:     string(sub.Class),
 		Seq:       seq,
-		Wall:      total,
+		Wall:      sub.total,
 		At:        s.clock(),
-		Slow:      slow,
+		Slow:      sub.Slow,
 		Spans:     spans,
 	})
 	return spans
@@ -188,22 +185,3 @@ func (s *Server) captureTrace(reqID, name, session string, class workload.Class,
 
 // TraceRing exposes the live trace ring (nil before New).
 func (s *Server) TraceRing() *trace.Ring { return s.ring }
-
-// logRefused emits the query-log record for a submission that never
-// ran: shed at the door, flushed by drain, or abandoned while queued.
-func (s *Server) logRefused(reqID string, req Request, class workload.Class, outcome, reason string, wait, total time.Duration) {
-	if s.cfg.Log == nil {
-		return
-	}
-	s.cfg.Log.Log(qlog.Record{
-		Event:     qlog.EventQuery,
-		RequestID: reqID,
-		Session:   req.Session,
-		Class:     string(class),
-		SQL:       req.SQL,
-		Outcome:   outcome,
-		Reason:    reason,
-		Phases:    qlog.Phases{QueueWaitMs: qlog.Ms(wait)},
-		TotalMs:   qlog.Ms(total),
-	})
-}

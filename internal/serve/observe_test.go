@@ -12,13 +12,17 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"blugpu/internal/gpu"
 	"blugpu/internal/metrics"
 	"blugpu/internal/monitor"
 	"blugpu/internal/qlog"
+	"blugpu/internal/sched"
 	"blugpu/internal/trace"
+	"blugpu/internal/vtime"
 	"blugpu/internal/workload"
 )
 
@@ -523,83 +527,255 @@ func TestGeneratedRequestID(t *testing.T) {
 	}
 }
 
-// TestQlogOutcomeLedger drives all refusal outcomes through a stub and
-// checks the query log mirrors the double-entry ledger: one query
-// record per submission, each with the right outcome.
-func TestQlogOutcomeLedger(t *testing.T) {
-	var logBuf bytes.Buffer
-	exec := &stubExec{release: make(chan struct{})}
-	s, err := New(exec, Config{
-		QueueCapacity: 1,
-		ClassLimits:   map[workload.Class]int{workload.Simple: 1, workload.Intermediate: 1, workload.Complex: 1},
-		Log:           qlog.New(&logBuf),
-		SlowQuery:     -1, // no slow_query noise in the ledger count
-	})
-	if err != nil {
-		t.Fatal(err)
+// errRequestID is the request ID an error returned by Do carries.
+func errRequestID(err error) string {
+	var refused *RefusedError
+	var counted *requestError
+	switch {
+	case errors.As(err, &refused):
+		return refused.RequestID
+	case errors.As(err, &counted):
+		return counted.id
 	}
-	// 1 executing + 1 queued; the queued one will be drained.
-	results := make(chan error, 2)
-	for i := 0; i < 2; i++ {
+	return ""
+}
+
+// parkSubmissions starts n more helper submissions against a server
+// whose executor holds every execution, waiting for each to settle into
+// place (the first ever takes the class slot, the rest queue) before
+// starting the next.
+func parkSubmissions(t *testing.T, s *Server, n int, wg *sync.WaitGroup) {
+	t.Helper()
+	snap := s.AdmissionSnapshot()
+	parked := snap.Inflight + snap.QueueDepth
+	for i := 0; i < n; i++ {
+		wg.Add(1)
 		go func() {
-			_, err := s.Do(context.Background(), Request{SQL: "SELECT x FROM t", Class: workload.Simple})
-			results <- err
+			defer wg.Done()
+			s.Do(context.Background(), Request{SQL: "SELECT x FROM t", Class: workload.Simple})
 		}()
 		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
+		for {
 			snap := s.AdmissionSnapshot()
-			if snap.Inflight+snap.QueueDepth == i+1 {
+			if snap.Inflight+snap.QueueDepth == parked+i+1 {
 				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("helper submission %d never parked", i)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// Shed: queue full.
-	if _, err := s.Do(context.Background(), Request{SQL: "SELECT x FROM t", Class: workload.Simple}); err == nil {
-		t.Fatal("full queue must refuse")
-	}
-	// Timeout: pre-expired context abandoned while queued... must go
-	// through the queue, but the queue is full, so use an expired
-	// deadline on a fresh server path instead: cancel mid-execution.
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		s.Drain(time.Second)
-	}()
-	for i := 0; i < 2; i++ {
-		<-results
-	}
-	// Post-drain shed.
-	if _, err := s.Do(context.Background(), Request{SQL: "SELECT x FROM t", Class: workload.Simple}); err == nil {
-		t.Fatal("draining server must refuse")
-	}
+}
 
-	recs := decodeLog(t, &logBuf)
-	counts := map[string]int{}
-	ids := map[string]bool{}
-	for _, r := range recs {
-		if r.Event != qlog.EventQuery {
-			continue
-		}
-		counts[r.Outcome]++
-		if ids[r.RequestID] {
-			t.Fatalf("duplicate request ID %s", r.RequestID)
-		}
-		ids[r.RequestID] = true
+// TestQlogOutcomeLedger drives one subject submission down every exit
+// of the request path and checks it is settled exactly once: one ledger
+// counter moves (globally and for its class), and the recent list, the
+// wait/wall histograms and the query log each get one projection of the
+// same record, under the request ID the caller's error carries. Helper
+// submissions that set the scene stay parked until the subject has been
+// checked, so every delta is the subject's alone.
+func TestQlogOutcomeLedger(t *testing.T) {
+	oneSlot := map[workload.Class]int{workload.Simple: 1, workload.Intermediate: 1, workload.Complex: 1}
+	const sql = "SELECT x FROM t"
+	rows := []struct {
+		name string
+		// exec builds the executor; nil takes a stubExec that holds every
+		// execution on hold when hold is set and returns at once otherwise.
+		exec     func(t *testing.T) Executor
+		hold     bool
+		queueCap int
+		parked   int    // helper submissions parked ahead of the subject
+		drain    string // "before": the server is drained first; "queued": drain flushes the queued subject
+		abandon  bool   // the subject's caller gives up after 20ms
+		req      Request
+		outcome  string
+		reason   string
+		counter  string // the one ledger counter that moves
+		executed bool
+	}{
+		{name: "ok", outcome: qlog.OutcomeOK, counter: "admitted", executed: true},
+		{name: "engine error",
+			exec:    func(t *testing.T) Executor { return newServeTestEngine(t) },
+			req:     Request{SQL: "SELECT nonsense FROM missing"},
+			outcome: qlog.OutcomeError, counter: "admitted", executed: true},
+		{name: "executor panic",
+			exec:    func(*testing.T) Executor { return &panicOnceExec{} },
+			outcome: qlog.OutcomeError, counter: "admitted", executed: true},
+		{name: "serialize failure",
+			req:     Request{Serialize: func(*Response) (int, error) { return 0, errors.New("encode boom") }},
+			outcome: qlog.OutcomeError, counter: "admitted", executed: true},
+		{name: "deadline mid-execution", hold: true,
+			req:     Request{Deadline: 20 * time.Millisecond},
+			outcome: qlog.OutcomeTimedOut, counter: "timed_out", executed: true},
+		{name: "abandoned while queued", hold: true, parked: 1, abandon: true,
+			outcome: qlog.OutcomeTimedOut, reason: "abandoned_queued", counter: "timed_out"},
+		{name: "shed queue_full", hold: true, queueCap: 1, parked: 2,
+			outcome: qlog.OutcomeShed, reason: "queue_full", counter: "shed"},
+		{name: "shed queue_full_unhealthy", hold: true, queueCap: 2, parked: 2,
+			exec: func(t *testing.T) Executor {
+				dev := gpu.NewDevice(0, vtime.TeslaK40())
+				sch, err := sched.New(dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < sched.DefaultFailThreshold; i++ {
+					sch.ReportFailure(dev)
+				}
+				return &stubExec{sch: sch}
+			},
+			outcome: qlog.OutcomeShed, reason: "queue_full_unhealthy", counter: "shed"},
+		{name: "refused while draining", drain: "before",
+			outcome: qlog.OutcomeShed, reason: "draining", counter: "shed"},
+		{name: "flushed by drain", hold: true, parked: 1, drain: "queued",
+			outcome: qlog.OutcomeDrained, reason: "drained", counter: "drained"},
 	}
-	snap := s.AdmissionSnapshot()
-	if uint64(len(ids)) != snap.Submitted {
-		t.Fatalf("%d query records for %d submissions:\n%s", len(ids), snap.Submitted, logBuf.String())
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var exec Executor = &stubExec{}
+			if row.exec != nil {
+				exec = row.exec(t)
+			}
+			hold := make(chan struct{})
+			if stub, ok := exec.(*stubExec); ok && row.hold {
+				stub.release = hold
+			}
+			var logBuf bytes.Buffer
+			s, err := New(exec, Config{
+				QueueCapacity: row.queueCap,
+				ClassLimits:   oneSlot,
+				Log:           qlog.New(&logBuf),
+				SlowQuery:     -1, // no slow_query twin in the record count
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var helpers sync.WaitGroup
+			parkSubmissions(t, s, row.parked, &helpers)
+			if row.drain == "before" {
+				s.Drain(time.Second)
+			}
+
+			req := row.req
+			req.Class, req.RequestID = workload.Simple, "subject"
+			if req.SQL == "" {
+				req.SQL = sql
+			}
+			ctx := context.Background()
+			if row.abandon {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, 20*time.Millisecond)
+				defer cancel()
+			}
+			before := s.AdmissionSnapshot()
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.Do(ctx, req)
+				done <- err
+			}()
+			if row.drain == "queued" {
+				for s.AdmissionSnapshot().QueueDepth != 1 {
+					time.Sleep(time.Millisecond)
+				}
+				helpers.Add(1)
+				go func() {
+					defer helpers.Done()
+					s.Drain(5 * time.Second)
+				}()
+			}
+			doErr := <-done
+			after := s.AdmissionSnapshot()
+
+			// One ledger counter moved, by one, globally and for the class.
+			ledger := func(admitted, shed, timedOut, drained uint64) map[string]uint64 {
+				return map[string]uint64{"admitted": admitted, "shed": shed, "timed_out": timedOut, "drained": drained}
+			}
+			global0 := ledger(before.Admitted, before.Shed, before.TimedOut, before.Drained)
+			global1 := ledger(after.Admitted, after.Shed, after.TimedOut, after.Drained)
+			c0, c1 := before.Classes[0], after.Classes[0] // classOrder: simple first
+			class0 := ledger(c0.Admitted, c0.Shed, c0.TimedOut, c0.Drained)
+			class1 := ledger(c1.Admitted, c1.Shed, c1.TimedOut, c1.Drained)
+			for counter := range global0 {
+				want := uint64(0)
+				if counter == row.counter {
+					want = 1
+				}
+				if got := global1[counter] - global0[counter]; got != want {
+					t.Errorf("global %s moved by %d, want %d", counter, got, want)
+				}
+				if got := class1[counter] - class0[counter]; got != want {
+					t.Errorf("class %s moved by %d, want %d", counter, got, want)
+				}
+			}
+			// The histograms behind blu_serve_wall_seconds and
+			// blu_serve_queue_wait_seconds count executed requests only.
+			wantObs := uint64(0)
+			if row.executed {
+				wantObs = 1
+			}
+			if got := c1.WallCount - c0.WallCount; got != wantObs {
+				t.Errorf("wall histogram count moved by %d, want %d", got, wantObs)
+			}
+			if got := c1.WaitCount - c0.WaitCount; got != wantObs {
+				t.Errorf("wait histogram count moved by %d, want %d", got, wantObs)
+			}
+
+			// One recent entry and one query record, views of one record,
+			// under the ID the caller got back.
+			var recent []metrics.RecentRequest
+			for _, rr := range after.Recent {
+				if rr.RequestID == "subject" {
+					recent = append(recent, rr)
+				}
+			}
+			var recs []qlog.Record
+			for _, rec := range decodeLog(t, &logBuf) {
+				if rec.RequestID == "subject" {
+					recs = append(recs, rec)
+				}
+			}
+			if len(recent) != 1 || len(recs) != 1 {
+				t.Fatalf("%d recent entries, %d log records for the subject, want 1 and 1:\n%s",
+					len(recent), len(recs), logBuf.String())
+			}
+			rr, rec := recent[0], recs[0]
+			if rec.Event != qlog.EventQuery || rec.Outcome != row.outcome || rec.Reason != row.reason {
+				t.Errorf("log record %s/%s/%q, want query/%s/%q", rec.Event, rec.Outcome, rec.Reason, row.outcome, row.reason)
+			}
+			if rr.Outcome != rec.Outcome || rr.Query != rec.Query || rr.WaitMs != rec.Phases.QueueWaitMs || rr.TotalMs != rec.TotalMs {
+				t.Errorf("recent entry and log record disagree:\n%+v\n%+v", rr, rec)
+			}
+			if (rec.Query != "") != row.executed {
+				t.Errorf("query name %q on a record with executed=%v", rec.Query, row.executed)
+			}
+			if row.outcome == qlog.OutcomeOK {
+				if doErr != nil {
+					t.Errorf("Do: %v", doErr)
+				}
+			} else if got := errRequestID(doErr); got != "subject" {
+				t.Errorf("Do's error %v carries request ID %q, want the logged one", doErr, got)
+			}
+
+			// Let the helpers go and bring the server to idle: the ledger
+			// identity holds and every submission was logged once.
+			close(hold)
+			helpers.Wait()
+			s.Drain(time.Second)
+			reconcile(t, s)
+			ids := map[string]int{}
+			for _, rec := range decodeLog(t, &logBuf) {
+				ids[rec.RequestID]++
+			}
+			if submitted := s.AdmissionSnapshot().Submitted; uint64(len(ids)) != submitted {
+				t.Errorf("%d distinct request IDs logged for %d submissions", len(ids), submitted)
+			}
+			for id, n := range ids {
+				if n != 1 {
+					t.Errorf("request %s logged %d times", id, n)
+				}
+			}
+		})
 	}
-	if counts[qlog.OutcomeShed] != int(snap.Shed) {
-		t.Fatalf("shed records %d != counter %d", counts[qlog.OutcomeShed], snap.Shed)
-	}
-	if counts[qlog.OutcomeDrained] != int(snap.Drained) {
-		t.Fatalf("drained records %d != counter %d", counts[qlog.OutcomeDrained], snap.Drained)
-	}
-	if counts[qlog.OutcomeOK] != int(snap.Admitted) {
-		t.Fatalf("ok records %d != admitted %d", counts[qlog.OutcomeOK], snap.Admitted)
-	}
-	reconcile(t, s)
 }
 
 func TestDeadlineTimeoutLogged(t *testing.T) {
@@ -617,4 +793,76 @@ func TestDeadlineTimeoutLogged(t *testing.T) {
 		t.Fatalf("records %+v", recs)
 	}
 	reconcile(t, s)
+}
+
+// TestExplainKeepsAdmissionAttribution: an EXPLAIN request is admitted
+// like any other, so its root span carries the same serve.* attribution
+// and request ID a plain request's does — and annotating the audited
+// query's root span must not unbalance the audit.
+func TestExplainKeepsAdmissionAttribution(t *testing.T) {
+	eng := newServeTestEngine(t)
+	eng.SetTracer(trace.New())
+	s, err := New(eng, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.Do(context.Background(), Request{
+		SQL: "SELECT k, SUM(v) AS s FROM t GROUP BY k", Class: workload.Intermediate,
+		Session: "analyst", Explain: true, RequestID: "explain-attrs-1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Report == nil || !resp.Report.Reconciled() {
+		t.Fatalf("inline report missing or not reconciled: %+v", resp.Report)
+	}
+	entry, ok := s.TraceRing().Get("explain-attrs-1")
+	if !ok {
+		t.Fatal("no ring entry for the EXPLAIN request")
+	}
+	attrs := map[string]string{}
+	for _, sp := range entry.Spans {
+		if sp.Parent == 0 {
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Str
+			}
+		}
+	}
+	if attrs["serve.class"] != "intermediate" || attrs["serve.session"] != "analyst" || attrs["request_id"] != "explain-attrs-1" {
+		t.Fatalf("EXPLAIN request's root span lost its admission attribution: %v", attrs)
+	}
+}
+
+// TestSessionsAreBounded: session IDs are client input, so the table is
+// capped — least-recently-seen out — and stamped by the injected clock.
+func TestSessionsAreBounded(t *testing.T) {
+	var tick atomic.Int64
+	base := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { return base.Add(time.Duration(tick.Add(1)) * time.Millisecond) }
+	s, err := New(&stubExec{}, Config{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5000
+	for i := 0; i < n; i++ {
+		req := Request{SQL: "SELECT x FROM t", Class: workload.Simple, Session: fmt.Sprintf("user-%04d", i)}
+		if _, err := s.Do(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sessions := s.Sessions()
+	if len(sessions) > maxSessions || s.AdmissionSnapshot().Sessions > maxSessions {
+		t.Fatalf("%d sessions listed, %d in the snapshot, cap is %d",
+			len(sessions), s.AdmissionSnapshot().Sessions, maxSessions)
+	}
+	// Sorted by ID, the survivors are the most recently seen: the last
+	// maxSessions IDs, the newest at the end.
+	if first, last := sessions[0], sessions[len(sessions)-1]; first.ID != fmt.Sprintf("user-%04d", n-maxSessions) || last.ID != fmt.Sprintf("user-%04d", n-1) {
+		t.Fatalf("survivors span %s..%s, want the %d most recently seen", first.ID, last.ID, maxSessions)
+	}
+	for _, sess := range sessions {
+		if sess.Created.Before(base) || sess.LastSeen.After(base.Add(time.Hour)) {
+			t.Fatalf("session %s stamped off the injected clock: %+v", sess.ID, sess)
+		}
+	}
 }

@@ -9,6 +9,18 @@
 // while every admitted query still returns exactly the result the
 // unloaded engine would.
 //
+// A request is one submission record carried through five phases — the
+// door (count, resolve the ID, shed or enqueue), the queue (wait for the
+// weighted pump to grant a class slot, unless the caller gives up or
+// drain flushes it first), the slot (deadline, cancel registration,
+// breaker-aware backoff), the executor (the engine call, a panic
+// recovered into the query's error, the slot released) and the
+// serializer (the client's encoding, timed) — and settled once:
+// settleLocked decides the outcome under the server mutex the moment it
+// is known, the only place a ledger counter moves; publish projects the
+// finished record into every sink (recent list, histograms, trace ring,
+// query log), so no exit copies facts out by hand.
+//
 // Accounting is double-entry: every submission resolves to exactly one
 // of four outcomes — admitted (ran to a terminal non-deadline state,
 // successful or not), shed (refused at the door), timed_out (deadline
@@ -22,10 +34,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -48,13 +63,23 @@ import (
 // honor ctx cancellation — the engine checks it between operators.
 type Executor interface {
 	QueryNamedCtxAttrs(ctx context.Context, name, sql string, attrs ...trace.Attr) (*engine.Result, error)
-	ExplainAnalyzeNamedCtx(ctx context.Context, name, sql string) (*explain.Report, *engine.Result, error)
+	ExplainAnalyzeNamedCtx(ctx context.Context, name, sql string, attrs ...trace.Attr) (*explain.Report, *engine.Result, error)
 	Scheduler() *sched.Scheduler
 }
 
 // classOrder fixes the iteration order everywhere state is walked, so
 // snapshots and dequeue tie-breaks are deterministic.
 var classOrder = []workload.Class{workload.Simple, workload.Intermediate, workload.Complex}
+
+// The fixed parts of the policy; nothing ever set them otherwise.
+const (
+	placeRetries       = 2                      // backoff retries before execution while the fleet is unhealthy
+	placeBackoff       = 200 * time.Microsecond // the first retry's wall-clock pause, doubling
+	retryAfterFallback = time.Second            // shed hint when there is no recent dequeue rate to derive one from
+	traceRingSize      = 64                     // live ring of recent query traces
+	slowTraceKeep      = 16                     // retained top-K slow traces
+	maxSessions        = 1024                   // session IDs are client input: past this, least-recently-seen out
+)
 
 // Config tunes the admission controller. Zero values take defaults.
 type Config struct {
@@ -68,28 +93,13 @@ type Config struct {
 	// class with weight 4 is picked twice as often as one with 2 when
 	// both have queued work and free slots.
 	ClassWeights map[workload.Class]int
-	// DefaultDeadline bounds each query's end-to-end time (queue wait +
-	// execution) when the request carries no deadline. 0 = unbounded.
-	DefaultDeadline time.Duration
 	// DrainDeadline bounds Drain's wait for in-flight queries before it
 	// force-cancels them.
 	DrainDeadline time.Duration
-	// PlaceRetries bounds the pre-execution backoff retries taken while
-	// the fleet is unhealthy; after them the query runs anyway (the CPU
-	// fallback path serves it).
-	PlaceRetries int
-	// PlaceBackoff is the first retry's wall-clock backoff (doubling).
-	PlaceBackoff time.Duration
-	// RetryAfter is the fallback hint returned with shed responses when
-	// the server has no recent dequeue-rate signal to derive one from.
-	RetryAfter time.Duration
 	// SlowQuery is the end-to-end wall-clock threshold above which a
 	// query is forced into the slow-trace set and logged as a
 	// slow_query event. 0 takes the 250ms default; negative disables.
 	SlowQuery time.Duration
-	// SLOs sets per-class wall-latency objectives for the blu_slo_*
-	// burn-rate gauges; nil takes loose defaults.
-	SLOs map[workload.Class]SLO
 	// Log receives one structured record per resolved submission (all
 	// five outcomes); nil disables query logging.
 	Log *qlog.Logger
@@ -99,17 +109,11 @@ type Config struct {
 	// columns reconcile exactly against the query log's phase fields —
 	// both are fed the same measured durations.
 	Prof *prof.Accountant
-	// TraceRingSize bounds the live trace ring of recent query traces
-	// (default 64).
-	TraceRingSize int
-	// SlowTraceKeep bounds the retained top-K slow-trace set
-	// (default 16).
-	SlowTraceKeep int
-	// Clock overrides the wall clock for queue-wait stamps and the
-	// Retry-After rate window; tests pin it. nil takes time.Now. The
-	// server reads it from concurrent request goroutines, so injected
-	// clocks must be safe for concurrent use. Execution-phase timings
-	// always use the real clock.
+	// Clock overrides the wall clock for queue-wait stamps, session
+	// stamps and the Retry-After rate window; tests pin it. nil takes
+	// time.Now. The server reads it from concurrent request goroutines,
+	// so injected clocks must be safe for concurrent use.
+	// Execution-phase timings always use the real clock.
 	Clock func() time.Time
 	// PagesFiring, when set, reports how many severity-page alert rules
 	// are currently firing (the obsd rule engine's hook). Any firing
@@ -138,26 +142,8 @@ func (c Config) withDefaults() Config {
 	if c.DrainDeadline <= 0 {
 		c.DrainDeadline = 5 * time.Second
 	}
-	if c.PlaceRetries == 0 {
-		c.PlaceRetries = 2
-	}
-	if c.PlaceBackoff <= 0 {
-		c.PlaceBackoff = 200 * time.Microsecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.SlowQuery == 0 {
 		c.SlowQuery = 250 * time.Millisecond
-	}
-	if c.SLOs == nil {
-		c.SLOs = defaultSLOs()
-	}
-	if c.TraceRingSize <= 0 {
-		c.TraceRingSize = 64
-	}
-	if c.SlowTraceKeep <= 0 {
-		c.SlowTraceKeep = 16
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -178,12 +164,13 @@ type Request struct {
 	// Name names the query in traces and the monitor (empty picks
 	// "serve-<n>").
 	Name string
-	// Explain additionally returns the EXPLAIN ANALYZE decision audit.
+	// Explain additionally returns the EXPLAIN ANALYZE decision audit;
+	// admission, attribution and logging are those of a plain request.
 	// Explain runs wait on each other: the engine serializes the audited
-	// epoch on its own mutex (ExplainAnalyzeNamedCtx), because the
-	// audit's counter deltas are not concurrency-safe.
+	// epoch, because the audit's counter deltas are not concurrency-safe.
 	Explain bool
-	// Deadline overrides Config.DefaultDeadline for this query.
+	// Deadline bounds this query's end-to-end time (queue wait +
+	// execution). 0 = unbounded.
 	Deadline time.Duration
 	// RequestID correlates this submission across the query log, the
 	// live trace ring, the trace spans, and the EXPLAIN ANALYZE report.
@@ -219,11 +206,22 @@ type RefusedError struct {
 	Reason     string // queue_full | queue_full_unhealthy | draining | drained
 	Draining   bool
 	RetryAfter time.Duration
+	RequestID  string // the ID the refusal is logged under
 }
 
 func (e *RefusedError) Error() string {
 	return fmt.Sprintf("serve: query refused (%s), retry after %s", e.Reason, e.RetryAfter)
 }
+
+// requestError carries the resolved request ID out of Do with any error
+// that is not a refusal; it reads and unwraps exactly like its cause.
+type requestError struct {
+	id  string
+	err error
+}
+
+func (e *requestError) Error() string { return e.err.Error() }
+func (e *requestError) Unwrap() error { return e.err }
 
 // SessionInfo is one session's public state.
 type SessionInfo struct {
@@ -241,14 +239,27 @@ type DrainReport struct {
 	Waited        time.Duration `json:"waited"`
 }
 
-// ticket is one queued submission. ready is closed exactly once, when
-// the pump admits it or drain flushes it; which happened is recorded
-// under the server mutex before the close.
-type ticket struct {
-	class      workload.Class
-	ready      chan struct{}
-	drainedOut bool
-	enqueued   time.Time
+// submission is the one record of a request, filled in phase by phase;
+// the embedded Response is the part a successful caller gets back. It is
+// also the queue entry: ready is closed exactly once — the pump grants
+// the slot, drain flushes it or its caller abandons it — and the latter
+// two are settled under the server mutex first, so the waiter reads which.
+type submission struct {
+	Response
+	req             Request
+	seq             uint64 // submission number; in generated IDs and names
+	start, enqueued time.Time
+	ready           chan struct{}
+
+	executed        bool   // got a slot
+	outcome, reason string // qlog.Outcome* (empty until settled); refusal or abandonment reason
+
+	admission, serialize, total time.Duration
+	panicked                    bool
+	err                         error // the cause: the caller's ctx error while queued, or the executor's
+	serErr                      error // Request.Serialize's, after a successful execution
+	resultBytes                 int
+	retryAfter                  time.Duration
 }
 
 type classCounters struct {
@@ -262,10 +273,10 @@ type Server struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast when active work completes
-	queues   map[workload.Class][]*ticket
+	queues   map[workload.Class][]*submission
 	cw       map[workload.Class]int // smooth-WRR current weights
 	active   map[workload.Class]int
-	cancels  map[*ticket]context.CancelFunc
+	cancels  map[*submission]context.CancelFunc
 	sessions map[string]*SessionInfo
 	draining bool
 	forced   bool // drain deadline passed; cancel on registration
@@ -284,7 +295,6 @@ type Server struct {
 	wallHists    map[workload.Class]*monitor.Hist // end-to-end wall latency (SLO input)
 	dequeues     map[workload.Class][]time.Time   // recent admit stamps (Retry-After input)
 	recent       []metrics.RecentRequest          // resolved submissions, oldest first
-	seq          uint64
 
 	clock func() time.Time
 	ring  *trace.Ring // live sampled trace retention
@@ -298,10 +308,10 @@ func New(exec Executor, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg.withDefaults(),
 		exec:        exec,
-		queues:      make(map[workload.Class][]*ticket),
+		queues:      make(map[workload.Class][]*submission),
 		cw:          make(map[workload.Class]int),
 		active:      make(map[workload.Class]int),
-		cancels:     make(map[*ticket]context.CancelFunc),
+		cancels:     make(map[*submission]context.CancelFunc),
 		sessions:    make(map[string]*SessionInfo),
 		classCounts: make(map[workload.Class]*classCounters),
 		waitHists:   make(map[workload.Class]*monitor.Hist),
@@ -309,7 +319,7 @@ func New(exec Executor, cfg Config) (*Server, error) {
 		dequeues:    make(map[workload.Class][]time.Time),
 	}
 	s.clock = s.cfg.Clock
-	s.ring = trace.NewRing(s.cfg.TraceRingSize, s.cfg.SlowTraceKeep)
+	s.ring = trace.NewRing(traceRingSize, slowTraceKeep)
 	s.cond = sync.NewCond(&s.mu)
 	for _, c := range classOrder {
 		s.classCounts[c] = &classCounters{}
@@ -340,15 +350,6 @@ func Classify(sql string) workload.Class {
 	default:
 		return workload.Simple
 	}
-}
-
-func validClass(c workload.Class) bool {
-	for _, k := range classOrder {
-		if c == k {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *Server) limit(c workload.Class) int  { return s.cfg.ClassLimits[c] }
@@ -394,22 +395,33 @@ func (s *Server) healthLocked() string {
 	return metrics.HealthStatusWith(s.exec.Scheduler(), pages)
 }
 
-func (s *Server) touchSessionLocked(id string, class workload.Class) *SessionInfo {
+// touchSessionLocked stamps one submission on its session; a new ID
+// past maxSessions evicts the least-recently-seen entry.
+func (s *Server) touchSessionLocked(id string, class workload.Class) {
+	now := s.clock()
 	sess := s.sessions[id]
 	if sess == nil {
-		sess = &SessionInfo{ID: id, Created: time.Now()}
+		if len(s.sessions) >= maxSessions {
+			var oldest *SessionInfo
+			for _, cand := range s.sessions {
+				if oldest == nil || cand.LastSeen.Before(oldest.LastSeen) {
+					oldest = cand
+				}
+			}
+			delete(s.sessions, oldest.ID)
+		}
+		sess = &SessionInfo{ID: id, Created: now}
 		s.sessions[id] = sess
 	}
 	sess.Queries++
 	sess.LastClass = class
-	sess.LastSeen = time.Now()
-	return sess
+	sess.LastSeen = now
 }
 
-// pumpLocked admits queued tickets while any class has both queued work
-// and a free slot, picking classes by smooth weighted round-robin: each
-// eligible class's current weight grows by its configured weight, the
-// maximum wins and pays back the eligible total. Interleaving follows
+// pumpLocked admits queued submissions while any class has both queued
+// work and a free slot, picking classes by smooth weighted round-robin:
+// each eligible class's current weight grows by its configured weight,
+// the maximum wins and pays back the eligible total. Interleaving follows
 // the weight ratios without starving any class that has capacity.
 func (s *Server) pumpLocked() {
 	if s.draining {
@@ -433,21 +445,21 @@ func (s *Server) pumpLocked() {
 			return
 		}
 		s.cw[best] -= total
-		tk := s.queues[best][0]
+		sub := s.queues[best][0]
 		s.queues[best] = s.queues[best][1:]
 		s.active[best]++
 		s.noteDequeueLocked(best)
-		close(tk.ready)
+		close(sub.ready)
 	}
 }
 
-// removeQueuedLocked pulls tk out of its class queue; false means the
-// ticket was already resolved (admitted or drained).
-func (s *Server) removeQueuedLocked(tk *ticket) bool {
-	q := s.queues[tk.class]
+// removeQueuedLocked pulls sub out of its class queue; false means it
+// was already resolved (granted a slot or flushed by drain).
+func (s *Server) removeQueuedLocked(sub *submission) bool {
+	q := s.queues[sub.Class]
 	for i, cand := range q {
-		if cand == tk {
-			s.queues[tk.class] = append(q[:i:i], q[i+1:]...)
+		if cand == sub {
+			s.queues[sub.Class] = append(q[:i:i], q[i+1:]...)
 			return true
 		}
 	}
@@ -457,7 +469,8 @@ func (s *Server) removeQueuedLocked(tk *ticket) bool {
 // Do submits one query and blocks until it resolves. Refusals return
 // *RefusedError; deadline and cancellation surface the context error;
 // everything else executed — the response carries the result, or the
-// engine/parse error is returned as-is (still an admitted submission).
+// engine/parse error is returned (still an admitted submission). Every
+// error of a counted submission carries the ID it was logged under.
 func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -469,329 +482,328 @@ func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 	if class == "" {
 		class = Classify(req.SQL)
 	}
-	if !validClass(class) {
+	if !slices.Contains(classOrder, class) {
 		return nil, fmt.Errorf("serve: unknown class %q", class)
 	}
+	sub := &submission{Response: Response{Session: req.Session, Class: class}, req: req, start: s.clock()}
+	if s.enter(sub) && s.awaitSlot(ctx, sub) {
+		s.run(ctx, sub)
+	}
+	s.publish(sub)
+	return sub.result()
+}
 
-	submitStart := s.clock()
+// enter is the door: it counts the submission, resolves its request ID
+// and either sheds it (false: settled) or enqueues it and runs the pump.
+func (s *Server) enter(sub *submission) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.submitted++
-	reqID := req.RequestID
-	if reqID == "" {
-		reqID = fmt.Sprintf("blu-%06d", s.submitted)
+	sub.seq = s.submitted
+	if sub.RequestID = sub.req.RequestID; sub.RequestID == "" {
+		sub.RequestID = fmt.Sprintf("blu-%06d", sub.seq)
 	}
-	s.touchSessionLocked(req.Session, class)
+	s.touchSessionLocked(sub.Session, sub.Class)
+	reason := ""
 	if s.draining {
-		s.shed++
-		s.classCounts[class].shed++
-		retry := s.retryAfterLocked()
-		s.pushRecentLocked(metrics.RecentRequest{
-			RequestID: reqID, Session: req.Session, Class: string(class), Outcome: "shed",
-		})
-		s.mu.Unlock()
-		s.logRefused(reqID, req, class, qlog.OutcomeShed, "draining", 0, s.clock().Sub(submitStart))
-		return nil, &RefusedError{Reason: "draining", Draining: true, RetryAfter: retry}
-	}
-	if s.queueDepthLocked() >= s.effectiveCapLocked() {
-		s.shed++
-		s.classCounts[class].shed++
-		reason := "queue_full"
+		reason = "draining"
+	} else if s.queueDepthLocked() >= s.effectiveCapLocked() {
+		reason = "queue_full"
 		if s.healthLocked() == metrics.HealthUnhealthy {
 			reason = "queue_full_unhealthy"
 		}
-		retry := s.retryAfterLocked()
-		s.pushRecentLocked(metrics.RecentRequest{
-			RequestID: reqID, Session: req.Session, Class: string(class), Outcome: "shed",
-		})
-		s.mu.Unlock()
-		s.logRefused(reqID, req, class, qlog.OutcomeShed, reason, 0, s.clock().Sub(submitStart))
-		return nil, &RefusedError{Reason: reason, RetryAfter: retry}
 	}
-	tk := &ticket{class: class, ready: make(chan struct{}), enqueued: s.clock()}
-	s.queues[class] = append(s.queues[class], tk)
-	s.seq++
-	seq := s.seq
+	if reason != "" {
+		s.settleLocked(sub, qlog.OutcomeShed, reason)
+		return false
+	}
+	sub.ready = make(chan struct{})
+	sub.enqueued = s.clock()
+	s.queues[sub.Class] = append(s.queues[sub.Class], sub)
 	s.pumpLocked()
-	s.mu.Unlock()
-
-	select {
-	case <-tk.ready:
-	case <-ctx.Done():
-		s.mu.Lock()
-		if s.removeQueuedLocked(tk) {
-			s.timedOut++
-			s.classCounts[class].timedOut++
-			wait := s.clock().Sub(tk.enqueued)
-			s.pushRecentLocked(metrics.RecentRequest{
-				RequestID: reqID, Session: req.Session, Class: string(class),
-				Outcome: "timed_out", WaitMs: qlog.Ms(wait), TotalMs: qlog.Ms(s.clock().Sub(submitStart)),
-			})
-			s.mu.Unlock()
-			s.logRefused(reqID, req, class, qlog.OutcomeTimedOut, "abandoned_queued",
-				wait, s.clock().Sub(submitStart))
-			return nil, fmt.Errorf("serve: abandoned while queued: %w", ctx.Err())
-		}
-		// Resolved concurrently with the cancellation; follow the
-		// resolution — an admitted ticket still owes its slot release.
-		s.mu.Unlock()
-		<-tk.ready
-	}
-	if tk.drainedOut {
-		wait := s.clock().Sub(tk.enqueued)
-		s.mu.Lock()
-		retry := s.retryAfterLocked()
-		s.pushRecentLocked(metrics.RecentRequest{
-			RequestID: reqID, Session: req.Session, Class: string(class),
-			Outcome: "drained", WaitMs: qlog.Ms(wait), TotalMs: qlog.Ms(s.clock().Sub(submitStart)),
-		})
-		s.mu.Unlock()
-		s.logRefused(reqID, req, class, qlog.OutcomeDrained, "drained",
-			wait, s.clock().Sub(submitStart))
-		return nil, &RefusedError{Reason: "drained", Draining: true, RetryAfter: retry}
-	}
-	return s.run(ctx, req, tk, class, seq, reqID, submitStart)
+	return true
 }
 
-// run executes an admitted ticket, settles its accounting, and emits
-// the request's observability record: wall-clock phases to the query
-// log, the span subtree to the live trace ring, and the end-to-end
-// wall latency to the per-class SLO histogram.
-func (s *Server) run(ctx context.Context, req Request, tk *ticket, class workload.Class, seq uint64, reqID string, submitStart time.Time) (*Response, error) {
-	wait := s.clock().Sub(tk.enqueued)
-	deadline := req.Deadline
-	if deadline <= 0 {
-		deadline = s.cfg.DefaultDeadline
+// awaitSlot is the queue: it blocks until the pump grants sub a slot
+// (true) or sub is settled without one — abandoned by its caller, or
+// flushed by drain.
+func (s *Server) awaitSlot(ctx context.Context, sub *submission) bool {
+	select {
+	case <-sub.ready:
+	case <-ctx.Done():
+		s.mu.Lock()
+		if s.removeQueuedLocked(sub) {
+			s.settleLocked(sub, qlog.OutcomeTimedOut, "abandoned_queued")
+			sub.err = ctx.Err()
+			close(sub.ready)
+		}
+		s.mu.Unlock()
+		// Abandoned just now, or resolved concurrently with the cancellation:
+		// follow the resolution — a granted slot is still owed its release.
+		<-sub.ready
+	}
+	sub.Wait = s.clock().Sub(sub.enqueued)
+	return sub.outcome == ""
+}
+
+// run carries a submission that was granted a slot through the slot,
+// executor and serializer phases.
+func (s *Server) run(ctx context.Context, sub *submission) {
+	sub.executed = true
+	if sub.Query = sub.req.Name; sub.Query == "" {
+		sub.Query = fmt.Sprintf("serve-%d", sub.seq)
 	}
 	// The request ID rides the context into the engine: it lands on the
 	// query's root trace span and the EXPLAIN ANALYZE report, so the
 	// log, the trace ring, and the audit all join on one key. The prof
 	// labels ride the same context so every engine phase bills its CPU
 	// samples and allocation deltas to this class and request.
-	ctx = qlog.WithRequestID(ctx, reqID)
-	ctx = prof.WithRequest(ctx, s.cfg.Prof, string(class), reqID)
-	s.cfg.Prof.AddWall(string(class), "queue_wait", wait)
+	ctx = qlog.WithRequestID(ctx, sub.RequestID)
+	ctx = prof.WithRequest(ctx, s.cfg.Prof, string(sub.Class), sub.RequestID)
+	s.cfg.Prof.AddWall(string(sub.Class), "queue_wait", sub.Wait)
 	var execCtx context.Context
 	var cancel context.CancelFunc
-	if deadline > 0 {
-		execCtx, cancel = context.WithTimeout(ctx, deadline)
+	if sub.req.Deadline > 0 {
+		execCtx, cancel = context.WithTimeout(ctx, sub.req.Deadline)
 	} else {
 		execCtx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
 
 	s.mu.Lock()
-	s.cancels[tk] = cancel
-	s.waitHists[class].Observe(vtime.Duration(wait.Seconds()))
+	s.cancels[sub] = cancel
 	if s.forced {
 		cancel() // drain deadline already passed; don't start real work
 	}
 	s.mu.Unlock()
 
-	// Breaker-aware placement backoff: while every device is
-	// quarantined, give the fleet a bounded chance to re-close a breaker
-	// (virtual time advances as other queries execute) before running —
-	// the CPU fallback guarantees the query completes either way.
-	retries := 0
-	admission, _ := prof.Phase(execCtx, "admission", func(context.Context) error {
-		if sch := s.exec.Scheduler(); sch != nil {
-			backoff := s.cfg.PlaceBackoff
-			for retries < s.cfg.PlaceRetries &&
-				metrics.HealthStatus(sch) == metrics.HealthUnhealthy && execCtx.Err() == nil {
-				select {
-				case <-execCtx.Done():
-					continue // deadline or drain: the loop condition ends the backoff
-				case <-time.After(backoff):
-				}
-				backoff *= 2
-				retries++
+	s.backoff(execCtx, sub)
+	s.call(execCtx, sub)
+	s.release(sub)
+	s.serialize(ctx, sub)
+}
+
+// backoff is the breaker-aware admission phase: while every device is
+// quarantined, give the fleet a bounded chance to re-close a breaker
+// (virtual time advances as other queries execute) before running —
+// the CPU fallback guarantees the query completes either way.
+func (s *Server) backoff(ctx context.Context, sub *submission) {
+	sub.admission, _ = prof.Phase(ctx, "admission", func(context.Context) error {
+		pause := placeBackoff
+		for sub.PlaceRetries < placeRetries && ctx.Err() == nil &&
+			metrics.HealthStatus(s.exec.Scheduler()) == metrics.HealthUnhealthy {
+			select {
+			case <-ctx.Done():
+				continue // deadline or drain: the loop condition ends the backoff
+			case <-time.After(pause):
 			}
+			pause *= 2
+			sub.PlaceRetries++
 		}
 		return nil
 	})
+}
 
-	name := req.Name
-	if name == "" {
-		name = fmt.Sprintf("serve-%d", seq)
-	}
+// call is the executor phase. A panicking executor must not take the
+// slot with it: recover turns the panic into this query's error, so the
+// release and the settlement run as for any other failed execution.
+func (s *Server) call(ctx context.Context, sub *submission) {
 	attrs := []trace.Attr{
-		trace.Str("serve.class", string(class)),
-		trace.Str("serve.session", req.Session),
-		trace.Int("serve.wait_us", wait.Microseconds()),
-		trace.Int("serve.place_retries", int64(retries)),
+		trace.Str("serve.class", string(sub.Class)),
+		trace.Str("serve.session", sub.Session),
+		trace.Int("serve.wait_us", sub.Wait.Microseconds()),
+		trace.Int("serve.place_retries", int64(sub.PlaceRetries)),
 	}
-
-	execStart := time.Now()
-	var res *engine.Result
-	var rep *explain.Report
-	var err error
-	panicked := false
-	func() {
-		// A panicking executor must not take the slot with it: recover
-		// turns the panic into this query's error, so the release,
-		// accounting and query-log record below run exactly as they do
-		// for any other failed execution.
-		defer func() {
-			if r := recover(); r != nil {
-				panicked = true
-				res, rep, err = nil, nil, fmt.Errorf("panic: %v", r)
-			}
-		}()
-		if req.Explain {
-			rep, res, err = s.exec.ExplainAnalyzeNamedCtx(execCtx, name, req.SQL)
-		} else {
-			res, err = s.exec.QueryNamedCtxAttrs(execCtx, name, req.SQL, attrs...)
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			sub.panicked = true
+			sub.Result, sub.Report, sub.err = nil, nil, fmt.Errorf("panic: %v", r)
 		}
+		sub.ExecWall = time.Since(start)
 	}()
-	execWall := time.Since(execStart)
+	if sub.req.Explain {
+		sub.Report, sub.Result, sub.err = s.exec.ExplainAnalyzeNamedCtx(ctx, sub.Query, sub.req.SQL, attrs...)
+	} else {
+		sub.Result, sub.err = s.exec.QueryNamedCtxAttrs(ctx, sub.Query, sub.req.SQL, attrs...)
+	}
+}
 
+// release gives the slot back and settles the execution's outcome in
+// the same critical section, so Drain — which waits for the last slot —
+// returns with the ledger balanced.
+func (s *Server) release(sub *submission) {
+	outcome := qlog.OutcomeOK
+	switch {
+	case errors.Is(sub.err, context.Canceled) || errors.Is(sub.err, context.DeadlineExceeded):
+		outcome = qlog.OutcomeTimedOut
+	case sub.err != nil:
+		outcome = qlog.OutcomeError
+	}
 	s.mu.Lock()
-	delete(s.cancels, tk)
-	s.active[class]--
-	s.placeRetries += uint64(retries)
-	if panicked {
+	delete(s.cancels, sub)
+	s.active[sub.Class]--
+	s.placeRetries += uint64(sub.PlaceRetries)
+	if sub.panicked {
 		s.panics++
 	}
-	canceled := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	if canceled {
-		s.timedOut++
-		s.classCounts[class].timedOut++
-	} else {
-		s.admitted++
-		s.classCounts[class].admitted++
-		if err != nil {
-			s.execErrors++
-		}
-	}
+	s.settleLocked(sub, outcome, "")
 	s.pumpLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
+}
 
-	resp := &Response{
-		Session:      req.Session,
-		Query:        name,
-		RequestID:    reqID,
-		Class:        class,
-		Result:       res,
-		Report:       rep,
-		Wait:         wait,
-		ExecWall:     execWall,
-		PlaceRetries: retries,
+// serialize is the last phase of a successful execution: the client's
+// encoding, timed so the log's serialize phase covers the real cost. The
+// slot is already released (encoding is client work) and the ledger counts
+// the query admitted; a failed encoding only makes its logged outcome an error.
+func (s *Server) serialize(ctx context.Context, sub *submission) {
+	if sub.err != nil || sub.req.Serialize == nil {
+		return
 	}
-
-	// Serialize inside the request's accounting window so the query
-	// log's serialize phase covers the real encoding cost. The slot was
-	// already released above — encoding is client work, not engine work.
-	var serialize time.Duration
-	resultBytes := 0
-	var serErr error
-	if err == nil && req.Serialize != nil {
-		serialize, serErr = prof.Phase(ctx, "serialize", func(context.Context) error {
-			var sErr error
-			resultBytes, sErr = req.Serialize(resp)
-			return sErr
-		})
+	sub.serialize, sub.serErr = prof.Phase(ctx, "serialize", func(context.Context) error {
+		var err error
+		sub.resultBytes, err = sub.req.Serialize(&sub.Response)
+		return err
+	})
+	if sub.serErr != nil {
+		sub.outcome = qlog.OutcomeError
 	}
+}
 
-	// Phase attribution: when the engine measured its own phases the log
-	// takes those exact durations (the prof accountant saw the same
-	// values, so the two ledgers reconcile to the microsecond); on the
-	// error path exec_ms falls back to the whole engine call.
-	var ph qlog.Phases
-	ph.QueueWaitMs = qlog.Ms(wait)
-	ph.AdmissionMs = qlog.Ms(admission)
-	if res != nil {
+// settleLocked decides sub's outcome — the one place a ledger counter
+// moves. Callers hold s.mu at the moment the outcome is known (the door,
+// the abandoned wait, the drain flush, the slot release), so the four
+// counters always partition the submissions neither queued nor executing.
+func (s *Server) settleLocked(sub *submission, outcome, reason string) {
+	sub.outcome, sub.reason = outcome, reason
+	cc := s.classCounts[sub.Class]
+	switch outcome {
+	case qlog.OutcomeShed:
+		s.shed++
+		cc.shed++
+	case qlog.OutcomeTimedOut:
+		s.timedOut++
+		cc.timedOut++
+	case qlog.OutcomeDrained:
+		s.drained++
+		cc.drained++
+	default: // ok | error: ran to a terminal non-deadline state
+		s.admitted++
+		cc.admitted++
+	}
+}
+
+// publish projects the settled record into every sink, once: trace ring,
+// wait/wall histograms (executed requests only), recent list, query log.
+func (s *Server) publish(sub *submission) {
+	sub.total = s.clock().Sub(sub.start)
+	sub.Slow = sub.executed && s.cfg.SlowQuery > 0 && sub.total >= s.cfg.SlowQuery
+	sub.Phases = sub.phases()
+	spans := s.captureTrace(sub)
+
+	s.mu.Lock()
+	if sub.executed {
+		s.waitHists[sub.Class].Observe(vtime.Duration(sub.Wait.Seconds()))
+		s.wallHists[sub.Class].Observe(vtime.Duration(sub.total.Seconds()))
+	} else if sub.outcome != qlog.OutcomeTimedOut { // refused: shed or drained
+		sub.retryAfter = s.retryAfterLocked()
+	}
+	if sub.Slow {
+		s.slowQueries++
+	}
+	if sub.outcome == qlog.OutcomeError {
+		s.execErrors++
+	}
+	s.pushRecentLocked(metrics.RecentRequest{
+		RequestID: sub.RequestID, Query: sub.Query, Session: sub.Session, Class: string(sub.Class),
+		Outcome: sub.outcome, WaitMs: qlog.Ms(sub.Wait), TotalMs: qlog.Ms(sub.total), Slow: sub.Slow,
+	})
+	s.mu.Unlock()
+
+	if s.cfg.Log == nil {
+		return
+	}
+	devices, transferBytes, fallback := spanDigest(spans)
+	rec := qlog.Record{
+		Event:         qlog.EventQuery,
+		RequestID:     sub.RequestID,
+		Session:       sub.Session,
+		Query:         sub.Query,
+		Class:         string(sub.Class),
+		SQL:           sub.req.SQL,
+		Outcome:       sub.outcome,
+		Reason:        sub.reason,
+		ResultBytes:   sub.resultBytes,
+		Devices:       devices,
+		PlaceRetries:  sub.PlaceRetries,
+		FallbackCause: fallback,
+		TransferBytes: transferBytes,
+		Slow:          sub.Slow,
+		Phases:        sub.Phases,
+		TotalMs:       qlog.Ms(sub.total),
+	}
+	if sub.Slow {
+		rec.SlowThresholdMs = qlog.Ms(s.cfg.SlowQuery)
+	}
+	if cause := cmp.Or(sub.err, sub.serErr); cause != nil {
+		rec.Error = cause.Error()
+	}
+	if res := sub.Result; res != nil {
+		if res.Table != nil {
+			rec.Rows = res.Table.Rows()
+		}
+		rec.GPUUsed = res.GPUUsed
+		rec.ModeledMs = res.Modeled.Milliseconds()
+	}
+	s.cfg.Log.Log(rec)
+	if sub.Slow {
+		rec.Event = qlog.EventSlow
+		s.cfg.Log.Log(rec)
+	}
+}
+
+// phases is the wall-clock phase breakdown. When the engine measured its
+// own phases the log takes those exact durations (the prof accountant saw
+// the same values, so the two ledgers reconcile to the microsecond); on
+// the error path exec_ms falls back to the whole engine call.
+func (sub *submission) phases() qlog.Phases {
+	ph := qlog.Phases{
+		QueueWaitMs: qlog.Ms(sub.Wait),
+		AdmissionMs: qlog.Ms(sub.admission),
+		ExecMs:      qlog.Ms(sub.ExecWall),
+		SerializeMs: qlog.Ms(sub.serialize),
+	}
+	if res := sub.Result; res != nil {
 		ph.ParseMs = qlog.Ms(res.Wall.Parse)
 		ph.PlanMs = qlog.Ms(res.Wall.Plan)
 		ph.ExecMs = qlog.Ms(res.Wall.Exec)
 		ph.ExecGPUMs = qlog.Ms(res.Wall.ExecGPU)
 		ph.ExecHostMs = qlog.Ms(res.Wall.ExecHost)
 		ph.ExecGatherMs = qlog.Ms(res.Wall.ExecGather)
-	} else {
-		ph.ExecMs = qlog.Ms(execWall)
 	}
-	ph.SerializeMs = qlog.Ms(serialize)
-	total := s.clock().Sub(submitStart)
-	slow := s.cfg.SlowQuery > 0 && total >= s.cfg.SlowQuery
-	resp.Phases = ph
-	resp.Slow = slow
+	return ph
+}
 
-	outcome := qlog.OutcomeOK
-	errMsg := ""
+// result is what Do returns for the settled record.
+func (sub *submission) result() (*Response, error) {
+	var err error
 	switch {
-	case canceled:
-		outcome = qlog.OutcomeTimedOut
-		errMsg = err.Error()
-	case err != nil:
-		outcome = qlog.OutcomeError
-		errMsg = err.Error()
-	case serErr != nil:
-		outcome = qlog.OutcomeError
-		errMsg = serErr.Error()
+	case sub.outcome == qlog.OutcomeShed || sub.outcome == qlog.OutcomeDrained:
+		return nil, &RefusedError{Reason: sub.reason, RetryAfter: sub.retryAfter, RequestID: sub.RequestID,
+			Draining: sub.reason == "draining" || sub.reason == "drained"}
+	case !sub.executed:
+		err = fmt.Errorf("serve: abandoned while queued: %w", sub.err)
+	case sub.outcome == qlog.OutcomeTimedOut:
+		err = fmt.Errorf("serve: query %s exceeded its deadline: %w", sub.Query, sub.err)
+	case sub.err != nil:
+		err = sub.err
+	case sub.serErr != nil:
+		err = fmt.Errorf("serve: serialize %s: %w", sub.Query, sub.serErr)
+	default:
+		return &sub.Response, nil
 	}
-
-	spans := s.captureTrace(reqID, name, req.Session, class, res, err, total, slow)
-
-	s.mu.Lock()
-	s.wallHists[class].Observe(vtime.Duration(total.Seconds()))
-	if slow {
-		s.slowQueries++
-	}
-	if serErr != nil && err == nil {
-		s.execErrors++
-	}
-	s.pushRecentLocked(metrics.RecentRequest{
-		RequestID: reqID, Query: name, Session: req.Session, Class: string(class),
-		Outcome: outcome, WaitMs: qlog.Ms(wait), TotalMs: qlog.Ms(total), Slow: slow,
-	})
-	s.mu.Unlock()
-
-	if s.cfg.Log != nil {
-		devices, transferBytes, fallback := spanDigest(spans)
-		rec := qlog.Record{
-			Event:         qlog.EventQuery,
-			RequestID:     reqID,
-			Session:       req.Session,
-			Query:         name,
-			Class:         string(class),
-			SQL:           req.SQL,
-			Outcome:       outcome,
-			Error:         errMsg,
-			ResultBytes:   resultBytes,
-			Devices:       devices,
-			PlaceRetries:  retries,
-			FallbackCause: fallback,
-			TransferBytes: transferBytes,
-			Phases:        ph,
-			TotalMs:       qlog.Ms(total),
-		}
-		if res != nil {
-			if res.Table != nil {
-				rec.Rows = res.Table.Rows()
-			}
-			rec.GPUUsed = res.GPUUsed
-			rec.ModeledMs = res.Modeled.Milliseconds()
-		}
-		if slow {
-			rec.Slow = true
-			rec.SlowThresholdMs = qlog.Ms(s.cfg.SlowQuery)
-		}
-		s.cfg.Log.Log(rec)
-		if slow {
-			rec.Event = qlog.EventSlow
-			s.cfg.Log.Log(rec)
-		}
-	}
-
-	if err != nil {
-		if canceled {
-			return nil, fmt.Errorf("serve: query %s exceeded its deadline: %w", name, err)
-		}
-		return nil, err
-	}
-	if serErr != nil {
-		return nil, fmt.Errorf("serve: serialize %s: %w", name, serErr)
-	}
-	return resp, nil
+	return nil, &requestError{id: sub.RequestID, err: err}
 }
 
 // Drain stops admission, flushes the queue (those submissions resolve
@@ -810,11 +822,9 @@ func (s *Server) Drain(deadline time.Duration) DrainReport {
 	s.mu.Lock()
 	s.draining = true
 	for _, c := range classOrder {
-		for _, tk := range s.queues[c] {
-			tk.drainedOut = true
-			s.drained++
-			s.classCounts[c].drained++
-			close(tk.ready)
+		for _, sub := range s.queues[c] {
+			s.settleLocked(sub, qlog.OutcomeDrained, "drained")
+			close(sub.ready)
 			rep.Flushed++
 		}
 		s.queues[c] = nil
@@ -856,11 +866,7 @@ func (s *Server) Sessions() []SessionInfo {
 	for _, sess := range s.sessions {
 		out = append(out, *sess)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -891,7 +897,7 @@ func (s *Server) AdmissionSnapshot() *metrics.AdmissionSnapshot {
 		cc := s.classCounts[c]
 		h := s.waitHists[c]
 		wh := s.wallHists[c]
-		slo := s.cfg.SLOs[c]
+		slo := classSLOs[c]
 		snap.Classes = append(snap.Classes, metrics.ClassAdmissionSnapshot{
 			Class:        string(c),
 			Active:       s.active[c],
@@ -907,8 +913,8 @@ func (s *Server) AdmissionSnapshot() *metrics.AdmissionSnapshot {
 			WallBuckets:  wh.Buckets(),
 			WallSum:      wh.Total().Seconds(),
 			WallCount:    wh.Count(),
-			SLOThreshold: slo.Threshold.Seconds(),
-			SLOObjective: slo.Objective,
+			SLOThreshold: slo.threshold.Seconds(),
+			SLOObjective: slo.objective,
 		})
 	}
 	// Newest first, matching the trace ring's ordering.

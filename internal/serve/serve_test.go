@@ -71,7 +71,7 @@ func (s *stubExec) QueryNamedCtxAttrs(ctx context.Context, name, sql string, att
 	return stubResult(), nil
 }
 
-func (s *stubExec) ExplainAnalyzeNamedCtx(ctx context.Context, name, sql string) (*explain.Report, *engine.Result, error) {
+func (s *stubExec) ExplainAnalyzeNamedCtx(ctx context.Context, name, sql string, attrs ...trace.Attr) (*explain.Report, *engine.Result, error) {
 	res, err := s.QueryNamedCtxAttrs(ctx, name, sql)
 	if err != nil {
 		return nil, nil, err
