@@ -15,7 +15,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
 # out (CI uploads it when the job fails).
 SMOKE_DIR ?= $(or $(TMPDIR),/tmp)/blucheck
 
-.PHONY: build vet test race bench check smoke bench-gate bench-smoke orphans
+.PHONY: build vet test race bench check smoke bench-gate bench-smoke orphans fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -29,9 +29,16 @@ test:
 race:
 	$(GO) test -race $(PARALLEL_PKGS)
 
+# Host-path micro-rulers (1M rows, allocations reported): gathers, sort
+# key build, the expression kernels and the fusion cache's content key.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild' -benchmem -run '^$$' \
-		./internal/columnar ./internal/bsort
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|Predicate|ColumnKey' -benchmem -run '^$$' \
+		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion
+
+# Five seconds of native fuzzing: WHERE clauses mutated from the workload's
+# own, kernels held to the test-only row interpreter (internal/expr).
+fuzz-smoke:
+	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzKernelsMatchReference -fuzztime 5s
 
 # End-to-end smoke: blubench exports one small traced experiment and
 # its EXPLAIN ANALYZE reports (so the binary's own export path is what
@@ -72,4 +79,4 @@ orphans:
 	@orphans=$$(comm -23 $(SMOKE_DIR)/pkgs-all.txt $(SMOKE_DIR)/pkgs-reached.txt); \
 		if [ -n "$$orphans" ]; then echo "$$orphans"; exit 1; fi
 
-check: vet orphans test race smoke bench-gate bench-smoke
+check: vet orphans test race fuzz-smoke smoke bench-gate bench-smoke

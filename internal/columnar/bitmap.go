@@ -32,6 +32,11 @@ func NewBitmapFull(n int) *Bitmap {
 // Len returns the number of rows the bitmap covers.
 func (b *Bitmap) Len() int { return b.n }
 
+// Words exposes the backing words (64 rows each, row i at bit i&63 of
+// word i>>6) for kernel-speed scans. A writer must leave the bits beyond
+// Len in the last word zero, so Count stays exact.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 

@@ -18,6 +18,13 @@ type Column interface {
 	// Value materializes row i as a Value (slow path; kernels use the
 	// typed accessors on the concrete types).
 	Value(i int) Value
+	// Rename returns the column under a new name without copying: the
+	// new header shares the value vector, dictionary and null bitmap.
+	Rename(name string) Column
+	// ContentHash hashes the column's content — length, every value,
+	// every null position and (for strings) the dictionary, but not the
+	// name. It is computed on first use and kept on the column.
+	ContentHash() uint64
 }
 
 // --- Int64 ---
@@ -28,6 +35,7 @@ type Int64Column struct {
 	name  string
 	data  []int64
 	nulls *Bitmap
+	hash  hashMemo
 }
 
 // NewInt64Column builds a column from data; nulls may be nil.
@@ -54,6 +62,16 @@ func (c *Int64Column) Int64(i int) int64 { return c.data[i] }
 // Data exposes the backing vector for kernel-speed scans.
 func (c *Int64Column) Data() []int64 { return c.data }
 
+// Nulls exposes the null bitmap (nil when no row is NULL).
+func (c *Int64Column) Nulls() *Bitmap { return c.nulls }
+
+// Rename implements Column.
+func (c *Int64Column) Rename(name string) Column {
+	out := &Int64Column{name: name, data: c.data, nulls: c.nulls}
+	out.hash.p.Store(c.hash.p.Load())
+	return out
+}
+
 // --- Float64 ---
 
 // Float64Column is a flat vector of float64 with an optional null bitmap.
@@ -61,6 +79,7 @@ type Float64Column struct {
 	name  string
 	data  []float64
 	nulls *Bitmap
+	hash  hashMemo
 }
 
 // NewFloat64Column builds a column from data; nulls may be nil.
@@ -87,6 +106,16 @@ func (c *Float64Column) Float64(i int) float64 { return c.data[i] }
 // Data exposes the backing vector.
 func (c *Float64Column) Data() []float64 { return c.data }
 
+// Nulls exposes the null bitmap (nil when no row is NULL).
+func (c *Float64Column) Nulls() *Bitmap { return c.nulls }
+
+// Rename implements Column.
+func (c *Float64Column) Rename(name string) Column {
+	out := &Float64Column{name: name, data: c.data, nulls: c.nulls}
+	out.hash.p.Store(c.hash.p.Load())
+	return out
+}
+
 // --- String (dictionary-encoded) ---
 
 // StringColumn stores strings as 32-bit codes into a sorted dictionary —
@@ -97,6 +126,7 @@ type StringColumn struct {
 	dict  []string // sorted, unique
 	codes []int32
 	nulls *Bitmap
+	hash  hashMemo
 }
 
 func (c *StringColumn) Name() string { return c.name }
@@ -117,6 +147,16 @@ func (c *StringColumn) Code(i int) int32 { return c.codes[i] }
 
 // Codes exposes the backing code vector.
 func (c *StringColumn) Codes() []int32 { return c.codes }
+
+// Nulls exposes the null bitmap (nil when no row is NULL).
+func (c *StringColumn) Nulls() *Bitmap { return c.nulls }
+
+// Rename implements Column.
+func (c *StringColumn) Rename(name string) Column {
+	out := &StringColumn{name: name, dict: c.dict, codes: c.codes, nulls: c.nulls}
+	out.hash.p.Store(c.hash.p.Load())
+	return out
+}
 
 // DictSize returns the number of distinct values in the dictionary.
 func (c *StringColumn) DictSize() int { return len(c.dict) }

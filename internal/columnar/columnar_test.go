@@ -1,6 +1,7 @@
 package columnar
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -280,4 +281,67 @@ func TestTypeWidth(t *testing.T) {
 	if Int64.Width() != 8 || Float64.Width() != 8 || String.Width() != 4 {
 		t.Error("type widths wrong")
 	}
+}
+
+// TestRenameSharesStorageAndHash: Rename is a new header over the same
+// vectors, dictionary and null bitmap, and the content hash — which does
+// not cover the name — rides along whether or not it was computed yet.
+func TestRenameSharesStorageAndHash(t *testing.T) {
+	ib := NewInt64Builder("i")
+	fb := NewFloat64Builder("f")
+	sb := NewStringBuilder("s")
+	for i := 0; i < 100; i++ {
+		if i%7 == 0 {
+			ib.AppendNull()
+			fb.AppendNull()
+			sb.AppendNull()
+			continue
+		}
+		ib.Append(int64(i))
+		fb.Append(float64(i) / 2)
+		sb.Append(string(rune('a' + i%5)))
+	}
+	for _, src := range []Column{ib.Build(), fb.Build(), sb.Build()} {
+		cold := src.Rename("cold") // renamed before the source was ever hashed
+		h := src.ContentHash()
+		warm := src.Rename("warm")
+		for _, c := range []Column{cold, warm} {
+			if c.Name() == src.Name() || c.Len() != src.Len() || c.Type() != src.Type() || c.ContentHash() != h {
+				t.Errorf("%s renamed to %s: shape or content hash changed", src.Name(), c.Name())
+			}
+			for i := 0; i < src.Len(); i++ {
+				if !c.Value(i).Equal(src.Value(i)) {
+					t.Fatalf("%s row %d: %v, want %v", c.Name(), i, c.Value(i), src.Value(i))
+				}
+			}
+		}
+	}
+	i := ib.Build()
+	if r := i.Rename("r").(*Int64Column); &r.Data()[0] != &i.Data()[0] || r.Nulls() != i.Nulls() {
+		t.Error("Rename copied the column")
+	}
+}
+
+// TestContentHashConcurrent: the memo is filled by whichever goroutine
+// gets there first; every caller sees the same value (run under -race).
+func TestContentHashConcurrent(t *testing.T) {
+	b := NewInt64Builder("k")
+	for i := 0; i < 10_000; i++ {
+		b.Append(int64(i * 31))
+	}
+	col, want := b.Build(), b.Build().ContentHash()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := col.Rename("x").ContentHash(); got != want {
+				t.Errorf("concurrent ContentHash = %x, want %x", got, want)
+			}
+			if got := col.ContentHash(); got != want {
+				t.Errorf("concurrent ContentHash = %x, want %x", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -44,7 +44,7 @@ func TestQueryParseAndPlanErrors(t *testing.T) {
 
 func TestStringProjectionAndRename(t *testing.T) {
 	e := newTestEngine(t, 50)
-	// Project a string column under an alias: exercises renameColumn.
+	// Project a string column under an alias: exercises Column.Rename.
 	res, err := e.Query("SELECT st_name AS store_name, st_region FROM stores LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestStringProjectionAndRename(t *testing.T) {
 }
 
 func TestComputedStringColumnPath(t *testing.T) {
-	// evalToColumn's string branch: a string literal projection.
+	// expr.EvalColumn's string branch: a string literal projection.
 	e := newTestEngine(t, 10)
 	res, err := e.Query("SELECT 'fixed' AS tag, s_qty FROM sales LIMIT 2")
 	if err != nil {

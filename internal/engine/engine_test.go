@@ -439,3 +439,27 @@ func TestThresholdOverride(t *testing.T) {
 		t.Errorf("groups = %d", res.Table.Rows())
 	}
 }
+
+// TestAliasedProjectionSharesVectors: `col AS alias` is a rename, not a
+// copy — the output column's backing array is the source's.
+func TestAliasedProjectionSharesVectors(t *testing.T) {
+	e := newTestEngine(t, 5_000)
+	res, err := e.Query("SELECT s_qty AS q, s_price AS p, s_month FROM sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := e.Table("sales")
+	q, qty := res.Table.Column("q").(*columnar.Int64Column), src.Column("s_qty").(*columnar.Int64Column)
+	p, price := res.Table.Column("p").(*columnar.Float64Column), src.Column("s_price").(*columnar.Float64Column)
+	if &q.Data()[0] != &qty.Data()[0] || &p.Data()[0] != &price.Data()[0] {
+		t.Error("aliased projection copied its column instead of sharing the backing array")
+	}
+	if q.Name() != "q" || q.Nulls() != qty.Nulls() || q.ContentHash() != qty.ContentHash() {
+		t.Errorf("renamed column %q must keep the source's nulls and content hash", q.Name())
+	}
+	for i := 0; i < src.Rows(); i++ {
+		if !q.Value(i).Equal(qty.Value(i)) || !p.Value(i).Equal(price.Value(i)) {
+			t.Fatalf("row %d: (%v, %v), want (%v, %v)", i, q.Value(i), p.Value(i), qty.Value(i), price.Value(i))
+		}
+	}
+}

@@ -6,13 +6,13 @@ import (
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/expr"
-	"blugpu/internal/parallel"
 	"blugpu/internal/plan"
 	"blugpu/internal/trace"
 )
 
-// exprGrain is the minimum rows per worker for parallel expression
-// evaluation; interpreted Eval calls are heavy enough for small chunks.
+// exprGrain is the minimum rows per worker for the engine's per-row host
+// loops (group-key decode, sort-key build); each row is heavy enough for
+// small chunks.
 const exprGrain = 512
 
 // exec dispatches one plan node. The query context q rides along so every
@@ -101,7 +101,7 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	start := f.at()
 	sp := f.begin("op", "filter")
 	hostStart := time.Now()
-	sel, err := expr.EvalPredicateDegree(f.tbl, n.Pred, e.cfg.Degree)
+	sel, err := expr.EvalPredicate(f.tbl, n.Pred, e.cfg.Degree)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +258,7 @@ func (e *Engine) execDerive(n *plan.Derive, q qctx) (*frame, error) {
 	hostStart := time.Now()
 	cols := append([]columnar.Column{}, f.tbl.Columns()...)
 	for _, dc := range n.Cols {
-		col, err := evalToColumn(f.tbl, dc.Name, dc.Expr, e.cfg.Degree)
+		col, err := expr.EvalColumn(f.tbl, dc.Name, dc.Expr, e.cfg.Degree)
 		if err != nil {
 			return nil, err
 		}
@@ -294,16 +294,17 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 	cols := make([]columnar.Column, len(n.Cols))
 	exprWork := 0
 	for i, dc := range n.Cols {
-		// Fast path: bare column reference just gets renamed/gathered.
+		// Fast path: a bare column reference shares the source's vectors
+		// under the output name.
 		if ref, ok := dc.Expr.(*expr.Col); ok {
 			src := f.tbl.Column(ref.Name)
 			if src == nil {
 				return nil, fmt.Errorf("engine: unknown column %q", ref.Name)
 			}
-			cols[i] = renameColumn(src, dc.Name, e.cfg.Degree)
+			cols[i] = src.Rename(dc.Name)
 			continue
 		}
-		col, err := evalToColumn(f.tbl, dc.Name, dc.Expr, e.cfg.Degree)
+		col, err := expr.EvalColumn(f.tbl, dc.Name, dc.Expr, e.cfg.Degree)
 		if err != nil {
 			return nil, err
 		}
@@ -342,72 +343,4 @@ func (e *Engine) execLimit(n *plan.Limit, q qctx) (*frame, error) {
 	// record keeps the audit's operator list 1:1 with Result.Ops.
 	q.record(st, 0, f.at(), f.at(), nil, nil)
 	return f, nil
-}
-
-// evalToColumn computes an expression for every row into a typed column.
-// Rows evaluate in parallel into a value vector (expression evaluation is
-// row-independent); the builder pass stays sequential, so the column —
-// including its lazily allocated null bitmap — is identical at any degree.
-func evalToColumn(tbl *columnar.Table, name string, ex expr.Expr, degree int) (columnar.Column, error) {
-	t, err := ex.TypeOf(tbl)
-	if err != nil {
-		return nil, err
-	}
-	n := tbl.Rows()
-	vals := make([]columnar.Value, n)
-	err = parallel.ForErr(n, exprGrain, degree, func(lo, hi, _ int) error {
-		for i := lo; i < hi; i++ {
-			v, err := ex.Eval(tbl, i)
-			if err != nil {
-				return err
-			}
-			vals[i] = v
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	switch t {
-	case columnar.Int64:
-		b := columnar.NewInt64Builder(name)
-		for _, v := range vals {
-			if v.Null {
-				b.AppendNull()
-			} else {
-				b.Append(v.I)
-			}
-		}
-		return b.Build(), nil
-	case columnar.Float64:
-		b := columnar.NewFloat64Builder(name)
-		for _, v := range vals {
-			if v.Null {
-				b.AppendNull()
-			} else {
-				b.Append(v.F)
-			}
-		}
-		return b.Build(), nil
-	case columnar.String:
-		b := columnar.NewStringBuilder(name)
-		for _, v := range vals {
-			if v.Null {
-				b.AppendNull()
-			} else {
-				b.Append(v.S)
-			}
-		}
-		return b.Build(), nil
-	}
-	return nil, fmt.Errorf("engine: unsupported expression type %v", t)
-}
-
-// renameColumn returns src under a new name without copying the values.
-func renameColumn(src columnar.Column, name string, degree int) columnar.Column {
-	if src.Name() == name {
-		return src
-	}
-	all := columnar.IotaRows(src.Len(), degree)
-	return columnar.GatherColumnDegree(src, name, all, degree)
 }

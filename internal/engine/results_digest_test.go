@@ -91,3 +91,33 @@ func TestResultsMatchInterpreterDigest(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	golden(t, "results_digest.golden", resultsDigest(t, 8))
 }
+
+// BenchmarkWorkloadLap is the in-process host-path ruler the EXPERIMENTS.md
+// ledger rows come from: one iteration is a warm lap of all 146 statements
+// on the benchmark's engine (sf 0.1, 2 devices, degree 24), after one cold
+// lap outside the timer. -benchmem gives allocations per lap; -cpuprofile
+// says where the lap goes.
+func BenchmarkWorkloadLap(b *testing.B) {
+	e, err := New(Config{Devices: 2, Degree: 24})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := workload.Generate(0.1, 20160626).RegisterAll(e); err != nil {
+		b.Fatal(err)
+	}
+	qs := append(workload.BDInsights(), workload.CognosROLAP()...)
+	lap := func() {
+		for _, q := range qs {
+			if _, err := e.QueryNamed(q.ID, q.SQL); err != nil {
+				b.Fatalf("%s: %v", q.ID, err)
+			}
+		}
+	}
+	lap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lap()
+	}
+	b.ReportMetric(float64(b.N*len(qs))/b.Elapsed().Seconds(), "queries/s")
+}

@@ -9,7 +9,7 @@ import (
 func TestFloatLiteralAndTypeOf(t *testing.T) {
 	tbl := testTable(t)
 	f := Float(2.5)
-	if v, _ := f.Eval(tbl, 0); v.F != 2.5 {
+	if v, _ := evalRow(tbl, f, 0); v.F != 2.5 {
 		t.Error("Float literal broken")
 	}
 	if tt, _ := f.TypeOf(tbl); tt != columnar.Float64 {
@@ -78,7 +78,7 @@ func TestEvalErrorPropagation(t *testing.T) {
 		&IsNull{X: &Col{"missing"}},
 	}
 	for i, e := range exprs {
-		if _, err := e.Eval(tbl, 0); err == nil {
+		if _, err := evalRow(tbl, e, 0); err == nil {
 			t.Errorf("expr %d: Eval should propagate the unknown column", i)
 		}
 	}
@@ -87,23 +87,23 @@ func TestEvalErrorPropagation(t *testing.T) {
 func TestFloatArithmeticBranches(t *testing.T) {
 	tbl := testTable(t)
 	// Float +, -, /, and division by zero.
-	if v, _ := (&Arith{Op: Add, Left: Float(1.5), Right: Float(2)}).Eval(tbl, 0); v.F != 3.5 {
+	if v, _ := evalRow(tbl, &Arith{Op: Add, Left: Float(1.5), Right: Float(2)}, 0); v.F != 3.5 {
 		t.Error("float add")
 	}
-	if v, _ := (&Arith{Op: Sub, Left: Float(1.5), Right: Int(1)}).Eval(tbl, 0); v.F != 0.5 {
+	if v, _ := evalRow(tbl, &Arith{Op: Sub, Left: Float(1.5), Right: Int(1)}, 0); v.F != 0.5 {
 		t.Error("mixed sub")
 	}
-	if v, _ := (&Arith{Op: Div, Left: Float(5), Right: Float(2)}).Eval(tbl, 0); v.F != 2.5 {
+	if v, _ := evalRow(tbl, &Arith{Op: Div, Left: Float(5), Right: Float(2)}, 0); v.F != 2.5 {
 		t.Error("float div")
 	}
-	if v, _ := (&Arith{Op: Div, Left: Float(5), Right: Float(0)}).Eval(tbl, 0); !v.Null {
+	if v, _ := evalRow(tbl, &Arith{Op: Div, Left: Float(5), Right: Float(0)}, 0); !v.Null {
 		t.Error("float div by zero should be NULL")
 	}
 	// Int sub/mul.
-	if v, _ := (&Arith{Op: Sub, Left: Int(7), Right: Int(3)}).Eval(tbl, 0); v.I != 4 {
+	if v, _ := evalRow(tbl, &Arith{Op: Sub, Left: Int(7), Right: Int(3)}, 0); v.I != 4 {
 		t.Error("int sub")
 	}
-	if v, _ := (&Arith{Op: Mul, Left: Int(7), Right: Int(3)}).Eval(tbl, 0); v.I != 21 {
+	if v, _ := evalRow(tbl, &Arith{Op: Mul, Left: Int(7), Right: Int(3)}, 0); v.I != 21 {
 		t.Error("int mul")
 	}
 }
@@ -121,7 +121,7 @@ func TestCmpOperatorsComplete(t *testing.T) {
 		{Ge, 2, 2, 1}, {Ge, 1, 2, 0},
 	}
 	for _, c := range cases {
-		v, err := (&Cmp{Op: c.op, Left: Int(c.a), Right: Int(c.b)}).Eval(tbl, 0)
+		v, err := evalRow(tbl, &Cmp{Op: c.op, Left: Int(c.a), Right: Int(c.b)}, 0)
 		if err != nil || v.I != c.want {
 			t.Errorf("%d %v %d = %v, want %d", c.a, c.op, c.b, v, c.want)
 		}
@@ -131,11 +131,11 @@ func TestCmpOperatorsComplete(t *testing.T) {
 func TestTruthOfFloats(t *testing.T) {
 	tbl := testTable(t)
 	// Float truthiness through Logic.
-	v, _ := (&Logic{Op: And, Left: Float(1.5), Right: Float(2)}).Eval(tbl, 0)
+	v, _ := evalRow(tbl, &Logic{Op: And, Left: Float(1.5), Right: Float(2)}, 0)
 	if v.I != 1 {
 		t.Error("non-zero floats should be true")
 	}
-	v, _ = (&Logic{Op: Or, Left: Float(0), Right: Float(0)}).Eval(tbl, 0)
+	v, _ = evalRow(tbl, &Logic{Op: Or, Left: Float(0), Right: Float(0)}, 0)
 	if v.I != 0 {
 		t.Error("zero floats should be false")
 	}
@@ -145,17 +145,17 @@ func TestInWithNullAndMixedTypes(t *testing.T) {
 	tbl := testTable(t)
 	// NULL input stays NULL.
 	in := &In{X: &Col{"qty"}, Vals: []columnar.Value{columnar.IntValue(0)}}
-	if v, _ := in.Eval(tbl, 2); !v.Null {
+	if v, _ := evalRow(tbl, in, 2); !v.Null {
 		t.Error("NULL IN (...) should be NULL")
 	}
 	// Mixed numeric coercion inside IN.
 	mixed := &In{X: &Col{"price"}, Vals: []columnar.Value{columnar.IntValue(4)}}
-	if v, _ := mixed.Eval(tbl, 3); v.I != 1 {
+	if v, _ := evalRow(tbl, mixed, 3); v.I != 1 {
 		t.Error("4.0 IN (4) should coerce and match")
 	}
 	// Incomparable values are skipped, not errors.
 	weird := &In{X: &Col{"qty"}, Vals: []columnar.Value{columnar.StringValue("x"), columnar.IntValue(10)}}
-	if v, _ := weird.Eval(tbl, 0); v.I != 1 {
+	if v, _ := evalRow(tbl, weird, 0); v.I != 1 {
 		t.Error("comparable value later in the list should still match")
 	}
 }
@@ -185,7 +185,7 @@ func TestEvalPredicateErrorsInLoop(t *testing.T) {
 	// NULL, never errors, so use a predicate whose evaluation errors via
 	// string arithmetic that TypeOf can't catch... TypeOf does catch it,
 	// so verify TypeOf gating instead.
-	if _, err := EvalPredicate(tbl, &Arith{Op: Add, Left: &Col{"state"}, Right: Int(1)}); err == nil {
+	if _, err := EvalPredicate(tbl, &Arith{Op: Add, Left: &Col{"state"}, Right: Int(1)}, 1); err == nil {
 		t.Error("predicate with string arithmetic should be rejected")
 	}
 }

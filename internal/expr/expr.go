@@ -2,9 +2,15 @@
 // over columnar tables — the engine's expression service and the input
 // language of its predicate evaluators.
 //
-// Evaluation is row-at-a-time for clarity; the engine charges predicate
-// work to the cost model by row count, so functional evaluation speed does
-// not affect modeled results.
+// This file is the expression tree: node types, static typing, rendering.
+// Evaluation (kernel.go) is column-at-a-time: an expression is bound once
+// per operator execution to its input table's columns — vectors resolved,
+// literals coerced, string comparisons and IN lists decided per dictionary
+// entry — and run over 64-aligned row ranges on the parallel pool, a
+// predicate into (true, null) word masks, a value into a typed vector and
+// a null mask. The row-at-a-time interpreter this replaced lives on in
+// reference_test.go as the kernels' oracle. The engine charges expression
+// work by row count, so evaluation speed never moves a modeled result.
 package expr
 
 import (
@@ -12,13 +18,10 @@ import (
 	"strings"
 
 	"blugpu/internal/columnar"
-	"blugpu/internal/parallel"
 )
 
-// Expr is a scalar expression over one table's row.
+// Expr is a scalar expression over one table's rows.
 type Expr interface {
-	// Eval computes the expression for row i of tbl.
-	Eval(tbl *columnar.Table, i int) (columnar.Value, error)
 	// TypeOf resolves the result type against tbl's schema.
 	TypeOf(tbl *columnar.Table) (columnar.Type, error)
 	// String renders SQL-ish text.
@@ -29,15 +32,6 @@ type Expr interface {
 
 // Col references a column by name.
 type Col struct{ Name string }
-
-// Eval implements Expr.
-func (c *Col) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
-	col := tbl.Column(c.Name)
-	if col == nil {
-		return columnar.Value{}, fmt.Errorf("expr: unknown column %q", c.Name)
-	}
-	return col.Value(i), nil
-}
 
 // TypeOf implements Expr.
 func (c *Col) TypeOf(tbl *columnar.Table) (columnar.Type, error) {
@@ -63,9 +57,6 @@ func Float(v float64) *Lit { return &Lit{columnar.FloatValue(v)} }
 
 // Str returns a string literal.
 func Str(v string) *Lit { return &Lit{columnar.StringValue(v)} }
-
-// Eval implements Expr.
-func (l *Lit) Eval(*columnar.Table, int) (columnar.Value, error) { return l.Val, nil }
 
 // TypeOf implements Expr.
 func (l *Lit) TypeOf(*columnar.Table) (columnar.Type, error) { return l.Val.Type, nil }
@@ -98,55 +89,6 @@ func (op ArithOp) String() string {
 type Arith struct {
 	Op          ArithOp
 	Left, Right Expr
-}
-
-// Eval implements Expr.
-func (a *Arith) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
-	l, err := a.Left.Eval(tbl, i)
-	if err != nil {
-		return columnar.Value{}, err
-	}
-	r, err := a.Right.Eval(tbl, i)
-	if err != nil {
-		return columnar.Value{}, err
-	}
-	t, err := numericResult(l.Type, r.Type)
-	if err != nil {
-		return columnar.Value{}, fmt.Errorf("expr: %s: %w", a, err)
-	}
-	if l.Null || r.Null {
-		return columnar.NullValue(t), nil
-	}
-	if t == columnar.Float64 {
-		lf, rf := asFloat(l), asFloat(r)
-		switch a.Op {
-		case Add:
-			return columnar.FloatValue(lf + rf), nil
-		case Sub:
-			return columnar.FloatValue(lf - rf), nil
-		case Mul:
-			return columnar.FloatValue(lf * rf), nil
-		case Div:
-			if rf == 0 {
-				return columnar.NullValue(t), nil
-			}
-			return columnar.FloatValue(lf / rf), nil
-		}
-	}
-	switch a.Op {
-	case Add:
-		return columnar.IntValue(l.I + r.I), nil
-	case Sub:
-		return columnar.IntValue(l.I - r.I), nil
-	case Mul:
-		return columnar.IntValue(l.I * r.I), nil
-	case Div:
-		if r.I == 0 {
-			return columnar.NullValue(t), nil
-		}
-		return columnar.IntValue(l.I / r.I), nil
-	}
-	return columnar.Value{}, fmt.Errorf("expr: unknown arith op %d", a.Op)
 }
 
 // TypeOf implements Expr.
@@ -192,51 +134,9 @@ type Cmp struct {
 	Left, Right Expr
 }
 
-// Eval implements Expr.
-func (c *Cmp) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
-	l, err := c.Left.Eval(tbl, i)
-	if err != nil {
-		return columnar.Value{}, err
-	}
-	r, err := c.Right.Eval(tbl, i)
-	if err != nil {
-		return columnar.Value{}, err
-	}
-	if l.Null || r.Null {
-		return columnar.NullValue(columnar.Int64), nil
-	}
-	l, r, err = coerce(l, r)
-	if err != nil {
-		return columnar.Value{}, fmt.Errorf("expr: %s: %w", c, err)
-	}
-	cv := l.Compare(r)
-	var ok bool
-	switch c.Op {
-	case Eq:
-		ok = cv == 0
-	case Ne:
-		ok = cv != 0
-	case Lt:
-		ok = cv < 0
-	case Le:
-		ok = cv <= 0
-	case Gt:
-		ok = cv > 0
-	case Ge:
-		ok = cv >= 0
-	}
-	return boolValue(ok), nil
-}
-
 // TypeOf implements Expr.
 func (c *Cmp) TypeOf(tbl *columnar.Table) (columnar.Type, error) {
-	if _, err := c.Left.TypeOf(tbl); err != nil {
-		return 0, err
-	}
-	if _, err := c.Right.TypeOf(tbl); err != nil {
-		return 0, err
-	}
-	return columnar.Int64, nil
+	return boolOver(tbl, c.Left, c.Right)
 }
 
 func (c *Cmp) String() string {
@@ -262,49 +162,9 @@ type Logic struct {
 	Left, Right Expr
 }
 
-// Eval implements Expr.
-func (lg *Logic) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
-	l, err := lg.Left.Eval(tbl, i)
-	if err != nil {
-		return columnar.Value{}, err
-	}
-	r, err := lg.Right.Eval(tbl, i)
-	if err != nil {
-		return columnar.Value{}, err
-	}
-	lt, rt := truth(l), truth(r)
-	switch lg.Op {
-	case And:
-		switch {
-		case lt == tFalse || rt == tFalse:
-			return boolValue(false), nil
-		case lt == tTrue && rt == tTrue:
-			return boolValue(true), nil
-		default:
-			return columnar.NullValue(columnar.Int64), nil
-		}
-	case Or:
-		switch {
-		case lt == tTrue || rt == tTrue:
-			return boolValue(true), nil
-		case lt == tFalse && rt == tFalse:
-			return boolValue(false), nil
-		default:
-			return columnar.NullValue(columnar.Int64), nil
-		}
-	}
-	return columnar.Value{}, fmt.Errorf("expr: unknown logic op %d", lg.Op)
-}
-
 // TypeOf implements Expr.
 func (lg *Logic) TypeOf(tbl *columnar.Table) (columnar.Type, error) {
-	if _, err := lg.Left.TypeOf(tbl); err != nil {
-		return 0, err
-	}
-	if _, err := lg.Right.TypeOf(tbl); err != nil {
-		return 0, err
-	}
-	return columnar.Int64, nil
+	return boolOver(tbl, lg.Left, lg.Right)
 }
 
 func (lg *Logic) String() string {
@@ -314,29 +174,8 @@ func (lg *Logic) String() string {
 // Not negates a boolean expression (NULL stays NULL).
 type Not struct{ Inner Expr }
 
-// Eval implements Expr.
-func (n *Not) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
-	v, err := n.Inner.Eval(tbl, i)
-	if err != nil {
-		return columnar.Value{}, err
-	}
-	switch truth(v) {
-	case tTrue:
-		return boolValue(false), nil
-	case tFalse:
-		return boolValue(true), nil
-	default:
-		return columnar.NullValue(columnar.Int64), nil
-	}
-}
-
 // TypeOf implements Expr.
-func (n *Not) TypeOf(tbl *columnar.Table) (columnar.Type, error) {
-	if _, err := n.Inner.TypeOf(tbl); err != nil {
-		return 0, err
-	}
-	return columnar.Int64, nil
-}
+func (n *Not) TypeOf(tbl *columnar.Table) (columnar.Type, error) { return boolOver(tbl, n.Inner) }
 
 func (n *Not) String() string { return fmt.Sprintf("(NOT %s)", n.Inner) }
 
@@ -345,21 +184,9 @@ func (n *Not) String() string { return fmt.Sprintf("(NOT %s)", n.Inner) }
 // Between is `x BETWEEN lo AND hi` (inclusive).
 type Between struct{ X, Lo, Hi Expr }
 
-// Eval implements Expr.
-func (b *Between) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
-	ge := &Cmp{Op: Ge, Left: b.X, Right: b.Lo}
-	le := &Cmp{Op: Le, Left: b.X, Right: b.Hi}
-	return (&Logic{Op: And, Left: ge, Right: le}).Eval(tbl, i)
-}
-
 // TypeOf implements Expr.
 func (b *Between) TypeOf(tbl *columnar.Table) (columnar.Type, error) {
-	for _, e := range []Expr{b.X, b.Lo, b.Hi} {
-		if _, err := e.TypeOf(tbl); err != nil {
-			return 0, err
-		}
-	}
-	return columnar.Int64, nil
+	return boolOver(tbl, b.X, b.Lo, b.Hi)
 }
 
 func (b *Between) String() string {
@@ -372,34 +199,8 @@ type In struct {
 	Vals []columnar.Value
 }
 
-// Eval implements Expr.
-func (in *In) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
-	v, err := in.X.Eval(tbl, i)
-	if err != nil {
-		return columnar.Value{}, err
-	}
-	if v.Null {
-		return columnar.NullValue(columnar.Int64), nil
-	}
-	for _, c := range in.Vals {
-		cv, vv, err := coerce(c, v)
-		if err != nil {
-			continue
-		}
-		if vv.Equal(cv) {
-			return boolValue(true), nil
-		}
-	}
-	return boolValue(false), nil
-}
-
 // TypeOf implements Expr.
-func (in *In) TypeOf(tbl *columnar.Table) (columnar.Type, error) {
-	if _, err := in.X.TypeOf(tbl); err != nil {
-		return 0, err
-	}
-	return columnar.Int64, nil
-}
+func (in *In) TypeOf(tbl *columnar.Table) (columnar.Type, error) { return boolOver(tbl, in.X) }
 
 func (in *In) String() string {
 	parts := make([]string, len(in.Vals))
@@ -419,22 +220,8 @@ type IsNull struct {
 	Negate bool
 }
 
-// Eval implements Expr.
-func (n *IsNull) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
-	v, err := n.X.Eval(tbl, i)
-	if err != nil {
-		return columnar.Value{}, err
-	}
-	return boolValue(v.Null != n.Negate), nil
-}
-
 // TypeOf implements Expr.
-func (n *IsNull) TypeOf(tbl *columnar.Table) (columnar.Type, error) {
-	if _, err := n.X.TypeOf(tbl); err != nil {
-		return 0, err
-	}
-	return columnar.Int64, nil
-}
+func (n *IsNull) TypeOf(tbl *columnar.Table) (columnar.Type, error) { return boolOver(tbl, n.X) }
 
 func (n *IsNull) String() string {
 	if n.Negate {
@@ -445,36 +232,15 @@ func (n *IsNull) String() string {
 
 // --- helpers ---
 
-type tri int
-
-const (
-	tFalse tri = iota
-	tTrue
-	tNull
-)
-
-func truth(v columnar.Value) tri {
-	if v.Null {
-		return tNull
-	}
-	switch v.Type {
-	case columnar.Int64:
-		if v.I != 0 {
-			return tTrue
-		}
-	case columnar.Float64:
-		if v.F != 0 {
-			return tTrue
+// boolOver is the type of a boolean node: Int64 (1/0, NULL for unknown)
+// once every operand resolves.
+func boolOver(tbl *columnar.Table, operands ...Expr) (columnar.Type, error) {
+	for _, e := range operands {
+		if _, err := e.TypeOf(tbl); err != nil {
+			return 0, err
 		}
 	}
-	return tFalse
-}
-
-func boolValue(b bool) columnar.Value {
-	if b {
-		return columnar.IntValue(1)
-	}
-	return columnar.IntValue(0)
+	return columnar.Int64, nil
 }
 
 func asFloat(v columnar.Value) float64 {
@@ -492,70 +258,6 @@ func numericResult(l, r columnar.Type) (columnar.Type, error) {
 		return columnar.Float64, nil
 	}
 	return columnar.Int64, nil
-}
-
-// coerce makes two values comparable, widening int to float when mixed.
-func coerce(l, r columnar.Value) (columnar.Value, columnar.Value, error) {
-	if l.Type == r.Type {
-		return l, r, nil
-	}
-	if l.Type == columnar.String || r.Type == columnar.String {
-		return l, r, fmt.Errorf("cannot compare %v with %v", l.Type, r.Type)
-	}
-	return columnar.FloatValue(asFloat(l)), columnar.FloatValue(asFloat(r)), nil
-}
-
-// EvalPredicate evaluates pred for every row of tbl and returns the
-// selection bitmap (rows where the predicate is TRUE; FALSE and NULL are
-// excluded, per SQL WHERE semantics). It is the sequential reference for
-// EvalPredicateDegree.
-func EvalPredicate(tbl *columnar.Table, pred Expr) (*columnar.Bitmap, error) {
-	if _, err := pred.TypeOf(tbl); err != nil {
-		return nil, err
-	}
-	bm := columnar.NewBitmap(tbl.Rows())
-	for i := 0; i < tbl.Rows(); i++ {
-		v, err := pred.Eval(tbl, i)
-		if err != nil {
-			return nil, err
-		}
-		if truth(v) == tTrue {
-			bm.Set(i)
-		}
-	}
-	return bm, nil
-}
-
-// predicateGrain is the minimum rows per worker for parallel predicate
-// scans; row-at-a-time Eval is slow enough that small chunks still pay.
-const predicateGrain = 512
-
-// EvalPredicateDegree is the parallel predicate scan: disjoint 64-aligned
-// row ranges are evaluated by the worker pool, each worker setting bits
-// only in its own words of the shared bitmap. Expressions are read-only
-// over the table, so the result is identical to EvalPredicate at any
-// degree.
-func EvalPredicateDegree(tbl *columnar.Table, pred Expr, degree int) (*columnar.Bitmap, error) {
-	if _, err := pred.TypeOf(tbl); err != nil {
-		return nil, err
-	}
-	bm := columnar.NewBitmap(tbl.Rows())
-	err := parallel.ForErr(tbl.Rows(), predicateGrain, degree, func(lo, hi, _ int) error {
-		for i := lo; i < hi; i++ {
-			v, err := pred.Eval(tbl, i)
-			if err != nil {
-				return err
-			}
-			if truth(v) == tTrue {
-				bm.Set(i)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return bm, nil
 }
 
 // Columns returns the distinct column names e references, in first-

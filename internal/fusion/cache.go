@@ -52,60 +52,24 @@ type Key struct {
 	T columnar.Type
 }
 
-// mix64 folds v into h with a splitmix64-style avalanche.
-func mix64(h, v uint64) uint64 {
-	x := h + v + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func mixBytes(h uint64, s string) uint64 {
-	// FNV-1a over the string, folded once; dictionary entries are short.
-	f := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		f ^= uint64(s[i])
-		f *= 1099511628211
-	}
-	return mix64(h, f)
-}
-
 // ColumnKey computes the content address of a column: type, length, every
 // value, every null position, and (for strings) the dictionary. Two
 // columns with equal keys hold equal data regardless of which gather or
-// scan produced them.
+// scan produced them. The hash is memoised on the column, so a base-table
+// column is walked once per process and a gathered one once per query.
 func ColumnKey(col columnar.Column) Key {
-	h := mix64(0, uint64(col.Len()))
-	switch c := col.(type) {
-	case *columnar.Int64Column:
-		for i, v := range c.Data() {
-			h = mix64(h, uint64(v))
-			if c.IsNull(i) {
-				h = mix64(h, uint64(i)*2+1)
-			}
-		}
-	case *columnar.Float64Column:
-		for i, v := range c.Data() {
-			h = mix64(h, math.Float64bits(v))
-			if c.IsNull(i) {
-				h = mix64(h, uint64(i)*2+1)
-			}
-		}
-	case *columnar.StringColumn:
-		for i, code := range c.Codes() {
-			h = mix64(h, uint64(uint32(code)))
-			if c.IsNull(i) {
-				h = mix64(h, uint64(i)*2+1)
-			}
-		}
-		for j := 0; j < c.DictSize(); j++ {
-			h = mixBytes(h, c.Decode(int32(j)))
-		}
-	default:
-		// Unknown column kinds hash by identity-free shape only; they
-		// still cache correctly (equal shape + type), just coarsely.
+	return Key{H: col.ContentHash(), N: col.Len(), T: col.Type()}
+}
+
+// columnKeys addresses every column of a chain. Callers run it before
+// taking Cache.mu: the first hash of a column walks every value, and
+// concurrent chains must not serialise on that.
+func columnKeys(cols []columnar.Column) []Key {
+	keys := make([]Key, len(cols))
+	for i, col := range cols {
+		keys[i] = ColumnKey(col)
 	}
-	return Key{H: h, N: col.Len(), T: col.Type()}
+	return keys
 }
 
 // DeviceBytes is the device footprint of one cached column: BLU-style
@@ -204,13 +168,14 @@ func (c *Cache) deviceLocked(id int) *deviceCache {
 // have to upload on device devID right now — the fuse/decline policy's
 // input. Resident columns cost nothing.
 func (c *Cache) MissBytes(devID int, cols []columnar.Column) int64 {
+	keys := columnKeys(cols)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dc := c.devs[devID]
 	var miss int64
-	for _, col := range cols {
+	for i, col := range cols {
 		if dc != nil {
-			if _, ok := dc.entries[ColumnKey(col)]; ok {
+			if _, ok := dc.entries[keys[i]]; ok {
 				continue
 			}
 		}
@@ -281,6 +246,7 @@ func (c *Cache) evictOneLocked(dc *deviceCache) bool {
 // staged); injected reserve/H2D faults propagate as-is (chain fault —
 // spill and fall back). On error the lease is already unwound.
 func (c *Cache) Ensure(dev *gpu.Device, cols []columnar.Column, sp trace.SpanID, model *vtime.CostModel, pinned bool, degree int) (*Lease, error) {
+	keys := columnKeys(cols)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dc := c.deviceLocked(dev.ID())
@@ -293,8 +259,8 @@ func (c *Cache) Ensure(dev *gpu.Device, cols []columnar.Column, sp trace.SpanID,
 		}
 		return nil, err
 	}
-	for _, col := range cols {
-		key := ColumnKey(col)
+	for i, col := range cols {
+		key := keys[i]
 		if e, ok := dc.entries[key]; ok {
 			c.seq++
 			e.lastUse = c.seq

@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"blugpu/internal/columnar"
@@ -44,6 +45,39 @@ func TestColumnKeyContentAddressing(t *testing.T) {
 	plain := intCol("a", append([]int64{1, 2, 3}, withNull.Data()[3]))
 	if ColumnKey(withNull) == ColumnKey(plain) {
 		t.Fatalf("null position did not affect the key")
+	}
+}
+
+// TestColumnKeyPinned pins the content address to values recorded with the
+// walk ColumnKey did itself before the hash moved onto the column: cache
+// hits, misses and every byte counter downstream depend on these bits.
+func TestColumnKeyPinned(t *testing.T) {
+	ib := columnar.NewInt64Builder("i")
+	fb := columnar.NewFloat64Builder("f")
+	sb := columnar.NewStringBuilder("s")
+	for i := 0; i < 70; i++ {
+		if i%9 == 4 {
+			ib.AppendNull()
+			fb.AppendNull()
+			sb.AppendNull()
+			continue
+		}
+		ib.Append(int64(i*i) - 50)
+		fb.Append(float64(i) / 4)
+		sb.Append([]string{"NY", "CA", "", "TX"}[i%4])
+	}
+	fb.Append(math.NaN())
+	cols := []columnar.Column{ib.Build(), fb.Build(), sb.Build(), intCol("e", nil)}
+	want := []Key{
+		{0x5ff7fba203549ea1, 70, columnar.Int64},
+		{0xce0d6220ab06b23b, 71, columnar.Float64},
+		{0xd7215a085f2e1735, 70, columnar.String},
+		{0xe220a8397b1dcdaf, 0, columnar.Int64},
+	}
+	for i, col := range cols {
+		if got := ColumnKey(col); got != want[i] {
+			t.Errorf("%s: key %#x/%d/%v, recorded %#x/%d/%v", col.Name(), got.H, got.N, got.T, want[i].H, want[i].N, want[i].T)
+		}
 	}
 }
 
@@ -146,4 +180,33 @@ func TestEnsureFaultPropagates(t *testing.T) {
 	if dev.UsedMemory() != 0 {
 		t.Fatalf("faulted fill leaked %d reserved bytes", dev.UsedMemory())
 	}
+}
+
+var keySink Key
+
+// BenchmarkColumnKey is the micro-ruler for the content address of a
+// 1M-row column: "first" walks every value (a fresh header each time, as
+// a gathered join output is), "again" is what every later MissBytes /
+// Ensure over the same column pays.
+func BenchmarkColumnKey(b *testing.B) {
+	vals := make([]int64, 1_000_000)
+	for i := range vals {
+		vals[i] = int64(i * 2654435761)
+	}
+	src := intCol("k", vals)
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keySink = ColumnKey(src.Rename("fresh"))
+		}
+	})
+	b.Run("again", func(b *testing.B) {
+		hashed := src.Rename("hashed")
+		keySink = ColumnKey(hashed)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			keySink = ColumnKey(hashed)
+		}
+	})
 }

@@ -100,27 +100,3 @@ func For(n, grain, degree int, body func(lo, hi, worker int)) {
 	}
 	wg.Wait()
 }
-
-// ForErr is For with error propagation. Every worker runs to completion
-// (ranges are disjoint, so partial work is never observed); the error of
-// the lowest-numbered failing worker is returned, which makes the
-// reported error deterministic across degrees.
-func ForErr(n, grain, degree int, body func(lo, hi, worker int) error) error {
-	w, _ := plan(n, grain, degree)
-	if w == 0 {
-		return nil
-	}
-	if w == 1 {
-		return body(0, n, 0)
-	}
-	errs := make([]error, w)
-	For(n, grain, degree, func(lo, hi, worker int) {
-		errs[worker] = body(lo, hi, worker)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -110,37 +109,6 @@ func TestForGrainLimitsWorkers(t *testing.T) {
 	}
 	if w := Workers(1<<20, 64, 8); w != 8 {
 		t.Errorf("Workers(1<<20, 64, 8) = %d, want 8", w)
-	}
-}
-
-func TestForErrPropagatesLowestWorker(t *testing.T) {
-	errLow := errors.New("low")
-	errHigh := errors.New("high")
-	err := ForErr(1024, 1, 8, func(lo, hi, worker int) error {
-		switch worker {
-		case 2:
-			return errHigh
-		case 1:
-			return errLow
-		}
-		return nil
-	})
-	if !errors.Is(err, errLow) {
-		t.Errorf("ForErr returned %v, want error of lowest failing worker", err)
-	}
-	if err := ForErr(1024, 1, 8, func(lo, hi, worker int) error { return nil }); err != nil {
-		t.Errorf("ForErr with no failures returned %v", err)
-	}
-	if err := ForErr(0, 1, 8, func(lo, hi, worker int) error { return errLow }); err != nil {
-		t.Errorf("ForErr over empty range returned %v", err)
-	}
-}
-
-func TestForErrSequentialPath(t *testing.T) {
-	want := errors.New("boom")
-	err := ForErr(10, 1, 1, func(lo, hi, worker int) error { return want })
-	if !errors.Is(err, want) {
-		t.Errorf("sequential ForErr returned %v", err)
 	}
 }
 
