@@ -35,10 +35,13 @@ bench:
 	$(GO) test -bench 'ParallelGather|PartialKeyBuild|Predicate|ColumnKey' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion
 
-# Five seconds of native fuzzing: WHERE clauses mutated from the workload's
-# own, kernels held to the test-only row interpreter (internal/expr).
+# Five seconds of native fuzzing each: WHERE clauses mutated from the
+# workload's own, kernels held to the test-only row interpreter
+# (internal/expr); then whole statements through parse → plan, which must
+# not panic and must survive print → re-parse (internal/plan).
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzKernelsMatchReference -fuzztime 5s
+	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 5s
 
 # End-to-end smoke: blubench exports one small traced experiment and
 # its EXPLAIN ANALYZE reports (so the binary's own export path is what

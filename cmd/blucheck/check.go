@@ -211,7 +211,6 @@ func (c *check) recoverBreakers() {
 var evidence = map[string]string{
 	"metrics.txt":     "/metrics",
 	"trace_slow.json": "/debug/trace/slow",
-	"hotspots.txt":    "/debug/prof/hotspots",
 	"alerts.json":     "/debug/alerts",
 	"dash.html":       "/debug/dash",
 }

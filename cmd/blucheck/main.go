@@ -14,9 +14,9 @@
 // DIR (default: blucheck under the system temp directory) is both where
 // the trace and explain suites find their input and where a failing
 // serving suite leaves its evidence — the /metrics scrape, slow traces,
-// hotspot digest, alert JSON, dash HTML and the query log — under
-// DIR/<suite>/, for CI to upload. blucheck writes nowhere else. It
-// exits non-zero when any suite fails, and names the ones that did.
+// alert JSON, dash HTML and the query log — under DIR/<suite>/, for CI
+// to upload. blucheck writes nowhere else. It exits non-zero when any
+// suite fails, and names the ones that did.
 package main
 
 import (
@@ -46,7 +46,7 @@ var suites = []suite{
 	{"metrics", "admin endpoints, exposition families, /healthz 200/503/200", checkMetrics},
 	{"serve", "multi-user mix, drain, admission ledger reconciled", checkServe},
 	{"qlog", "request-ID join across log, traces, EXPLAIN; phases sum to total", checkQlog},
-	{"prof", "blu_prof_* ledger reconciles with the query log; /debug/prof/*", checkProf},
+	{"prof", "blu_prof_* ledger reconciles with the query log; /debug/pprof/profile always free", checkProf},
 	{"dash", "alert lifecycle on an injected clock, byte-identical across runs", checkDash},
 }
 

@@ -2,8 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"regexp"
@@ -12,19 +13,22 @@ import (
 
 	"blugpu/internal/qlog"
 	"blugpu/internal/serve"
+	"blugpu/internal/workload"
 )
 
 // checkProf is the resource-attribution check: it posts identified
 // queries across the BD Insights mix (so several workload classes fill
 // accountant cells) and proves that the blu_prof_* ledger on /metrics
 // reconciles against the query log per (class, phase) cell, that the
-// device-utilization families are exposed, and that /debug/prof/capture
-// and /debug/prof/hotspots serve.
-//
-// The background loops stay off: the periodic captor would contend with
-// the on-demand capture for the process profiler (a 409, not a capture).
+// device-utilization families are exposed, and that the standard CPU
+// profiler is there for whoever asks: the stack is booted as deployed
+// (background loop on, -pprof), and nothing in it may hold the process
+// profiler when an operator's /debug/pprof/profile request arrives.
 func checkProf(c *check) error {
-	if err := c.boot(sfSmall, false, serve.StackOptions{Config: serve.Config{SlowQuery: -1}}); err != nil {
+	err := c.boot(sfSmall, false, serve.StackOptions{
+		Config: serve.Config{SlowQuery: -1}, Background: true, Pprof: true,
+	})
+	if err != nil {
 		return err
 	}
 	ids, err := c.postIdentified(9, false)
@@ -66,10 +70,8 @@ func checkProf(c *check) error {
 	// Ledger B: the scraped blu_prof_* families.
 	scrape, err := c.scrape(
 		"blu_prof_wall_seconds_total",
-		"blu_prof_cpu_seconds_total",
 		"blu_prof_alloc_bytes_total",
 		"blu_prof_phases_total",
-		"blu_prof_captures_total",
 		"blu_device_busy_ratio",
 		"blu_device_busy_seconds_total",
 		"blu_device_reserved_bytes",
@@ -78,7 +80,6 @@ func checkProf(c *check) error {
 		return err
 	}
 	profWall := scrapeClassPhase(scrape, "blu_prof_wall_seconds_total")
-	profCPU := scrapeClassPhase(scrape, "blu_prof_cpu_seconds_total")
 	cells := 0
 	for class, n := range logCount {
 		// The accountant and the log were fed the same measured
@@ -95,42 +96,67 @@ func checkProf(c *check) error {
 				return fmt.Errorf("%s/%s: prof %.6fms vs qlog %.6fms (|Δ|=%.6f > %.6f)",
 					class, phase, got*1000, logMs[k], d, tol)
 			}
-			// CPU attribution is statistical (profiler sampling) — the
-			// account must exist and be non-negative, nothing more.
-			if cpu, ok := profCPU[k]; ok && cpu < 0 {
-				return fmt.Errorf("%s/%s: negative CPU account %g", class, phase, cpu)
-			}
 			cells++
 		}
 	}
 	c.logf("/metrics reconciles with qlog (%d class/phase cells, %d records)", cells, total)
 
-	// The capture surface: an on-demand bounded capture, then the
-	// digest over the ring.
-	capture, err := c.get("/debug/prof/capture?window=100ms", http.StatusOK)
+	// The one CPU profiler, under load: three back-to-back one-second
+	// profiles must each come back whole. A second owner of the process
+	// profiler would turn at least one into "cpu profiling already in
+	// use" (a 500).
+	stop, loadErr := make(chan struct{}), make(chan error, 1)
+	go func() { loadErr <- c.postUntil(stop) }()
+	profiled := 0
+	for i := 0; i < 3 && err == nil; i++ {
+		var n int
+		n, err = c.cpuProfile()
+		profiled += n
+	}
+	close(stop)
+	if lerr := <-loadErr; err == nil {
+		err = lerr
+	}
 	if err != nil {
 		return err
 	}
-	c.kept["capture.json"] = capture
-	var capResp struct {
-		Captures uint64 `json:"captures"`
-		CPUBytes int    `json:"cpu_bytes"`
-	}
-	if err := json.Unmarshal(capture, &capResp); err != nil {
-		return fmt.Errorf("/debug/prof/capture: bad JSON: %w", err)
-	}
-	if capResp.Captures < 1 || capResp.CPUBytes == 0 {
-		return fmt.Errorf("/debug/prof/capture: empty capture: %s", capture)
-	}
-	hotspots, err := c.get("/debug/prof/hotspots", http.StatusOK)
-	if err != nil {
-		return err
-	}
-	if !bytes.HasPrefix(hotspots, []byte("prof hotspots:")) {
-		return fmt.Errorf("/debug/prof/hotspots: unexpected body: %.120s", hotspots)
-	}
-	c.logf("/debug/prof ok (capture %d bytes CPU, digest %d bytes)", capResp.CPUBytes, len(hotspots))
+	c.logf("/debug/pprof/profile ok (3 consecutive profiles under load, %d bytes)", profiled)
 	return nil
+}
+
+// postUntil posts BD Insights queries back to back until stop closes,
+// so a profile taken meanwhile has labeled phases to sample.
+func (c *check) postUntil(stop <-chan struct{}) error {
+	queries := workload.BDInsights()
+	for i := 0; ; i++ {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		q := queries[i%len(queries)]
+		code, _, body, err := c.post("/query", map[string]any{"sql": q.SQL, "name": q.ID, "session": c.suite}, "")
+		if err != nil || code != http.StatusOK {
+			return fmt.Errorf("%s while profiling: HTTP %d, %v: %.200s", q.ID, code, err, body)
+		}
+	}
+}
+
+// cpuProfile takes a one-second CPU profile through the standard
+// handler and returns its size; the body must gunzip to something.
+func (c *check) cpuProfile() (int, error) {
+	body, err := c.get("/debug/pprof/profile?seconds=1", http.StatusOK)
+	if err != nil {
+		return 0, err
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(body))
+	if err != nil {
+		return 0, fmt.Errorf("/debug/pprof/profile: not gzip: %w", err)
+	}
+	if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+		return 0, fmt.Errorf("/debug/pprof/profile: %d profile bytes, %v", n, err)
+	}
+	return len(body), nil
 }
 
 // scrapeClassPhase extracts a {class,phase}-labeled family from an

@@ -8,9 +8,6 @@
 //	GET  /debug/serve admission counters (reconciliation snapshot)
 //	GET  /debug/trace/{request-id}  one query's retained wall+vtime trace
 //	GET  /debug/trace/slow          the top-K slowest retained traces
-//	GET  /debug/prof/hotspots       top-N CPU hotspot digest over the
-//	                                bounded profile-capture ring
-//	GET  /debug/prof/capture        on-demand bounded CPU capture
 //	/metrics          Prometheus text exposition (deterministic ordering),
 //	                  including blu_go_* runtime, blu_slo_* burn rates,
 //	                  blu_prof_* per-class resource attribution and
@@ -25,7 +22,8 @@
 //	                  time-series history (inline SVG sparklines)
 //	/api/v1/query_range  Prometheus-compatible range queries over the
 //	                     embedded history (also /api/v1/query)
-//	/debug/pprof/     live profiling (only with -pprof)
+//	/debug/pprof/     live profiling (only with -pprof); CPU samples
+//	                  carry blu_class/blu_phase/blu_request labels
 //
 // Usage:
 //

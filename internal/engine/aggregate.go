@@ -199,45 +199,39 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	e.addCPU(f, finalize)
 	op.End(f.at(), trace.Int("groups", int64(out.Groups)), trace.Str("path", detail))
 	f.tbl = outTbl
-	st := OpStat{
-		Op:      "groupby",
-		Detail:  detail,
-		Rows:    out.Groups,
-		Modeled: chain.Modeled + out.Stats.Modeled + finalize,
+	rec := &explain.AggRecord{
+		Keys:          n.Keys,
+		Plan:          q.nextPrognosis(),
+		InputRows:     rows,
+		EstGroups:     int64(in.EstGroups),
+		ActualGroups:  int64(out.Groups),
+		RelErr:        relErr,
+		MemoryDemand:  demand,
+		Decision:      decision.String(),
+		Reason:        reason.String(),
+		Path:          detail,
+		Attempts:      ginfo.attempts,
+		Retries:       ginfo.retries,
+		FallbackCause: fallbackCause,
+		Devices:       ginfo.devices,
 	}
+	modeled := chain.Modeled + out.Stats.Modeled + finalize
 	if fx != nil {
 		// Fused chains charge cache fills and stage kernels beyond the
 		// group-by's own Stats.Modeled; attribute them here so self times
 		// still sum to the query total.
-		st.Modeled += fx.chainModeled
+		modeled += fx.chainModeled
+		rec.Fused = true
+		rec.FusedStages = fx.stages
+		rec.SavedBytes = fx.saved
+		rec.UploadBytes = fx.uploaded
+		rec.ChainHighWater = fx.highWater
 	}
-	f.ops = append(f.ops, st)
-	if q.col != nil {
-		rec := &explain.AggRecord{
-			Keys:          append([]string(nil), n.Keys...),
-			Plan:          q.col.NextPrognosis(),
-			InputRows:     rows,
-			EstGroups:     int64(in.EstGroups),
-			ActualGroups:  int64(out.Groups),
-			RelErr:        relErr,
-			MemoryDemand:  demand,
-			Decision:      decision.String(),
-			Reason:        reason.String(),
-			Path:          detail,
-			Attempts:      ginfo.attempts,
-			Retries:       ginfo.retries,
-			FallbackCause: fallbackCause,
-			Devices:       ginfo.devices,
-		}
-		if fx != nil {
-			rec.Fused = true
-			rec.FusedStages = fx.stages
-			rec.SavedBytes = fx.saved
-			rec.UploadBytes = fx.uploaded
-			rec.ChainHighWater = fx.highWater
-		}
-		q.record(st, op.ID(), start, f.at(), rec, nil)
-	}
+	f.ops = append(f.ops, OpStat{
+		Op: "groupby", Detail: detail, Depth: q.depth, Rows: out.Groups,
+		Span: op.ID(), Start: start, End: f.at(), Modeled: modeled,
+		Agg: rec,
+	})
 	return f, nil
 }
 
@@ -252,8 +246,8 @@ const maxGPUAttempts = 2
 // attempt).
 const gpuRetryBackoff = 100 * vtime.Microsecond
 
-// gpuRunInfo summarizes a group-by's device attempts for the explain
-// collector: how many placements were tried, how many turned into
+// gpuRunInfo summarizes a group-by's device attempts for its operator
+// row: how many placements were tried, how many turned into
 // cross-device retries, and which devices admitted the task.
 type gpuRunInfo struct {
 	attempts int

@@ -39,16 +39,16 @@ import (
 	"blugpu/internal/vtime"
 )
 
-// Config configures an Engine.
+// pinnedBytes sizes the registered host segment.
+const pinnedBytes = 512 << 20
+
+// Config configures an Engine. The hardware cost model is
+// vtime.Default() for every engine.
 type Config struct {
-	// Model is the hardware cost model; nil uses vtime.Default().
-	Model *vtime.CostModel
 	// Devices is the number of GPUs to attach (0 disables offload).
 	Devices int
 	// DeviceSpec describes each GPU; zero value uses the K40 spec.
 	DeviceSpec vtime.GPUSpec
-	// PinnedBytes sizes the registered host segment (default 512 MiB).
-	PinnedBytes int
 	// Degree is the default intra-query parallelism (default 24).
 	Degree int
 	// Thresholds are the Figure-3 knobs; zero value uses defaults.
@@ -107,14 +107,8 @@ type Engine struct {
 // New builds an engine. The pinned segment is "registered" here, once,
 // exactly as the paper registers host memory at engine start-up.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Model == nil {
-		cfg.Model = vtime.Default()
-	}
 	if cfg.Degree <= 0 {
 		cfg.Degree = 24
-	}
-	if cfg.PinnedBytes <= 0 {
-		cfg.PinnedBytes = 512 << 20
 	}
 	if cfg.DeviceSpec.CUDACores == 0 {
 		cfg.DeviceSpec = vtime.TeslaK40()
@@ -124,14 +118,14 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:        cfg,
-		model:      cfg.Model,
+		model:      vtime.Default(),
 		mon:        monitor.New(),
 		tables:     make(map[string]*columnar.Table),
 		stats:      make(map[string]*optimizer.TableStats),
 		thresholds: cfg.Thresholds,
 		gpuEnabled: cfg.Devices > 0,
 	}
-	reg, err := hostmem.NewRegistry(cfg.PinnedBytes)
+	reg, err := hostmem.NewRegistry(pinnedBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +134,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Devices > 0 {
 		for i := 0; i < cfg.Devices; i++ {
 			e.devices = append(e.devices, gpu.NewDevice(i, cfg.DeviceSpec,
-				gpu.WithSink(engineSink{e}), gpu.WithModel(cfg.Model), gpu.WithFaults(cfg.Faults)))
+				gpu.WithSink(engineSink{e}), gpu.WithModel(e.model), gpu.WithFaults(cfg.Faults)))
 		}
 		s, err := sched.New(e.devices...)
 		if err != nil {
@@ -232,13 +226,11 @@ func (e *Engine) maxDeviceMem() int64 {
 	return m
 }
 
-// OpStat describes one executed operator.
-type OpStat struct {
-	Op      string
-	Detail  string
-	Rows    int
-	Modeled vtime.Duration
-}
+// OpStat describes one executed operator: what ran, over how many
+// rows, where on the query's virtual timeline and under which span,
+// plus the group-by or sort specifics. It is the row EXPLAIN ANALYZE
+// audits — the engine records it once, for every query.
+type OpStat = explain.OpRecord
 
 // WallBreakdown attributes one query's real wall-clock time to phases.
 // Unlike Modeled it is machine- and load-dependent — informational,
@@ -403,8 +395,8 @@ func planInput(n plan.Node) plan.Node {
 
 // prognoses computes the plan-time Figure-3 prognosis for every
 // Aggregate in the plan, in plan (top-down) order. EXPLAIN renders
-// these directly; EXPLAIN ANALYZE hands them to the collector so each
-// executed group-by can be audited against its plan-time call.
+// these directly; EXPLAIN ANALYZE queues them on the query context so
+// each executed group-by can be audited against its plan-time call.
 func (e *Engine) prognoses(n plan.Node) []optimizer.Prognosis {
 	var out []optimizer.Prognosis
 	// Estimate base cardinality: the scan's table rows (filters unknown
@@ -455,15 +447,16 @@ func (e *QueryError) Unwrap() error { return e.Err }
 
 // executeWith runs a lowered plan under a query root span when a tracer
 // is attached (consecutive queries lay out back to back on the engine's
-// virtual clock, so one trace file holds a whole session), with an
-// optional explain collector threaded through the query context. The
-// query's 1-based sequence number on the tracer — the key for carving its
-// span subtree out of a shared tracer — comes back as Result.TraceSeq,
-// or inside a *QueryError when execution fails. attrs are annotated onto
-// the root span (admission attribution from the serving layer).
-func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql string, col *explain.Collector, attrs ...trace.Attr) (*Result, error) {
+// virtual clock, so one trace file holds a whole session). prognoses,
+// non-nil for an audited query, queues the plan-time Figure-3 prognoses
+// its aggregates pop as they execute. The query's 1-based sequence number on
+// the tracer — the key for carving its span subtree out of a shared
+// tracer — comes back as Result.TraceSeq, or inside a *QueryError when
+// execution fails. attrs are annotated onto the root span (admission
+// attribution from the serving layer).
+func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql string, prognoses *[]optimizer.Prognosis, attrs ...trace.Attr) (*Result, error) {
 	wallStart := time.Now()
-	q := qctx{ctx: ctx, col: col, wall: &wallAcc{}}
+	q := qctx{ctx: ctx, prognoses: prognoses, wall: &wallAcc{}}
 	requestID := qlog.RequestIDFrom(ctx)
 	tr := e.tracer.Load()
 	if tr != nil {
@@ -534,15 +527,17 @@ func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql
 // qctx is the per-query trace context threaded through execution: the
 // query's root span plus its start offset on the engine's virtual clock.
 // The zero value (tracer detached) makes every span operation a no-op.
-// col, when set, collects per-operator explain records; depth is the
-// current plan-tree depth (root 0), bumped by deeper() at every exec
-// recursion so records carry their node's depth even though the frame
-// itself carries the deepest (scan-level) context.
+// depth is the current plan-tree depth (root 0), bumped by deeper() at
+// every exec recursion so operator rows carry their node's depth even
+// though the frame itself carries the deepest (scan-level) context.
 type qctx struct {
 	tc    trace.Context
 	base  vtime.Time
-	col   *explain.Collector
 	depth int
+	// prognoses queues an audited query's plan-time prognoses in plan
+	// order (root first), shared by every copy of the context; nil for
+	// a query that is not audited.
+	prognoses *[]optimizer.Prognosis
 	// wall accumulates the query's GPU-kernel / host-evaluator / gather
 	// wall-clock split; atomics because sort jobs and the fused-chain
 	// fill overlap run concurrently. nil-safe (no-op) for zero qctx.
@@ -602,19 +597,17 @@ func (q qctx) err() error {
 	return q.ctx.Err()
 }
 
-// record hooks one executed operator into the explain collector; a nil
-// collector makes it a no-op. start/end bound the operator on the
-// query's virtual timeline (end - start includes retry backoff, which
-// the OpStat's Modeled excludes).
-func (q qctx) record(st OpStat, span trace.SpanID, start, end vtime.Time, agg *explain.AggRecord, srt *explain.SortRecord) {
-	if q.col == nil {
-		return
+// nextPrognosis hands out the next plan-time prognosis, nil when none
+// remain or the query is not audited. Execution visits
+// aggregates bottom-up, so it pops from the back of the plan-order queue.
+func (q qctx) nextPrognosis() *optimizer.Prognosis {
+	if q.prognoses == nil || len(*q.prognoses) == 0 {
+		return nil
 	}
-	q.col.Record(explain.OpRecord{
-		Op: st.Op, Detail: st.Detail, Depth: q.depth, Rows: st.Rows,
-		Span: span, Start: start, End: end, Modeled: st.Modeled,
-		Agg: agg, Sort: srt,
-	})
+	last := len(*q.prognoses) - 1
+	p := (*q.prognoses)[last]
+	*q.prognoses = (*q.prognoses)[:last]
+	return &p
 }
 
 // frame is an intermediate execution state.

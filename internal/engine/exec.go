@@ -87,9 +87,10 @@ func (e *Engine) execScan(n *plan.Scan, q qctx) (*frame, error) {
 	t := e.model.CPUTime(float64(tbl.Rows()), e.model.CPUScanRate, e.cfg.Degree)
 	e.addCPU(f, t)
 	sp.End(f.at(), trace.Str("table", n.Table), trace.Int("rows", int64(tbl.Rows())))
-	st := OpStat{Op: "scan", Detail: n.Table, Rows: tbl.Rows(), Modeled: t}
-	f.ops = append(f.ops, st)
-	q.record(st, sp.ID(), start, f.at(), nil, nil)
+	f.ops = append(f.ops, OpStat{
+		Op: "scan", Detail: n.Table, Depth: q.depth, Rows: tbl.Rows(),
+		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
+	})
 	return f, nil
 }
 
@@ -121,9 +122,10 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	e.addCPU(f, t)
 	sp.End(f.at(), trace.Int("rows", int64(out.Rows())))
 	f.tbl = out
-	st := OpStat{Op: "filter", Detail: n.Pred.String(), Rows: out.Rows(), Modeled: t}
-	f.ops = append(f.ops, st)
-	q.record(st, sp.ID(), start, f.at(), nil, nil)
+	f.ops = append(f.ops, OpStat{
+		Op: "filter", Detail: n.Pred.String(), Depth: q.depth, Rows: out.Rows(),
+		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
+	})
 	return f, nil
 }
 
@@ -239,12 +241,11 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	e.addCPU(left, t)
 	sp.End(left.at(), trace.Str("table", n.Table), trace.Int("rows", int64(out.Rows())))
 	left.tbl = out
-	st := OpStat{
+	left.ops = append(left.ops, OpStat{
 		Op: "join", Detail: fmt.Sprintf("%s on %s=%s", n.Table, lcol, rcol),
-		Rows: out.Rows(), Modeled: t,
-	}
-	left.ops = append(left.ops, st)
-	q.record(st, sp.ID(), start, left.at(), nil, nil)
+		Depth: q.depth, Rows: out.Rows(),
+		Span: sp.ID(), Start: start, End: left.at(), Modeled: t,
+	})
 	return left, nil
 }
 
@@ -277,9 +278,10 @@ func (e *Engine) execDerive(n *plan.Derive, q qctx) (*frame, error) {
 	e.addCPU(f, t)
 	sp.End(f.at(), trace.Int("rows", int64(out.Rows())))
 	f.tbl = out
-	st := OpStat{Op: "derive", Rows: out.Rows(), Modeled: t}
-	f.ops = append(f.ops, st)
-	q.record(st, sp.ID(), start, f.at(), nil, nil)
+	f.ops = append(f.ops, OpStat{
+		Op: "derive", Depth: q.depth, Rows: out.Rows(),
+		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
+	})
 	return f, nil
 }
 
@@ -320,9 +322,10 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 	e.addCPU(f, t)
 	sp.End(f.at(), trace.Int("rows", int64(out.Rows())))
 	f.tbl = out
-	st := OpStat{Op: "project", Rows: out.Rows(), Modeled: t}
-	f.ops = append(f.ops, st)
-	q.record(st, sp.ID(), start, f.at(), nil, nil)
+	f.ops = append(f.ops, OpStat{
+		Op: "project", Depth: q.depth, Rows: out.Rows(),
+		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
+	})
 	return f, nil
 }
 
@@ -337,10 +340,7 @@ func (e *Engine) execLimit(n *plan.Limit, q qctx) (*frame, error) {
 	}
 	rows := columnar.IotaRows(limit, e.cfg.Degree)
 	f.tbl = columnar.GatherTableDegree(f.tbl.Name()+"_l", f.tbl, rows, e.cfg.Degree)
-	st := OpStat{Op: "limit", Rows: f.tbl.Rows()}
-	f.ops = append(f.ops, st)
-	// Limit charges no modeled time and emits no span; the zero-width
-	// record keeps the audit's operator list 1:1 with Result.Ops.
-	q.record(st, 0, f.at(), f.at(), nil, nil)
+	// Limit charges no modeled time and emits no span: a zero-width row.
+	f.ops = append(f.ops, OpStat{Op: "limit", Depth: q.depth, Rows: f.tbl.Rows(), Start: f.at(), End: f.at()})
 	return f, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"blugpu/internal/trace"
 )
 
 // TestConcurrentExplainAudits runs several EXPLAIN ANALYZE audits on
@@ -88,5 +90,45 @@ func TestConcurrentExplainAudits(t *testing.T) {
 	}
 	if n != workers*rounds {
 		t.Fatalf("%d audits completed, want %d", n, workers*rounds)
+	}
+}
+
+// attachOnErr is a context whose first Err call — the engine polls it
+// between operators — attaches a tracer to the engine: a deterministic
+// stand-in for an operator switching tracing on while an audit runs.
+type attachOnErr struct {
+	context.Context
+	e    *Engine
+	tr   *trace.Tracer
+	once sync.Once
+}
+
+func (c *attachOnErr) Err() error {
+	c.once.Do(func() { c.e.SetTracer(c.tr) })
+	return c.Context.Err()
+}
+
+// TestAuditKeepsTracerAttachedMeanwhile: an audit on an untraced engine
+// installs a temporary tracer and removes it afterwards — but only its
+// own. A tracer attached by SetTracer while the audit ran must survive
+// the teardown.
+func TestAuditKeepsTracerAttachedMeanwhile(t *testing.T) {
+	e := newTestEngine(t, 1_000)
+	mine := trace.New()
+	ctx := &attachOnErr{Context: context.Background(), e: e, tr: mine}
+	if _, _, err := e.ExplainAnalyzeNamedCtx(ctx, "", "SELECT s_month, SUM(s_qty) AS t FROM sales GROUP BY s_month"); err != nil {
+		t.Fatal(err)
+	}
+	if e.Tracer() != mine {
+		t.Fatalf("audit teardown replaced the tracer attached while it ran: got %p, want %p", e.Tracer(), mine)
+	}
+
+	// And with nothing attached meanwhile, the temporary one still goes.
+	e.SetTracer(nil)
+	if _, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "", "SELECT s_month FROM sales LIMIT 3"); err != nil {
+		t.Fatal(err)
+	}
+	if e.Tracer() != nil {
+		t.Fatal("audit left its temporary tracer attached")
 	}
 }

@@ -79,9 +79,10 @@ func (e *Engine) executeAudited(ctx context.Context, name string, p *plan.Plan, 
 	if tr == nil {
 		tr = trace.New()
 		e.tracer.Store(tr)
-		defer e.tracer.Store(nil)
+		// Detach only our own: a tracer SetTracer attached while the
+		// audit ran stays.
+		defer e.tracer.CompareAndSwap(tr, nil)
 	}
-	col := explain.NewCollector(e.prognoses(p.Root))
 	before := e.monTotals()
 	orphans0 := tr.Orphans()
 	host0 := e.registry.Stats()
@@ -91,7 +92,8 @@ func (e *Engine) executeAudited(ctx context.Context, name string, p *plan.Plan, 
 		busy0[i] = d.Util()
 	}
 
-	res, err := e.executeWith(ctx, name, p, sql, col, attrs...)
+	prognoses := e.prognoses(p.Root)
+	res, err := e.executeWith(ctx, name, p, sql, &prognoses, attrs...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,7 +124,7 @@ func (e *Engine) executeAudited(ctx context.Context, name string, p *plan.Plan, 
 		Thresholds: e.thresholds,
 		Modeled:    res.Modeled,
 		Rows:       res.Table.Rows(),
-		Ops:        col.Ops(),
+		Ops:        res.Ops,
 		Spans:      tr.QuerySpans(seq),
 		Monitor:    after.sub(before),
 		Host: explain.HostMemStats{

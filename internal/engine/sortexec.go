@@ -123,7 +123,7 @@ func (e *Engine) hybridSort(tbl *columnar.Table, keys []plan.SortKey, f *frame, 
 	return perm, stats, nil
 }
 
-// sortRecord converts bsort stats to the explain collector's shape.
+// sortRecord converts bsort stats to the operator row's shape.
 func sortRecord(stats bsort.Stats) *explain.SortRecord {
 	return &explain.SortRecord{
 		Jobs: stats.Jobs, GPUJobs: stats.GPUJobs, CPUJobs: stats.CPUJobs,
@@ -146,14 +146,12 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 		sp.End(f.at(), trace.Int("rows", int64(f.tbl.Rows())),
 			trace.Int("jobs", int64(stats.Jobs)), trace.Int("gpu-jobs", int64(stats.GPUJobs)))
 		f.tbl = columnar.GatherTableDegree(f.tbl.Name()+"_s", f.tbl, perm, e.cfg.Degree)
-		st := OpStat{
-			Op:      "sort",
-			Detail:  fmt.Sprintf("jobs=%d gpu=%d cpu=%d", stats.Jobs, stats.GPUJobs, stats.CPUJobs),
-			Rows:    f.tbl.Rows(),
-			Modeled: stats.Modeled,
-		}
-		f.ops = append(f.ops, st)
-		q.record(st, sp.ID(), start, f.at(), nil, sortRecord(stats))
+		f.ops = append(f.ops, OpStat{
+			Op: "sort", Detail: fmt.Sprintf("jobs=%d gpu=%d cpu=%d", stats.Jobs, stats.GPUJobs, stats.CPUJobs),
+			Depth: q.depth, Rows: f.tbl.Rows(),
+			Span: sp.ID(), Start: start, End: f.at(), Modeled: stats.Modeled,
+			Sort: sortRecord(stats),
+		})
 	}
 	return f, nil
 }
@@ -180,14 +178,12 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 			return nil, err
 		}
 		sp.End(f.at(), trace.Int("rows", int64(tbl.Rows())))
-		st := OpStat{
-			Op:      "window-sort",
-			Detail:  fmt.Sprintf("rank over %d rows", tbl.Rows()),
-			Rows:    tbl.Rows(),
-			Modeled: stats.Modeled,
-		}
-		f.ops = append(f.ops, st)
-		q.record(st, sp.ID(), start, f.at(), nil, sortRecord(stats))
+		f.ops = append(f.ops, OpStat{
+			Op: "window-sort", Detail: fmt.Sprintf("rank over %d rows", tbl.Rows()),
+			Depth: q.depth, Rows: tbl.Rows(),
+			Span: sp.ID(), Start: start, End: f.at(), Modeled: stats.Modeled,
+			Sort: sortRecord(stats),
+		})
 
 		partKeys, err := encodeSortKeys(tbl, partitionKeys(n), e.cfg.Degree)
 		if err != nil {

@@ -7,11 +7,12 @@
 // the monitor's aggregate counters (how much, fleet-wide), and the
 // optimizer's Figure-3 decisions (where work *should* run). None of
 // them answers the operational question "was the plan right for this
-// query?". This package joins all three: lightweight hooks in the
-// engine record per-operator facts into a Collector while the query
-// runs, and Build then cross-checks them against the query's span
-// subtree and the monitor deltas, producing a Report whose per-operator
-// kernel/transfer/fallback counts sum exactly to the query totals.
+// query?". This package joins all three: the engine records one
+// OpRecord per executed operator (its Result.Ops — every query has
+// them, audited or not), and Build cross-checks them against the
+// query's span subtree and the monitor deltas, producing a Report whose
+// per-operator kernel/transfer/fallback counts sum exactly to the query
+// totals.
 //
 // Reports render two ways, following the repo's exporter conventions:
 // a byte-stable text tree (golden-locked — only virtual-time values and
@@ -21,8 +22,6 @@
 package explain
 
 import (
-	"sync"
-
 	"blugpu/internal/optimizer"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
@@ -84,7 +83,8 @@ type SortRecord struct {
 	MaxDepth  int
 }
 
-// OpRecord is one executed operator as the engine's hooks saw it.
+// OpRecord is one executed operator as the engine saw it; the engine's
+// Result.Ops is a list of these, in execution order.
 type OpRecord struct {
 	Op     string
 	Detail string
@@ -101,58 +101,4 @@ type OpRecord struct {
 	Modeled    vtime.Duration
 	Agg        *AggRecord
 	Sort       *SortRecord
-}
-
-// Collector accumulates operator records during one query execution.
-// The engine threads one through its per-query context; hooks are
-// no-ops when no collector is attached. Safe for concurrent use (the
-// engine is single-threaded per query today, but hooks follow the
-// tracer's locking discipline).
-type Collector struct {
-	mu        sync.Mutex
-	ops       []OpRecord
-	prognoses []optimizer.Prognosis
-}
-
-// NewCollector returns a collector pre-loaded with the plan-time
-// prognoses in plan order (root first). Execution visits aggregates
-// bottom-up, so NextPrognosis pops from the back.
-func NewCollector(prognoses []optimizer.Prognosis) *Collector {
-	return &Collector{prognoses: prognoses}
-}
-
-// Record appends one operator record in execution order.
-func (c *Collector) Record(rec OpRecord) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ops = append(c.ops, rec)
-}
-
-// NextPrognosis hands out the next plan-time prognosis in execution
-// (bottom-up) order, nil when none remain.
-func (c *Collector) NextPrognosis() *optimizer.Prognosis {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.prognoses) == 0 {
-		return nil
-	}
-	p := c.prognoses[len(c.prognoses)-1]
-	c.prognoses = c.prognoses[:len(c.prognoses)-1]
-	return &p
-}
-
-// Ops returns the recorded operators in execution order.
-func (c *Collector) Ops() []OpRecord {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]OpRecord(nil), c.ops...)
 }

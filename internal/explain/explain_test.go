@@ -9,38 +9,6 @@ import (
 	"blugpu/internal/vtime"
 )
 
-func TestCollectorOrderAndPrognosisPop(t *testing.T) {
-	p1 := optimizer.Prognose([]string{"a"}, optimizer.Estimate{Rows: 100}, optimizer.DefaultThresholds(), 0)
-	p2 := optimizer.Prognose([]string{"b"}, optimizer.Estimate{Rows: 200}, optimizer.DefaultThresholds(), 0)
-	c := NewCollector([]optimizer.Prognosis{p1, p2})
-
-	// Execution is bottom-up: the deepest aggregate pops first and must
-	// get the plan-order *last* prognosis.
-	if got := c.NextPrognosis(); got == nil || got.Keys[0] != "b" {
-		t.Fatalf("first pop = %+v, want keys [b]", got)
-	}
-	if got := c.NextPrognosis(); got == nil || got.Keys[0] != "a" {
-		t.Fatalf("second pop = %+v, want keys [a]", got)
-	}
-	if got := c.NextPrognosis(); got != nil {
-		t.Fatalf("empty collector pop = %+v, want nil", got)
-	}
-
-	c.Record(OpRecord{Op: "scan"})
-	c.Record(OpRecord{Op: "groupby"})
-	ops := c.Ops()
-	if len(ops) != 2 || ops[0].Op != "scan" || ops[1].Op != "groupby" {
-		t.Fatalf("ops = %+v", ops)
-	}
-
-	// nil collector: every method is a safe no-op.
-	var nilC *Collector
-	nilC.Record(OpRecord{})
-	if nilC.NextPrognosis() != nil || nilC.Ops() != nil {
-		t.Fatal("nil collector must be inert")
-	}
-}
-
 // buildTestInput assembles a synthetic query: a scan feeding a group-by
 // that took the GPU path with one kernel, two transfers, one placement
 // and an injected-fault retry before succeeding on a second device.

@@ -117,10 +117,10 @@ func collectAdmission(r *Registry, a *AdmissionSnapshot) {
 		classOutcomes.With(lbl, L("outcome", "timed_out")).AddUint(c.TimedOut)
 		classOutcomes.With(lbl, L("outcome", "drained")).AddUint(c.Drained)
 		if c.WaitCount > 0 {
-			histFromBuckets(wait.With(lbl), c.WaitBuckets, c.WaitSum, c.WaitCount)
+			wait.With(lbl).SetCumulative(c.WaitBuckets, c.WaitSum, c.WaitCount)
 		}
 		if c.WallCount > 0 {
-			histFromBuckets(wall.With(lbl), c.WallBuckets, c.WallSum, c.WallCount)
+			wall.With(lbl).SetCumulative(c.WallBuckets, c.WallSum, c.WallCount)
 		}
 	}
 	collectSLO(r, a)

@@ -36,9 +36,6 @@ type Sources struct {
 	// Prof, when set, exposes per-(class, phase) resource attribution
 	// as the blu_prof_* family.
 	Prof *prof.Accountant
-	// Captor, when set, exposes the periodic profile captor's
-	// bookkeeping (windows, skips, ring depth, aggregate samples).
-	Captor *prof.Captor
 	// Obs, when set, snapshots the embedded time-series store and its
 	// alert engine (blu_obsd_* self-accounting, blu_alerts_* states).
 	// A firing severity-page alert also flips /healthz to unhealthy.
@@ -108,8 +105,8 @@ func Collect(src Sources) *Registry {
 			collectRuntime(r, rt)
 		}
 	}
-	if src.Prof != nil || src.Captor != nil {
-		collectProf(r, src.Prof, src.Captor)
+	if src.Prof != nil {
+		collectProf(r, src.Prof)
 	}
 	if src.Obs != nil {
 		if o := src.Obs(); o != nil {
@@ -124,15 +121,6 @@ func Collect(src Sources) *Registry {
 	return r
 }
 
-// histFromBuckets converts a monitor cumulative-bucket snapshot.
-func histFromBuckets(h *Histogram, buckets []monitor.HistBucket, sumSeconds float64, count uint64) {
-	out := make([]Bucket, len(buckets))
-	for i, b := range buckets {
-		out[i] = Bucket{UpperBound: b.UpperBound.Seconds(), CumCount: b.CumCount}
-	}
-	h.SetCumulative(out, sumSeconds, count)
-}
-
 func collectMonitor(r *Registry, m *monitor.Monitor) {
 	kernExec := r.Counter("blu_kernel_executions_total", "Kernel executions by kernel name.")
 	kernTime := r.Counter("blu_kernel_time_seconds_total", "Modeled device time by kernel name.")
@@ -140,7 +128,7 @@ func collectMonitor(r *Registry, m *monitor.Monitor) {
 	for _, k := range m.Kernels() {
 		kernExec.With(L("kernel", k.Name)).AddUint(k.Count)
 		kernTime.With(L("kernel", k.Name)).Add(k.Total.Seconds())
-		histFromBuckets(kernLat.With(L("kernel", k.Name)), k.Buckets, k.Total.Seconds(), k.Count)
+		kernLat.With(L("kernel", k.Name)).SetCumulative(k.Buckets, k.Total.Seconds(), k.Count)
 	}
 
 	evalExec := r.Counter("blu_evaluator_executions_total", "Host-side evaluator executions by evaluator name.")
@@ -153,7 +141,7 @@ func collectMonitor(r *Registry, m *monitor.Monitor) {
 			evalRows.With(L("evaluator", e.Name)).Add(float64(e.Rows))
 		}
 		evalTime.With(L("evaluator", e.Name)).Add(e.Total.Seconds())
-		histFromBuckets(evalLat.With(L("evaluator", e.Name)), e.Buckets, e.Total.Seconds(), e.Count)
+		evalLat.With(L("evaluator", e.Name)).SetCumulative(e.Buckets, e.Total.Seconds(), e.Count)
 	}
 
 	qExec := r.Counter("blu_query_executions_total", "Completed query executions by query name.")
@@ -162,7 +150,7 @@ func collectMonitor(r *Registry, m *monitor.Monitor) {
 	for _, q := range m.Queries() {
 		qExec.With(L("query", q.Name)).AddUint(q.Count)
 		qGPU.With(L("query", q.Name)).AddUint(q.GPURuns)
-		histFromBuckets(qLat.With(L("query", q.Name)), q.Buckets, q.Total.Seconds(), q.Count)
+		qLat.With(L("query", q.Name)).SetCumulative(q.Buckets, q.Total.Seconds(), q.Count)
 	}
 
 	h2d, d2h := m.Transfers()
@@ -205,7 +193,7 @@ func collectMonitor(r *Registry, m *monitor.Monitor) {
 	}
 	if kmv := m.KMVError(); kmv.Count > 0 {
 		kmvHist := r.Histogram("blu_kmv_relative_error", "KMV group-count estimator relative error |estimated-actual|/actual, one sample per executed group-by.")
-		histFromBuckets(kmvHist.With(), kmv.Buckets, kmv.Sum, kmv.Count)
+		kmvHist.With().SetCumulative(kmv.Buckets, kmv.Sum, kmv.Count)
 	}
 
 	if chains, saved, uploaded := m.FusedStats(); chains > 0 {

@@ -59,7 +59,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 			switch f.typ {
 			case HistogramType:
 				for _, b := range s.bucket {
-					writeSample(bw, f.name+"_bucket", s.labels, L("le", formatFloat(b.UpperBound)), float64(b.CumCount))
+					writeSample(bw, f.name+"_bucket", s.labels, L("le", formatFloat(b.UpperBound.Seconds())), float64(b.CumCount))
 				}
 				writeSample(bw, f.name+"_bucket", s.labels, L("le", "+Inf"), float64(s.count))
 				writeSample(bw, f.name+"_sum", s.labels, Label{}, s.value)
@@ -183,7 +183,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 					if bi > 0 {
 						bw.WriteByte(',')
 					}
-					fmt.Fprintf(bw, `{"le":%s,"count":%d}`, jsonFloat(b.UpperBound), b.CumCount)
+					fmt.Fprintf(bw, `{"le":%s,"count":%d}`, jsonFloat(b.UpperBound.Seconds()), b.CumCount)
 				}
 				bw.WriteString(`]`)
 			default:

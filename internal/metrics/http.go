@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
 // AdminMux builds the admin HTTP surface over a scrape-time source
@@ -18,10 +17,6 @@ import (
 //	/debug/queries  recent per-query rollups + the tracer's flame summary
 //	/debug/explain  run ?q=<sql> and return its EXPLAIN ANALYZE audit
 //	                (&format=text for the text tree; JSON by default)
-//	/debug/prof/hotspots  deterministic top-N hotspot digest from the
-//	                profile-capture ring (404 without a Captor source)
-//	/debug/prof/capture   trigger one capture window now (?window=250ms)
-//	                and return its stats
 //
 // src is called per request, so every response reflects live state.
 func AdminMux(src func() Sources) *http.ServeMux {
@@ -44,63 +39,7 @@ func AdminMux(src func() Sources) *http.ServeMux {
 	mux.HandleFunc("/debug/explain", func(w http.ResponseWriter, req *http.Request) {
 		writeDebugExplain(w, req, src())
 	})
-	mux.HandleFunc("/debug/prof/hotspots", func(w http.ResponseWriter, req *http.Request) {
-		writeProfHotspots(w, src())
-	})
-	mux.HandleFunc("/debug/prof/capture", func(w http.ResponseWriter, req *http.Request) {
-		writeProfCapture(w, req, src())
-	})
 	return mux
-}
-
-// writeProfHotspots renders the captor's deterministic hotspot digest:
-// per-(class, phase) CPU attribution and the top-N functions by self
-// time, aggregated over every capture window taken so far.
-func writeProfHotspots(w http.ResponseWriter, src Sources) {
-	if src.Captor == nil {
-		http.Error(w, "no profile captor attached", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	src.Captor.WriteHotspots(w)
-}
-
-// writeProfCapture triggers one profile window synchronously (default
-// 250ms, ?window= overrides within the captor's clamp) and returns the
-// captor's cumulative stats. Returns 409 when the process CPU profiler
-// is already running — e.g. a periodic window or /debug/pprof/profile.
-func writeProfCapture(w http.ResponseWriter, req *http.Request, src Sources) {
-	if src.Captor == nil {
-		http.Error(w, "no profile captor attached", http.StatusNotFound)
-		return
-	}
-	window := 250 * time.Millisecond
-	if q := req.URL.Query().Get("window"); q != "" {
-		d, err := time.ParseDuration(q)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad window %q: %v", q, err), http.StatusBadRequest)
-			return
-		}
-		window = d
-	}
-	c, err := src.Captor.CaptureNow(window)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	st := src.Captor.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"seq":           c.Seq,
-		"samples":       c.Samples,
-		"cpu_nanos":     c.CPUNanos,
-		"cpu_bytes":     len(c.CPU),
-		"heap_bytes":    len(c.Heap),
-		"captures":      st.Captures,
-		"skips":         st.Skips,
-		"ring":          st.RingLen,
-		"total_samples": st.Samples,
-	})
 }
 
 // writeDebugExplain runs the query named by ?q= through the source's

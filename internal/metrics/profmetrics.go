@@ -5,35 +5,22 @@ import (
 )
 
 // collectProf emits the blu_prof_* family: per-(class, phase) resource
-// attribution from the serving layer's accountant, plus the profile
-// captor's own bookkeeping. The wall column is the exact counterpart of
-// the query log's phase fields (both ledgers are fed the same measured
-// durations); the CPU column is statistical — folded from pprof-labeled
-// profile samples — and converges on true on-CPU time only in
-// expectation.
-func collectProf(r *Registry, acct *prof.Accountant, captor *prof.Captor) {
-	if acct != nil {
-		snap := acct.Snapshot()
-		if len(snap) > 0 {
-			wall := r.Counter("blu_prof_wall_seconds_total", "Wall-clock time by user class and query phase; reconciles exactly against the query log's phase sums.")
-			cpu := r.Counter("blu_prof_cpu_seconds_total", "Profiled on-CPU time by user class and query phase, attributed via pprof labels (statistical).")
-			alloc := r.Counter("blu_prof_alloc_bytes_total", "Heap bytes allocated by user class and query phase (approximate under concurrency).")
-			phases := r.Counter("blu_prof_phases_total", "Instrumented phase executions by user class and query phase.")
-			for _, st := range snap {
-				lbl := []Label{L("class", st.Class), L("phase", st.Phase)}
-				wall.With(lbl...).Add(st.WallSeconds)
-				cpu.With(lbl...).Add(st.CPUSeconds)
-				alloc.With(lbl...).Add(float64(st.AllocBytes))
-				phases.With(lbl...).AddUint(st.Count)
-			}
-		}
+// attribution from the serving layer's accountant. The wall column is
+// the exact counterpart of the query log's phase fields (both ledgers
+// are fed the same measured durations); the alloc column reads a
+// process-global counter and is approximate under concurrency.
+func collectProf(r *Registry, acct *prof.Accountant) {
+	snap := acct.Snapshot()
+	if len(snap) == 0 {
+		return
 	}
-	if captor != nil {
-		st := captor.Stats()
-		r.Counter("blu_prof_captures_total", "Completed periodic CPU-profile windows.").With().AddUint(st.Captures)
-		r.Counter("blu_prof_capture_skips_total", "Profile windows skipped because the process CPU profiler was already running.").With().AddUint(st.Skips)
-		r.Gauge("blu_prof_capture_ring", "Profile captures currently retained in the bounded ring.").With().Set(float64(st.RingLen))
-		r.Counter("blu_prof_capture_samples_total", "CPU samples aggregated over all profile captures.").With().AddUint(st.Samples)
-		r.Counter("blu_prof_capture_cpu_seconds_total", "Profiled CPU time aggregated over all profile captures.").With().Add(float64(st.CPUNanos) / 1e9)
+	wall := r.Counter("blu_prof_wall_seconds_total", "Wall-clock time by user class and query phase; reconciles exactly against the query log's phase sums.")
+	alloc := r.Counter("blu_prof_alloc_bytes_total", "Heap bytes allocated by user class and query phase (approximate under concurrency).")
+	phases := r.Counter("blu_prof_phases_total", "Instrumented phase executions by user class and query phase.")
+	for _, st := range snap {
+		lbl := []Label{L("class", st.Class), L("phase", st.Phase)}
+		wall.With(lbl...).Add(st.WallSeconds)
+		alloc.With(lbl...).Add(float64(st.AllocBytes))
+		phases.With(lbl...).AddUint(st.Count)
 	}
 }

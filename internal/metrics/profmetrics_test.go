@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -13,18 +11,15 @@ import (
 )
 
 // TestCollectProf locks the blu_prof_* exposition: per-(class, phase)
-// wall/CPU/count series from a deterministically seeded accountant and
-// the captor's zero-state bookkeeping.
+// wall/alloc/count series from a deterministically seeded accountant.
 func TestCollectProf(t *testing.T) {
 	acct := prof.NewAccountant()
 	acct.AddWall("interactive", "exec", 30*time.Millisecond)
 	acct.AddWall("interactive", "exec", 10*time.Millisecond)
 	acct.AddWall("reporting", "parse", 2*time.Millisecond)
-	acct.AddCPU("interactive", "exec", 0.025)
-	captor := prof.NewCaptor(acct, prof.Options{})
 
 	var text bytes.Buffer
-	r := Collect(Sources{Monitor: monitor.New(), Prof: acct, Captor: captor})
+	r := Collect(Sources{Monitor: monitor.New(), Prof: acct})
 	if err := r.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +30,9 @@ func TestCollectProf(t *testing.T) {
 	for _, want := range []string{
 		`blu_prof_wall_seconds_total{class="interactive",phase="exec"} 0.04`,
 		`blu_prof_wall_seconds_total{class="reporting",phase="parse"} 0.002`,
-		`blu_prof_cpu_seconds_total{class="interactive",phase="exec"} 0.025`,
 		`blu_prof_phases_total{class="interactive",phase="exec"} 2`,
 		`blu_prof_phases_total{class="reporting",phase="parse"} 1`,
 		`blu_prof_alloc_bytes_total{class="interactive",phase="exec"} 0`,
-		`blu_prof_captures_total 0`,
-		`blu_prof_capture_ring 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -61,49 +53,5 @@ func TestCollectProfEmpty(t *testing.T) {
 	}
 	if strings.Contains(text.String(), "blu_prof_wall_seconds_total") {
 		t.Fatalf("empty accountant leaked series:\n%s", text.String())
-	}
-}
-
-// TestDebugProfEndpoints drives /debug/prof/hotspots and
-// /debug/prof/capture through the admin mux: 404 without a captor,
-// a real capture window plus digest with one.
-func TestDebugProfEndpoints(t *testing.T) {
-	bare := httptest.NewServer(AdminMux(func() Sources {
-		return Sources{Monitor: monitor.New()}
-	}))
-	defer bare.Close()
-	if code, _ := get(t, bare, "/debug/prof/hotspots"); code != http.StatusNotFound {
-		t.Fatalf("hotspots without captor: %d, want 404", code)
-	}
-	if code, _ := get(t, bare, "/debug/prof/capture"); code != http.StatusNotFound {
-		t.Fatalf("capture without captor: %d, want 404", code)
-	}
-
-	acct := prof.NewAccountant()
-	captor := prof.NewCaptor(acct, prof.Options{})
-	srv := httptest.NewServer(AdminMux(func() Sources {
-		return Sources{Monitor: monitor.New(), Prof: acct, Captor: captor}
-	}))
-	defer srv.Close()
-
-	if code, body := get(t, srv, "/debug/prof/capture?window=bogus"); code != http.StatusBadRequest {
-		t.Fatalf("bad window: %d %q", code, body)
-	}
-	code, body := get(t, srv, "/debug/prof/capture?window=50ms")
-	if code != http.StatusOK {
-		t.Fatalf("capture: %d %q", code, body)
-	}
-	for _, want := range []string{`"seq"`, `"captures":1`, `"heap_bytes"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("capture body missing %s: %s", want, body)
-		}
-	}
-
-	code, body = get(t, srv, "/debug/prof/hotspots")
-	if code != http.StatusOK {
-		t.Fatalf("hotspots: %d", code)
-	}
-	if !strings.HasPrefix(body, "prof hotspots: captures=1") {
-		t.Fatalf("unexpected digest header: %q", body)
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"blugpu/internal/monitor"
 )
 
 // Type is a metric family's type, named after the Prometheus kinds.
@@ -40,11 +42,10 @@ type Label struct {
 func L(name, value string) Label { return Label{Name: name, Value: value} }
 
 // Bucket is one cumulative histogram bucket: the count of observations
-// at or below UpperBound (seconds).
-type Bucket struct {
-	UpperBound float64
-	CumCount   uint64
-}
+// at or below UpperBound (seconds). It is monitor.Hist's own bucket
+// type — monitor.Hist is the only thing in the tree that takes samples;
+// a Histogram here only carries a snapshot of one out.
+type Bucket = monitor.HistBucket
 
 // series is one labeled time series within a family.
 type series struct {
@@ -201,7 +202,8 @@ func (h *Histogram0) With(labels ...Label) *Histogram {
 // SetCumulative installs a pre-aggregated distribution wholesale:
 // cumulative buckets (ascending bounds, non-decreasing counts), the sum
 // of all observations in seconds, and the observation count. This is
-// how monitor.Hist snapshots land here without re-observing samples.
+// how monitor.Hist snapshots (and the Go runtime's own distributions)
+// land here; a Histogram has no other way in.
 func (h *Histogram) SetCumulative(buckets []Bucket, sum float64, count uint64) {
 	h.f.r.mu.Lock()
 	defer h.f.r.mu.Unlock()
@@ -209,31 +211,6 @@ func (h *Histogram) SetCumulative(buckets []Bucket, sum float64, count uint64) {
 	sort.Slice(h.s.bucket, func(i, j int) bool { return h.s.bucket[i].UpperBound < h.s.bucket[j].UpperBound })
 	h.s.value = sum
 	h.s.count = count
-}
-
-// Observe records one sample directly (for callers without a
-// pre-aggregated source); the bucket bound is the sample itself, merged
-// into an existing equal bound if present.
-func (h *Histogram) Observe(v float64) {
-	h.f.r.mu.Lock()
-	defer h.f.r.mu.Unlock()
-	h.s.value += v
-	h.s.count++
-	i := sort.Search(len(h.s.bucket), func(i int) bool { return h.s.bucket[i].UpperBound >= v })
-	if i == len(h.s.bucket) || h.s.bucket[i].UpperBound != v {
-		// A new bound inherits the cumulative count below it.
-		var below uint64
-		if i > 0 {
-			below = h.s.bucket[i-1].CumCount
-		}
-		h.s.bucket = append(h.s.bucket, Bucket{})
-		copy(h.s.bucket[i+1:], h.s.bucket[i:])
-		h.s.bucket[i] = Bucket{UpperBound: v, CumCount: below}
-	}
-	// Every bucket at or above v gains the observation (cumulative).
-	for ; i < len(h.s.bucket); i++ {
-		h.s.bucket[i].CumCount++
-	}
 }
 
 // SanitizeName maps s onto the Prometheus metric/label name alphabet

@@ -35,31 +35,6 @@ func TestGaugeSet(t *testing.T) {
 	}
 }
 
-func TestHistogramObserve(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h_seconds", "help").With()
-	h.Observe(0.5)
-	h.Observe(0.5)
-	h.Observe(2)
-	var b bytes.Buffer
-	r.WriteText(&b)
-	out := b.String()
-	for _, want := range []string{
-		`h_seconds_bucket{le="0.5"} 2`,
-		`h_seconds_bucket{le="2"} 3`,
-		`h_seconds_bucket{le="+Inf"} 3`,
-		`h_seconds_sum 3`,
-		`h_seconds_count 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-	if err := ValidateExposition(b.Bytes()); err != nil {
-		t.Fatalf("self-exposition invalid: %v", err)
-	}
-}
-
 func TestHistogramSetCumulativeSortsBounds(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h_seconds", "help").With(L("x", "1"))
@@ -134,7 +109,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				c.With(lbl).Add(1)
 				g.With(lbl).Set(float64(i))
-				h.With(lbl).Observe(float64(i % 7))
+				h.With(lbl).SetCumulative([]Bucket{{UpperBound: 1, CumCount: uint64(i)}}, float64(i), uint64(i))
 				if i%100 == 0 {
 					var b bytes.Buffer
 					if err := r.WriteText(&b); err != nil {

@@ -3,6 +3,8 @@ package metrics
 import (
 	"math"
 	rtm "runtime/metrics"
+
+	"blugpu/internal/vtime"
 )
 
 // RuntimeHist is a cumulative snapshot of one runtime/metrics
@@ -89,7 +91,7 @@ func convertRuntimeHist(h *rtm.Float64Histogram) RuntimeHist {
 		}
 		lo, hi := h.Buckets[i], h.Buckets[i+1]
 		if !math.IsInf(hi, 1) {
-			out.Buckets = append(out.Buckets, Bucket{UpperBound: hi, CumCount: cum})
+			out.Buckets = append(out.Buckets, Bucket{UpperBound: vtime.Duration(hi), CumCount: cum})
 		}
 		// Midpoint sum approximation; unbounded edges contribute their
 		// finite bound.

@@ -31,7 +31,7 @@ func (r *Registry) Samples() []Sample {
 				for _, b := range s.bucket {
 					out = append(out, Sample{
 						Name:   f.name + "_bucket",
-						Labels: appendLabel(s.labels, L("le", formatFloat(b.UpperBound))),
+						Labels: appendLabel(s.labels, L("le", formatFloat(b.UpperBound.Seconds()))),
 						Value:  float64(b.CumCount),
 					})
 				}

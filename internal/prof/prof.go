@@ -1,15 +1,16 @@
 // Package prof is the always-on resource-attribution layer: it answers
-// "which query class spends the CPU, the allocations, and the wall time,
-// and in which phase?" with numbers that reconcile against the query
-// log's wall-clock phase breakdown.
+// "which query class spends the wall time and the allocations, and in
+// which phase?" with numbers that reconcile against the query log's
+// wall-clock phase breakdown, and it labels every phase so the standard
+// Go CPU profiler can answer the same question for CPU.
 //
 // The serving layer opens a request account with WithRequest (class +
 // request ID), and every phase of query execution — parse, plan, exec,
 // serialize, admission — runs inside Phase, which:
 //
 //   - applies pprof labels (blu_class/blu_phase/blu_request) via
-//     runtime/pprof.Do, so CPU profile samples taken while the phase runs
-//     carry the attribution;
+//     runtime/pprof.Do, so samples of a CPU profile taken while the
+//     phase runs carry the attribution;
 //   - measures the phase's wall time and heap-allocation delta
 //     (runtime/metrics /gc/heap/allocs:bytes) and adds both to the
 //     request's Accountant.
@@ -17,12 +18,15 @@
 // Wall time is the exact axis: the duration Phase returns is the same
 // value the query log records for that phase, so summing qlog phases
 // over a set of request IDs matches the accountant to within the log's
-// microsecond rounding. CPU seconds arrive asynchronously from the
-// Captor (captor.go), which parses periodic CPU profiles and folds the
-// labeled samples back into the accountant; sampling makes them
-// statistical, not exact. Allocation deltas read a process-global
+// microsecond rounding. Allocation deltas read a process-global
 // counter, so under concurrent queries a phase may absorb a neighbor's
 // allocations — totals stay conserved, per-phase splits are approximate.
+//
+// CPU is not accounted here. The package takes no profiles and parses
+// none: an operator takes one with the standard tool (bluserve -pprof,
+// then `go tool pprof -tagfocus blu_class=simple
+// http://host/debug/pprof/profile`), and the labels above slice it by
+// class, phase or request.
 package prof
 
 import (
@@ -41,11 +45,6 @@ const (
 	LabelRequest = "blu_request"
 )
 
-// Untagged is the class/phase bucket for CPU samples that carry no blu_*
-// labels (runtime goroutines, the serving loop itself). Keeping them in
-// a named bucket conserves the process CPU total across the account.
-const Untagged = "untagged"
-
 // PhaseStats is the account of one (class, phase) cell.
 type PhaseStats struct {
 	Class string
@@ -55,10 +54,6 @@ type PhaseStats struct {
 	// WallSeconds is the summed wall time of those invocations —
 	// the exact counterpart of the query log's phase columns.
 	WallSeconds float64
-	// CPUSeconds is the profiled on-CPU time attributed by label;
-	// statistical (profile sampling), bounded above by wall only in
-	// expectation.
-	CPUSeconds float64
 	// AllocBytes is the summed heap-allocation delta observed across
 	// the invocations (approximate under concurrency).
 	AllocBytes uint64
@@ -69,7 +64,6 @@ type phaseKey struct{ class, phase string }
 type phaseCell struct {
 	count uint64
 	wall  float64
-	cpu   float64
 	alloc uint64
 }
 
@@ -109,17 +103,6 @@ func (a *Accountant) AddWall(class, phase string, d time.Duration) {
 	a.mu.Unlock()
 }
 
-// AddCPU charges profiled CPU seconds to (class, phase). The Captor
-// calls it when folding parsed profile samples into the account.
-func (a *Accountant) AddCPU(class, phase string, seconds float64) {
-	if a == nil || seconds <= 0 {
-		return
-	}
-	a.mu.Lock()
-	a.cell(class, phase).cpu += seconds
-	a.mu.Unlock()
-}
-
 func (a *Accountant) addPhase(class, phase string, wall time.Duration, alloc uint64) {
 	a.mu.Lock()
 	c := a.cell(class, phase)
@@ -143,7 +126,6 @@ func (a *Accountant) Snapshot() []PhaseStats {
 			Phase:       k.phase,
 			Count:       c.count,
 			WallSeconds: c.wall,
-			CPUSeconds:  c.cpu,
 			AllocBytes:  c.alloc,
 		})
 	}

@@ -1,11 +1,8 @@
 package prof
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
 	"runtime/pprof"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +14,6 @@ func TestAccountantAddWallAndSnapshotOrder(t *testing.T) {
 	a.AddWall("Complex", "exec", 5*time.Millisecond)
 	a.AddWall("Complex", "exec", 5*time.Millisecond)
 	a.AddWall("Complex", "admission", time.Millisecond)
-	a.AddCPU("Complex", "exec", 0.25)
 
 	snap := a.Snapshot()
 	if len(snap) != 3 {
@@ -42,14 +38,10 @@ func TestAccountantAddWallAndSnapshotOrder(t *testing.T) {
 			t.Fatalf("cell %d wall = %v, want %v", i, g.WallSeconds, w.wall)
 		}
 	}
-	if snap[1].CPUSeconds != 0.25 {
-		t.Fatalf("cpu = %v, want 0.25", snap[1].CPUSeconds)
-	}
 
 	// nil accountant: everything is a no-op.
 	var nilAcct *Accountant
 	nilAcct.AddWall("x", "y", time.Second)
-	nilAcct.AddCPU("x", "y", 1)
 	if s := nilAcct.Snapshot(); s != nil {
 		t.Fatalf("nil snapshot = %v, want nil", s)
 	}
@@ -140,7 +132,6 @@ func TestAccountantConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				Phase(ctx, "exec", func(ctx context.Context) error { return nil })
 				a.AddWall("Simple", "queue_wait", time.Microsecond)
-				a.AddCPU("Simple", "exec", 1e-6)
 			}
 		}(g)
 	}
@@ -154,242 +145,5 @@ func TestAccountantConcurrent(t *testing.T) {
 	}
 	if execCount != 400 {
 		t.Fatalf("exec count = %d, want 400", execCount)
-	}
-}
-
-// --- synthetic profile encoding for the parser tests ---
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
-func appendTag(b []byte, num, wire int) []byte {
-	return appendUvarint(b, uint64(num)<<3|uint64(wire))
-}
-
-func appendBytesField(b []byte, num int, payload []byte) []byte {
-	b = appendTag(b, num, 2)
-	b = appendUvarint(b, uint64(len(payload)))
-	return append(b, payload...)
-}
-
-func appendVarintField(b []byte, num int, v uint64) []byte {
-	b = appendTag(b, num, 0)
-	return appendUvarint(b, v)
-}
-
-func appendPackedVarints(b []byte, num int, vs ...uint64) []byte {
-	var p []byte
-	for _, v := range vs {
-		p = appendUvarint(p, v)
-	}
-	return appendBytesField(b, num, p)
-}
-
-// syntheticProfile builds a two-sample CPU profile: 3ms labeled
-// {blu_class=interactive, blu_phase=exec} and 1ms unlabeled, both with
-// leaf function "mainfn".
-func syntheticProfile() []byte {
-	strtab := []string{"", "samples", "count", "cpu", "nanoseconds",
-		LabelClass, "interactive", LabelPhase, "exec", "mainfn"}
-
-	var p []byte
-	for _, s := range strtab {
-		p = appendBytesField(p, fProfileStringTable, []byte(s))
-	}
-
-	var vt1 []byte
-	vt1 = appendVarintField(vt1, 1, 1) // type = "samples"
-	vt1 = appendVarintField(vt1, fValueTypeUnit, 2)
-	p = appendBytesField(p, fProfileSampleType, vt1)
-	var vt2 []byte
-	vt2 = appendVarintField(vt2, 1, 3) // type = "cpu"
-	vt2 = appendVarintField(vt2, fValueTypeUnit, 4)
-	p = appendBytesField(p, fProfileSampleType, vt2)
-
-	var fn []byte
-	fn = appendVarintField(fn, fFunctionID, 1)
-	fn = appendVarintField(fn, fFunctionName, 9)
-	p = appendBytesField(p, fProfileFunction, fn)
-
-	var line []byte
-	line = appendVarintField(line, fLineFunctionID, 1)
-	var loc []byte
-	loc = appendVarintField(loc, fLocationID, 1)
-	loc = appendBytesField(loc, fLocationLine, line)
-	p = appendBytesField(p, fProfileLocation, loc)
-
-	var lbl1 []byte
-	lbl1 = appendVarintField(lbl1, fLabelKey, 5)
-	lbl1 = appendVarintField(lbl1, fLabelStr, 6)
-	var lbl2 []byte
-	lbl2 = appendVarintField(lbl2, fLabelKey, 7)
-	lbl2 = appendVarintField(lbl2, fLabelStr, 8)
-
-	var s1 []byte
-	s1 = appendPackedVarints(s1, fSampleLocationID, 1)
-	s1 = appendPackedVarints(s1, fSampleValue, 3, 3_000_000)
-	s1 = appendBytesField(s1, fSampleLabel, lbl1)
-	s1 = appendBytesField(s1, fSampleLabel, lbl2)
-	p = appendBytesField(p, fProfileSample, s1)
-
-	var s2 []byte
-	// Unpacked encoding on purpose: the parser must accept both.
-	s2 = appendVarintField(s2, fSampleLocationID, 1)
-	s2 = appendVarintField(s2, fSampleValue, 1)
-	s2 = appendVarintField(s2, fSampleValue, 1_000_000)
-	p = appendBytesField(p, fProfileSample, s2)
-
-	p = appendVarintField(p, fProfileDurationNanos, 10_000_000)
-	return p
-}
-
-func TestParseCPUProfileSynthetic(t *testing.T) {
-	raw := syntheticProfile()
-
-	check := func(t *testing.T, data []byte) {
-		t.Helper()
-		p, err := ParseCPUProfile(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Samples != 2 || p.TotalNanos != 4_000_000 || p.DurationNanos != 10_000_000 {
-			t.Fatalf("samples=%d total=%d duration=%d", p.Samples, p.TotalNanos, p.DurationNanos)
-		}
-		if got := p.ByLabel[LabelKey{"interactive", "exec"}]; got != 3_000_000 {
-			t.Fatalf("labeled nanos = %d, want 3000000 (%v)", got, p.ByLabel)
-		}
-		if got := p.ByLabel[LabelKey{Untagged, Untagged}]; got != 1_000_000 {
-			t.Fatalf("untagged nanos = %d, want 1000000 (%v)", got, p.ByLabel)
-		}
-		if got := p.ByFunc["mainfn"]; got != 4_000_000 {
-			t.Fatalf("mainfn nanos = %d, want 4000000 (%v)", got, p.ByFunc)
-		}
-	}
-
-	t.Run("raw", func(t *testing.T) { check(t, raw) })
-	t.Run("gzipped", func(t *testing.T) {
-		var z bytes.Buffer
-		zw := gzip.NewWriter(&z)
-		zw.Write(raw)
-		zw.Close()
-		check(t, z.Bytes())
-	})
-}
-
-func TestParseCPUProfileTruncated(t *testing.T) {
-	raw := syntheticProfile()
-	for _, cut := range []int{1, len(raw) / 2, len(raw) - 1} {
-		if _, err := ParseCPUProfile(raw[:cut]); err == nil {
-			t.Fatalf("truncation at %d parsed without error", cut)
-		}
-	}
-}
-
-// TestCaptorRealProfile drives a real capture window over a labeled
-// busy loop. Sample counts depend on the host's SIGPROF delivery, so
-// assertions on CPU content are soft; the structural ones are strict.
-func TestCaptorRealProfile(t *testing.T) {
-	a := NewAccountant()
-	c := NewCaptor(a, Options{Keep: 2})
-
-	ctx := WithRequest(context.Background(), a, "burn", "req-burn")
-	stop := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			Phase(ctx, "exec", func(ctx context.Context) error {
-				x := 0
-				for i := 0; i < 1_000_000; i++ {
-					x += i * i
-				}
-				_ = x
-				return nil
-			})
-		}
-	}()
-	defer close(stop)
-
-	for i := 0; i < 3; i++ {
-		if _, err := c.CaptureNow(20 * time.Millisecond); err != nil {
-			t.Fatalf("capture %d: %v", i, err)
-		}
-	}
-	st := c.Stats()
-	if st.Captures != 3 {
-		t.Fatalf("captures = %d, want 3", st.Captures)
-	}
-	if st.RingLen != 2 {
-		t.Fatalf("ring = %d, want bound 2", st.RingLen)
-	}
-	caps := c.Captures()
-	if len(caps) != 2 || caps[0].Seq != 2 || caps[1].Seq != 3 {
-		t.Fatalf("ring keeps newest: %+v", caps)
-	}
-	for _, cp := range caps {
-		if len(cp.CPU) == 0 {
-			t.Fatal("capture has no CPU profile bytes")
-		}
-		if _, err := ParseCPUProfile(cp.CPU); err != nil {
-			t.Fatalf("ring profile does not parse: %v", err)
-		}
-	}
-	if st.Samples > 0 {
-		t.Logf("captured %d samples, %.3fms cpu", st.Samples, float64(st.CPUNanos)/1e6)
-	}
-
-	var out bytes.Buffer
-	if err := c.WriteHotspots(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "prof hotspots: captures=3") {
-		t.Fatalf("digest header missing:\n%s", out.String())
-	}
-}
-
-func TestHotspotDigestDeterministic(t *testing.T) {
-	c := NewCaptor(nil, Options{TopN: 3})
-	c.captures, c.skips, c.samples, c.totalNs = 2, 1, 5, 7_500_000
-	c.byLabel = map[LabelKey]int64{
-		{"interactive", "exec"}: 5_000_000,
-		{"batch", "parse"}:      1_500_000,
-		{Untagged, Untagged}:    1_000_000,
-	}
-	c.byFunc = map[string]int64{
-		"hot.alpha": 3_000_000,
-		"hot.beta":  3_000_000, // tie with alpha: name breaks it
-		"hot.gamma": 1_000_000,
-		"hot.delta": 500_000, // beyond TopN: dropped
-	}
-
-	var a, b bytes.Buffer
-	if err := c.WriteHotspots(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteHotspots(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("digest not deterministic:\n%s\n---\n%s", a.String(), b.String())
-	}
-	want := "prof hotspots: captures=2 skips=1 ring=0 samples=5 cpu=7.500ms\n" +
-		"by class/phase:\n" +
-		"  class=interactive      phase=exec         cpu=5.000ms\n" +
-		"  class=batch            phase=parse        cpu=1.500ms\n" +
-		"  class=untagged         phase=untagged     cpu=1.000ms\n" +
-		"top functions (self time):\n" +
-		"   1.      3.000ms  hot.alpha\n" +
-		"   2.      3.000ms  hot.beta\n" +
-		"   3.      1.000ms  hot.gamma\n"
-	if a.String() != want {
-		t.Fatalf("digest drifted:\n--- got ---\n%s--- want ---\n%s", a.String(), want)
 	}
 }

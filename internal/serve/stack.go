@@ -36,19 +36,18 @@ type StackOptions struct {
 	ObsStep      time.Duration
 	ObsRetention time.Duration
 	Rules        []obsd.Rule
-	// Background starts the loops a deployment runs — the periodic
-	// profile captor and the obsd self-scrape, after one synchronous
-	// scrape so the history surfaces answer at once. Off, the caller
-	// scrapes and captures itself: an injected clock needs the former,
-	// an uncontended process profiler the latter.
+	// Background starts the loop a deployment runs — the obsd
+	// self-scrape, after one synchronous scrape so the history surfaces
+	// answer at once. Off, the caller scrapes itself, as an injected
+	// clock needs.
 	Background bool
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
 }
 
 // Stack is the one assembled serving process: admission controller,
-// always-on resource attribution, profile captor, embedded obsd store
-// and the combined serving + admin handler over them.
+// always-on resource attribution, embedded obsd store and the combined
+// serving + admin handler over them.
 type Stack struct {
 	Server *Server
 	// Sources feeds every admin endpoint and the obsd self-scrape.
@@ -57,18 +56,15 @@ type Stack struct {
 	Prof    *prof.Accountant
 	Handler http.Handler
 
-	captor *prof.Captor
-	http   *http.Server
+	http *http.Server
 }
 
 // NewStack assembles the serving stack over an executor. Callers own
 // the result: Listen to put it on a socket, Close when done.
 func NewStack(exec StackExecutor, opts StackOptions) (*Stack, error) {
 	// Always-on resource attribution: every admitted query's phases are
-	// billed per class into the accountant, and the captor keeps a
-	// bounded ring of CPU-profile windows for /debug/prof/*.
+	// billed per class into the accountant and run under pprof labels.
 	st := &Stack{Prof: prof.NewAccountant()}
-	st.captor = prof.NewCaptor(st.Prof, prof.Options{})
 
 	// The stack owns the tracer and installs a fresh one: from here every
 	// query goes through the server, which moves each finished query's
@@ -94,7 +90,6 @@ func NewStack(exec StackExecutor, opts StackOptions) (*Stack, error) {
 		src := engineSources()
 		src.Admission = server.AdmissionSnapshot
 		src.Prof = st.Prof
-		src.Captor = st.captor
 		src.Obs = st.Obs.ObsSnapshot
 		return src
 	}
@@ -128,7 +123,6 @@ func NewStack(exec StackExecutor, opts StackOptions) (*Stack, error) {
 	st.Handler = NewMux(server, admin)
 
 	if opts.Background {
-		st.captor.Start()
 		st.Obs.Scrape()
 		st.Obs.Start()
 	}
@@ -147,12 +141,11 @@ func (st *Stack) Listen(addr string) (string, error) {
 	return "http://" + ln.Addr().String(), nil
 }
 
-// Close stops the listener and the background loops. It does not drain
+// Close stops the listener and the background loop. It does not drain
 // the admission controller — that is Server.Drain, the caller's call.
 func (st *Stack) Close() {
 	if st.http != nil {
 		st.http.Close()
 	}
 	st.Obs.Stop()
-	st.captor.Stop()
 }

@@ -41,7 +41,7 @@ func (e *NumberLit) String() string { return e.Text }
 type StringLit struct{ Val string }
 
 func (e *StringLit) exprNode()      {}
-func (e *StringLit) String() string { return "'" + e.Val + "'" }
+func (e *StringLit) String() string { return "'" + strings.ReplaceAll(e.Val, "'", "''") + "'" }
 
 // Binary is a binary operation: arithmetic (+ - * /), comparison
 // (= <> < <= > >=), or logical (AND OR).

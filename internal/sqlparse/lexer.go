@@ -9,7 +9,6 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer output.
@@ -47,6 +46,12 @@ type lexer struct {
 	toks []token
 }
 
+// Identifiers and numbers are ASCII. The lexer walks bytes, so a byte
+// of a multi-byte rune must never count as a letter: case-folding half
+// a rune would make an identifier that does not lex again.
+func isLetter(c byte) bool { return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
+func isDigit(c byte) bool  { return '0' <= c && c <= '9' }
+
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	for l.pos < len(l.src) {
@@ -54,9 +59,9 @@ func lex(src string) ([]token, error) {
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			l.pos++
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case isLetter(c):
 			l.ident()
-		case unicode.IsDigit(rune(c)) || (c == '.' && l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))):
+		case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
 			if err := l.number(); err != nil {
 				return nil, err
 			}
@@ -78,7 +83,7 @@ func (l *lexer) ident() {
 	start := l.pos
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		if unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == '_' {
+		if isLetter(c) || isDigit(c) {
 			l.pos++
 		} else {
 			break
@@ -98,7 +103,7 @@ func (l *lexer) number() error {
 	seenDot := false
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		if unicode.IsDigit(rune(c)) {
+		if isDigit(c) {
 			l.pos++
 		} else if c == '.' && !seenDot {
 			seenDot = true
