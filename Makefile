@@ -30,18 +30,23 @@ race:
 	$(GO) test -race $(PARALLEL_PKGS)
 
 # Host-path micro-rulers (1M rows, allocations reported): gathers, sort
-# key build, the expression kernels and the fusion cache's content key.
+# key build, the expression kernels, the fusion cache's content key and
+# the join probe against a resident key index.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild|Predicate|ColumnKey' -benchmem -run '^$$' \
-		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|Predicate|ColumnKey|JoinProbe' -benchmem -run '^$$' \
+		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/engine
 
 # Five seconds of native fuzzing each: WHERE clauses mutated from the
 # workload's own, kernels held to the test-only row interpreter
 # (internal/expr); then whole statements through parse → plan, which must
-# not panic and must survive print → re-parse (internal/plan).
+# not panic and must survive print → re-parse (internal/plan); then join
+# key columns mutated from the differential cases', index + probe held to
+# the test-only map join (internal/engine — its inputs are byte slices,
+# which the fuzzer would minimize for a minute apiece unless capped).
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzKernelsMatchReference -fuzztime 5s
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinMatchesReference -fuzztime 5s -fuzzminimizetime 200x
 
 # End-to-end smoke: blubench exports one small traced experiment and
 # its EXPLAIN ANALYZE reports (so the binary's own export path is what

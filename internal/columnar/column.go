@@ -3,6 +3,7 @@ package columnar
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Column is one immutable column of a table.
@@ -36,6 +37,8 @@ type Int64Column struct {
 	data  []int64
 	nulls *Bitmap
 	hash  hashMemo
+	// index is the join key index, once KeyIndex has been asked for it.
+	index atomic.Pointer[KeyIndex]
 }
 
 // NewInt64Column builds a column from data; nulls may be nil.
@@ -69,6 +72,7 @@ func (c *Int64Column) Nulls() *Bitmap { return c.nulls }
 func (c *Int64Column) Rename(name string) Column {
 	out := &Int64Column{name: name, data: c.data, nulls: c.nulls}
 	out.hash.p.Store(c.hash.p.Load())
+	out.index.Store(c.index.Load())
 	return out
 }
 

@@ -129,126 +129,6 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	return f, nil
 }
 
-func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
-	left, err := e.execInput(n.Left, q.deeper())
-	if err != nil {
-		return nil, err
-	}
-	start := left.at()
-	sp := left.begin("op", "join")
-	right := e.tables[n.Table]
-	if right == nil {
-		return nil, fmt.Errorf("engine: unknown join table %q", n.Table)
-	}
-
-	// Resolve which condition column belongs to which side.
-	lcol, rcol := n.LeftCol, n.RightCol
-	if !left.tbl.HasColumn(lcol) && left.tbl.HasColumn(rcol) {
-		lcol, rcol = rcol, lcol
-	}
-	lk, ok := left.tbl.Column(lcol).(*columnar.Int64Column)
-	if left.tbl.Column(lcol) == nil || right.Column(rcol) == nil {
-		return nil, fmt.Errorf("engine: join condition %s=%s references unknown columns", n.LeftCol, n.RightCol)
-	}
-	if !ok {
-		return nil, fmt.Errorf("engine: join column %q must be an integer key", lcol)
-	}
-	rk, ok := right.Column(rcol).(*columnar.Int64Column)
-	if !ok {
-		return nil, fmt.Errorf("engine: join column %q must be an integer key", rcol)
-	}
-
-	// Hash join: build on the smaller input, probe the larger.
-	hostStart := time.Now()
-	buildRight := right.Rows() <= left.tbl.Rows()
-	var buildKeys, probeKeys *columnar.Int64Column
-	if buildRight {
-		buildKeys, probeKeys = rk, lk
-	} else {
-		buildKeys, probeKeys = lk, rk
-	}
-	ht := make(map[int64][]int32, buildKeys.Len())
-	for i := 0; i < buildKeys.Len(); i++ {
-		if buildKeys.IsNull(i) {
-			continue
-		}
-		k := buildKeys.Int64(i)
-		ht[k] = append(ht[k], int32(i))
-	}
-	var leftRows, rightRows []int32
-	for i := 0; i < probeKeys.Len(); i++ {
-		if probeKeys.IsNull(i) {
-			continue
-		}
-		for _, m := range ht[probeKeys.Int64(i)] {
-			if buildRight {
-				leftRows = append(leftRows, int32(i))
-				rightRows = append(rightRows, m)
-			} else {
-				leftRows = append(leftRows, m)
-				rightRows = append(rightRows, int32(i))
-			}
-		}
-	}
-
-	q.wallHost(hostStart)
-
-	// Materialize both sides, restricted to the referenced columns
-	// (late materialization); column names must stay unique.
-	gatherStart := time.Now()
-	wanted := func(name string) bool {
-		if n.Needed == nil {
-			return true
-		}
-		for _, w := range n.Needed {
-			if w == name {
-				return true
-			}
-		}
-		return false
-	}
-	cols := make([]columnar.Column, 0, left.tbl.NumColumns()+right.NumColumns())
-	for _, c := range left.tbl.Columns() {
-		if !wanted(c.Name()) {
-			continue
-		}
-		cols = append(cols, columnar.GatherColumnDegree(c, c.Name(), leftRows, e.cfg.Degree))
-	}
-	for _, c := range right.Columns() {
-		if left.tbl.HasColumn(c.Name()) {
-			if c.Name() == rcol || c.Name() == lcol {
-				continue // drop the duplicate join key
-			}
-			return nil, fmt.Errorf("engine: duplicate column %q across join of %s", c.Name(), n.Table)
-		}
-		if !wanted(c.Name()) {
-			continue
-		}
-		cols = append(cols, columnar.GatherColumnDegree(c, c.Name(), rightRows, e.cfg.Degree))
-	}
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("engine: join of %s would produce no columns", n.Table)
-	}
-	out, err := columnar.NewTable(left.tbl.Name()+"_j", cols...)
-	if err != nil {
-		return nil, err
-	}
-	q.wallGather(gatherStart)
-
-	t := e.model.CPUTime(float64(buildKeys.Len()), e.model.CPUHashBuildRate, e.cfg.Degree) +
-		e.model.CPUTime(float64(probeKeys.Len()), e.model.CPUHashProbeRate, e.cfg.Degree) +
-		e.model.CPUTime(float64(out.Rows()*out.NumColumns()), e.model.CPUScanRate, e.cfg.Degree)
-	e.addCPU(left, t)
-	sp.End(left.at(), trace.Str("table", n.Table), trace.Int("rows", int64(out.Rows())))
-	left.tbl = out
-	left.ops = append(left.ops, OpStat{
-		Op: "join", Detail: fmt.Sprintf("%s on %s=%s", n.Table, lcol, rcol),
-		Depth: q.depth, Rows: out.Rows(),
-		Span: sp.ID(), Start: start, End: left.at(), Modeled: t,
-	})
-	return left, nil
-}
-
 func (e *Engine) execDerive(n *plan.Derive, q qctx) (*frame, error) {
 	f, err := e.execInput(n.Input, q.deeper())
 	if err != nil {

@@ -86,6 +86,17 @@ type KeyField struct {
 	HasNull bool
 }
 
+// keyVec is a key field with its column resolved once — the typed vector
+// its Type selects and the null bitmap — so key packing runs over slices,
+// not column lookups.
+type keyVec struct {
+	KeyField
+	codes  []int32
+	ints   []int64
+	floats []float64
+	nulls  *columnar.Bitmap
+}
+
 // Result is the chain's output: a kernel-ready input plus everything
 // needed to decode group keys and account the work.
 type Result struct {
@@ -129,9 +140,13 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 	}
 
 	// --- LCOG: load grouping key columns, compute field geometry ---
-	fields, err := planKeyFields(tbl, spec.Keys, deps.Degree)
+	vecs, err := planKeyFields(tbl, spec.Keys, deps.Degree)
 	if err != nil {
 		return nil, err
+	}
+	fields := make([]KeyField, len(vecs))
+	for i := range vecs {
+		fields[i] = vecs[i].KeyField
 	}
 	lcogT := deps.Model.CPUTime(float64(n*len(spec.Keys)), deps.Model.CPUScanRate, deps.Degree)
 	record("LCOG", int64(n), lcogT)
@@ -147,19 +162,18 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 	in := &groupby.Input{NumRows: n}
 	var ccatT vtime.Duration
 	// Each worker packs a disjoint row range into preallocated vectors,
-	// so parallel CCAT output is bit-identical to the sequential pack.
+	// so parallel CCAT output is bit-identical to the sequential pack;
+	// within its range it goes a field at a time over the typed vector.
 	if wide {
 		in.KeyBytes = totalBytes
 		in.WideKeys = make([][]byte, n)
 		flat := make([]byte, n*totalBytes)
 		parallel.For(n, evalGrain, deps.Degree, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
-				r := rows[i]
-				key := flat[i*totalBytes : (i+1)*totalBytes]
-				for _, f := range fields {
-					encodeWideField(tbl, f, int(r), key[f.ByteOffset:f.ByteOffset+f.Bytes])
-				}
-				in.WideKeys[i] = key
+				in.WideKeys[i] = flat[i*totalBytes : (i+1)*totalBytes]
+			}
+			for f := range vecs {
+				vecs[f].packWide(rows, flat, totalBytes, lo, hi)
 			}
 		})
 		ccatT = deps.Model.CPUTime(float64(n*len(fields)), deps.Model.CPUExprRate, deps.Degree)
@@ -168,13 +182,8 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 		in.KeyBits = totalBits
 		in.Keys = make([]uint64, n)
 		parallel.For(n, evalGrain, deps.Degree, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				r := rows[i]
-				var key uint64
-				for _, f := range fields {
-					key |= narrowCode(tbl, f, int(r)) << uint(f.BitOffset)
-				}
-				in.Keys[i] = key
+			for f := range vecs {
+				vecs[f].packNarrow(rows, in.Keys, lo, hi)
 			}
 		})
 		if len(fields) > 1 {
@@ -320,42 +329,40 @@ func selectedRows(tbl *columnar.Table, sel *columnar.Bitmap, degree int) []int32
 // planKeyFields computes per-column packing geometry. Int columns are
 // rebased to their min so the code fits the value range; string columns
 // use dictionary codes. A NULL code is reserved when the column has nulls.
-func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]KeyField, error) {
-	fields := make([]KeyField, 0, len(keys))
+func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]keyVec, error) {
+	fields := make([]keyVec, 0, len(keys))
 	bitOff, byteOff := 0, 0
 	for _, name := range keys {
 		col := tbl.Column(name)
 		if col == nil {
 			return nil, fmt.Errorf("evaluator: unknown grouping column %q", name)
 		}
-		f := KeyField{Column: name, Type: col.Type(), BitOffset: bitOff, ByteOffset: byteOff}
-		hasNull := false
-		for i := 0; i < col.Len(); i++ {
-			if col.IsNull(i) {
-				hasNull = true
-				break
-			}
-		}
-		f.HasNull = hasNull
+		f := keyVec{KeyField: KeyField{Column: name, Type: col.Type(), BitOffset: bitOff, ByteOffset: byteOff}}
 		switch c := col.(type) {
 		case *columnar.StringColumn:
 			f.Dict = c
+			f.codes, f.nulls = c.Codes(), c.Nulls()
+			f.HasNull = anyNull(f.nulls)
 			span := uint64(c.DictSize())
-			if hasNull {
+			if f.HasNull {
 				span++
 			}
 			f.Bits = bitsFor(span)
 			f.Bytes = 4
 		case *columnar.Int64Column:
+			f.ints, f.nulls = c.Data(), c.Nulls()
+			f.HasNull = anyNull(f.nulls)
 			minV, maxV := columnMinMax(c, degree)
 			f.MinI = minV
 			span := uint64(maxV-minV) + 1
-			if hasNull {
+			if f.HasNull {
 				span++
 			}
 			f.Bits = bitsFor(span)
 			f.Bytes = 8
 		case *columnar.Float64Column:
+			f.floats, f.nulls = c.Data(), c.Nulls()
+			f.HasNull = anyNull(f.nulls)
 			f.Bits = 64 // floats group by raw bits: always the wide path
 			f.Bytes = 8
 		default:
@@ -414,54 +421,63 @@ func columnMinMax(c *columnar.Int64Column, degree int) (minV, maxV int64) {
 	return minV, maxV
 }
 
-// narrowCode returns the packed code of field f at row r.
-func narrowCode(tbl *columnar.Table, f KeyField, r int) uint64 {
-	col := tbl.Column(f.Column)
-	if col.IsNull(r) {
-		return 0
-	}
-	var code uint64
-	switch c := col.(type) {
-	case *columnar.StringColumn:
-		code = uint64(c.Code(r))
-	case *columnar.Int64Column:
-		code = uint64(c.Int64(r) - f.MinI)
-	}
-	if f.HasNull {
-		code++
-	}
-	return code
+// anyNull reports whether the bitmap (nil for none) marks any row NULL.
+func anyNull(nulls *columnar.Bitmap) bool {
+	return nulls != nil && nulls.Count() > 0
 }
 
-// encodeWideField writes field f's fixed-width encoding at row r into dst.
-func encodeWideField(tbl *columnar.Table, f KeyField, r int, dst []byte) {
-	col := tbl.Column(f.Column)
-	var code uint64
-	if col.IsNull(r) {
-		if f.Type == columnar.Float64 {
-			code = floatNullCode
-		}
-	} else {
-		switch c := col.(type) {
-		case *columnar.StringColumn:
-			code = uint64(c.Code(r))
-			if f.HasNull {
-				code++
-			}
-		case *columnar.Int64Column:
-			code = uint64(c.Int64(r) - f.MinI)
-			if f.HasNull {
-				code++
-			}
-		case *columnar.Float64Column:
-			code = math.Float64bits(c.Float64(r))
+// codeAt returns field f's code at table row r: the dictionary code, the
+// rebased integer or the float's bits, before the NULL shift.
+func (f *keyVec) codeAt(r int32) uint64 {
+	switch f.Type {
+	case columnar.String:
+		return uint64(f.codes[r])
+	case columnar.Int64:
+		return uint64(f.ints[r] - f.MinI)
+	default:
+		return math.Float64bits(f.floats[r])
+	}
+}
+
+// packNarrow ORs field f's packed codes for rows[lo:hi] into keys[lo:hi].
+// A NULL row contributes code 0; real codes shift up by one when the
+// column has NULLs.
+func (f *keyVec) packNarrow(rows []int32, keys []uint64, lo, hi int) {
+	off := uint(f.BitOffset)
+	var shift uint64
+	if f.HasNull {
+		shift = 1
+	}
+	for i := lo; i < hi; i++ {
+		if r := rows[i]; !f.HasNull || !f.nulls.Get(int(r)) {
+			keys[i] |= (f.codeAt(r) + shift) << off
 		}
 	}
-	switch f.Bytes {
-	case 4:
-		binary.LittleEndian.PutUint32(dst, uint32(code))
-	default:
-		binary.LittleEndian.PutUint64(dst, code)
+}
+
+// packWide writes field f's fixed-width encoding for rows[lo:hi] into the
+// flat wide-key buffer (stride bytes per key, f at ByteOffset). Integer
+// and string codes shift up by one when the column has NULLs and NULL is
+// code 0; floats keep their bits and NULL is floatNullCode.
+func (f *keyVec) packWide(rows []int32, flat []byte, stride, lo, hi int) {
+	var shift, null uint64
+	if f.Type == columnar.Float64 {
+		null = floatNullCode
+	} else if f.HasNull {
+		shift = 1
+	}
+	for i := lo; i < hi; i++ {
+		r := rows[i]
+		code := null
+		if !f.HasNull || !f.nulls.Get(int(r)) {
+			code = f.codeAt(r) + shift
+		}
+		dst := flat[i*stride+f.ByteOffset:]
+		if f.Bytes == 4 {
+			binary.LittleEndian.PutUint32(dst, uint32(code))
+		} else {
+			binary.LittleEndian.PutUint64(dst, code)
+		}
 	}
 }
 
