@@ -1,14 +1,15 @@
 GO ?= go
 
 # Packages with parallel host-side execution; the race target drives the
-# differential tests (degrees 1/2/8), the scheduler/fault stress tests and
-# the concurrent span-tracer stress test under the race detector.
+# differential tests (degrees 1/2/8), the scheduler/fault stress tests,
+# the concurrent span-tracer stress test and the device kernels (atomics
+# and spin locks on goroutines) under the race detector.
 PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/evaluator ./internal/bsort ./internal/engine \
                 ./internal/sched ./internal/fault ./internal/trace \
                 ./internal/monitor ./internal/metrics ./internal/fusion \
                 ./internal/serve ./internal/prof ./internal/hostmem \
-                ./internal/obsd
+                ./internal/obsd ./internal/groupby ./internal/gpu
 
 # The one directory `make check` writes outside the checkout: blubench's
 # exports in, blucheck's failure evidence and benchdiff's fresh snapshot
@@ -29,11 +30,12 @@ test:
 race:
 	$(GO) test -race $(PARALLEL_PKGS)
 
-# Host-path micro-rulers (1M rows, allocations reported): gathers, sort
-# key build, the expression kernels, the fusion cache's content key and
-# the join probe against a resident key index.
+# Host-path micro-rulers (1M rows or groups, allocations reported):
+# gathers, the partial key buffer build, the expression kernels, the fusion
+# cache's content key, the join probe against a resident key index, the
+# typed group-by output and the flat sort-key extractor.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild|Predicate|ColumnKey|JoinProbe' -benchmem -run '^$$' \
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|Predicate|ColumnKey|JoinProbe|AggOutput|SortKeys' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/engine
 
 # Five seconds of native fuzzing each: WHERE clauses mutated from the
@@ -42,11 +44,14 @@ bench:
 # not panic and must survive print → re-parse (internal/plan); then join
 # key columns mutated from the differential cases', index + probe held to
 # the test-only map join (internal/engine — its inputs are byte slices,
-# which the fuzzer would minimize for a minute apiece unless capped).
+# which the fuzzer would minimize for a minute apiece unless capped); then
+# tables and ASC/DESC key lists, the flat sort-key buffer held segment by
+# segment to the test-only byte keys (internal/engine, capped likewise).
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzKernelsMatchReference -fuzztime 5s
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinMatchesReference -fuzztime 5s -fuzzminimizetime 200x
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSortKeysMatchReference -fuzztime 5s -fuzzminimizetime 200x
 
 # End-to-end smoke: blubench exports one small traced experiment and
 # its EXPLAIN ANALYZE reports (so the binary's own export path is what

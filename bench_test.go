@@ -241,11 +241,12 @@ func BenchmarkAblationSortCrossover(b *testing.B) {
 	model := vtime.Default()
 	for _, n := range []int{8_192, 65_536, 524_288} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		keys := make([][]byte, n)
-		for i := range keys {
-			keys[i] = bsort.AppendInt64Key(nil, rng.Int63(), false)
+		words := make([]uint32, 0, 2*n)
+		for i := 0; i < n; i++ {
+			u := uint64(rng.Int63()) ^ (1 << 63) // the int64 sort-key encoding
+			words = append(words, uint32(u>>32), uint32(u))
 		}
-		src := bsort.NewBytesKeySource(keys)
+		src := bsort.NewFlatKeySource(words, n, 2)
 		for _, useGPU := range []bool{false, true} {
 			name := "cpu"
 			if useGPU {

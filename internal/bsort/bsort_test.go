@@ -1,7 +1,9 @@
 package bsort
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -26,6 +28,66 @@ func intSource(vals []int64) *BytesKeySource {
 		keys[i] = AppendInt64Key(nil, v, false)
 	}
 	return NewBytesKeySource(keys)
+}
+
+// flatIntSource is intSource over the flat partial-key buffer the engine
+// sorts through: the same two segments per value, no byte keys.
+func flatIntSource(vals []int64) *FlatKeySource {
+	words := make([]uint32, 0, 2*len(vals))
+	for _, v := range vals {
+		u := uint64(v) ^ (1 << 63)
+		words = append(words, uint32(u>>32), uint32(u))
+	}
+	return NewFlatKeySource(words, len(vals), 2)
+}
+
+// TestFlatKeySourceMatchesBytes holds the flat source to the byte-key
+// oracle segment by segment, and Sort over either to the same permutation
+// and queue shape.
+func TestFlatKeySourceMatchesBytes(t *testing.T) {
+	vals := append(randomVals(3000, 9), math.MinInt64, math.MaxInt64, -1, 0)
+	flat, ref := flatIntSource(vals), intSource(vals)
+	if flat.NumRows() != ref.NumRows() || flat.MaxDepth() != ref.MaxDepth() {
+		t.Fatalf("shape %dx%d, want %dx%d", flat.NumRows(), flat.MaxDepth(), ref.NumRows(), ref.MaxDepth())
+	}
+	for r := range vals {
+		for d := 0; d < ref.MaxDepth(); d++ {
+			if got, want := flat.PartialKey(int32(r), d), ref.PartialKey(int32(r), d); got != want {
+				t.Fatalf("row %d depth %d: segment %08x, want %08x", r, d, got, want)
+			}
+		}
+	}
+	cfg := Config{Model: vtime.Default(), Scheduler: twoGPUSched(), Degree: 2, GPUThreshold: 256, Pinned: true}
+	sameSort := func(flat *FlatKeySource, ref *BytesKeySource) []int32 {
+		t.Helper()
+		gotPerm, gotSt, err := Sort(flat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPerm, wantSt, err := Sort(ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotPerm, wantPerm) || gotSt != wantSt {
+			t.Fatalf("flat sort diverges from byte-key sort: %d rows, stats %+v, want %d rows, %+v",
+				len(gotPerm), gotSt, len(wantPerm), wantSt)
+		}
+		return gotPerm
+	}
+	sameSort(flat, ref)
+
+	// A key of no columns (RANK() OVER ()) has depth 0 and still has rows:
+	// both sources sort them to the identity permutation.
+	const n = 700
+	perm := sameSort(NewFlatKeySource(nil, n, 0), NewBytesKeySource(make([][]byte, n)))
+	if len(perm) != n {
+		t.Fatalf("zero-depth sort returned %d rows, want %d", len(perm), n)
+	}
+	for i, r := range perm {
+		if int(r) != i {
+			t.Fatalf("zero-depth sort moved row %d to %d", r, i)
+		}
+	}
 }
 
 func checkSorted(t *testing.T, vals []int64, perm []int32) {

@@ -1,7 +1,8 @@
 package bsort
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"blugpu/internal/parallel"
@@ -87,20 +88,20 @@ func partitionTopByte(es []Entry, degree int, scratch []Entry) [257]int {
 // each entry's partial key is the partition digit.
 func hostSortRange(entries []Entry, r Range, depth int, src KeySource, degree int) {
 	maxDepth := src.MaxDepth()
-	less := func(a, b Entry) bool {
+	order := func(a, b Entry) int {
 		pa, pb := a.Payload(), b.Payload()
 		for d := depth; d < maxDepth; d++ {
 			ka, kb := src.PartialKey(int32(pa), d), src.PartialKey(int32(pb), d)
 			if ka != kb {
-				return ka < kb
+				return cmp.Compare(ka, kb)
 			}
 		}
-		return pa < pb
+		return cmp.Compare(pa, pb)
 	}
 	es := entries[r.Lo:r.Hi]
 	workers := parallel.Degree(degree)
 	if workers <= 1 || len(es) < hostPartitionMin {
-		sort.Slice(es, func(a, b int) bool { return less(es[a], es[b]) })
+		slices.SortFunc(es, order)
 		return
 	}
 	scratch := make([]Entry, len(es))
@@ -118,8 +119,7 @@ func hostSortRange(entries []Entry, r Range, depth int, src KeySource, degree in
 		go func() {
 			defer wg.Done()
 			for br := range buckets {
-				bs := es[br.Lo:br.Hi]
-				sort.Slice(bs, func(a, b int) bool { return less(bs[a], bs[b]) })
+				slices.SortFunc(es[br.Lo:br.Hi], order)
 			}
 		}()
 	}

@@ -144,7 +144,7 @@ func TestHostSortRangeCrossesPartitionPath(t *testing.T) {
 func BenchmarkPartialKeyBuild(b *testing.B) {
 	const n = 1 << 20
 	vals := randomVals(n, 5)
-	src := intSource(vals)
+	src := flatIntSource(vals)
 	for _, degree := range []int{1, 8} {
 		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
 			b.SetBytes(int64(n) * 8)

@@ -55,6 +55,15 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
+// NilIfEmpty returns b, or nil when b is nil or has no bit set: a column
+// whose rows are all non-NULL carries no bitmap.
+func (b *Bitmap) NilIfEmpty() *Bitmap {
+	if b == nil || b.Count() == 0 {
+		return nil
+	}
+	return b
+}
+
 // And intersects o into b in place. Panics if lengths differ.
 func (b *Bitmap) And(o *Bitmap) {
 	b.mustMatch(o)

@@ -162,6 +162,12 @@ func (c *StringColumn) Rename(name string) Column {
 	return out
 }
 
+// WithCodes returns a column of the given codes and null bitmap (nil for
+// none) over c's dictionary, shared rather than re-encoded.
+func (c *StringColumn) WithCodes(name string, codes []int32, nulls *Bitmap) *StringColumn {
+	return &StringColumn{name: name, dict: c.dict, codes: codes, nulls: nulls}
+}
+
 // DictSize returns the number of distinct values in the dictionary.
 func (c *StringColumn) DictSize() int { return len(c.dict) }
 

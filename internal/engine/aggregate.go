@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"blugpu/internal/columnar"
@@ -27,6 +27,38 @@ type aggPlanItem struct {
 	fn       plan.AggFunc
 	sumIdx   int // kernel aggregate index (SUM/MIN/MAX, or AVG's SUM)
 	countIdx int // AVG's COUNT index, -1 otherwise
+}
+
+// lowerAggs lowers plan aggregates to evaluator aggregates.
+func lowerAggs(aggs []plan.AggItem) ([]evaluator.AggColumn, []aggPlanItem, error) {
+	var cols []evaluator.AggColumn
+	items := make([]aggPlanItem, len(aggs))
+	for i, a := range aggs {
+		item := aggPlanItem{out: a.Out, fn: a.Func, countIdx: -1}
+		switch a.Func {
+		case plan.AggSum:
+			item.sumIdx = len(cols)
+			cols = append(cols, evaluator.AggColumn{Kind: groupby.Sum, Column: a.Column})
+		case plan.AggCount:
+			item.sumIdx = len(cols)
+			cols = append(cols, evaluator.AggColumn{Kind: groupby.Count, Column: a.Column})
+		case plan.AggMin:
+			item.sumIdx = len(cols)
+			cols = append(cols, evaluator.AggColumn{Kind: groupby.Min, Column: a.Column})
+		case plan.AggMax:
+			item.sumIdx = len(cols)
+			cols = append(cols, evaluator.AggColumn{Kind: groupby.Max, Column: a.Column})
+		case plan.AggAvg:
+			item.sumIdx = len(cols)
+			cols = append(cols, evaluator.AggColumn{Kind: groupby.Sum, Column: a.Column})
+			item.countIdx = len(cols)
+			cols = append(cols, evaluator.AggColumn{Kind: groupby.Count, Column: a.Column})
+		default:
+			return nil, nil, fmt.Errorf("engine: unknown aggregate %v", a.Func)
+		}
+		items[i] = item
+	}
+	return cols, items, nil
 }
 
 func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
@@ -51,33 +83,9 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	start := f.at()
 	op := f.begin("op", "groupby")
 
-	// Lower plan aggregates to evaluator aggregates.
-	var cols []evaluator.AggColumn
-	items := make([]aggPlanItem, len(n.Aggs))
-	for i, a := range n.Aggs {
-		item := aggPlanItem{out: a.Out, fn: a.Func, countIdx: -1}
-		switch a.Func {
-		case plan.AggSum:
-			item.sumIdx = len(cols)
-			cols = append(cols, evaluator.AggColumn{Kind: groupby.Sum, Column: a.Column})
-		case plan.AggCount:
-			item.sumIdx = len(cols)
-			cols = append(cols, evaluator.AggColumn{Kind: groupby.Count, Column: a.Column})
-		case plan.AggMin:
-			item.sumIdx = len(cols)
-			cols = append(cols, evaluator.AggColumn{Kind: groupby.Min, Column: a.Column})
-		case plan.AggMax:
-			item.sumIdx = len(cols)
-			cols = append(cols, evaluator.AggColumn{Kind: groupby.Max, Column: a.Column})
-		case plan.AggAvg:
-			item.sumIdx = len(cols)
-			cols = append(cols, evaluator.AggColumn{Kind: groupby.Sum, Column: a.Column})
-			item.countIdx = len(cols)
-			cols = append(cols, evaluator.AggColumn{Kind: groupby.Count, Column: a.Column})
-		default:
-			return nil, fmt.Errorf("engine: unknown aggregate %v", a.Func)
-		}
-		items[i] = item
+	cols, items, err := lowerAggs(n.Aggs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Figure 3's first decision happens before the chain runs: the exact
@@ -318,99 +326,127 @@ func (e *Engine) runAggregateGPU(in *groupby.Input, demand int64, pinned bool, f
 }
 
 // buildAggOutput decodes group keys and finalizes aggregates into the
-// result table.
+// result table, a column at a time over typed vectors.
 //
 // Groups are emitted in canonical packed-key order. Hash-table scan
 // order differs between the CPU chain, the three device kernels, and
 // the partitioned merge, so without a canonical order the same query
 // could return rows in different orders depending on which path ran —
 // and a fault-induced CPU fallback would no longer be bit-identical to
-// the GPU run. Sorting by key makes the output path-independent.
+// the GPU run. Sorting by key makes the output path-independent. Narrow
+// keys take a radix pass and decode from the sorted key vector; wide keys
+// keep a comparison sort, no workload statement groups by one.
 func (e *Engine) buildAggOutput(chain *evaluator.Result, in *groupby.Input, out *groupby.Result, items []aggPlanItem) (*columnar.Table, error) {
-	groups := out.Groups
-	perm := make([]int, groups)
-	for i := range perm {
-		perm[i] = i
-	}
+	groups, degree := out.Groups, e.cfg.Degree
+	tcols := make([]columnar.Column, 0, len(chain.Fields)+len(items))
+	var perm []int32
 	if in.Wide() {
-		sort.Slice(perm, func(a, b int) bool {
-			return bytes.Compare(out.WideKeys[perm[a]], out.WideKeys[perm[b]]) < 0
-		})
+		perm = columnar.IotaRows(groups, degree)
+		slices.SortFunc(perm, func(a, b int32) int { return bytes.Compare(out.WideKeys[a], out.WideKeys[b]) })
+		for _, field := range chain.Fields {
+			tcols = append(tcols, field.DecodeWideColumn(out.WideKeys, perm, degree))
+		}
 	} else {
-		sort.Slice(perm, func(a, b int) bool { return out.Keys[perm[a]] < out.Keys[perm[b]] })
-	}
-	keyVal := func(g int, fi int) columnar.Value {
-		if in.Wide() {
-			return evaluator.DecodeWideKey(out.WideKeys[g], chain.Fields[fi])
+		var sorted []uint64
+		sorted, perm = radixOrder(out.Keys, in.KeyBits, degree)
+		for _, field := range chain.Fields {
+			tcols = append(tcols, field.DecodeColumn(sorted, degree))
 		}
-		return evaluator.DecodeKey(out.Keys[g], chain.Fields[fi])
-	}
-
-	var tcols []columnar.Column
-	for fi, field := range chain.Fields {
-		// Key decode is per-group independent; the column builder pass in
-		// ColumnFromValues stays sequential.
-		vals := make([]columnar.Value, groups)
-		parallel.For(groups, exprGrain, e.cfg.Degree, func(lo, hi, _ int) {
-			for g := lo; g < hi; g++ {
-				vals[g] = keyVal(perm[g], fi)
-			}
-		})
-		col, err := columnar.ColumnFromValues(field.Column, field.Type, vals)
-		if err != nil {
-			return nil, err
-		}
-		tcols = append(tcols, col)
 	}
 
 	for _, item := range items {
 		spec := in.Aggs[item.sumIdx]
 		words := out.AggWords[item.sumIdx]
+		// A NULL aggregate is an AVG over no rows, or a MIN/MAX still at
+		// its identity: every input was NULL.
+		var nulls *columnar.Bitmap
+		if item.fn == plan.AggAvg || spec.Kind == groupby.Min || spec.Kind == groupby.Max {
+			nulls = columnar.NewBitmap(groups)
+		}
 		switch {
 		case item.fn == plan.AggAvg:
 			counts := out.AggWords[item.countIdx]
-			b := columnar.NewFloat64Builder(item.out)
-			for g := 0; g < groups; g++ {
-				c := counts[perm[g]]
-				if c == 0 {
-					b.AppendNull()
-					continue
+			data := make([]float64, groups)
+			parallel.For(groups, exprGrain, degree, func(lo, hi, _ int) {
+				for g := lo; g < hi; g++ {
+					w, c := words[perm[g]], counts[perm[g]]
+					switch {
+					case c == 0:
+						nulls.Set(g)
+					case spec.Type == columnar.Float64:
+						data[g] = math.Float64frombits(w) / float64(c)
+					default:
+						data[g] = float64(int64(w)) / float64(c)
+					}
 				}
-				var sum float64
-				if spec.Type == columnar.Float64 {
-					sum = math.Float64frombits(words[perm[g]])
-				} else {
-					sum = float64(int64(words[perm[g]]))
-				}
-				b.Append(sum / float64(c))
-			}
-			tcols = append(tcols, b.Build())
+			})
+			tcols = append(tcols, columnar.NewFloat64Column(item.out, data, nulls.NilIfEmpty()))
 		case spec.Type == columnar.Float64 && spec.Kind != groupby.Count:
-			b := columnar.NewFloat64Builder(item.out)
-			for g := 0; g < groups; g++ {
-				v := math.Float64frombits(words[perm[g]])
-				// MIN/MAX identity means every input was NULL.
-				if (spec.Kind == groupby.Min && math.IsInf(v, 1)) ||
-					(spec.Kind == groupby.Max && math.IsInf(v, -1)) {
-					b.AppendNull()
-					continue
+			data := make([]float64, groups)
+			parallel.For(groups, exprGrain, degree, func(lo, hi, _ int) {
+				for g := lo; g < hi; g++ {
+					v := math.Float64frombits(words[perm[g]])
+					if (spec.Kind == groupby.Min && math.IsInf(v, 1)) ||
+						(spec.Kind == groupby.Max && math.IsInf(v, -1)) {
+						nulls.Set(g)
+					} else {
+						data[g] = v
+					}
 				}
-				b.Append(v)
-			}
-			tcols = append(tcols, b.Build())
+			})
+			tcols = append(tcols, columnar.NewFloat64Column(item.out, data, nulls.NilIfEmpty()))
 		default:
-			b := columnar.NewInt64Builder(item.out)
-			for g := 0; g < groups; g++ {
-				v := int64(words[perm[g]])
-				if (spec.Kind == groupby.Min && v == math.MaxInt64) ||
-					(spec.Kind == groupby.Max && v == math.MinInt64) {
-					b.AppendNull()
-					continue
+			data := make([]int64, groups)
+			parallel.For(groups, exprGrain, degree, func(lo, hi, _ int) {
+				for g := lo; g < hi; g++ {
+					v := int64(words[perm[g]])
+					if (spec.Kind == groupby.Min && v == math.MaxInt64) ||
+						(spec.Kind == groupby.Max && v == math.MinInt64) {
+						nulls.Set(g)
+					} else {
+						data[g] = v
+					}
 				}
-				b.Append(v)
-			}
-			tcols = append(tcols, b.Build())
+			})
+			tcols = append(tcols, columnar.NewInt64Column(item.out, data, nulls.NilIfEmpty()))
 		}
 	}
 	return columnar.NewTable("groupby", tcols...)
+}
+
+// radixOrder sorts the distinct packed keys ascending with an LSD radix
+// pass per 8-bit digit of the keyBits they use (0 = unknown, all 64),
+// carrying each key's group index: it returns the sorted keys and, for
+// every output position, the group it came from. Keys are distinct, so
+// this is exactly the order a comparison sort on the key would give.
+func radixOrder(keys []uint64, keyBits, degree int) ([]uint64, []int32) {
+	n := len(keys)
+	if keyBits <= 0 || keyBits > 64 {
+		keyBits = 64
+	}
+	sorted, perm := slices.Clone(keys), columnar.IotaRows(n, degree)
+	if n < 2 {
+		return sorted, perm
+	}
+	bufK, bufP := make([]uint64, n), make([]int32, n)
+	for shift := uint(0); shift < uint(keyBits); shift += 8 {
+		var next [256]int
+		for _, k := range sorted {
+			next[byte(k>>shift)]++
+		}
+		if next[byte(sorted[0]>>shift)] == n {
+			continue // every key shares this digit
+		}
+		pos := 0
+		for d, c := range next {
+			next[d], pos = pos, pos+c
+		}
+		for i, k := range sorted {
+			d := byte(k >> shift)
+			bufK[next[d]], bufP[next[d]] = k, perm[i]
+			next[d]++
+		}
+		sorted, bufK, perm, bufP = bufK, sorted, bufP, perm
+	}
+	return sorted, perm
 }

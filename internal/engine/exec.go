@@ -214,12 +214,11 @@ func (e *Engine) execLimit(n *plan.Limit, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	limit := n.N
-	if limit > f.tbl.Rows() {
-		limit = f.tbl.Rows()
+	// A limit that cuts nothing passes its input through uncopied.
+	if n.N < f.tbl.Rows() {
+		rows := columnar.IotaRows(n.N, e.cfg.Degree)
+		f.tbl = columnar.GatherTableDegree(f.tbl.Name()+"_l", f.tbl, rows, e.cfg.Degree)
 	}
-	rows := columnar.IotaRows(limit, e.cfg.Degree)
-	f.tbl = columnar.GatherTableDegree(f.tbl.Name()+"_l", f.tbl, rows, e.cfg.Degree)
 	// Limit charges no modeled time and emits no span: a zero-width row.
 	f.ops = append(f.ops, OpStat{Op: "limit", Depth: q.depth, Rows: f.tbl.Rows(), Start: f.at(), End: f.at()})
 	return f, nil

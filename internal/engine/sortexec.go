@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"blugpu/internal/bsort"
 	"blugpu/internal/columnar"
@@ -11,84 +13,90 @@ import (
 	"blugpu/internal/trace"
 )
 
-// encodeSortKeys builds fixed-width binary-sortable keys for the rows of
-// tbl under the given sort keys: per column a 4-byte NULL flag (NULLs
-// first) followed by the order-preserving encoding of the value. Columns
-// are validated up front so the per-row encoding — each row an
-// independent allocation — can run across the worker pool.
-func encodeSortKeys(tbl *columnar.Table, keys []plan.SortKey, degree int) ([][]byte, error) {
-	n := tbl.Rows()
-	type colEnc struct {
-		col  columnar.Column
-		desc bool
-	}
-	encs := make([]colEnc, len(keys))
+// sortKeyWords extracts binary-sortable keys for the rows of tbl into one
+// flat buffer of 4-byte segments, row after row: per sort column the NULL
+// flag (NULLs first, over the zero value's encoding), then two segments
+// for an int (sign bit flipped) or a float (IEEE total order), or one for
+// a dictionary code (the dictionary is sorted, so codes preserve order).
+// DESC inverts every segment of its column. offs[i] is key i's first
+// segment within a row, offs[len(keys)] the segments per row. Workers
+// fill disjoint row ranges a column at a time over the typed vectors, so
+// no row owns an allocation.
+func sortKeyWords(tbl *columnar.Table, keys []plan.SortKey, degree int) (words []uint32, offs []int, err error) {
+	cols := make([]columnar.Column, len(keys))
+	offs = make([]int, len(keys)+1)
 	for i, k := range keys {
-		col := tbl.Column(k.Column)
-		if col == nil {
-			return nil, fmt.Errorf("engine: unknown sort column %q", k.Column)
-		}
-		switch col.(type) {
-		case *columnar.Int64Column, *columnar.Float64Column, *columnar.StringColumn:
+		cols[i] = tbl.Column(k.Column)
+		switch cols[i].(type) {
+		case nil:
+			return nil, nil, fmt.Errorf("engine: unknown sort column %q", k.Column)
+		case *columnar.Int64Column, *columnar.Float64Column:
+			offs[i+1] = offs[i] + 3
+		case *columnar.StringColumn:
+			offs[i+1] = offs[i] + 2
 		default:
-			return nil, fmt.Errorf("engine: cannot sort column type %v", col.Type())
+			return nil, nil, fmt.Errorf("engine: cannot sort column type %v", cols[i].Type())
 		}
-		encs[i] = colEnc{col: col, desc: k.Desc}
 	}
-	out := make([][]byte, n)
-	parallel.For(n, exprGrain, degree, func(lo, hi, _ int) {
-		for r := lo; r < hi; r++ {
-			var key []byte
-			for _, enc := range encs {
-				null := enc.col.IsNull(r)
-				flag := uint32(1)
+	depth := offs[len(keys)]
+	words = make([]uint32, tbl.Rows()*depth)
+	parallel.For(tbl.Rows(), exprGrain, degree, func(lo, hi, _ int) {
+		for i, col := range cols {
+			var inv uint32
+			if keys[i].Desc {
+				inv = ^uint32(0)
+			}
+			// put writes row r's flag and its value's 64-bit encoding.
+			put := func(r int, null bool, u uint64) {
+				w := words[r*depth+offs[i]:]
 				if null {
-					flag = 0 // NULLs sort first
+					w[0], u = inv, 1<<63
+				} else {
+					w[0] = 1 ^ inv
 				}
-				key = bsort.AppendUint32Key(key, flag, enc.desc)
-				switch c := enc.col.(type) {
-				case *columnar.Int64Column:
-					v := int64(0)
-					if !null {
-						v = c.Int64(r)
+				w[1], w[2] = uint32(u>>32)^inv, uint32(u)^inv
+			}
+			switch c := col.(type) {
+			case *columnar.Int64Column:
+				for r, v := range c.Data()[lo:hi] {
+					put(lo+r, c.IsNull(lo+r), uint64(v)^(1<<63))
+				}
+			case *columnar.Float64Column:
+				for r, v := range c.Data()[lo:hi] {
+					u := math.Float64bits(v)
+					if u>>63 == 1 {
+						u = ^u // negative: flip all
+					} else {
+						u |= 1 << 63 // positive: flip sign
 					}
-					key = bsort.AppendInt64Key(key, v, enc.desc)
-				case *columnar.Float64Column:
-					v := 0.0
-					if !null {
-						v = c.Float64(r)
+					put(lo+r, c.IsNull(lo+r), u)
+				}
+			case *columnar.StringColumn:
+				for r, code := range c.Codes()[lo:hi] {
+					w := words[(lo+r)*depth+offs[i]:]
+					if c.IsNull(lo + r) {
+						w[0], w[1] = inv, inv
+					} else {
+						w[0], w[1] = 1^inv, uint32(code)^inv
 					}
-					key = bsort.AppendFloat64Key(key, v, enc.desc)
-				case *columnar.StringColumn:
-					// The dictionary is sorted, so codes are order-preserving.
-					code := uint32(0)
-					if !null {
-						code = uint32(c.Code(r))
-					}
-					key = bsort.AppendUint32Key(key, code, enc.desc)
 				}
 			}
-			out[r] = bsort.EncodePad(key)
 		}
 	})
-	return out, nil
+	return words, offs, nil
 }
 
-// hybridSort sorts tbl's rows by keys through the hybrid job-queue sort
+// hybridSort sorts the rows behind src through the hybrid job-queue sort
 // and returns the permutation plus the sort stats. op is the operator
 // span the per-job sort spans hang off.
-func (e *Engine) hybridSort(tbl *columnar.Table, keys []plan.SortKey, f *frame, op trace.Context) ([]int32, bsort.Stats, error) {
-	encoded, err := encodeSortKeys(tbl, keys, e.cfg.Degree)
-	if err != nil {
-		return nil, bsort.Stats{}, err
-	}
-	src := bsort.NewBytesKeySource(encoded)
+func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context) ([]int32, bsort.Stats, error) {
+	rows := src.NumRows()
 
 	// Stage the partial key buffer in the registered segment when it
 	// fits, for fast transfers.
 	pinned := false
-	if e.registry != nil && tbl.Rows() > 0 {
-		if blk, err := e.registry.Alloc(tbl.Rows() * 16); err == nil {
+	if e.registry != nil && rows > 0 {
+		if blk, err := e.registry.Alloc(rows * 16); err == nil {
 			pinned = true
 			defer blk.Release()
 		}
@@ -108,7 +116,7 @@ func (e *Engine) hybridSort(tbl *columnar.Table, keys []plan.SortKey, f *frame, 
 	}
 	if e.GPUEnabled() {
 		cfg.Scheduler = e.sched
-		if len(e.devices) > 1 && tbl.Rows() >= 2*threshold {
+		if len(e.devices) > 1 && rows >= 2*threshold {
 			cfg.Partitions = len(e.devices) * 2
 		}
 	}
@@ -118,7 +126,7 @@ func (e *Engine) hybridSort(tbl *columnar.Table, keys []plan.SortKey, f *frame, 
 	}
 	e.addCPU(f, stats.KeyGen+stats.CPUTime)
 	if stats.GPUTime > 0 {
-		e.addGPU(f, stats.GPUTime, int64(tbl.Rows())*16)
+		e.addGPU(f, stats.GPUTime, int64(rows)*16)
 	}
 	return perm, stats, nil
 }
@@ -139,7 +147,11 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 	if f.tbl.Rows() > 1 {
 		start := f.at()
 		sp := f.begin("op", "sort")
-		perm, stats, err := e.hybridSort(f.tbl, n.Keys, f, sp)
+		words, offs, err := sortKeyWords(f.tbl, n.Keys, e.cfg.Degree)
+		if err != nil {
+			return nil, err
+		}
+		perm, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, f.tbl.Rows(), offs[len(n.Keys)]), f, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +177,8 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 	ranks := make([]int64, tbl.Rows())
 	if tbl.Rows() > 0 {
 		// Sort by (partition, order) — the sort the paper says RANK()
-		// drives — then walk the order assigning ranks per partition.
+		// drives — then walk the order assigning ranks per partition over
+		// the key buffer the sort was served from.
 		var keys []plan.SortKey
 		for _, p := range n.PartitionBy {
 			keys = append(keys, plan.SortKey{Column: p})
@@ -173,7 +186,12 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 		keys = append(keys, n.OrderBy...)
 		start := f.at()
 		sp := f.begin("op", "window-sort")
-		perm, stats, err := e.hybridSort(tbl, keys, f, sp)
+		words, offs, err := sortKeyWords(tbl, keys, e.cfg.Degree)
+		if err != nil {
+			return nil, err
+		}
+		depth, partDepth := offs[len(keys)], offs[len(n.PartitionBy)]
+		perm, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, tbl.Rows(), depth), f, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -185,45 +203,28 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 			Sort: sortRecord(stats),
 		})
 
-		partKeys, err := encodeSortKeys(tbl, partitionKeys(n), e.cfg.Degree)
-		if err != nil {
-			return nil, err
-		}
-		orderKeys, err := encodeSortKeys(tbl, n.OrderBy, e.cfg.Degree)
-		if err != nil {
-			return nil, err
-		}
 		rank, pos := int64(0), int64(0)
-		for i, r := range perm {
-			if i == 0 || string(partKeys[r]) != string(partKeys[perm[i-1]]) {
+		var prev []uint32
+		for _, r := range perm {
+			cur := words[int(r)*depth : (int(r)+1)*depth]
+			if prev == nil || !slices.Equal(cur[:partDepth], prev[:partDepth]) {
 				rank, pos = 1, 1
 			} else {
 				pos++
-				if string(orderKeys[r]) != string(orderKeys[perm[i-1]]) {
+				if !slices.Equal(cur[partDepth:], prev[partDepth:]) {
 					rank = pos
 				}
 			}
 			ranks[r] = rank
+			prev = cur
 		}
 	}
-	rb := columnar.NewInt64Builder(n.Out)
-	for _, r := range ranks {
-		rb.Append(r)
-	}
 	cols := append([]columnar.Column{}, tbl.Columns()...)
-	cols = append(cols, rb.Build())
+	cols = append(cols, columnar.NewInt64Column(n.Out, ranks, nil))
 	out, err := columnar.NewTable(tbl.Name()+"_w", cols...)
 	if err != nil {
 		return nil, err
 	}
 	f.tbl = out
 	return f, nil
-}
-
-func partitionKeys(n *plan.Window) []plan.SortKey {
-	keys := make([]plan.SortKey, len(n.PartitionBy))
-	for i, p := range n.PartitionBy {
-		keys[i] = plan.SortKey{Column: p}
-	}
-	return keys
 }

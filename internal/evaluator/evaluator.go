@@ -270,29 +270,30 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 	return res, nil
 }
 
-// DecodeKey reconstructs field f's column value from a narrow packed key.
-func DecodeKey(key uint64, f KeyField) columnar.Value {
-	code := (key >> uint(f.BitOffset)) & ((1 << uint(f.Bits)) - 1)
-	return decodeCode(code, f)
+// DecodeColumn decodes field f of every narrow packed key into a typed
+// column named after the grouping column: rebased integers, or dictionary
+// codes over the source column's dictionary. NULL rows hold the zero value
+// and the bitmap is nil when no key carries the NULL code, exactly as the
+// column builders leave them.
+func (f KeyField) DecodeColumn(keys []uint64, degree int) columnar.Column {
+	return f.decodeCodes(keys, uint(f.BitOffset), uint64(1)<<uint(f.Bits)-1, degree)
 }
 
-// DecodeWideKey reconstructs field f's column value from a wide key.
-func DecodeWideKey(key []byte, f KeyField) columnar.Value {
-	seg := key[f.ByteOffset : f.ByteOffset+f.Bytes]
-	var code uint64
-	switch f.Bytes {
-	case 4:
-		code = uint64(binary.LittleEndian.Uint32(seg))
-	default:
-		code = binary.LittleEndian.Uint64(seg)
-	}
-	if f.Type == columnar.Float64 {
-		if f.HasNull && code == floatNullCode {
-			return columnar.NullValue(columnar.Float64)
+// DecodeWideColumn decodes field f of keys[perm[i]], for every i, out of
+// wide concatenated keys.
+func (f KeyField) DecodeWideColumn(keys [][]byte, perm []int32, degree int) columnar.Column {
+	codes := make([]uint64, len(perm))
+	parallel.For(len(perm), evalGrain, degree, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			seg := keys[perm[i]][f.ByteOffset:]
+			if f.Bytes == 4 {
+				codes[i] = uint64(binary.LittleEndian.Uint32(seg))
+			} else {
+				codes[i] = binary.LittleEndian.Uint64(seg)
+			}
 		}
-		return columnar.FloatValue(math.Float64frombits(code))
-	}
-	return decodeCode(code, f)
+	})
+	return f.decodeCodes(codes, 0, ^uint64(0), degree)
 }
 
 // floatNullCode marks NULL in float key fields: a NaN bit pattern that
@@ -300,20 +301,46 @@ func DecodeWideKey(key []byte, f KeyField) columnar.Value {
 // codes like int codes would alias adjacent bit patterns.
 const floatNullCode = ^uint64(0)
 
-func decodeCode(code uint64, f KeyField) columnar.Value {
+// decodeCodes decodes (words[i] >> off) & mask, the inverse of packNarrow
+// and packWide: workers fill 64-aligned ranges of a typed vector and of
+// the shared null bitmap.
+func (f KeyField) decodeCodes(words []uint64, off uint, mask uint64, degree int) columnar.Column {
+	n := len(words)
+	var shift, null uint64
+	if f.Type == columnar.Float64 {
+		null = floatNullCode
+	} else if f.HasNull {
+		shift = 1
+	}
+	var nulls *columnar.Bitmap
 	if f.HasNull {
-		if code == 0 {
-			return columnar.NullValue(f.Type)
-		}
-		code--
+		nulls = columnar.NewBitmap(n)
+	}
+	// each runs set(i, code) over the non-NULL rows and marks the rest.
+	each := func(set func(i int, code uint64)) {
+		parallel.For(n, evalGrain, degree, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				if code := words[i] >> off & mask; f.HasNull && code == null {
+					nulls.Set(i)
+				} else {
+					set(i, code-shift)
+				}
+			}
+		})
 	}
 	switch f.Type {
 	case columnar.String:
-		return columnar.StringValue(f.Dict.Decode(int32(code)))
+		codes := make([]int32, n)
+		each(func(i int, code uint64) { codes[i] = int32(code) })
+		return f.Dict.WithCodes(f.Column, codes, nulls.NilIfEmpty())
 	case columnar.Float64:
-		return columnar.FloatValue(math.Float64frombits(code))
+		data := make([]float64, n)
+		each(func(i int, code uint64) { data[i] = math.Float64frombits(code) })
+		return columnar.NewFloat64Column(f.Column, data, nulls.NilIfEmpty())
 	default:
-		return columnar.IntValue(int64(code) + f.MinI)
+		data := make([]int64, n)
+		each(func(i int, code uint64) { data[i] = int64(code) + f.MinI })
+		return columnar.NewInt64Column(f.Column, data, nulls.NilIfEmpty())
 	}
 }
 

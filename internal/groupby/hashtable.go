@@ -153,28 +153,39 @@ func (t *deviceTable) keyBase(s int) int { return s * t.entryWords }
 // aggBase returns the index of aggregate a's accumulator in slot s.
 func (t *deviceTable) aggBase(s, a int) int { return s*t.entryWords + t.keyWords + a }
 
-// extract gathers the occupied slots into a Result, returning the modeled
+// extract gathers the occupied slots into a Result sized once from groups,
+// the occupied-slot count the kernel computed, returning the modeled
 // device-side scan time (the result transfer is modeled by the caller,
 // which knows pinnedness).
-func (t *deviceTable) extract(in *Input, model *vtime.CostModel) (*Result, vtime.Duration) {
-	res := &Result{AggWords: newAggColumns(len(in.Aggs), 0)}
+func (t *deviceTable) extract(in *Input, groups int, model *vtime.CostModel) (*Result, vtime.Duration) {
+	res := &Result{Groups: groups, AggWords: make([][]uint64, len(in.Aggs))}
+	for a := range res.AggWords {
+		res.AggWords[a] = make([]uint64, groups)
+	}
+	var flat []byte
+	if in.Wide() {
+		res.WideKeys = make([][]byte, groups)
+		flat = make([]byte, groups*in.KeyBytes)
+	} else {
+		res.Keys = make([]uint64, groups)
+	}
 	words := t.buf.Words()
+	g := 0
 	for s := 0; s < t.slots; s++ {
 		base := t.keyBase(s)
 		if words[base] == EmptyKey {
 			continue
 		}
 		if in.Wide() {
-			key := make([]byte, in.KeyBytes)
-			unpackKey(words[base:base+t.keyWords], key)
-			res.WideKeys = append(res.WideKeys, key)
+			res.WideKeys[g] = flat[g*in.KeyBytes : (g+1)*in.KeyBytes]
+			unpackKey(words[base:base+t.keyWords], res.WideKeys[g])
 		} else {
-			res.Keys = append(res.Keys, words[base])
+			res.Keys[g] = words[base]
 		}
-		for a := range in.Aggs {
-			res.AggWords[a] = append(res.AggWords[a], words[t.aggBase(s, a)])
+		for a := range res.AggWords {
+			res.AggWords[a][g] = words[t.aggBase(s, a)]
 		}
-		res.Groups++
+		g++
 	}
 	scan := vtime.Duration(float64(TableBytes(t.slots, t.entryWords)) / model.GPU.MemBandwidthBps)
 	return res, model.GPUKernelLaunch + scan

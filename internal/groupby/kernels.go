@@ -16,7 +16,8 @@ type kernelStats struct {
 	// each key was claimed. Recorded once per key by the claiming thread:
 	// for linear probing the final set of occupied slots — and so this sum
 	// — does not depend on which thread won which claim, unlike a per-row
-	// probe count, which does.
+	// probe count, which does. Each grid chunk sums its claims locally and
+	// adds once: every worker loads full, on the same cache line, per row.
 	disp       atomic.Uint64
 	full       atomic.Bool   // table overflow observed
 	flushes    atomic.Uint64 // kernel-2 shared-memory flushes
@@ -25,8 +26,8 @@ type kernelStats struct {
 
 // insertNarrow probes the table for a <=64-bit key using mod hashing and
 // atomicCAS claiming (Section 4.3.1), returning the slot or -1 on a full
-// table.
-func insertNarrow(t *deviceTable, key, hash uint64, st *kernelStats) int {
+// table. A claim adds its displacement to the caller's chunk-local disp.
+func insertNarrow(t *deviceTable, key, hash uint64, st *kernelStats, disp *uint64) int {
 	mask := t.slots - 1
 	s := int(hash) & mask
 	for step := 0; step < t.slots; step++ {
@@ -34,7 +35,7 @@ func insertNarrow(t *deviceTable, key, hash uint64, st *kernelStats) int {
 		cur := t.buf.AtomicLoad(base)
 		if cur == EmptyKey {
 			if t.buf.AtomicCAS(base, EmptyKey, key) {
-				st.disp.Add(uint64(step))
+				*disp += uint64(step)
 				return s
 			}
 			cur = t.buf.AtomicLoad(base)
@@ -52,7 +53,7 @@ func insertNarrow(t *deviceTable, key, hash uint64, st *kernelStats) int {
 // Murmur hashing (the hash arrives precomputed from the HASH evaluator).
 // It returns the slot or -1 on a full table. The slot remains locked on
 // success so the caller can aggregate under it; the caller must unlock.
-func insertWide(t *deviceTable, key []byte, hash uint64, st *kernelStats, keyBuf []uint64) int {
+func insertWide(t *deviceTable, key []byte, hash uint64, st *kernelStats, disp *uint64, keyBuf []uint64) int {
 	packKey(key, keyBuf)
 	mask := t.slots - 1
 	s := int(hash) & mask
@@ -62,7 +63,7 @@ func insertWide(t *deviceTable, key []byte, hash uint64, st *kernelStats, keyBuf
 		cur := t.buf.Words()[base]
 		if cur == EmptyKey {
 			copy(t.buf.Words()[base:base+t.keyWords], keyBuf)
-			st.disp.Add(uint64(step))
+			*disp += uint64(step)
 			return s
 		}
 		if wordsEqual(t.buf.Words()[base:base+t.keyWords], keyBuf) {
@@ -132,11 +133,13 @@ func runKernel1(in *Input, t *deviceTable, dev *gpu.Device, model *vtime.CostMod
 			keyWords := in.KeyWords()
 			err = g.ParallelFor(in.NumRows, func(lo, hi int) {
 				keyBuf := make([]uint64, keyWords)
+				var disp uint64
+				defer func() { st.disp.Add(disp) }()
 				for i := lo; i < hi; i++ {
 					if st.full.Load() {
 						return
 					}
-					slot := insertWide(t, in.WideKeys[i], in.Hashes[i], st, keyBuf)
+					slot := insertWide(t, in.WideKeys[i], in.Hashes[i], st, &disp, keyBuf)
 					if slot < 0 {
 						return
 					}
@@ -148,11 +151,13 @@ func runKernel1(in *Input, t *deviceTable, dev *gpu.Device, model *vtime.CostMod
 			})
 		} else {
 			err = g.ParallelFor(in.NumRows, func(lo, hi int) {
+				var disp uint64
+				defer func() { st.disp.Add(disp) }()
 				for i := lo; i < hi; i++ {
 					if st.full.Load() {
 						return
 					}
-					slot := insertNarrow(t, in.Keys[i], in.Hashes[i], st)
+					slot := insertNarrow(t, in.Keys[i], in.Hashes[i], st, &disp)
 					if slot < 0 {
 						return
 					}
@@ -247,6 +252,8 @@ func runKernel2(in *Input, t *deviceTable, dev *gpu.Device, model *vtime.CostMod
 			if lo >= hi {
 				return
 			}
+			var disp uint64
+			defer func() { st.disp.Add(disp) }()
 			// The SMX's shared-memory table.
 			local := make([]uint64, slots2*entryWords)
 			reset := func() {
@@ -261,7 +268,7 @@ func runKernel2(in *Input, t *deviceTable, dev *gpu.Device, model *vtime.CostMod
 					if local[base] == EmptyKey {
 						continue
 					}
-					slot := insertNarrow(t, local[base], hashMix(local[base]), st)
+					slot := insertNarrow(t, local[base], hashMix(local[base]), st, &disp)
 					if slot < 0 {
 						return
 					}
@@ -366,11 +373,13 @@ func runKernel3(in *Input, t *deviceTable, dev *gpu.Device, model *vtime.CostMod
 			keyWords := in.KeyWords()
 			err = g.ParallelFor(in.NumRows, func(lo, hi int) {
 				keyBuf := make([]uint64, keyWords)
+				var disp uint64
+				defer func() { st.disp.Add(disp) }()
 				for i := lo; i < hi; i++ {
 					if st.full.Load() {
 						return
 					}
-					slot := insertWide(t, in.WideKeys[i], in.Hashes[i], st, keyBuf)
+					slot := insertWide(t, in.WideKeys[i], in.Hashes[i], st, &disp, keyBuf)
 					if slot < 0 {
 						return
 					}
@@ -384,11 +393,13 @@ func runKernel3(in *Input, t *deviceTable, dev *gpu.Device, model *vtime.CostMod
 			})
 		} else {
 			err = g.ParallelFor(in.NumRows, func(lo, hi int) {
+				var disp uint64
+				defer func() { st.disp.Add(disp) }()
 				for i := lo; i < hi; i++ {
 					if st.full.Load() {
 						return
 					}
-					slot := insertNarrow(t, in.Keys[i], in.Hashes[i], st)
+					slot := insertNarrow(t, in.Keys[i], in.Hashes[i], st, &disp)
 					if slot < 0 {
 						return
 					}

@@ -141,13 +141,14 @@ func RunGPU(in *Input, res *gpu.Reservation, model *vtime.CostModel, opts GPUOpt
 				return nil, err
 			}
 			var kt vtime.Duration
+			var groups int
 			switch k {
 			case K1Regular:
-				kt, _, err = runKernel1(in, t, dev, model, nil)
+				kt, groups, err = runKernel1(in, t, dev, model, nil)
 			case K2Shared:
-				kt, _, err = runKernel2(in, t, dev, model, nil)
+				kt, groups, err = runKernel2(in, t, dev, model, nil)
 			case K3RowLock:
-				kt, _, err = runKernel3(in, t, dev, model, nil)
+				kt, groups, err = runKernel3(in, t, dev, model, nil)
 			default:
 				return nil, fmt.Errorf("groupby: invalid kernel %v", k)
 			}
@@ -165,7 +166,7 @@ func RunGPU(in *Input, res *gpu.Reservation, model *vtime.CostModel, opts GPUOpt
 			if err != nil {
 				return nil, err
 			}
-			result, extractT := t.extract(in, model)
+			result, extractT := t.extract(in, groups, model)
 			result.Stats.KernelTime = initT + kt + extractT
 			return &attempt{kernel: k, result: result, modeled: initT + kt + extractT, retried: retried, table: t}, nil
 		}

@@ -51,7 +51,7 @@ func (p *parser) expect(kind tokenKind, text string) (token, error) {
 	}
 	want := text
 	if want == "" {
-		want = fmt.Sprintf("token kind %d", kind)
+		want = map[tokenKind]string{tokIdent: "an identifier", tokNumber: "a number", tokString: "a string"}[kind]
 	}
 	return token{}, p.errf("expected %s, found %q", want, p.cur().text)
 }

@@ -181,6 +181,23 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorsNameTheToken pins what a POST /query client reads when a
+// token of the wrong kind arrives: the kind's name, never its number.
+func TestParseErrorsNameTheToken(t *testing.T) {
+	for sql, want := range map[string]string{
+		"SELECT a FROM t LIMIT -1": `sqlparse: at offset 22: expected a number, found "-"`,
+		"SELECT a FROM 3":          `sqlparse: at offset 14: expected an identifier, found "3"`,
+		"SELECT a FROM t JOIN 'u'": `sqlparse: at offset 21: expected an identifier, found "u"`,
+		"SELECT a FROM t GROUP a":  `sqlparse: at offset 22: expected BY, found "a"`,
+		"SELECT t. FROM t":         `sqlparse: at offset 10: expected an identifier, found "FROM"`,
+	} {
+		_, err := Parse(sql)
+		if err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %s", sql, err, want)
+		}
+	}
+}
+
 func TestRoundTripString(t *testing.T) {
 	sql := "SELECT region, SUM(qty) AS total FROM sales WHERE year = 2003 GROUP BY region ORDER BY total DESC LIMIT 3"
 	stmt := mustParse(t, sql)
