@@ -2,8 +2,9 @@ GO ?= go
 
 # Packages with parallel host-side execution; the race target drives the
 # differential tests (degrees 1/2/8), the scheduler/fault stress tests,
-# the concurrent span-tracer stress test and the device kernels (atomics
-# and spin locks on goroutines) under the race detector.
+# the concurrent span-tracer stress test and the group-by's partitioned
+# aggregation loop — the one the CPU path and every device kernel run —
+# under the race detector.
 PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/evaluator ./internal/bsort ./internal/engine \
                 ./internal/sched ./internal/fault ./internal/trace \
@@ -32,12 +33,13 @@ race:
 
 # Host-path micro-rulers (1M rows or groups, allocations reported):
 # gathers, the partial key buffer build, the expression kernels, the fusion
-# cache's content key and its fill/hit of a resident column, the staged
+# cache's content key and its fill/hit of a resident column, the group-by
+# on the CPU path and on the device at 16 and 500 000 groups, the staged
 # device group-by (claims and transfers, no input copy), the join probe
 # against a resident key index, the typed group-by output and the flat
 # sort-key extractor.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild|Predicate|ColumnKey|CacheEnsure|RunGPUStaged|JoinProbe|AggOutput|SortKeys' -benchmem -run '^$$' \
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|Predicate|ColumnKey|CacheEnsure|RunCPU|RunGPU|JoinProbe|AggOutput|SortKeys' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/groupby ./internal/engine
 
 # Five seconds of native fuzzing each: WHERE clauses mutated from the
@@ -48,12 +50,19 @@ bench:
 # the test-only map join (internal/engine — its inputs are byte slices,
 # which the fuzzer would minimize for a minute apiece unless capped); then
 # tables and ASC/DESC key lists, the flat sort-key buffer held segment by
-# segment to the test-only byte keys (internal/engine, capped likewise).
+# segment to the test-only byte keys (internal/engine, capped likewise);
+# then alert-rules files through the parser into a store, query
+# expressions through the parser into a range query on an empty store
+# (internal/obsd), and query-log streams through the decoder and back
+# (internal/qlog) — none may panic.
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzKernelsMatchReference -fuzztime 5s
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinMatchesReference -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSortKeysMatchReference -fuzztime 5s -fuzzminimizetime 200x
+	$(GO) test ./internal/obsd -run '^$$' -fuzz FuzzParseRules -fuzztime 5s
+	$(GO) test ./internal/obsd -run '^$$' -fuzz FuzzParseExpr -fuzztime 5s
+	$(GO) test ./internal/qlog -run '^$$' -fuzz FuzzQlogDecode -fuzztime 5s
 
 # End-to-end smoke: blubench exports one small traced experiment and
 # its EXPLAIN ANALYZE reports (so the binary's own export path is what
@@ -69,8 +78,9 @@ smoke:
 	$(GO) run ./cmd/blucheck -artifacts $(SMOKE_DIR) all
 
 # Perf-regression gate: run the benchdiff suite and compare the modeled
-# (deterministic) timings and H2D bytes against the committed
-# BENCH_0.json baseline.
+# timings and H2D bytes — functions of (sf, seed, config), the same on any
+# machine and any GOMAXPROCS — against the committed BENCH_0.json
+# baseline.
 bench-gate:
 	mkdir -p $(SMOKE_DIR)
 	$(GO) run ./cmd/benchdiff -out $(SMOKE_DIR)/bench-current.json

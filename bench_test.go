@@ -158,7 +158,7 @@ func BenchmarkAblationKernels(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					out, err := groupby.RunGPU(in, res, model, groupby.GPUOptions{Kernel: k, Pinned: true})
+					out, err := groupby.RunGPU(in, 1, res, model, groupby.GPUOptions{Kernel: k, Pinned: true})
 					res.Release()
 					if err != nil {
 						b.Skip("kernel ineligible:", err)
@@ -189,7 +189,7 @@ func BenchmarkAblationModeratorRace(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out, err := groupby.RunGPU(in, res, model, groupby.GPUOptions{Race: race, Pinned: true})
+				out, err := groupby.RunGPU(in, 1, res, model, groupby.GPUOptions{Race: race, Pinned: true})
 				res.Release()
 				if err != nil {
 					b.Fatal(err)
@@ -223,7 +223,7 @@ func BenchmarkAblationKMVErrorPath(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out, err := groupby.RunGPU(in, res, model, groupby.GPUOptions{Kernel: groupby.K1Regular, Pinned: true})
+				out, err := groupby.RunGPU(in, 1, res, model, groupby.GPUOptions{Kernel: groupby.K1Regular, Pinned: true})
 				res.Release()
 				if err != nil {
 					b.Fatal(err)

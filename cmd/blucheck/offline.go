@@ -89,10 +89,8 @@ func reconciledReport(doc []byte) (*explain.Report, error) {
 //
 //   - identical result tables (fusion is a pure transfer optimization;
 //     any drift is a correctness bug) under bench.DiffResults, the rule
-//     the differential tests use: integers, strings and NULLs exact,
-//     floats to 1e-9 relative, because float SUMs accumulate through
-//     racing device atomics and their last bits depend on thread order
-//     whichever path runs, and
+//     the differential tests use: every cell exact, floats to the bit,
+//     because the group-by's answer depends on the degree alone, and
 //   - a real H2D byte reduction with at least one fused chain executed
 //     (otherwise the fused path silently stopped engaging).
 func checkFuse(c *check) error {

@@ -113,10 +113,9 @@ func (h *Harness) newFaultedEngine(inj *fault.Injector) (*engine.Engine, error) 
 }
 
 // DiffResults compares two query results row by row and returns a short
-// description of the first difference, or "" when identical. Integer,
-// string and NULL cells must match exactly; float cells compare with a
-// 1e-9 relative tolerance, because parallel float aggregation is
-// order-sensitive in the last bits whichever path runs.
+// description of the first difference, or "" when identical. Every cell
+// must match exactly, floats to the bit: at one degree the group-by's
+// answer does not depend on which path, kernel or device computed it.
 func DiffResults(want, got *engine.Result) string {
 	wt, gt := want.Table, got.Table
 	if wt.Rows() != gt.Rows() {
@@ -140,23 +139,11 @@ func DiffResults(want, got *engine.Result) string {
 	return ""
 }
 
+// cellsEqual is Value.Equal with floats compared by their bits, so a NaN
+// equals itself and -0 differs from +0.
 func cellsEqual(a, b columnar.Value) bool {
-	if a.Null || b.Null {
-		return a.Null == b.Null
-	}
-	if a.Type == columnar.Float64 || b.Type == columnar.Float64 {
-		toF := func(v columnar.Value) float64 {
-			if v.Type == columnar.Int64 {
-				return float64(v.I)
-			}
-			return v.F
-		}
-		x, y := toF(a), toF(b)
-		if x == y {
-			return true
-		}
-		scale := math.Max(math.Abs(x), math.Abs(y))
-		return math.Abs(x-y) <= 1e-9*math.Max(scale, 1)
+	if a.Type == columnar.Float64 && b.Type == columnar.Float64 && !a.Null && !b.Null {
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
 	}
 	return a.Equal(b)
 }

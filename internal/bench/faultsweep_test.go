@@ -2,10 +2,11 @@ package bench
 
 // The degradation invariant, tested differentially: whatever the fault
 // injector does to the GPU path — per-site fault rates of 0 / 0.1 / 0.5,
-// or a whole device dying mid-run — every workload query must complete
-// without error and return the same results as the fault-free engine,
-// and the monitor must account for every injected fault as either a
-// same-placement retry or a CPU fallback.
+// a whole device dying mid-run, or kernel faults while the moderator races
+// two kernels — every workload query must complete without error and
+// return the same results as the fault-free engine, and the monitor must
+// account for every injected fault as either a same-placement retry or a
+// CPU fallback.
 
 import (
 	"testing"
@@ -20,8 +21,8 @@ import (
 // sweepEngine builds an engine that sends every eligible operation to
 // the device: T1=1 forces the GPU chain for any grouped query and a tiny
 // sort threshold forces radix-sort jobs, so the toy-scale dataset still
-// exercises every fault site.
-func sweepEngine(t *testing.T, data *workload.Dataset, inj *fault.Injector) *engine.Engine {
+// exercises every fault site. race turns on the moderator's kernel race.
+func sweepEngine(t *testing.T, data *workload.Dataset, inj *fault.Injector, race bool) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(engine.Config{
 		Devices:          2,
@@ -30,6 +31,7 @@ func sweepEngine(t *testing.T, data *workload.Dataset, inj *fault.Injector) *eng
 		Thresholds:       optimizer.Thresholds{T1Rows: 1, T2Groups: 0, T3Rows: 1 << 40},
 		GPUSortThreshold: 256,
 		Faults:           inj,
+		Race:             race,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +49,7 @@ func TestFaultSweepDifferential(t *testing.T) {
 		qs = qs[:30]
 	}
 
-	clean := sweepEngine(t, data, nil)
+	clean := sweepEngine(t, data, nil, false)
 	baseline := make([]*engine.Result, len(qs))
 	gpuQueries := 0
 	for i, q := range qs {
@@ -67,7 +69,9 @@ func TestFaultSweepDifferential(t *testing.T) {
 
 	cases := []struct {
 		name       string
-		rate       float64
+		rate       float64 // at every site
+		kernel     float64 // at kernel launches, when above rate
+		race       bool
 		killAtHalf bool
 		wantFaults bool
 	}{
@@ -75,6 +79,9 @@ func TestFaultSweepDifferential(t *testing.T) {
 		{name: "rate-0.1", rate: 0.1, wantFaults: true},
 		{name: "rate-0.5", rate: 0.5, wantFaults: true},
 		{name: "device-dead", rate: 0, killAtHalf: true, wantFaults: true},
+		// A fault in the raced second kernel fails the attempt like any
+		// other device error; it must not vanish from the ledger.
+		{name: "race-kernel-0.3", kernel: 0.3, race: true, wantFaults: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,9 +90,9 @@ func TestFaultSweepDifferential(t *testing.T) {
 				Reserve: tc.rate,
 				H2D:     tc.rate,
 				D2H:     tc.rate,
-				Kernel:  tc.rate,
+				Kernel:  max(tc.rate, tc.kernel),
 			})
-			eng := sweepEngine(t, data, inj)
+			eng := sweepEngine(t, data, inj, tc.race)
 			for i, q := range qs {
 				// Kill device 0: the placement tie-break prefers it, so in
 				// a serial run it is the device actually doing the work —

@@ -15,11 +15,10 @@ import (
 
 // roundMs quantizes a modeled-millisecond value to 1e-6 ms (one modeled
 // nanosecond), which keeps committed snapshots tidy while sitting many
-// orders of magnitude below any real regression. Modeled time is
-// run-to-run exact at a fixed GOMAXPROCS (kernel costs count probe
-// displacement per key, not per racing row — DESIGN.md §3); the GPU-off
-// columns still vary with GOMAXPROCS, so snapshots from machines with
-// different core counts are not bit-comparable.
+// orders of magnitude below any real regression. Modeled time is a
+// function of (sf, seed, config) — the group-by's partitions follow the
+// degree, not the host's core count (DESIGN.md §3) — so snapshots from
+// any machine at any GOMAXPROCS compare exactly.
 func roundMs(v float64) float64 { return math.Round(v*1e6) / 1e6 }
 
 // SnapshotSchema versions the BENCH_<n>.json layout. Bump it when a

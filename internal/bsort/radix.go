@@ -1,6 +1,8 @@
 package bsort
 
 import (
+	"slices"
+
 	"blugpu/internal/gpu"
 	"blugpu/internal/vtime"
 )
@@ -33,42 +35,36 @@ func (r Range) Len() int { return r.Hi - r.Lo }
 // equal partial key), along with modeled kernel + transfer time.
 //
 // The device cost is the published kernel's throughput (~1G keys/s on a
-// K40); the functional sort is an LSD counting sort over the 4 key bytes.
+// K40); the functional sort is an LSD counting sort over the 4 key bytes
+// of a host copy of the job's entries. The device's entry buffer and
+// scratch buffer are claimed from the reservation, not filled.
 func gpuRadixSort(entries []Entry, r Range, res *gpu.Reservation, model *vtime.CostModel, pinned bool) ([]Range, vtime.Duration, error) {
 	n := r.Len()
 	if n <= 1 {
 		return nil, 0, nil
 	}
-	dev := res.Device()
-
-	// Stage the job's slice of the partial key buffer onto the device:
-	// the entries go straight into the device words the passes sort.
-	buf, err := res.AllocWords(n)
+	bytes := int64(n) * 8
+	// Stage the job's slice of the partial key buffer onto the device, then
+	// claim the scratch buffer for the out-of-place counting-sort passes.
+	if err := res.Claim(bytes); err != nil {
+		return nil, 0, err
+	}
+	tin, err := res.CopyToDevice(bytes, pinned)
 	if err != nil {
 		return nil, 0, err
 	}
-	words := buf.Words()
-	for i := range words {
-		words[i] = uint64(entries[r.Lo+i])
-	}
-	tin, err := res.CopyToDevice(int64(n)*8, pinned)
-	if err != nil {
+	if err := res.Claim(bytes); err != nil {
 		return nil, 0, err
 	}
 
-	// Scratch buffer for the out-of-place counting-sort passes.
-	scratch, err := res.AllocWords(n)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	kr := dev.RunKernelSpan("radix_sort", buf.Span(), func(g *gpu.Grid) vtime.Duration {
-		src, dst := words, scratch.Words()
+	sorted := slices.Clone(entries[r.Lo:r.Hi])
+	kr := res.Device().RunKernelSpan("radix_sort", res.Span(), func() vtime.Duration {
+		src, dst := sorted, make([]Entry, n)
 		for pass := 0; pass < 4; pass++ {
 			shift := uint(32 + 8*pass)
 			var counts [256]int
-			for _, w := range src {
-				counts[(w>>shift)&0xFF]++
+			for _, e := range src {
+				counts[(e>>shift)&0xFF]++
 			}
 			sum := 0
 			for b := 0; b < 256; b++ {
@@ -76,14 +72,14 @@ func gpuRadixSort(entries []Entry, r Range, res *gpu.Reservation, model *vtime.C
 				counts[b] = sum
 				sum += c
 			}
-			for _, w := range src {
-				b := (w >> shift) & 0xFF
-				dst[counts[b]] = w
+			for _, e := range src {
+				b := (e >> shift) & 0xFF
+				dst[counts[b]] = e
 				counts[b]++
 			}
 			src, dst = dst, src
 		}
-		// 4 passes: result is back in words.
+		// 4 passes: the result is back in sorted.
 		return vtime.Duration(float64(n) / model.GPURadixSortRate)
 	})
 	if kr.Err != nil {
@@ -92,20 +88,18 @@ func gpuRadixSort(entries []Entry, r Range, res *gpu.Reservation, model *vtime.C
 
 	// Copy the sorted buffer back; the host entries change only once
 	// every transfer has succeeded.
-	tout, err := res.CopyFromDevice(int64(n)*8, pinned)
+	tout, err := res.CopyFromDevice(bytes, pinned)
 	if err != nil {
 		return nil, 0, err
 	}
-	for i, w := range words {
-		entries[r.Lo+i] = Entry(w)
-	}
+	copy(entries[r.Lo:r.Hi], sorted)
 
 	// The GPU identifies duplicate ranges for requeueing.
 	var dups []Range
 	i := 0
 	for i < n {
 		j := i + 1
-		for j < n && Entry(words[j]).Key() == Entry(words[i]).Key() {
+		for j < n && sorted[j].Key() == sorted[i].Key() {
 			j++
 		}
 		if j-i > 1 {

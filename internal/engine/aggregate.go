@@ -282,7 +282,7 @@ func (e *Engine) runAggregateGPU(in *groupby.Input, demand int64, pinned bool, f
 		g := op.Begin("gpu", fmt.Sprintf("gpu-groupby attempt %d", attempt+1), f.at())
 		var out *groupby.Result
 		dev, err := e.sched.Run(g, f.at(), demand, exclude, func(res *gpu.Reservation) (err error) {
-			out, err = groupby.RunGPU(in, res, e.model, groupby.GPUOptions{
+			out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, groupby.GPUOptions{
 				Race:   e.cfg.Race,
 				Pinned: pinned,
 			})
@@ -328,14 +328,12 @@ func (e *Engine) runAggregateGPU(in *groupby.Input, demand int64, pinned bool, f
 // buildAggOutput decodes group keys and finalizes aggregates into the
 // result table, a column at a time over typed vectors.
 //
-// Groups are emitted in canonical packed-key order. Hash-table scan
-// order differs between the CPU chain, the three device kernels, and
-// the partitioned merge, so without a canonical order the same query
-// could return rows in different orders depending on which path ran —
-// and a fault-induced CPU fallback would no longer be bit-identical to
-// the GPU run. Sorting by key makes the output path-independent. Narrow
-// keys take a radix pass and decode from the sorted key vector; wide keys
-// keep a comparison sort, no workload statement groups by one.
+// Groups are emitted in canonical packed-key order. The aggregation
+// loop's group order follows its partitions, and so the degree; sorting
+// by key makes the output order independent of it, so ties under ORDER
+// BY ... LIMIT break the same way at every degree. Narrow keys take a
+// radix pass and decode from the sorted key vector; wide keys keep a
+// comparison sort, no workload statement groups by one.
 func (e *Engine) buildAggOutput(chain *evaluator.Result, in *groupby.Input, out *groupby.Result, items []aggPlanItem) (*columnar.Table, error) {
 	groups, degree := out.Groups, e.cfg.Degree
 	tcols := make([]columnar.Column, 0, len(chain.Fields)+len(items))

@@ -53,7 +53,9 @@ type Config struct {
 	Degree int
 	// Thresholds are the Figure-3 knobs; zero value uses defaults.
 	Thresholds optimizer.Thresholds
-	// Race lets the GPU moderator run a second kernel concurrently.
+	// Race lets the GPU moderator charge a second eligible kernel — its
+	// table claim, mask initialization and launch — and keep the lower
+	// modeled time (Section 4.2). The answer is the same either way.
 	Race bool
 	// GPUSortThreshold is the minimum sort-job size for the device
 	// (default bsort.DefaultGPUThreshold).

@@ -248,7 +248,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 				}
 				live += bytes
 			}
-			kr := dev.RunKernelSpan(name, g.ID(), func(*gpu.Grid) vtime.Duration {
+			kr := dev.RunKernelSpan(name, g.ID(), func() vtime.Duration {
 				if work <= 0 {
 					return 0
 				}
@@ -280,7 +280,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 			return fault(err)
 		}
 
-		out, err = groupby.RunGPU(in, res, e.model, groupby.GPUOptions{
+		out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, groupby.GPUOptions{
 			Race:   e.cfg.Race,
 			Pinned: pinned,
 			Fused:  true,

@@ -1,0 +1,73 @@
+package engine
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"blugpu/internal/optimizer"
+	"blugpu/internal/vtime"
+	"blugpu/internal/workload"
+)
+
+// TestOracleMatrix holds the engine to one answer per statement: all 146
+// workload statements at degree 8, GPU on (fused), GPU on with NoFusion
+// and GPU off, each at GOMAXPROCS 1, 2 and 8. The GPU arms run with T1 = 1
+// and a 256-row sort threshold, so every group-by and most sorts take the
+// device path. Every one of the nine runs must render each statement's
+// result to the same bytes — a device kernel answers with the CPU path's
+// aggregation loop, so which path ran cannot move a bit — and within a
+// configuration, each statement's modeled time must be bit-identical at
+// every GOMAXPROCS: the host's core count is no input.
+func TestOracleMatrix(t *testing.T) {
+	ds := workload.Generate(0.02, 20160626)
+	qs := workloadQueries()
+	configs := []struct {
+		name     string
+		gpu      bool
+		noFusion bool
+	}{
+		{"gpu-on", true, false},
+		{"nofusion", true, true},
+		{"gpu-off", false, false},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var answers [][]byte // per statement, from the first run
+	for _, c := range configs {
+		var modeled []vtime.Duration // per statement, from GOMAXPROCS 1
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			e, err := New(Config{
+				Devices:          2,
+				Degree:           8,
+				NoFusion:         c.noFusion,
+				Thresholds:       optimizer.Thresholds{T1Rows: 1, T3Rows: 1 << 40},
+				GPUSortThreshold: 256,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetGPUEnabled(c.gpu)
+			if err := ds.RegisterAll(e); err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range qs {
+				res, err := e.QueryNamed(q.ID, q.SQL)
+				if err != nil {
+					t.Fatalf("%s GOMAXPROCS %d %s: %v", c.name, procs, q.ID, err)
+				}
+				got := canonicalResult(res.Table)
+				if len(answers) < len(qs) {
+					answers = append(answers, got)
+				} else if !bytes.Equal(got, answers[i]) {
+					t.Errorf("%s GOMAXPROCS %d %s: answer differs from gpu-on at GOMAXPROCS 1", c.name, procs, q.ID)
+				}
+				if procs == 1 {
+					modeled = append(modeled, res.Modeled)
+				} else if res.Modeled != modeled[i] {
+					t.Errorf("%s %s: modeled %v at GOMAXPROCS %d, %v at 1", c.name, q.ID, res.Modeled, procs, modeled[i])
+				}
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -48,10 +47,9 @@ func canonicalResult(tbl *columnar.Table) []byte {
 	return b.Bytes()
 }
 
-// resultsDigest runs all 146 workload statements on the CPU path at the
-// given degree and renders one line per statement: ID, row count, SHA-256
-// of the canonical result.
-func resultsDigest(t *testing.T, degree int) []byte {
+// workloadResults runs all 146 workload statements on the CPU path at the
+// given degree and returns their result tables, in workload order.
+func workloadResults(t *testing.T, degree int) []*columnar.Table {
 	t.Helper()
 	e, err := New(Config{Devices: 0, Degree: degree})
 	if err != nil {
@@ -60,36 +58,73 @@ func resultsDigest(t *testing.T, degree int) []byte {
 	if err := workload.Generate(0.01, 20160626).RegisterAll(e); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	for _, q := range append(workload.BDInsights(), workload.CognosROLAP()...) {
+	var out []*columnar.Table
+	for _, q := range workloadQueries() {
 		res, err := e.QueryNamed(q.ID, q.SQL)
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
-		fmt.Fprintf(&out, "%s %d %x\n", q.ID, res.Table.Rows(), sha256.Sum256(canonicalResult(res.Table)))
+		out = append(out, res.Table)
 	}
-	return out.Bytes()
+	return out
+}
+
+func workloadQueries() []workload.Query {
+	return append(workload.BDInsights(), workload.CognosROLAP()...)
 }
 
 // TestResultsMatchInterpreterDigest pins every workload statement's result
-// to the digest recorded with the boxed row-at-a-time interpreter (the
-// evaluator the typed expression kernels replaced), so the oracle for the
-// expression service is not the code under change. -update regenerates it
-// and is only legitimate when the workload or the generator changes.
+// at degree 1 to the digest recorded with the boxed row-at-a-time
+// interpreter (the evaluator the typed expression kernels replaced) — one
+// line per statement: ID, row count, SHA-256 of the canonical result — so
+// the oracle for the expression service is not the code under change.
+// -update regenerates it and is only legitimate when the workload or the
+// generator changes.
 //
-// The degree-8 pass runs at GOMAXPROCS 1: groupby.RunCPU splits its
-// partial float SUMs min(GOMAXPROCS, degree) ways, so on more cores they
-// associate differently than at degree 1 (true at the parent commit too).
-// Pinned, the sums associate as at degree 1 while every parallel.For path
-// — predicate and expression kernels, gathers, key packing — still splits
-// eight ways, which is the part the digest is here to lock.
+// Degrees 8 and 24 split the group-by into that many partitions, whose
+// partial float SUMs associate differently than degree 1's one pass, by
+// design; they are held to degree 1 cell by cell, exactly for ints,
+// strings and NULLs and to 1e-9 relative for floats. Every parallel.For
+// path — predicate and expression kernels, gathers, key packing — splits
+// eight and 24 ways there, which is the part the comparison is here to
+// lock. No pass depends on the host's core count.
 func TestResultsMatchInterpreterDigest(t *testing.T) {
-	golden(t, "results_digest.golden", resultsDigest(t, 1))
+	one := workloadResults(t, 1)
+	var digest bytes.Buffer
+	for i, q := range workloadQueries() {
+		fmt.Fprintf(&digest, "%s %d %x\n", q.ID, one[i].Rows(), sha256.Sum256(canonicalResult(one[i])))
+	}
+	golden(t, "results_digest.golden", digest.Bytes())
 	if *update {
 		return
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	golden(t, "results_digest.golden", resultsDigest(t, 8))
+	for _, degree := range []int{8, 24} {
+		for i, got := range workloadResults(t, degree) {
+			if msg := diffTables(one[i], got); msg != "" {
+				t.Errorf("%s at degree %d differs from degree 1: %s", workloadQueries()[i].ID, degree, msg)
+			}
+		}
+	}
+}
+
+// diffTables describes the first cell where got differs from want beyond
+// valuesEqual's float tolerance, or returns "".
+func diffTables(want, got *columnar.Table) string {
+	if want.Rows() != got.Rows() || len(want.Columns()) != len(got.Columns()) {
+		return fmt.Sprintf("%dx%d vs %dx%d", got.Rows(), len(got.Columns()), want.Rows(), len(want.Columns()))
+	}
+	for ci, wc := range want.Columns() {
+		gc := got.Columns()[ci]
+		if wc.Name() != gc.Name() {
+			return fmt.Sprintf("column %d named %q vs %q", ci, gc.Name(), wc.Name())
+		}
+		for r := 0; r < want.Rows(); r++ {
+			if !valuesEqual(wc.Value(r), gc.Value(r)) {
+				return fmt.Sprintf("row %d column %q: %v vs %v", r, wc.Name(), gc.Value(r), wc.Value(r))
+			}
+		}
+	}
+	return ""
 }
 
 // BenchmarkWorkloadLap is the in-process host-path ruler the EXPERIMENTS.md
@@ -105,7 +140,7 @@ func BenchmarkWorkloadLap(b *testing.B) {
 	if err := workload.Generate(0.1, 20160626).RegisterAll(e); err != nil {
 		b.Fatal(err)
 	}
-	qs := append(workload.BDInsights(), workload.CognosROLAP()...)
+	qs := workloadQueries()
 	lap := func() {
 		for _, q := range qs {
 			if _, err := e.QueryNamed(q.ID, q.SQL); err != nil {

@@ -312,7 +312,7 @@ func TestGPUPathEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reservation.Release()
-	gpuOut, err := groupby.RunGPU(res.Input, reservation, vtime.Default(), groupby.GPUOptions{Pinned: res.Pinned})
+	gpuOut, err := groupby.RunGPU(res.Input, 1, reservation, vtime.Default(), groupby.GPUOptions{Pinned: res.Pinned})
 	if err != nil {
 		t.Fatal(err)
 	}

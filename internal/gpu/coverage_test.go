@@ -1,50 +1,11 @@
 package gpu
 
 import (
-	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"blugpu/internal/vtime"
 )
-
-func TestFloatAtomicsMinMax(t *testing.T) {
-	d := newTestDevice()
-	r, _ := d.Reserve(1 << 12)
-	defer r.Release()
-	b, _ := r.AllocWords(2)
-	b.AtomicStore(0, math.Float64bits(math.Inf(1)))  // min slot
-	b.AtomicStore(1, math.Float64bits(math.Inf(-1))) // max slot
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				v := float64(g*2000+i) / 7
-				b.AtomicMinFloat64(0, v)
-				b.AtomicMaxFloat64(1, v)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := math.Float64frombits(b.AtomicLoad(0)); got != 0 {
-		t.Errorf("min = %v, want 0", got)
-	}
-	want := float64(8*2000-1) / 7
-	if got := math.Float64frombits(b.AtomicLoad(1)); got != want {
-		t.Errorf("max = %v, want %v", got, want)
-	}
-	// No-op paths.
-	b.AtomicMinFloat64(0, 100)
-	b.AtomicMaxFloat64(1, -1)
-	if math.Float64frombits(b.AtomicLoad(0)) != 0 || math.Float64frombits(b.AtomicLoad(1)) != want {
-		t.Error("no-op min/max changed the word")
-	}
-}
 
 func TestDeviceStringAndAccessors(t *testing.T) {
 	d := NewDevice(7, vtime.TeslaK40())
@@ -62,9 +23,8 @@ func TestDeviceStringAndAccessors(t *testing.T) {
 	if r.Size() != 1<<20 || r.Device() != d {
 		t.Error("reservation accessors wrong")
 	}
-	b, _ := r.AllocWords(4)
-	if len(b.Words()) != 4 {
-		t.Error("Words accessor wrong")
+	if err := r.Claim(32); err != nil || r.Used() != 32 {
+		t.Errorf("claim accessor wrong: used %d, err %v", r.Used(), err)
 	}
 	r.Release()
 	if d.UsedMemory() != 0 {
@@ -92,18 +52,5 @@ func TestWithModelOption(t *testing.T) {
 	slowDev := NewDevice(1, vtime.TeslaK40(), WithModel(slow))
 	if slowDev.TransferTime(1<<24, true) <= fast.TransferTime(1<<24, true) {
 		t.Error("WithModel not applied")
-	}
-}
-
-func TestGridDeviceAccessor(t *testing.T) {
-	d := newTestDevice()
-	kr := d.RunKernel("probe", func(g *Grid) vtime.Duration {
-		if g.Device() != d {
-			t.Error("grid device accessor wrong")
-		}
-		return 0
-	})
-	if kr.Err != nil {
-		t.Fatal(kr.Err)
 	}
 }

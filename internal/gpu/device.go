@@ -2,32 +2,31 @@
 //
 // The paper's prototype targets Nvidia Tesla K40 cards through CUDA. A
 // pure-Go, stdlib-only reproduction cannot drive real CUDA hardware, so
-// this package provides a *functional* device model with the same
-// programming surface the paper's kernels rely on:
+// this package models the device the paper's kernels run on — its
+// accounting, not its threads:
 //
 //   - a device-memory heap with the up-front reservation discipline of
 //     Section 2.1.1 (reserve-or-fail before kernel launch; wait or fall
 //     back to the CPU on failure),
-//   - CUDA-style data-parallel kernel launches executed by a bounded
-//     goroutine pool, with atomic CAS/add/min/max and per-entry spin locks
-//     (Section 4.4's two aggregation strategies),
+//   - kernel launches: admission (the outstanding count the scheduler
+//     balances on), the kernel fault site, launch overhead, counters and
+//     the kernel event,
 //   - SMX shared-memory constraints (64 KiB configurable 48/16 between
 //     shared memory and L1, Section 4.3.2),
 //   - a transfer engine distinguishing pinned from unpinned host memory.
 //
-// Kernels execute for real — hash tables are really built, sorts really
-// sort — while elapsed time is modeled through vtime.CostModel so that the
-// performance *shape* of a K40 (massive parallel throughput, kernel-launch
-// latency, PCIe transfer cost) is preserved. Contention is modeled from
-// the rows-per-group ratio (vtime's AtomicContentionFactor and
-// LockContentionFactor), not counted, so the modeled time is a function
-// of the input alone.
+// A kernel body computes its answer on the host — deterministically, in
+// the same code the CPU path runs — and returns its modeled time from
+// vtime.CostModel, so that the performance *shape* of a K40 (massive
+// parallel throughput, kernel-launch latency, PCIe transfer cost) is
+// preserved while answers and modeled time depend only on the input.
+// Section 4.4's atomics and row locks are cost terms (vtime's
+// AtomicContentionFactor and LockContentionFactor over the rows-per-group
+// ratio), not goroutines racing over shared words.
 //
-// Device memory is accounted, not filled, wherever no kernel computes on
-// it: a reservation hands out bytes by Claim, and transfers are byte
-// counts with their fault site, counters, modeled time and event. Only
-// the group-by hash table and the radix sort's passes get real words
-// (AllocWords).
+// Device memory is accounted, never filled: a reservation hands out bytes
+// by Claim, and transfers are byte counts with their fault site,
+// counters, modeled time and event.
 package gpu
 
 import (
@@ -122,7 +121,7 @@ type Device struct {
 	busyD2H    vtime.Duration
 
 	// sharedSplit is the byte count of the SMX pool configured as shared
-	// memory (the rest is L1). The group-by kernels set 48 KiB.
+	// memory (the rest is L1). Kernel 2 sizes its per-SMX tables by it.
 	sharedSplit int
 }
 

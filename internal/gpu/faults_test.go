@@ -66,7 +66,7 @@ func TestInjectedKernelFaultSkipsBody(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 3, Kernel: 1})
 	d := NewDevice(0, vtime.TeslaK40(), WithFaults(inj))
 	ran := false
-	kr := d.RunKernel("k", func(g *Grid) vtime.Duration {
+	kr := d.RunKernel("k", func() vtime.Duration {
 		ran = true
 		return 0
 	})

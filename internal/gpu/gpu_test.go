@@ -2,12 +2,10 @@ package gpu
 
 import (
 	"errors"
-	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
 
+	"blugpu/internal/parallel"
 	"blugpu/internal/vtime"
 )
 
@@ -68,14 +66,9 @@ func TestReserveInvalid(t *testing.T) {
 func TestAllocWithinReservation(t *testing.T) {
 	d := newTestDevice()
 	r, _ := d.Reserve(1 << 20)
-	b, err := r.AllocWords(1024)
-	if err != nil {
+	if err := r.Claim(8192); err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Words()) != 1024 {
-		t.Errorf("buffer len=%d, want 1024", len(b.Words()))
-	}
-	// A claim takes bytes without backing words; both count alike.
 	if err := r.Claim(4096); err != nil {
 		t.Fatal(err)
 	}
@@ -83,123 +76,33 @@ func TestAllocWithinReservation(t *testing.T) {
 		t.Errorf("Used = %d, want %d", r.Used(), 8192+4096)
 	}
 	// Overflowing the reservation must fail without touching the device.
-	if _, err := r.AllocWords(1 << 20); !errors.Is(err, ErrOutOfMemory) {
-		t.Errorf("reservation overflow should wrap ErrOutOfMemory, got %v", err)
-	}
 	if err := r.Claim(1 << 20); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("claim overflow should wrap ErrOutOfMemory, got %v", err)
+	}
+	if r.Used() != 8192+4096 || d.UsedMemory() != 1<<20 {
+		t.Errorf("failed claim moved the accounting: used %d, device %d", r.Used(), d.UsedMemory())
 	}
 	if err := r.Claim(0); err == nil {
 		t.Error("empty claim should fail")
 	}
 	r.Release()
-	if _, err := r.AllocWords(1); err == nil {
-		t.Error("alloc from released reservation should fail")
-	}
 	if err := r.Claim(8); err == nil {
 		t.Error("claim from released reservation should fail")
 	}
 }
 
-func TestAtomics(t *testing.T) {
-	d := newTestDevice()
-	r, _ := d.Reserve(1 << 16)
-	b, _ := r.AllocWords(4)
-	defer r.Release()
-
-	if !b.AtomicCAS(0, 0, 42) {
-		t.Error("CAS from zero should succeed")
-	}
-	if b.AtomicCAS(0, 0, 99) {
-		t.Error("CAS with stale old value should fail")
-	}
-	if got := b.AtomicLoad(0); got != 42 {
-		t.Errorf("load = %d, want 42", got)
-	}
-	b.AtomicAdd(1, 10)
-	b.AtomicAdd(1, ^uint64(2)) // add -3 two's complement
-	if got := int64(b.AtomicLoad(1)); got != 7 {
-		t.Errorf("add sequence = %d, want 7", got)
-	}
-	b.AtomicStore(2, uint64(int64(100)))
-	b.AtomicMinInt64(2, 50)
-	b.AtomicMinInt64(2, 80) // no-op
-	if got := int64(b.AtomicLoad(2)); got != 50 {
-		t.Errorf("min = %d, want 50", got)
-	}
-	b.AtomicMaxInt64(2, 60)
-	if got := int64(b.AtomicLoad(2)); got != 60 {
-		t.Errorf("max = %d, want 60", got)
-	}
-	b.AtomicAddFloat64(3, 1.5)
-	b.AtomicAddFloat64(3, 2.25)
-	if got := math.Float64frombits(b.AtomicLoad(3)); got != 3.75 {
-		t.Errorf("float add = %v, want 3.75", got)
-	}
-}
-
-func TestAtomicsConcurrent(t *testing.T) {
-	d := newTestDevice()
-	r, _ := d.Reserve(1 << 16)
-	b, _ := r.AllocWords(3)
-	defer r.Release()
-	b.AtomicStore(1, uint64(int64(math.MaxInt64))) // min slot
-	b.AtomicStore(2, uint64(1)<<63)                // max slot = MinInt64 bit pattern
-
-	var wg sync.WaitGroup
-	const goroutines, per = 8, 10000
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				b.AtomicAdd(0, 1)
-				v := int64(g*per + i)
-				b.AtomicMinInt64(1, v)
-				b.AtomicMaxInt64(2, v)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := b.AtomicLoad(0); got != goroutines*per {
-		t.Errorf("count = %d, want %d", got, goroutines*per)
-	}
-	if got := int64(b.AtomicLoad(1)); got != 0 {
-		t.Errorf("min = %d, want 0", got)
-	}
-	if got := int64(b.AtomicLoad(2)); got != goroutines*per-1 {
-		t.Errorf("max = %d, want %d", got, goroutines*per-1)
-	}
-}
-
-func TestLockSet(t *testing.T) {
-	l := NewLockSet(4)
-	var counter int
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				l.Lock(2)
-				counter++
-				l.Unlock(2)
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != 40000 {
-		t.Errorf("counter = %d, want 40000 (lock not mutually exclusive)", counter)
-	}
-}
-
+// TestRunKernelParallelFor: a kernel body fans its work out over the
+// host's workers with parallel.For, as the group-by kernels do, and the
+// call counts as outstanding for as long as that work runs.
 func TestRunKernelParallelFor(t *testing.T) {
 	d := newTestDevice()
 	const n = 100000
 	out := make([]uint64, n)
-	res := d.RunKernel("square", func(g *Grid) vtime.Duration {
-		g.ParallelFor(n, func(lo, hi int) {
+	res := d.RunKernel("square", func() vtime.Duration {
+		if d.Outstanding() != 1 {
+			t.Errorf("outstanding = %d inside the body, want 1", d.Outstanding())
+		}
+		parallel.For(n, 4096, 8, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				out[i] = uint64(i) * uint64(i)
 			}
@@ -222,28 +125,6 @@ func TestRunKernelParallelFor(t *testing.T) {
 	}
 	if d.Outstanding() != 0 {
 		t.Error("outstanding should be 0 after completion")
-	}
-}
-
-func TestForEachSMX(t *testing.T) {
-	d := newTestDevice()
-	seen := make([]bool, d.Spec().SMXCount)
-	var mu sync.Mutex
-	res := d.RunKernel("smx", func(g *Grid) vtime.Duration {
-		g.ForEachSMX(func(smx int) {
-			mu.Lock()
-			seen[smx] = true
-			mu.Unlock()
-		})
-		return 0
-	})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	for i, s := range seen {
-		if !s {
-			t.Errorf("SMX %d never ran", i)
-		}
 	}
 }
 
@@ -309,7 +190,7 @@ func TestEventsEmitted(t *testing.T) {
 	d := NewDevice(3, vtime.TeslaK40(), WithSink(sink))
 	r, _ := d.Reserve(1 << 16)
 	r.CopyToDevice(64, true)
-	d.RunKernel("k", func(g *Grid) vtime.Duration { return 0 })
+	d.RunKernel("k", func() vtime.Duration { return 0 })
 	r.CopyFromDevice(64, true)
 	r.Release()
 	d.Reserve(d.TotalMemory() * 2) // fails -> reserve-fail event
@@ -330,43 +211,15 @@ func TestEventsEmitted(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRange(t *testing.T) {
-	d := newTestDevice()
-	f := func(n uint16) bool {
-		size := int(n%5000) + 1
-		covered := make([]uint64, size)
-		res := d.RunKernel("cover", func(g *Grid) vtime.Duration {
-			g.ParallelFor(size, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddUint64(&covered[i], 1)
-				}
-			})
-			return 0
-		})
-		if res.Err != nil {
-			return false
-		}
-		for i := range covered {
-			if covered[i] != 1 {
-				return false // missed or double-visited
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestParallelForReraisesWorkerPanic: a kernel body panicking on one of
-// the grid's goroutines reaches RunKernel's caller, and the kernel call is
-// no longer counted outstanding.
+// its parallel.For workers reaches RunKernel's caller, and the kernel call
+// is no longer counted outstanding.
 func TestParallelForReraisesWorkerPanic(t *testing.T) {
 	d := newTestDevice()
 	got := func() (r any) {
 		defer func() { r = recover() }()
-		d.RunKernel("boom", func(g *Grid) vtime.Duration {
-			g.ParallelFor(1<<12, func(lo, hi int) {
+		d.RunKernel("boom", func() vtime.Duration {
+			parallel.For(1<<12, 64, 8, func(lo, hi, _ int) {
 				if lo == 0 {
 					panic("kernel blew up")
 				}

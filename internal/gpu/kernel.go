@@ -1,62 +1,10 @@
 package gpu
 
 import (
-	"math"
-	"runtime"
-	"sync/atomic"
-
 	"blugpu/internal/fault"
-	"blugpu/internal/parallel"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 )
-
-// Grid is the execution context handed to kernel bodies. It exposes
-// data-parallel iteration over the device's (simulated) thread grid.
-type Grid struct {
-	dev     *Device
-	workers int
-}
-
-// Device returns the device executing the kernel.
-func (g *Grid) Device() *Device { return g.dev }
-
-// ParallelFor executes body over [0,n) split into contiguous chunks across
-// the worker pool, mirroring a grid-stride CUDA loop. Chunks are finer
-// than workers so an uneven chunk does not hold up the kernel. A body
-// panic is re-raised on the caller once the other workers finish.
-func (g *Grid) ParallelFor(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := min(g.workers, n)
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	chunks := min(workers*4, n)
-	chunkSize := (n + chunks - 1) / chunks
-	var next atomic.Int64
-	parallel.Go(workers, func(int) {
-		for {
-			lo := int(next.Add(int64(chunkSize))) - chunkSize
-			if lo >= n {
-				return
-			}
-			body(lo, min(lo+chunkSize, n))
-		}
-	})
-}
-
-// ForEachSMX runs body once per streaming multiprocessor, in parallel.
-// Kernel 2 uses this to build per-SMX shared-memory hash tables.
-func (g *Grid) ForEachSMX(body func(smx int)) {
-	g.ParallelFor(g.dev.spec.SMXCount, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			body(s)
-		}
-	})
-}
 
 // KernelResult reports a finished kernel execution. Err is an injected
 // kernel fault, which fires before the body runs.
@@ -66,20 +14,23 @@ type KernelResult struct {
 	Err     error
 }
 
-// RunKernel admits and executes one kernel call. The body performs the
-// functional work through the Grid and returns the modeled device time
-// (computed from measured work by the kernel's cost function). RunKernel
-// adds the kernel-launch overhead, updates device counters, and reports
-// the event to the monitor sink.
-func (d *Device) RunKernel(name string, body func(g *Grid) vtime.Duration) KernelResult {
+// RunKernel admits and executes one kernel call. The body does the
+// kernel's functional work on the calling goroutine (fanning out over the
+// host's workers itself if it wants to) and returns the modeled device
+// time from the kernel's cost formula. RunKernel adds the kernel-launch
+// overhead, updates device counters, and reports the event to the
+// monitor sink.
+func (d *Device) RunKernel(name string, body func() vtime.Duration) KernelResult {
 	return d.RunKernelSpan(name, 0, body)
 }
 
 // RunKernelSpan is RunKernel with the caller's tracer span attached:
 // the kernel event (and any injected kernel fault) is reported under
 // sp, so the tracer can attribute device time to the query operator
-// that launched the kernel. sp 0 means untraced.
-func (d *Device) RunKernelSpan(name string, sp trace.SpanID, body func(g *Grid) vtime.Duration) KernelResult {
+// that launched the kernel. sp 0 means untraced. The call counts as
+// outstanding — what the scheduler balances on — until the body returns
+// or panics.
+func (d *Device) RunKernelSpan(name string, sp trace.SpanID, body func() vtime.Duration) KernelResult {
 	d.mu.Lock()
 	d.outstanding++
 	d.mu.Unlock()
@@ -94,15 +45,7 @@ func (d *Device) RunKernelSpan(name string, sp trace.SpanID, body func(g *Grid) 
 		return KernelResult{Name: name, Err: err}
 	}
 
-	modeled := body(&Grid{dev: d, workers: deviceWorkers()}) + d.modelRef().GPUKernelLaunch
+	modeled := body() + d.modelRef().GPUKernelLaunch
 	d.emit(Event{Kind: EventKernel, Name: name, Modeled: modeled, Span: sp})
 	return KernelResult{Name: name, Modeled: modeled}
 }
-
-// deviceWorkers bounds the goroutine pool that stands in for the CUDA
-// cores. Functional throughput only affects wall-clock test time, not
-// modeled results.
-func deviceWorkers() int { return min(runtime.GOMAXPROCS(0), 16) }
-
-func float64Bits(f float64) uint64     { return math.Float64bits(f) }
-func float64FromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -80,12 +80,11 @@ func (r *Reservation) Used() int64 { return r.used }
 // Device returns the owning device.
 func (r *Reservation) Device() *Device { return r.dev }
 
-// Claim takes n bytes out of the reservation for device memory no kernel
-// computes on — staged inputs, resident column images, fused-stage
-// intermediates, result blocks. The simulator charges their transfers and
-// counts their footprint from byte counts and keeps no copy of them
-// (kernels read the host slices). Claim fails exactly where AllocWords of
-// the same size would.
+// Claim takes n bytes out of the reservation: staged inputs, resident
+// column images, fused-stage intermediates, hash tables, sort buffers,
+// result blocks. Device memory is accounted, never filled — the simulator
+// charges transfers and counts footprint from byte counts, and kernels
+// compute on the host's slices.
 func (r *Reservation) Claim(n int64) error {
 	if r.released {
 		return errors.New("gpu: allocation from released reservation")
@@ -101,18 +100,6 @@ func (r *Reservation) Claim(n int64) error {
 	return nil
 }
 
-// AllocWords claims n 64-bit words and backs them with a zeroed buffer,
-// for the memory kernels really compute in: the group-by hash table and
-// the radix sort's passes. Device memory is word-addressed in the model:
-// 64-bit words are the natural unit for the hash-table kernels and match
-// the device's atomic operations.
-func (r *Reservation) AllocWords(n int) (*Buffer, error) {
-	if err := r.Claim(int64(n) * 8); err != nil {
-		return nil, err
-	}
-	return &Buffer{res: r, words: make([]uint64, n)}, nil
-}
-
 // Release returns the entire reservation to the device. Release is
 // idempotent. Kernel completion paths call it so reserved memory is
 // immediately reusable by queued tasks.
@@ -125,112 +112,3 @@ func (r *Reservation) Release() {
 	r.dev.memUsed -= r.total
 	r.dev.mu.Unlock()
 }
-
-// Buffer is device memory kernels compute in: a slice of 64-bit words.
-// Kernels operate on it directly; moving bytes between it and the host
-// goes through the reservation's transfers (CopyToDevice /
-// CopyFromDevice) so PCIe costs are modeled.
-type Buffer struct {
-	res   *Reservation
-	words []uint64
-}
-
-// Words exposes the device words to kernel code, and to the radix sort's
-// staging on either side of its transfers.
-func (b *Buffer) Words() []uint64 { return b.words }
-
-// Span returns the trace span bound to the buffer's reservation, 0 if
-// untraced.
-func (b *Buffer) Span() trace.SpanID { return b.res.Span() }
-
-// AtomicCAS performs an atomic compare-and-swap on word i, mirroring CUDA
-// atomicCAS on 64-bit values. It reports whether the swap happened.
-func (b *Buffer) AtomicCAS(i int, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(&b.words[i], old, new)
-}
-
-// AtomicLoad returns word i with acquire semantics.
-func (b *Buffer) AtomicLoad(i int) uint64 { return atomic.LoadUint64(&b.words[i]) }
-
-// AtomicStore writes word i with release semantics.
-func (b *Buffer) AtomicStore(i int, v uint64) { atomic.StoreUint64(&b.words[i], v) }
-
-// AtomicAdd adds delta (two's complement) to word i and returns the new
-// value, mirroring CUDA atomicAdd on 64-bit integers.
-func (b *Buffer) AtomicAdd(i int, delta uint64) uint64 {
-	return atomic.AddUint64(&b.words[i], delta)
-}
-
-// AtomicMinInt64 lowers word i (interpreted as int64) to v if v is
-// smaller, CAS-looping like the canonical CUDA atomicMin emulation.
-func (b *Buffer) AtomicMinInt64(i int, v int64) {
-	for {
-		cur := atomic.LoadUint64(&b.words[i])
-		if int64(cur) <= v || atomic.CompareAndSwapUint64(&b.words[i], cur, uint64(v)) {
-			return
-		}
-	}
-}
-
-// AtomicMaxInt64 raises word i (interpreted as int64) to v if v is larger.
-func (b *Buffer) AtomicMaxInt64(i int, v int64) {
-	for {
-		cur := atomic.LoadUint64(&b.words[i])
-		if int64(cur) >= v || atomic.CompareAndSwapUint64(&b.words[i], cur, uint64(v)) {
-			return
-		}
-	}
-}
-
-// AtomicMinFloat64 lowers word i (interpreted as a float64 bit pattern)
-// to v if v is smaller, CAS-looping.
-func (b *Buffer) AtomicMinFloat64(i int, v float64) {
-	for {
-		cur := atomic.LoadUint64(&b.words[i])
-		if float64FromBits(cur) <= v || atomic.CompareAndSwapUint64(&b.words[i], cur, float64Bits(v)) {
-			return
-		}
-	}
-}
-
-// AtomicMaxFloat64 raises word i (interpreted as a float64 bit pattern) to
-// v if v is larger, CAS-looping.
-func (b *Buffer) AtomicMaxFloat64(i int, v float64) {
-	for {
-		cur := atomic.LoadUint64(&b.words[i])
-		if float64FromBits(cur) >= v || atomic.CompareAndSwapUint64(&b.words[i], cur, float64Bits(v)) {
-			return
-		}
-	}
-}
-
-// AtomicAddFloat64 adds v to word i interpreted as a float64 bit pattern,
-// CAS-looping (CUDA has no 64-bit float atomicAdd on Kepler either; the
-// paper uses atomicCAS emulation).
-func (b *Buffer) AtomicAddFloat64(i int, v float64) {
-	for {
-		cur := atomic.LoadUint64(&b.words[i])
-		if atomic.CompareAndSwapUint64(&b.words[i], cur, float64Bits(float64FromBits(cur)+v)) {
-			return
-		}
-	}
-}
-
-// LockSet is an array of per-entry spin locks, used for grouping keys and
-// aggregate payloads wider than the device's atomic width (Section 4.4,
-// strategy 2) and for the row-lock kernel (Section 4.3.3).
-type LockSet struct {
-	locks []uint32
-}
-
-// NewLockSet returns n spin locks, all unlocked.
-func NewLockSet(n int) *LockSet { return &LockSet{locks: make([]uint32, n)} }
-
-// Lock acquires lock i, spinning while held.
-func (l *LockSet) Lock(i int) {
-	for !atomic.CompareAndSwapUint32(&l.locks[i], 0, 1) {
-	}
-}
-
-// Unlock releases lock i.
-func (l *LockSet) Unlock(i int) { atomic.StoreUint32(&l.locks[i], 0) }

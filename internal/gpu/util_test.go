@@ -31,7 +31,7 @@ func TestDeviceUtilization(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kr := d.RunKernel("util_test", func(g *Grid) vtime.Duration {
+	kr := d.RunKernel("util_test", func() vtime.Duration {
 		return 3 * vtime.Millisecond
 	})
 	if kr.Err != nil {

@@ -1,11 +1,6 @@
 package groupby
 
 import (
-	"math"
-	"runtime"
-
-	"blugpu/internal/columnar"
-	"blugpu/internal/parallel"
 	"blugpu/internal/vtime"
 )
 
@@ -13,112 +8,17 @@ import (
 // original chain does (Figure 1): parallel threads build local hash
 // tables over row ranges (LGHT), applying the aggregation evaluators as
 // they go, and the local tables are merged into a global hash table at
-// the end.
+// the end — the aggregation loop every path shares.
 //
-// degree is the intra-query parallelism (DB2's "degree"); the modeled
-// time uses it through the SMT-aware effective-parallelism curve.
+// degree is the intra-query parallelism (DB2's "degree"): it fixes the
+// loop's partitions, and the modeled time uses it through the SMT-aware
+// effective-parallelism curve.
 func RunCPU(in *Input, degree int, model *vtime.CostModel) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	workers := min(runtime.GOMAXPROCS(0), max(degree, 1))
-
-	type local struct {
-		narrow map[uint64][]uint64
-		wide   map[string][]uint64
-	}
-	locals := make([]local, workers)
-	chunk := (in.NumRows + workers - 1) / workers
-	parallel.Go(workers, func(w int) {
-		lo, hi := w*chunk, min((w+1)*chunk, in.NumRows)
-		if lo >= hi {
-			return
-		}
-		l := &locals[w]
-		if in.Wide() {
-			l.wide = make(map[string][]uint64)
-		} else {
-			l.narrow = make(map[uint64][]uint64)
-		}
-		for i := lo; i < hi; i++ {
-			var acc []uint64
-			if in.Wide() {
-				k := string(in.WideKeys[i])
-				acc = l.wide[k]
-				if acc == nil {
-					acc = newAccumulator(in.Aggs)
-					l.wide[k] = acc
-				}
-			} else {
-				k := in.Keys[i]
-				acc = l.narrow[k]
-				if acc == nil {
-					acc = newAccumulator(in.Aggs)
-					l.narrow[k] = acc
-				}
-			}
-			for a, spec := range in.Aggs {
-				var payload uint64
-				if spec.Kind != Count {
-					payload = in.Payloads[a][i]
-				}
-				applyAgg(acc, a, spec, payload)
-			}
-		}
-	})
-
-	// Merge phase: fold local tables into a global one.
-	var localEntries int
-	res := &Result{}
-	if in.Wide() {
-		global := make(map[string][]uint64)
-		for _, l := range locals {
-			localEntries += len(l.wide)
-			for k, acc := range l.wide {
-				g := global[k]
-				if g == nil {
-					global[k] = acc
-					continue
-				}
-				for a, spec := range in.Aggs {
-					mergeAgg(g, a, spec, acc[a])
-				}
-			}
-		}
-		res.Groups = len(global)
-		res.WideKeys = make([][]byte, 0, len(global))
-		res.AggWords = newAggColumns(len(in.Aggs), len(global))
-		for k, acc := range global {
-			res.WideKeys = append(res.WideKeys, []byte(k))
-			for a := range in.Aggs {
-				res.AggWords[a] = append(res.AggWords[a], acc[a])
-			}
-		}
-	} else {
-		global := make(map[uint64][]uint64)
-		for _, l := range locals {
-			localEntries += len(l.narrow)
-			for k, acc := range l.narrow {
-				g := global[k]
-				if g == nil {
-					global[k] = acc
-					continue
-				}
-				for a, spec := range in.Aggs {
-					mergeAgg(g, a, spec, acc[a])
-				}
-			}
-		}
-		res.Groups = len(global)
-		res.Keys = make([]uint64, 0, len(global))
-		res.AggWords = newAggColumns(len(in.Aggs), len(global))
-		for k, acc := range global {
-			res.Keys = append(res.Keys, k)
-			for a := range in.Aggs {
-				res.AggWords[a] = append(res.AggWords[a], acc[a])
-			}
-		}
-	}
+	t, localEntries := aggregate(in, degree)
+	res := t.result(in)
 
 	rows := float64(in.NumRows)
 	// The probe rate degrades once the hash tables blow past cache — the
@@ -134,83 +34,4 @@ func RunCPU(in *Input, degree int, model *vtime.CostModel) (*Result, error) {
 		Modeled:  host,
 	}
 	return res, nil
-}
-
-// newAccumulator returns a fresh accumulator row initialized to the mask
-// values (Section 4.3.1's Table 1).
-func newAccumulator(aggs []AggSpec) []uint64 {
-	acc := make([]uint64, len(aggs))
-	for i, a := range aggs {
-		acc[i] = a.InitWord()
-	}
-	return acc
-}
-
-func newAggColumns(aggs, capacity int) [][]uint64 {
-	out := make([][]uint64, aggs)
-	for i := range out {
-		out[i] = make([]uint64, 0, capacity)
-	}
-	return out
-}
-
-// applyAgg folds one row's payload into accumulator word a.
-func applyAgg(acc []uint64, a int, spec AggSpec, payload uint64) {
-	switch spec.Kind {
-	case Count:
-		acc[a]++
-	case Sum:
-		if spec.Type == columnar.Float64 {
-			acc[a] = math.Float64bits(math.Float64frombits(acc[a]) + math.Float64frombits(payload))
-		} else {
-			acc[a] = uint64(int64(acc[a]) + int64(payload))
-		}
-	case Min:
-		if spec.Type == columnar.Float64 {
-			if math.Float64frombits(payload) < math.Float64frombits(acc[a]) {
-				acc[a] = payload
-			}
-		} else if int64(payload) < int64(acc[a]) {
-			acc[a] = payload
-		}
-	case Max:
-		if spec.Type == columnar.Float64 {
-			if math.Float64frombits(payload) > math.Float64frombits(acc[a]) {
-				acc[a] = payload
-			}
-		} else if int64(payload) > int64(acc[a]) {
-			acc[a] = payload
-		}
-	}
-}
-
-// mergeAgg folds a partial accumulator into a global one. COUNT and SUM
-// add; MIN/MAX compare.
-func mergeAgg(dst []uint64, a int, spec AggSpec, src uint64) {
-	switch spec.Kind {
-	case Count:
-		dst[a] += src
-	case Sum:
-		if spec.Type == columnar.Float64 {
-			dst[a] = math.Float64bits(math.Float64frombits(dst[a]) + math.Float64frombits(src))
-		} else {
-			dst[a] = uint64(int64(dst[a]) + int64(src))
-		}
-	case Min:
-		if spec.Type == columnar.Float64 {
-			if math.Float64frombits(src) < math.Float64frombits(dst[a]) {
-				dst[a] = src
-			}
-		} else if int64(src) < int64(dst[a]) {
-			dst[a] = src
-		}
-	case Max:
-		if spec.Type == columnar.Float64 {
-			if math.Float64frombits(src) > math.Float64frombits(dst[a]) {
-				dst[a] = src
-			}
-		} else if int64(src) > int64(dst[a]) {
-			dst[a] = src
-		}
-	}
 }

@@ -4,6 +4,16 @@
 // kernels selected at runtime by a moderator from optimizer metadata —
 // the exact row count, the KMV-estimated group count, and the number and
 // types of the aggregation functions.
+//
+// Every path computes its answer with one deterministic aggregation loop
+// (aggregate): local tables over row partitions fixed by the input size
+// and the degree, merged in partition order. The paths differ in where
+// the loop runs (inside the first kernel body on the device path) and in
+// the cost formula they charge; the kernels' formulas read statistics of
+// the loop's answer that do not depend on insertion order (total
+// linear-probing displacement, kernel 2's merged-entry count). So a
+// group-by's answer and modeled time depend on the data, the query and
+// the configuration, never on the host's core count or on which path ran.
 package groupby
 
 import (
@@ -79,8 +89,9 @@ type Input struct {
 	// WideKeys holds fixed-width concatenated keys when the grouping key
 	// needs 64 bits or more (any float field does); all entries share
 	// KeyBytes length, and the first 8 bytes must not read as EmptyKey.
-	// A non-nil WideKeys selects the wide path: Murmur hashing and
-	// per-slot locks instead of atomicCAS.
+	// A non-nil WideKeys selects the wide path: Murmur hashing, and on
+	// the device lock-based slot claims instead of atomicCAS (a cost
+	// term).
 	WideKeys [][]byte
 	// KeyBytes is the fixed key width in bytes (8 for narrow keys).
 	KeyBytes int
@@ -102,8 +113,8 @@ type Input struct {
 	EstGroups uint64
 }
 
-// Wide reports whether the task uses the wide-key (lock-based) path. It
-// is the one test of wideness: a lone float key is wide in 8 bytes.
+// Wide reports whether the task uses the wide-key path. It is the one
+// test of wideness: a lone float key is wide in 8 bytes.
 func (in *Input) Wide() bool { return in.WideKeys != nil }
 
 // Validate checks internal consistency.

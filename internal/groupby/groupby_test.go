@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"runtime"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -60,11 +61,15 @@ func refGroupBy(in *Input) map[uint64][]uint64 {
 		}
 		acc := out[k]
 		if acc == nil {
-			acc = newAccumulator(in.Aggs)
+			acc = Mask(in)[in.KeyWords():]
 			out[k] = acc
 		}
 		for a, spec := range in.Aggs {
-			applyAgg(acc, a, spec, payloadAt(in, a, i))
+			if spec.Kind == Count {
+				acc[a]++
+			} else {
+				acc[a] = combine(spec, acc[a], in.Payloads[a][i])
+			}
 		}
 	}
 	return out
@@ -149,7 +154,7 @@ func TestGPUKernel1(t *testing.T) {
 	dev := testDevice()
 	res := reserveFor(t, dev, in)
 	defer res.Release()
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +173,7 @@ func TestGPUKernel2SmallGroups(t *testing.T) {
 	dev := testDevice()
 	res := reserveFor(t, dev, in)
 	defer res.Release()
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Kernel: K2Shared, Pinned: true})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Kernel: K2Shared, Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +194,7 @@ func TestGPUKernel3RowLock(t *testing.T) {
 	dev := testDevice()
 	res := reserveFor(t, dev, in)
 	defer res.Release()
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Kernel: K3RowLock, Pinned: true})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Kernel: K3RowLock, Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestGPUWideKeys(t *testing.T) {
 	dev := testDevice()
 	for _, k := range []Kernel{K1Regular, K3RowLock} {
 		res := reserveFor(t, dev, in)
-		out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Kernel: k, Pinned: true})
+		out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Kernel: k, Pinned: true})
 		res.Release()
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -260,7 +265,7 @@ func TestErrorPathRetry(t *testing.T) {
 	dev := testDevice()
 	res := reserveFor(t, dev, in)
 	defer res.Release()
-	_, err := RunGPU(in, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
+	_, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
 	if !errors.Is(err, ErrTableFull) {
 		t.Fatalf("want ErrTableFull after exhausted retry, got %v", err)
 	}
@@ -273,7 +278,7 @@ func TestErrorPathRetrySucceeds(t *testing.T) {
 	dev := testDevice()
 	res := reserveFor(t, dev, in)
 	defer res.Release()
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +326,7 @@ func TestAutoKernelRuns(t *testing.T) {
 	dev := testDevice()
 	res := reserveFor(t, dev, in)
 	defer res.Release()
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Pinned: true})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +341,7 @@ func TestKernelRace(t *testing.T) {
 	dev := testDevice()
 	res := reserveFor(t, dev, in)
 	defer res.Release()
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Race: true, Pinned: true})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Race: true, Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +366,7 @@ func TestRaceSkippedWhenNoHeadroom(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Release()
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Race: true, Pinned: true})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Race: true, Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,13 +496,13 @@ func TestGPUCostShapes(t *testing.T) {
 	// Shared-memory kernel should model faster than k1 on few groups.
 	in := buildInput(makeKeys(200000, 12), stdAggs, 12)
 	res1 := reserveFor(t, dev, in)
-	k1, err := RunGPU(in, res1, model, GPUOptions{Kernel: K1Regular, Pinned: true})
+	k1, err := RunGPU(in, 1, res1, model, GPUOptions{Kernel: K1Regular, Pinned: true})
 	res1.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
 	res2 := reserveFor(t, dev, in)
-	k2, err := RunGPU(in, res2, model, GPUOptions{Kernel: K2Shared, Pinned: true})
+	k2, err := RunGPU(in, 1, res2, model, GPUOptions{Kernel: K2Shared, Pinned: true})
 	res2.Release()
 	if err != nil {
 		t.Fatal(err)
@@ -516,13 +521,13 @@ func TestK3BeatsK1OnManyAggs(t *testing.T) {
 	}
 	in := buildInput(makeKeys(100000, 50000), aggs, 50000)
 	res1 := reserveFor(t, dev, in)
-	k1, err := RunGPU(in, res1, model, GPUOptions{Kernel: K1Regular, Pinned: true})
+	k1, err := RunGPU(in, 1, res1, model, GPUOptions{Kernel: K1Regular, Pinned: true})
 	res1.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
 	res3 := reserveFor(t, dev, in)
-	k3, err := RunGPU(in, res3, model, GPUOptions{Kernel: K3RowLock, Pinned: true})
+	k3, err := RunGPU(in, 1, res3, model, GPUOptions{Kernel: K3RowLock, Pinned: true})
 	res3.Release()
 	if err != nil {
 		t.Fatal(err)
@@ -534,42 +539,29 @@ func TestK3BeatsK1OnManyAggs(t *testing.T) {
 }
 
 // TestKernelCostIgnoresInsertOrder: a kernel's modeled time is a function
-// of its input, not of which device thread won which slot claim. The keys
-// are skewed onto 64 spaced home slots (32 colliding keys each, a few
-// hot), so 32-slot probe chains form and the claim order differs run to
-// run once two or more device workers race.
+// of its input, not of the order its keys reached the table. The keys are
+// skewed onto 64 spaced home slots (32 colliding keys each, a few hot), so
+// 32-slot probe chains form, and each degree partitions the rows — and so
+// orders the merged groups — differently.
 func TestKernelCostIgnoresInsertOrder(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // deviceWorkers follows GOMAXPROCS
-	const rows, groups = 40000, 2048
-	keys := make([]uint64, rows)
-	x := uint64(20160626)
-	for i := range keys {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		u := x % groups
-		g := u * u / groups // quadratic skew towards the low keys
-		keys[i] = g%64*64 + (g/64)<<20
-	}
+	in := buildInput(skewedKeys(), stdAggs, 2048)
 	model := vtime.Default()
 	dev := testDevice()
 	for _, k := range []Kernel{K1Regular, K3RowLock} {
-		in := buildInput(keys, stdAggs, groups)
 		var first vtime.Duration
-		for run := 0; run < 20; run++ {
+		for _, degree := range []int{1, 2, 3, 8, 24} {
 			res := reserveFor(t, dev, in)
-			out, err := RunGPU(in, res, model, GPUOptions{Kernel: k, Pinned: true})
+			out, err := RunGPU(in, degree, res, model, GPUOptions{Kernel: k, Pinned: true})
 			res.Release()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if run == 0 {
+			checkResult(t, in, out)
+			if degree == 1 {
 				first = out.Stats.KernelTime
-				checkResult(t, in, out)
 			} else if out.Stats.KernelTime != first {
-				t.Errorf("%v: run %d modeled %.9f ms, run 0 modeled %.9f ms",
-					k, run, out.Stats.KernelTime.Milliseconds(), first.Milliseconds())
-				break
+				t.Errorf("%v: degree %d modeled %.9f ms, degree 1 modeled %.9f ms",
+					k, degree, out.Stats.KernelTime.Milliseconds(), first.Milliseconds())
 			}
 		}
 	}
@@ -587,7 +579,7 @@ func TestEmptyInput(t *testing.T) {
 	dev := testDevice()
 	res, _ := dev.Reserve(1 << 20)
 	defer res.Release()
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +611,7 @@ func TestGPUMatchesCPUProperty(t *testing.T) {
 			return false
 		}
 		defer res.Release()
-		gpuRes, err := RunGPU(in, res, model, GPUOptions{Kernel: kernel, Pinned: true})
+		gpuRes, err := RunGPU(in, 8, res, model, GPUOptions{Kernel: kernel, Pinned: true})
 		if err != nil {
 			return false
 		}
@@ -631,6 +623,47 @@ func TestGPUMatchesCPUProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDeviceAnswerIsCPUAnswer: at one degree, every kernel, the race and
+// the table-full retry answer with RunCPU's aggregation loop — float SUMs
+// to the bit, groups in the same order — over inputs the loop splits into
+// several partitions, narrow and wide.
+func TestDeviceAnswerIsCPUAnswer(t *testing.T) {
+	aggs := append(slices.Clone(stdAggs), AggSpec{Kind: Sum, Type: columnar.Float64})
+	model := vtime.Default()
+	dev := testDevice()
+	for _, c := range []struct {
+		name string
+		in   *Input
+	}{
+		{"few-groups", buildInput(makeKeys(100_000, 12), aggs, 12)},
+		{"many-groups", buildInput(makeKeys(100_000, 20_000), aggs, 20_000)},
+		{"low-estimate", buildInput(makeKeys(100_000, 3000), aggs, 1000)},
+		{"wide", buildWideInput(100_000, 500, aggs)},
+	} {
+		for _, degree := range []int{1, 8} {
+			want, err := RunCPU(c.in, degree, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []GPUOptions{{Kernel: K1Regular}, {Kernel: K2Shared}, {Kernel: K3RowLock}, {Race: true}} {
+				res := reserveFor(t, dev, c.in)
+				got, err := RunGPU(c.in, degree, res, model, opts)
+				res.Release()
+				if errors.Is(err, ErrTableFull) && opts.Kernel == K2Shared {
+					continue // the shared-memory tables cannot hold this input
+				}
+				if err != nil {
+					t.Fatalf("%s degree %d %+v: %v", c.name, degree, opts, err)
+				}
+				if !reflect.DeepEqual(got.Keys, want.Keys) || !reflect.DeepEqual(got.WideKeys, want.WideKeys) ||
+					!reflect.DeepEqual(got.AggWords, want.AggWords) {
+					t.Errorf("%s degree %d %s: device answer differs from RunCPU's", c.name, degree, got.Stats.Kernel)
+				}
+			}
+		}
 	}
 }
 

@@ -102,93 +102,19 @@ func MemoryDemand(in *Input) int64 {
 	return InputDeviceBytes(in) + table*3 + ResultDeviceBytes(in, est)
 }
 
-// deviceTable is a linear-probed hash table in device memory.
-type deviceTable struct {
-	buf        *gpu.Buffer
-	slots      int // power of two
-	keyWords   int
-	entryWords int
-	locks      *gpu.LockSet // wide-key and kernel-3 paths
-}
-
-// newDeviceTable allocates and mask-initializes a table from the
-// reservation, returning the table and the modeled initialization time
-// (the parallel mask copy of Section 4.3.1).
-func newDeviceTable(res *gpu.Reservation, in *Input, slots int, model *vtime.CostModel, withLocks bool) (*deviceTable, vtime.Duration, error) {
-	entryWords := in.EntryWords()
-	buf, err := res.AllocWords(slots * entryWords)
-	if err != nil {
-		return nil, 0, fmt.Errorf("groupby: table allocation: %w", err)
+// claimTable claims a slots-slot global hash table from the reservation
+// and runs the mask-initialization kernel over it (Section 4.3.1's
+// parallel mask copy), returning that kernel's modeled time. The table is
+// accounted, not filled: the answer comes from aggregate.
+func claimTable(res *gpu.Reservation, in *Input, slots int, model *vtime.CostModel) (vtime.Duration, error) {
+	bytes := TableBytes(slots, in.EntryWords())
+	if err := res.Claim(bytes); err != nil {
+		return 0, fmt.Errorf("groupby: table allocation: %w", err)
 	}
-	t := &deviceTable{
-		buf:        buf,
-		slots:      slots,
-		keyWords:   in.KeyWords(),
-		entryWords: entryWords,
-	}
-	if withLocks || in.Wide() {
-		t.locks = gpu.NewLockSet(slots)
-	}
-	mask := Mask(in)
-	words := buf.Words()
-	dev := res.Device()
-	kr := dev.RunKernelSpan("ht_init_mask", buf.Span(), func(g *gpu.Grid) vtime.Duration {
-		g.ParallelFor(slots, func(lo, hi int) {
-			for s := lo; s < hi; s++ {
-				copy(words[s*entryWords:(s+1)*entryWords], mask)
-			}
-		})
-		return model.DeviceFill(TableBytes(slots, entryWords))
+	kr := res.Device().RunKernelSpan("ht_init_mask", res.Span(), func() vtime.Duration {
+		return model.DeviceFill(bytes)
 	})
-	if kr.Err != nil {
-		return nil, 0, kr.Err
-	}
-	return t, kr.Modeled, nil
-}
-
-// keyAt returns the first key word of slot s (narrow path compares just
-// this word; wide path compares all key words under the slot lock).
-func (t *deviceTable) keyBase(s int) int { return s * t.entryWords }
-
-// aggBase returns the index of aggregate a's accumulator in slot s.
-func (t *deviceTable) aggBase(s, a int) int { return s*t.entryWords + t.keyWords + a }
-
-// extract gathers the occupied slots into a Result sized once from groups,
-// the occupied-slot count the kernel computed, returning the modeled
-// device-side scan time (the result transfer is modeled by the caller,
-// which knows pinnedness).
-func (t *deviceTable) extract(in *Input, groups int, model *vtime.CostModel) (*Result, vtime.Duration) {
-	res := &Result{Groups: groups, AggWords: make([][]uint64, len(in.Aggs))}
-	for a := range res.AggWords {
-		res.AggWords[a] = make([]uint64, groups)
-	}
-	var flat []byte
-	if in.Wide() {
-		res.WideKeys = make([][]byte, groups)
-		flat = make([]byte, groups*in.KeyBytes)
-	} else {
-		res.Keys = make([]uint64, groups)
-	}
-	words := t.buf.Words()
-	g := 0
-	for s := 0; s < t.slots; s++ {
-		base := t.keyBase(s)
-		if words[base] == EmptyKey {
-			continue
-		}
-		if in.Wide() {
-			res.WideKeys[g] = flat[g*in.KeyBytes : (g+1)*in.KeyBytes]
-			unpackKey(words[base:base+t.keyWords], res.WideKeys[g])
-		} else {
-			res.Keys[g] = words[base]
-		}
-		for a := range res.AggWords {
-			res.AggWords[a][g] = words[t.aggBase(s, a)]
-		}
-		g++
-	}
-	scan := vtime.Duration(float64(TableBytes(t.slots, t.entryWords)) / model.GPU.MemBandwidthBps)
-	return res, model.GPUKernelLaunch + scan
+	return kr.Modeled, kr.Err
 }
 
 // packKey packs key bytes into little-endian words; the first byte of a

@@ -92,7 +92,7 @@ func kernelCostDigest(t *testing.T) []byte {
 			log := &eventLog{}
 			dev := gpu.NewDevice(0, vtime.TeslaK40(), gpu.WithSink(log))
 			res := reserveFor(t, dev, c.in)
-			r, err := RunGPU(c.in, res, model, GPUOptions{Kernel: k, Race: c.race, Pinned: true})
+			r, err := RunGPU(c.in, 8, res, model, GPUOptions{Kernel: k, Race: c.race, Pinned: true})
 			res.Release()
 			fmt.Fprintf(&out, "%s %s: ", c.name, k)
 			switch {

@@ -48,9 +48,10 @@ const LowContentionRatio = 4
 type GPUOptions struct {
 	// Kernel forces a specific kernel; KAuto consults the moderator.
 	Kernel Kernel
-	// Race runs a second eligible kernel concurrently when the
-	// reservation has room for its table, keeping the faster result
-	// (Section 4.2).
+	// Race also charges a second eligible kernel when the reservation has
+	// room for its table — its table claim, mask initialization and launch
+	// — and keeps the lower modeled time (Section 4.2). Both kernels
+	// report the one answer; a fault in either fails the call.
 	Race bool
 	// Pinned reports whether the input was staged through the registered
 	// host segment (fast transfers).
@@ -98,17 +99,23 @@ func secondChoice(primary Kernel, in *Input, dev *gpu.Device) Kernel {
 
 // RunGPU executes the group-by on the device owning res, which must carry
 // at least MemoryDemand(in) bytes. It models the pinned/unpinned input
-// transfer, initializes the global hash table from the mask, runs the
+// transfer, claims and mask-initializes the global hash table, runs the
 // selected kernel (racing a second one if requested and affordable),
-// handles the table-full error path by doubling the table once, extracts
-// the result and models the return transfer.
-func RunGPU(in *Input, res *gpu.Reservation, model *vtime.CostModel, opts GPUOptions) (*Result, error) {
+// handles the table-full error path by doubling the table once, and
+// models the return transfer. The first kernel body to run computes the
+// answer with the aggregation loop RunCPU runs at the same degree, so the
+// two paths' answers are equal to the bit.
+func RunGPU(in *Input, degree int, res *gpu.Reservation, model *vtime.CostModel, opts GPUOptions) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.Kernel < KAuto || opts.Kernel > K3RowLock {
+		return nil, fmt.Errorf("groupby: invalid kernel %v", opts.Kernel)
+	}
 	if in.NumRows == 0 {
-		return &Result{AggWords: newAggColumns(len(in.Aggs), 0),
-			Stats: ExecStats{Path: PathGPU, Kernel: "empty"}}, nil
+		out := newTable(in, 0).result(in)
+		out.Stats = ExecStats{Path: PathGPU, Kernel: "empty"}
+		return out, nil
 	}
 	dev := res.Device()
 	primary := opts.Kernel
@@ -125,49 +132,40 @@ func RunGPU(in *Input, res *gpu.Reservation, model *vtime.CostModel, opts GPUOpt
 		}
 	}
 
+	var groups *table
+	answer := func() *table {
+		if groups == nil {
+			groups, _ = aggregate(in, degree)
+		}
+		return groups
+	}
 	type attempt struct {
 		kernel  Kernel
-		result  *Result
 		modeled vtime.Duration
 		retried int
 	}
-	runOne := func(k Kernel) (*attempt, error) {
+	runOne := func(k Kernel) (attempt, error) {
 		slots := TableSlots(in.EstGroups, in.NumRows)
-		retried := 0
-		for {
-			t, initT, err := newDeviceTable(res, in, slots, model, k == K3RowLock)
+		for retried := 0; ; retried++ {
+			initT, err := claimTable(res, in, slots, model)
 			if err != nil {
-				return nil, err
+				return attempt{}, err
 			}
-			var kt vtime.Duration
-			var groups int
-			switch k {
-			case K1Regular:
-				kt, groups, err = runKernel1(in, t, dev, model)
-			case K2Shared:
-				kt, groups, err = runKernel2(in, t, dev, model)
-			case K3RowLock:
-				kt, groups, err = runKernel3(in, t, dev, model)
-			default:
-				return nil, fmt.Errorf("groupby: invalid kernel %v", k)
-			}
-			if errors.Is(err, ErrTableFull) {
+			kt, err := runKernel(k, in, slots, res, model, answer)
+			if errors.Is(err, ErrTableFull) && retried == 0 {
 				// Error path (Section 4.2): the KMV estimate was low.
 				// Double the table and retry within the reservation's
 				// headroom; the wasted attempt still costs time.
-				if retried >= 1 {
-					return nil, ErrTableFull
-				}
-				retried++
 				slots *= 2
 				continue
 			}
 			if err != nil {
-				return nil, err
+				return attempt{}, err
 			}
-			result, extractT := t.extract(in, groups, model)
-			result.Stats.KernelTime = initT + kt + extractT
-			return &attempt{kernel: k, result: result, modeled: initT + kt + extractT, retried: retried}, nil
+			// The device-side scan of the table for the occupied entries.
+			extract := model.GPUKernelLaunch +
+				vtime.Duration(float64(TableBytes(slots, in.EntryWords()))/model.GPU.MemBandwidthBps)
+			return attempt{kernel: k, modeled: initT + kt + extract, retried: retried}, nil
 		}
 	}
 
@@ -179,24 +177,23 @@ func RunGPU(in *Input, res *gpu.Reservation, model *vtime.CostModel, opts GPUOpt
 
 	if opts.Race {
 		second := secondChoice(primary, in, dev)
-		if second != KAuto && second != primary {
-			// Only race when the reservation still has room for the
-			// second kernel's table ("if we have enough compute resources
-			// and memory on the GPU").
-			slots := TableSlots(in.EstGroups, in.NumRows)
-			need := TableBytes(slots, in.EntryWords())
-			if res.Size()-res.Used() >= need {
-				if alt, err := runOne(second); err == nil {
-					raced = append(raced, second.String())
-					if alt.modeled < winner.modeled {
-						winner = alt
-					}
-				}
+		// Only race when the reservation still has room for the second
+		// kernel's table ("if we have enough compute resources and memory
+		// on the GPU").
+		need := TableBytes(TableSlots(in.EstGroups, in.NumRows), in.EntryWords())
+		if second != KAuto && second != primary && res.Size()-res.Used() >= need {
+			alt, err := runOne(second)
+			if err != nil {
+				return nil, err
+			}
+			raced = append(raced, second.String())
+			if alt.modeled < winner.modeled {
+				winner = alt
 			}
 		}
 	}
 
-	result := winner.result
+	result := groups.result(in)
 	// The chain-exit copy of the dense result block (groups x entry
 	// words) out of the winning table.
 	var transferOut vtime.Duration
@@ -205,23 +202,27 @@ func RunGPU(in *Input, res *gpu.Reservation, model *vtime.CostModel, opts GPUOpt
 			return nil, err
 		}
 	}
-	result.Stats.Path = PathGPU
-	result.Stats.Kernel = winner.kernel.String()
-	result.Stats.Retried = winner.retried
-	result.Stats.Raced = raced
-	result.Stats.TransferIn = transferIn
-	result.Stats.TransferOut = transferOut
-	// The input transfer is double-buffered against kernel execution
-	// (CUDA streams): chunks of the staged vectors copy while earlier
-	// chunks are being grouped.
-	result.Stats.Modeled = gpu.PipelineTime(transferIn, result.Stats.KernelTime) + transferOut
+	result.Stats = ExecStats{
+		Path:        PathGPU,
+		Kernel:      winner.kernel.String(),
+		Retried:     winner.retried,
+		Raced:       raced,
+		TransferIn:  transferIn,
+		KernelTime:  winner.modeled,
+		TransferOut: transferOut,
+		// The input transfer is double-buffered against kernel execution
+		// (CUDA streams): chunks of the staged vectors copy while earlier
+		// chunks are being grouped.
+		Modeled: gpu.PipelineTime(transferIn, winner.modeled) + transferOut,
+	}
 	return result, nil
 }
 
 // stageInput claims device memory for the task's vectors and transfers
 // them, one claim and one H2D copy per vector, in the compressed widths
-// InputDeviceBytes models. The kernels read the host slices, so nothing
-// is packed or copied: the claims and transfers are the accounting.
+// InputDeviceBytes models. The aggregation reads the host slices, so
+// nothing is packed or copied: the claims and transfers are the
+// accounting.
 func stageInput(in *Input, res *gpu.Reservation, pinned bool) (vtime.Duration, error) {
 	var total vtime.Duration
 	ship := func(words int) error {

@@ -21,7 +21,7 @@ func TestRunGPUAccountsD2H(t *testing.T) {
 	res := reserveFor(t, dev, in)
 	defer res.Release()
 
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRunGPUFusedSkipsInputStaging(t *testing.T) {
 	res := reserveFor(t, dev, in)
 	defer res.Release()
 
-	if _, err := RunGPU(in, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true, Fused: true}); err != nil {
+	if _, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true, Fused: true}); err != nil {
 		t.Fatal(err)
 	}
 	h2d, d2h := mon.Transfers()
@@ -87,7 +87,7 @@ func TestRunGPUStagedAllocations(t *testing.T) {
 	defer res.Release()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	out, err := RunGPU(in, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
+	out, err := RunGPU(in, 1, res, vtime.Default(), GPUOptions{Kernel: K1Regular, Pinned: true})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func BenchmarkRunGPUStaged(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RunGPU(in, res, model, GPUOptions{Kernel: K1Regular, Pinned: true}); err != nil {
+		if _, err := RunGPU(in, 1, res, model, GPUOptions{Kernel: K1Regular, Pinned: true}); err != nil {
 			b.Fatal(err)
 		}
 		res.Release()

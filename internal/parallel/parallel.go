@@ -102,9 +102,9 @@ func For(n, grain, degree int, body func(lo, hi, worker int)) {
 
 // Go runs body(0) … body(workers-1), each on a goroutine of its own, and
 // returns when all have returned; a single worker runs inline. The
-// fan-outs that size their own work — the device grid, RunCPU's local
-// tables, the host bucket sort — use it; For is the same fan-out over
-// row ranges.
+// fan-outs that size their own work — kernel 2's per-SMX shared-table
+// pass, the host bucket sort — use it; For is the same fan-out over row
+// ranges.
 func Go(workers int, body func(worker int)) {
 	if workers == 1 {
 		body(0)

@@ -126,7 +126,7 @@ func TestRunReleasesOnPanic(t *testing.T) {
 			}
 		}()
 		run(s, 1<<30, func(res *gpu.Reservation) error {
-			if _, err := res.AllocWords(1 << 20); err != nil {
+			if err := res.Claim(8 << 20); err != nil {
 				t.Error(err)
 			}
 			panic("boom")
