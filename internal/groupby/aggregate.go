@@ -138,31 +138,40 @@ func aggregate(in *Input, degree int) (*table, int) {
 		local += p.groups()
 		widest = max(widest, p.groups())
 	}
-	merged := newTable(in, max(widest, min(local, int(in.EstGroups))))
+	merged := newTable(in, min(local, max(widest, estimate(in))))
 	for _, p := range parts {
 		for g, h := range p.hashes {
 			dst, fresh := merged.find(p.keys[g*p.kw:(g+1)*p.kw], h, in.Aggs)
 			for a, spec := range in.Aggs {
-				if fresh {
-					merged.accs[a][dst] = p.accs[a][g]
-				} else {
-					merged.accs[a][dst] = combine(spec, merged.accs[a][dst], p.accs[a][g])
+				// A group's first partial is taken as it is, not folded
+				// into the mask: 0 + -0.0 would not keep its sign.
+				acc := p.accs[a][g]
+				if !fresh {
+					acc = combine(spec, merged.accs[a][dst], acc)
 				}
+				merged.accs[a][dst] = acc
 			}
 		}
 	}
 	return merged, local
 }
 
+// estimate is the capacity to give a table that may see every group: the
+// KMV estimate with a quarter of headroom, since the estimate can be a
+// little low and an append past capacity copies the whole table; the row
+// count when there is no estimate.
+func estimate(in *Input) int {
+	if in.EstGroups == 0 {
+		return in.NumRows
+	}
+	return int(in.EstGroups + in.EstGroups/4)
+}
+
 // aggregateRange aggregates rows [lo, hi) in row order into a fresh
 // table sized by the group estimate: it resolves foldRows rows at a time
 // to group ids, then folds each aggregate's payloads for them.
 func aggregateRange(in *Input, lo, hi int) *table {
-	est := hi - lo
-	if in.EstGroups > 0 {
-		est = min(est, int(in.EstGroups))
-	}
-	t := newTable(in, est)
+	t := newTable(in, min(hi-lo, estimate(in)))
 	key, wide := make([]uint64, t.kw), in.Wide()
 	var ids [foldRows]int32
 	for start := lo; start < hi; start += foldRows {
