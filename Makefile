@@ -54,15 +54,16 @@ bench:
 # then alert-rules files through the parser into a store, query
 # expressions through the parser into a range query on an empty store
 # (internal/obsd), and query-log streams through the decoder and back
-# (internal/qlog) — none may panic.
+# (internal/qlog) — none may panic; the two byte-slice targets are capped
+# like the engine's.
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzKernelsMatchReference -fuzztime 5s
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinMatchesReference -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSortKeysMatchReference -fuzztime 5s -fuzzminimizetime 200x
-	$(GO) test ./internal/obsd -run '^$$' -fuzz FuzzParseRules -fuzztime 5s
+	$(GO) test ./internal/obsd -run '^$$' -fuzz FuzzParseRules -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/obsd -run '^$$' -fuzz FuzzParseExpr -fuzztime 5s
-	$(GO) test ./internal/qlog -run '^$$' -fuzz FuzzQlogDecode -fuzztime 5s
+	$(GO) test ./internal/qlog -run '^$$' -fuzz FuzzQlogDecode -fuzztime 5s -fuzzminimizetime 200x
 
 # End-to-end smoke: blubench exports one small traced experiment and
 # its EXPLAIN ANALYZE reports (so the binary's own export path is what
