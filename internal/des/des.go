@@ -217,34 +217,19 @@ func Run(cfg Config, streams [][]Profile) (*Result, error) {
 		}
 	}
 
-	// Seed: first query of every stream.
-	var pending []*task
-	for s, qs := range streams {
-		for i, p := range qs {
-			pending = append(pending, &task{stream: s, index: i, profile: p, device: -1})
-		}
-	}
-	// Index stream heads.
-	nextOf := map[int]int{}
-	byStream := map[int][]*task{}
-	for _, t := range pending {
-		byStream[t.stream] = append(byStream[t.stream], t)
-	}
-	for s := range byStream {
-		sort.Slice(byStream[s], func(a, b int) bool { return byStream[s][a].index < byStream[s][b].index })
-		nextOf[s] = 0
-	}
+	// Streams launch their first queries in stream order: the order tasks
+	// enter active fixes the order rates and completions are summed in,
+	// so it must not vary between runs.
+	next := make([]int, len(streams))
 	launchNext = func(s int) error {
-		i := nextOf[s]
-		if i >= len(byStream[s]) {
+		i := next[s]
+		if i >= len(streams[s]) {
 			return nil
 		}
-		nextOf[s] = i + 1
-		t := byStream[s][i]
-		t.started = now
-		return startPhase(t)
+		next[s] = i + 1
+		return startPhase(&task{stream: s, index: i, profile: streams[s][i], device: -1, started: now})
 	}
-	for s := range byStream {
+	for s := range streams {
 		if err := launchNext(s); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -148,6 +149,40 @@ func TestStreamsAreSequential(t *testing.T) {
 		if !almost(q.Start, float64(i), 1e-9) {
 			t.Errorf("query %d started at %v, want %d", i, q.Start, i)
 		}
+	}
+}
+
+// TestRunIsDeterministic holds a simulation to one result, bit for bit
+// and in one completion order: streams that tie at every event must not
+// finish in an order that varies from run to run.
+func TestRunIsDeterministic(t *testing.T) {
+	cpu := Profile{Name: "cpu", Phases: []Phase{{Kind: CPUPhase, Work: 30, MaxPar: 12}}}
+	gpu := Profile{Name: "gpu", Phases: []Phase{
+		{Kind: CPUPhase, Work: 7, MaxPar: 24}, {Kind: GPUPhase, Work: 0.3, Mem: 3 << 30}, {Kind: CPUPhase, Work: 1.1, MaxPar: 5},
+	}}
+	var streams [][]Profile
+	for s := 0; s < 9; s++ {
+		streams = append(streams, []Profile{cpu, gpu, cpu})
+	}
+	cfg := Config{CPUCapacity: 45.6, Devices: []DeviceSpec{{Mem: 8 << 30}, {Mem: 8 << 30}}}
+	first, err := Run(cfg, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		r, err := Run(cfg, streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(r, first) {
+			continue
+		}
+		for i := range r.Queries {
+			if r.Queries[i] != first.Queries[i] {
+				t.Fatalf("run %d: completion %d is %+v, first run's %+v", run, i, r.Queries[i], first.Queries[i])
+			}
+		}
+		t.Fatalf("run %d differs from the first (makespan %x, first run's %x)", run, math.Float64bits(float64(r.Makespan)), math.Float64bits(float64(first.Makespan)))
 	}
 }
 
