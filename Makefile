@@ -13,11 +13,11 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/obsd ./internal/groupby ./internal/gpu
 
 # The one directory `make check` writes outside the checkout: blubench's
-# exports in, blucheck's failure evidence and benchdiff's fresh snapshot
-# out (CI uploads it when the job fails).
+# exports in, blucheck's failure evidence out (CI uploads it when the job
+# fails).
 SMOKE_DIR ?= $(or $(TMPDIR),/tmp)/blucheck
 
-.PHONY: build vet test race bench check smoke bench-gate bench-smoke orphans fuzz-smoke
+.PHONY: build vet test race bench check smoke bench-smoke orphans fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -78,14 +78,6 @@ smoke:
 	$(GO) run ./cmd/blubench -sf 0.004 -trace $(SMOKE_DIR)/trace.json -explain $(SMOKE_DIR)/explain.json fig5 > /dev/null
 	$(GO) run ./cmd/blucheck -artifacts $(SMOKE_DIR) all
 
-# Perf-regression gate: run the benchdiff suite and compare the modeled
-# timings and H2D bytes — functions of (sf, seed, config), the same on any
-# machine and any GOMAXPROCS — against the committed BENCH_0.json
-# baseline.
-bench-gate:
-	mkdir -p $(SMOKE_DIR)
-	$(GO) run ./cmd/benchdiff -out $(SMOKE_DIR)/bench-current.json
-
 # Wall-clock smoke: one short pass of the repository benchmark
 # (benchmark/README.md) — builds bluserve, drives every workload over
 # HTTP and checks each answer against the reference engine; exits
@@ -105,4 +97,4 @@ orphans:
 	@orphans=$$(comm -23 $(SMOKE_DIR)/pkgs-all.txt $(SMOKE_DIR)/pkgs-reached.txt); \
 		if [ -n "$$orphans" ]; then echo "$$orphans"; exit 1; fi
 
-check: vet orphans test race fuzz-smoke smoke bench-gate bench-smoke
+check: vet orphans test race fuzz-smoke smoke bench-smoke

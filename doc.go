@@ -9,8 +9,9 @@
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for
 // paper-vs-measured results, and the examples/ directory for runnable
 // entry points. The library lives under internal/; the public surface is
-// the seven binaries: under cmd/, blubench (the paper's experiments),
+// the six binaries: under cmd/, blubench (the paper's experiments),
 // blushell (SQL shell), blugen (dataset inspector), bluserve (the
-// server), blucheck (its end-to-end checker) and benchdiff (the
-// modeled-time gate); and benchmark/, the repository benchmark.
+// server) and blucheck (its end-to-end checker); and benchmark/, the
+// repository benchmark. The paper's modeled numbers are locked by
+// internal/bench/testdata/modeled.golden.
 package blugpu

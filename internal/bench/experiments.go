@@ -278,7 +278,7 @@ func (h *Harness) desDevices() []des.DeviceSpec {
 // Fig8 reproduces the mixed concurrent workload: five JMeter-style thread
 // groups of two users each, with and without the GPU (paper: ~2x).
 // It returns both DES results so Fig9 can reuse the GPU-on run and the
-// benchdiff snapshot can record both makespans.
+// modeled-time lock (modeled_test.go) can record both makespans.
 func (h *Harness) Fig8(w io.Writer) (*des.Result, *des.Result, error) {
 	header(w, "Figure 8: concurrent mixed workload (10 users in 5 thread groups)")
 	groups := workload.MixedThreadGroups()

@@ -5,31 +5,46 @@ import (
 	"runtime"
 	"testing"
 
+	"blugpu/internal/fault"
 	"blugpu/internal/optimizer"
 	"blugpu/internal/vtime"
 	"blugpu/internal/workload"
 )
 
 // TestOracleMatrix holds the engine to one answer per statement: all 146
-// workload statements at degree 8, GPU on (fused), GPU on with NoFusion
+// workload statements at degree 8, GPU on (fused), GPU on with NoFusion,
+// GPU on under a 0.1 fault rate at every site, GPU on with device 0 dead,
 // and GPU off, each at GOMAXPROCS 1, 2 and 8. The GPU arms run with T1 = 1
 // and a 256-row sort threshold, so every group-by and most sorts take the
-// device path. Every one of the nine runs must render each statement's
+// device path. Every one of the fifteen runs must render each statement's
 // result to the same bytes — a device kernel answers with the CPU path's
-// aggregation loop, so which path ran cannot move a bit — and within a
-// configuration, each statement's modeled time must be bit-identical at
-// every GOMAXPROCS: the host's core count is no input.
+// aggregation loop and a faulted attempt falls back to it, so which path
+// ran cannot move a bit — and within a configuration, each statement's
+// modeled time must be bit-identical at every GOMAXPROCS: the host's core
+// count is no input, and the injector draws by a (seed, site, device, n)
+// counter on the query's goroutine, so neither is which faults fire.
 func TestOracleMatrix(t *testing.T) {
 	ds := workload.Generate(0.02, 20160626)
 	qs := workloadQueries()
+	// faults builds each run's own injector, so no run inherits another's
+	// draw counters or dead devices.
 	configs := []struct {
 		name     string
 		gpu      bool
 		noFusion bool
+		faults   func() *fault.Injector
 	}{
-		{"gpu-on", true, false},
-		{"nofusion", true, true},
-		{"gpu-off", false, false},
+		{"gpu-on", true, false, nil},
+		{"nofusion", true, true, nil},
+		{"fault-0.1", true, false, func() *fault.Injector {
+			return fault.New(fault.Config{Seed: 20160626, Reserve: 0.1, H2D: 0.1, D2H: 0.1, Kernel: 0.1})
+		}},
+		{"device-dead", true, false, func() *fault.Injector {
+			inj := fault.New(fault.Config{Seed: 20160626})
+			inj.KillDevice(0)
+			return inj
+		}},
+		{"gpu-off", false, false, nil},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var answers [][]byte // per statement, from the first run
@@ -37,12 +52,17 @@ func TestOracleMatrix(t *testing.T) {
 		var modeled []vtime.Duration // per statement, from GOMAXPROCS 1
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
+			var inj *fault.Injector
+			if c.faults != nil {
+				inj = c.faults()
+			}
 			e, err := New(Config{
 				Devices:          2,
 				Degree:           8,
 				NoFusion:         c.noFusion,
 				Thresholds:       optimizer.Thresholds{T1Rows: 1, T3Rows: 1 << 40},
 				GPUSortThreshold: 256,
+				Faults:           inj,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -67,6 +87,9 @@ func TestOracleMatrix(t *testing.T) {
 				} else if res.Modeled != modeled[i] {
 					t.Errorf("%s %s: modeled %v at GOMAXPROCS %d, %v at 1", c.name, q.ID, res.Modeled, procs, modeled[i])
 				}
+			}
+			if inj != nil && inj.Counts().Total() == 0 {
+				t.Errorf("%s GOMAXPROCS %d: no fault fired", c.name, procs)
 			}
 		}
 	}

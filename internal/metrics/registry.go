@@ -10,7 +10,7 @@
 // and a device fleet into a fresh Registry on every scrape, so the
 // registry itself carries no long-lived state and every render is a
 // pure function of the sources — the property the golden-file tests
-// and the benchdiff regression gate rely on.
+// rely on.
 package metrics
 
 import (
