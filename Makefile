@@ -32,19 +32,22 @@ race:
 	$(GO) test -race $(PARALLEL_PKGS)
 
 # Host-path micro-rulers (1M rows or groups, allocations reported):
-# gathers, the partial key buffer build, the expression kernels, the fusion
-# cache's content key and its fill/hit of a resident column, the group-by
-# on the CPU path and on the device at 16 and 500 000 groups, the staged
-# device group-by (claims and transfers, no input copy), the join probe
-# against a resident key index, the typed group-by output and the flat
-# sort-key extractor.
+# gathers, the partial key buffer build, the shared radix pass, the
+# expression kernels, the fusion cache's column key and its fill/hit of a
+# resident column, the HASH evaluator's KMV sketch (11 000 hashes over 6,
+# 10 000 and 72 000 distinct values), the group-by on the CPU path and on
+# the device at 16 and 500 000 groups, the staged device group-by (claims
+# and transfers, no input copy), the join probe against a resident key
+# index, the typed group-by output and the flat sort-key extractor.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild|Predicate|ColumnKey|CacheEnsure|RunCPU|RunGPU|JoinProbe|AggOutput|SortKeys' -benchmem -run '^$$' \
-		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/groupby ./internal/engine
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|AggOutput|SortKeys' -benchmem -run '^$$' \
+		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/kmv ./internal/groupby ./internal/engine
 
 # Five seconds of native fuzzing each: WHERE clauses mutated from the
 # workload's own, kernels held to the test-only row interpreter
-# (internal/expr); then whole statements through parse → plan, which must
+# (internal/expr); then hash streams cut into chunks, the merged KMV
+# sketch held to a sort-and-deduplicate reference (internal/kmv, a
+# byte-slice target capped like the engine's below); then whole statements through parse → plan, which must
 # not panic and must survive print → re-parse (internal/plan); then join
 # key columns mutated from the differential cases', index + probe held to
 # the test-only map join (internal/engine — its inputs are byte slices,
@@ -58,6 +61,7 @@ bench:
 # like the engine's.
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzKernelsMatchReference -fuzztime 5s
+	$(GO) test ./internal/kmv -run '^$$' -fuzz FuzzSketchMatchesReference -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinMatchesReference -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSortKeysMatchReference -fuzztime 5s -fuzzminimizetime 200x

@@ -11,9 +11,9 @@ import (
 // SDS key extraction is expensive enough that small chunks still pay.
 const keygenGrain = 512
 
-// partitionGrain is the minimum entries per worker for the histogram and
-// scatter passes of the conflict-free partition.
-const partitionGrain = 4096
+// radixGrain is the minimum items per worker for a radix pass's
+// histogram and scatter.
+const radixGrain = 4096
 
 // hostPartitionMin is the smallest range worth partition-parallel
 // sorting on the host; below it a single comparison sort wins.
@@ -35,42 +35,65 @@ func BuildKeyBuffer(src KeySource, depth, degree int) []Entry {
 	return entries
 }
 
-// partitionTopByte stably scatters es into 256 buckets by the leading
-// byte of the current partial key, using scratch (len >= len(es)) as the
-// out-of-place target, and returns the 257 bucket offsets. The histogram
-// and the scatter both run on the worker pool; per-(bucket, worker)
-// write cursors reproduce the sequential stable scatter exactly, because
-// worker ranges cover the input in index order.
-func partitionTopByte(es []Entry, degree int, scratch []Entry) [257]int {
-	n := len(es)
-	nw := parallel.Workers(n, partitionGrain, degree)
-	counts := make([][256]int, nw)
-	parallel.For(n, partitionGrain, degree, func(lo, hi, worker int) {
-		c := &counts[worker]
-		for _, e := range es[lo:hi] {
-			c[e.Key()>>24]++
+// RadixPass is one stable counting-sort pass over 8-bit digits: it
+// scatters keys into dstKeys by the digit at bit shift, input order kept
+// within a digit, carries vals into dstVals alongside when vals is not
+// nil, and returns the 257 digit offsets. Workers take the contiguous
+// input ranges parallel.For fixes by (len(keys), degree); each counts its
+// range's digits, and write cursors laid out digit-major, worker-minor
+// reproduce the sequential stable scatter exactly, because worker ranges
+// cover the input in index order. When every key shares one digit the
+// pass writes nothing and reports moved false: the input is already in
+// the pass's order. The engine's group-key order, the device radix sort
+// and the host partition all run their passes here.
+func RadixPass[K ~uint64](keys, dstKeys []K, vals, dstVals []int32, shift uint, degree int) (offsets [257]int, moved bool) {
+	n := len(keys)
+	cursors := make([][256]int, parallel.Workers(n, radixGrain, degree))
+	parallel.For(n, radixGrain, degree, func(lo, hi, worker int) {
+		c := &cursors[worker]
+		for _, k := range keys[lo:hi] {
+			c[byte(k>>shift)]++
 		}
 	})
-	var offsets [257]int
-	next := make([][256]int, nw)
 	pos := 0
-	for b := 0; b < 256; b++ {
-		offsets[b] = pos
-		for w := 0; w < nw; w++ {
-			next[w][b] = pos
-			pos += counts[w][b]
+	for d := 0; d < 256; d++ {
+		offsets[d] = pos
+		for w := range cursors {
+			c := cursors[w][d]
+			cursors[w][d] = pos
+			pos += c
 		}
 	}
 	offsets[256] = pos
-	parallel.For(n, partitionGrain, degree, func(lo, hi, worker int) {
-		nx := &next[worker]
-		for _, e := range es[lo:hi] {
-			b := e.Key() >> 24
-			scratch[nx[b]] = e
-			nx[b]++
+	if n == 0 {
+		return offsets, false
+	}
+	if d := int(byte(keys[0] >> shift)); offsets[d+1]-offsets[d] == n {
+		return offsets, false
+	}
+	parallel.For(n, radixGrain, degree, func(lo, hi, worker int) {
+		c := &cursors[worker]
+		for i := lo; i < hi; i++ {
+			k := keys[i]
+			d := byte(k >> shift)
+			dstKeys[c[d]] = k
+			if vals != nil {
+				dstVals[c[d]] = vals[i]
+			}
+			c[d]++
 		}
 	})
-	copy(es[:n], scratch[:n])
+	return offsets, true
+}
+
+// partitionTopByte stably scatters es into 256 buckets by the leading
+// byte of the current partial key, using scratch (len >= len(es)) as the
+// out-of-place target, and returns the 257 bucket offsets.
+func partitionTopByte(es []Entry, degree int, scratch []Entry) [257]int {
+	offsets, moved := RadixPass(es, scratch[:len(es)], nil, nil, 56, degree)
+	if moved {
+		copy(es, scratch)
+	}
 	return offsets
 }
 

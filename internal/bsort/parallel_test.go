@@ -179,3 +179,87 @@ func TestHostSortRangeReraisesBucketPanic(t *testing.T) {
 		t.Fatalf("recovered %v, want the bucket worker's panic", got)
 	}
 }
+
+// sequentialPass is the stable counting-sort pass RadixPass replaced: one
+// histogram, one prefix sum, one scatter in input order.
+func sequentialPass(keys []uint64, vals []int32, shift uint) ([]uint64, []int32, [257]int) {
+	var offsets [257]int
+	for _, k := range keys {
+		offsets[int(byte(k>>shift))+1]++
+	}
+	for d := 1; d <= 256; d++ {
+		offsets[d] += offsets[d-1]
+	}
+	next := offsets
+	outK, outV := make([]uint64, len(keys)), make([]int32, len(keys))
+	for i, k := range keys {
+		d := byte(k >> shift)
+		outK[next[d]], outV[next[d]] = k, vals[i]
+		next[d]++
+	}
+	return outK, outV, offsets
+}
+
+// TestRadixPassMatchesSequential: at degrees 1, 2, 8 and 24, below and
+// above the grain, over spread digits, over keys that all share the
+// pass's digit, and with duplicates, the pass writes what the sequential
+// stable scatter does, values alongside, and the same digit offsets; a
+// pass whose keys share one digit reports that it moved nothing.
+func TestRadixPassMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{0, 1, 100, radixGrain - 1, radixGrain*3 + 17, radixGrain * 40} {
+		inputs := map[string][]uint64{"spread": make([]uint64, n), "one digit": make([]uint64, n), "duplicates": make([]uint64, n)}
+		for i := 0; i < n; i++ {
+			inputs["spread"][i] = rng.Uint64()
+			inputs["one digit"][i] = rng.Uint64()&^(0xFF<<16) | 0x5A<<16
+			inputs["duplicates"][i] = uint64(rng.Intn(3)) << 16
+		}
+		vals := make([]int32, n)
+		for i := range vals {
+			vals[i] = int32(i)
+		}
+		for name, keys := range inputs {
+			for _, shift := range []uint{0, 16, 56} {
+				wantK, wantV, wantOffs := sequentialPass(keys, vals, shift)
+				oneDigit := n == 0 || wantOffs[int(byte(keys[0]>>shift))+1]-wantOffs[int(byte(keys[0]>>shift))] == n
+				for _, degree := range []int{1, 2, 8, 24} {
+					label := fmt.Sprintf("%s n=%d shift=%d degree=%d", name, n, shift, degree)
+					gotK, gotV := make([]uint64, n), make([]int32, n)
+					offs, moved := RadixPass(keys, gotK, vals, gotV, shift, degree)
+					if offs != wantOffs {
+						t.Fatalf("%s: digit offsets differ", label)
+					}
+					if moved == oneDigit {
+						t.Fatalf("%s: moved = %v with every key on one digit = %v", label, moved, oneDigit)
+					}
+					if !moved {
+						gotK, gotV = keys, vals
+					}
+					for i := range wantK {
+						if gotK[i] != wantK[i] || gotV[i] != wantV[i] {
+							t.Fatalf("%s: item %d is (%x, %d), want (%x, %d)", label, i, gotK[i], gotV[i], wantK[i], wantV[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRadixPass is the shared radix pass's micro-ruler: 1M keys with
+// a value each, one pass over a digit they spread on, at degree 8.
+func BenchmarkRadixPass(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(3))
+	keys, vals := make([]uint64, n), make([]int32, n)
+	for i := range keys {
+		keys[i], vals[i] = rng.Uint64(), int32(i)
+	}
+	dstK, dstV := make([]uint64, n), make([]int32, n)
+	b.SetBytes(n * 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RadixPass(keys, dstK, vals, dstV, 8, 8)
+	}
+}

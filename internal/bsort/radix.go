@@ -36,9 +36,10 @@ func (r Range) Len() int { return r.Hi - r.Lo }
 //
 // The device cost is the published kernel's throughput (~1G keys/s on a
 // K40); the functional sort is an LSD counting sort over the 4 key bytes
-// of a host copy of the job's entries. The device's entry buffer and
-// scratch buffer are claimed from the reservation, not filled.
-func gpuRadixSort(entries []Entry, r Range, res *gpu.Reservation, model *vtime.CostModel, pinned bool) ([]Range, vtime.Duration, error) {
+// of a host copy of the job's entries, a RadixPass per byte at the host
+// degree. The device's entry buffer and scratch buffer are claimed from
+// the reservation, not filled.
+func gpuRadixSort(entries []Entry, r Range, res *gpu.Reservation, model *vtime.CostModel, pinned bool, degree int) ([]Range, vtime.Duration, error) {
 	n := r.Len()
 	if n <= 1 {
 		return nil, 0, nil
@@ -59,27 +60,12 @@ func gpuRadixSort(entries []Entry, r Range, res *gpu.Reservation, model *vtime.C
 
 	sorted := slices.Clone(entries[r.Lo:r.Hi])
 	kr := res.Device().RunKernelSpan("radix_sort", res.Span(), func() vtime.Duration {
-		src, dst := sorted, make([]Entry, n)
-		for pass := 0; pass < 4; pass++ {
-			shift := uint(32 + 8*pass)
-			var counts [256]int
-			for _, e := range src {
-				counts[(e>>shift)&0xFF]++
+		scratch := make([]Entry, n)
+		for shift := uint(32); shift < 64; shift += 8 {
+			if _, moved := RadixPass(sorted, scratch, nil, nil, shift, degree); moved {
+				sorted, scratch = scratch, sorted
 			}
-			sum := 0
-			for b := 0; b < 256; b++ {
-				c := counts[b]
-				counts[b] = sum
-				sum += c
-			}
-			for _, e := range src {
-				b := (e >> shift) & 0xFF
-				dst[counts[b]] = e
-				counts[b]++
-			}
-			src, dst = dst, src
 		}
-		// 4 passes: the result is back in sorted.
 		return vtime.Duration(float64(n) / model.GPURadixSortRate)
 	})
 	if kr.Err != nil {

@@ -204,7 +204,7 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 			var dups []Range
 			var t vtime.Duration
 			dev, err := cfg.Scheduler.Run(js, traceAt, need, nil, func(res *gpu.Reservation) (err error) {
-				dups, t, err = gpuRadixSort(entries, j.r, res, cfg.Model, cfg.Pinned)
+				dups, t, err = gpuRadixSort(entries, j.r, res, cfg.Model, cfg.Pinned, cfg.Degree)
 				return err
 			})
 			if err == nil {

@@ -26,6 +26,10 @@ type Column interface {
 	// every null position and (for strings) the dictionary, but not the
 	// name. It is computed on first use and kept on the column.
 	ContentHash() uint64
+	// Key addresses the column's content for a cache: columns of equal
+	// key, length and type hold equal data. It is ContentHash, unless the
+	// column's maker gave it a provenance key (WithKey).
+	Key() uint64
 }
 
 // --- Int64 ---
@@ -37,6 +41,7 @@ type Int64Column struct {
 	data  []int64
 	nulls *Bitmap
 	hash  hashMemo
+	prov  provKey
 	// index is the join key index, once KeyIndex has been asked for it.
 	index atomic.Pointer[KeyIndex]
 }
@@ -70,7 +75,7 @@ func (c *Int64Column) Nulls() *Bitmap { return c.nulls }
 
 // Rename implements Column.
 func (c *Int64Column) Rename(name string) Column {
-	out := &Int64Column{name: name, data: c.data, nulls: c.nulls}
+	out := &Int64Column{name: name, data: c.data, nulls: c.nulls, prov: c.prov}
 	out.hash.p.Store(c.hash.p.Load())
 	out.index.Store(c.index.Load())
 	return out
@@ -84,6 +89,7 @@ type Float64Column struct {
 	data  []float64
 	nulls *Bitmap
 	hash  hashMemo
+	prov  provKey
 }
 
 // NewFloat64Column builds a column from data; nulls may be nil.
@@ -115,7 +121,7 @@ func (c *Float64Column) Nulls() *Bitmap { return c.nulls }
 
 // Rename implements Column.
 func (c *Float64Column) Rename(name string) Column {
-	out := &Float64Column{name: name, data: c.data, nulls: c.nulls}
+	out := &Float64Column{name: name, data: c.data, nulls: c.nulls, prov: c.prov}
 	out.hash.p.Store(c.hash.p.Load())
 	return out
 }
@@ -131,6 +137,7 @@ type StringColumn struct {
 	codes []int32
 	nulls *Bitmap
 	hash  hashMemo
+	prov  provKey
 }
 
 func (c *StringColumn) Name() string { return c.name }
@@ -157,7 +164,7 @@ func (c *StringColumn) Nulls() *Bitmap { return c.nulls }
 
 // Rename implements Column.
 func (c *StringColumn) Rename(name string) Column {
-	out := &StringColumn{name: name, dict: c.dict, codes: c.codes, nulls: c.nulls}
+	out := &StringColumn{name: name, dict: c.dict, codes: c.codes, nulls: c.nulls, prov: c.prov}
 	out.hash.p.Store(c.hash.p.Load())
 	return out
 }

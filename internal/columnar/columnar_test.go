@@ -345,3 +345,36 @@ func TestContentHashConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestWithKey: a keyed header shares the column's vectors, its Key is the
+// provenance key and survives a rename, and its ContentHash is still the
+// content's.
+func TestWithKey(t *testing.T) {
+	ib := NewInt64Builder("i")
+	fb := NewFloat64Builder("f")
+	sb := NewStringBuilder("s")
+	for i := 0; i < 50; i++ {
+		ib.Append(int64(i))
+		fb.Append(float64(i) / 4)
+		sb.Append(string(rune('a' + i%3)))
+	}
+	for _, src := range []Column{ib.Build(), fb.Build(), sb.Build()} {
+		if src.Key() != src.ContentHash() {
+			t.Fatalf("%s: an unkeyed column's key is not its content hash", src.Name())
+		}
+		const key = 0x5eed
+		keyed := WithKey(src, key)
+		for _, c := range []Column{keyed, keyed.Rename("r")} {
+			if c.Key() != key || c.ContentHash() != src.ContentHash() || c.Len() != src.Len() || c.Type() != src.Type() {
+				t.Errorf("%s as %s: key %x content hash %x, want %x and %x", src.Name(), c.Name(), c.Key(), c.ContentHash(), uint64(key), src.ContentHash())
+			}
+		}
+	}
+	i := ib.Build()
+	if k := WithKey(i, 1).(*Int64Column); &k.Data()[0] != &i.Data()[0] || k.Name() != i.Name() {
+		t.Error("WithKey copied or renamed the column")
+	}
+	if MixKeys(1, 2) == MixKeys(2, 1) || MixKeys(1) == MixKeys(1, 0) {
+		t.Error("MixKeys ignores order or arity")
+	}
+}

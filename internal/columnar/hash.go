@@ -19,6 +19,44 @@ func (m *hashMemo) get(compute func() uint64) uint64 {
 	return h
 }
 
+// provKey is a provenance key, set when a column is made (WithKey); the
+// zero value is none.
+type provKey struct {
+	v   uint64
+	set bool
+}
+
+// WithKey returns c's header under the provenance key key, without
+// copying: Key then returns key instead of hashing the content. The caller
+// vouches that key determines the content, the way a join's output column
+// is fixed by its source column and the two key columns. Building key takes
+// O(1) where hashing the content walks every value.
+func WithKey(c Column, key uint64) Column {
+	switch col := c.Rename(c.Name()).(type) {
+	case *Int64Column:
+		col.prov = provKey{key, true}
+		return col
+	case *Float64Column:
+		col.prov = provKey{key, true}
+		return col
+	case *StringColumn:
+		col.prov = provKey{key, true}
+		return col
+	default:
+		return c
+	}
+}
+
+// MixKeys folds keys, in order, into one key with the content hash's
+// mixer: the way a provenance key is built from its inputs' keys.
+func MixKeys(keys ...uint64) uint64 {
+	h := mix64(0, uint64(len(keys)))
+	for _, k := range keys {
+		h = mix64(h, k)
+	}
+	return h
+}
+
 // mix64 folds v into h with a splitmix64-style avalanche.
 func mix64(h, v uint64) uint64 {
 	x := h + v + 0x9e3779b97f4a7c15
@@ -34,6 +72,30 @@ func mixRow(h, bits uint64, nulls *Bitmap, i int) uint64 {
 		h = mix64(h, uint64(i)*2+1)
 	}
 	return h
+}
+
+// Key implements Column.
+func (c *Int64Column) Key() uint64 {
+	if c.prov.set {
+		return c.prov.v
+	}
+	return c.ContentHash()
+}
+
+// Key implements Column.
+func (c *Float64Column) Key() uint64 {
+	if c.prov.set {
+		return c.prov.v
+	}
+	return c.ContentHash()
+}
+
+// Key implements Column.
+func (c *StringColumn) Key() uint64 {
+	if c.prov.set {
+		return c.prov.v
+	}
+	return c.ContentHash()
 }
 
 // ContentHash implements Column.

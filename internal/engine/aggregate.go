@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"blugpu/internal/bsort"
 	"blugpu/internal/columnar"
 	"blugpu/internal/evaluator"
 	"blugpu/internal/explain"
@@ -77,7 +78,9 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	}
 	if cr != nil && cr.entry == nil {
 		// Chain with no filter/derive stages: the aggregate's direct
-		// input (scan or join output) is the entry table.
+		// input (scan or join output) is the entry table, and the cache
+		// keys its columns as they are.
+		e.materialize(f)
 		cr.entry = f.tbl
 	}
 	start := f.at()
@@ -93,13 +96,14 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// queries take the original Figure-1 CPU chain with no MEMCPY
 	// evaluator. Everything else runs the Figure-2 GPU chain, which
 	// stages into pinned memory as it goes.
-	rows := int64(f.tbl.Rows())
+	rows := int64(f.numRows())
 	preGPU := e.GPUEnabled() && rows > e.thresholds.T1Rows &&
 		(e.thresholds.T3Rows <= 0 || rows <= e.thresholds.T3Rows)
 
-	// Host evaluator chain: LCOG/LCOV/CCAT/HASH(+KMV)[+MEMCPY].
+	// Host evaluator chain: LCOG/LCOV/CCAT/HASH(+KMV)[+MEMCPY], reading
+	// the input through its row list.
 	hostStart := time.Now()
-	chain, err := evaluator.BuildInput(f.tbl, nil, evaluator.Spec{Keys: n.Keys, Aggs: cols}, evaluator.Deps{
+	chain, err := evaluator.BuildInput(f.tbl, f.rows, evaluator.Spec{Keys: n.Keys, Aggs: cols}, evaluator.Deps{
 		Model:    e.model,
 		Degree:   e.cfg.Degree,
 		Monitor:  e.mon,
@@ -206,7 +210,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	finalize := e.model.CPUTime(float64(out.Groups*len(items)), e.model.CPUExprRate, e.cfg.Degree)
 	e.addCPU(f, finalize)
 	op.End(f.at(), trace.Int("groups", int64(out.Groups)), trace.Str("path", detail))
-	f.tbl = outTbl
+	f.tbl, f.rows = outTbl, nil
 	rec := &explain.AggRecord{
 		Keys:          n.Keys,
 		Plan:          q.nextPrognosis(),
@@ -416,7 +420,9 @@ func (e *Engine) buildAggOutput(chain *evaluator.Result, in *groupby.Input, out 
 // pass per 8-bit digit of the keyBits they use (0 = unknown, all 64),
 // carrying each key's group index: it returns the sorted keys and, for
 // every output position, the group it came from. Keys are distinct, so
-// this is exactly the order a comparison sort on the key would give.
+// this is exactly the order a comparison sort on the key would give. Each
+// pass is bsort's parallel stable RadixPass; one that finds every key
+// sharing its digit moves nothing.
 func radixOrder(keys []uint64, keyBits, degree int) ([]uint64, []int32) {
 	n := len(keys)
 	if keyBits <= 0 || keyBits > 64 {
@@ -428,23 +434,9 @@ func radixOrder(keys []uint64, keyBits, degree int) ([]uint64, []int32) {
 	}
 	bufK, bufP := make([]uint64, n), make([]int32, n)
 	for shift := uint(0); shift < uint(keyBits); shift += 8 {
-		var next [256]int
-		for _, k := range sorted {
-			next[byte(k>>shift)]++
+		if _, moved := bsort.RadixPass(sorted, bufK, perm, bufP, shift, degree); moved {
+			sorted, bufK, perm, bufP = bufK, sorted, bufP, perm
 		}
-		if next[byte(sorted[0]>>shift)] == n {
-			continue // every key shares this digit
-		}
-		pos := 0
-		for d, c := range next {
-			next[d], pos = pos, pos+c
-		}
-		for i, k := range sorted {
-			d := byte(k >> shift)
-			bufK[next[d]], bufP[next[d]] = k, perm[i]
-			next[d]++
-		}
-		sorted, bufK, perm, bufP = bufK, sorted, bufP, perm
 	}
 	return sorted, perm
 }

@@ -483,6 +483,7 @@ func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql
 		}
 		return nil, &QueryError{TraceSeq: q.tc.Query(), Err: err}
 	}
+	e.materialize(f)
 	cols := p.Output
 	if len(cols) == 0 {
 		for _, c := range f.tbl.Columns() {
@@ -614,12 +615,41 @@ func (q qctx) nextPrognosis() *optimizer.Prognosis {
 
 // frame is an intermediate execution state.
 type frame struct {
-	q       qctx
-	tbl     *columnar.Table
+	q   qctx
+	tbl *columnar.Table
+	// rows lists the rows of tbl the frame holds, in order; nil holds
+	// every row. Filter, sort and limit narrow or reorder the list instead
+	// of copying columns, and the aggregate reads through it; an operator
+	// that needs the values lined up calls materialize first.
+	rows    []int32
 	modeled vtime.Duration
 	phases  []des.Phase
 	ops     []OpStat
 	gpuUsed bool
+}
+
+// numRows is the frame's row count: the logical one, which operator rows,
+// spans and every modeled formula use.
+func (f *frame) numRows() int {
+	if f.rows == nil {
+		return f.tbl.Rows()
+	}
+	return len(f.rows)
+}
+
+// materialize gathers the frame's listed rows into columns of their own,
+// charging the wall time to gather. A query copies a column at most once:
+// here, at the first operator that needs the rows lined up (join input,
+// derive, window, an expression project, a fusion chain's entry, the
+// query result). A frame with no list is left as it is.
+func (e *Engine) materialize(f *frame) {
+	if f.rows == nil {
+		return
+	}
+	start := time.Now()
+	f.tbl = columnar.GatherTableDegree(f.tbl.Name(), f.tbl, f.rows, e.cfg.Degree)
+	f.rows = nil
+	f.q.wallGather(start)
 }
 
 // at returns the frame's current offset on the trace timeline: the query

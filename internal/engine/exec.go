@@ -99,6 +99,9 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The predicate kernels read whole columns; the plan puts a filter over
+	// a scan, a join or an aggregate, none of which hands on a row list.
+	e.materialize(f)
 	start := f.at()
 	sp := f.begin("op", "filter")
 	hostStart := time.Now()
@@ -106,24 +109,24 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	q.wallHost(hostStart)
-	gatherStart := time.Now()
+	// The selected rows are the filter's output; nothing is copied.
 	rows := sel.IndicesDegree(e.cfg.Degree)
-	out := columnar.GatherTableDegree(f.tbl.Name()+"_f", f.tbl, rows, e.cfg.Degree)
-	q.wallGather(gatherStart)
+	q.wallHost(hostStart)
 	if cr := q.chain; cr.member(n) {
-		// Fusion chain bookkeeping: f.tbl is still this filter's input
-		// here, so the deepest member captures the chain's entry table.
+		// Fusion chain bookkeeping: f.tbl is this filter's input, so the
+		// deepest member captures the chain's entry table.
 		cr.noteEntry(f.tbl)
-		cr.stages = append(cr.stages, chainStage{op: "filter", inRows: f.tbl.Rows(), outRows: out.Rows()})
+		cr.stages = append(cr.stages, chainStage{op: "filter", inRows: f.tbl.Rows(), outRows: len(rows)})
 	}
 	t := e.model.CPUTime(float64(f.tbl.Rows()), e.model.CPUExprRate, e.cfg.Degree) +
-		e.model.CPUTime(float64(len(rows)*out.NumColumns()), e.model.CPUScanRate, e.cfg.Degree)
+		e.model.CPUTime(float64(len(rows)*f.tbl.NumColumns()), e.model.CPUScanRate, e.cfg.Degree)
 	e.addCPU(f, t)
-	sp.End(f.at(), trace.Int("rows", int64(out.Rows())))
-	f.tbl = out
+	sp.End(f.at(), trace.Int("rows", int64(len(rows))))
+	if len(rows) < f.tbl.Rows() {
+		f.rows = rows
+	}
 	f.ops = append(f.ops, OpStat{
-		Op: "filter", Detail: n.Pred.String(), Depth: q.depth, Rows: out.Rows(),
+		Op: "filter", Detail: n.Pred.String(), Depth: q.depth, Rows: len(rows),
 		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
 	})
 	return f, nil
@@ -134,6 +137,7 @@ func (e *Engine) execDerive(n *plan.Derive, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.materialize(f)
 	start := f.at()
 	sp := f.begin("op", "derive")
 	hostStart := time.Now()
@@ -170,6 +174,14 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A project of bare columns passes the row list through; an
+	// expression reads whole columns, so it needs the rows lined up.
+	for _, dc := range n.Cols {
+		if _, ok := dc.Expr.(*expr.Col); !ok {
+			e.materialize(f)
+			break
+		}
+	}
 	start := f.at()
 	sp := f.begin("op", "project")
 	hostStart := time.Now()
@@ -200,10 +212,10 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 	q.wallHost(hostStart)
 	t := e.model.CPUTime(float64(exprWork), e.model.CPUExprRate, e.cfg.Degree)
 	e.addCPU(f, t)
-	sp.End(f.at(), trace.Int("rows", int64(out.Rows())))
 	f.tbl = out
+	sp.End(f.at(), trace.Int("rows", int64(f.numRows())))
 	f.ops = append(f.ops, OpStat{
-		Op: "project", Depth: q.depth, Rows: out.Rows(),
+		Op: "project", Depth: q.depth, Rows: f.numRows(),
 		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
 	})
 	return f, nil
@@ -214,12 +226,15 @@ func (e *Engine) execLimit(n *plan.Limit, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A limit that cuts nothing passes its input through uncopied.
-	if n.N < f.tbl.Rows() {
-		rows := columnar.IotaRows(n.N, e.cfg.Degree)
-		f.tbl = columnar.GatherTableDegree(f.tbl.Name()+"_l", f.tbl, rows, e.cfg.Degree)
+	// A limit cuts the row list; one that cuts nothing leaves it alone.
+	if n.N < f.numRows() {
+		if f.rows == nil {
+			f.rows = columnar.IotaRows(n.N, e.cfg.Degree)
+		} else {
+			f.rows = f.rows[:n.N]
+		}
 	}
 	// Limit charges no modeled time and emits no span: a zero-width row.
-	f.ops = append(f.ops, OpStat{Op: "limit", Depth: q.depth, Rows: f.tbl.Rows(), Start: f.at(), End: f.at()})
+	f.ops = append(f.ops, OpStat{Op: "limit", Depth: q.depth, Rows: f.numRows(), Start: f.at(), End: f.at()})
 	return f, nil
 }

@@ -15,6 +15,13 @@ import (
 // lookup per row, so small chunks are all goroutine handoff.
 const joinGrain = 4096
 
+// probeSide and buildSide tag the side a join output column was gathered
+// from in its provenance key.
+const (
+	probeSide uint64 = 1
+	buildSide uint64 = 2
+)
+
 // execJoin is an inner equi-join on one integer key. The smaller side is
 // the build side and supplies its key column's index (resident on the
 // column, so a base-table dimension builds once per process); the larger
@@ -25,6 +32,7 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.materialize(left)
 
 	// Everything that can reject the join is checked before the span opens
 	// and before any work is done on its behalf.
@@ -102,22 +110,30 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	// Materialize. Columns are immutable, so when every probe row matched
 	// exactly once the probe side goes into the output as it is — vectors,
 	// memoised content hash and all — and only the build side is gathered.
+	// A gathered column's cache key is its provenance: its source column's
+	// key, its side, and the keys of the two key columns, which fix the
+	// rows gathered. Equal provenance is equal content, so the fusion cache
+	// never hashes a join output.
 	gatherStart := time.Now()
 	leftRows, rightRows := m.probeRows, m.buildRows
+	leftSide, rightSide := probeSide, buildSide
 	if !buildRight {
 		leftRows, rightRows = rightRows, leftRows
+		leftSide, rightSide = rightSide, leftSide
 	}
+	probeKey, buildKey := probeKeys.Key(), buildKeys.Key()
 	cols := make([]columnar.Column, 0, len(leftCols)+len(rightCols))
-	gather := func(side []columnar.Column, rows []int32, asIs bool) {
+	gather := func(side []columnar.Column, rows []int32, asIs bool, tag uint64) {
 		for _, c := range side {
 			if !asIs {
-				c = columnar.GatherColumnDegree(c, c.Name(), rows, e.cfg.Degree)
+				key := columnar.MixKeys(c.Key(), tag, probeKey, buildKey)
+				c = columnar.WithKey(columnar.GatherColumnDegree(c, c.Name(), rows, e.cfg.Degree), key)
 			}
 			cols = append(cols, c)
 		}
 	}
-	gather(leftCols, leftRows, m.identity && buildRight)
-	gather(rightCols, rightRows, m.identity && !buildRight)
+	gather(leftCols, leftRows, m.identity && buildRight, leftSide)
+	gather(rightCols, rightRows, m.identity && !buildRight, rightSide)
 	// Unique names and equal lengths hold by construction.
 	out := columnar.MustNewTable(left.tbl.Name()+"_j", cols...)
 	q.wallGather(gatherStart)

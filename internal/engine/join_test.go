@@ -417,6 +417,49 @@ func TestJoinIndexFollowsTheTable(t *testing.T) {
 	wg.Wait()
 }
 
+// TestJoinOutputsKeyedByProvenance: a column the join gathers carries a
+// provenance key, not its walked content hash, and the key is the same
+// run after run of the same join. Over every differential case at two
+// degrees a key names one content: columns of equal key have equal content
+// hashes. A passed-through probe column keeps its own key.
+func TestJoinOutputsKeyedByProvenance(t *testing.T) {
+	content := make(map[uint64]uint64) // column key -> content hash
+	for _, degree := range []int{1, 8} {
+		e := joinEngine(t, degree)
+		for _, tc := range joinCases() {
+			left, right := joinSide("l", "l", tc.left), joinSide("r", "r", tc.right)
+			first, err := runJoin(e, left, right, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := runJoin(e, left, right, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range first.Columns() {
+				src := left.Column(c.Name())
+				if src == nil {
+					src = right.Column(c.Name())
+				}
+				switch {
+				case c == src:
+					if c.Key() != src.ContentHash() {
+						t.Errorf("%s: passed-through column %q changed its key", tc.name, c.Name())
+					}
+				case c.Key() == c.ContentHash():
+					t.Errorf("%s: gathered column %q is keyed by its content hash", tc.name, c.Name())
+				case c.Key() != again.Columns()[i].Key():
+					t.Errorf("%s degree %d: column %q keyed %x, then %x", tc.name, degree, c.Name(), c.Key(), again.Columns()[i].Key())
+				}
+				if h, ok := content[c.Key()]; ok && h != c.ContentHash() {
+					t.Errorf("%s degree %d: column %q shares key %x with other content", tc.name, degree, c.Name(), c.Key())
+				}
+				content[c.Key()] = c.ContentHash()
+			}
+		}
+	}
+}
+
 // TestJoinPassesProbeSideThrough: when the build key is unique and every
 // probe row matched, the probe side's columns are the output's — the same
 // column objects, so vectors are shared and the memoised content hash

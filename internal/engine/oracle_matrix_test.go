@@ -13,21 +13,31 @@ import (
 
 // TestOracleMatrix holds the engine to one answer per statement: all 146
 // workload statements at degree 8, GPU on (fused), GPU on with NoFusion,
-// GPU on under a 0.1 fault rate at every site, GPU on with device 0 dead,
-// and GPU off, each at GOMAXPROCS 1, 2 and 8. The GPU arms run with T1 = 1
-// and a 256-row sort threshold, so every group-by and most sorts take the
-// device path. Every one of the fifteen runs must render each statement's
-// result to the same bytes — a device kernel answers with the CPU path's
-// aggregation loop and a faulted attempt falls back to it, so which path
-// ran cannot move a bit — and within a configuration, each statement's
-// modeled time must be bit-identical at every GOMAXPROCS: the host's core
-// count is no input, and the injector draws by a (seed, site, device, n)
-// counter on the query's goroutine, so neither is which faults fire.
+// GPU on under a 0.1 fault rate at every site and with device 0 dead, each
+// both fused and with NoFusion (the staged path reads its input through
+// the same row lists), and GPU off, each at GOMAXPROCS 1, 2 and 8. The GPU
+// arms run with T1 = 1 and a 256-row sort threshold, so every group-by and
+// most sorts take the device path. Every one of the twenty-one runs must
+// render each statement's result to the same bytes — a device kernel
+// answers with the CPU path's aggregation loop and a faulted attempt falls
+// back to it, so which path ran cannot move a bit — and within a
+// configuration, each statement's modeled time must be bit-identical at
+// every GOMAXPROCS: the host's core count is no input, and the injector
+// draws by a (seed, site, device, n) counter on the query's goroutine, so
+// neither is which faults fire.
 func TestOracleMatrix(t *testing.T) {
 	ds := workload.Generate(0.02, 20160626)
 	qs := workloadQueries()
 	// faults builds each run's own injector, so no run inherits another's
 	// draw counters or dead devices.
+	faultRate := func() *fault.Injector {
+		return fault.New(fault.Config{Seed: 20160626, Reserve: 0.1, H2D: 0.1, D2H: 0.1, Kernel: 0.1})
+	}
+	deviceDead := func() *fault.Injector {
+		inj := fault.New(fault.Config{Seed: 20160626})
+		inj.KillDevice(0)
+		return inj
+	}
 	configs := []struct {
 		name     string
 		gpu      bool
@@ -36,14 +46,10 @@ func TestOracleMatrix(t *testing.T) {
 	}{
 		{"gpu-on", true, false, nil},
 		{"nofusion", true, true, nil},
-		{"fault-0.1", true, false, func() *fault.Injector {
-			return fault.New(fault.Config{Seed: 20160626, Reserve: 0.1, H2D: 0.1, D2H: 0.1, Kernel: 0.1})
-		}},
-		{"device-dead", true, false, func() *fault.Injector {
-			inj := fault.New(fault.Config{Seed: 20160626})
-			inj.KillDevice(0)
-			return inj
-		}},
+		{"fault-0.1", true, false, faultRate},
+		{"device-dead", true, false, deviceDead},
+		{"nofusion-fault-0.1", true, true, faultRate},
+		{"nofusion-device-dead", true, true, deviceDead},
 		{"gpu-off", false, false, nil},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

@@ -13,16 +13,17 @@ import (
 	"blugpu/internal/trace"
 )
 
-// sortKeyWords extracts binary-sortable keys for the rows of tbl into one
-// flat buffer of 4-byte segments, row after row: per sort column the NULL
-// flag (NULLs first, over the zero value's encoding), then two segments
-// for an int (sign bit flipped) or a float (IEEE total order), or one for
-// a dictionary code (the dictionary is sorted, so codes preserve order).
+// sortKeyWords extracts binary-sortable keys for the rows of tbl that rows
+// lists (nil: every row) into one flat buffer of 4-byte segments, row
+// after row in list order: per sort column the NULL flag (NULLs first,
+// over the zero value's encoding), then two segments for an int (sign bit
+// flipped) or a float (IEEE total order), or one for a dictionary code
+// (the dictionary is sorted, so codes preserve order).
 // DESC inverts every segment of its column. offs[i] is key i's first
 // segment within a row, offs[len(keys)] the segments per row. Workers
 // fill disjoint row ranges a column at a time over the typed vectors, so
 // no row owns an allocation.
-func sortKeyWords(tbl *columnar.Table, keys []plan.SortKey, degree int) (words []uint32, offs []int, err error) {
+func sortKeyWords(tbl *columnar.Table, rows []int32, keys []plan.SortKey, degree int) (words []uint32, offs []int, err error) {
 	cols := make([]columnar.Column, len(keys))
 	offs = make([]int, len(keys)+1)
 	for i, k := range keys {
@@ -38,17 +39,20 @@ func sortKeyWords(tbl *columnar.Table, keys []plan.SortKey, degree int) (words [
 			return nil, nil, fmt.Errorf("engine: cannot sort column type %v", cols[i].Type())
 		}
 	}
-	depth := offs[len(keys)]
-	words = make([]uint32, tbl.Rows()*depth)
-	parallel.For(tbl.Rows(), exprGrain, degree, func(lo, hi, _ int) {
+	depth, n := offs[len(keys)], tbl.Rows()
+	if rows != nil {
+		n = len(rows)
+	}
+	words = make([]uint32, n*depth)
+	parallel.For(n, exprGrain, degree, func(lo, hi, _ int) {
 		for i, col := range cols {
 			var inv uint32
 			if keys[i].Desc {
 				inv = ^uint32(0)
 			}
-			// put writes row r's flag and its value's 64-bit encoding.
-			put := func(r int, null bool, u uint64) {
-				w := words[r*depth+offs[i]:]
+			// put writes position p's flag and its value's 64-bit encoding.
+			put := func(p int, null bool, u uint64) {
+				w := words[p*depth+offs[i]:]
 				if null {
 					w[0], u = inv, 1<<63
 				} else {
@@ -58,23 +62,39 @@ func sortKeyWords(tbl *columnar.Table, keys []plan.SortKey, degree int) (words [
 			}
 			switch c := col.(type) {
 			case *columnar.Int64Column:
-				for r, v := range c.Data()[lo:hi] {
-					put(lo+r, c.IsNull(lo+r), uint64(v)^(1<<63))
+				data := c.Data()
+				for p := lo; p < hi; p++ {
+					r := p
+					if rows != nil {
+						r = int(rows[p])
+					}
+					put(p, c.IsNull(r), uint64(data[r])^(1<<63))
 				}
 			case *columnar.Float64Column:
-				for r, v := range c.Data()[lo:hi] {
-					u := math.Float64bits(v)
+				data := c.Data()
+				for p := lo; p < hi; p++ {
+					r := p
+					if rows != nil {
+						r = int(rows[p])
+					}
+					u := math.Float64bits(data[r])
 					if u>>63 == 1 {
 						u = ^u // negative: flip all
 					} else {
 						u |= 1 << 63 // positive: flip sign
 					}
-					put(lo+r, c.IsNull(lo+r), u)
+					put(p, c.IsNull(r), u)
 				}
 			case *columnar.StringColumn:
-				for r, code := range c.Codes()[lo:hi] {
-					w := words[(lo+r)*depth+offs[i]:]
-					if c.IsNull(lo + r) {
+				codes := c.Codes()
+				for p := lo; p < hi; p++ {
+					r := p
+					if rows != nil {
+						r = int(rows[p])
+					}
+					code := codes[r]
+					w := words[p*depth+offs[i]:]
+					if c.IsNull(r) {
 						w[0], w[1] = inv, inv
 					} else {
 						w[0], w[1] = 1^inv, uint32(code)^inv
@@ -144,23 +164,31 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f.tbl.Rows() > 1 {
+	if rows := f.numRows(); rows > 1 {
 		start := f.at()
 		sp := f.begin("op", "sort")
-		words, offs, err := sortKeyWords(f.tbl, n.Keys, e.cfg.Degree)
+		words, offs, err := sortKeyWords(f.tbl, f.rows, n.Keys, e.cfg.Degree)
 		if err != nil {
 			return nil, err
 		}
-		perm, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, f.tbl.Rows(), offs[len(n.Keys)]), f, sp)
+		perm, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, rows, offs[len(n.Keys)]), f, sp)
 		if err != nil {
 			return nil, err
 		}
-		sp.End(f.at(), trace.Int("rows", int64(f.tbl.Rows())),
+		sp.End(f.at(), trace.Int("rows", int64(rows)),
 			trace.Int("jobs", int64(stats.Jobs)), trace.Int("gpu-jobs", int64(stats.GPUJobs)))
-		f.tbl = columnar.GatherTableDegree(f.tbl.Name()+"_s", f.tbl, perm, e.cfg.Degree)
+		// The sort's output is its permutation of the row list: the paper's
+		// tuples stay where they are, and only the first rows a limit keeps
+		// are ever copied.
+		if f.rows != nil {
+			for i, p := range perm {
+				perm[i] = f.rows[p]
+			}
+		}
+		f.rows = perm
 		f.ops = append(f.ops, OpStat{
 			Op: "sort", Detail: fmt.Sprintf("jobs=%d gpu=%d cpu=%d", stats.Jobs, stats.GPUJobs, stats.CPUJobs),
-			Depth: q.depth, Rows: f.tbl.Rows(),
+			Depth: q.depth, Rows: rows,
 			Span: sp.ID(), Start: start, End: f.at(), Modeled: stats.Modeled,
 			Sort: sortRecord(stats),
 		})
@@ -173,6 +201,7 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.materialize(f)
 	tbl := f.tbl
 	ranks := make([]int64, tbl.Rows())
 	if tbl.Rows() > 0 {
@@ -186,7 +215,7 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 		keys = append(keys, n.OrderBy...)
 		start := f.at()
 		sp := f.begin("op", "window-sort")
-		words, offs, err := sortKeyWords(tbl, keys, e.cfg.Degree)
+		words, offs, err := sortKeyWords(tbl, nil, keys, e.cfg.Degree)
 		if err != nil {
 			return nil, err
 		}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/groupby"
@@ -32,6 +33,12 @@ import (
 
 // evalGrain is the minimum rows per worker for the parallel evaluators.
 const evalGrain = 1024
+
+// hashGrain is the minimum rows per HASH+KMV worker. Each worker fills a
+// sketch of its own and the sketches merge serially, so the grain is
+// coarse: a few hundred thousand rows make a handful of sketches, not one
+// per degree. Like every grain it fixes the split by rows and degree only.
+const hashGrain = 1 << 15
 
 // AggColumn is one aggregation request: a function over a column.
 // Count with an empty column is COUNT(*); Count with a column is
@@ -117,9 +124,11 @@ type Result struct {
 	Modeled vtime.Duration
 }
 
-// BuildInput runs the host evaluator chain over the selected rows of tbl.
-// sel may be nil to select every row.
-func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps) (*Result, error) {
+// BuildInput runs the host evaluator chain over the rows of tbl that rows
+// lists, in that order; nil selects every row. The input, the key geometry
+// and the estimate are exactly those of the chain over a table gathered
+// from those rows.
+func BuildInput(tbl *columnar.Table, rows []int32, spec Spec, deps Deps) (*Result, error) {
 	if deps.Model == nil {
 		return nil, errors.New("evaluator: Deps.Model is required")
 	}
@@ -130,8 +139,10 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 		return nil, errors.New("evaluator: at least one grouping column required")
 	}
 
-	rows := selectedRows(tbl, sel, deps.Degree)
-	n := len(rows)
+	n := tbl.Rows()
+	if rows != nil {
+		n = len(rows)
+	}
 	at := deps.TraceAt
 	record := func(name string, nrows int64, d vtime.Duration) {
 		if deps.Monitor != nil {
@@ -144,7 +155,7 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 	}
 
 	// --- LCOG: load grouping key columns, compute field geometry ---
-	vecs, err := planKeyFields(tbl, spec.Keys, deps.Degree)
+	vecs, err := planKeyFields(tbl, rows, spec.Keys, deps.Degree)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +213,7 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 	// --- LCOV + aggregation specs ---
 	var lcovRows int64
 	for _, a := range spec.Aggs {
-		aspec, payload, err := buildPayload(tbl, rows, a, deps.Degree)
+		aspec, payload, err := buildPayload(tbl, rows, n, a, deps.Degree)
 		if err != nil {
 			return nil, err
 		}
@@ -221,13 +232,10 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 	// contains the global k minima, and merging is order-independent,
 	// so the estimate is identical to the sequential sketch's.
 	in.Hashes = make([]uint64, n)
-	nw := parallel.Workers(n, evalGrain, deps.Degree)
-	sketches := make([]*kmv.Sketch, nw)
-	for i := range sketches {
-		sketches[i] = kmv.MustNew(kmv.DefaultK)
-	}
-	parallel.For(n, evalGrain, deps.Degree, func(lo, hi, worker int) {
-		sk := sketches[worker]
+	sketches := make([]*kmv.Sketch, parallel.Workers(n, hashGrain, deps.Degree))
+	parallel.For(n, hashGrain, deps.Degree, func(lo, hi, worker int) {
+		sk := kmv.MustNew(kmv.DefaultK)
+		sketches[worker] = sk
 		if wide {
 			for i := lo; i < hi; i++ {
 				h := murmur.Sum64(in.WideKeys[i], 0x5bd1e995)
@@ -247,11 +255,12 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 			}
 		}
 	})
-	sketch := kmv.MustNew(kmv.DefaultK)
-	for _, sk := range sketches {
-		sketch.Merge(sk)
+	if len(sketches) > 0 {
+		for _, sk := range sketches[1:] {
+			sketches[0].Merge(sk)
+		}
+		in.EstGroups = sketches[0].EstimateUint64()
 	}
-	in.EstGroups = sketch.EstimateUint64()
 	hashT := deps.Model.CPUTime(float64(n), deps.Model.CPUExprRate, deps.Degree)
 	record("HASH", int64(n), hashT)
 
@@ -358,17 +367,21 @@ func (f KeyField) decodeCodes(words []uint64, off uint, mask uint64, degree int)
 
 // --- helpers ---
 
-func selectedRows(tbl *columnar.Table, sel *columnar.Bitmap, degree int) []int32 {
-	if sel == nil {
-		return columnar.IotaRows(tbl.Rows(), degree)
+// at is the table row behind position i of a selection: rows[i], or i
+// itself when rows is nil and every row is selected.
+func at(rows []int32, i int) int {
+	if rows == nil {
+		return i
 	}
-	return sel.IndicesDegree(degree)
+	return int(rows[i])
 }
 
-// planKeyFields computes per-column packing geometry. Int columns are
+// planKeyFields computes per-column packing geometry over the selected
+// rows, exactly as over a column gathered from them. Int columns are
 // rebased to their min so the code fits the value range; string columns
-// use dictionary codes. A NULL code is reserved when the column has nulls.
-func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]keyVec, error) {
+// use dictionary codes. A NULL code is reserved when a selected row is
+// NULL.
+func planKeyFields(tbl *columnar.Table, rows []int32, keys []string, degree int) ([]keyVec, error) {
 	fields := make([]keyVec, 0, len(keys))
 	bitOff, byteOff := 0, 0
 	for _, name := range keys {
@@ -381,7 +394,7 @@ func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]keyVec, er
 		case *columnar.StringColumn:
 			f.Dict = c
 			f.codes, f.nulls = c.Codes(), c.Nulls()
-			f.HasNull = anyNull(f.nulls)
+			f.HasNull = anyNull(f.nulls, rows, degree)
 			span := uint64(c.DictSize())
 			if f.HasNull {
 				span++
@@ -390,8 +403,8 @@ func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]keyVec, er
 			f.Bytes = 4
 		case *columnar.Int64Column:
 			f.ints, f.nulls = c.Data(), c.Nulls()
-			f.HasNull = anyNull(f.nulls)
-			minV, maxV := columnMinMax(c, degree)
+			f.HasNull = anyNull(f.nulls, rows, degree)
+			minV, maxV := columnMinMax(c, rows, degree)
 			f.MinI = minV
 			span := uint64(maxV-minV) + 1
 			if f.HasNull {
@@ -401,7 +414,7 @@ func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]keyVec, er
 			f.Bytes = 8
 		case *columnar.Float64Column:
 			f.floats, f.nulls = c.Data(), c.Nulls()
-			f.HasNull = anyNull(f.nulls)
+			f.HasNull = anyNull(f.nulls, rows, degree)
 			f.Bits = 64 // floats group by raw bits: always the wide path
 			f.Bytes = 8
 		default:
@@ -414,27 +427,32 @@ func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]keyVec, er
 	return fields, nil
 }
 
-// columnMinMax scans for the non-null value range with per-worker
-// partial minima/maxima reduced in worker order (min/max are exact and
-// commutative, so the result is degree-independent).
-func columnMinMax(c *columnar.Int64Column, degree int) (minV, maxV int64) {
+// columnMinMax scans the selected rows for the non-null value range with
+// per-worker partial minima/maxima reduced in worker order (min/max are
+// exact and commutative, so the result is degree-independent).
+func columnMinMax(c *columnar.Int64Column, rows []int32, degree int) (minV, maxV int64) {
 	data := c.Data()
-	nw := parallel.Workers(len(data), evalGrain, degree)
+	n := len(data)
+	if rows != nil {
+		n = len(rows)
+	}
+	nw := parallel.Workers(n, evalGrain, degree)
 	mins := make([]int64, nw)
 	maxs := make([]int64, nw)
 	anys := make([]bool, nw)
-	parallel.For(len(data), evalGrain, degree, func(lo, hi, worker int) {
+	parallel.For(n, evalGrain, degree, func(lo, hi, worker int) {
 		mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
 		any := false
 		for i := lo; i < hi; i++ {
-			if c.IsNull(i) {
+			r := at(rows, i)
+			if c.IsNull(r) {
 				continue
 			}
 			any = true
-			if v := data[i]; v < mn {
+			if v := data[r]; v < mn {
 				mn = v
 			}
-			if v := data[i]; v > mx {
+			if v := data[r]; v > mx {
 				mx = v
 			}
 		}
@@ -460,14 +478,27 @@ func columnMinMax(c *columnar.Int64Column, degree int) (minV, maxV int64) {
 	return minV, maxV
 }
 
-// anyNull reports whether the bitmap (nil for none) marks any row NULL.
-func anyNull(nulls *columnar.Bitmap) bool {
-	return nulls != nil && nulls.Count() > 0
+// anyNull reports whether the bitmap (nil for none) marks any selected
+// row NULL.
+func anyNull(nulls *columnar.Bitmap, rows []int32, degree int) bool {
+	if nulls == nil || rows == nil {
+		return nulls != nil && nulls.Count() > 0
+	}
+	found := make([]bool, parallel.Workers(len(rows), evalGrain, degree))
+	parallel.For(len(rows), evalGrain, degree, func(lo, hi, worker int) {
+		for _, r := range rows[lo:hi] {
+			if nulls.Get(int(r)) {
+				found[worker] = true
+				return
+			}
+		}
+	})
+	return slices.Contains(found, true)
 }
 
 // codeAt returns field f's code at table row r: the dictionary code, the
 // rebased integer or the float's code, before the NULL shift.
-func (f *keyVec) codeAt(r int32) uint64 {
+func (f *keyVec) codeAt(r int) uint64 {
 	switch f.Type {
 	case columnar.String:
 		return uint64(f.codes[r])
@@ -481,9 +512,9 @@ func (f *keyVec) codeAt(r int32) uint64 {
 	}
 }
 
-// packNarrow ORs field f's packed codes for rows[lo:hi] into keys[lo:hi].
-// A NULL row contributes code 0; real codes shift up by one when the
-// column has NULLs.
+// packNarrow ORs field f's packed codes for selection positions [lo, hi)
+// into keys[lo:hi]. A NULL row contributes code 0; real codes shift up by
+// one when the column has NULLs.
 func (f *keyVec) packNarrow(rows []int32, keys []uint64, lo, hi int) {
 	off := uint(f.BitOffset)
 	var shift uint64
@@ -491,14 +522,14 @@ func (f *keyVec) packNarrow(rows []int32, keys []uint64, lo, hi int) {
 		shift = 1
 	}
 	for i := lo; i < hi; i++ {
-		if r := rows[i]; !f.HasNull || !f.nulls.Get(int(r)) {
+		if r := at(rows, i); !f.HasNull || !f.nulls.Get(r) {
 			keys[i] |= (f.codeAt(r) + shift) << off
 		}
 	}
 }
 
-// packWide writes field f's fixed-width encoding for rows[lo:hi] into the
-// flat wide-key buffer (stride bytes per key, f at ByteOffset). Integer
+// packWide writes field f's fixed-width encoding for selection positions
+// [lo, hi) into the flat wide-key buffer (stride bytes per key, f at ByteOffset). Integer
 // and string codes shift up by one when the column has NULLs and NULL is
 // code 0; floats keep their bits and NULL is floatNullCode.
 func (f *keyVec) packWide(rows []int32, flat []byte, stride, lo, hi int) {
@@ -509,9 +540,9 @@ func (f *keyVec) packWide(rows []int32, flat []byte, stride, lo, hi int) {
 		shift = 1
 	}
 	for i := lo; i < hi; i++ {
-		r := rows[i]
+		r := at(rows, i)
 		code := null
-		if !f.HasNull || !f.nulls.Get(int(r)) {
+		if !f.HasNull || !f.nulls.Get(r) {
 			code = f.codeAt(r) + shift
 		}
 		dst := flat[i*stride+f.ByteOffset:]
@@ -523,10 +554,10 @@ func (f *keyVec) packWide(rows []int32, flat []byte, stride, lo, hi int) {
 	}
 }
 
-// buildPayload materializes one aggregate's payload vector. NULL inputs
-// become the aggregate's identity so they cannot affect the result;
-// COUNT(col) is rewritten to SUM(0/1).
-func buildPayload(tbl *columnar.Table, rows []int32, a AggColumn, degree int) (groupby.AggSpec, []uint64, error) {
+// buildPayload materializes one aggregate's payload vector over the n
+// selected rows. NULL inputs become the aggregate's identity so they
+// cannot affect the result; COUNT(col) is rewritten to SUM(0/1).
+func buildPayload(tbl *columnar.Table, rows []int32, n int, a AggColumn, degree int) (groupby.AggSpec, []uint64, error) {
 	if a.Kind == groupby.Count && a.Column == "" {
 		return groupby.AggSpec{Kind: groupby.Count}, nil, nil
 	}
@@ -536,10 +567,10 @@ func buildPayload(tbl *columnar.Table, rows []int32, a AggColumn, degree int) (g
 	}
 	if a.Kind == groupby.Count {
 		// COUNT(col): sum 1 for non-null rows.
-		payload := make([]uint64, len(rows))
-		parallel.For(len(rows), evalGrain, degree, func(lo, hi, _ int) {
+		payload := make([]uint64, n)
+		parallel.For(n, evalGrain, degree, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
-				if !col.IsNull(int(rows[i])) {
+				if !col.IsNull(at(rows, i)) {
 					payload[i] = 1
 				}
 			}
@@ -556,22 +587,31 @@ func buildPayload(tbl *columnar.Table, rows []int32, a AggColumn, degree int) (g
 		return groupby.AggSpec{}, nil, fmt.Errorf("evaluator: cannot aggregate %v column %q", col.Type(), a.Column)
 	}
 	identity := spec.InitWord()
-	payload := make([]uint64, len(rows))
-	parallel.For(len(rows), evalGrain, degree, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			r := int(rows[i])
-			if col.IsNull(r) {
-				payload[i] = identity
-				continue
+	payload := make([]uint64, n)
+	switch c := col.(type) {
+	case *columnar.Int64Column:
+		data, nulls := c.Data(), c.Nulls()
+		parallel.For(n, evalGrain, degree, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				if r := at(rows, i); nulls != nil && nulls.Get(r) {
+					payload[i] = identity
+				} else {
+					payload[i] = uint64(data[r])
+				}
 			}
-			switch c := col.(type) {
-			case *columnar.Int64Column:
-				payload[i] = uint64(c.Int64(r))
-			case *columnar.Float64Column:
-				payload[i] = math.Float64bits(c.Float64(r))
+		})
+	case *columnar.Float64Column:
+		data, nulls := c.Data(), c.Nulls()
+		parallel.For(n, evalGrain, degree, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				if r := at(rows, i); nulls != nil && nulls.Get(r) {
+					payload[i] = identity
+				} else {
+					payload[i] = math.Float64bits(data[r])
+				}
 			}
-		}
-	})
+		})
+	}
 	return spec, payload, nil
 }
 

@@ -126,13 +126,13 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 	}
 }
 
-func TestSelectionBitmap(t *testing.T) {
+func TestSelectedRows(t *testing.T) {
 	tbl := salesTable(t)
-	sel := columnar.NewBitmap(tbl.Rows())
-	for i := 0; i < 100; i++ {
-		sel.Set(i)
+	rows := make([]int32, 100)
+	for i := range rows {
+		rows[i] = int32(i)
 	}
-	res, err := BuildInput(tbl, sel, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Count}}}, deps())
+	res, err := BuildInput(tbl, rows, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Count}}}, deps())
 	if err != nil {
 		t.Fatal(err)
 	}

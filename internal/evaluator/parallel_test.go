@@ -43,9 +43,9 @@ func diffTable(n int) *columnar.Table {
 	return columnar.MustNewTable("t", kb.Build(), gb.Build(), wb.Build(), vb.Build())
 }
 
-func buildAt(t *testing.T, tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, degree int) *Result {
+func buildAt(t *testing.T, tbl *columnar.Table, rows []int32, spec Spec, degree int) *Result {
 	t.Helper()
-	res, err := BuildInput(tbl, sel, spec, Deps{Model: vtime.Default(), Degree: degree})
+	res, err := BuildInput(tbl, rows, spec, Deps{Model: vtime.Default(), Degree: degree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestBuildInputDegreeMatchesSequential(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, 63, 1000, 4097} {
 		tbl := diffTable(n)
-		sel := columnar.NewBitmap(n)
+		var sel []int32
 		for i := 0; i < n; i++ {
 			if i%3 != 1 {
-				sel.Set(i)
+				sel = append(sel, int32(i))
 			}
 		}
 		for name, spec := range specs {
-			for _, s := range []*columnar.Bitmap{nil, sel} {
+			for _, s := range [][]int32{nil, sel} {
 				seq := buildAt(t, tbl, s, spec, 1)
 				for _, d := range testDegrees[1:] {
 					par := buildAt(t, tbl, s, spec, d)
@@ -184,18 +184,21 @@ func TestKeyPackingMatchesRowReference(t *testing.T) {
 		fb.Append(float64(r%7) - 2.5)
 	}
 	tbl = columnar.MustNewTable("t", append(append([]columnar.Column{}, tbl.Columns()...), db.Build(), fb.Build())...)
-	sel := columnar.NewBitmap(n)
+	var sel []int32
 	for r := 0; r < n; r += 3 {
-		sel.Set(r)
+		sel = append(sel, int32(r))
 	}
 	for _, keys := range [][]string{
 		{"k"}, {"g"}, {"d"}, {"k", "g"}, {"d", "k", "g"}, // narrow
 		{"w", "k"}, {"v"}, {"f", "d"}, {"g", "v", "k", "w", "f"}, // wide
 	} {
-		for _, s := range []*columnar.Bitmap{nil, sel} {
+		for _, s := range [][]int32{nil, sel} {
 			for _, degree := range testDegrees {
 				res := buildAt(t, tbl, s, Spec{Keys: keys}, degree)
-				rows := selectedRows(tbl, s, 1)
+				rows := s
+				if rows == nil {
+					rows = columnar.IotaRows(n, 1)
+				}
 				for i, r := range rows {
 					if res.Input.WideKeys == nil {
 						var want uint64
@@ -221,5 +224,64 @@ func TestKeyPackingMatchesRowReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBuildInputRowsMatchGather: the chain over a row list is the chain
+// over the table gathered from it — keys, hashes, payloads, the KMV
+// estimate and the field plan, down to each int field's MinI and whether
+// a NULL code is reserved, which the selected rows decide, not the whole
+// column. Lists: empty, every row, sparse rows that skip every NULL and
+// narrow the int range, and an unsorted permutation.
+func TestBuildInputRowsMatchGather(t *testing.T) {
+	const n = 3_000
+	tbl := diffTable(n)
+	all := columnar.IotaRows(n, 1)
+	var sparse []int32
+	for r := 0; r < n; r++ {
+		if r%11 != 5 && r%17 != 2 && r%13 >= 3 && r%13 <= 8 {
+			sparse = append(sparse, int32(r))
+		}
+	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32((i*7919 + 13) % n)
+	}
+	lists := map[string][]int32{"empty": {}, "all": all, "sparse": sparse, "permutation": perm}
+	specs := map[string]Spec{
+		"int":         {Keys: []string{"k"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "v"}, {Kind: groupby.Count}}},
+		"string":      {Keys: []string{"g"}, Aggs: []AggColumn{{Kind: groupby.Min, Column: "v"}}},
+		"narrow pair": {Keys: []string{"k", "g"}, Aggs: []AggColumn{{Kind: groupby.Count, Column: "v"}}},
+		"wide pair":   {Keys: []string{"g", "w"}, Aggs: []AggColumn{{Kind: groupby.Max, Column: "w"}}},
+	}
+	for lname, rows := range lists {
+		gathered := columnar.GatherTable("g", tbl, rows)
+		for sname, spec := range specs {
+			for _, degree := range testDegrees {
+				label := fmt.Sprintf("%s rows, %s key, degree %d", lname, sname, degree)
+				want := buildAt(t, gathered, nil, spec, degree)
+				got := buildAt(t, tbl, rows, spec, degree)
+				sameInput(t, label, want, got)
+				if len(got.Input.Aggs) != len(want.Input.Aggs) {
+					t.Fatalf("%s: %d aggregates, want %d", label, len(got.Input.Aggs), len(want.Input.Aggs))
+				}
+				for a := range want.Input.Aggs {
+					if got.Input.Aggs[a] != want.Input.Aggs[a] {
+						t.Fatalf("%s: aggregate %d is %+v, want %+v", label, a, got.Input.Aggs[a], want.Input.Aggs[a])
+					}
+				}
+				for i, f := range want.Fields {
+					if (f.Dict == nil) != (got.Fields[i].Dict == nil) || f.Dict != nil && f.Dict.DictSize() != got.Fields[i].Dict.DictSize() {
+						t.Fatalf("%s: field %d decodes through a different dictionary", label, i)
+					}
+				}
+			}
+		}
+	}
+	// The sparse list is the one whose geometry the whole column would
+	// get wrong.
+	f := buildAt(t, tbl, sparse, specs["int"], 1).Fields[0]
+	if f.MinI != -3 || f.HasNull || f.Bits != 3 {
+		t.Fatalf("sparse int field: MinI %d, HasNull %v, %d bits; want -3, false, 3", f.MinI, f.HasNull, f.Bits)
 	}
 }

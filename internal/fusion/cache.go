@@ -9,12 +9,17 @@
 // points at (data-path fusion, device-resident processing) gets its win
 // largely by keeping operator inputs and intermediates on the device.
 //
-// This package supplies the resident half of that design: a per-device,
-// content-addressed cache of compressed column images. Entries are keyed
-// by column *content* (type, length, values, nulls), not by pointer or
-// name, because the engine's late-materialization gathers rebuild column
-// vectors on every execution — two runs of the same query produce equal
-// content in distinct slices. Each entry owns its own device Reservation,
+// This package supplies the resident half of that design: a per-device
+// cache of compressed column images. Entries are keyed by what fixes a
+// column's content, not by pointer or name, because the engine's joins
+// rebuild column vectors on every execution — two runs of the same query
+// produce equal content in distinct slices. A base or computed column's
+// key is its content hash (type, length, values, nulls), walked once and
+// kept on the column; a column a join gathered carries a provenance key,
+// a mix of its source column's key, its side and the two key columns'
+// keys, made in O(1) when the join builds it. Equal provenance is equal
+// content, since columns are immutable and the probe is deterministic.
+// Each entry owns its own device Reservation,
 // so cached bytes are visible to the scheduler's admission control
 // exactly like any kernel's working set; when a placement cannot be
 // satisfied the engine purges the cache and retries, which keeps the
@@ -44,8 +49,8 @@ import (
 // not a fault.
 var ErrNoRoom = errors.New("fusion: no device memory for column upload")
 
-// Key addresses one column image by content. Length and type ride along
-// with the 64-bit content hash so a collision would additionally need
+// Key addresses one column image by its content. Length and type ride
+// along with the 64-bit column key so a collision would additionally need
 // equal shape.
 type Key struct {
 	H uint64
@@ -53,17 +58,17 @@ type Key struct {
 	T columnar.Type
 }
 
-// ColumnKey computes the content address of a column: type, length, every
-// value, every null position, and (for strings) the dictionary. Two
-// columns with equal keys hold equal data regardless of which gather or
-// scan produced them. The hash is memoised on the column, so a base-table
-// column is walked once per process and a gathered one once per query.
+// ColumnKey computes the cache address of a column: its type, its length
+// and its Column.Key — the content hash, memoised on the column, for base
+// and computed columns, or the provenance key of a join's output. Two
+// columns with equal keys hold equal data. A base-table column is walked
+// once per process; a join output is never walked.
 func ColumnKey(col columnar.Column) Key {
-	return Key{H: col.ContentHash(), N: col.Len(), T: col.Type()}
+	return Key{H: col.Key(), N: col.Len(), T: col.Type()}
 }
 
 // columnKeys addresses every column of a chain. Callers run it before
-// taking Cache.mu: the first hash of a column walks every value, and
+// taking Cache.mu: the first hash of a base column walks every value, and
 // concurrent chains must not serialise on that.
 func columnKeys(cols []columnar.Column) []Key {
 	keys := make([]Key, len(cols))

@@ -184,10 +184,11 @@ func TestEnsureFaultPropagates(t *testing.T) {
 
 var keySink Key
 
-// BenchmarkColumnKey is the micro-ruler for the content address of a
-// 1M-row column: "first" walks every value (a fresh header each time, as
-// a gathered join output is), "again" is what every later MissBytes /
-// Ensure over the same column pays.
+// BenchmarkColumnKey is the micro-ruler for the cache key of a 1M-row
+// column: "first" walks every value (a fresh header each time, as a newly
+// computed column is), "again" is what every later MissBytes / Ensure over
+// the same column pays, and "provenance" is a join output's key, made
+// when the join gathered the column.
 func BenchmarkColumnKey(b *testing.B) {
 	vals := make([]int64, 1_000_000)
 	for i := range vals {
@@ -207,6 +208,12 @@ func BenchmarkColumnKey(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			keySink = ColumnKey(hashed)
+		}
+	})
+	b.Run("provenance", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keySink = ColumnKey(columnar.WithKey(src, uint64(i)))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package groupby
 
 import (
 	"math"
+	"math/bits"
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/parallel"
@@ -11,16 +12,21 @@ import (
 // takes: smaller inputs run in fewer partitions.
 const partitionGrain = 16384
 
+// mergeGrain is the fewest partition entries a merge bucket takes: fewer
+// entries merge in fewer buckets.
+const mergeGrain = 16384
+
 // foldRows is how many rows a partition resolves to group ids before the
 // aggregates fold them, a column at a time.
 const foldRows = 1024
 
-// table is one partition's private hash table, and the merged one: a
+// table is one partition's private hash table, and one merge bucket's: a
 // linear-probing index of power-of-two slots over dense group ids, with
 // each group's key words, row hash and accumulators appended to flat
 // arrays — the entry layout of Mask, split into columns. The index
 // doubles once three quarters full (the KMV estimate that sizes it can be
-// low); doubling re-homes ids and never moves a group.
+// low); doubling re-homes ids and never moves a group. The merged table
+// the buckets concatenate into has no index: nothing looks a key up in it.
 type table struct {
 	index  []uint32   // slot -> group id + 1, 0 when empty
 	keys   []uint64   // KeyWords per group
@@ -117,10 +123,10 @@ func (t *table) result(in *Input) *Result {
 // alike. parallel.For splits the rows into 64-aligned partitions fixed by
 // (NumRows, partitionGrain, degree) — never by the host's core count —
 // and each partition aggregates its rows in order into a private table;
-// the tables then merge in partition order. So the answer, float SUMs to
-// the last bit, is a function of the input and the degree. It also
-// returns the partitions' summed group counts: the entries the merge
-// folds.
+// the tables then merge, each group's partials in partition order. So the
+// answer, float SUMs to the last bit, is a function of the input and the
+// degree. It also returns the partitions' summed group counts: the
+// entries the merge folds.
 func aggregate(in *Input, degree int) (*table, int) {
 	degree = max(degree, 1)
 	parts := make([]*table, parallel.Workers(in.NumRows, partitionGrain, degree))
@@ -133,27 +139,97 @@ func aggregate(in *Input, degree int) (*table, int) {
 	case 1:
 		return parts[0], parts[0].groups()
 	}
-	local, widest := 0, 0
+	local := 0
 	for _, p := range parts {
 		local += p.groups()
-		widest = max(widest, p.groups())
 	}
-	merged := newTable(in, min(local, max(widest, estimate(in))))
-	for _, p := range parts {
-		for g, h := range p.hashes {
-			dst, fresh := merged.find(p.keys[g*p.kw:(g+1)*p.kw], h, in.Aggs)
-			for a, spec := range in.Aggs {
-				// A group's first partial is taken as it is, not folded
-				// into the mask: 0 + -0.0 would not keep its sign.
-				acc := p.accs[a][g]
-				if !fresh {
-					acc = combine(spec, merged.accs[a][dst], acc)
+	return mergeParts(in, parts, local, degree), local
+}
+
+// mergeParts merges the partition tables in parallel, by bucket: the high
+// bits of a group's hash pick one of a power-of-two number of buckets,
+// fixed by the entry count and the degree, and each bucket merges on a
+// worker of its own, partition by partition in partition order and,
+// within a partition, in group id order. A key lives in one bucket, so
+// every group meets its partials in the order a serial merge in partition
+// order gives it, and every accumulator word is that merge's. The merged
+// table lists the groups bucket after bucket; buildAggOutput puts them in
+// key order, and no kernel's cost depends on it.
+func mergeParts(in *Input, parts []*table, local, degree int) *table {
+	nb := 1
+	for nb*2 <= degree && nb*2*mergeGrain <= local {
+		nb *= 2
+	}
+	// A shift of 64 (one bucket) sends every hash to bucket 0.
+	shift := uint(64 - bits.TrailingZeros(uint(nb)))
+	// ids[p][starts[p][b]:starts[p][b+1]] are partition p's groups in
+	// bucket b, in id order.
+	ids, starts := make([][]int32, len(parts)), make([][]int, len(parts))
+	parallel.Go(len(parts), func(p int) {
+		start := make([]int, nb+1)
+		for _, h := range parts[p].hashes {
+			start[h>>shift+1]++
+		}
+		for b := 1; b <= nb; b++ {
+			start[b] += start[b-1]
+		}
+		next, list := append([]int(nil), start[:nb]...), make([]int32, len(parts[p].hashes))
+		for g, h := range parts[p].hashes {
+			list[next[h>>shift]] = int32(g)
+			next[h>>shift]++
+		}
+		ids[p], starts[p] = list, start
+	})
+	buckets := make([]*table, nb)
+	parallel.Go(nb, func(b int) {
+		n, widest := 0, 0
+		for p := range parts {
+			c := starts[p][b+1] - starts[p][b]
+			n, widest = n+c, max(widest, c)
+		}
+		t := newTable(in, min(n, max(widest, estimate(in)/nb)))
+		for p, part := range parts {
+			for _, g := range ids[p][starts[p][b]:starts[p][b+1]] {
+				dst, fresh := t.find(part.keys[int(g)*part.kw:int(g+1)*part.kw], part.hashes[g], in.Aggs)
+				for a, spec := range in.Aggs {
+					// A group's first partial is taken as it is, not folded
+					// into the mask: 0 + -0.0 would not keep its sign.
+					acc := part.accs[a][g]
+					if !fresh {
+						acc = combine(spec, t.accs[a][dst], acc)
+					}
+					t.accs[a][dst] = acc
 				}
-				merged.accs[a][dst] = acc
 			}
 		}
+		buckets[b] = t
+	})
+	if nb == 1 {
+		return buckets[0]
 	}
-	return merged, local
+	offs := make([]int, nb+1)
+	for b, t := range buckets {
+		offs[b+1] = offs[b] + t.groups()
+	}
+	groups, kw := offs[nb], in.KeyWords()
+	merged := &table{
+		keys:   make([]uint64, groups*kw),
+		hashes: make([]uint64, groups),
+		accs:   make([][]uint64, len(in.Aggs)),
+		kw:     kw,
+	}
+	for a := range merged.accs {
+		merged.accs[a] = make([]uint64, groups)
+	}
+	parallel.Go(nb, func(b int) {
+		t, at := buckets[b], offs[b]
+		copy(merged.keys[at*kw:], t.keys)
+		copy(merged.hashes[at:], t.hashes)
+		for a := range merged.accs {
+			copy(merged.accs[a][at:], t.accs[a])
+		}
+	})
+	return merged
 }
 
 // estimate is the capacity to give a table that may see every group: the

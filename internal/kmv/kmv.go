@@ -14,6 +14,7 @@ package kmv
 import (
 	"errors"
 	"math"
+	"math/bits"
 
 	"blugpu/internal/murmur"
 )
@@ -27,9 +28,9 @@ const DefaultK = 1024
 // the evaluator chain keeps one per thread and merges.
 type Sketch struct {
 	k    int
-	heap []uint64 // max-heap of the k smallest values seen
-	seen map[uint64]struct{}
-	n    uint64 // total values offered
+	heap []uint64 // the k smallest values seen: a max-heap once k are kept
+	seen set      // the values in heap
+	n    uint64   // total values offered
 }
 
 // New returns a sketch keeping the k smallest distinct hash values.
@@ -40,7 +41,7 @@ func New(k int) (*Sketch, error) {
 	return &Sketch{
 		k:    k,
 		heap: make([]uint64, 0, k),
-		seen: make(map[uint64]struct{}, k),
+		seen: newSet(k),
 	}, nil
 }
 
@@ -59,24 +60,29 @@ func (s *Sketch) K() int { return s.k }
 // Observed returns the total number of values offered to the sketch.
 func (s *Sketch) Observed() uint64 { return s.n }
 
-// AddHash offers one already-hashed value.
+// AddHash offers one already-hashed value. Until k distinct values are
+// kept they are only collected; the k-th arranges them into the heap, so
+// the fill costs no sifting.
 func (s *Sketch) AddHash(h uint64) {
 	s.n++
-	if len(s.heap) == s.k && h >= s.heap[0] {
+	full := len(s.heap) == s.k
+	if full && h >= s.heap[0] {
 		return
 	}
-	if _, dup := s.seen[h]; dup {
-		return
+	if !s.seen.add(h) {
+		return // already kept
 	}
-	if len(s.heap) < s.k {
-		s.seen[h] = struct{}{}
+	if !full {
 		s.heap = append(s.heap, h)
-		s.siftUp(len(s.heap) - 1)
+		if len(s.heap) == s.k {
+			for i := s.k/2 - 1; i >= 0; i-- {
+				s.siftDown(i)
+			}
+		}
 		return
 	}
 	// Replace the current maximum.
-	delete(s.seen, s.heap[0])
-	s.seen[h] = struct{}{}
+	s.seen.remove(s.heap[0])
 	s.heap[0] = h
 	s.siftDown(0)
 }
@@ -90,7 +96,8 @@ func (s *Sketch) AddUint64(v uint64) { s.AddHash(murmur.Sum64Uint64(v, 0x9747b28
 // Estimate returns the estimated number of distinct values observed.
 func (s *Sketch) Estimate() float64 {
 	if len(s.heap) < s.k {
-		// Sketch not yet full: the exact distinct count so far.
+		// Sketch not yet full: the exact distinct count so far, and
+		// heap is not yet a heap.
 		return float64(len(s.heap))
 	}
 	// kth minimum normalized into (0,1].
@@ -125,32 +132,85 @@ func (s *Sketch) Merge(other *Sketch) {
 	}
 }
 
-func (s *Sketch) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.heap[parent] >= s.heap[i] {
-			return
+// siftDown moves heap[i] down to its place in the max-heap, carrying it
+// as a hole rather than swapping at every level.
+func (s *Sketch) siftDown(i int) {
+	h := s.heap
+	v := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
-		i = parent
+		if r := c + 1; r < len(h) && h[r] > h[c] {
+			c = r
+		}
+		if h[c] <= v {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
+}
+
+// set is a flat open-addressing set of at most k values: linear probing
+// over a power-of-two table kept at most half full, with backward-shift
+// deletion so removals leave no tombstones behind. Slot value 0 is empty;
+// the value 0 itself is held by zero.
+type set struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+	zero  bool
+}
+
+func newSet(k int) set {
+	n := 1 << bits.Len(uint(2*k-1)) // the power of two >= 2k
+	return set{slots: make([]uint64, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
+}
+
+// home is v's preferred slot: a Fibonacci hash, so values that differ only
+// in their low bits still spread.
+func (t *set) home(v uint64) int { return int((v * 0x9e3779b97f4a7c15) >> t.shift) }
+
+// add inserts v and reports whether it was absent.
+func (t *set) add(v uint64) bool {
+	if v == 0 {
+		fresh := !t.zero
+		t.zero = true
+		return fresh
+	}
+	m := len(t.slots) - 1
+	for i := t.home(v); ; i = (i + 1) & m {
+		switch t.slots[i] {
+		case 0:
+			t.slots[i] = v
+			return true
+		case v:
+			return false
+		}
 	}
 }
 
-func (s *Sketch) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && s.heap[l] > s.heap[largest] {
-			largest = l
-		}
-		if r < n && s.heap[r] > s.heap[largest] {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		s.heap[i], s.heap[largest] = s.heap[largest], s.heap[i]
-		i = largest
+// remove deletes v, which must be present, and shifts back every later
+// entry of its probe run that may move closer to its home.
+func (t *set) remove(v uint64) {
+	if v == 0 {
+		t.zero = false
+		return
 	}
+	m := len(t.slots) - 1
+	i := t.home(v)
+	for t.slots[i] != v {
+		i = (i + 1) & m
+	}
+	for j := (i + 1) & m; t.slots[j] != 0; j = (j + 1) & m {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j]: moving it before its home would hide it.
+		if h := t.home(t.slots[j]); (j-h)&m >= (j-i)&m {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = 0
 }
