@@ -101,11 +101,7 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 	}
 
 	entries := make([]Entry, n)
-	parallel.For(n, keygenGrain, cfg.Degree, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			entries[i] = MakeEntry(0, uint32(i))
-		}
-	})
+	parallel.For(n, keygenGrain, cfg.Degree, func(lo, hi, _ int) { numberEntries(entries[lo:hi], lo) })
 
 	var queue []job
 	var keygenRows int64
@@ -119,10 +115,7 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 	// next partial key"), and each worker writes a disjoint range.
 	rekey := func(r Range, depth int) {
 		parallel.For(r.Len(), keygenGrain, cfg.Degree, func(lo, hi, _ int) {
-			for i := r.Lo + lo; i < r.Lo+hi; i++ {
-				p := entries[i].Payload()
-				entries[i] = MakeEntry(src.PartialKey(int32(p), depth), p)
-			}
+			rekeyEntries(entries[r.Lo+lo:r.Lo+hi], src, depth)
 		})
 		keygenRows += int64(r.Len())
 	}
@@ -259,6 +252,31 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 	// CPU jobs and GPU jobs drain the queue concurrently.
 	st.Modeled = st.KeyGen + vtime.Max(st.CPUTime, st.GPUTime)
 	return perm, st, nil
+}
+
+// numberEntries gives es[i] the payload base+i and key 0.
+func numberEntries(es []Entry, base int) {
+	for i := range es {
+		es[i] = MakeEntry(0, uint32(base+i))
+	}
+}
+
+// rekeyEntries regenerates the partial keys of es at depth from their
+// payloads. It is a top-level loop, not a closure, so Payload and
+// MakeEntry inline; the engine's flat source is read with no interface
+// call per entry.
+func rekeyEntries(es []Entry, src KeySource, depth int) {
+	if flat, ok := src.(*FlatKeySource); ok {
+		for i, e := range es {
+			p := e.Payload()
+			es[i] = MakeEntry(flat.PartialKey(int32(p), depth), p)
+		}
+		return
+	}
+	for i, e := range es {
+		p := e.Payload()
+		es[i] = MakeEntry(src.PartialKey(int32(p), depth), p)
+	}
 }
 
 func sortByPayload(es []Entry) {

@@ -1,10 +1,6 @@
 package columnar
 
-import (
-	"math/bits"
-
-	"blugpu/internal/parallel"
-)
+import "math/bits"
 
 // Bitmap is a fixed-length bitset over row ids. The engine uses bitmaps
 // for null tracking and for selection vectors produced by predicate
@@ -114,53 +110,10 @@ func (b *Bitmap) ForEach(fn func(i int)) {
 	}
 }
 
-// Indices materializes the set bits as a slice of row ids. It is the
-// sequential reference for IndicesDegree.
+// Indices materializes the set bits as a slice of row ids.
 func (b *Bitmap) Indices() []int32 {
 	out := make([]int32, 0, b.Count())
 	b.ForEach(func(i int) { out = append(out, int32(i)) })
-	return out
-}
-
-// indicesGrainWords is the minimum bitmap words per worker for the
-// parallel selection scan (64 rows per word).
-const indicesGrainWords = 256
-
-// IndicesDegree is the parallel selection scan: per-worker popcounts
-// size each worker's output region, then workers emit their word ranges
-// independently. The result is identical to Indices at any degree.
-func (b *Bitmap) IndicesDegree(degree int) []int32 {
-	nw := len(b.words)
-	w := parallel.Workers(nw, indicesGrainWords, degree)
-	if w <= 1 {
-		return b.Indices()
-	}
-	counts := make([]int, w)
-	parallel.For(nw, indicesGrainWords, degree, func(lo, hi, worker int) {
-		c := 0
-		for _, word := range b.words[lo:hi] {
-			c += bits.OnesCount64(word)
-		}
-		counts[worker] = c
-	})
-	total := 0
-	offsets := make([]int, w)
-	for i, c := range counts {
-		offsets[i] = total
-		total += c
-	}
-	out := make([]int32, total)
-	parallel.For(nw, indicesGrainWords, degree, func(lo, hi, worker int) {
-		pos := offsets[worker]
-		for wi := lo; wi < hi; wi++ {
-			word := b.words[wi]
-			for word != 0 {
-				out[pos] = int32(wi*64 + bits.TrailingZeros64(word))
-				pos++
-				word &= word - 1
-			}
-		}
-	})
 	return out
 }
 

@@ -132,37 +132,6 @@ func TestGatherTableDegreeMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestIndicesDegreeMatchesSequential(t *testing.T) {
-	for _, n := range testSizes {
-		patterns := []func(i int) bool{
-			func(i int) bool { return false },
-			func(i int) bool { return true },
-			func(i int) bool { return i%3 == 0 },
-			func(i int) bool { return i%64 == 63 },
-		}
-		for pi, keep := range patterns {
-			bm := NewBitmap(n)
-			for i := 0; i < n; i++ {
-				if keep(i) {
-					bm.Set(i)
-				}
-			}
-			seq := bm.Indices()
-			for _, d := range testDegrees {
-				par := bm.IndicesDegree(d)
-				if len(par) != len(seq) {
-					t.Fatalf("n=%d pattern=%d degree=%d: %d indices, want %d", n, pi, d, len(par), len(seq))
-				}
-				for i := range seq {
-					if par[i] != seq[i] {
-						t.Fatalf("n=%d pattern=%d degree=%d: index %d: %d != %d", n, pi, d, i, par[i], seq[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestIotaRows(t *testing.T) {
 	for _, n := range testSizes {
 		for _, d := range testDegrees {

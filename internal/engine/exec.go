@@ -105,12 +105,11 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	start := f.at()
 	sp := f.begin("op", "filter")
 	hostStart := time.Now()
-	sel, err := expr.EvalPredicate(f.tbl, n.Pred, e.cfg.Degree)
+	// The selected rows are the filter's output; nothing is copied.
+	rows, err := expr.EvalPredicate(f.tbl, n.Pred, e.cfg.Degree)
 	if err != nil {
 		return nil, err
 	}
-	// The selected rows are the filter's output; nothing is copied.
-	rows := sel.IndicesDegree(e.cfg.Degree)
 	q.wallHost(hostStart)
 	if cr := q.chain; cr.member(n) {
 		// Fusion chain bookkeeping: f.tbl is this filter's input, so the

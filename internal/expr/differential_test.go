@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,12 +26,12 @@ func CheckAgainstReference(t testing.TB, tbl *columnar.Table, e Expr, strict boo
 	wantSel, selErr := refEvalPredicate(tbl, e)
 	wantCol, colErr := refEvalColumn(tbl, "v", e)
 	for _, degree := range []int{1, 2, 8} {
-		sel, err := EvalPredicate(tbl, e, degree)
+		rows, err := EvalPredicate(tbl, e, degree)
 		switch {
 		case !errorsAgree(err, selErr, strict):
 			t.Errorf("%s where, degree %d: error %v, interpreter %v", e, degree, err, selErr)
-		case err == nil && !reflect.DeepEqual(sel.Words(), wantSel.Words()):
-			t.Errorf("%s where, degree %d: selected %v, interpreter %v", e, degree, sel.Indices(), wantSel.Indices())
+		case err == nil && !slices.Equal(rows, wantSel.Indices()):
+			t.Errorf("%s where, degree %d: selected %v, interpreter %v", e, degree, rows, wantSel.Indices())
 		}
 		col, err := EvalColumn(tbl, "v", e, degree)
 		switch {
@@ -145,9 +145,14 @@ func diffExprs() []Expr {
 			}
 		}
 	}
+	// The open ends the range kernels give < and > against a literal, and
+	// the values that sit on them.
+	extremes := []Expr{Int(math.MaxInt64), Int(math.MinInt64), Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN())}
 	for op := Eq; op <= Ge; op++ {
 		cmp := func(l, r Expr) Expr { return &Cmp{Op: op, Left: l, Right: r} }
 		cross(numbers, numbers, cmp)
+		cross(extremes, []Expr{&Col{"i1"}, &Col{"f1"}}, cmp)
+		cross([]Expr{&Col{"i1"}, &Col{"f1"}}, extremes, cmp)
 		cross(strs, strs, cmp)
 		cross(strs, ints[1:3], cmp) // string against number: an error
 		cross(floats[1:3], strs, cmp)
@@ -169,10 +174,18 @@ func diffExprs() []Expr {
 	for _, x := range truths {
 		out = append(out, &Not{x}, &Not{&Not{x}})
 	}
-	for _, x := range []Expr{&Col{"i1"}, &Col{"f1"}, &Col{"s1"}, Int(5), Float(2.5), Str("b"), sum, quot, null(columnar.Float64)} {
+	for _, x := range []Expr{&Col{"i1"}, &Col{"f1"}, &Col{"s1"}, Int(5), Float(2.5), Float(math.NaN()), Str("b"), sum, quot, null(columnar.Float64)} {
 		for _, b := range [][2]Expr{
-			{Int(0), Int(5)}, {Float(-1.5), Int(7)}, {&Col{"i2"}, &Col{"f2"}}, {Str("a"), Str("c")}, {&Col{"s2"}, Str("zz")},
-			{null(columnar.Int64), Int(5)}, {Float(math.NaN()), Float(math.Inf(1))}, {Int(7), Int(0)}, {Str("a"), Int(5)},
+			// One range test: both bounds non-NULL numeric literals, lo > hi,
+			// float bounds around an int operand, NaN and ±Inf bounds, the
+			// open ends of the int range.
+			{Int(0), Int(5)}, {Int(7), Int(0)}, {Float(-1.5), Float(2.5)}, {Float(2.5), Float(-1.5)},
+			{Float(math.NaN()), Float(math.Inf(1))}, {Float(math.Inf(-1)), Float(math.NaN())},
+			{Int(math.MinInt64), Int(1)}, {Int(-1), Int(math.MaxInt64)},
+			// The AND form: an int operand between an int and a float bound
+			// compares in two types; NULL, column and string bounds.
+			{Float(-1.5), Int(7)}, {Int(0), Float(2.5)}, {null(columnar.Int64), Int(5)}, {Int(0), null(columnar.Float64)},
+			{&Col{"i2"}, &Col{"f2"}}, {Int(-2), &Col{"i2"}}, {Str("a"), Str("c")}, {&Col{"s2"}, Str("zz")}, {Str("a"), Int(5)},
 		} {
 			out = append(out, &Between{X: x, Lo: b[0], Hi: b[1]})
 		}
@@ -249,14 +262,68 @@ func TestTypeErrorsAreRaisedAtBindTime(t *testing.T) {
 	}
 	// A NULL literal decides the comparison before its type is looked at.
 	e := &Cmp{Op: Eq, Left: &Col{"s1"}, Right: &Lit{columnar.NullValue(columnar.Int64)}}
-	if sel, err := EvalPredicate(diffTable(10, 0, 1), e, 1); err != nil || sel.Count() != 0 {
-		t.Errorf("%s: %v, %v; want no row and no error", e, sel, err)
+	if rows, err := EvalPredicate(diffTable(10, 0, 1), e, 1); err != nil || len(rows) != 0 {
+		t.Errorf("%s: %v, %v; want no row and no error", e, rows, err)
+	}
+}
+
+// TestBetweenBindsOneRangeTest pins which BETWEEN reads X once: both
+// bounds non-NULL numeric literals, X numeric, and both halves comparing in
+// one type. Every other BETWEEN keeps the AND form, whose error text and
+// NULL-bound semantics are the interpreter's.
+func TestBetweenBindsOneRangeTest(t *testing.T) {
+	tbl := diffTable(10, 0, 1)
+	for _, c := range []struct {
+		x, lo, hi Expr
+		fused     bool
+	}{
+		{&Col{"i1"}, Int(0), Int(5), true},
+		{&Col{"i1"}, Int(7), Int(0), true},
+		{&Col{"i1"}, Float(-1.5), Float(2.5), true},
+		{&Col{"f1"}, Int(0), Float(2.5), true},
+		{Float(math.NaN()), Int(0), Int(5), true},
+		{&Arith{Op: Add, Left: &Col{"i1"}, Right: &Col{"i2"}}, Int(0), Int(5), true},
+		{&Col{"i1"}, Float(-1.5), Int(7), false},
+		{&Col{"i1"}, &Lit{columnar.NullValue(columnar.Int64)}, Int(5), false},
+		{&Col{"i1"}, &Col{"i2"}, Int(5), false},
+		{&Col{"s1"}, Str("a"), Str("c"), false},
+		{&Col{"s1"}, Int(0), Int(5), false},
+	} {
+		e := &Between{X: c.x, Lo: c.lo, Hi: c.hi}
+		b, err := bindRange(e, tbl)
+		if err != nil || (b != nil) != c.fused {
+			t.Errorf("%s: one range test %v (error %v), want %v", e, b != nil, err, c.fused)
+		}
+	}
+}
+
+// TestEvalPredicateRowLists holds the row list to the interpreter's
+// bitmap around the word boundary and across workers, with no row, some
+// and every row selected.
+func TestEvalPredicateRowLists(t *testing.T) {
+	preds := []Expr{Int(0), Int(1), &Cmp{Op: Gt, Left: &Col{"i1"}, Right: Int(0)}, &Cmp{Op: Lt, Left: &Col{"f1"}, Right: Float(2.5)}}
+	for _, rows := range []int{0, 1, 63, 64, 65, 3*kernelGrain + 65} {
+		tbl := diffTable(rows, 0.2, int64(rows))
+		for _, e := range preds {
+			want, err := refEvalPredicate(tbl, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, degree := range []int{1, 2, 8} {
+				got, err := EvalPredicate(tbl, e, degree)
+				if err != nil || !slices.Equal(got, want.Indices()) {
+					t.Errorf("%s over %d rows, degree %d: %d rows (error %v), want %d", e, rows, degree, len(got), err, want.Count())
+				}
+			}
+		}
 	}
 }
 
 // TestPredicateAllocations is the allocation guard: the interpreter spent
-// two allocations per row on BETWEEN; the kernels spend a
-// handful per worker.
+// two allocations per row on BETWEEN; the kernels spend a handful per
+// worker. BETWEEN with literal bounds, row list included, measures 43: 9
+// at degree 1, and the rest the goroutines of the two fan-outs over eight
+// workers. The ceiling is that plus a quarter.
 func TestPredicateAllocations(t *testing.T) {
 	tbl, pred := benchTable(100_000), &Between{X: &Col{"k"}, Lo: Int(100), Hi: Int(5000)}
 	allocs := testing.AllocsPerRun(10, func() {
@@ -264,8 +331,8 @@ func TestPredicateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs >= 64 {
-		t.Errorf("BETWEEN over 100 000 rows at degree 8: %.0f allocations, want < 64", allocs)
+	if allocs > 54 {
+		t.Errorf("BETWEEN over 100 000 rows at degree 8: %.0f allocations, want ≤ 54", allocs)
 	}
 }
 
@@ -298,6 +365,18 @@ func benchPredicate(b *testing.B, pred Expr) {
 
 func BenchmarkPredicateIntBetween(b *testing.B) {
 	benchPredicate(b, &Between{X: &Col{"k"}, Lo: Int(100), Hi: Int(5000)})
+}
+
+func BenchmarkPredicateIntEq(b *testing.B) {
+	benchPredicate(b, &Cmp{Op: Eq, Left: &Col{"k"}, Right: Int(42)})
+}
+
+func BenchmarkPredicateFloatRange(b *testing.B) {
+	benchPredicate(b, &Between{X: &Col{"p"}, Lo: Float(10), Hi: Float(50)})
+}
+
+func BenchmarkPredicateIntIn(b *testing.B) {
+	benchPredicate(b, &In{X: &Col{"k"}, Vals: []columnar.Value{columnar.IntValue(42), columnar.IntValue(420), columnar.IntValue(4200), columnar.IntValue(9000)}})
 }
 
 func BenchmarkPredicateStringEq(b *testing.B) {

@@ -8,9 +8,13 @@
 // literals coerced, string comparisons and IN lists decided per dictionary
 // entry — and run over 64-aligned row ranges on the parallel pool, a
 // predicate into (true, null) word masks, a value into a typed vector and
-// a null mask. The row-at-a-time interpreter this replaced lives on in
-// reference_test.go as the kernels' oracle. The engine charges expression
-// work by row count, so evaluation speed never moves a modeled result.
+// a null mask. Binding builds one closure per node; every loop over rows
+// is a top-level function in rows.go that the closure calls once per
+// range, because Go does not inline the calls inside such closures and a
+// call per row would cost more than the row. The row-at-a-time interpreter
+// this replaced lives on in reference_test.go as the kernels' oracle. The
+// engine charges expression work by row count, so evaluation speed never
+// moves a modeled result.
 package expr
 
 import (

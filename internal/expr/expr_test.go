@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -185,18 +186,17 @@ func TestEvalPredicate(t *testing.T) {
 		Left:  &Cmp{Op: Eq, Left: &Col{"state"}, Right: Str("NY")},
 		Right: &Cmp{Op: Gt, Left: &Col{"qty"}, Right: Int(5)},
 	}
-	bm, err := EvalPredicate(tbl, pred, 1)
+	rows, err := EvalPredicate(tbl, pred, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bm.Count() != 2 || !bm.Get(0) || !bm.Get(3) {
-		t.Errorf("selection = %v", bm.Indices())
+	if !slices.Equal(rows, []int32{0, 3}) {
+		t.Errorf("selection = %v", rows)
 	}
 	// NULL rows are excluded (row 2 has NULL qty).
 	all := &Cmp{Op: Ge, Left: &Col{"qty"}, Right: Int(0)}
-	bm, _ = EvalPredicate(tbl, all, 1)
-	if bm.Get(2) {
-		t.Error("NULL predicate result must exclude the row")
+	if rows, _ = EvalPredicate(tbl, all, 1); !slices.Equal(rows, []int32{0, 1, 3}) {
+		t.Errorf("selection = %v: NULL predicate result must exclude the row", rows)
 	}
 	// Type errors surface.
 	if _, err := EvalPredicate(tbl, &Col{"missing"}, 1); err == nil {

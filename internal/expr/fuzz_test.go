@@ -71,6 +71,8 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		"(a > b) = (c <= 'b')",
 		"'a' < 'b' AND 1 >= 1.0 OR 5 BETWEEN a AND b",
 		"a BETWEEN 'a' AND 'b' AND NOT a",
+		"a BETWEEN 1 AND 2.5 OR b BETWEEN 7 AND 0 OR c BETWEEN -1.5 AND 1000",
+		"a IN ('a', 'NY', '') AND NOT b IN ('CA', 'b')",
 	} {
 		f.Add(where, uint64(i))
 	}

@@ -2,14 +2,19 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"strings"
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/parallel"
 )
 
-// kernelGrain is the minimum rows per worker: a typed kernel spends about
-// a nanosecond a row, so smaller ranges cost more to hand off than to scan.
+// kernelGrain is the minimum rows per worker: a row loop spends one to two
+// nanoseconds a row, so smaller ranges cost more to hand off than to scan.
+// That holds because the row loops are top-level functions (rows.go), not
+// loops inside the closures bind builds, where every helper call would be
+// a real call per row.
 const kernelGrain = 8192
 
 // A predFn evaluates a boolean node over rows [lo, hi), lo a multiple of
@@ -35,25 +40,45 @@ type bound struct {
 	floats vecFn[float64]
 }
 
-// EvalPredicate evaluates pred over every row of tbl and returns the
-// selection bitmap: rows where it is TRUE (FALSE and NULL are excluded,
-// per SQL WHERE). Disjoint 64-aligned row ranges run on the worker pool,
-// each writing only its own words, so the result is identical at any
-// degree; degree 1 runs inline and is the sequential form.
-func EvalPredicate(tbl *columnar.Table, pred Expr, degree int) (*columnar.Bitmap, error) {
+// EvalPredicate evaluates pred over every row of tbl and returns the rows
+// where it is TRUE (FALSE and NULL are excluded, per SQL WHERE), in
+// ascending order. Disjoint 64-aligned row ranges run on the worker pool:
+// each worker writes and counts its own words, then a second fan-out over
+// the same ranges writes each range's rows at its offset, so the result is
+// identical at any degree; degree 1 runs inline and is the sequential form.
+func EvalPredicate(tbl *columnar.Table, pred Expr, degree int) ([]int32, error) {
 	b, err := bindRoot(pred, tbl)
 	if err != nil {
 		return nil, err
 	}
 	p, rows := b.asPred(), tbl.Rows()
-	sel := columnar.NewBitmap(rows)
-	t := sel.Words()
-	parallel.For(rows, kernelGrain, degree, func(lo, hi, _ int) {
+	words := (rows + 63) >> 6
+	t := make([]uint64, 2*words)
+	t, n := t[:words], t[words:]
+	offsets := make([]int, parallel.Workers(rows, kernelGrain, degree))
+	parallel.For(rows, kernelGrain, degree, func(lo, hi, w int) {
 		tw := t[lo>>6 : (hi+63)>>6]
-		p(lo, hi, tw, make([]uint64, len(tw)))
+		p(lo, hi, tw, n[lo>>6:(hi+63)>>6])
 		trimTail(tw, hi-lo)
+		offsets[w] = popcount(tw)
 	})
-	return sel, nil
+	total := 0
+	for w, c := range offsets {
+		offsets[w], total = total, total+c
+	}
+	out := make([]int32, total)
+	parallel.For(rows, kernelGrain, degree, func(lo, hi, w int) {
+		selectedRows(out[offsets[w]:], t[lo>>6:(hi+63)>>6], lo)
+	})
+	return out, nil
+}
+
+func popcount(words []uint64) int {
+	c := 0
+	for _, w := range words {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // EvalColumn computes ex for every row of tbl into a typed column named
@@ -89,7 +114,7 @@ func EvalColumn(tbl *columnar.Table, name string, ex Expr, degree int) (columnar
 	return sb.Build(), nil
 }
 
-func materialize[T any](vec vecFn[T], rows, degree int) ([]T, *columnar.Bitmap) {
+func materialize[T int64 | float64](vec vecFn[T], rows, degree int) ([]T, *columnar.Bitmap) {
 	data := make([]T, rows)
 	nulls := columnar.NewBitmap(rows)
 	nw := nulls.Words()
@@ -97,17 +122,9 @@ func materialize[T any](vec vecFn[T], rows, degree int) ([]T, *columnar.Bitmap) 
 		n := nw[lo>>6 : (hi+63)>>6]
 		vec(lo, hi, data[lo:hi], n)
 		trimTail(n, hi-lo)
-		var zero T
-		for w, word := range n {
-			for ; word != 0; word &= word - 1 {
-				data[lo+w*64+bits.TrailingZeros64(word)] = zero
-			}
-		}
+		zeroNulls(data[lo:hi], n)
 	})
-	if nulls.Count() == 0 {
-		nulls = nil
-	}
-	return data, nulls
+	return data, nulls.NilIfEmpty()
 }
 
 // bindRoot type-checks e — TypeOf reports unknown columns and string
@@ -165,11 +182,12 @@ func bind(e Expr, tbl *columnar.Table) (*bound, error) {
 		p := in.asPred()
 		return predicate(func(lo, hi int, t, n []uint64) {
 			p(lo, hi, t, n)
-			for w := range t {
-				t[w] = ^(t[w] | n[w])
-			}
+			not3(t, n)
 		}), nil
 	case *Between:
+		if b, err := bindRange(x, tbl); b != nil || err != nil {
+			return b, err
+		}
 		// (X >= Lo) AND (X <= Hi); a type error names the half it is in.
 		return bind(&Logic{Op: And, Left: &Cmp{Op: Ge, Left: x.X, Right: x.Lo}, Right: &Cmp{Op: Le, Left: x.X, Right: x.Hi}}, tbl)
 	case *In:
@@ -186,12 +204,8 @@ func bind(e Expr, tbl *columnar.Table) (*bound, error) {
 		nulls := v.nullMask()
 		return predicate(func(lo, hi int, t, n []uint64) {
 			nulls(lo, hi, t)
-			if x.Negate {
-				for w := range t {
-					t[w] = ^t[w]
-				}
-			}
 			clear(n)
+			settle(t, n, x.Negate)
 		}), nil
 	}
 	return nil, fmt.Errorf("expr: cannot evaluate %T", e)
@@ -232,18 +246,16 @@ func (b *bound) asPred() predFn {
 
 func truthPred[T int64 | float64](vec vecFn[T]) predFn {
 	return func(lo, hi int, t, n []uint64) {
-		clear(t)
-		for i, x := range vec(lo, hi, nil, n) {
-			t[i>>6] |= b2u(x != 0) << (uint(i) & 63)
-		}
+		nonzero(t, vec(lo, hi, nil, n))
 		andNot(t, n)
 	}
 }
 
 func constPred(isTrue, isNull bool) predFn {
-	return func(lo, hi int, t, n []uint64) {
-		fill(t, -b2u(isTrue))
-		fill(n, -b2u(isNull))
+	tm, nm := -b2u(isTrue), -b2u(isNull)
+	return func(_, _ int, t, n []uint64) {
+		fill(t, tm)
+		fill(n, nm)
 	}
 }
 
@@ -262,9 +274,7 @@ func (b *bound) asInts() vecFn[int64] {
 		}
 		t := make([]uint64, len(n))
 		b.pred(lo, hi, t, n)
-		for i := range dst {
-			dst[i] = int64(t[i>>6] >> (uint(i) & 63) & 1)
-		}
+		bitsToInts(dst, t)
 		return dst
 	}
 }
@@ -282,9 +292,7 @@ func (b *bound) asFloats() vecFn[float64] {
 		if dst == nil {
 			dst = make([]float64, hi-lo)
 		}
-		for i, x := range ints(lo, hi, nil, n) {
-			dst[i] = float64(x)
-		}
+		widen(dst, ints(lo, hi, nil, n))
 		return dst
 	}
 }
@@ -293,7 +301,8 @@ func (b *bound) asFloats() vecFn[float64] {
 func (b *bound) nullMask() func(lo, hi int, n []uint64) {
 	switch {
 	case b.lit != nil:
-		return func(_, _ int, n []uint64) { fill(n, -b2u(b.lit.Null)) }
+		nm := -b2u(b.lit.Null)
+		return func(_, _ int, n []uint64) { fill(n, nm) }
 	case b.str != nil:
 		return func(lo, _ int, n []uint64) { copyNulls(n, b.str.Nulls(), lo) }
 	case b.ints != nil:
@@ -316,12 +325,13 @@ func columnVec[T any](data []T, nulls *columnar.Bitmap) vecFn[T] {
 }
 
 func constVec[T any](c T, isNull bool) vecFn[T] {
+	nm := -b2u(isNull)
 	return func(lo, hi int, dst []T, n []uint64) []T {
 		if dst == nil {
 			dst = make([]T, hi-lo)
 		}
 		fill(dst, c)
-		fill(n, -b2u(isNull))
+		fill(n, nm)
 		return dst
 	}
 }
@@ -338,29 +348,7 @@ func arithVec[T int64 | float64](op ArithOp, l, r vecFn[T]) vecFn[T] {
 		rn := make([]uint64, len(n))
 		a, b := l(lo, hi, nil, n), r(lo, hi, nil, rn)
 		or(n, rn)
-		switch op {
-		case Add:
-			for i := range dst {
-				dst[i] = a[i] + b[i]
-			}
-		case Sub:
-			for i := range dst {
-				dst[i] = a[i] - b[i]
-			}
-		case Mul:
-			for i := range dst {
-				dst[i] = a[i] * b[i]
-			}
-		case Div:
-			for i := range dst {
-				if b[i] == 0 {
-					n[i>>6] |= 1 << (uint(i) & 63)
-					dst[i] = 0
-					continue
-				}
-				dst[i] = a[i] / b[i]
-			}
-		}
+		arith(op, dst, a, b, n)
 		return dst
 	}
 }
@@ -382,105 +370,156 @@ func bindCmp(c *Cmp, l, r *bound) (*bound, error) {
 	if l.lit != nil && r.lit == nil {
 		l, r, op = r, l, [...]CmpOp{Eq: Eq, Ne: Ne, Lt: Gt, Le: Ge, Gt: Lt, Ge: Le}[op]
 	}
+	ints := l.typ == columnar.Int64 && r.typ == columnar.Int64
 	switch {
 	case l.typ == columnar.String:
 		return predicate(stringCmp(op, l, r)), nil
-	case l.typ == columnar.Int64 && r.typ == columnar.Int64:
-		return predicate(numericCmp(op, l.asInts(), r.asInts(), r.lit, func(v columnar.Value) int64 { return v.I })), nil
+	case r.lit != nil && ints:
+		lo, hi, in := asRange(op, r.lit.I, math.MinInt64, math.MaxInt64)
+		return predicate(rangePred(l.asInts(), lo, hi, in)), nil
+	case r.lit != nil:
+		lo, hi, in := asRange(op, asFloat(*r.lit), math.Inf(-1), math.Inf(1))
+		return predicate(rangePred(l.asFloats(), lo, hi, in)), nil
+	case ints:
+		return predicate(columnsPred(op, l.asInts(), r.asInts())), nil
 	}
-	return predicate(numericCmp(op, l.asFloats(), r.asFloats(), r.lit, asFloat)), nil
+	return predicate(columnsPred(op, l.asFloats(), r.asFloats())), nil
 }
 
-// holds turns "a < b" and "a > b" bit masks into the mask where a op b
-// holds, by Value.Compare's rule: neither means equal, so a NaN operand
-// satisfies =, <= and >=.
-func holds(op CmpOp, lt, gt uint64) uint64 {
-	return [...]uint64{Eq: ^(lt | gt), Ne: lt | gt, Lt: lt, Le: ^gt, Gt: gt, Ge: ^lt}[op]
+// asRange turns x op c into one range test over the type's extremes: x op
+// c holds exactly where x is inside [lo, hi] (in) or outside it. That is
+// Value.Compare's rule — neither less nor greater counts as equal — so a
+// NaN, never outside, satisfies =, <= and >=.
+func asRange[T int64 | float64](op CmpOp, c, lowest, highest T) (lo, hi T, in bool) {
+	switch op {
+	case Lt, Ge:
+		return c, highest, op == Ge
+	case Gt, Le:
+		return lowest, c, op == Le
+	}
+	return c, c, op == Eq
 }
 
-// numericCmp compares two same-typed numeric operands; a literal on the
-// right (rlit non-nil) is compared as a scalar against l's vector.
-func numericCmp[T int64 | float64](op CmpOp, l, r vecFn[T], rlit *columnar.Value, scalar func(columnar.Value) T) predFn {
-	var c T
-	if rlit != nil {
-		c, r = scalar(*rlit), nil
+// rangePred reads x once and keeps the rows inside [lo, hi] (in) or
+// outside it.
+func rangePred[T int64 | float64](x vecFn[T], lo, hi T, in bool) predFn {
+	return func(from, to int, t, n []uint64) {
+		outside(t, x(from, to, nil, n), lo, hi)
+		settle(t, n, in)
 	}
-	// Against a literal only the mask the operator reads is computed.
-	needLT, needGT := op != Le && op != Gt, op != Lt && op != Ge
+}
+
+// columnsPred compares two same-typed vectors, by the same rule as asRange:
+// >= and <= are the complements of < and >.
+func columnsPred[T int64 | float64](op CmpOp, l, r vecFn[T]) predFn {
 	return func(lo, hi int, t, n []uint64) {
-		a := l(lo, hi, nil, n)
-		var b []T
-		if r != nil {
-			rn := make([]uint64, len(n))
-			b = r(lo, hi, nil, rn)
-			or(n, rn)
+		rn := make([]uint64, len(n))
+		a, b := l(lo, hi, nil, n), r(lo, hi, nil, rn)
+		or(n, rn)
+		switch op {
+		case Eq, Ne:
+			unequal(t, a, b)
+		case Lt, Ge:
+			less(t, a, b)
+		default:
+			less(t, b, a)
 		}
-		for w := range t {
-			// Each row's bits enter at the top and shift down, so the
-			// shifts are by constants; a short last block is aligned after.
-			var lt, gt uint64
-			blk := a[w*64 : min(len(a), w*64+64)]
-			if b == nil {
-				if needLT {
-					for _, x := range blk {
-						lt = lt>>1 | b2u(x < c)<<63
-					}
-				}
-				if needGT {
-					for _, x := range blk {
-						gt = gt>>1 | b2u(x > c)<<63
-					}
-				}
-			} else {
-				for i, x := range blk {
-					y := b[w*64+i]
-					lt, gt = lt>>1|b2u(x < y)<<63, gt>>1|b2u(x > y)<<63
-				}
-			}
-			short := uint(64-len(blk)) & 63
-			t[w] = holds(op, lt>>short, gt>>short) &^ n[w]
-		}
+		settle(t, n, op == Eq || op == Ge || op == Le)
 	}
+}
+
+// bindRange binds X BETWEEN Lo AND Hi to one range test that reads X once,
+// when both bounds are non-NULL numeric literals and X is numeric and both
+// halves compare in one type: integers if X and both bounds are, floats if
+// X or both bounds are. It returns nil for every other BETWEEN, which keeps
+// its AND form.
+func bindRange(x *Between, tbl *columnar.Table) (*bound, error) {
+	lo, ok1 := x.Lo.(*Lit)
+	hi, ok2 := x.Hi.(*Lit)
+	if !ok1 || !ok2 || lo.Val.Null || hi.Val.Null || lo.Val.Type == columnar.String || hi.Val.Type == columnar.String {
+		return nil, nil
+	}
+	v, err := bind(x.X, tbl)
+	if err != nil || v.typ == columnar.String {
+		return nil, err
+	}
+	floatLo := v.typ == columnar.Float64 || lo.Val.Type == columnar.Float64
+	floatHi := v.typ == columnar.Float64 || hi.Val.Type == columnar.Float64
+	switch {
+	case floatLo != floatHi:
+		return nil, nil
+	case floatLo:
+		return predicate(rangePred(v.asFloats(), asFloat(lo.Val), asFloat(hi.Val), true)), nil
+	}
+	return predicate(rangePred(v.asInts(), lo.Val.I, hi.Val.I, true)), nil
 }
 
 // stringCmp compares two string operands. Against a literal the
 // comparison is decided once per dictionary entry and rows only look their
-// code up; two columns compare decoded values (their dictionaries differ).
+// code up; two columns compare their codes' ranks in the union of the two
+// dictionaries.
 func stringCmp(op CmpOp, l, r *bound) predFn {
-	cmp := func(a, b string) bool { return holds(op, b2u(a < b), b2u(a > b))&1 != 0 }
 	switch {
 	case l.lit != nil:
-		return constPred(cmp(l.lit.S, r.lit.S), false)
+		return constPred(holds(op, strings.Compare(l.lit.S, r.lit.S)), false)
 	case r.lit != nil:
-		return dictPred(l.str, func(s string) bool { return cmp(s, r.lit.S) })
+		return dictPred(l.str, func(s string) bool { return holds(op, strings.Compare(s, r.lit.S)) })
 	}
-	return func(lo, hi int, t, n []uint64) {
-		rn := make([]uint64, len(n))
-		copyNulls(n, l.str.Nulls(), lo)
-		copyNulls(rn, r.str.Nulls(), lo)
-		or(n, rn)
-		clear(t)
-		for i := lo; i < hi; i++ {
-			ok := cmp(l.str.Decode(l.str.Code(i)), r.str.Decode(r.str.Code(i)))
-			t[(i-lo)>>6] |= b2u(ok) << (uint(i) & 63)
+	lr, rr := unionRanks(l.str, r.str)
+	return columnsPred(op, rankVec(l.str, lr), rankVec(r.str, rr))
+}
+
+// holds reports whether a op b, given c = strings.Compare(a, b).
+func holds(op CmpOp, c int) bool {
+	return [...]bool{Eq: c == 0, Ne: c != 0, Lt: c < 0, Le: c <= 0, Gt: c > 0, Ge: c >= 0}[op]
+}
+
+// unionRanks ranks the entries of two sorted dictionaries in their union,
+// in one merge: equal strings share a rank, and ranks order as the strings
+// do.
+func unionRanks(a, b *columnar.StringColumn) (ra, rb []int64) {
+	ra, rb = make([]int64, a.DictSize()), make([]int64, b.DictSize())
+	i, j := 0, 0
+	for rank := int64(0); i < len(ra) || j < len(rb); rank++ {
+		c := 1
+		switch {
+		case j == len(rb):
+			c = -1
+		case i < len(ra):
+			c = strings.Compare(a.Decode(int32(i)), b.Decode(int32(j)))
 		}
-		andNot(t, n)
+		if c <= 0 {
+			ra[i], i = rank, i+1
+		}
+		if c >= 0 {
+			rb[j], j = rank, j+1
+		}
+	}
+	return ra, rb
+}
+
+// rankVec reads a string column as its codes' ranks.
+func rankVec(c *columnar.StringColumn, ranks []int64) vecFn[int64] {
+	return func(lo, hi int, dst []int64, n []uint64) []int64 {
+		if dst == nil {
+			dst = make([]int64, hi-lo)
+		}
+		gatherRanks(dst, ranks, c.Codes()[lo:hi])
+		copyNulls(n, c.Nulls(), lo)
+		return dst
 	}
 }
 
 // dictPred is a predicate over a string column decided per dictionary
 // entry: match is asked once per distinct value at bind time.
 func dictPred(c *columnar.StringColumn, match func(string) bool) predFn {
-	table := make([]bool, c.DictSize())
+	table := make([]uint64, c.DictSize())
 	for code := range table {
-		table[code] = match(c.Decode(int32(code)))
+		table[code] = b2u(match(c.Decode(int32(code))))
 	}
 	return func(lo, hi int, t, n []uint64) {
+		lookup(t, table, c.Codes()[lo:hi])
 		copyNulls(n, c.Nulls(), lo)
-		clear(t)
-		for i, code := range c.Codes()[lo:hi] {
-			t[i>>6] |= b2u(table[code]) << (uint(i) & 63)
-		}
 		andNot(t, n)
 	}
 }
@@ -489,20 +528,16 @@ func dictPred(c *columnar.StringColumn, match func(string) bool) predFn {
 
 // logicPred is three-valued AND / OR as word operations.
 func logicPred(op LogicOp, l, r predFn) predFn {
+	combine := and3
+	if op == Or {
+		combine = or3
+	}
 	return func(lo, hi int, t, n []uint64) {
 		rt := make([]uint64, 2*len(t))
 		rt, rn := rt[:len(t)], rt[len(t):]
 		l(lo, hi, t, n)
 		r(lo, hi, rt, rn)
-		for w := range t {
-			a, an, b, bn := t[w], n[w], rt[w], rn[w]
-			if op == And {
-				// NULL unless one side is FALSE or both are TRUE.
-				t[w], n[w] = a&b, (an|bn)&(a|an)&(b|bn)
-			} else {
-				t[w], n[w] = a|b, (an|bn)&^(a|b)
-			}
-		}
+		combine(t, n, rt, rn)
 	}
 }
 
@@ -543,45 +578,8 @@ func inPred(x *bound, vals []columnar.Value) predFn {
 
 func listPred[T int64 | float64](vec vecFn[T], same []T, widened []float64) predFn {
 	return func(lo, hi int, t, n []uint64) {
-		clear(t)
-		for i, x := range vec(lo, hi, nil, n) {
-			hit := false
-			for _, c := range same {
-				hit = hit || x == c
-			}
-			for _, c := range widened {
-				hit = hit || float64(x) == c
-			}
-			t[i>>6] |= b2u(hit) << (uint(i) & 63)
-		}
+		inList(t, vec(lo, hi, nil, n), same, widened)
 		andNot(t, n)
-	}
-}
-
-// --- word helpers ---
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func fill[T any](s []T, v T) {
-	for i := range s {
-		s[i] = v
-	}
-}
-
-func or(dst, src []uint64) {
-	for w := range dst {
-		dst[w] |= src[w]
-	}
-}
-
-func andNot(dst, src []uint64) {
-	for w := range dst {
-		dst[w] &^= src[w]
 	}
 }
 
@@ -593,11 +591,4 @@ func copyNulls(n []uint64, nulls *columnar.Bitmap, lo int) {
 		return
 	}
 	copy(n, nulls.Words()[lo>>6:])
-}
-
-// trimTail clears the bits past the last of rows rows in words.
-func trimTail(words []uint64, rows int) {
-	if rem := uint(rows) & 63; rem != 0 {
-		words[len(words)-1] &= 1<<rem - 1
-	}
 }
