@@ -101,7 +101,11 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 	}
 
 	entries := make([]Entry, n)
-	parallel.For(n, keygenGrain, cfg.Degree, func(lo, hi, _ int) { numberEntries(entries[lo:hi], lo) })
+	parallel.For(n, keygenGrain, cfg.Degree, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			entries[i] = MakeEntry(0, uint32(i))
+		}
+	})
 
 	var queue []job
 	var keygenRows int64
@@ -254,25 +258,10 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 	return perm, st, nil
 }
 
-// numberEntries gives es[i] the payload base+i and key 0.
-func numberEntries(es []Entry, base int) {
-	for i := range es {
-		es[i] = MakeEntry(0, uint32(base+i))
-	}
-}
-
 // rekeyEntries regenerates the partial keys of es at depth from their
-// payloads. It is a top-level loop, not a closure, so Payload and
-// MakeEntry inline; the engine's flat source is read with no interface
-// call per entry.
+// payloads. It is a top-level loop, not a closure inside Sort's rekey,
+// so Payload and MakeEntry inline.
 func rekeyEntries(es []Entry, src KeySource, depth int) {
-	if flat, ok := src.(*FlatKeySource); ok {
-		for i, e := range es {
-			p := e.Payload()
-			es[i] = MakeEntry(flat.PartialKey(int32(p), depth), p)
-		}
-		return
-	}
 	for i, e := range es {
 		p := e.Payload()
 		es[i] = MakeEntry(src.PartialKey(int32(p), depth), p)

@@ -324,80 +324,44 @@ const (
 
 // decodeCodes decodes (words[i] >> off) & mask, the inverse of packNarrow
 // and packWide: workers fill 64-aligned ranges of a typed vector and of
-// the shared null bitmap, each in a top-level loop of its type, where the
-// per-row decode inlines.
+// the shared null bitmap.
 func (f KeyField) decodeCodes(words []uint64, off uint, mask uint64, degree int) columnar.Column {
 	n := len(words)
-	k := fieldCodes{words: words, off: off, mask: mask, hasNull: f.HasNull}
+	var shift, null uint64
 	if f.Type == columnar.Float64 {
-		k.null = floatNullCode
+		null = floatNullCode
 	} else if f.HasNull {
-		k.shift = 1
+		shift = 1
 	}
 	var nulls *columnar.Bitmap
 	if f.HasNull {
 		nulls = columnar.NewBitmap(n)
-		k.nulls = nulls.Words()
+	}
+	// each runs set(i, code) over the non-NULL rows and marks the rest.
+	each := func(set func(i int, code uint64)) {
+		parallel.For(n, evalGrain, degree, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				if code := words[i] >> off & mask; f.HasNull && code == null {
+					nulls.Set(i)
+				} else {
+					set(i, code-shift)
+				}
+			}
+		})
 	}
 	switch f.Type {
 	case columnar.String:
 		codes := make([]int32, n)
-		parallel.For(n, evalGrain, degree, func(lo, hi, _ int) { k.decodeDictCodes(codes, lo, hi) })
+		each(func(i int, code uint64) { codes[i] = int32(code) })
 		return f.Dict.WithCodes(f.Column, codes, nulls.NilIfEmpty())
 	case columnar.Float64:
 		data := make([]float64, n)
-		parallel.For(n, evalGrain, degree, func(lo, hi, _ int) { k.decodeFloats(data, lo, hi) })
+		each(func(i int, code uint64) { data[i] = math.Float64frombits(code) })
 		return columnar.NewFloat64Column(f.Column, data, nulls.NilIfEmpty())
 	default:
 		data := make([]int64, n)
-		parallel.For(n, evalGrain, degree, func(lo, hi, _ int) { k.decodeInts(data, f.MinI, lo, hi) })
+		each(func(i int, code uint64) { data[i] = int64(code) + f.MinI })
 		return columnar.NewInt64Column(f.Column, data, nulls.NilIfEmpty())
-	}
-}
-
-// fieldCodes is one key field's codes inside packed key words: row i's
-// code is (words[i] >> off) & mask, the NULL code is null when hasNull,
-// and any other code stands for code - shift.
-type fieldCodes struct {
-	words      []uint64
-	off        uint
-	mask, null uint64
-	shift      uint64
-	hasNull    bool
-	nulls      []uint64 // the decoded column's null words
-}
-
-// at returns row i's code, or marks the row NULL and returns false.
-func (k *fieldCodes) at(i int) (uint64, bool) {
-	code := k.words[i] >> k.off & k.mask
-	if k.hasNull && code == k.null {
-		k.nulls[i>>6] |= 1 << (uint(i) & 63)
-		return 0, false
-	}
-	return code - k.shift, true
-}
-
-func (k fieldCodes) decodeDictCodes(dst []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if code, ok := k.at(i); ok {
-			dst[i] = int32(code)
-		}
-	}
-}
-
-func (k fieldCodes) decodeFloats(dst []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if code, ok := k.at(i); ok {
-			dst[i] = math.Float64frombits(code)
-		}
-	}
-}
-
-func (k fieldCodes) decodeInts(dst []int64, minI int64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if code, ok := k.at(i); ok {
-			dst[i] = int64(code) + minI
-		}
 	}
 }
 
