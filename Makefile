@@ -38,7 +38,8 @@ race:
 # 10 000 and 72 000 distinct values), the group-by on the CPU path and on
 # the device at 16 and 500 000 groups, the staged device group-by (claims
 # and transfers, no input copy), the join probe against a resident key
-# index, the typed group-by output and the flat sort-key extractor.
+# index (plain, with a 20 % build mask, and through a 60 % row list), the
+# typed group-by output and the flat sort-key extractor.
 bench:
 	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|AggOutput|SortKeys' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/kmv ./internal/groupby ./internal/engine
@@ -47,8 +48,11 @@ bench:
 # workload's own, kernels held to the test-only row interpreter
 # (internal/expr); then hash streams cut into chunks, the merged KMV
 # sketch held to a sort-and-deduplicate reference (internal/kmv, a
-# byte-slice target capped like the engine's below); then whole statements through parse → plan, which must
-# not panic and must survive print → re-parse (internal/plan); then join
+# byte-slice target capped like the engine's below); then whole
+# statements through parse → plan → WHERE placement over a fixed
+# three-table catalog, which must not panic, must survive print →
+# re-parse, and must place every conjunct exactly once, on a table that
+# owns all its columns (internal/plan); then join
 # key columns mutated from the differential cases', index + probe held to
 # the test-only map join (internal/engine — its inputs are byte slices,
 # which the fuzzer would minimize for a minute apiece unless capped); then

@@ -316,7 +316,7 @@ func (e *Engine) run(ctx context.Context, name, sql string, audit bool, attrs []
 	var p *plan.Plan
 	planWall, err := prof.Phase(ctx, "plan", func(ctx context.Context) error {
 		var perr error
-		p, perr = plan.Build(stmt)
+		p, perr = e.plan(stmt)
 		return perr
 	})
 	if err != nil {
@@ -345,6 +345,20 @@ func (e *Engine) run(ctx context.Context, name, sql string, audit bool, attrs []
 	return rep, res, err
 }
 
+// plan lowers a statement and places its WHERE conjuncts below the star
+// join, on the tables of this engine's catalog that own their columns.
+func (e *Engine) plan(stmt *sqlparse.SelectStmt) (*plan.Plan, error) {
+	p, err := plan.Build(stmt)
+	if err != nil {
+		return nil, err
+	}
+	plan.PlaceFilters(p, func(table, column string) bool {
+		tbl := e.tables[table]
+		return tbl != nil && tbl.HasColumn(column)
+	})
+	return p, nil
+}
+
 // Explain parses and plans a statement and renders the logical plan plus
 // the optimizer's group-by path prognosis, without executing.
 func (e *Engine) Explain(sql string) (string, error) {
@@ -352,7 +366,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p, err := plan.Build(stmt)
+	p, err := e.plan(stmt)
 	if err != nil {
 		return "", err
 	}
@@ -619,13 +633,19 @@ type frame struct {
 	tbl *columnar.Table
 	// rows lists the rows of tbl the frame holds, in order; nil holds
 	// every row. Filter, sort and limit narrow or reorder the list instead
-	// of copying columns, and the aggregate reads through it; an operator
-	// that needs the values lined up calls materialize first.
-	rows    []int32
-	modeled vtime.Duration
-	phases  []des.Phase
-	ops     []OpStat
-	gpuUsed bool
+	// of copying columns, and the join and the aggregate read through it;
+	// an operator that needs the values lined up calls materialize first.
+	rows []int32
+	// rowsKey is the provenance of rows when rowsKeyed: the filter that
+	// made the list keys it by its predicate over its input (predKey), and
+	// a join gathering through it mixes the key into its output columns'.
+	// A list a sort or a limit made is not keyed.
+	rowsKey   uint64
+	rowsKeyed bool
+	modeled   vtime.Duration
+	phases    []des.Phase
+	ops       []OpStat
+	gpuUsed   bool
 }
 
 // numRows is the frame's row count: the logical one, which operator rows,
@@ -639,9 +659,10 @@ func (f *frame) numRows() int {
 
 // materialize gathers the frame's listed rows into columns of their own,
 // charging the wall time to gather. A query copies a column at most once:
-// here, at the first operator that needs the rows lined up (join input,
-// derive, window, an expression project, a fusion chain's entry, the
-// query result). A frame with no list is left as it is.
+// here, at the first operator that needs the rows lined up (derive,
+// window, an expression project, a fusion chain's entry, the query
+// result); a join gathers its output through the list instead. A frame
+// with no list is left as it is.
 func (e *Engine) materialize(f *frame) {
 	if f.rows == nil {
 		return

@@ -122,7 +122,7 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	e.addCPU(f, t)
 	sp.End(f.at(), trace.Int("rows", int64(len(rows))))
 	if len(rows) < f.tbl.Rows() {
-		f.rows = rows
+		f.rows, f.rowsKey, f.rowsKeyed = rows, predKey(f.tbl, n.Pred), true
 	}
 	f.ops = append(f.ops, OpStat{
 		Op: "filter", Detail: n.Pred.String(), Depth: q.depth, Rows: len(rows),
@@ -232,6 +232,7 @@ func (e *Engine) execLimit(n *plan.Limit, q qctx) (*frame, error) {
 		} else {
 			f.rows = f.rows[:n.N]
 		}
+		f.rowsKeyed = false
 	}
 	// Limit charges no modeled time and emits no span: a zero-width row.
 	f.ops = append(f.ops, OpStat{Op: "limit", Depth: q.depth, Rows: f.numRows(), Start: f.at(), End: f.at()})

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"blugpu/internal/columnar"
 	"blugpu/internal/explain"
 	"blugpu/internal/optimizer"
 )
@@ -95,6 +96,48 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	if !bytes.Equal(js, js2) {
 		t.Error("JSON render differs between consecutive runs")
 	}
+}
+
+// TestExplainPushdownGolden byte-locks where each WHERE conjunct of a
+// two-join statement runs: the fact conjunct in a filter over the scan,
+// the dimension conjunct as its join's predicate (EXPLAIN ANALYZE names
+// the dimension rows it kept), the cross-table OR in a filter above the
+// joins — in the static plan and in the audited run.
+func TestExplainPushdownGolden(t *testing.T) {
+	e := newTestEngine(t, 120_000)
+	mk := columnar.NewInt64Builder("m_month")
+	quarter := columnar.NewInt64Builder("m_quarter")
+	for m := 1; m <= 12; m++ {
+		mk.Append(int64(m))
+		quarter.Append(int64((m-1)/3 + 1))
+	}
+	if err := e.Register(columnar.MustNewTable("months", mk.Build(), quarter.Build())); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT st_region, m_quarter, SUM(s_qty) AS q FROM sales " +
+		"JOIN stores ON s_store_sk = st_store_sk JOIN months ON s_month = m_month " +
+		"WHERE s_qty > 2 AND m_quarter <> 4 AND (st_region = 'east' OR s_price > 90.0) " +
+		"GROUP BY st_region, m_quarter ORDER BY q DESC"
+	plan, err := e.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the allocator history and the column cache as the analyze
+	// golden does, so the locked run sees steady state.
+	for i := 0; i < 2; i++ {
+		if _, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "", sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "pushdown", sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Reconciled() {
+		t.Fatalf("pushdown query must reconcile: unattributed=%d orphans=%d mismatches=%v",
+			rep.Unattributed, rep.Orphans, rep.Totals.Mismatches)
+	}
+	golden(t, "explain_pushdown.golden", []byte(plan+"\n"+rep.Text()))
 }
 
 // TestExplainAnalyzeReconciliation is the acceptance check: per-operator

@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"blugpu/internal/columnar"
+	"blugpu/internal/expr"
 	"blugpu/internal/plan"
+	"blugpu/internal/sqlparse"
 	"blugpu/internal/trace"
 )
 
@@ -21,9 +23,13 @@ import (
 // then a sequential gather of both sides. It is the oracle the index and
 // the count-then-fill probe are held to — same lists, same output table.
 func referenceJoin(left, right *columnar.Table, lcol, rcol string, needed []string) (leftRows, rightRows []int32, out *columnar.Table) {
+	return referenceJoinBuilding(left, right, lcol, rcol, needed, right.Rows() <= left.Rows())
+}
+
+// referenceJoinBuilding is referenceJoin with the build side given.
+func referenceJoinBuilding(left, right *columnar.Table, lcol, rcol string, needed []string, buildRight bool) (leftRows, rightRows []int32, out *columnar.Table) {
 	lk := left.Column(lcol).(*columnar.Int64Column)
 	rk := right.Column(rcol).(*columnar.Int64Column)
-	buildRight := right.Rows() <= left.Rows()
 	buildKeys, probeKeys := rk, lk
 	if !buildRight {
 		buildKeys, probeKeys = lk, rk
@@ -87,7 +93,7 @@ func probeRowLists(t testing.TB, lk, rk *columnar.Int64Column, degree int) (left
 	if !buildRight {
 		buildKeys, probeKeys = lk, rk
 	}
-	m, err := probeJoin(buildKeys.KeyIndex(), probeKeys, degree)
+	m, err := probeJoin(buildKeys.KeyIndex(), probeKeys, nil, nil, degree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +209,31 @@ func joinEngine(t testing.TB, degree int) *Engine {
 
 // runJoin executes scan(l) ⋈ r through execJoin.
 func runJoin(e *Engine, left, right *columnar.Table, needed []string) (*columnar.Table, error) {
+	return runJoinNode(e, left, right, &plan.Join{Left: &plan.Scan{Table: "l"}, Table: "r", LeftCol: "lk", RightCol: "rk", Needed: needed})
+}
+
+// runJoinNode executes a join plan over l and r.
+func runJoinNode(e *Engine, left, right *columnar.Table, j *plan.Join) (*columnar.Table, error) {
 	e.tables = map[string]*columnar.Table{"l": left, "r": right}
-	f, err := e.exec(&plan.Join{Left: &plan.Scan{Table: "l"}, Table: "r", LeftCol: "lk", RightCol: "rk", Needed: needed}, qctx{})
+	f, err := e.exec(j, qctx{})
 	if err != nil {
 		return nil, err
 	}
 	return f.tbl, nil
+}
+
+// mustPred lowers a WHERE condition for a hand-built plan.
+func mustPred(t testing.TB, cond string) expr.Expr {
+	t.Helper()
+	stmt, err := sqlparse.Parse("SELECT x FROM t WHERE " + cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := plan.LowerExpr(stmt.Where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pred
 }
 
 // sameTable compares names, types, values and NULLs, column by column.
@@ -258,6 +283,59 @@ func TestJoinMatchesReference(t *testing.T) {
 				checkJoinAgainstReference(t, e, left, right, nil)
 				checkJoinAgainstReference(t, e, left, right, []string{"li", "rs", "rk"})
 			})
+		}
+	}
+	// Probe through a row list: the left side is a filter's or a sort's
+	// list, read in place, and the joined table may be masked by its own
+	// predicate. The reference joins the gathered tables, building on the
+	// side the engine picks from logical row counts.
+	for _, degree := range []int{1, 2, 8} {
+		e := joinEngine(t, degree)
+		for _, lc := range []struct {
+			name string
+			left func() plan.Node
+		}{
+			{"empty list", func() plan.Node { return &plan.Filter{Input: &plan.Scan{Table: "l"}, Pred: mustPred(t, "li < 0")} }},
+			{"partial list", func() plan.Node {
+				return &plan.Filter{Input: &plan.Scan{Table: "l"}, Pred: mustPred(t, "lf > 40.0 OR ls = 'l3'")}
+			}},
+			{"full list", func() plan.Node {
+				return &plan.Sort{Input: &plan.Scan{Table: "l"}, Keys: []plan.SortKey{{Column: "li", Desc: true}}}
+			}},
+		} {
+			for _, pred := range []string{"", "ri >= 9 AND rf IS NOT NULL"} {
+				for _, tc := range joinCases() {
+					name := fmt.Sprintf("probe through row list/%s/where %q/%s/degree=%d", lc.name, pred, tc.name, degree)
+					t.Run(name, func(t *testing.T) {
+						left, right := joinSide("l", "l", tc.left), joinSide("r", "r", tc.right)
+						j := &plan.Join{Left: lc.left(), Table: "r", LeftCol: "lk", RightCol: "rk"}
+						e.tables = map[string]*columnar.Table{"l": left, "r": right}
+						in, err := e.exec(j.Left, qctx{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						listed := left
+						if in.rows != nil {
+							listed = columnar.GatherTable("l", left, in.rows)
+						}
+						masked := right
+						if pred != "" {
+							j.Pred = mustPred(t, pred)
+							kept, err := expr.EvalPredicate(right, j.Pred, 1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							masked = columnar.GatherTable("r", right, kept)
+						}
+						_, _, want := referenceJoinBuilding(listed, masked, "lk", "rk", nil, right.Rows() <= listed.Rows())
+						got, err := runJoinNode(e, left, right, j)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameTable(t, got, want)
+					})
+				}
+			}
 		}
 	}
 }
@@ -458,6 +536,91 @@ func TestJoinOutputsKeyedByProvenance(t *testing.T) {
 			}
 		}
 	}
+
+	// distinct runs two joins over the same tables and demands that every
+	// column gathered by both carries a different key in each, and that
+	// each key names one content.
+	distinct := func(t *testing.T, a, b *plan.Join) {
+		t.Helper()
+		e := joinEngine(t, 8)
+		left := joinSide("l", "l", keysN(5_000, func(i int) nkey { return nkey{v: int64(i % 40)} }))
+		right := joinSide("r", "r", keysN(40, func(i int) nkey { return nkey{v: int64(i)} }))
+		ta, err := runJoinNode(e, left, right, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := runJoinNode(e, left, right, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[uint64]uint64)
+		for _, c := range append(ta.Columns(), tb.Columns()...) {
+			if h, ok := seen[c.Key()]; ok && h != c.ContentHash() {
+				t.Errorf("column %q shares key %x with other content", c.Name(), c.Key())
+			}
+			seen[c.Key()] = c.ContentHash()
+		}
+		for _, c := range ta.Columns() {
+			if o := tb.Column(c.Name()); o != nil && o.Key() == c.Key() {
+				t.Errorf("column %q keyed %x by both joins", c.Name(), c.Key())
+			}
+		}
+	}
+	t.Run("two dimension predicates", func(t *testing.T) {
+		distinct(t,
+			&plan.Join{Left: &plan.Scan{Table: "l"}, Table: "r", LeftCol: "lk", RightCol: "rk", Pred: mustPred(t, "ri < 60")},
+			&plan.Join{Left: &plan.Scan{Table: "l"}, Table: "r", LeftCol: "lk", RightCol: "rk", Pred: mustPred(t, "ri >= 60")})
+	})
+	t.Run("fact filter under the join", func(t *testing.T) {
+		distinct(t,
+			&plan.Join{Left: &plan.Filter{Input: &plan.Scan{Table: "l"}, Pred: mustPred(t, "li < 6000")}, Table: "r", LeftCol: "lk", RightCol: "rk"},
+			&plan.Join{Left: &plan.Scan{Table: "l"}, Table: "r", LeftCol: "lk", RightCol: "rk"})
+	})
+	t.Run("same statement twice", func(t *testing.T) {
+		e := newTestEngine(t, 120_000)
+		const sql = "SELECT s_month, SUM(s_qty) AS q FROM sales JOIN stores ON s_store_sk = st_store_sk " +
+			"WHERE s_qty > 1 AND st_region = 'east' GROUP BY s_month"
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.plan(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := p.Root.(*plan.Project).Input.(*plan.Aggregate).Input.(*plan.Join)
+		if j.Pred == nil {
+			t.Fatalf("st_region was not placed on the join: %s", p.Root)
+		}
+		var keys [2][]uint64
+		for run := range keys {
+			f, err := e.exec(j, qctx{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range f.tbl.Columns() {
+				keys[run] = append(keys[run], c.Key())
+			}
+		}
+		if !reflect.DeepEqual(keys[0], keys[1]) {
+			t.Errorf("join output keys %x, then %x", keys[0], keys[1])
+		}
+		res, err := e.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.GPUUsed {
+			t.Fatal("the statement must take the fused device path to test the cache")
+		}
+		before := e.FusionCache().Stats()
+		if _, err := e.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+		after := e.FusionCache().Stats()
+		if after.Misses != before.Misses || after.Hits == before.Hits {
+			t.Errorf("second run: %d misses, %d hits; want only hits", after.Misses-before.Misses, after.Hits-before.Hits)
+		}
+	})
 }
 
 // TestJoinPassesProbeSideThrough: when the build key is unique and every
@@ -515,7 +678,10 @@ func TestJoinPassesProbeSideThrough(t *testing.T) {
 }
 
 // BenchmarkJoinProbe is the probe's micro-ruler: 1 M probe rows against a
-// resident index (built outside the timer, as a warm star join finds it).
+// resident index (built outside the timer, as a warm star join finds it),
+// plus the two shapes a placed WHERE gives it: a build side masked by a
+// join predicate that keeps 20 % of the dimension, and a probe through the
+// row list of a fact filter that keeps 60 % of the rows.
 func BenchmarkJoinProbe(b *testing.B) {
 	const probeRows = 1 << 20
 	for _, bc := range []struct {
@@ -544,7 +710,43 @@ func BenchmarkJoinProbe(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := probeJoin(idx, keys, 24); err != nil {
+				if _, err := probeJoin(idx, keys, nil, nil, 24); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	const buildRows = 10_000
+	build := columnar.NewInt64Builder("rk")
+	for i := 0; i < buildRows; i++ {
+		build.Append(int64(i))
+	}
+	probe := columnar.NewInt64Builder("lk")
+	var list []int32
+	for i := 0; i < probeRows; i++ {
+		probe.Append(int64(i * 7919 % buildRows))
+		if i*7%10 < 6 {
+			list = append(list, int32(i))
+		}
+	}
+	keep := columnar.NewBitmap(buildRows)
+	for r := 0; r < buildRows; r += 5 {
+		keep.Set(r)
+	}
+	idx, keys := build.Build().KeyIndex(), probe.Build()
+	for _, bc := range []struct {
+		name string
+		rows []int32
+		keep *columnar.Bitmap
+	}{
+		{"dense10kMask20", nil, keep},
+		{"dense10kList60", list, nil},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := probeJoin(idx, keys, bc.rows, bc.keep, 24); err != nil {
 					b.Fatal(err)
 				}
 			}

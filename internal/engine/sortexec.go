@@ -185,7 +185,7 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 				perm[i] = f.rows[p]
 			}
 		}
-		f.rows = perm
+		f.rows, f.rowsKeyed = perm, false
 		f.ops = append(f.ops, OpStat{
 			Op: "sort", Detail: fmt.Sprintf("jobs=%d gpu=%d cpu=%d", stats.Jobs, stats.GPUJobs, stats.CPUJobs),
 			Depth: q.depth, Rows: rows,

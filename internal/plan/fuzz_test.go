@@ -9,10 +9,13 @@ import (
 )
 
 // FuzzParsePlan mutates SQL text — seeded with the 146 workload
-// statements — through the two stages every request's bytes reach:
-// sqlparse.Parse and Build. Neither may panic, whatever the input, and a
-// statement both accept must survive print → re-parse: the rendering is
-// a fixed point and lowers to the identical plan.
+// statements — through the stages every request's bytes reach:
+// sqlparse.Parse, Build and PlaceFilters (against a fixed three-table
+// catalog). None may panic, whatever the input; a statement both accept
+// must survive print → re-parse: the rendering is a fixed point and
+// lowers to the identical plan; and placement keeps every WHERE conjunct,
+// puts each only on a table that has all its columns, and leaves a plan
+// that still prints.
 func FuzzParsePlan(f *testing.F) {
 	for _, q := range append(workload.BDInsights(), workload.CognosROLAP()...) {
 		f.Add(q.SQL)
@@ -41,5 +44,8 @@ func FuzzParsePlan(f *testing.F) {
 		if got, want := fmt.Sprint(p2.Root, p2.Output), fmt.Sprint(p.Root, p.Output); got != want {
 			t.Fatalf("%q and its rendering %q plan differently:\n%s\n%s", sql, printed, want, got)
 		}
+		before := whereConjuncts(p.Root)
+		PlaceFilters(p, catalogHas)
+		checkPlacement(t, sql, before, p)
 	})
 }

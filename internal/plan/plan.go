@@ -4,7 +4,8 @@
 // SUM/COUNT finalization (done by the engine), hoists aggregate arguments
 // into derived columns, resolves HAVING and ORDER BY against select
 // aliases, and validates that non-aggregated select items are grouping
-// keys.
+// keys. PlaceFilters then moves each WHERE conjunct below the joins, onto
+// the one table it names.
 package plan
 
 import (
@@ -53,11 +54,17 @@ type Join struct {
 	Table    string
 	LeftCol  string // column in the intermediate result
 	RightCol string // column in the joined table
+	// Pred, when set, keeps only the joined table's rows where it holds:
+	// a WHERE conjunct over that table alone (see PlaceFilters).
+	Pred expr.Expr
 	// Needed restricts the materialized output columns (nil = all).
 	Needed []string
 }
 
 func (n *Join) String() string {
+	if n.Pred != nil {
+		return fmt.Sprintf("join(%s, %s on %s=%s where %s)", n.Left, n.Table, n.LeftCol, n.RightCol, n.Pred)
+	}
 	return fmt.Sprintf("join(%s, %s on %s=%s)", n.Left, n.Table, n.LeftCol, n.RightCol)
 }
 
