@@ -38,10 +38,11 @@ race:
 # 10 000 and 72 000 distinct values), the group-by on the CPU path and on
 # the device at 16 and 500 000 groups, the staged device group-by (claims
 # and transfers, no input copy), the join probe against a resident key
-# index (plain, with a 20 % build mask, and through a 60 % row list), the
+# index (plain, with a 20 % build mask, and through a 60 % row list), a
+# three-join star over a 60 % fact list with 20 % dimension masks, the
 # typed group-by output and the flat sort-key extractor.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|AggOutput|SortKeys' -benchmem -run '^$$' \
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|StarJoin|AggOutput|SortKeys' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/kmv ./internal/groupby ./internal/engine
 
 # Five seconds of native fuzzing each: WHERE clauses mutated from the
@@ -53,8 +54,9 @@ bench:
 # three-table catalog, which must not panic, must survive print →
 # re-parse, and must place every conjunct exactly once, on a table that
 # owns all its columns (internal/plan); then join
-# key columns mutated from the differential cases', index + probe held to
-# the test-only map join (internal/engine — its inputs are byte slices,
+# key columns mutated from the differential cases', index + probe — one
+# join, and a two-join chain over its parts — held to the test-only map
+# join (internal/engine — its inputs are byte slices,
 # which the fuzzer would minimize for a minute apiece unless capped); then
 # tables and ASC/DESC key lists, the flat sort-key buffer held segment by
 # segment to the test-only byte keys (internal/engine, capped likewise);

@@ -215,16 +215,6 @@ func GatherTable(name string, tbl *Table, rows []int32) *Table {
 	return MustNewTable(name, cols...)
 }
 
-// GatherTableDegree materializes the given rows of tbl on the worker
-// pool: rows are split across workers within each column.
-func GatherTableDegree(name string, tbl *Table, rows []int32, degree int) *Table {
-	cols := make([]Column, tbl.NumColumns())
-	for i, c := range tbl.Columns() {
-		cols[i] = GatherColumnDegree(c, c.Name(), rows, degree)
-	}
-	return MustNewTable(name, cols...)
-}
-
 // IotaRows returns [0, n) as row ids, filled by the worker pool — the
 // "select everything" row vector scans and renames start from.
 func IotaRows(n, degree int) []int32 {
@@ -235,4 +225,51 @@ func IotaRows(n, degree int) []int32 {
 		}
 	})
 	return rows
+}
+
+// Source is a relation whose columns are each read through a row list of
+// their own: place i of a column is row rows[i] of its vectors, or row i
+// when its list is nil. Every column has Len places. The engine's joined
+// intermediates are Sources — a column is copied only where an operator
+// needs its values lined up — and the evaluator chain and the sort-key
+// extractor read them in place.
+type Source interface {
+	Len() int
+	// Listed returns the named column and its row list, or a nil column
+	// when the relation has none of that name.
+	Listed(name string) (Column, []int32)
+}
+
+// TableRows is the Source over the rows of Table that Rows lists (nil:
+// every row, in order).
+type TableRows struct {
+	Table *Table
+	Rows  []int32
+}
+
+// Len implements Source.
+func (t TableRows) Len() int {
+	if t.Rows == nil {
+		return t.Table.Rows()
+	}
+	return len(t.Rows)
+}
+
+// Listed implements Source.
+func (t TableRows) Listed(name string) (Column, []int32) { return t.Table.Column(name), t.Rows }
+
+// ComposeRows returns list read at the places sel names: list[sel[i]] for
+// every i, filled by the worker pool. A nil list is every row, so the
+// composition is sel itself, shared, not copied.
+func ComposeRows(list, sel []int32, degree int) []int32 {
+	if list == nil {
+		return sel
+	}
+	out := make([]int32, len(sel))
+	parallel.For(len(sel), gatherGrain, degree, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			out[i] = list[sel[i]]
+		}
+	})
+	return out
 }

@@ -159,3 +159,31 @@ func TestDirectConstructors(t *testing.T) {
 		t.Error("Data accessor wrong")
 	}
 }
+
+// TestComposeRows: a list read at a selection's places is the selection
+// of the list, at every degree; a nil list is every row, so the
+// composition is the selection itself.
+func TestComposeRows(t *testing.T) {
+	list := make([]int32, 10_000)
+	for i := range list {
+		list[i] = int32(len(list) - 1 - i)
+	}
+	var sel []int32
+	for i := 0; i < len(list); i += 3 {
+		sel = append(sel, int32(i))
+	}
+	for _, degree := range []int{1, 2, 8} {
+		got := ComposeRows(list, sel, degree)
+		for i, s := range sel {
+			if got[i] != list[s] {
+				t.Fatalf("degree %d: place %d is %d, want %d", degree, i, got[i], list[s])
+			}
+		}
+		if len(got) != len(sel) {
+			t.Fatalf("degree %d: %d rows, want %d", degree, len(got), len(sel))
+		}
+		if id := ComposeRows(nil, sel, degree); &id[0] != &sel[0] {
+			t.Fatalf("degree %d: composing with every row copied the selection", degree)
+		}
+	}
+}

@@ -79,46 +79,70 @@ func (c *Int64Column) KeyIndex() *KeyIndex {
 	if x := c.index.Load(); x != nil {
 		return x
 	}
-	c.index.CompareAndSwap(nil, buildKeyIndex(c.data, c.nulls))
+	c.index.CompareAndSwap(nil, buildKeyIndex(c.data, c.nulls, nil))
 	return c.index.Load()
 }
 
-func buildKeyIndex(data []int64, nulls *Bitmap) *KeyIndex {
-	isNull := func(i int) bool { return nulls != nil && nulls.Get(i) }
+// KeyIndexOf indexes the column's values at the rows that rows lists:
+// the index's rows are places in the list, not rows of the column. A nil
+// list is the column's own resident index; any other is built per call
+// and kept by no one, like the list it reads through.
+func (c *Int64Column) KeyIndexOf(rows []int32) *KeyIndex {
+	if rows == nil {
+		return c.KeyIndex()
+	}
+	return buildKeyIndex(c.data, c.nulls, rows)
+}
+
+// buildKeyIndex indexes data at the rows that rows lists (nil: every
+// row), under their places in the list.
+func buildKeyIndex(data []int64, nulls *Bitmap, rows []int32) *KeyIndex {
+	n := len(data)
+	if rows != nil {
+		n = len(rows)
+	}
+	row := func(i int) int {
+		if rows == nil {
+			return i
+		}
+		return int(rows[i])
+	}
+	isNull := func(i int) bool { return nulls != nil && nulls.Get(row(i)) }
 	var lo, hi int64
-	n := 0
-	for i, v := range data {
+	keys := 0
+	for i := 0; i < n; i++ {
 		if isNull(i) {
 			continue
 		}
-		if n == 0 || v < lo {
+		v := data[row(i)]
+		if keys == 0 || v < lo {
 			lo = v
 		}
-		if n == 0 || v > hi {
+		if keys == 0 || v > hi {
 			hi = v
 		}
-		n++
+		keys++
 	}
 	x := &KeyIndex{min: lo}
 	span := uint64(hi) - uint64(lo)
-	if span <= directSpanFactor*uint64(n) {
+	if span <= directSpanFactor*uint64(keys) {
 		x.direct = filled(int(span) + 1)
 	} else {
-		size := 1 << bits.Len(uint(2*n-1)) // power of two >= 2n
+		size := 1 << bits.Len(uint(2*keys-1)) // power of two >= 2 keys
 		x.keys = make([]int64, size)
 		x.heads = filled(size)
 		x.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	}
 	// Rows go in highest first and each takes the head of its key's chain,
 	// so a chain read from its head is in ascending row order.
-	for i := len(data) - 1; i >= 0; i-- {
+	for i := n - 1; i >= 0; i-- {
 		if isNull(i) {
 			continue
 		}
-		head := x.headOf(data[i])
+		head := x.headOf(data[row(i)])
 		if *head >= 0 {
 			if x.next == nil {
-				x.next = filled(len(data))
+				x.next = filled(n)
 			}
 			x.next[i] = *head
 		}

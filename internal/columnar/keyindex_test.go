@@ -106,6 +106,22 @@ func TestKeyIndexMatchesMap(t *testing.T) {
 				}
 			}
 			checkIndex(t, c, absent)
+			// Through a list — every other row, backwards, one row twice —
+			// the index is the one over the column the list gathers.
+			var rows []int32
+			for r := c.Len() - 1; r >= 0; r -= 2 {
+				rows = append(rows, int32(r))
+			}
+			if len(rows) > 0 {
+				rows = append(rows, rows[0])
+			}
+			g := c.Gather("g", rows)
+			if got, want := c.KeyIndexOf(rows), buildKeyIndex(g.data, g.nulls, nil); !reflect.DeepEqual(got, want) {
+				t.Errorf("index through a list differs from the gathered column's")
+			}
+			if c.KeyIndexOf(nil) != c.KeyIndex() {
+				t.Errorf("a nil list is not the resident index")
+			}
 		})
 	}
 }
@@ -135,7 +151,7 @@ func TestKeyIndexConcurrent(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		alone := buildKeyIndex(c.data, c.nulls)
+		alone := buildKeyIndex(c.data, c.nulls, nil)
 		for g, x := range got {
 			if x != got[0] {
 				t.Fatalf("round %d: goroutine %d got a different index object", round, g)

@@ -110,28 +110,6 @@ func TestGatherColumnDegreeDispatch(t *testing.T) {
 	}
 }
 
-func TestGatherTableDegreeMatchesSequential(t *testing.T) {
-	ic, fc, sc := buildTestColumns(4097, true)
-	tbl := MustNewTable("t", ic, fc, sc)
-	rows := reversedRows(4097)
-	seq := GatherTable("out", tbl, rows)
-	for _, d := range testDegrees {
-		par := GatherTableDegree("out", tbl, rows, d)
-		if par.Rows() != seq.Rows() || par.NumColumns() != seq.NumColumns() {
-			t.Fatalf("degree %d: shape differs", d)
-		}
-		for ci, c := range seq.Columns() {
-			pc := par.Columns()[ci]
-			for i := 0; i < seq.Rows(); i++ {
-				sv, pv := c.Value(i), pc.Value(i)
-				if sv.Null != pv.Null || (!sv.Null && sv.String() != pv.String()) {
-					t.Fatalf("degree %d col %s row %d: %v != %v", d, c.Name(), i, sv, pv)
-				}
-			}
-		}
-	}
-}
-
 func TestIotaRows(t *testing.T) {
 	for _, n := range testSizes {
 		for _, d := range testDegrees {

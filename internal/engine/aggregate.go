@@ -76,19 +76,19 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cr != nil && cr.entry == nil {
-		// Chain with no filter/derive stages: the aggregate's direct
-		// input (scan or join output) is the entry table, and the cache
-		// keys its columns as they are.
-		e.materialize(f)
-		cr.entry = f.tbl
-	}
-	start := f.at()
-	op := f.begin("op", "groupby")
-
 	cols, items, err := lowerAggs(n.Aggs)
 	if err != nil {
 		return nil, err
+	}
+	start := f.at()
+	op := f.begin("op", "groupby")
+	var copyT vtime.Duration
+	if cr != nil && cr.entry == nil {
+		// Chain with no filter/derive stages: the aggregate's direct
+		// input (scan or join output) is the entry table, and the cache
+		// keys its columns as they are — a join's by their provenance.
+		copyT = e.materialize(f)
+		cr.entry = f.table()
 	}
 
 	// Figure 3's first decision happens before the chain runs: the exact
@@ -96,14 +96,14 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// queries take the original Figure-1 CPU chain with no MEMCPY
 	// evaluator. Everything else runs the Figure-2 GPU chain, which
 	// stages into pinned memory as it goes.
-	rows := int64(f.numRows())
+	rows := int64(f.Len())
 	preGPU := e.GPUEnabled() && rows > e.thresholds.T1Rows &&
 		(e.thresholds.T3Rows <= 0 || rows <= e.thresholds.T3Rows)
 
 	// Host evaluator chain: LCOG/LCOV/CCAT/HASH(+KMV)[+MEMCPY], reading
-	// the input through its row list.
+	// each column through its part's row list.
 	hostStart := time.Now()
-	chain, err := evaluator.BuildInput(f.tbl, f.rows, evaluator.Spec{Keys: n.Keys, Aggs: cols}, evaluator.Deps{
+	chain, err := evaluator.BuildInput(f, evaluator.Spec{Keys: n.Keys, Aggs: cols}, evaluator.Deps{
 		Model:    e.model,
 		Degree:   e.cfg.Degree,
 		Monitor:  e.mon,
@@ -113,7 +113,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		TraceAt:  f.at(),
 	})
 	if err != nil {
-		return nil, err
+		return f.fail(op, err)
 	}
 	if chain.Staged != nil {
 		defer chain.Staged.Release()
@@ -124,7 +124,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// canceled query must abort, never be mistaken for a GPU fault that
 	// triggers the Section 2.1.1 CPU fallback.
 	if cerr := qq.err(); cerr != nil {
-		return nil, fmt.Errorf("engine: query canceled: %w", cerr)
+		return f.fail(op, fmt.Errorf("engine: query canceled: %w", cerr))
 	}
 
 	in := chain.Input
@@ -183,7 +183,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		cpuStart := time.Now()
 		out, err = groupby.RunCPU(in, e.cfg.Degree, e.model)
 		if err != nil {
-			return nil, err
+			return f.fail(op, err)
 		}
 		q.wallHost(cpuStart)
 		e.addCPU(f, out.Stats.Modeled)
@@ -204,13 +204,13 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	buildStart := time.Now()
 	outTbl, err := e.buildAggOutput(chain, in, out, items)
 	if err != nil {
-		return nil, err
+		return f.fail(op, err)
 	}
 	q.wallHost(buildStart)
 	finalize := e.model.CPUTime(float64(out.Groups*len(items)), e.model.CPUExprRate, e.cfg.Degree)
 	e.addCPU(f, finalize)
 	op.End(f.at(), trace.Int("groups", int64(out.Groups)), trace.Str("path", detail))
-	f.tbl, f.rows = outTbl, nil
+	f.setTable(outTbl)
 	rec := &explain.AggRecord{
 		Keys:          n.Keys,
 		Plan:          q.nextPrognosis(),
@@ -227,7 +227,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		FallbackCause: fallbackCause,
 		Devices:       ginfo.devices,
 	}
-	modeled := chain.Modeled + out.Stats.Modeled + finalize
+	modeled := copyT + chain.Modeled + out.Stats.Modeled + finalize
 	if fx != nil {
 		// Fused chains charge cache fills and stage kernels beyond the
 		// group-by's own Stats.Modeled; attribute them here so self times

@@ -1,0 +1,144 @@
+package engine
+
+import (
+	"strings"
+	"testing"
+
+	"blugpu/internal/columnar"
+	"blugpu/internal/plan"
+	"blugpu/internal/sqlparse"
+)
+
+// starEngine is newTestEngine plus two more dimensions, a snowflake off
+// stores' fact key: months (m_month, m_quarter, m_name) and quarters
+// (q_quarter, q_name, q_half), which joins on the months part's m_quarter.
+func starEngine(t *testing.T, rows int) *Engine {
+	t.Helper()
+	e := newTestEngine(t, rows)
+	mk, mq, mn := columnar.NewInt64Builder("m_month"), columnar.NewInt64Builder("m_quarter"), columnar.NewStringBuilder("m_name")
+	for m := 1; m <= 12; m++ {
+		mk.Append(int64(m))
+		mq.Append(int64((m-1)/3 + 1))
+		mn.Append([]string{"jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec"}[m-1])
+	}
+	qk, qn, qh := columnar.NewInt64Builder("q_quarter"), columnar.NewStringBuilder("q_name"), columnar.NewInt64Builder("q_half")
+	for q := 1; q <= 4; q++ {
+		qk.Append(int64(q))
+		qn.Append([]string{"q1", "q2", "q3", "q4"}[q-1])
+		qh.Append(int64((q-1)/2 + 1))
+	}
+	for _, tbl := range []*columnar.Table{
+		columnar.MustNewTable("months", mk.Build(), mq.Build(), mn.Build()),
+		columnar.MustNewTable("quarters", qk.Build(), qn.Build(), qh.Build()),
+	} {
+		if err := e.Register(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// starFrom is the three-join body of the copy-once statements: every
+// dimension narrowed by a predicate, each placed on its join.
+const starFrom = "FROM sales JOIN stores ON s_store_sk = st_store_sk " +
+	"JOIN months ON s_month = m_month JOIN quarters ON m_quarter = q_quarter " +
+	"WHERE st_region = 'east' AND m_month <> 2 AND q_half = 1 "
+
+// TestStarJoinCopiesOnce: a star join copies no values. Below the
+// statement's first reader of lined-up values every part's columns are the
+// base tables' own; no join key column nothing above reads is ever copied;
+// and every column the statement reads is copied at most once, in
+// materialize — by a fused chain's entry, a derive, or the result of an
+// ORDER BY ... LIMIT. A group-by with the device off reads every column
+// through its list and copies nothing.
+func TestStarJoinCopiesOnce(t *testing.T) {
+	keys := map[string]bool{"s_store_sk": true, "st_store_sk": true, "s_month": true, "m_month": true, "m_quarter": true, "q_quarter": true}
+	const groupBy = "SELECT st_name, m_name, SUM(s_qty) AS q " + starFrom + "GROUP BY st_name, m_name"
+	for _, tc := range []struct {
+		name, sql string
+		gpu       bool
+		fused     bool // the group-by takes the fused device chain
+		copies    int  // columns copied over the statement
+	}{
+		{"fused group-by", groupBy, true, true, 3},
+		{"group-by, device off", groupBy, false, false, 0},
+		{"derive", "SELECT st_name, m_name, SUM(s_qty * s_price) AS rev " + starFrom + "GROUP BY st_name, m_name", true, true, 4},
+		{"order by limit", "SELECT st_name, m_name, s_qty " + starFrom + "ORDER BY s_qty DESC, st_name LIMIT 10", true, false, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := starEngine(t, 60_000)
+			e.SetGPUEnabled(tc.gpu)
+			e.thresholds.T1Rows = 1_000 // 12 500 rows reach the group-by
+			base := make(map[columnar.Column]bool)
+			for _, name := range []string{"sales", "stores", "months", "quarters"} {
+				for _, c := range e.Table(name).Columns() {
+					base[c] = true
+				}
+			}
+			copied := make(map[string]int)
+			copyHook = func(c columnar.Column) { copied[c.Name()]++ }
+			defer func() { copyHook = nil }()
+
+			// The joins alone: every part holds base columns, and nothing
+			// was copied to get there.
+			stmt, err := sqlparse.Parse(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := e.plan(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var top *plan.Join
+			for n := p.Root; n != nil && top == nil; n = planInput(n) {
+				top, _ = n.(*plan.Join)
+			}
+			if top == nil {
+				t.Fatalf("no join in %s", p.Root)
+			}
+			f, err := e.exec(top, qctx{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pt := range f.parts {
+				if pt.rows == nil {
+					t.Errorf("part %s is unlisted under three dimension predicates", pt.tbl.Name())
+				}
+				for _, c := range pt.tbl.Columns() {
+					if !base[c] {
+						t.Errorf("join output column %q is not a base table's: a join copied it", c.Name())
+					}
+				}
+			}
+			if len(copied) != 0 {
+				t.Fatalf("the joins copied %v", copied)
+			}
+
+			res, err := e.Query(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Table.Rows() == 0 {
+				t.Fatal("the statement must answer rows to copy")
+			}
+			total := 0
+			for name, n := range copied {
+				total += n
+				if keys[name] {
+					t.Errorf("join key %q, which nothing reads, was copied", name)
+				}
+				if n > 1 {
+					t.Errorf("column %q copied %d times", name, n)
+				}
+			}
+			if total != tc.copies {
+				t.Errorf("%d columns copied (%v), want %d", total, copied, tc.copies)
+			}
+			for _, op := range res.Ops {
+				if fused := strings.HasPrefix(op.Detail, "gpu/fused/"); op.Op == "groupby" && fused != tc.fused {
+					t.Errorf("group-by took %q", op.Detail)
+				}
+			}
+		})
+	}
+}

@@ -497,15 +497,26 @@ func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql
 		}
 		return nil, &QueryError{TraceSeq: q.tc.Query(), Err: err}
 	}
-	e.materialize(f)
+	if !f.lined() {
+		// The result is the one copy of the columns the statement outputs:
+		// read through their lists, the rows a sort and a limit left.
+		start := f.at()
+		sp := f.begin("op", "materialize")
+		t := e.materialize(f)
+		sp.End(f.at(), trace.Int("rows", int64(f.Len())))
+		f.ops = append(f.ops, OpStat{
+			Op: "materialize", Detail: "result", Rows: f.Len(),
+			Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
+		})
+	}
 	cols := p.Output
 	if len(cols) == 0 {
-		for _, c := range f.tbl.Columns() {
+		for _, c := range f.table().Columns() {
 			cols = append(cols, c.Name())
 		}
 	}
 	res := &Result{
-		Table:    f.tbl,
+		Table:    f.table(),
 		Columns:  cols,
 		Modeled:  f.modeled,
 		Profile:  des.Profile{Name: "query", Phases: mergePhases(f.phases)},
@@ -524,7 +535,7 @@ func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql
 		if f.gpuUsed {
 			gpuAttr = 1
 		}
-		q.tc.End(f.at(), trace.Int("rows", int64(f.tbl.Rows())), trace.Int("gpu", gpuAttr))
+		q.tc.End(f.at(), trace.Int("rows", int64(f.Len())), trace.Int("gpu", gpuAttr))
 		e.clockMu.Lock()
 		e.clock = e.clock.Add(f.modeled)
 		e.clockMu.Unlock()
@@ -625,52 +636,6 @@ func (q qctx) nextPrognosis() *optimizer.Prognosis {
 	p := (*q.prognoses)[last]
 	*q.prognoses = (*q.prognoses)[:last]
 	return &p
-}
-
-// frame is an intermediate execution state.
-type frame struct {
-	q   qctx
-	tbl *columnar.Table
-	// rows lists the rows of tbl the frame holds, in order; nil holds
-	// every row. Filter, sort and limit narrow or reorder the list instead
-	// of copying columns, and the join and the aggregate read through it;
-	// an operator that needs the values lined up calls materialize first.
-	rows []int32
-	// rowsKey is the provenance of rows when rowsKeyed: the filter that
-	// made the list keys it by its predicate over its input (predKey), and
-	// a join gathering through it mixes the key into its output columns'.
-	// A list a sort or a limit made is not keyed.
-	rowsKey   uint64
-	rowsKeyed bool
-	modeled   vtime.Duration
-	phases    []des.Phase
-	ops       []OpStat
-	gpuUsed   bool
-}
-
-// numRows is the frame's row count: the logical one, which operator rows,
-// spans and every modeled formula use.
-func (f *frame) numRows() int {
-	if f.rows == nil {
-		return f.tbl.Rows()
-	}
-	return len(f.rows)
-}
-
-// materialize gathers the frame's listed rows into columns of their own,
-// charging the wall time to gather. A query copies a column at most once:
-// here, at the first operator that needs the rows lined up (derive,
-// window, an expression project, a fusion chain's entry, the query
-// result); a join gathers its output through the list instead. A frame
-// with no list is left as it is.
-func (e *Engine) materialize(f *frame) {
-	if f.rows == nil {
-		return
-	}
-	start := time.Now()
-	f.tbl = columnar.GatherTableDegree(f.tbl.Name(), f.tbl, f.rows, e.cfg.Degree)
-	f.rows = nil
-	f.q.wallGather(start)
 }
 
 // at returns the frame's current offset on the trace timeline: the query

@@ -8,6 +8,7 @@ import (
 	"blugpu/internal/expr"
 	"blugpu/internal/plan"
 	"blugpu/internal/trace"
+	"blugpu/internal/vtime"
 )
 
 // exprGrain is the minimum rows per worker for the engine's per-row host
@@ -81,7 +82,7 @@ func (e *Engine) execScan(n *plan.Scan, q qctx) (*frame, error) {
 			}
 		}
 	}
-	f := &frame{q: q, tbl: tbl}
+	f := &frame{q: q, parts: []part{{tbl: tbl}}}
 	start := f.at()
 	sp := f.begin("op", "scan")
 	t := e.model.CPUTime(float64(tbl.Rows()), e.model.CPUScanRate, e.cfg.Degree)
@@ -99,34 +100,35 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The predicate kernels read whole columns; the plan puts a filter over
-	// a scan, a join or an aggregate, none of which hands on a row list.
-	e.materialize(f)
 	start := f.at()
 	sp := f.begin("op", "filter")
+	// The predicate kernels read whole columns: over a join's output the
+	// filter lines the parts up first, and is charged the copy.
+	copyT := e.materialize(f)
+	tbl := f.table()
 	hostStart := time.Now()
 	// The selected rows are the filter's output; nothing is copied.
-	rows, err := expr.EvalPredicate(f.tbl, n.Pred, e.cfg.Degree)
+	rows, err := expr.EvalPredicate(tbl, n.Pred, e.cfg.Degree)
 	if err != nil {
-		return nil, err
+		return f.fail(sp, err)
 	}
 	q.wallHost(hostStart)
 	if cr := q.chain; cr.member(n) {
-		// Fusion chain bookkeeping: f.tbl is this filter's input, so the
+		// Fusion chain bookkeeping: tbl is this filter's input, so the
 		// deepest member captures the chain's entry table.
-		cr.noteEntry(f.tbl)
-		cr.stages = append(cr.stages, chainStage{op: "filter", inRows: f.tbl.Rows(), outRows: len(rows)})
+		cr.noteEntry(tbl)
+		cr.stages = append(cr.stages, chainStage{op: "filter", inRows: tbl.Rows(), outRows: len(rows)})
 	}
-	t := e.model.CPUTime(float64(f.tbl.Rows()), e.model.CPUExprRate, e.cfg.Degree) +
-		e.model.CPUTime(float64(len(rows)*f.tbl.NumColumns()), e.model.CPUScanRate, e.cfg.Degree)
+	t := e.model.CPUTime(float64(tbl.Rows()), e.model.CPUExprRate, e.cfg.Degree)
 	e.addCPU(f, t)
 	sp.End(f.at(), trace.Int("rows", int64(len(rows))))
-	if len(rows) < f.tbl.Rows() {
-		f.rows, f.rowsKey, f.rowsKeyed = rows, predKey(f.tbl, n.Pred), true
+	if len(rows) < tbl.Rows() {
+		f.parts[0].rows = rows
+		f.sel, f.selKey = selKeyed, predKey(tbl, n.Pred)
 	}
 	f.ops = append(f.ops, OpStat{
 		Op: "filter", Detail: n.Pred.String(), Depth: q.depth, Rows: len(rows),
-		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
+		Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + t,
 	})
 	return f, nil
 }
@@ -136,34 +138,35 @@ func (e *Engine) execDerive(n *plan.Derive, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.materialize(f)
 	start := f.at()
 	sp := f.begin("op", "derive")
+	copyT := e.materialize(f)
+	tbl := f.table()
 	hostStart := time.Now()
-	cols := append([]columnar.Column{}, f.tbl.Columns()...)
+	cols := append([]columnar.Column{}, tbl.Columns()...)
 	for _, dc := range n.Cols {
-		col, err := expr.EvalColumn(f.tbl, dc.Name, dc.Expr, e.cfg.Degree)
+		col, err := expr.EvalColumn(tbl, dc.Name, dc.Expr, e.cfg.Degree)
 		if err != nil {
-			return nil, err
+			return f.fail(sp, err)
 		}
 		cols = append(cols, col)
 	}
 	q.wallHost(hostStart)
-	out, err := columnar.NewTable(f.tbl.Name()+"_d", cols...)
+	out, err := columnar.NewTable(tbl.Name()+"_d", cols...)
 	if err != nil {
-		return nil, err
+		return f.fail(sp, err)
 	}
 	if cr := q.chain; cr.member(n) {
-		cr.noteEntry(f.tbl)
-		cr.stages = append(cr.stages, chainStage{op: "derive", inRows: f.tbl.Rows(), outRows: out.Rows(), cols: len(n.Cols)})
+		cr.noteEntry(tbl)
+		cr.stages = append(cr.stages, chainStage{op: "derive", inRows: tbl.Rows(), outRows: out.Rows(), cols: len(n.Cols)})
 	}
-	t := e.model.CPUTime(float64(f.tbl.Rows()*len(n.Cols)), e.model.CPUExprRate, e.cfg.Degree)
+	t := e.model.CPUTime(float64(tbl.Rows()*len(n.Cols)), e.model.CPUExprRate, e.cfg.Degree)
 	e.addCPU(f, t)
 	sp.End(f.at(), trace.Int("rows", int64(out.Rows())))
-	f.tbl = out
+	f.setTable(out)
 	f.ops = append(f.ops, OpStat{
 		Op: "derive", Depth: q.depth, Rows: out.Rows(),
-		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
+		Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + t,
 	})
 	return f, nil
 }
@@ -173,49 +176,67 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A project of bare columns passes the row list through; an
-	// expression reads whole columns, so it needs the rows lined up.
+	start := f.at()
+	sp := f.begin("op", "project")
+	// A project of bare columns hands the parts on, each read through its
+	// own list; an expression reads whole columns, so it needs the rows
+	// lined up.
+	var copyT vtime.Duration
 	for _, dc := range n.Cols {
 		if _, ok := dc.Expr.(*expr.Col); !ok {
-			e.materialize(f)
+			copyT = e.materialize(f)
 			break
 		}
 	}
-	start := f.at()
-	sp := f.begin("op", "project")
 	hostStart := time.Now()
 	cols := make([]columnar.Column, len(n.Cols))
+	srcs := make([]int, len(n.Cols)) // the input part each column comes from
 	exprWork := 0
 	for i, dc := range n.Cols {
+		for _, prev := range n.Cols[:i] {
+			if prev.Name == dc.Name {
+				return f.fail(sp, fmt.Errorf("engine: duplicate output column %q", dc.Name))
+			}
+		}
 		// Fast path: a bare column reference shares the source's vectors
 		// under the output name.
 		if ref, ok := dc.Expr.(*expr.Col); ok {
-			src := f.tbl.Column(ref.Name)
-			if src == nil {
-				return nil, fmt.Errorf("engine: unknown column %q", ref.Name)
+			c, src := f.find(ref.Name)
+			if c == nil {
+				return f.fail(sp, fmt.Errorf("engine: unknown column %q", ref.Name))
 			}
-			cols[i] = src.Rename(dc.Name)
+			cols[i], srcs[i] = c.Rename(dc.Name), src
 			continue
 		}
-		col, err := expr.EvalColumn(f.tbl, dc.Name, dc.Expr, e.cfg.Degree)
+		col, err := expr.EvalColumn(f.table(), dc.Name, dc.Expr, e.cfg.Degree)
 		if err != nil {
-			return nil, err
+			return f.fail(sp, err)
 		}
 		cols[i] = col
-		exprWork += f.tbl.Rows()
+		exprWork += f.Len()
 	}
-	out, err := columnar.NewTable(f.tbl.Name()+"_p", cols...)
-	if err != nil {
-		return nil, err
+	// The output in select-list order, as parts: a run of columns from one
+	// input part is one part, under that part's list.
+	name := f.parts[0].tbl.Name() + "_p"
+	parts := make([]part, 0, len(f.parts))
+	for lo := 0; lo < len(cols); {
+		hi := lo + 1
+		for hi < len(cols) && srcs[hi] == srcs[lo] {
+			hi++
+		}
+		in := f.parts[srcs[lo]]
+		// Names are unique and lengths equal by construction.
+		parts = append(parts, part{tbl: columnar.MustNewTable(name, cols[lo:hi]...), rows: in.rows, steps: in.steps})
+		lo = hi
 	}
+	f.parts = parts
 	q.wallHost(hostStart)
 	t := e.model.CPUTime(float64(exprWork), e.model.CPUExprRate, e.cfg.Degree)
 	e.addCPU(f, t)
-	f.tbl = out
-	sp.End(f.at(), trace.Int("rows", int64(f.numRows())))
+	sp.End(f.at(), trace.Int("rows", int64(f.Len())))
 	f.ops = append(f.ops, OpStat{
-		Op: "project", Depth: q.depth, Rows: f.numRows(),
-		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
+		Op: "project", Depth: q.depth, Rows: f.Len(),
+		Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + t,
 	})
 	return f, nil
 }
@@ -225,16 +246,24 @@ func (e *Engine) execLimit(n *plan.Limit, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A limit cuts the row list; one that cuts nothing leaves it alone.
-	if n.N < f.numRows() {
-		if f.rows == nil {
-			f.rows = columnar.IotaRows(n.N, e.cfg.Degree)
-		} else {
-			f.rows = f.rows[:n.N]
+	// A limit cuts every part's list; one that cuts nothing leaves them
+	// alone.
+	if n.N < f.Len() {
+		var first []int32
+		for i := range f.parts {
+			p := &f.parts[i]
+			if p.rows != nil {
+				p.rows = p.rows[:n.N]
+				continue
+			}
+			if first == nil {
+				first = columnar.IotaRows(n.N, e.cfg.Degree)
+			}
+			p.rows = first
 		}
-		f.rowsKeyed = false
+		f.sel = selUnkeyed
 	}
 	// Limit charges no modeled time and emits no span: a zero-width row.
-	f.ops = append(f.ops, OpStat{Op: "limit", Depth: q.depth, Rows: f.numRows(), Start: f.at(), End: f.at()})
+	f.ops = append(f.ops, OpStat{Op: "limit", Depth: q.depth, Rows: f.Len(), Start: f.at(), End: f.at()})
 	return f, nil
 }

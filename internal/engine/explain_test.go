@@ -218,6 +218,32 @@ func TestExplainAnalyzeReconciliation(t *testing.T) {
 	if len(e.Monitor().Decisions()) == 0 {
 		t.Error("optimizer decision not recorded in monitor")
 	}
+
+	// The star join of TestStarJoinCopiesOnce: its copies are charged where
+	// they happen — the joins their lists, the fused entry, a derive and
+	// the result the columns they copy — and still telescope.
+	star := starEngine(t, 120_000)
+	for _, sql := range []string{
+		"SELECT st_region, q_name, SUM(s_qty) AS q " + starFrom + "GROUP BY st_region, q_name",
+		"SELECT q_name, SUM(s_qty * s_price) AS rev " + starFrom + "GROUP BY q_name ORDER BY rev DESC",
+		"SELECT st_name, m_name, s_qty " + starFrom + "ORDER BY s_qty DESC, st_name LIMIT 10",
+	} {
+		rep, _, err := star.ExplainAnalyzeNamedCtx(context.Background(), "star", sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Reconciled() {
+			t.Fatalf("%s: not reconciled: unattributed=%d orphans=%d mismatches=%v",
+				sql, rep.Unattributed, rep.Orphans, rep.Totals.Mismatches)
+		}
+		var selfSum float64
+		for _, op := range rep.Ops {
+			selfSum += op.SelfMs
+		}
+		if diff := selfSum - rep.ModeledMs; diff > 1e-6*float64(len(rep.Ops)) || diff < -1e-6*float64(len(rep.Ops)) {
+			t.Errorf("%s: self-time sum %.9f ms != modeled %.9f ms", sql, selfSum, rep.ModeledMs)
+		}
+	}
 }
 
 // TestExplainAnalyzeFallbackAudit forces a CPU fallback (no devices)

@@ -1,0 +1,176 @@
+package engine
+
+import (
+	"time"
+
+	"blugpu/internal/columnar"
+	"blugpu/internal/des"
+	"blugpu/internal/trace"
+	"blugpu/internal/vtime"
+)
+
+// frame is an intermediate execution state: a relation made of parts, each
+// a table read through a row list of its own, all of one logical length.
+// A scan is one part with no list. Filter, sort and limit narrow or
+// reorder the lists; a join composes the left parts' lists with its match
+// and adds the joined table as a part whose list is its side of the match.
+// No operator copies a value on the way: the next join's probe key, the
+// sort key and the evaluator chain read their columns through their
+// part's list, and an operator that needs the values lined up calls
+// materialize, the one place columns are copied.
+type frame struct {
+	q     qctx
+	parts []part
+	// sel records how the lists were narrowed since the frame's last join
+	// or copy: not at all, by a filter — selKey is then its predicate's
+	// identity over its input (predKey), which a join mixes into its
+	// own — or by a sort or a limit, whose lists no key fixes.
+	sel    selKind
+	selKey uint64
+	// unkeyed: a join ran over lists no key fixes, so the parts' steps do
+	// not determine their rows, and copies are keyed by content.
+	unkeyed bool
+	modeled vtime.Duration
+	phases  []des.Phase
+	ops     []OpStat
+	gpuUsed bool
+}
+
+// part is one table of a frame and the rows of it the frame holds.
+type part struct {
+	tbl *columnar.Table
+	// rows lists tbl's rows in frame order; nil holds every row, in order.
+	// Lists are never written once made, so parts may share one.
+	rows []int32
+	// steps is the part's provenance: one (side, probe identity, build
+	// identity) triple per join that listed it, in join order. A column
+	// copied through the list is keyed by its source column's key mixed
+	// with each triple in turn, so the fusion cache never hashes a join's
+	// output: equal provenance is equal content.
+	steps []uint64
+}
+
+// selKind is how a frame's lists were narrowed since its last join.
+type selKind uint8
+
+const (
+	selNone    selKind = iota
+	selKeyed           // a filter's list, keyed by frame.selKey
+	selUnkeyed         // a sort's or a limit's list
+)
+
+// Len is the frame's row count: the logical one, which operator rows,
+// spans and every modeled formula use.
+func (f *frame) Len() int {
+	p := f.parts[0]
+	if p.rows == nil {
+		return p.tbl.Rows()
+	}
+	return len(p.rows)
+}
+
+// Listed returns the named column and the list it is read through, or a
+// nil column when no part has it. A frame is a columnar.Source.
+func (f *frame) Listed(name string) (columnar.Column, []int32) {
+	if c, i := f.find(name); c != nil {
+		return c, f.parts[i].rows
+	}
+	return nil, nil
+}
+
+// find returns the named column and the index of its part, nil and -1
+// when no part has it.
+func (f *frame) find(name string) (columnar.Column, int) {
+	for i, p := range f.parts {
+		if c := p.tbl.Column(name); c != nil {
+			return c, i
+		}
+	}
+	return nil, -1
+}
+
+// hasColumn reports whether some part has the named column.
+func (f *frame) hasColumn(name string) bool {
+	c, _ := f.find(name)
+	return c != nil
+}
+
+// lined reports whether the frame's values are lined up: one part, read
+// in order. Only then is table its content.
+func (f *frame) lined() bool { return len(f.parts) == 1 && f.parts[0].rows == nil }
+
+// table is the frame's one table; callers materialize first.
+func (f *frame) table() *columnar.Table { return f.parts[0].tbl }
+
+// setTable makes tbl the frame's content: one part, no list.
+func (f *frame) setTable(tbl *columnar.Table) {
+	f.parts = []part{{tbl: tbl}}
+	f.sel, f.selKey, f.unkeyed = selNone, 0, false
+}
+
+// composeParts composes each part's list with sel, a list of places in
+// the frame, and returns the rows composed: a part with no list takes sel
+// itself.
+func composeParts(parts []part, sel []int32, degree int) int {
+	composed := 0
+	for i := range parts {
+		if parts[i].rows != nil {
+			composed += len(sel)
+		}
+		parts[i].rows = columnar.ComposeRows(parts[i].rows, sel, degree)
+	}
+	return composed
+}
+
+// materialize copies every listed part's columns through its list into
+// one table and charges the copy — rows times columns copied — to the
+// frame, returning the charge for the operator row that asked for it:
+// derive, window, an expression project, a filter over a join's output,
+// a fused chain's entry, or the query result. A query copies a column at
+// most once, here. A copied column is keyed by its part's provenance when
+// the lists carry one, by content otherwise; a part with no list hands
+// its columns on as they are. A lined-up frame is left alone.
+func (e *Engine) materialize(f *frame) vtime.Duration {
+	if f.lined() {
+		return 0
+	}
+	start := time.Now()
+	n, copied, width := f.Len(), 0, 0
+	for _, p := range f.parts {
+		width += p.tbl.NumColumns()
+	}
+	cols := make([]columnar.Column, 0, width)
+	for _, p := range f.parts {
+		for _, c := range p.tbl.Columns() {
+			if p.rows != nil {
+				g := columnar.GatherColumnDegree(c, c.Name(), p.rows, e.cfg.Degree)
+				if f.sel == selNone && !f.unkeyed && len(p.steps) > 0 {
+					g = columnar.WithKey(g, provenanceKey(c, p.steps))
+				}
+				c = g
+				copied++
+				if copyHook != nil {
+					copyHook(c)
+				}
+			}
+			cols = append(cols, c)
+		}
+	}
+	// Unique names and equal lengths hold by construction.
+	f.setTable(columnar.MustNewTable(f.parts[0].tbl.Name(), cols...))
+	f.q.wallGather(start)
+	t := e.model.CPUTime(float64(n*copied), e.model.CPUScanRate, e.cfg.Degree)
+	e.addCPU(f, t)
+	return t
+}
+
+// copyHook, when set, sees every column materialize copies. Tests count
+// copies through it.
+var copyHook func(col columnar.Column)
+
+// fail ends an operator's span with the error that stopped the operator,
+// so a failed query leaves no span open, and returns the error.
+func (f *frame) fail(sp trace.Context, err error) (*frame, error) {
+	sp.End(f.at(), trace.Str("error", err.Error()))
+	return nil, err
+}

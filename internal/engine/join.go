@@ -28,13 +28,15 @@ const (
 // execJoin is an inner equi-join on one integer key. The smaller side —
 // by logical row count — is the build side and supplies its key column's
 // index (resident on the column, so a base-table dimension builds once per
-// process); the larger side probes it count-then-fill. The left input is
-// read through its row list, never copied first: probe keys are read
-// through the list, and each output column is gathered once, through the
-// list composed with the match. A join predicate is evaluated once over
-// the joined base table: the probe skips the build rows it rejects, or,
-// when the joined table probes, reads only the rows it keeps. Output rows
-// are in probe order, a probe row's matches in ascending build-row order.
+// process); the larger side probes it count-then-fill. The join copies no
+// values. The left key is read through its part's list; each left part's
+// list is composed with the match, or left alone when every left row
+// matched exactly once, in order; the joined table becomes a part of its
+// own whose list is its side of the match. A join predicate is evaluated
+// once over the joined base table: the probe skips the build rows it
+// rejects, or, when the joined table probes, reads only the rows it keeps.
+// Output rows are in probe order, a probe row's matches in ascending
+// build-row order.
 func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	left, err := e.execInput(n.Left, q.deeper())
 	if err != nil {
@@ -49,13 +51,14 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	}
 	// Resolve which condition column belongs to which side.
 	lcol, rcol := n.LeftCol, n.RightCol
-	if !left.tbl.HasColumn(lcol) && left.tbl.HasColumn(rcol) {
+	if !left.hasColumn(lcol) && left.hasColumn(rcol) {
 		lcol, rcol = rcol, lcol
 	}
-	if left.tbl.Column(lcol) == nil || right.Column(rcol) == nil {
+	lc, lpart := left.find(lcol)
+	if lc == nil || right.Column(rcol) == nil {
 		return nil, fmt.Errorf("engine: join condition %s=%s references unknown columns", n.LeftCol, n.RightCol)
 	}
-	lk, ok := left.tbl.Column(lcol).(*columnar.Int64Column)
+	lk, ok := lc.(*columnar.Int64Column)
 	if !ok {
 		return nil, fmt.Errorf("engine: join column %q must be an integer key", lcol)
 	}
@@ -68,8 +71,9 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 			return nil, err
 		}
 	}
-	// The output is both sides restricted to the referenced columns (late
-	// materialization); column names must stay unique.
+	// The output is both sides restricted to the columns read above the
+	// join (late materialization): the left parts narrowed, the joined
+	// table's columns as a new part. Column names must stay unique.
 	wanted := func(name string) bool {
 		if n.Needed == nil {
 			return true
@@ -81,56 +85,58 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 		}
 		return false
 	}
-	var leftCols, rightCols []columnar.Column
-	for _, c := range left.tbl.Columns() {
-		if wanted(c.Name()) {
-			leftCols = append(leftCols, c)
-		}
-	}
 	for _, c := range right.Columns() {
-		if left.tbl.HasColumn(c.Name()) {
-			if c.Name() == rcol || c.Name() == lcol {
-				continue // drop the duplicate join key
-			}
+		if left.hasColumn(c.Name()) && c.Name() != rcol && c.Name() != lcol {
 			return nil, fmt.Errorf("engine: duplicate column %q across join of %s", c.Name(), n.Table)
 		}
-		if wanted(c.Name()) {
-			rightCols = append(rightCols, c)
+	}
+	parts := make([]part, 0, len(left.parts)+1)
+	for _, p := range left.parts {
+		if p.tbl = narrow(p.tbl, wanted); p.tbl != nil {
+			parts = append(parts, p)
 		}
 	}
-	if len(leftCols)+len(rightCols) == 0 {
-		return nil, fmt.Errorf("engine: join of %s would produce no columns", n.Table)
+	// The duplicate join key is dropped: the left's is the output's.
+	rightTbl := narrow(right, func(name string) bool { return wanted(name) && !left.hasColumn(name) })
+	if len(parts) == 0 && rightTbl == nil {
+		// Nothing above reads a column, only the rows: the left key
+		// carries them.
+		p := left.parts[lpart]
+		p.tbl = columnar.MustNewTable(p.tbl.Name(), lk)
+		parts = append(parts, p)
 	}
 
 	start := left.at()
 	sp := left.begin("op", "join")
 	hostStart := time.Now()
 
-	// A side's identity in its output columns' provenance keys: its key
-	// column's key, and what narrowed its rows — the left's row list, the
-	// joined table's predicate.
-	leftID, rightID := lk.Key(), rk.Key()
-	if left.rows != nil {
-		leftID = columnar.MixKeys(leftID, left.rowsKey)
+	// A side's identity in its copied columns' provenance keys: its key
+	// column's key — the one a copy of it would carry — and what narrowed
+	// its rows: the left's filter, the joined table's predicate.
+	leftID, rightID := provenanceKey(lk, left.parts[lpart].steps), rk.Key()
+	if left.sel == selKeyed {
+		leftID = columnar.MixKeys(leftID, left.selKey)
 	}
+	lrows := left.parts[lpart].rows
 	var kept []int32 // the joined table's rows the predicate keeps; nil: every row
 	var predT vtime.Duration
 	if n.Pred != nil {
 		kept, err = expr.EvalPredicate(right, n.Pred, e.cfg.Degree)
 		if err != nil {
-			sp.End(left.at(), trace.Str("error", err.Error()))
-			return nil, err
+			return left.fail(sp, err)
 		}
 		rightID = columnar.MixKeys(rightID, predKey(right, n.Pred))
 		predT = e.model.CPUTime(float64(right.Rows()), e.model.CPUExprRate, e.cfg.Degree)
 	}
 
-	// Build on the smaller input, probe the larger.
-	leftN := left.numRows()
+	// Build on the smaller input, probe the larger. leftPos is the left
+	// places the output reads, nil when it reads every one in order;
+	// rightRows the joined table's rows, nil for every row.
+	leftN := left.Len()
 	buildRight := right.Rows() <= leftN
 	var m joinMatch
-	var leftRows, rightRows []int32
-	var buildN, probeN int
+	var leftPos, rightRows []int32
+	var buildN, probeN, composed int
 	if buildRight {
 		var keep *columnar.Bitmap
 		if kept != nil {
@@ -139,27 +145,21 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 				keep.Set(int(r))
 			}
 		}
-		m, err = probeJoin(rk.KeyIndex(), lk, left.rows, keep, e.cfg.Degree)
-		leftRows, rightRows = m.probeRows, m.buildRows
-		if m.identity {
-			leftRows = left.rows
+		m, err = probeJoin(rk.KeyIndex(), lk, lrows, keep, e.cfg.Degree)
+		if !m.identity {
+			leftPos = m.probeRows
 		}
+		rightRows = m.buildRows
 		buildN, probeN = right.Rows(), leftN
 	} else {
-		// The left builds: its key column through its list, a per-query
-		// index; build rows are then list positions.
-		bk := lk
-		if left.rows != nil {
-			bk = lk.GatherDegree(lcol, left.rows, e.cfg.Degree)
-		}
-		m, err = probeJoin(bk.KeyIndex(), rk, kept, nil, e.cfg.Degree)
-		leftRows, rightRows = m.buildRows, m.probeRows
-		if m.identity {
-			rightRows = kept
-		}
-		if left.rows != nil {
-			for i, r := range leftRows {
-				leftRows[i] = left.rows[r]
+		// The left builds: its key column read through its list, a
+		// per-query index whose rows are left places.
+		m, err = probeJoin(lk.KeyIndexOf(lrows), rk, kept, nil, e.cfg.Degree)
+		leftPos, rightRows = m.buildRows, kept
+		if !m.identity {
+			rightRows = columnar.ComposeRows(kept, m.probeRows, e.cfg.Degree)
+			if kept != nil {
+				composed += len(rightRows)
 			}
 		}
 		buildN, probeN = leftN, right.Rows()
@@ -168,66 +168,99 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 		}
 	}
 	if err != nil {
-		sp.End(left.at(), trace.Str("error", err.Error()))
-		return nil, err
+		return left.fail(sp, err)
 	}
 	q.wallHost(hostStart)
 
-	// Materialize. Columns are immutable, so a side whose rows are all of
-	// its input, in order — every probe row matched exactly once, nothing
-	// listed or masked — goes into the output as it is: vectors, memoised
-	// content hash and all. A gathered column's cache key is its
-	// provenance: its source column's key, its side, and the two sides'
-	// identities, which fix the rows gathered. Equal provenance is equal
-	// content, so the fusion cache never hashes a join output. A list no
-	// filter made has no provenance: columns gathered through it are keyed
-	// by content.
-	gatherStart := time.Now()
+	// Compose the left lists and record each listed part's provenance:
+	// the step a copy through its list mixes into its source column's
+	// key, with the two sides' identities, which fix the rows. A part the
+	// join hands on unlisted and unfiltered takes no step: its columns
+	// come out as they went in. Over lists no key fixes (a sort's or a
+	// limit's) the steps are not taken, and copies are keyed by content.
+	composeStart := time.Now()
 	leftSide, rightSide := probeSide, buildSide
 	probeID, buildID := leftID, rightID
 	if !buildRight {
 		leftSide, rightSide = rightSide, leftSide
 		probeID, buildID = buildID, probeID
 	}
-	keyed := left.rows == nil || left.rowsKeyed
-	cols := make([]columnar.Column, 0, len(leftCols)+len(rightCols))
-	gather := func(side []columnar.Column, rows []int32, tag uint64) {
-		for _, c := range side {
-			if rows != nil {
-				g := columnar.GatherColumnDegree(c, c.Name(), rows, e.cfg.Degree)
-				if keyed {
-					g = columnar.WithKey(g, columnar.MixKeys(c.Key(), tag, probeID, buildID))
-				}
-				c = g
-			}
-			cols = append(cols, c)
+	keyed := left.sel != selUnkeyed && !left.unkeyed
+	if leftPos != nil {
+		composed += composeParts(parts, leftPos, e.cfg.Degree)
+	}
+	step := func(steps []uint64, side uint64) []uint64 {
+		return append(steps[:len(steps):len(steps)], side, probeID, buildID)
+	}
+	for i := range parts {
+		if keyed && (leftPos != nil || left.sel != selNone) {
+			parts[i].steps = step(parts[i].steps, leftSide)
 		}
 	}
-	gather(leftCols, leftRows, leftSide)
-	gather(rightCols, rightRows, rightSide)
-	// Unique names and equal lengths hold by construction.
-	out := columnar.MustNewTable(left.tbl.Name()+"_j", cols...)
-	q.wallGather(gatherStart)
+	if rightTbl != nil {
+		rp := part{tbl: rightTbl, rows: rightRows}
+		if keyed && rightRows != nil {
+			rp.steps = step(nil, rightSide)
+		}
+		parts = append(parts, rp)
+	}
+	left.parts = parts
+	left.sel, left.selKey, left.unkeyed = selNone, 0, !keyed
+	q.wallGather(composeStart)
 
+	outRows := left.Len()
 	t := predT +
 		e.model.CPUTime(float64(buildN), e.model.CPUHashBuildRate, e.cfg.Degree) +
 		e.model.CPUTime(float64(probeN), e.model.CPUHashProbeRate, e.cfg.Degree) +
-		e.model.CPUTime(float64(out.Rows()*out.NumColumns()), e.model.CPUScanRate, e.cfg.Degree)
+		e.model.CPUTime(float64(composed), e.model.CPUScanRate, e.cfg.Degree)
 	e.addCPU(left, t)
 	detail := fmt.Sprintf("%s on %s=%s", n.Table, lcol, rcol)
-	attrs := []trace.Attr{trace.Str("table", n.Table), trace.Int("rows", int64(out.Rows()))}
+	attrs := []trace.Attr{trace.Str("table", n.Table), trace.Int("rows", int64(outRows))}
 	if n.Pred != nil {
 		detail += fmt.Sprintf(" where %s kept %d of %d", n.Pred, len(kept), right.Rows())
 		attrs = append(attrs, trace.Int("kept", int64(len(kept))))
 	}
 	sp.End(left.at(), attrs...)
-	left.tbl, left.rows = out, nil
 	left.ops = append(left.ops, OpStat{
 		Op: "join", Detail: detail,
-		Depth: q.depth, Rows: out.Rows(),
+		Depth: q.depth, Rows: outRows,
 		Span: sp.ID(), Start: start, End: left.at(), Modeled: t,
 	})
 	return left, nil
+}
+
+// narrow returns tbl restricted to the columns keep holds, in order: tbl
+// itself when it holds them all, nil when it holds none.
+func narrow(tbl *columnar.Table, keep func(name string) bool) *columnar.Table {
+	n := 0
+	for _, c := range tbl.Columns() {
+		if keep(c.Name()) {
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return nil
+	case tbl.NumColumns():
+		return tbl
+	}
+	cols := make([]columnar.Column, 0, n)
+	for _, c := range tbl.Columns() {
+		if keep(c.Name()) {
+			cols = append(cols, c)
+		}
+	}
+	return columnar.MustNewTable(tbl.Name(), cols...)
+}
+
+// provenanceKey is the key a copy of c through a list with the given
+// provenance steps carries: c's own key mixed with each step in turn.
+func provenanceKey(c columnar.Column, steps []uint64) uint64 {
+	key := c.Key()
+	for s := 0; s < len(steps); s += 3 {
+		key = columnar.MixKeys(key, steps[s], steps[s+1], steps[s+2])
+	}
+	return key
 }
 
 // predKey is a predicate's identity over tbl: its text and the keys of the
@@ -242,14 +275,15 @@ func predKey(tbl *columnar.Table, pred expr.Expr) uint64 {
 	return columnar.MixKeys(keys...)
 }
 
-// joinMatch is a join's match list: pair i joins probe row probeRows[i]
-// with build row buildRows[i], pairs in probe order and a probe row's
-// matches in ascending build-row order.
+// joinMatch is a join's match list: pair i joins probe place probeRows[i]
+// — a place in the probe's row list — with build row buildRows[i], pairs
+// in probe order and a probe place's matches in ascending build-row
+// order.
 type joinMatch struct {
 	probeRows, buildRows []int32
-	// identity: every probe row matched exactly once, so probeRows would be
-	// the probe rows in order and is left nil — the probe side's columns,
-	// or its list, are the output's.
+	// identity: every probe place matched exactly once, so probeRows would
+	// be every place in order and is left nil — the probe side's lists
+	// are the output's.
 	identity bool
 }
 
@@ -323,13 +357,9 @@ func probeJoin(idx *columnar.KeyIndex, probe *columnar.Int64Column, rows []int32
 	parallel.For(n, joinGrain, degree, func(lo, hi, worker int) {
 		pos := offsets[worker]
 		for i := lo; i < hi; i++ {
-			row := int32(i)
-			if rows != nil {
-				row = rows[i]
-			}
 			for r := first[i]; r >= 0; r = idx.Next(r) {
 				if keep == nil || keep.Get(int(r)) {
-					m.probeRows[pos] = row
+					m.probeRows[pos] = int32(i)
 					m.buildRows[pos] = r
 					pos++
 				}

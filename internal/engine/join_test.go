@@ -80,7 +80,7 @@ func referenceJoinBuilding(left, right *columnar.Table, lcol, rcol string, neede
 			cols = append(cols, columnar.GatherColumn(c, c.Name(), rightRows))
 		}
 	}
-	return leftRows, rightRows, columnar.MustNewTable(left.Name()+"_j", cols...)
+	return leftRows, rightRows, columnar.MustNewTable(left.Name(), cols...)
 }
 
 // probeRowLists runs the product probe the way execJoin does — index on
@@ -219,7 +219,8 @@ func runJoinNode(e *Engine, left, right *columnar.Table, j *plan.Join) (*columna
 	if err != nil {
 		return nil, err
 	}
-	return f.tbl, nil
+	e.materialize(f)
+	return f.table(), nil
 }
 
 // mustPred lowers a WHERE condition for a hand-built plan.
@@ -315,8 +316,8 @@ func TestJoinMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						listed := left
-						if in.rows != nil {
-							listed = columnar.GatherTable("l", left, in.rows)
+						if rows := in.parts[0].rows; rows != nil {
+							listed = columnar.GatherTable("l", left, rows)
 						}
 						masked := right
 						if pred != "" {
@@ -334,6 +335,147 @@ func TestJoinMatchesReference(t *testing.T) {
 						}
 						sameTable(t, got, want)
 					})
+				}
+			}
+		}
+	}
+	t.Run("chains", joinChainsMatchReference)
+}
+
+// chainJoin is one join of a chain: the dimension joined, the chain's
+// column it joins on (the dimension's key is its prefix+"k"), and a
+// predicate over the dimension, "" for none.
+type chainJoin struct {
+	dim        *columnar.Table
+	prefix, on string
+	pred       string
+}
+
+// chainFact is a chain's fact table: joinSide's columns, keyed by lk, plus
+// two more keys, la and lb, read backwards and halved from the same list.
+func chainFact(keys []nkey) *columnar.Table {
+	base := joinSide("l", "l", keys)
+	la, lb := columnar.NewInt64Builder("la"), columnar.NewInt64Builder("lb")
+	for i := range keys {
+		k := keys[len(keys)-1-i]
+		if k.null {
+			la.AppendNull()
+		} else {
+			la.Append(k.v)
+		}
+		lb.Append(keys[i].v / 2)
+	}
+	return columnar.MustNewTable("l", append(append([]columnar.Column{}, base.Columns()...), la.Build(), lb.Build())...)
+}
+
+// checkChain runs joins left-deep over start — a plan over the fact "l" —
+// and holds the result to referenceJoin applied join by join over the
+// tables the start's list and each predicate select, each building on the
+// side the engine picks from logical row counts.
+func checkChain(t testing.TB, e *Engine, fact *columnar.Table, start plan.Node, joins []chainJoin) {
+	t.Helper()
+	e.tables = map[string]*columnar.Table{"l": fact}
+	for _, j := range joins {
+		e.tables[j.dim.Name()] = j.dim
+	}
+	in, err := e.exec(start, qctx{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fact
+	if rows := in.parts[0].rows; rows != nil {
+		want = columnar.GatherTable("l", fact, rows)
+	}
+	var node plan.Node = start
+	for _, j := range joins {
+		jn := &plan.Join{Left: node, Table: j.dim.Name(), LeftCol: j.on, RightCol: j.prefix + "k"}
+		masked := j.dim
+		if j.pred != "" {
+			jn.Pred = mustPred(t, j.pred)
+			kept, err := expr.EvalPredicate(j.dim, jn.Pred, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			masked = columnar.GatherTable(j.dim.Name(), j.dim, kept)
+		}
+		_, _, want = referenceJoinBuilding(want, masked, j.on, j.prefix+"k", nil, j.dim.Rows() <= want.Rows())
+		node = jn
+	}
+	f, err := e.exec(node, qctx{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.materialize(f)
+	sameTable(t, f.table(), want)
+}
+
+// chainStarts are the ways a chain's left side arrives: unlisted, through
+// a filter's list (one that keeps some rows, one that keeps none) or
+// through a sort's.
+var chainStarts = []struct {
+	name string
+	node func(t testing.TB) plan.Node
+}{
+	{"scan", func(testing.TB) plan.Node { return &plan.Scan{Table: "l"} }},
+	{"filter list", func(t testing.TB) plan.Node {
+		return &plan.Filter{Input: &plan.Scan{Table: "l"}, Pred: mustPred(t, "lf > 40.0 OR ls = 'l3'")}
+	}},
+	{"empty filter list", func(t testing.TB) plan.Node {
+		return &plan.Filter{Input: &plan.Scan{Table: "l"}, Pred: mustPred(t, "li < 0")}
+	}},
+	{"sort list", func(testing.TB) plan.Node {
+		return &plan.Sort{Input: &plan.Scan{Table: "l"}, Keys: []plan.SortKey{{Column: "li", Desc: true}}}
+	}},
+}
+
+// joinChainsMatchReference is TestJoinMatchesReference over chains of two
+// and three joins, whose later joins take their left side as parts — the
+// fact's and each earlier dimension's, each under its composed list — and
+// probe with a fact key or, snowflake-wise, a dimension's: at degrees 1, 2
+// and 8, with and without join predicates, with unique and duplicate build
+// keys, and with the dimensions building on either side.
+func joinChainsMatchReference(t *testing.T) {
+	dims := func(rows int, dup bool) (r, s, u *columnar.Table) {
+		keys := func(shift int) []nkey {
+			return keysN(rows, func(i int) nkey {
+				v := int64(i)
+				if dup {
+					v = int64(i % (rows/2 + 1))
+				}
+				return nkey{v: v + int64(shift), null: i%17 == 9}
+			})
+		}
+		return joinSide("r", "r", keys(0)), joinSide("s", "s", keys(3)), joinSide("u", "u", keys(-2))
+	}
+	for _, degree := range []int{1, 2, 8} {
+		e := joinEngine(t, degree)
+		for _, dup := range []bool{false, true} {
+			for _, size := range []struct {
+				name       string
+				fact, dims int
+			}{
+				{"dimensions build", 3_000, 40},
+				{"fact builds", 12, 5_000},
+			} {
+				fact := chainFact(keysN(size.fact, func(i int) nkey { return nkey{v: int64(i*7) % 45, null: i%23 == 4} }))
+				r, sd, u := dims(size.dims, dup)
+				for _, preds := range [][3]string{{}, {"ri >= 9 AND rf IS NOT NULL", "ss <> 's4'", "ui < 90"}} {
+					chains := []struct {
+						name  string
+						joins []chainJoin
+					}{
+						{"two joins", []chainJoin{{r, "r", "lk", preds[0]}, {sd, "s", "la", preds[1]}}},
+						{"three joins", []chainJoin{{r, "r", "lk", preds[0]}, {sd, "s", "la", preds[1]}, {u, "u", "lb", preds[2]}}},
+						{"snowflake", []chainJoin{{r, "r", "lk", preds[0]}, {sd, "s", "ri", preds[1]}, {u, "u", "la", preds[2]}}},
+					}
+					for _, ch := range chains {
+						for _, st := range chainStarts {
+							name := fmt.Sprintf("%s/%s/%s/dup=%v/pred=%v/degree=%d", ch.name, st.name, size.name, dup, preds[0] != "", degree)
+							t.Run(name, func(t *testing.T) {
+								checkChain(t, e, fact, st.node(t), ch.joins)
+							})
+						}
+					}
 				}
 			}
 		}
@@ -382,8 +524,16 @@ func FuzzJoinMatchesReference(f *testing.F) {
 	engines := []*Engine{joinEngine(f, 1), joinEngine(f, 3)}
 	f.Fuzz(func(t *testing.T, leftKeys, rightKeys []byte) {
 		left, right := joinSide("l", "l", decodeKeys(leftKeys)), joinSide("r", "r", decodeKeys(rightKeys))
+		// The same keys through a two-join chain: the second dimension
+		// joins the fact's reversed keys, and its left side arrives as
+		// the first join's parts.
+		fact, second := chainFact(decodeKeys(leftKeys)), joinSide("s", "s", decodeKeys(rightKeys))
+		joins := []chainJoin{{right, "r", "lk", ""}, {second, "s", "la", "ss <> 's4'"}}
 		for _, e := range engines {
 			checkJoinAgainstReference(t, e, left, right, nil)
+			for _, st := range chainStarts {
+				checkChain(t, e, fact, st.node(t), joins)
+			}
 		}
 	})
 }
@@ -455,6 +605,58 @@ func TestRejectedJoinLeavesNoOpenSpan(t *testing.T) {
 	}
 }
 
+// TestFailedOperatorLeavesNoOpenSpan: an operator that fails after its
+// span opened — a predicate or an expression that does not type, a sort
+// or a window over a column the input lacks — ends its span with the
+// error, so the failed query's trace holds ended spans only.
+func TestFailedOperatorLeavesNoOpenSpan(t *testing.T) {
+	e := newTestEngine(t, 1_000)
+	tr := trace.New()
+	e.SetTracer(tr)
+	for _, tc := range []struct{ sql, span string }{
+		{"SELECT s_qty FROM sales WHERE s_qty > 'abc'", "filter"},
+		{"SELECT s_qty + 'x' AS y FROM sales", "project"},
+		{"SELECT s_month, SUM(s_qty + 'x') AS t FROM sales GROUP BY s_month", "derive"},
+		{"SELECT s_qty FROM sales ORDER BY s_qty, s_missing", "sort"},
+		{"SELECT s_qty, RANK() OVER (ORDER BY s_missing) AS r FROM sales", "window-sort"},
+		{"SELECT st_name, s_qty FROM sales JOIN stores ON s_store_sk = st_store_sk WHERE st_name > s_qty", "filter"},
+	} {
+		_, err := e.Query(tc.sql)
+		var qe *QueryError
+		if !errors.As(err, &qe) || qe.TraceSeq == 0 {
+			t.Fatalf("%s: no traced QueryError in %v", tc.sql, err)
+		}
+		failed := false
+		for _, sp := range tr.QuerySpans(qe.TraceSeq) {
+			if sp.WallEnd.IsZero() {
+				t.Errorf("%s: span %s/%s was never ended", tc.sql, sp.Cat, sp.Name)
+			}
+			if sp.Cat != "op" || sp.Name != tc.span {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				failed = failed || a.Key == "error"
+			}
+		}
+		if !failed {
+			t.Errorf("%s: no op/%s span ended with the error", tc.sql, tc.span)
+		}
+	}
+}
+
+// TestJoinNothingReadAbove: when nothing above a join reads a column of
+// it, only its rows, the join still hands on every row.
+func TestJoinNothingReadAbove(t *testing.T) {
+	e := newTestEngine(t, 1_000)
+	res, err := e.Query("SELECT 1 AS one FROM sales JOIN stores ON s_store_sk = st_store_sk WHERE st_region = 'east'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Table.Rows() != 500 || len(res.Columns) != 1 {
+		t.Fatalf("%d rows of %v, want 500 of [one]", res.Table.Rows(), res.Columns)
+	}
+}
+
 // TestJoinIndexFollowsTheTable: the key index lives on the dimension's key
 // column, not under the table's name, so engines that register different
 // dimensions under one name — against one shared fact table, all at once —
@@ -486,7 +688,8 @@ func TestJoinIndexFollowsTheTable(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !bytes.Equal(canonicalResult(f.tbl), canonicalResult(want)) {
+				e.materialize(f)
+				if !bytes.Equal(canonicalResult(f.table()), canonicalResult(want)) {
 					t.Errorf("variant %d lap %d: join answered from another table's keys", v, lap)
 				}
 			}
@@ -598,7 +801,8 @@ func TestJoinOutputsKeyedByProvenance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range f.tbl.Columns() {
+			e.materialize(f)
+			for _, c := range f.table().Columns() {
 				keys[run] = append(keys[run], c.Key())
 			}
 		}
@@ -751,5 +955,71 @@ func BenchmarkJoinProbe(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStarJoin is the star join's micro-ruler: a fact of 1 M rows
+// through a filter that keeps 60 % of them, then three joins, each
+// dimension masked to 20 % of its rows by a join predicate, handing on
+// the fact's payload and one column of each dimension — the shape of a
+// warm ROLAP statement's joins, up to the first operator that reads them.
+func BenchmarkStarJoin(b *testing.B) {
+	const factRows = 1 << 20
+	dimRows := []int{2_000, 10_000, 400}
+	fb := columnar.NewInt64Builder("f_qty")
+	keys := make([]*columnar.Int64Builder, len(dimRows))
+	for d := range keys {
+		keys[d] = columnar.NewInt64Builder(fmt.Sprintf("f_k%d", d))
+	}
+	for i := 0; i < factRows; i++ {
+		fb.Append(int64(i*7) % 10)
+		for d, n := range dimRows {
+			keys[d].Append(int64(i*(7919+d*104729)) % int64(n))
+		}
+	}
+	factCols := []columnar.Column{fb.Build()}
+	for _, k := range keys {
+		factCols = append(factCols, k.Build())
+	}
+	tables := map[string]*columnar.Table{"f": columnar.MustNewTable("f", factCols...)}
+	var node plan.Node = &plan.Filter{Input: &plan.Scan{Table: "f"}, Pred: mustPred(b, "f_qty < 6")}
+	var joins []*plan.Join
+	for d, n := range dimRows {
+		dk, dv, dn := columnar.NewInt64Builder(fmt.Sprintf("d%d_k", d)), columnar.NewInt64Builder(fmt.Sprintf("d%d_v", d)), columnar.NewStringBuilder(fmt.Sprintf("d%d_n", d))
+		for r := 0; r < n; r++ {
+			dk.Append(int64(r))
+			dv.Append(int64(r*13) % 100)
+			dn.Append(fmt.Sprintf("n%d", r%50))
+		}
+		name := fmt.Sprintf("d%d", d)
+		tables[name] = columnar.MustNewTable(name, dk.Build(), dv.Build(), dn.Build())
+		j := &plan.Join{Left: node, Table: name, LeftCol: fmt.Sprintf("f_k%d", d), RightCol: name + "_k",
+			Pred: mustPred(b, name+"_v < 20")}
+		joins = append(joins, j)
+		node = j
+	}
+	// Each join hands on the fact's payload, the dimension names joined so
+	// far and the fact keys the joins above it probe with.
+	for d, j := range joins {
+		j.Needed = []string{"f_qty"}
+		for e := range joins {
+			if e <= d {
+				j.Needed = append(j.Needed, fmt.Sprintf("d%d_n", e))
+			} else {
+				j.Needed = append(j.Needed, fmt.Sprintf("f_k%d", e))
+			}
+		}
+	}
+	e := joinEngine(b, 24)
+	e.tables = tables
+	if _, err := e.exec(node, qctx{}); err != nil { // key indexes fill
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.exec(node, qctx{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 	"blugpu/internal/trace"
 )
 
-// sortKeyWords extracts binary-sortable keys for the rows of tbl that rows
-// lists (nil: every row) into one flat buffer of 4-byte segments, row
-// after row in list order: per sort column the NULL flag (NULLs first,
+// sortKeyWords extracts binary-sortable keys for the places of src, each
+// sort column read through its own row list, into one flat buffer of
+// 4-byte segments, place after place: per sort column the NULL flag (NULLs first,
 // over the zero value's encoding), then two segments for an int (sign bit
 // flipped) or a float (IEEE total order), or one for a dictionary code
 // (the dictionary is sorted, so codes preserve order).
@@ -23,11 +23,12 @@ import (
 // segment within a row, offs[len(keys)] the segments per row. Workers
 // fill disjoint row ranges a column at a time over the typed vectors, so
 // no row owns an allocation.
-func sortKeyWords(tbl *columnar.Table, rows []int32, keys []plan.SortKey, degree int) (words []uint32, offs []int, err error) {
+func sortKeyWords(src columnar.Source, keys []plan.SortKey, degree int) (words []uint32, offs []int, err error) {
 	cols := make([]columnar.Column, len(keys))
+	lists := make([][]int32, len(keys))
 	offs = make([]int, len(keys)+1)
 	for i, k := range keys {
-		cols[i] = tbl.Column(k.Column)
+		cols[i], lists[i] = src.Listed(k.Column)
 		switch cols[i].(type) {
 		case nil:
 			return nil, nil, fmt.Errorf("engine: unknown sort column %q", k.Column)
@@ -39,13 +40,11 @@ func sortKeyWords(tbl *columnar.Table, rows []int32, keys []plan.SortKey, degree
 			return nil, nil, fmt.Errorf("engine: cannot sort column type %v", cols[i].Type())
 		}
 	}
-	depth, n := offs[len(keys)], tbl.Rows()
-	if rows != nil {
-		n = len(rows)
-	}
+	depth, n := offs[len(keys)], src.Len()
 	words = make([]uint32, n*depth)
 	parallel.For(n, exprGrain, degree, func(lo, hi, _ int) {
 		for i, col := range cols {
+			rows := lists[i]
 			var inv uint32
 			if keys[i].Desc {
 				inv = ^uint32(0)
@@ -164,28 +163,24 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rows := f.numRows(); rows > 1 {
+	if rows := f.Len(); rows > 1 {
 		start := f.at()
 		sp := f.begin("op", "sort")
-		words, offs, err := sortKeyWords(f.tbl, f.rows, n.Keys, e.cfg.Degree)
+		words, offs, err := sortKeyWords(f, n.Keys, e.cfg.Degree)
 		if err != nil {
-			return nil, err
+			return f.fail(sp, err)
 		}
 		perm, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, rows, offs[len(n.Keys)]), f, sp)
 		if err != nil {
-			return nil, err
+			return f.fail(sp, err)
 		}
 		sp.End(f.at(), trace.Int("rows", int64(rows)),
 			trace.Int("jobs", int64(stats.Jobs)), trace.Int("gpu-jobs", int64(stats.GPUJobs)))
-		// The sort's output is its permutation of the row list: the paper's
-		// tuples stay where they are, and only the first rows a limit keeps
-		// are ever copied.
-		if f.rows != nil {
-			for i, p := range perm {
-				perm[i] = f.rows[p]
-			}
-		}
-		f.rows, f.rowsKeyed = perm, false
+		// The sort's output is its permutation composed with every part's
+		// list: the paper's tuples stay where they are, and only the first
+		// rows a limit keeps are ever copied.
+		composeParts(f.parts, perm, e.cfg.Degree)
+		f.sel = selUnkeyed
 		f.ops = append(f.ops, OpStat{
 			Op: "sort", Detail: fmt.Sprintf("jobs=%d gpu=%d cpu=%d", stats.Jobs, stats.GPUJobs, stats.CPUJobs),
 			Depth: q.depth, Rows: rows,
@@ -201,10 +196,8 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.materialize(f)
-	tbl := f.tbl
-	ranks := make([]int64, tbl.Rows())
-	if tbl.Rows() > 0 {
+	ranks := make([]int64, f.Len())
+	if f.Len() > 0 {
 		// Sort by (partition, order) — the sort the paper says RANK()
 		// drives — then walk the order assigning ranks per partition over
 		// the key buffer the sort was served from.
@@ -215,20 +208,22 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 		keys = append(keys, n.OrderBy...)
 		start := f.at()
 		sp := f.begin("op", "window-sort")
-		words, offs, err := sortKeyWords(tbl, nil, keys, e.cfg.Degree)
+		copyT := e.materialize(f)
+		tbl := f.table()
+		words, offs, err := sortKeyWords(f, keys, e.cfg.Degree)
 		if err != nil {
-			return nil, err
+			return f.fail(sp, err)
 		}
 		depth, partDepth := offs[len(keys)], offs[len(n.PartitionBy)]
 		perm, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, tbl.Rows(), depth), f, sp)
 		if err != nil {
-			return nil, err
+			return f.fail(sp, err)
 		}
 		sp.End(f.at(), trace.Int("rows", int64(tbl.Rows())))
 		f.ops = append(f.ops, OpStat{
 			Op: "window-sort", Detail: fmt.Sprintf("rank over %d rows", tbl.Rows()),
 			Depth: q.depth, Rows: tbl.Rows(),
-			Span: sp.ID(), Start: start, End: f.at(), Modeled: stats.Modeled,
+			Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + stats.Modeled,
 			Sort: sortRecord(stats),
 		})
 
@@ -248,12 +243,14 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 			prev = cur
 		}
 	}
+	e.materialize(f) // lined up above, unless there were no rows to copy
+	tbl := f.table()
 	cols := append([]columnar.Column{}, tbl.Columns()...)
 	cols = append(cols, columnar.NewInt64Column(n.Out, ranks, nil))
 	out, err := columnar.NewTable(tbl.Name()+"_w", cols...)
 	if err != nil {
 		return nil, err
 	}
-	f.tbl = out
+	f.setTable(out)
 	return f, nil
 }

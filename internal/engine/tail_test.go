@@ -205,7 +205,7 @@ func TestAggOutputMatchesBoxedOracle(t *testing.T) {
 		} {
 			for _, degree := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("%s/%v/degree=%d", tbl.Name(), keys, degree), func(t *testing.T) {
-					chain, err := evaluator.BuildInput(tbl, nil, evaluator.Spec{Keys: keys, Aggs: cols},
+					chain, err := evaluator.BuildInput(columnar.TableRows{Table: tbl}, evaluator.Spec{Keys: keys, Aggs: cols},
 						evaluator.Deps{Model: vtime.Default(), Degree: degree})
 					if err != nil {
 						t.Fatal(err)
@@ -408,7 +408,7 @@ func FuzzSortKeysMatchReference(f *testing.F) {
 		var words []uint32
 		var depth int
 		for _, degree := range []int{1, 3} {
-			w, offs, err := sortKeyWords(tbl, nil, keys, degree)
+			w, offs, err := sortKeyWords(columnar.TableRows{Table: tbl}, keys, degree)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,11 +416,11 @@ func FuzzSortKeysMatchReference(f *testing.F) {
 			rev := columnar.IotaRows(tbl.Rows(), 1)
 			slices.Reverse(rev)
 			rev = rev[:len(rev)/2]
-			viaRows, _, err := sortKeyWords(tbl, rev, keys, degree)
+			viaRows, _, err := sortKeyWords(columnar.TableRows{Table: tbl, Rows: rev}, keys, degree)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gathered, _, err := sortKeyWords(columnar.GatherTable("g", tbl, rev), nil, keys, degree)
+			gathered, _, err := sortKeyWords(columnar.TableRows{Table: columnar.GatherTable("g", tbl, rev)}, keys, degree)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -488,12 +488,12 @@ func TestWindowNullPartitionDescOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rnk := f.tbl.Column("rnk").(*columnar.Int64Column)
+		rnk := f.table().Column("rnk").(*columnar.Int64Column)
 		if rnk.Nulls() != nil || rnk.Len() != len(rows) {
 			t.Fatalf("rank column: %d rows, nulls %v", rnk.Len(), rnk.Nulls())
 		}
 		for i, r := range rows {
-			if f.tbl.Column("p").IsNull(i) != math.IsNaN(r.p) || f.tbl.Column("v").IsNull(i) != math.IsNaN(r.v) {
+			if f.table().Column("p").IsNull(i) != math.IsNaN(r.p) || f.table().Column("v").IsNull(i) != math.IsNaN(r.v) {
 				t.Fatalf("row %d moved", i)
 			}
 			if rnk.Int64(i) != r.wantRank {
@@ -539,7 +539,7 @@ func TestWindowEmptyOver(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.materialize(f)
-		sameTable(t, columnar.MustNewTable("t", f.tbl.Columns()...), tbl)
+		sameTable(t, columnar.MustNewTable("t", f.table().Columns()...), tbl)
 	}
 }
 
@@ -597,13 +597,13 @@ func TestRowListEdges(t *testing.T) {
 // 24) averages at most allocBudget allocations a statement. What is left
 // is per operator, per column and per worker, not per row, so the count
 // barely moves with the scale factor; a boxed value or a byte key per row
-// would add tens of thousands a statement. The lap measures 499 a
+// would add tens of thousands a statement. The lap measures 479 a
 // statement; the budget is that plus a quarter.
 func TestWorkloadLapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three laps of the workload")
 	}
-	const allocBudget = 624
+	const allocBudget = 598
 	e, err := New(Config{Devices: 2, Degree: 24})
 	if err != nil {
 		t.Fatal(err)
@@ -649,7 +649,7 @@ func BenchmarkAggOutput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chain, err := evaluator.BuildInput(tbl, nil, evaluator.Spec{Keys: []string{"k", "s"}, Aggs: cols},
+	chain, err := evaluator.BuildInput(columnar.TableRows{Table: tbl}, evaluator.Spec{Keys: []string{"k", "s"}, Aggs: cols},
 		evaluator.Deps{Model: vtime.Default(), Degree: 8})
 	if err != nil {
 		b.Fatal(err)
@@ -681,13 +681,13 @@ func BenchmarkSortKeys(b *testing.B) {
 	for i := range ids {
 		ids[i] %= 512
 	}
-	tbl := columnar.GatherTableDegree("t", sortTable(rows), ids, 8)
+	tbl := columnar.GatherTable("t", sortTable(rows), ids)
 	keys := sortKeysFor(0b1000001)
 	b.SetBytes(n * 7 * 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sortKeyWords(tbl, nil, keys, 8); err != nil {
+		if _, _, err := sortKeyWords(columnar.TableRows{Table: tbl}, keys, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

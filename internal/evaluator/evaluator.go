@@ -2,8 +2,9 @@
 // paper's Figures 1 and 2. The host-side evaluators — LCOG/LCOV (load
 // grouping keys and payloads), CCAT (concatenate multi-column keys), HASH
 // (hash grouping keys, feeding the KMV group estimator) and MEMCPY (stage
-// the vectors into the pinned host segment) — transform a columnar table
-// plus a selection into the groupby.Input the kernels consume. The LGHT
+// the vectors into the pinned host segment) — transform a relation whose
+// columns are each read through a row list (a columnar.Source) into the
+// groupby.Input the kernels consume. The LGHT
 // and aggregation evaluators of the original CPU chain live in
 // groupby.RunCPU.
 //
@@ -98,10 +99,11 @@ type KeyField struct {
 }
 
 // keyVec is a key field with its column resolved once — the typed vector
-// its Type selects and the null bitmap — so key packing runs over slices,
-// not column lookups.
+// its Type selects, the null bitmap and the row list it is read through —
+// so key packing runs over slices, not column lookups.
 type keyVec struct {
 	KeyField
+	rows   []int32
 	codes  []int32
 	ints   []int64
 	floats []float64
@@ -124,11 +126,10 @@ type Result struct {
 	Modeled vtime.Duration
 }
 
-// BuildInput runs the host evaluator chain over the rows of tbl that rows
-// lists, in that order; nil selects every row. The input, the key geometry
-// and the estimate are exactly those of the chain over a table gathered
-// from those rows.
-func BuildInput(tbl *columnar.Table, rows []int32, spec Spec, deps Deps) (*Result, error) {
+// BuildInput runs the host evaluator chain over src, each column read
+// through its own row list. The input, the key geometry and the estimate
+// are exactly those of the chain over a table gathered from src.
+func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 	if deps.Model == nil {
 		return nil, errors.New("evaluator: Deps.Model is required")
 	}
@@ -139,10 +140,7 @@ func BuildInput(tbl *columnar.Table, rows []int32, spec Spec, deps Deps) (*Resul
 		return nil, errors.New("evaluator: at least one grouping column required")
 	}
 
-	n := tbl.Rows()
-	if rows != nil {
-		n = len(rows)
-	}
+	n := src.Len()
 	at := deps.TraceAt
 	record := func(name string, nrows int64, d vtime.Duration) {
 		if deps.Monitor != nil {
@@ -155,7 +153,7 @@ func BuildInput(tbl *columnar.Table, rows []int32, spec Spec, deps Deps) (*Resul
 	}
 
 	// --- LCOG: load grouping key columns, compute field geometry ---
-	vecs, err := planKeyFields(tbl, rows, spec.Keys, deps.Degree)
+	vecs, err := planKeyFields(src, spec.Keys, deps.Degree)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +189,7 @@ func BuildInput(tbl *columnar.Table, rows []int32, spec Spec, deps Deps) (*Resul
 				in.WideKeys[i] = flat[i*totalBytes : (i+1)*totalBytes]
 			}
 			for f := range vecs {
-				vecs[f].packWide(rows, flat, totalBytes, lo, hi)
+				vecs[f].packWide(flat, totalBytes, lo, hi)
 			}
 		})
 		ccatT = deps.Model.CPUTime(float64(n*len(fields)), deps.Model.CPUExprRate, deps.Degree)
@@ -201,7 +199,7 @@ func BuildInput(tbl *columnar.Table, rows []int32, spec Spec, deps Deps) (*Resul
 		in.Keys = make([]uint64, n)
 		parallel.For(n, evalGrain, deps.Degree, func(lo, hi, _ int) {
 			for f := range vecs {
-				vecs[f].packNarrow(rows, in.Keys, lo, hi)
+				vecs[f].packNarrow(in.Keys, lo, hi)
 			}
 		})
 		if len(fields) > 1 {
@@ -213,7 +211,7 @@ func BuildInput(tbl *columnar.Table, rows []int32, spec Spec, deps Deps) (*Resul
 	// --- LCOV + aggregation specs ---
 	var lcovRows int64
 	for _, a := range spec.Aggs {
-		aspec, payload, err := buildPayload(tbl, rows, n, a, deps.Degree)
+		aspec, payload, err := buildPayload(src, n, a, deps.Degree)
 		if err != nil {
 			return nil, err
 		}
@@ -376,20 +374,20 @@ func at(rows []int32, i int) int {
 	return int(rows[i])
 }
 
-// planKeyFields computes per-column packing geometry over the selected
-// rows, exactly as over a column gathered from them. Int columns are
-// rebased to their min so the code fits the value range; string columns
-// use dictionary codes. A NULL code is reserved when a selected row is
-// NULL.
-func planKeyFields(tbl *columnar.Table, rows []int32, keys []string, degree int) ([]keyVec, error) {
+// planKeyFields computes per-column packing geometry over the rows each
+// key column's list selects, exactly as over a column gathered from them.
+// Int columns are rebased to their min so the code fits the value range;
+// string columns use dictionary codes. A NULL code is reserved when a
+// selected row is NULL.
+func planKeyFields(src columnar.Source, keys []string, degree int) ([]keyVec, error) {
 	fields := make([]keyVec, 0, len(keys))
 	bitOff, byteOff := 0, 0
 	for _, name := range keys {
-		col := tbl.Column(name)
+		col, rows := src.Listed(name)
 		if col == nil {
 			return nil, fmt.Errorf("evaluator: unknown grouping column %q", name)
 		}
-		f := keyVec{KeyField: KeyField{Column: name, Type: col.Type(), BitOffset: bitOff, ByteOffset: byteOff}}
+		f := keyVec{KeyField: KeyField{Column: name, Type: col.Type(), BitOffset: bitOff, ByteOffset: byteOff}, rows: rows}
 		switch c := col.(type) {
 		case *columnar.StringColumn:
 			f.Dict = c
@@ -515,7 +513,8 @@ func (f *keyVec) codeAt(r int) uint64 {
 // packNarrow ORs field f's packed codes for selection positions [lo, hi)
 // into keys[lo:hi]. A NULL row contributes code 0; real codes shift up by
 // one when the column has NULLs.
-func (f *keyVec) packNarrow(rows []int32, keys []uint64, lo, hi int) {
+func (f *keyVec) packNarrow(keys []uint64, lo, hi int) {
+	rows := f.rows
 	off := uint(f.BitOffset)
 	var shift uint64
 	if f.HasNull {
@@ -532,7 +531,8 @@ func (f *keyVec) packNarrow(rows []int32, keys []uint64, lo, hi int) {
 // [lo, hi) into the flat wide-key buffer (stride bytes per key, f at ByteOffset). Integer
 // and string codes shift up by one when the column has NULLs and NULL is
 // code 0; floats keep their bits and NULL is floatNullCode.
-func (f *keyVec) packWide(rows []int32, flat []byte, stride, lo, hi int) {
+func (f *keyVec) packWide(flat []byte, stride, lo, hi int) {
+	rows := f.rows
 	var shift, null uint64
 	if f.Type == columnar.Float64 {
 		null = floatNullCode
@@ -555,13 +555,14 @@ func (f *keyVec) packWide(rows []int32, flat []byte, stride, lo, hi int) {
 }
 
 // buildPayload materializes one aggregate's payload vector over the n
-// selected rows. NULL inputs become the aggregate's identity so they
-// cannot affect the result; COUNT(col) is rewritten to SUM(0/1).
-func buildPayload(tbl *columnar.Table, rows []int32, n int, a AggColumn, degree int) (groupby.AggSpec, []uint64, error) {
+// places of src, reading its column through the column's list. NULL
+// inputs become the aggregate's identity so they cannot affect the
+// result; COUNT(col) is rewritten to SUM(0/1).
+func buildPayload(src columnar.Source, n int, a AggColumn, degree int) (groupby.AggSpec, []uint64, error) {
 	if a.Kind == groupby.Count && a.Column == "" {
 		return groupby.AggSpec{Kind: groupby.Count}, nil, nil
 	}
-	col := tbl.Column(a.Column)
+	col, rows := src.Listed(a.Column)
 	if col == nil {
 		return groupby.AggSpec{}, nil, fmt.Errorf("evaluator: unknown aggregate column %q", a.Column)
 	}

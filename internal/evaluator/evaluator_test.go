@@ -47,7 +47,7 @@ func TestBuildInputNarrow(t *testing.T) {
 			{Kind: groupby.Min, Column: "price"},
 		},
 	}
-	res, err := BuildInput(tbl, nil, spec, deps())
+	res, err := BuildInput(columnar.TableRows{Table: tbl}, spec, deps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 		Keys: []string{"region"},
 		Aggs: []AggColumn{{Kind: groupby.Count, Column: "qty"}, {Kind: groupby.Count}},
 	}
-	res, err := BuildInput(tbl, nil, spec, deps())
+	res, err := BuildInput(columnar.TableRows{Table: tbl}, spec, deps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSelectedRows(t *testing.T) {
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	res, err := BuildInput(tbl, rows, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Count}}}, deps())
+	res, err := BuildInput(columnar.TableRows{Table: tbl, Rows: rows}, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Count}}}, deps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestNullGroupingKey(t *testing.T) {
 		v.Append(int64(i))
 	}
 	tbl := columnar.MustNewTable("t", b.Build(), v.Build())
-	res, err := BuildInput(tbl, nil, Spec{Keys: []string{"k"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "v"}}}, deps())
+	res, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: []string{"k"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "v"}}}, deps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestWidePathManyColumns(t *testing.T) {
 		v.Append(1)
 	}
 	tbl := columnar.MustNewTable("t", a.Build(), b.Build(), c.Build(), v.Build())
-	res, err := BuildInput(tbl, nil, Spec{Keys: []string{"a", "b", "c"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "v"}}}, deps())
+	res, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: []string{"a", "b", "c"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "v"}}}, deps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestPinnedStaging(t *testing.T) {
 	reg, _ := hostmem.NewRegistry(1 << 20)
 	mon := monitor.New()
 	d := Deps{Model: vtime.Default(), Degree: 2, Registry: reg, Monitor: mon, Stage: true}
-	res, err := BuildInput(tbl, nil, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Count}}}, d)
+	res, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Count}}}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestStagingFallsBackWhenExhausted(t *testing.T) {
 	tbl := salesTable(t)
 	reg, _ := hostmem.NewRegistry(64) // far too small
 	d := Deps{Model: vtime.Default(), Degree: 2, Registry: reg, Stage: true}
-	res, err := BuildInput(tbl, nil, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Count}}}, d)
+	res, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Count}}}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,19 +275,19 @@ func TestStagingFallsBackWhenExhausted(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	tbl := salesTable(t)
-	if _, err := BuildInput(tbl, nil, Spec{Keys: []string{"nope"}, Aggs: nil}, deps()); err == nil {
+	if _, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: []string{"nope"}, Aggs: nil}, deps()); err == nil {
 		t.Error("unknown key column should error")
 	}
-	if _, err := BuildInput(tbl, nil, Spec{Keys: nil}, deps()); err == nil {
+	if _, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: nil}, deps()); err == nil {
 		t.Error("empty keys should error")
 	}
-	if _, err := BuildInput(tbl, nil, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "nope"}}}, deps()); err == nil {
+	if _, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "nope"}}}, deps()); err == nil {
 		t.Error("unknown aggregate column should error")
 	}
-	if _, err := BuildInput(tbl, nil, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "region"}}}, deps()); err == nil {
+	if _, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "region"}}}, deps()); err == nil {
 		t.Error("SUM over string should error")
 	}
-	if _, err := BuildInput(tbl, nil, Spec{Keys: []string{"month"}}, Deps{}); err == nil {
+	if _, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: []string{"month"}}, Deps{}); err == nil {
 		t.Error("missing model should error")
 	}
 }
@@ -298,7 +298,7 @@ func TestGPUPathEndToEnd(t *testing.T) {
 		Keys: []string{"month"},
 		Aggs: []AggColumn{{Kind: groupby.Sum, Column: "qty"}, {Kind: groupby.Max, Column: "price"}},
 	}
-	res, err := BuildInput(tbl, nil, spec, deps())
+	res, err := BuildInput(columnar.TableRows{Table: tbl}, spec, deps())
 	if err != nil {
 		t.Fatal(err)
 	}

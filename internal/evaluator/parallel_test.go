@@ -45,7 +45,7 @@ func diffTable(n int) *columnar.Table {
 
 func buildAt(t *testing.T, tbl *columnar.Table, rows []int32, spec Spec, degree int) *Result {
 	t.Helper()
-	res, err := BuildInput(tbl, rows, spec, Deps{Model: vtime.Default(), Degree: degree})
+	res, err := BuildInput(columnar.TableRows{Table: tbl, Rows: rows}, spec, Deps{Model: vtime.Default(), Degree: degree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,5 +283,52 @@ func TestBuildInputRowsMatchGather(t *testing.T) {
 	f := buildAt(t, tbl, sparse, specs["int"], 1).Fields[0]
 	if f.MinI != -3 || f.HasNull || f.Bits != 3 {
 		t.Fatalf("sparse int field: MinI %d, HasNull %v, %d bits; want -3, false, 3", f.MinI, f.HasNull, f.Bits)
+	}
+}
+
+// twoParts is a Source of two tables, each read through its own list:
+// the shape of a joined intermediate.
+type twoParts struct {
+	a, b         *columnar.Table
+	aRows, bRows []int32
+}
+
+func (s twoParts) Len() int { return len(s.aRows) }
+
+func (s twoParts) Listed(name string) (columnar.Column, []int32) {
+	if c := s.a.Column(name); c != nil {
+		return c, s.aRows
+	}
+	return s.b.Column(name), s.bRows
+}
+
+// TestBuildInputListPerColumn: keys and payloads read each through their
+// own column's list build exactly the input of the chain over the table
+// those lists gather, at every degree, narrow and wide.
+func TestBuildInputListPerColumn(t *testing.T) {
+	const n = 3_000
+	whole := diffTable(n)
+	a := columnar.MustNewTable("a", whole.Column("k"), whole.Column("v"))
+	b := columnar.MustNewTable("b", whole.Column("g"), whole.Column("w"))
+	var aRows, bRows []int32
+	for i := 0; i < 2*n; i += 3 {
+		aRows = append(aRows, int32(i%n))
+		bRows = append(bRows, int32((i*7+1)%n))
+	}
+	gathered := columnar.MustNewTable("g",
+		columnar.GatherColumn(a.Column("k"), "k", aRows), columnar.GatherColumn(b.Column("g"), "g", bRows),
+		columnar.GatherColumn(b.Column("w"), "w", bRows), columnar.GatherColumn(a.Column("v"), "v", aRows))
+	for name, spec := range map[string]Spec{
+		"narrow": {Keys: []string{"k", "g"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "v"}, {Kind: groupby.Count, Column: "w"}}},
+		"wide":   {Keys: []string{"g", "w", "k"}, Aggs: []AggColumn{{Kind: groupby.Max, Column: "v"}}},
+	} {
+		want := buildAt(t, gathered, nil, spec, 1)
+		for _, d := range testDegrees {
+			got, err := BuildInput(twoParts{a, b, aRows, bRows}, spec, Deps{Model: vtime.Default(), Degree: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameInput(t, fmt.Sprintf("%s degree=%d", name, d), want, got)
+		}
 	}
 }

@@ -11,14 +11,15 @@
 //
 // This package supplies the resident half of that design: a per-device
 // cache of compressed column images. Entries are keyed by what fixes a
-// column's content, not by pointer or name, because the engine's joins
-// rebuild column vectors on every execution — two runs of the same query
-// produce equal content in distinct slices. A base or computed column's
-// key is its content hash (type, length, values, nulls), walked once and
-// kept on the column; a column a join gathered carries a provenance key,
-// a mix of its source column's key, its side and the two key columns'
-// keys, made in O(1) when the join builds it. Equal provenance is equal
-// content, since columns are immutable and the probe is deterministic.
+// column's content, not by pointer or name, because the engine copies a
+// joined column through its row lists on every execution — two runs of
+// the same query produce equal content in distinct slices. A base or
+// computed column's key is its content hash (type, length, values,
+// nulls), walked once and kept on the column; a column copied through a
+// join's lists carries a provenance key, a mix of its source column's
+// key, its side and the two key columns' keys per join, made in O(1) when
+// it is copied. Equal provenance is equal content, since columns are
+// immutable and the probe is deterministic.
 // Each entry owns its own device Reservation,
 // so cached bytes are visible to the scheduler's admission control
 // exactly like any kernel's working set; when a placement cannot be

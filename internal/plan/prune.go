@@ -8,7 +8,9 @@ import (
 
 // prune annotates Scan and Join nodes with the set of columns actually
 // referenced above them — BLU-style late materialization, so joins only
-// gather the columns the query touches.
+// hand on the columns the query touches. A join's own key columns are
+// read below it, by the join, not above it: they are in its Needed only
+// when something above reads them too.
 func prune(root Node) {
 	visit(root, map[string]bool{})
 }
@@ -19,9 +21,9 @@ func visit(n Node, needed map[string]bool) {
 	case *Scan:
 		node.Needed = sortedKeys(needed)
 	case *Join:
+		node.Needed = sortedKeys(needed)
 		needed[node.LeftCol] = true
 		needed[node.RightCol] = true
-		node.Needed = sortedKeys(needed)
 		visit(node.Left, needed)
 	case *Filter:
 		collectExprCols(node.Pred, needed)
