@@ -40,7 +40,8 @@ race:
 # and transfers, no input copy), the join probe against a resident key
 # index (plain, with a 20 % build mask, and through a 60 % row list), a
 # three-join star over a 60 % fact list with 20 % dimension masks, the
-# typed group-by output and the flat sort-key extractor.
+# typed group-by output and the flat sort-key extractor (NULLs in every
+# key column, and none).
 bench:
 	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|StarJoin|AggOutput|SortKeys' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/kmv ./internal/groupby ./internal/engine
@@ -59,7 +60,9 @@ bench:
 # join (internal/engine — its inputs are byte slices,
 # which the fuzzer would minimize for a minute apiece unless capped); then
 # tables and ASC/DESC key lists, the flat sort-key buffer held segment by
-# segment to the test-only byte keys (internal/engine, capped likewise);
+# segment to the NULL-aware view of the test-only byte keys (no flag for a
+# column with no NULL) and its sort's permutation to a stable sort of the
+# byte keys themselves (internal/engine, capped likewise);
 # then alert-rules files through the parser into a store, query
 # expressions through the parser into a range query on an empty store
 # (internal/obsd), and query-log streams through the decoder and back

@@ -1,6 +1,10 @@
 package columnar
 
-import "blugpu/internal/parallel"
+import (
+	"slices"
+
+	"blugpu/internal/parallel"
+)
 
 // gatherGrain is the minimum rows per worker for parallel gathers: below
 // it, goroutine handoff costs more than the copy itself.
@@ -155,6 +159,25 @@ func keepNulls(nulls *Bitmap, found []bool) *Bitmap {
 		}
 	}
 	return nil
+}
+
+// AnyNull reports whether nulls (nil for none) marks any row of the list
+// (nil: every row) NULL: whether the column gathered through rows keeps a
+// bitmap.
+func AnyNull(nulls *Bitmap, rows []int32, degree int) bool {
+	if nulls == nil || rows == nil {
+		return nulls != nil && nulls.Count() > 0
+	}
+	found := make([]bool, parallel.Workers(len(rows), gatherGrain, degree))
+	parallel.For(len(rows), gatherGrain, degree, func(lo, hi, worker int) {
+		for _, r := range rows[lo:hi] {
+			if nulls.Get(int(r)) {
+				found[worker] = true
+				return
+			}
+		}
+	})
+	return slices.Contains(found, true)
 }
 
 // GatherColumn dispatches Gather over the concrete column types.

@@ -101,16 +101,13 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		(e.thresholds.T3Rows <= 0 || rows <= e.thresholds.T3Rows)
 
 	// Host evaluator chain: LCOG/LCOV/CCAT/HASH(+KMV)[+MEMCPY], reading
-	// each column through its part's row list.
+	// each column through its part's row list; charged below.
 	hostStart := time.Now()
 	chain, err := evaluator.BuildInput(f, evaluator.Spec{Keys: n.Keys, Aggs: cols}, evaluator.Deps{
 		Model:    e.model,
 		Degree:   e.cfg.Degree,
-		Monitor:  e.mon,
 		Registry: e.registry,
 		Stage:    preGPU,
-		Trace:    op,
-		TraceAt:  f.at(),
 	})
 	if err != nil {
 		return f.fail(op, err)
@@ -119,13 +116,6 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		defer chain.Staged.Release()
 	}
 	q.wallHost(hostStart)
-	e.addCPU(f, chain.Modeled)
-	// Cancellation checked here (not in the GPU error path below): a
-	// canceled query must abort, never be mistaken for a GPU fault that
-	// triggers the Section 2.1.1 CPU fallback.
-	if cerr := qq.err(); cerr != nil {
-		return f.fail(op, fmt.Errorf("engine: query canceled: %w", cerr))
-	}
 
 	in := chain.Input
 	demand := groupby.MemoryDemand(in)
@@ -138,6 +128,33 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	}, e.thresholds, e.maxDeviceMem())
 	if !preGPU {
 		decision = optimizer.UseCPU
+	}
+
+	// The chain is charged by the path that reads its output. The
+	// decision reads only the key evaluators' KMV estimate, and a fused
+	// chain reads nothing more — fused_pack loads and packs the payloads
+	// on the device — so a group-by that may fuse is charged its Keys now,
+	// LCOV only once the CPU or the staged path runs, and MEMCPY only once
+	// the staged path does. Any other group-by is charged its whole chain
+	// now: Figure 1's, or Figure 2's, which stages as it goes. hostT is
+	// the evaluator time charged so far.
+	charge := func(evals ...evaluator.Eval) vtime.Duration {
+		d := evaluator.Charge(e.mon, op, f.at(), evals...)
+		e.addCPU(f, d)
+		return d
+	}
+	mayFuse := decision == optimizer.UseGPU && cr != nil
+	var hostT vtime.Duration
+	if mayFuse {
+		hostT = charge(chain.Keys()...)
+	} else {
+		hostT = charge(chain.Chain()...)
+	}
+	// Cancellation checked here (not in the GPU error path below): a
+	// canceled query must abort, never be mistaken for a GPU fault that
+	// triggers the Section 2.1.1 CPU fallback.
+	if cerr := qq.err(); cerr != nil {
+		return f.fail(op, fmt.Errorf("engine: query canceled: %w", cerr))
 	}
 	// Every effective path decision feeds the monitor, so the decision
 	// breakdown (and the Prometheus counters built from it) covers every
@@ -156,9 +173,14 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		// the staged retry — the chain has already spilled, and Section
 		// 2.1.1's discipline routes the query to the CPU.
 		gpuStart := time.Now()
-		gout, info, fexec, gerr := e.runAggregateFused(cr, in, demand, chain.Pinned, chain.Modeled, f, op)
+		gout, info, fexec, gerr := e.runAggregateFused(cr, in, demand, chain.Pinned, hostT, f, op)
 		fx = fexec
 		if fexec == nil && gerr == nil {
+			if mayFuse {
+				// Declined: the staged path reads the staged payloads.
+				hostT += charge(chain.Loads()...)
+				mayFuse = false
+			}
 			gout, info, gerr = e.runAggregateGPU(in, demand, chain.Pinned, f, op)
 		}
 		q.wallGPU(gpuStart)
@@ -179,6 +201,10 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		}
 	}
 	if out == nil {
+		if mayFuse {
+			// The fused attempt faulted: the CPU path reads LCOV's payloads.
+			hostT += charge(chain.LCOV)
+		}
 		cpuAt := f.at()
 		cpuStart := time.Now()
 		out, err = groupby.RunCPU(in, e.cfg.Degree, e.model)
@@ -227,7 +253,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		FallbackCause: fallbackCause,
 		Devices:       ginfo.devices,
 	}
-	modeled := copyT + chain.Modeled + out.Stats.Modeled + finalize
+	modeled := copyT + hostT + out.Stats.Modeled + finalize
 	if fx != nil {
 		// Fused chains charge cache fills and stage kernels beyond the
 		// group-by's own Stats.Modeled; attribute them here so self times

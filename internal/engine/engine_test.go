@@ -13,7 +13,13 @@ import (
 // newTestEngine builds an engine with 2 GPUs and a small sales schema.
 func newTestEngine(t *testing.T, rows int) *Engine {
 	t.Helper()
-	e, err := New(Config{Devices: 2, Degree: 24})
+	return newTestEngineWith(t, Config{Devices: 2, Degree: 24}, rows)
+}
+
+// newTestEngineWith is newTestEngine on an engine built from cfg.
+func newTestEngineWith(t *testing.T, cfg Config, rows int) *Engine {
+	t.Helper()
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

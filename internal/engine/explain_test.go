@@ -6,11 +6,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/explain"
 	"blugpu/internal/optimizer"
+	"blugpu/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -228,21 +230,61 @@ func TestExplainAnalyzeReconciliation(t *testing.T) {
 		"SELECT q_name, SUM(s_qty * s_price) AS rev " + starFrom + "GROUP BY q_name ORDER BY rev DESC",
 		"SELECT st_name, m_name, s_qty " + starFrom + "ORDER BY s_qty DESC, st_name LIMIT 10",
 	} {
-		rep, _, err := star.ExplainAnalyzeNamedCtx(context.Background(), "star", sql)
-		if err != nil {
-			t.Fatal(err)
+		assertTelescopes(t, star, sql, "")
+	}
+	// A fused group-by is charged its key evaluators before the decision
+	// and loads its payloads on the device. rolap-q36, the first statement
+	// on a fresh engine, declines its fused chain (cold cache) and is
+	// charged LCOV and MEMCPY after the attempt, before the staged path;
+	// its 268 640 groups then sort partly on the device, over NULL-free
+	// keys. Both still telescope.
+	assertTelescopes(t, newTestEngine(t, 120_000),
+		"SELECT s_month, SUM(s_qty) AS t, AVG(s_price) AS ap FROM sales GROUP BY s_month", "gpu/fused/")
+	rolap := newWorkloadEngine(t, 0.1)
+	for _, q := range workload.CognosROLAP() {
+		if q.ID == "rolap-q36" {
+			assertTelescopes(t, rolap, q.SQL, "gpu/k")
 		}
-		if !rep.Reconciled() {
-			t.Fatalf("%s: not reconciled: unattributed=%d orphans=%d mismatches=%v",
-				sql, rep.Unattributed, rep.Orphans, rep.Totals.Mismatches)
+	}
+}
+
+// newWorkloadEngine is the benchmark's engine (2 devices, degree 24) over
+// the workload dataset at scale factor sf.
+func newWorkloadEngine(t *testing.T, sf float64) *Engine {
+	t.Helper()
+	e, err := New(Config{Devices: 2, Degree: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.Generate(sf, 20160626).RegisterAll(e); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// assertTelescopes audits sql on e: the report reconciles, and operator
+// self times sum to the query's modeled time up to the rendering quantum
+// per operator. A non-empty path is the prefix its group-by's path must
+// have.
+func assertTelescopes(t *testing.T, e *Engine, sql, path string) {
+	t.Helper()
+	rep, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "telescope", sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Reconciled() {
+		t.Fatalf("%s: not reconciled: unattributed=%d orphans=%d mismatches=%v",
+			sql, rep.Unattributed, rep.Orphans, rep.Totals.Mismatches)
+	}
+	var selfSum float64
+	for _, op := range rep.Ops {
+		selfSum += op.SelfMs
+		if op.Groupby != nil && !strings.HasPrefix(op.Groupby.Path, path) {
+			t.Errorf("%s: group-by took %q, want %s...", sql, op.Groupby.Path, path)
 		}
-		var selfSum float64
-		for _, op := range rep.Ops {
-			selfSum += op.SelfMs
-		}
-		if diff := selfSum - rep.ModeledMs; diff > 1e-6*float64(len(rep.Ops)) || diff < -1e-6*float64(len(rep.Ops)) {
-			t.Errorf("%s: self-time sum %.9f ms != modeled %.9f ms", sql, selfSum, rep.ModeledMs)
-		}
+	}
+	if diff := selfSum - rep.ModeledMs; diff > 1e-6*float64(len(rep.Ops)) || diff < -1e-6*float64(len(rep.Ops)) {
+		t.Errorf("%s: self-time sum %.9f ms != modeled %.9f ms", sql, selfSum, rep.ModeledMs)
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 //
 //   - decline (no room, cold cache, placement failure): not an error.
 //     The group-by falls through to the staged path, byte-identical to a
-//     build without fusion.
+//     build without fusion, and is charged the same evaluators.
 //   - mid-chain fault (injected reserve/H2D/kernel/D2H failure or a dead
 //     device): the chain spills its live device intermediates back to
 //     the host, releases everything, and the query resumes on the CPU
@@ -163,11 +163,12 @@ func (cr *chainRec) scratchBytes() int64 {
 // non-nil fusedExec with a non-nil error is a mid-chain fault: the chain
 // has already spilled and released, and the caller routes to the CPU.
 //
-// overlap is the host evaluator-chain time the query has already been
-// charged: cache fills are DMA streams that run concurrently with that
-// host work (the same overlap idiom as gpu.PipelineTime), so only fill
-// time in excess of the window is charged to the query. The fill bytes
-// are never discounted — the H2D counters see every uploaded byte.
+// overlap is the key evaluators' time (LCOG/CCAT/HASH), the host work
+// the query has been charged before the attempt: cache fills are DMA
+// streams that run concurrently with it (the same overlap idiom as
+// gpu.PipelineTime), so only fill time in excess of the window is charged
+// to the query. The fill bytes are never discounted — the H2D counters
+// see every uploaded byte.
 func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, pinned bool, overlap vtime.Duration, f *frame, op trace.Context) (*groupby.Result, gpuRunInfo, *fusedExec, error) {
 	var info gpuRunInfo
 	if e.sched == nil || e.fcache == nil || cr == nil || cr.entry == nil || in.NumRows == 0 {
@@ -275,7 +276,8 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		}
 		// Pack the surviving rows into the group-by's compressed input layout
 		// (keys + payload codes) — the fused replacement for the staged
-		// path's host-side MEMCPY + H2D upload.
+		// path's host-side LCOV + MEMCPY + H2D upload, so a fused group-by
+		// is charged neither evaluator.
 		if err := runStage("fused_pack", packWords, float64(in.NumRows)); err != nil {
 			return fault(err)
 		}

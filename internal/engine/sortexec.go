@@ -11,34 +11,46 @@ import (
 	"blugpu/internal/parallel"
 	"blugpu/internal/plan"
 	"blugpu/internal/trace"
+	"blugpu/internal/vtime"
 )
 
 // sortKeyWords extracts binary-sortable keys for the places of src, each
 // sort column read through its own row list, into one flat buffer of
-// 4-byte segments, place after place: per sort column the NULL flag (NULLs first,
-// over the zero value's encoding), then two segments for an int (sign bit
-// flipped) or a float (IEEE total order), or one for a dictionary code
-// (the dictionary is sorted, so codes preserve order).
-// DESC inverts every segment of its column. offs[i] is key i's first
-// segment within a row, offs[len(keys)] the segments per row. Workers
-// fill disjoint row ranges a column at a time over the typed vectors, so
-// no row owns an allocation.
+// 4-byte segments, place after place: per sort column the NULL flag (NULLs
+// first, over the zero value's encoding) when a listed row is NULL, then
+// two segments for an int (sign bit flipped) or a float (IEEE total
+// order), or one for a dictionary code (the dictionary is sorted, so codes
+// preserve order). A column with no NULL gets no flag: it would be the
+// same for every row, so the order is the same without it, and a radix
+// sort spends no pass on it. DESC inverts every segment of its column.
+// offs[i] is key i's first segment within a row, offs[len(keys)] the
+// segments per row. Workers fill disjoint row ranges a column at a time
+// over the typed vectors, so no row owns an allocation.
 func sortKeyWords(src columnar.Source, keys []plan.SortKey, degree int) (words []uint32, offs []int, err error) {
 	cols := make([]columnar.Column, len(keys))
 	lists := make([][]int32, len(keys))
+	flagged := make([]bool, len(keys))
 	offs = make([]int, len(keys)+1)
 	for i, k := range keys {
 		cols[i], lists[i] = src.Listed(k.Column)
-		switch cols[i].(type) {
+		var nulls *columnar.Bitmap
+		width := 2
+		switch c := cols[i].(type) {
 		case nil:
 			return nil, nil, fmt.Errorf("engine: unknown sort column %q", k.Column)
-		case *columnar.Int64Column, *columnar.Float64Column:
-			offs[i+1] = offs[i] + 3
+		case *columnar.Int64Column:
+			nulls = c.Nulls()
+		case *columnar.Float64Column:
+			nulls = c.Nulls()
 		case *columnar.StringColumn:
-			offs[i+1] = offs[i] + 2
+			nulls, width = c.Nulls(), 1
 		default:
 			return nil, nil, fmt.Errorf("engine: cannot sort column type %v", cols[i].Type())
 		}
+		if flagged[i] = columnar.AnyNull(nulls, lists[i], degree); flagged[i] {
+			width++
+		}
+		offs[i+1] = offs[i] + width
 	}
 	depth, n := offs[len(keys)], src.Len()
 	words = make([]uint32, n*depth)
@@ -49,15 +61,21 @@ func sortKeyWords(src columnar.Source, keys []plan.SortKey, degree int) (words [
 			if keys[i].Desc {
 				inv = ^uint32(0)
 			}
-			// put writes position p's flag and its value's 64-bit encoding.
+			// put writes position p's flag, when the column carries one, and
+			// its value's 64-bit encoding, the zero value's for a NULL row.
+			// A column without a flag lists no NULL row.
+			flag, base := flagged[i], offs[i]
 			put := func(p int, null bool, u uint64) {
-				w := words[p*depth+offs[i]:]
-				if null {
-					w[0], u = inv, 1<<63
-				} else {
-					w[0] = 1 ^ inv
+				at := p*depth + base
+				if flag {
+					if null {
+						words[at], u = inv, 1<<63
+					} else {
+						words[at] = 1 ^ inv
+					}
+					at++
 				}
-				w[1], w[2] = uint32(u>>32)^inv, uint32(u)^inv
+				words[at], words[at+1] = uint32(u>>32)^inv, uint32(u)^inv
 			}
 			switch c := col.(type) {
 			case *columnar.Int64Column:
@@ -91,13 +109,16 @@ func sortKeyWords(src columnar.Source, keys []plan.SortKey, degree int) (words [
 					if rows != nil {
 						r = int(rows[p])
 					}
-					code := codes[r]
-					w := words[p*depth+offs[i]:]
-					if c.IsNull(r) {
-						w[0], w[1] = inv, inv
-					} else {
-						w[0], w[1] = 1^inv, uint32(code)^inv
+					at, code := p*depth+base, uint32(codes[r])
+					if flag {
+						if c.IsNull(r) {
+							words[at], code = inv, 0
+						} else {
+							words[at] = 1 ^ inv
+						}
+						at++
 					}
+					words[at] = code ^ inv
 				}
 			}
 		}
@@ -106,9 +127,12 @@ func sortKeyWords(src columnar.Source, keys []plan.SortKey, degree int) (words [
 }
 
 // hybridSort sorts the rows behind src through the hybrid job-queue sort
-// and returns the permutation plus the sort stats. op is the operator
-// span the per-job sort spans hang off.
-func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context) ([]int32, bsort.Stats, error) {
+// and returns the permutation, the sort stats and the time it charged the
+// query: key generation and host sorting, then the busiest device's time.
+// The charge runs host and device one after the other, where
+// stats.Modeled overlaps them, so the operator row's self time is the
+// charge. op is the operator span the per-job sort spans hang off.
+func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context) ([]int32, bsort.Stats, vtime.Duration, error) {
 	rows := src.NumRows()
 
 	// Stage the partial key buffer in the registered segment when it
@@ -141,13 +165,15 @@ func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context
 	}
 	perm, stats, err := bsort.Sort(src, cfg)
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, 0, err
 	}
-	e.addCPU(f, stats.KeyGen+stats.CPUTime)
+	charged := stats.KeyGen + stats.CPUTime
+	e.addCPU(f, charged)
 	if stats.GPUTime > 0 {
 		e.addGPU(f, stats.GPUTime, int64(rows)*16)
+		charged += stats.GPUTime
 	}
-	return perm, stats, nil
+	return perm, stats, charged, nil
 }
 
 // sortRecord converts bsort stats to the operator row's shape.
@@ -170,7 +196,7 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 		if err != nil {
 			return f.fail(sp, err)
 		}
-		perm, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, rows, offs[len(n.Keys)]), f, sp)
+		perm, stats, sortT, err := e.hybridSort(bsort.NewFlatKeySource(words, rows, offs[len(n.Keys)]), f, sp)
 		if err != nil {
 			return f.fail(sp, err)
 		}
@@ -184,7 +210,7 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 		f.ops = append(f.ops, OpStat{
 			Op: "sort", Detail: fmt.Sprintf("jobs=%d gpu=%d cpu=%d", stats.Jobs, stats.GPUJobs, stats.CPUJobs),
 			Depth: q.depth, Rows: rows,
-			Span: sp.ID(), Start: start, End: f.at(), Modeled: stats.Modeled,
+			Span: sp.ID(), Start: start, End: f.at(), Modeled: sortT,
 			Sort: sortRecord(stats),
 		})
 	}
@@ -215,7 +241,7 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 			return f.fail(sp, err)
 		}
 		depth, partDepth := offs[len(keys)], offs[len(n.PartitionBy)]
-		perm, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, tbl.Rows(), depth), f, sp)
+		perm, stats, sortT, err := e.hybridSort(bsort.NewFlatKeySource(words, tbl.Rows(), depth), f, sp)
 		if err != nil {
 			return f.fail(sp, err)
 		}
@@ -223,7 +249,7 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 		f.ops = append(f.ops, OpStat{
 			Op: "window-sort", Detail: fmt.Sprintf("rank over %d rows", tbl.Rows()),
 			Depth: q.depth, Rows: tbl.Rows(),
-			Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + stats.Modeled,
+			Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + sortT,
 			Sort: sortRecord(stats),
 		})
 

@@ -343,6 +343,40 @@ func referenceSortKeys(tbl *columnar.Table, keys []plan.SortKey) [][]byte {
 	return out
 }
 
+// nullAwareKeys is ref, the byte keys of tbl under keys, as sortKeyWords
+// lays them out: a column's 4-byte NULL flag is dropped when no row of
+// tbl is NULL in it.
+func nullAwareKeys(tbl *columnar.Table, keys []plan.SortKey, ref [][]byte) [][]byte {
+	type part struct {
+		width   int // bytes of the column's segments after its flag
+		flagged bool
+	}
+	parts := make([]part, len(keys))
+	for i, k := range keys {
+		col := tbl.Column(k.Column)
+		parts[i].width = 8
+		if col.Type() == columnar.String {
+			parts[i].width = 4
+		}
+		for r := 0; r < tbl.Rows() && !parts[i].flagged; r++ {
+			parts[i].flagged = col.IsNull(r)
+		}
+	}
+	out := make([][]byte, len(ref))
+	for r, key := range ref {
+		var view []byte
+		for _, p := range parts {
+			if p.flagged {
+				view = append(view, key[:4]...)
+			}
+			view = append(view, key[4:4+p.width]...)
+			key = key[4+p.width:]
+		}
+		out[r] = view
+	}
+	return out
+}
+
 // sortRowBytes is the fuzz wire format: a flag byte (bit 0 / 1 / 2 = the
 // int / float / string is NULL), the int and the float's bits
 // little-endian, and a dictionary pick.
@@ -389,22 +423,38 @@ func sortKeysFor(shape byte) []plan.SortKey {
 
 // FuzzSortKeysMatchReference: over random tables — NULLs, negative ints,
 // ±0, ±Inf and NaN floats, ASC / DESC mixes, one to three key columns —
-// every (row, depth) segment of the flat buffer is the byte-key oracle's,
-// at any degree and through a row list, and the sort over it returns the permutation a stable
-// comparison sort of the byte keys does.
+// every (row, depth) segment of the flat buffer is the NULL-aware view of
+// the byte-key oracle's (no flag for a column with no NULL), at any degree
+// and through a row list, and the sort over it returns the permutation a
+// stable comparison sort of the byte keys themselves, every flag kept,
+// does: dropping a constant flag moves no row.
 func FuzzSortKeysMatchReference(f *testing.F) {
-	var seed []byte
+	// seed has NULLs in every column, intNulls in the int column only,
+	// noNulls in none.
+	var seed, intNulls, noNulls []byte
 	for r, fl := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -2.5, 2.5, 1e300} {
 		seed = append(seed, sortRow(byte(r%8), int64(r-4)*math.MaxInt64/3, fl, byte(r))...)
 		seed = append(seed, sortRow(0, int64(r%2), fl, byte(r%2))...)
+		intNulls = append(intNulls, sortRow(byte(r%2), int64(r-4), fl, byte(r%3))...)
+		noNulls = append(noNulls, sortRow(0, int64(r-4)*math.MaxInt64/3, fl, byte(r))...)
+		noNulls = append(noNulls, sortRow(0, int64(r%2), -fl, byte(r%2))...)
 	}
 	for _, shape := range []byte{0, 0b0100101, 0b1001010, 0b1010111, 0b0111000} {
 		f.Add(shape, seed)
+	}
+	// One, two and three key columns over NULL-free rows, and the three
+	// orders of a flagged int among flag-free columns.
+	for _, shape := range []byte{0b0000001, 0b0100110, 0b1011011} {
+		f.Add(shape, noNulls)
+	}
+	for _, shape := range []byte{0b1000010, 0b1001101, 0b1010000} {
+		f.Add(shape, intNulls)
 	}
 	f.Add(byte(0), []byte{})
 	f.Fuzz(func(t *testing.T, shape byte, rows []byte) {
 		tbl, keys := sortTable(rows), sortKeysFor(shape)
 		ref := referenceSortKeys(tbl, keys)
+		view := nullAwareKeys(tbl, keys, ref)
 		var words []uint32
 		var depth int
 		for _, degree := range []int{1, 3} {
@@ -431,7 +481,7 @@ func FuzzSortKeysMatchReference(f *testing.F) {
 			if len(words) != tbl.Rows()*depth {
 				t.Fatalf("%d words for %d rows of depth %d", len(words), tbl.Rows(), depth)
 			}
-			for r, key := range ref {
+			for r, key := range view {
 				if len(key) != 4*depth {
 					t.Fatalf("row %d: byte key of %d bytes, depth %d", r, len(key), depth)
 				}
@@ -668,27 +718,39 @@ func BenchmarkAggOutput(b *testing.B) {
 	}
 }
 
-// BenchmarkSortKeys is the sort-key extractor's: 1M rows under an (int
-// DESC, float, string) key, seven segments a row, at degree 8.
+// BenchmarkSortKeys is the sort-key extractor's: 1M rows under a (string,
+// int DESC, float) key at degree 8 — with NULLs in every column, eight
+// segments a row, and with none, five.
 func BenchmarkSortKeys(b *testing.B) {
 	const n = 1 << 20
-	rng := rand.New(rand.NewSource(3))
-	rows := make([]byte, 0, 512*sortRowBytes)
-	for r := 0; r < 512; r++ {
-		rows = append(rows, sortRow(byte(rng.Intn(64)), rng.Int63()-rng.Int63(), rng.NormFloat64(), byte(r))...)
-	}
-	ids := columnar.IotaRows(n, 8)
-	for i := range ids {
-		ids[i] %= 512
-	}
-	tbl := columnar.GatherTable("t", sortTable(rows), ids)
-	keys := sortKeysFor(0b1000001)
-	b.SetBytes(n * 7 * 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sortKeyWords(columnar.TableRows{Table: tbl}, keys, 8); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name  string
+		flags func(*rand.Rand) byte
+		depth int64
+	}{
+		{"nulls", func(rng *rand.Rand) byte { return byte(rng.Intn(64)) }, 8},
+		{"no-nulls", func(*rand.Rand) byte { return 0 }, 5},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			rows := make([]byte, 0, 512*sortRowBytes)
+			for r := 0; r < 512; r++ {
+				rows = append(rows, sortRow(tc.flags(rng), rng.Int63()-rng.Int63(), rng.NormFloat64(), byte(r))...)
+			}
+			ids := columnar.IotaRows(n, 8)
+			for i := range ids {
+				ids[i] %= 512
+			}
+			tbl := columnar.GatherTable("t", sortTable(rows), ids)
+			keys := sortKeysFor(0b1000001)
+			b.SetBytes(n * tc.depth * 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, offs, err := sortKeyWords(columnar.TableRows{Table: tbl}, keys, 8); err != nil || int64(offs[len(keys)]) != tc.depth {
+					b.Fatalf("depth %v, %v", offs, err)
+				}
+			}
+		})
 	}
 }

@@ -9,8 +9,12 @@
 // groupby.RunCPU.
 //
 // MEMCPY takes the staged bytes' block from the pinned segment — that is
-// what makes the upload pinned — and charges the host copy's modeled
-// time; no bytes move, since the kernels read the vectors in place.
+// what makes the upload pinned — and models the host copy's time; no
+// bytes move, since the kernels read the vectors in place.
+//
+// BuildInput does every evaluator's work in one pass and charges none of
+// it: it reports each evaluator's time, and the caller charges (Charge)
+// the evaluators whose output the path it takes reads.
 package evaluator
 
 import (
@@ -19,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/groupby"
@@ -63,22 +66,39 @@ type Deps struct {
 	Model *vtime.CostModel
 	// Degree is host parallelism for the evaluators.
 	Degree int
-	// Monitor receives per-evaluator timings; may be nil.
-	Monitor *monitor.Monitor
 	// Registry is the pinned host segment for MEMCPY staging; nil or
 	// exhausted stages unpinned (slow transfers).
 	Registry *hostmem.Registry
 	// Stage selects the GPU-bound chain of Figure 2 (with the MEMCPY
 	// evaluator). When false, the chain matches Figure 1's CPU shape: no
-	// staging happens and no MEMCPY time is charged. The optimizer picks
-	// the chain up front from its estimates.
+	// staging happens and no MEMCPY runs. The optimizer picks the chain
+	// up front from its estimates.
 	Stage bool
-	// Trace is the parent span for per-evaluator stage spans
-	// (LCOG/CCAT/LCOV/HASH/MEMCPY); the zero value disables them.
-	Trace trace.Context
-	// TraceAt is the virtual-time offset the chain starts at; stage spans
-	// lay out sequentially from here.
-	TraceAt vtime.Time
+}
+
+// Eval is one evaluator's work: the rows it read and its modeled time.
+type Eval struct {
+	Name    string
+	Rows    int64
+	Modeled vtime.Duration
+}
+
+// Charge records evals, in order, with the monitor (nil for none) and as
+// "eval" spans under tc laid out one after another from at, and returns
+// their time summed in that order.
+func Charge(mon *monitor.Monitor, tc trace.Context, at vtime.Time, evals ...Eval) vtime.Duration {
+	var total vtime.Duration
+	for _, ev := range evals {
+		if mon != nil {
+			mon.RecordEvaluator(ev.Name, ev.Rows, ev.Modeled)
+		}
+		if tc.Enabled() {
+			tc.Emit("eval", ev.Name, at, ev.Modeled, trace.Int("rows", ev.Rows))
+			at = at.Add(ev.Modeled)
+		}
+		total += ev.Modeled
+	}
+	return total
 }
 
 // KeyField describes how one grouping column is packed into the key.
@@ -122,13 +142,39 @@ type Result struct {
 	Staged *hostmem.Block
 	// Pinned reports whether MEMCPY landed in the registered segment.
 	Pinned bool
-	// Modeled is total host evaluator time (LCOG+LCOV+CCAT+HASH+MEMCPY).
-	Modeled vtime.Duration
+	// LCOG, CCAT, LCOV and HASH (with the KMV sketch) are the evaluators
+	// every chain runs. MEMCPY is the staging copy, the zero Eval when the
+	// chain staged nothing.
+	LCOG, CCAT, LCOV, HASH, MEMCPY Eval
+}
+
+// Chain returns the evaluators that ran, in chain order: LCOG, CCAT,
+// LCOV, HASH, then MEMCPY when the chain staged bytes.
+func (r *Result) Chain() []Eval {
+	evals := []Eval{r.LCOG, r.CCAT, r.LCOV, r.HASH}
+	if r.MEMCPY.Name != "" {
+		evals = append(evals, r.MEMCPY)
+	}
+	return evals
+}
+
+// Keys returns the key evaluators, LCOG, CCAT and HASH: all the Figure-3
+// decision reads, through the KMV estimate.
+func (r *Result) Keys() []Eval { return []Eval{r.LCOG, r.CCAT, r.HASH} }
+
+// Loads returns the payload evaluators, LCOV then MEMCPY when the chain
+// staged bytes: what a path that reads host payload vectors adds to Keys.
+func (r *Result) Loads() []Eval {
+	if r.MEMCPY.Name == "" {
+		return []Eval{r.LCOV}
+	}
+	return []Eval{r.LCOV, r.MEMCPY}
 }
 
 // BuildInput runs the host evaluator chain over src, each column read
 // through its own row list. The input, the key geometry and the estimate
-// are exactly those of the chain over a table gathered from src.
+// are exactly those of the chain over a table gathered from src. It
+// charges nothing: the Result reports each evaluator's time.
 func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 	if deps.Model == nil {
 		return nil, errors.New("evaluator: Deps.Model is required")
@@ -141,17 +187,7 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 	}
 
 	n := src.Len()
-	at := deps.TraceAt
-	record := func(name string, nrows int64, d vtime.Duration) {
-		if deps.Monitor != nil {
-			deps.Monitor.RecordEvaluator(name, nrows, d)
-		}
-		if deps.Trace.Enabled() {
-			deps.Trace.Emit("eval", name, at, d, trace.Int("rows", nrows))
-			at = at.Add(d)
-		}
-	}
-
+	res := &Result{}
 	// --- LCOG: load grouping key columns, compute field geometry ---
 	vecs, err := planKeyFields(src, spec.Keys, deps.Degree)
 	if err != nil {
@@ -161,8 +197,7 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 	for i := range vecs {
 		fields[i] = vecs[i].KeyField
 	}
-	lcogT := deps.Model.CPUTime(float64(n*len(spec.Keys)), deps.Model.CPUScanRate, deps.Degree)
-	record("LCOG", int64(n), lcogT)
+	res.LCOG = Eval{"LCOG", int64(n), deps.Model.CPUTime(float64(n*len(spec.Keys)), deps.Model.CPUScanRate, deps.Degree)}
 
 	totalBits := 0
 	totalBytes := 0
@@ -206,7 +241,7 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 			ccatT = deps.Model.CPUTime(float64(n*len(fields)), deps.Model.CPUExprRate, deps.Degree)
 		}
 	}
-	record("CCAT", int64(n), ccatT)
+	res.CCAT = Eval{"CCAT", int64(n), ccatT}
 
 	// --- LCOV + aggregation specs ---
 	var lcovRows int64
@@ -221,8 +256,7 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 			lcovRows += int64(n)
 		}
 	}
-	lcovT := deps.Model.CPUTime(float64(lcovRows), deps.Model.CPUScanRate, deps.Degree)
-	record("LCOV", lcovRows, lcovT)
+	res.LCOV = Eval{"LCOV", lcovRows, deps.Model.CPUTime(float64(lcovRows), deps.Model.CPUScanRate, deps.Degree)}
 
 	// --- HASH + KMV ---
 	// Each worker hashes its row range into a private KMV sketch; the
@@ -259,12 +293,10 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 		}
 		in.EstGroups = sketches[0].EstimateUint64()
 	}
-	hashT := deps.Model.CPUTime(float64(n), deps.Model.CPUExprRate, deps.Degree)
-	record("HASH", int64(n), hashT)
+	res.HASH = Eval{"HASH", int64(n), deps.Model.CPUTime(float64(n), deps.Model.CPUExprRate, deps.Degree)}
 
 	// --- MEMCPY: stage into the pinned segment (GPU chain only) ---
-	res := &Result{Input: in, Fields: fields}
-	var memcpyT vtime.Duration
+	res.Input, res.Fields = in, fields
 	if deps.Stage {
 		stagedBytes := groupby.InputDeviceBytes(in)
 		if stagedBytes > 0 {
@@ -274,12 +306,9 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 					res.Pinned = true
 				}
 			}
-			memcpyT = deps.Model.HostCopy(stagedBytes, deps.Degree)
-			record("MEMCPY", int64(n), memcpyT)
+			res.MEMCPY = Eval{"MEMCPY", int64(n), deps.Model.HostCopy(stagedBytes, deps.Degree)}
 		}
 	}
-
-	res.Modeled = lcogT + ccatT + lcovT + hashT + memcpyT
 	return res, nil
 }
 
@@ -392,7 +421,7 @@ func planKeyFields(src columnar.Source, keys []string, degree int) ([]keyVec, er
 		case *columnar.StringColumn:
 			f.Dict = c
 			f.codes, f.nulls = c.Codes(), c.Nulls()
-			f.HasNull = anyNull(f.nulls, rows, degree)
+			f.HasNull = columnar.AnyNull(f.nulls, rows, degree)
 			span := uint64(c.DictSize())
 			if f.HasNull {
 				span++
@@ -401,7 +430,7 @@ func planKeyFields(src columnar.Source, keys []string, degree int) ([]keyVec, er
 			f.Bytes = 4
 		case *columnar.Int64Column:
 			f.ints, f.nulls = c.Data(), c.Nulls()
-			f.HasNull = anyNull(f.nulls, rows, degree)
+			f.HasNull = columnar.AnyNull(f.nulls, rows, degree)
 			minV, maxV := columnMinMax(c, rows, degree)
 			f.MinI = minV
 			span := uint64(maxV-minV) + 1
@@ -412,7 +441,7 @@ func planKeyFields(src columnar.Source, keys []string, degree int) ([]keyVec, er
 			f.Bytes = 8
 		case *columnar.Float64Column:
 			f.floats, f.nulls = c.Data(), c.Nulls()
-			f.HasNull = anyNull(f.nulls, rows, degree)
+			f.HasNull = columnar.AnyNull(f.nulls, rows, degree)
 			f.Bits = 64 // floats group by raw bits: always the wide path
 			f.Bytes = 8
 		default:
@@ -474,24 +503,6 @@ func columnMinMax(c *columnar.Int64Column, rows []int32, degree int) (minV, maxV
 		return 0, 0
 	}
 	return minV, maxV
-}
-
-// anyNull reports whether the bitmap (nil for none) marks any selected
-// row NULL.
-func anyNull(nulls *columnar.Bitmap, rows []int32, degree int) bool {
-	if nulls == nil || rows == nil {
-		return nulls != nil && nulls.Count() > 0
-	}
-	found := make([]bool, parallel.Workers(len(rows), evalGrain, degree))
-	parallel.For(len(rows), evalGrain, degree, func(lo, hi, worker int) {
-		for _, r := range rows[lo:hi] {
-			if nulls.Get(int(r)) {
-				found[worker] = true
-				return
-			}
-		}
-	})
-	return slices.Contains(found, true)
 }
 
 // codeAt returns field f's code at table row r: the dictionary code, the

@@ -8,6 +8,7 @@ import (
 	"blugpu/internal/groupby"
 	"blugpu/internal/hostmem"
 	"blugpu/internal/monitor"
+	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 )
 
@@ -65,8 +66,8 @@ func TestBuildInputNarrow(t *testing.T) {
 	if in.EstGroups != 48 {
 		t.Errorf("estimated groups = %d, want 48 (below KMV k is exact)", in.EstGroups)
 	}
-	if res.Modeled <= 0 {
-		t.Error("chain must charge host time")
+	if Charge(nil, trace.Context{}, 0, res.Chain()...) <= 0 {
+		t.Error("chain must model host time")
 	}
 	// Run the CPU kernel over it and decode a group key.
 	out, err := groupby.RunCPU(in, 4, vtime.Default())
@@ -233,7 +234,7 @@ func TestPinnedStaging(t *testing.T) {
 	tbl := salesTable(t)
 	reg, _ := hostmem.NewRegistry(1 << 20)
 	mon := monitor.New()
-	d := Deps{Model: vtime.Default(), Degree: 2, Registry: reg, Monitor: mon, Stage: true}
+	d := Deps{Model: vtime.Default(), Degree: 2, Registry: reg, Stage: true}
 	res, err := BuildInput(columnar.TableRows{Table: tbl}, Spec{Keys: []string{"month"}, Aggs: []AggColumn{{Kind: groupby.Count}}}, d)
 	if err != nil {
 		t.Fatal(err)
@@ -248,12 +249,13 @@ func TestPinnedStaging(t *testing.T) {
 	if reg.InUse() != 0 {
 		t.Error("release should empty the registry")
 	}
-	// Monitor saw the evaluators.
+	// The monitor sees what is charged: the staged chain's keys and loads.
+	Charge(mon, trace.Context{}, 0, append(res.Keys(), res.Loads()...)...)
 	names := map[string]bool{}
 	for _, e := range mon.Evaluators() {
 		names[e.Name] = true
 	}
-	for _, want := range []string{"LCOG", "HASH", "MEMCPY"} {
+	for _, want := range []string{"LCOG", "CCAT", "LCOV", "HASH", "MEMCPY"} {
 		if !names[want] {
 			t.Errorf("monitor missing evaluator %s", want)
 		}
