@@ -12,12 +12,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/serve ./internal/prof ./internal/hostmem \
                 ./internal/obsd ./internal/groupby ./internal/gpu
 
-# The one directory `make check` writes outside the checkout: blubench's
-# exports in, blucheck's failure evidence out (CI uploads it when the job
-# fails).
-SMOKE_DIR ?= $(or $(TMPDIR),/tmp)/blucheck
-
-.PHONY: build vet test race bench check smoke bench-smoke orphans fuzz-smoke
+.PHONY: build vet test race bench check bench-smoke orphans fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -78,19 +73,6 @@ fuzz-smoke:
 	$(GO) test ./internal/obsd -run '^$$' -fuzz FuzzParseExpr -fuzztime 5s
 	$(GO) test ./internal/qlog -run '^$$' -fuzz FuzzQlogDecode -fuzztime 5s -fuzzminimizetime 200x
 
-# End-to-end smoke: blubench exports one small traced experiment and
-# its EXPLAIN ANALYZE reports (so the binary's own export path is what
-# gets checked), then blucheck runs every suite — the two file
-# validators, the fused-vs-staged differential, and the serving suites,
-# each against serve.NewStack, the assembly bluserve runs. See
-# cmd/blucheck for what each suite asserts; a failing serving suite
-# leaves its evidence under $(SMOKE_DIR)/<suite>/.
-# suites: trace explain fuse metrics serve qlog prof dash
-smoke:
-	mkdir -p $(SMOKE_DIR)
-	$(GO) run ./cmd/blubench -sf 0.004 -trace $(SMOKE_DIR)/trace.json -explain $(SMOKE_DIR)/explain.json fig5 > /dev/null
-	$(GO) run ./cmd/blucheck -artifacts $(SMOKE_DIR) all
-
 # Wall-clock smoke: one short pass of the repository benchmark
 # (benchmark/README.md) — builds bluserve, drives every workload over
 # HTTP and checks each answer against the reference engine; exits
@@ -104,10 +86,8 @@ bench-smoke:
 # benchmarks or examples import is wired in on measured merit or deleted
 # (ROADMAP aim 2). Prints the offenders, and nothing when there are none.
 orphans:
-	@mkdir -p $(SMOKE_DIR)
-	@$(GO) list ./internal/... | sort > $(SMOKE_DIR)/pkgs-all.txt
-	@$(GO) list -deps ./cmd/... ./benchmark | grep '^blugpu/internal' | sort > $(SMOKE_DIR)/pkgs-reached.txt
-	@orphans=$$(comm -23 $(SMOKE_DIR)/pkgs-all.txt $(SMOKE_DIR)/pkgs-reached.txt); \
+	@reached=$$($(GO) list -deps ./cmd/... ./benchmark | grep '^blugpu/internal'); \
+		orphans=$$($(GO) list ./internal/... | grep -vxF -e "$$reached"); \
 		if [ -n "$$orphans" ]; then echo "$$orphans"; exit 1; fi
 
-check: vet orphans test race fuzz-smoke smoke bench-smoke
+check: vet orphans test race fuzz-smoke bench-smoke

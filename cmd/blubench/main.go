@@ -141,8 +141,8 @@ var explainSuite = []struct{ name, sql string }{
 }
 
 // writeExplainReports runs the explain suite through EXPLAIN ANALYZE
-// and writes the reports as one indented JSON array, the input format
-// `blucheck explain` validates.
+// and writes the reports as one indented JSON array, the output
+// TestExportsValidate validates and reconciles.
 func writeExplainReports(h *bench.Harness, path string) error {
 	reports := make([]*explain.Report, 0, len(explainSuite))
 	for _, q := range explainSuite {

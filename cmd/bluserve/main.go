@@ -45,8 +45,8 @@
 // firing severity-page alert flips /healthz to 503 and halves admission
 // capacity. -qlog-max-bytes caps the query log file with keep-N
 // rotation (FILE -> FILE.1 -> ... -> FILE.<keep>).
-// The process is serve.NewStack behind flags; `blucheck` (cmd/blucheck)
-// verifies that same assembly end to end — `make smoke`.
+// The process is serve.NewStack behind flags; internal/serve/stack_test.go
+// verifies that same assembly end to end.
 package main
 
 import (

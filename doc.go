@@ -9,9 +9,9 @@
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for
 // paper-vs-measured results, and the examples/ directory for runnable
 // entry points. The library lives under internal/; the public surface is
-// the six binaries: under cmd/, blubench (the paper's experiments),
-// blushell (SQL shell), blugen (dataset inspector), bluserve (the
-// server) and blucheck (its end-to-end checker); and benchmark/, the
-// repository benchmark. The paper's modeled numbers are locked by
-// internal/bench/testdata/modeled.golden.
+// the five binaries: under cmd/, blubench (the paper's experiments),
+// blushell (SQL shell), blugen (dataset inspector) and bluserve (the
+// server); and benchmark/, the repository benchmark. The paper's modeled
+// numbers are locked by internal/bench/testdata/modeled.golden, and
+// `go test ./...` is the one check path, end to end included.
 package blugpu

@@ -381,9 +381,6 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	return out, info, fx, nil
 }
 
-// FusionEnabled reports whether the fused data path is active.
-func (e *Engine) FusionEnabled() bool { return e.fcache != nil }
-
 // FusionCache exposes the device-resident column cache, nil when fusion
 // is disabled.
 func (e *Engine) FusionCache() *fusion.Cache { return e.fcache }

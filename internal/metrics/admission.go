@@ -13,7 +13,7 @@ import "blugpu/internal/monitor"
 //
 // with the residue being work not yet resolved at snapshot time. A
 // drained server has residue zero — the double-entry reconciliation the
-// saturation tests and `blucheck serve` assert.
+// saturation tests (TestSaturationDifferential) assert.
 type AdmissionSnapshot struct {
 	QueueDepth    int  `json:"queue_depth"`
 	QueueCapacity int  `json:"queue_capacity"` // configured bound

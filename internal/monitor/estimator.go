@@ -26,14 +26,6 @@ type KMVErrorStats struct {
 	Buckets []HistBucket
 }
 
-// Mean returns the average relative error, 0 when empty.
-func (k KMVErrorStats) Mean() float64 {
-	if k.Count == 0 {
-		return 0
-	}
-	return k.Sum / float64(k.Count)
-}
-
 // RecordDecision tallies one optimizer path decision (e.g. "gpu",
 // "eligible") at group-by execution time.
 func (m *Monitor) RecordDecision(decision, reason string) {

@@ -62,14 +62,6 @@ func (h *Hist) Max() vtime.Duration { return h.max }
 // Total returns the sum of all samples.
 func (h *Hist) Total() vtime.Duration { return h.sum }
 
-// Mean returns the average sample, 0 when empty.
-func (h *Hist) Mean() vtime.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / vtime.Duration(float64(h.n))
-}
-
 // Quantile returns an estimate of the p-quantile (p in [0,1]): the
 // geometric midpoint of the bucket holding the ceil(p*n)-th sample,
 // clamped to the observed maximum. Returns 0 when empty.

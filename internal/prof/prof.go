@@ -218,11 +218,3 @@ func Phase(ctx context.Context, phase string, f func(context.Context) error) (ti
 	r.acct.addPhase(r.class, phase, elapsed, alloc)
 	return elapsed, err
 }
-
-// AddWallCtx charges wall time to the request account bound to ctx (no
-// labels, no alloc delta). No-op without an account.
-func AddWallCtx(ctx context.Context, phase string, d time.Duration) {
-	if r, _ := ctx.Value(ctxKey{}).(*request); r != nil {
-		r.acct.AddWall(r.class, phase, d)
-	}
-}

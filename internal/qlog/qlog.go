@@ -191,7 +191,9 @@ func (l *Logger) Records() uint64 {
 // Validate checks a query-log stream line by line: every line must
 // decode as a Record with a known schema, event and outcome, a
 // non-empty request ID, a parseable timestamp, and non-negative phase
-// and total times. It is the schema check behind `blucheck qlog`.
+// and total times. Decode runs it first, so every test that decodes a
+// server's log (TestRequestIDJoin, TestQlogOutcomeLedger) holds the log
+// to it.
 func Validate(data []byte) error {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -237,9 +238,11 @@ func writeQueryError(w http.ResponseWriter, err error, clientID string) {
 }
 
 // TableRows materializes result columns row-major for JSON: NULL → null,
-// integers and floats as numbers, strings as strings. Exported so other
-// serialize hooks (the sustained bench) encode the same client payload
-// the HTTP handler does.
+// integers and finite floats as numbers, ±Inf and NaN as the strings
+// "+Inf", "-Inf" and "NaN" (JSON has no number for them; these are the
+// spellings Prometheus's JSON API uses), strings as strings. Exported so
+// other serialize hooks (the sustained bench) encode the same client
+// payload the HTTP handler does.
 func TableRows(cols []columnar.Column) [][]any {
 	if len(cols) == 0 {
 		return [][]any{}
@@ -257,6 +260,9 @@ func TableRows(cols []columnar.Column) [][]any {
 				row[j] = v.I
 			case v.Type == columnar.Float64:
 				row[j] = v.F
+				if math.IsInf(v.F, 0) || math.IsNaN(v.F) {
+					row[j] = strconv.FormatFloat(v.F, 'g', -1, 64)
+				}
 			default:
 				row[j] = v.S
 			}

@@ -65,6 +65,18 @@ func TestHTTPQuery(t *testing.T) {
 		t.Fatalf("explain missing from response: err=%v body=%s", err, body)
 	}
 
+	// A float that overflows still answers 200: ±Inf and NaN go out as
+	// the strings "+Inf", "-Inf" and "NaN", since JSON has no number for
+	// them.
+	big := "1" + strings.Repeat("0", 300) + ".0"
+	inf := "f * " + big + " * " + big // f = 0.5 at k = 1
+	code, _, body = postQuery(t, srv, `{"sql":"SELECT `+inf+` AS pos, 0 - `+inf+` AS neg, `+inf+` - `+inf+` AS nan FROM t WHERE k = 1 LIMIT 1"}`)
+	var nonFinite queryResponse
+	if err := json.Unmarshal([]byte(body), &nonFinite); code != http.StatusOK || err != nil ||
+		fmt.Sprint(nonFinite.Rows) != "[[+Inf -Inf NaN]]" {
+		t.Fatalf("overflowing query: HTTP %d %s, want rows [[+Inf -Inf NaN]]", code, body)
+	}
+
 	// Bad SQL → 400, still admitted.
 	code, _, _ = postQuery(t, srv, `{"sql":"SELECT FROM nothing"}`)
 	if code != http.StatusBadRequest {

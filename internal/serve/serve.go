@@ -29,8 +29,8 @@
 //
 //	submitted == admitted + shed + timed_out + drained
 //
-// once the server is idle. The saturation tests and `blucheck serve` assert
-// this both on the Server's own counters and on the /metrics scrape.
+// once the server is idle. TestSaturationDifferential asserts this both
+// on the Server's own counters and on the /metrics scrape.
 package serve
 
 import (

@@ -22,7 +22,7 @@ type StackExecutor interface {
 
 // StackOptions are the few things callers of NewStack genuinely set
 // differently; everything else about the assembly is fixed, so the
-// process bluserve runs and the one blucheck verifies are the same.
+// process bluserve runs and the one stack_test.go verifies are the same.
 type StackOptions struct {
 	// Config tunes the admission controller. The stack overwrites Prof
 	// and PagesFiring with its own accountant and obsd store; Log also
