@@ -9,7 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"blugpu/internal/fault"
 	"blugpu/internal/gpu"
+	"blugpu/internal/optimizer"
 	"blugpu/internal/sched"
 	"blugpu/internal/workload"
 )
@@ -64,12 +66,15 @@ func tapDevices(t *testing.T, e *Engine) *eventTap {
 }
 
 // deviceEventsDigest runs a cold lap and then a warm lap of all 146
-// workload statements on a two-device engine and renders, per lap and
-// statement, the event count and the SHA-256 of the sorted event multiset;
-// then the pinned segment's and (fused) the column cache's counters.
-func deviceEventsDigest(t *testing.T, ds *workload.Dataset, degree int, noFusion bool) []byte {
+// workload statements on a two-device engine built from cfg and renders,
+// per lap and statement, the event count and the SHA-256 of the sorted
+// event multiset; then the pinned segment's and (fused) the column cache's
+// counters; and, with a fault injector, the faults it fired and the
+// monitor's retries and fallbacks by operation.
+func deviceEventsDigest(t *testing.T, ds *workload.Dataset, cfg Config) []byte {
 	t.Helper()
-	e, err := New(Config{Devices: 2, Degree: degree, NoFusion: noFusion})
+	cfg.Devices = 2
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +83,11 @@ func deviceEventsDigest(t *testing.T, ds *workload.Dataset, degree int, noFusion
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	fmt.Fprintf(&out, "degree %d nofusion %t\n", degree, noFusion)
+	fmt.Fprintf(&out, "degree %d nofusion %t", cfg.Degree, cfg.NoFusion)
+	if cfg.Faults != nil {
+		fmt.Fprint(&out, " faults")
+	}
+	fmt.Fprintln(&out)
 	for _, lap := range []string{"cold", "warm"} {
 		for _, q := range workloadQueries() {
 			if _, err := e.QueryNamed(q.ID, q.SQL); err != nil {
@@ -96,6 +105,15 @@ func deviceEventsDigest(t *testing.T, ds *workload.Dataset, degree int, noFusion
 	if e.fcache != nil {
 		fmt.Fprintf(&out, "fusion %+v\n", e.fcache.Stats())
 	}
+	if cfg.Faults != nil {
+		fmt.Fprintf(&out, "injected %+v\n", cfg.Faults.Counts())
+		for _, r := range e.mon.Retries() {
+			fmt.Fprintf(&out, "retry %+v\n", r)
+		}
+		for _, fb := range e.mon.Fallbacks() {
+			fmt.Fprintf(&out, "fallback %+v\n", fb)
+		}
+	}
 	return out.Bytes()
 }
 
@@ -108,12 +126,27 @@ func deviceEventsDigest(t *testing.T, ds *workload.Dataset, degree int, noFusion
 // accounting-only memories to the filled ones. Answers, and so the host
 // float sums that later feed a device sort, depend on the degree alone, so
 // the digest is the same on any machine.
+//
+// The fault section runs the same laps with a 10 % fault rate at every
+// device site, T1=1 and a 256-row sort threshold, so every grouped query
+// and most sorts go to the device: it pins which operations fault, and
+// how each fault is retried or falls back, under fusion and without.
 func TestDeviceEventsGolden(t *testing.T) {
 	ds := workload.Generate(0.02, 20160626)
 	var got []byte
 	for _, degree := range []int{1, 8} {
 		for _, noFusion := range []bool{false, true} {
-			got = append(got, deviceEventsDigest(t, ds, degree, noFusion)...)
+			got = append(got, deviceEventsDigest(t, ds, Config{Degree: degree, NoFusion: noFusion})...)
+		}
+	}
+	th := optimizer.DefaultThresholds()
+	th.T1Rows = 1
+	for _, degree := range []int{1, 8} {
+		for _, noFusion := range []bool{false, true} {
+			got = append(got, deviceEventsDigest(t, ds, Config{
+				Degree: degree, NoFusion: noFusion, Thresholds: th, GPUSortThreshold: 256,
+				Faults: fault.New(fault.Config{Seed: 20160626, Reserve: 0.1, H2D: 0.1, D2H: 0.1, Kernel: 0.1}),
+			})...)
 		}
 	}
 	golden(t, "device_events.golden", got)
