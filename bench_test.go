@@ -261,7 +261,13 @@ func BenchmarkAblationSortCrossover(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					cfg.Scheduler = s
+					cfg.Device = func(tc trace.Context, at vtime.Time, demand int64, run func(*gpu.Reservation) error) (int, error) {
+						dev, err := s.Run(tc, at, demand, nil, run)
+						if dev == nil {
+							return -1, err
+						}
+						return dev.ID(), err
+					}
 				}
 				var st bsort.Stats
 				for i := 0; i < b.N; i++ {

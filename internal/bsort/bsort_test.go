@@ -10,15 +10,24 @@ import (
 
 	"blugpu/internal/gpu"
 	"blugpu/internal/sched"
+	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 )
 
-func twoGPUSched() *sched.Scheduler {
+// twoGPUs runs each GPU job once on two K40s through the scheduler, with
+// no retry: the engine's device contract is where retries live.
+func twoGPUs() DeviceFunc {
 	s, err := sched.New(gpu.NewDevice(0, vtime.TeslaK40()), gpu.NewDevice(1, vtime.TeslaK40()))
 	if err != nil {
 		panic(err)
 	}
-	return s
+	return func(tc trace.Context, at vtime.Time, demand int64, run func(*gpu.Reservation) error) (int, error) {
+		dev, err := s.Run(tc, at, demand, nil, run)
+		if dev == nil {
+			return -1, err
+		}
+		return dev.ID(), err
+	}
 }
 
 // intSource builds a KeySource over int64 values.
@@ -57,7 +66,7 @@ func TestFlatKeySourceMatchesBytes(t *testing.T) {
 			}
 		}
 	}
-	cfg := Config{Model: vtime.Default(), Scheduler: twoGPUSched(), Degree: 2, GPUThreshold: 256, Pinned: true}
+	cfg := Config{Model: vtime.Default(), Device: twoGPUs(), Degree: 2, GPUThreshold: 256, Pinned: true}
 	sameSort := func(flat *FlatKeySource, ref *BytesKeySource) []int32 {
 		t.Helper()
 		gotPerm, gotSt, err := Sort(flat, cfg)
@@ -188,7 +197,7 @@ func TestHybridSortUsesGPU(t *testing.T) {
 	}
 	cfg := Config{
 		Model:        vtime.Default(),
-		Scheduler:    twoGPUSched(),
+		Device:       twoGPUs(),
 		Degree:       24,
 		GPUThreshold: 1 << 14,
 		Pinned:       true,
@@ -216,7 +225,7 @@ func TestDuplicateRangeRecursion(t *testing.T) {
 	}
 	cfg := Config{
 		Model:        vtime.Default(),
-		Scheduler:    twoGPUSched(),
+		Device:       twoGPUs(),
 		Degree:       8,
 		GPUThreshold: 1 << 14,
 		Pinned:       true,
@@ -235,7 +244,7 @@ func TestAllEqualKeys(t *testing.T) {
 	vals := make([]int64, 70_000)
 	cfg := Config{
 		Model:        vtime.Default(),
-		Scheduler:    twoGPUSched(),
+		Device:       twoGPUs(),
 		GPUThreshold: 1 << 14,
 		Degree:       4,
 	}
@@ -253,7 +262,7 @@ func TestAllEqualKeys(t *testing.T) {
 
 func TestSmallInputsStayOnCPU(t *testing.T) {
 	vals := []int64{5, 3, 8, 1}
-	cfg := Config{Model: vtime.Default(), Scheduler: twoGPUSched(), Degree: 2}
+	cfg := Config{Model: vtime.Default(), Device: twoGPUs(), Degree: 2}
 	perm, st, err := Sort(intSource(vals), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +281,7 @@ func TestPartitionedSort(t *testing.T) {
 	}
 	cfg := Config{
 		Model:        vtime.Default(),
-		Scheduler:    twoGPUSched(),
+		Device:       twoGPUs(),
 		Degree:       16,
 		GPUThreshold: 1 << 14,
 		Partitions:   4,
@@ -330,7 +339,7 @@ func TestMultiColumnKey(t *testing.T) {
 func TestSortMatchesReferenceProperty(t *testing.T) {
 	cfg := Config{
 		Model:        vtime.Default(),
-		Scheduler:    twoGPUSched(),
+		Device:       twoGPUs(),
 		Degree:       8,
 		GPUThreshold: 256, // force GPU involvement on small inputs
 		Pinned:       true,

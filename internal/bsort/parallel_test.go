@@ -69,7 +69,7 @@ func TestSortDegreeMatchesWithGPU(t *testing.T) {
 	vals := randomVals(1<<17, 7)
 	base := Config{
 		Model:        vtime.Default(),
-		Scheduler:    twoGPUSched(),
+		Device:       twoGPUs(),
 		Degree:       1,
 		GPUThreshold: 1 << 12,
 	}
@@ -79,7 +79,7 @@ func TestSortDegreeMatchesWithGPU(t *testing.T) {
 	}
 	for _, d := range testDegrees[1:] {
 		cfg := base
-		cfg.Scheduler = twoGPUSched()
+		cfg.Device = twoGPUs()
 		cfg.Degree = d
 		perm, st := sortDegree(t, vals, cfg)
 		for i := range perm {

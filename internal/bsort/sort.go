@@ -9,7 +9,6 @@ import (
 
 	"blugpu/internal/gpu"
 	"blugpu/internal/parallel"
-	"blugpu/internal/sched"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 )
@@ -18,8 +17,8 @@ import (
 type Config struct {
 	// Model is the cost model (required).
 	Model *vtime.CostModel
-	// Scheduler places GPU jobs; nil disables the device path entirely.
-	Scheduler *sched.Scheduler
+	// Device runs GPU jobs; nil disables the device path entirely.
+	Device DeviceFunc
 	// Degree is host-side parallelism for key generation and CPU sorting.
 	Degree int
 	// GPUThreshold is the minimum job size (rows) worth dispatching to a
@@ -32,9 +31,6 @@ type Config struct {
 	// (by leading key byte) before enqueueing, so multiple devices can
 	// work without a merge step.
 	Partitions int
-	// Monitor receives degradation events (GPU sort jobs routed to the
-	// host); may be nil.
-	Monitor Sink
 	// Trace is the parent span for per-job sort spans; the zero value
 	// disables them.
 	Trace trace.Context
@@ -44,11 +40,10 @@ type Config struct {
 	TraceBase vtime.Time
 }
 
-// Sink receives sort-level degradation events. The engine's performance
-// monitor implements it structurally.
-type Sink interface {
-	RecordFallback(op string, faulted bool)
-}
+// DeviceFunc runs one GPU job of demand bytes, under span tc from virtual
+// time at, and reports the device that ran it or the error that sends
+// the job to the host; the engine's device contract implements it.
+type DeviceFunc func(tc trace.Context, at vtime.Time, demand int64, run func(*gpu.Reservation) error) (device int, err error)
 
 // DefaultGPUThreshold is the default CPU/GPU crossover in rows.
 const DefaultGPUThreshold = 1 << 16
@@ -195,17 +190,20 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 		rekey(j.r, j.depth)
 		rekeyT := cfg.Model.CPUTime(float64(j.r.Len()), cfg.Model.CPUKeyGenRate, cfg.Degree)
 
-		if cfg.Scheduler != nil && j.r.Len() >= cfg.GPUThreshold {
+		if cfg.Device != nil && j.r.Len() >= cfg.GPUThreshold {
 			// Device path: the job needs two entry buffers on the device.
+			// gpuRadixSort touches the host entries only after every
+			// transfer succeeded, so a failed attempt leaves the range
+			// intact for a retry or the host path below.
 			need := int64(j.r.Len()) * 16
 			var dups []Range
 			var t vtime.Duration
-			dev, err := cfg.Scheduler.Run(js, traceAt, need, nil, func(res *gpu.Reservation) (err error) {
+			dev, err := cfg.Device(js, traceAt, need, func(res *gpu.Reservation) (err error) {
 				dups, t, err = gpuRadixSort(entries, j.r, res, cfg.Model, cfg.Pinned, cfg.Degree)
 				return err
 			})
 			if err == nil {
-				gpuBusy[dev.ID()] += t
+				gpuBusy[dev] += t
 				st.GPUJobs++
 				st.Requeues += len(dups)
 				for _, d := range dups {
@@ -215,18 +213,9 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 					trace.Int("rows", int64(j.r.Len())), trace.Int("dups", int64(len(dups))))
 				continue
 			}
-			st.Fallbacks++
-			if cfg.Monitor != nil {
-				cfg.Monitor.RecordFallback("sort", errors.Is(err, gpu.ErrInjected))
-			}
-			if dev != nil {
-				// gpuRadixSort touches the host entries only after every
-				// transfer succeeded, so the range is intact for the host
-				// path below.
-				js.Annotate(trace.Str("gpu-error", err.Error()))
-			}
 			// No device admitted the job (or it failed): fall back to the
 			// host, like Section 2.1.1's fallback path.
+			st.Fallbacks++
 		}
 
 		// Host path: finish this range completely (all remaining depths

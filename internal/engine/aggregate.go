@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -165,39 +164,52 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	detail := ""
 	fallbackCause := ""
 	var ginfo gpuRunInfo
+	var waited vtime.Duration // retry backoff, fused and staged
 	var fx *fusedExec
 	if decision == optimizer.UseGPU {
-		// Try the fused chain first; it declines (nil fusedExec, nil
-		// error) when it cannot improve on the staged path, which then
-		// runs exactly as it would without fusion. A fused fault skips
-		// the staged retry — the chain has already spilled, and Section
-		// 2.1.1's discipline routes the query to the CPU.
+		// Try the fused chain first; it declines when it cannot improve on
+		// the staged path, which then runs exactly as it would without
+		// fusion. A fused chain that faults on every attempt skips the
+		// staged path — it has already spilled, and Section 2.1.1's
+		// discipline routes the query to the CPU.
 		gpuStart := time.Now()
-		gout, info, fexec, gerr := e.runAggregateFused(cr, in, demand, chain.Pinned, hostT, f, op)
-		fx = fexec
-		if fexec == nil && gerr == nil {
-			if mayFuse {
-				// Declined: the staged path reads the staged payloads.
+		var gerr error
+		if mayFuse {
+			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, chain.Pinned, hostT, f, op)
+			waited = ginfo.backoff
+			if ginfo.declined {
+				// The staged path reads the staged payloads.
 				hostT += charge(chain.Loads()...)
 				mayFuse = false
 			}
-			gout, info, gerr = e.runAggregateGPU(in, demand, chain.Pinned, f, op)
+		}
+		if !mayFuse {
+			ginfo, gerr = e.onDevice(op, f.q.base, &f.modeled, devCall{
+				op: "groupby", span: func(n int) string { return fmt.Sprintf("gpu-groupby attempt %d", n) }, demand: demand,
+				run: func(res *gpu.Reservation) (_ []trace.Attr, err error) {
+					out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, groupby.GPUOptions{
+						Race:   e.cfg.Race,
+						Pinned: chain.Pinned,
+					})
+					if err != nil {
+						return nil, err
+					}
+					e.chargeGroupby(f, res.Device(), out.Stats.Modeled, demand, demand)
+					return []trace.Attr{trace.Str("kernel", out.Stats.Kernel)}, nil
+				},
+			})
+			waited += ginfo.backoff
 		}
 		q.wallGPU(gpuStart)
-		ginfo = info
 		if gerr != nil {
 			// Device full, admission failed, or a GPU operation faulted:
 			// Section 2.1.1's fallback. The query never sees the error.
 			fallbackCause = gerr.Error()
-			e.mon.RecordFallback("groupby", errors.Is(gerr, gpu.ErrInjected))
-			op.Annotate(trace.Str("fallback", gerr.Error()))
+			e.fallback("groupby", op, gerr)
+		} else if fx != nil {
+			detail = fmt.Sprintf("gpu/fused/%s", out.Stats.Kernel)
 		} else {
-			out = gout
-			if fx != nil {
-				detail = fmt.Sprintf("gpu/fused/%s", out.Stats.Kernel)
-			} else {
-				detail = fmt.Sprintf("gpu/%s", out.Stats.Kernel)
-			}
+			detail = fmt.Sprintf("gpu/%s", out.Stats.Kernel)
 		}
 	}
 	if out == nil {
@@ -253,14 +265,14 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		FallbackCause: fallbackCause,
 		Devices:       ginfo.devices,
 	}
-	modeled := copyT + hostT + out.Stats.Modeled + finalize
+	modeled := copyT + hostT + waited + out.Stats.Modeled + finalize
 	if fx != nil {
 		// Fused chains charge cache fills and stage kernels beyond the
 		// group-by's own Stats.Modeled; attribute them here so self times
 		// still sum to the query total.
 		modeled += fx.chainModeled
 		rec.Fused = true
-		rec.FusedStages = fx.stages
+		rec.FusedStages = len(cr.stages)
 		rec.SavedBytes = fx.saved
 		rec.UploadBytes = fx.uploaded
 		rec.ChainHighWater = fx.highWater
@@ -271,88 +283,6 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		Agg: rec,
 	})
 	return f, nil
-}
-
-// maxGPUAttempts bounds the device attempts per group-by: the first try
-// plus one retry on a different device. Exhausting the attempts routes
-// the query to the CPU path (Section 2.1.1's fallback) — a query never
-// fails because a GPU operation failed.
-const maxGPUAttempts = 2
-
-// gpuRetryBackoff is the modeled delay charged to a query before it
-// retries a failed GPU operation on another device (doubling per
-// attempt).
-const gpuRetryBackoff = 100 * vtime.Microsecond
-
-// gpuRunInfo summarizes a group-by's device attempts for its operator
-// row: how many placements were tried, how many turned into
-// cross-device retries, and which devices admitted the task.
-type gpuRunInfo struct {
-	attempts int
-	retries  int
-	devices  []int
-}
-
-// runAggregateGPU runs the device path through the scheduler, retrying
-// once on a different device when an operation faults; sched.Run releases
-// every attempt's reservation before any retry or fallback runs. Each
-// attempt gets a span under the group-by operator's span op; the
-// reservation is bound to it, so every kernel, transfer and injected
-// fault of the attempt lands on that span in the trace.
-func (e *Engine) runAggregateGPU(in *groupby.Input, demand int64, pinned bool, f *frame, op trace.Context) (*groupby.Result, gpuRunInfo, error) {
-	var info gpuRunInfo
-	if e.sched == nil {
-		return nil, info, errors.New("engine: no devices")
-	}
-	var exclude map[int]bool
-	backoff := gpuRetryBackoff
-	var lastErr error
-	for attempt := 0; attempt < maxGPUAttempts; attempt++ {
-		info.attempts++
-		g := op.Begin("gpu", fmt.Sprintf("gpu-groupby attempt %d", attempt+1), f.at())
-		var out *groupby.Result
-		dev, err := e.sched.Run(g, f.at(), demand, exclude, func(res *gpu.Reservation) (err error) {
-			out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, groupby.GPUOptions{
-				Race:   e.cfg.Race,
-				Pinned: pinned,
-			})
-			return err
-		})
-		if dev == nil {
-			// Busy fleet or the remaining devices' reservations faulted:
-			// waiting briefly is an option (Section 2.1.1); the prototype
-			// falls back to the CPU instead.
-			g.End(f.at(), trace.Str("error", err.Error()))
-			return nil, info, err
-		}
-		info.devices = append(info.devices, dev.ID())
-		if err == nil {
-			// Sample device memory for the monitor at the query's
-			// virtual-time offsets: the demand held for the kernel's
-			// duration, then released.
-			e.mon.RecordMemSample(dev.ID(), vtime.Time(f.modeled.Seconds()), demand, dev.TotalMemory())
-			e.addGPU(f, out.Stats.Modeled, demand)
-			e.mon.RecordMemSample(dev.ID(), vtime.Time(f.modeled.Seconds()), 0, dev.TotalMemory())
-			g.End(f.at(), trace.Int("device", int64(dev.ID())),
-				trace.Str("kernel", out.Stats.Kernel))
-			return out, info, nil
-		}
-		g.End(f.at(), trace.Int("device", int64(dev.ID())), trace.Str("error", err.Error()))
-		lastErr = err
-		if attempt+1 < maxGPUAttempts {
-			info.retries++
-			e.mon.RecordGPURetry("groupby", errors.Is(err, gpu.ErrInjected))
-			if exclude == nil {
-				exclude = make(map[int]bool)
-			}
-			exclude[dev.ID()] = true
-			// Backoff is modeled, like everything else in the simulation.
-			op.Emit("gpu", "retry-backoff", f.at(), backoff, trace.Str("cause", err.Error()))
-			f.modeled += backoff
-			backoff *= 2
-		}
-	}
-	return nil, info, lastErr
 }
 
 // buildAggOutput decodes group keys and finalizes aggregates into the

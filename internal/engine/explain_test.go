@@ -11,6 +11,7 @@ import (
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/explain"
+	"blugpu/internal/fault"
 	"blugpu/internal/optimizer"
 	"blugpu/internal/workload"
 )
@@ -244,6 +245,28 @@ func TestExplainAnalyzeReconciliation(t *testing.T) {
 	for _, q := range workload.CognosROLAP() {
 		if q.ID == "rolap-q36" {
 			assertTelescopes(t, rolap, q.SQL, "gpu/k")
+		}
+	}
+	// Under faults, with every grouped statement and most sorts sent to
+	// the device, operations retry on the other device and fall back to
+	// the host; each retry's modeled backoff is part of its operator's
+	// self time, fused and staged.
+	th := optimizer.DefaultThresholds()
+	th.T1Rows = 1
+	ds := workload.Generate(0.02, 20160626)
+	for _, noFusion := range []bool{false, true} {
+		faulted, err := New(Config{
+			Devices: 2, NoFusion: noFusion, Thresholds: th, GPUSortThreshold: 256,
+			Faults: fault.New(fault.Config{Seed: 20160626, Kernel: 0.3, H2D: 0.2}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.RegisterAll(faulted); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range workloadQueries() {
+			assertTelescopes(t, faulted, q.SQL, "")
 		}
 	}
 }

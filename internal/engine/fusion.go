@@ -34,10 +34,10 @@ import (
 //     build without fusion, and is charged the same evaluators.
 //   - mid-chain fault (injected reserve/H2D/kernel/D2H failure or a dead
 //     device): the chain spills its live device intermediates back to
-//     the host, releases everything, and the query resumes on the CPU
-//     path — the same Section 2.1.1 fallback discipline as the staged
-//     path, and still bit-identical output thanks to the canonical
-//     group ordering in buildAggOutput.
+//     the host, releases everything, and onDevice retries it once on
+//     another device; a second fault resumes the query on the CPU path —
+//     the staged path's discipline, and still bit-identical output thanks
+//     to the canonical group ordering in buildAggOutput.
 
 // fuseFactor bounds how much colder-than-staged a chain launch may be:
 // the chain fuses when the bytes it must upload (cache misses over the
@@ -48,11 +48,6 @@ import (
 // twice its group-by input, which empirically covers the benchmark
 // workloads without regressing modeled time.
 const fuseFactor = 2.0
-
-// errFuseDecline is what a placed fused attempt returns to sched.Run when
-// it gives the reservation back without having tried the device: not a
-// fault, so it leaves the breaker alone.
-var errFuseDecline = errors.New("engine: fused chain declined")
 
 // chainStage describes one fused pipeline stage in execution order
 // (deepest first), recorded by the exec hooks as the host operators run.
@@ -131,7 +126,6 @@ func planFusedChain(n *plan.Aggregate) *chainRec {
 
 // fusedExec summarizes one fused chain execution for EXPLAIN ANALYZE.
 type fusedExec struct {
-	stages    int
 	saved     int64
 	uploaded  int64
 	highWater int64
@@ -157,11 +151,11 @@ func (cr *chainRec) scratchBytes() int64 {
 	return b
 }
 
-// runAggregateFused attempts the group-by as a fused device chain.
-// Returns (nil info, nil fusedExec, nil error) on decline — the caller
-// then runs the staged path exactly as it would without fusion. A
-// non-nil fusedExec with a non-nil error is a mid-chain fault: the chain
-// has already spilled and released, and the caller routes to the CPU.
+// runAggregateFused attempts the group-by as a fused device chain through
+// onDevice. The returned info is declined when the chain gave way — the
+// caller then runs the staged path exactly as it would without fusion. An
+// error that is not a decline is a mid-chain fault on every attempt: each
+// chain spilled and released, and the caller routes to the CPU.
 //
 // overlap is the key evaluators' time (LCOG/CCAT/HASH), the host work
 // the query has been charged before the attempt: cache fills are DMA
@@ -169,10 +163,9 @@ func (cr *chainRec) scratchBytes() int64 {
 // gpu.PipelineTime), so only fill time in excess of the window is charged
 // to the query. The fill bytes are never discounted — the H2D counters
 // see every uploaded byte.
-func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, pinned bool, overlap vtime.Duration, f *frame, op trace.Context) (*groupby.Result, gpuRunInfo, *fusedExec, error) {
-	var info gpuRunInfo
-	if e.sched == nil || e.fcache == nil || cr == nil || cr.entry == nil || in.NumRows == 0 {
-		return nil, info, nil, nil
+func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, pinned bool, overlap vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
+	if in.NumRows == 0 {
+		return nil, nil, gpuRunInfo{declined: true}, nil
 	}
 	// Late materialization: only the columns the chain reads go through
 	// the cache, in entry-table column order (deterministic).
@@ -189,29 +182,33 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	// slack for word-rounding of the packed image.
 	chainDemand := demand + cr.scratchBytes() + 64
 
-	// Committed to the fused attempt once attempt gets past its two
-	// declines; fx then describes it, fault or not.
-	fx := &fusedExec{stages: len(cr.stages)}
-	var (
-		out          *groupby.Result
-		declineAttrs []trace.Attr
-		spilled      int64
-		fillT        vtime.Duration
-		stageT       vtime.Duration
-	)
-	g := op.Begin("gpu", "fused-chain", f.at())
-	attempt := func(res *gpu.Reservation) error {
+	// Cache affinity: the column cache is per-device, and the scheduler's
+	// free-memory ranking would otherwise steer successive chains *away*
+	// from the warm device (its resident bytes read as load). Prefer the
+	// device with the fewest miss bytes for this chain's columns; ties
+	// resolve to the first device, concentrating fills instead of
+	// duplicating them per device.
+	devs := e.sched.Devices()
+	prefer, bestMiss := devs[0], e.fcache.MissBytes(devs[0].ID(), entryCols)
+	for _, d := range devs[1:] {
+		if miss := e.fcache.MissBytes(d.ID(), entryCols); miss < bestMiss {
+			prefer, bestMiss = d, miss
+		}
+	}
+
+	var out *groupby.Result
+	var fx *fusedExec
+	run := func(res *gpu.Reservation) ([]trace.Attr, error) {
 		dev := res.Device()
 		// Fuse/decline policy: how cold is the cache for this chain's entry
 		// columns on the chosen device?
 		if miss := e.fcache.MissBytes(dev.ID(), entryCols); float64(miss) > fuseFactor*float64(inputBytes) {
-			declineAttrs = []trace.Attr{trace.Str("decline", "cold-cache"), trace.Int("miss_bytes", miss)}
-			return errFuseDecline
+			return []trace.Attr{trace.Str("decline", "cold-cache"), trace.Int("miss_bytes", miss)}, errFuseDecline
 		}
 
 		// live is the bytes of chain intermediates claimed so far.
 		var live int64
-		fault := func(cause error) error {
+		fault := func(cause error) ([]trace.Attr, error) {
 			// Break the chain cleanly: the live device intermediates spill to
 			// the host before the reservation goes. The spill is not a
 			// CopyFromDevice — the device is already failing, and routing the
@@ -219,28 +216,26 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 			// no retry/fallback to pair them with, breaking the monitor's
 			// one-fault-one-handling ledger. The spilled volume is recorded
 			// on the chain span instead.
-			spilled += live
-			return cause
+			return []trace.Attr{trace.Int("spill_bytes", live)}, cause
 		}
 
 		// Acquire the chain's input columns on the device: hits pin resident
 		// entries, misses upload through the cache (reserve + H2D under this
 		// chain's span).
-		lease, err := e.fcache.Ensure(dev, entryCols, g.ID(), e.model, true, e.cfg.Degree)
+		lease, err := e.fcache.Ensure(dev, entryCols, res.Span(), e.model, true, e.cfg.Degree)
 		if err != nil {
 			if errors.Is(err, gpu.ErrInjected) {
 				return fault(err)
 			}
 			// No room even after eviction: decline, staged may still fit.
-			declineAttrs = []trace.Attr{trace.Str("decline", err.Error())}
-			return errFuseDecline
+			return []trace.Attr{trace.Str("decline", err.Error())}, errFuseDecline
 		}
 		defer lease.Release()
-		fx.saved, fx.uploaded, fillT = lease.Saved, lease.Uploaded, lease.Modeled
 
 		// Run the chain stages on-device: each stage claims its intermediate
 		// (selection vector / derived codes) from the chain reservation and
 		// charges streaming time over its input rows.
+		var stageT vtime.Duration
 		runStage := func(name string, words int, work float64) error {
 			if words > 0 {
 				bytes := int64(words) * 8
@@ -249,7 +244,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 				}
 				live += bytes
 			}
-			kr := dev.RunKernelSpan(name, g.ID(), func() vtime.Duration {
+			kr := dev.RunKernelSpan(name, res.Span(), func() vtime.Duration {
 				if work <= 0 {
 					return 0
 				}
@@ -290,95 +285,26 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		if err != nil {
 			return fault(err)
 		}
-		fx.highWater = res.Used()
-		return nil
+		fx = &fusedExec{saved: lease.Saved, uploaded: lease.Uploaded, highWater: res.Used()}
+		fx.chainModeled = max(lease.Modeled-overlap, 0) + stageT
+		// The DES profile keeps the group-by's own demand (not the chain
+		// total) so concurrency replay and the ROLAP memory calibration see
+		// the same per-query footprint with fusion on or off.
+		e.chargeGroupby(f, dev, fx.chainModeled+out.Stats.Modeled, chainDemand, demand)
+		e.mon.RecordFusedChain(fx.saved, fx.uploaded)
+		return []trace.Attr{
+			trace.Str("kernel", out.Stats.Kernel),
+			trace.Int("fused", 1),
+			trace.Int("stages", int64(len(cr.stages))),
+			trace.Int("saved_bytes", fx.saved),
+			trace.Int("upload_bytes", fx.uploaded),
+			trace.Int("high_water", fx.highWater),
+		}, nil
 	}
-
-	// Cache affinity: the column cache is per-device, and the scheduler's
-	// free-memory ranking would otherwise steer successive chains *away*
-	// from the warm device (its resident bytes read as load). Prefer the
-	// device with the fewest miss bytes for this chain's columns; ties
-	// resolve to the first device, concentrating fills instead of
-	// duplicating them per device.
-	var dev *gpu.Device
-	var err error
-	if devs := e.sched.Devices(); len(devs) > 1 {
-		prefer, bestMiss := devs[0], e.fcache.MissBytes(devs[0].ID(), entryCols)
-		for _, d := range devs[1:] {
-			if miss := e.fcache.MissBytes(d.ID(), entryCols); miss < bestMiss {
-				prefer, bestMiss = d, miss
-			}
-		}
-		exclude := make(map[int]bool, len(devs)-1)
-		for _, d := range devs {
-			if d != prefer {
-				exclude[d.ID()] = true
-			}
-		}
-		dev, err = e.sched.Run(g, f.at(), chainDemand, exclude, attempt)
-		if dev == nil {
-			// Preferred device declined; widen to the fleet. The swallowed
-			// failure is recorded as a place retry — exactly what the
-			// scheduler does when it moves down its own candidate ranking —
-			// so an injected reservation fault stays paired with one
-			// handling in the monitor's ledger.
-			e.mon.RecordGPURetry("place", errors.Is(err, gpu.ErrInjected))
-		}
-	}
-	if dev == nil {
-		dev, err = e.sched.Run(g, f.at(), chainDemand, nil, attempt)
-	}
-	// Resident cache bytes must never starve live queries: purge and
-	// retry once.
-	if dev == nil && e.fcache.PurgeAll() > 0 {
-		e.mon.RecordGPURetry("place", errors.Is(err, gpu.ErrInjected))
-		dev, err = e.sched.Run(g, f.at(), chainDemand, nil, attempt)
-	}
-	switch {
-	case dev == nil && errors.Is(err, gpu.ErrInjected):
-		// A terminal injected fault must surface as a faulted CPU
-		// fallback (the staged path's discipline); declining to the
-		// staged path would leave it unhandled.
-		g.End(f.at(), trace.Str("error", err.Error()))
-		return nil, info, nil, err
-	case dev == nil:
-		// Non-faulted failures (busy fleet, demand too large) decline to
-		// the smaller staged demand.
-		g.End(f.at(), trace.Str("decline", err.Error()))
-		return nil, info, nil, nil
-	case errors.Is(err, errFuseDecline):
-		g.End(f.at(), append([]trace.Attr{trace.Int("device", int64(dev.ID()))}, declineAttrs...)...)
-		return nil, info, nil, nil
-	}
-	info.attempts++
-	info.devices = append(info.devices, dev.ID())
-	if err != nil {
-		g.End(f.at(), trace.Int("device", int64(dev.ID())),
-			trace.Int("spill_bytes", spilled), trace.Str("error", err.Error()))
-		return nil, info, fx, err
-	}
-	fill := fillT - overlap
-	if fill < 0 {
-		fill = 0
-	}
-	fx.chainModeled = fill + stageT
-	total := fx.chainModeled + out.Stats.Modeled
-	e.mon.RecordMemSample(dev.ID(), vtime.Time(f.modeled.Seconds()), chainDemand, dev.TotalMemory())
-	// The DES profile keeps the group-by's own demand (not the chain
-	// total) so concurrency replay and the ROLAP memory calibration see
-	// the same per-query footprint with fusion on or off.
-	e.addGPU(f, total, demand)
-	e.mon.RecordMemSample(dev.ID(), vtime.Time(f.modeled.Seconds()), 0, dev.TotalMemory())
-	e.mon.RecordFusedChain(fx.saved, fx.uploaded)
-	g.End(f.at(),
-		trace.Int("device", int64(dev.ID())),
-		trace.Str("kernel", out.Stats.Kernel),
-		trace.Int("fused", 1),
-		trace.Int("stages", int64(fx.stages)),
-		trace.Int("saved_bytes", fx.saved),
-		trace.Int("upload_bytes", fx.uploaded),
-		trace.Int("high_water", fx.highWater))
-	return out, info, fx, nil
+	info, err := e.onDevice(op, f.q.base, &f.modeled, devCall{
+		op: "groupby", span: func(int) string { return "fused-chain" }, demand: chainDemand, prefer: prefer, run: run,
+	})
+	return out, fx, info, err
 }
 
 // FusionCache exposes the device-resident column cache, nil when fusion

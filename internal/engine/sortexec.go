@@ -8,6 +8,7 @@ import (
 	"blugpu/internal/bsort"
 	"blugpu/internal/columnar"
 	"blugpu/internal/explain"
+	"blugpu/internal/gpu"
 	"blugpu/internal/parallel"
 	"blugpu/internal/plan"
 	"blugpu/internal/trace"
@@ -128,10 +129,11 @@ func sortKeyWords(src columnar.Source, keys []plan.SortKey, degree int) (words [
 
 // hybridSort sorts the rows behind src through the hybrid job-queue sort
 // and returns the permutation, the sort stats and the time it charged the
-// query: key generation and host sorting, then the busiest device's time.
-// The charge runs host and device one after the other, where
-// stats.Modeled overlaps them, so the operator row's self time is the
-// charge. op is the operator span the per-job sort spans hang off.
+// query: key generation and host sorting, then the busiest device's time,
+// then any retry backoff its GPU jobs waited. The charge runs host and
+// device one after the other, where stats.Modeled overlaps them, so the
+// operator row's self time is the charge. op is the operator span the
+// per-job sort spans hang off; each GPU job runs through onDevice.
 func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context) ([]int32, bsort.Stats, vtime.Duration, error) {
 	rows := src.NumRows()
 
@@ -149,7 +151,6 @@ func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context
 		Degree:       e.cfg.Degree,
 		GPUThreshold: e.cfg.GPUSortThreshold,
 		Pinned:       pinned,
-		Monitor:      e.mon,
 		Trace:        op,
 		TraceBase:    f.at(),
 	}
@@ -157,8 +158,21 @@ func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context
 	if threshold <= 0 {
 		threshold = bsort.DefaultGPUThreshold
 	}
+	var waited vtime.Duration
 	if e.GPUEnabled() {
-		cfg.Scheduler = e.sched
+		cfg.Device = func(tc trace.Context, at vtime.Time, demand int64, run func(*gpu.Reservation) error) (int, error) {
+			var off vtime.Duration
+			info, err := e.onDevice(tc, at, &off, devCall{
+				op: "sort", span: func(n int) string { return fmt.Sprintf("gpu-sort attempt %d", n) }, demand: demand,
+				run: func(res *gpu.Reservation) ([]trace.Attr, error) { return nil, run(res) },
+			})
+			waited += info.backoff
+			if err != nil {
+				e.fallback("sort", tc, err)
+				return -1, err
+			}
+			return info.devices[len(info.devices)-1], nil
+		}
 		if len(e.devices) > 1 && rows >= 2*threshold {
 			cfg.Partitions = len(e.devices) * 2
 		}
@@ -173,7 +187,8 @@ func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context
 		e.addGPU(f, stats.GPUTime, int64(rows)*16)
 		charged += stats.GPUTime
 	}
-	return perm, stats, charged, nil
+	f.modeled += waited
+	return perm, stats, charged + waited, nil
 }
 
 // sortRecord converts bsort stats to the operator row's shape.
