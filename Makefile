@@ -4,7 +4,10 @@ GO ?= go
 # differential tests (degrees 1/2/8), the scheduler/fault stress tests,
 # the concurrent span-tracer stress test and the group-by's partitioned
 # aggregation loop — the one the CPU path and every device kernel run —
-# under the race detector.
+# under the race detector, then internal/bench's fault sweeps and fault
+# attribution tests, which drive the engine's device contract (placement,
+# cross-device retry, host fallback) for the staged group-by, the fused
+# chain and sort jobs.
 PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/evaluator ./internal/bsort ./internal/engine \
                 ./internal/sched ./internal/fault ./internal/trace \
@@ -25,6 +28,7 @@ test:
 
 race:
 	$(GO) test -race $(PARALLEL_PKGS)
+	$(GO) test -race -run 'FaultSweep|FusedFault|TraceFaultAttribution' ./internal/bench
 
 # Host-path micro-rulers (1M rows or groups, allocations reported):
 # gathers, the partial key buffer build, the shared radix pass, the

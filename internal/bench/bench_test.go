@@ -160,7 +160,9 @@ func TestPaperShapes(t *testing.T) {
 		t.Errorf("fig5 total gain = %.1f%%, want clearly positive (paper ~20%%)", gain*100)
 	}
 
-	// Figure 6: intermediate queries stay close to baseline (within 10%).
+	// Figure 6: intermediate queries stay close to baseline. The paper
+	// reports a total gain of about 0; the band enforced here is −10 % …
+	// +15 %, and the reporting scale measures +10.89 %.
 	interRuns, err := h.RunSet(workload.Filter(workload.BDInsights(), workload.Intermediate))
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +200,7 @@ func TestFig8Shape(t *testing.T) {
 	}
 	h := shapeHarness(t)
 	var sb strings.Builder
-	res, _, err := h.Fig8(&sb)
+	res, offRes, err := h.Fig8(&sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +208,13 @@ func TestFig8Shape(t *testing.T) {
 	if !strings.Contains(out, "gpu-heavy") || !strings.Contains(out, "TOTAL") {
 		t.Fatalf("fig8 output incomplete:\n%s", out)
 	}
-	// ~2x claim: the GPU-on run must be at least 1.5x faster overall.
-	// Parse is brittle; recompute from the result instead: makespan must
-	// be well under the GPU-off run, which the output asserts via the
-	// printed speedup. Here just sanity-check the DES result.
 	if res.Makespan <= 0 || len(res.Queries) == 0 {
-		t.Error("fig8 DES result empty")
+		t.Fatal("fig8 DES result empty")
+	}
+	// ~2x claim: the GPU-on run must be at least 1.5x faster overall, by
+	// makespan (3.15x here).
+	if speedup := offRes.Makespan.Seconds() / res.Makespan.Seconds(); speedup < 1.5 {
+		t.Errorf("fig8 speedup = %.2fx (GPU off %v, on %v), want >= 1.5x", speedup, offRes.Makespan, res.Makespan)
 	}
 	// Memory series exists for figure 9.
 	if len(res.MemSeries) == 0 || len(res.MemSeries[0]) == 0 {
