@@ -39,10 +39,11 @@ race:
 # and transfers, no input copy), the join probe against a resident key
 # index (plain, with a 20 % build mask, and through a 60 % row list), a
 # three-join star over a 60 % fact list with 20 % dimension masks, the
-# typed group-by output and the flat sort-key extractor (NULLs in every
-# key column, and none).
+# typed group-by output, the flat sort-key extractor (NULLs in every key
+# column, and none) and the top-k selection (1M two-segment keys, k = 100,
+# degree 8) against the full sort a LIMIT 100 would cut.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|StarJoin|AggOutput|SortKeys' -benchmem -run '^$$' \
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|StarJoin|AggOutput|SortKeys|TopK' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/kmv ./internal/groupby ./internal/engine
 
 # Five seconds of native fuzzing each: WHERE clauses mutated from the
@@ -61,7 +62,11 @@ bench:
 # tables and ASC/DESC key lists, the flat sort-key buffer held segment by
 # segment to the NULL-aware view of the test-only byte keys (no flag for a
 # column with no NULL) and its sort's permutation to a stable sort of the
-# byte keys themselves (internal/engine, capped likewise);
+# byte keys themselves (internal/engine, capped likewise); then those
+# tables tiled up to eight times, so every key repeats and the selection
+# spans several workers, and a k in [1, n], bsort.TopK at degrees 1 and 8
+# held to the first k of the sort's permutation and of the stable sort of
+# the byte keys (internal/engine, capped likewise);
 # then alert-rules files through the parser into a store, query
 # expressions through the parser into a range query on an empty store
 # (internal/obsd), and query-log streams through the decoder and back
@@ -73,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinMatchesReference -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSortKeysMatchReference -fuzztime 5s -fuzzminimizetime 200x
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzTopKMatchesSort -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/obsd -run '^$$' -fuzz FuzzParseRules -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/obsd -run '^$$' -fuzz FuzzParseExpr -fuzztime 5s
 	$(GO) test ./internal/qlog -run '^$$' -fuzz FuzzQlogDecode -fuzztime 5s -fuzzminimizetime 200x

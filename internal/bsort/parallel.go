@@ -1,7 +1,6 @@
 package bsort
 
 import (
-	"cmp"
 	"slices"
 
 	"blugpu/internal/parallel"
@@ -111,14 +110,7 @@ func partitionTopByte(es []Entry, degree int, scratch []Entry) [257]int {
 func hostSortRange(entries []Entry, r Range, depth int, src KeySource, degree int) {
 	maxDepth := src.MaxDepth()
 	order := func(a, b Entry) int {
-		pa, pb := a.Payload(), b.Payload()
-		for d := depth; d < maxDepth; d++ {
-			ka, kb := src.PartialKey(int32(pa), d), src.PartialKey(int32(pb), d)
-			if ka != kb {
-				return cmp.Compare(ka, kb)
-			}
-		}
-		return cmp.Compare(pa, pb)
+		return compareRows(src, depth, maxDepth, int32(a.Payload()), int32(b.Payload()))
 	}
 	es := entries[r.Lo:r.Hi]
 	workers := parallel.Degree(degree)

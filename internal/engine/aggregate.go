@@ -166,6 +166,9 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	var ginfo gpuRunInfo
 	var waited vtime.Duration // retry backoff, fused and staged
 	var fx *fusedExec
+	// The plan's top-k rides to both device paths: only k groups of an
+	// ORDER BY ... LIMIT k above may leave the device.
+	gopts := groupby.GPUOptions{Race: e.cfg.Race, Pinned: chain.Pinned, TopK: n.TopK}
 	if decision == optimizer.UseGPU {
 		// Try the fused chain first; it declines when it cannot improve on
 		// the staged path, which then runs exactly as it would without
@@ -175,7 +178,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		gpuStart := time.Now()
 		var gerr error
 		if mayFuse {
-			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, chain.Pinned, hostT, f, op)
+			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, hostT, f, op)
 			waited = ginfo.backoff
 			if ginfo.declined {
 				// The staged path reads the staged payloads.
@@ -187,10 +190,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 			ginfo, gerr = e.onDevice(op, f.q.base, &f.modeled, devCall{
 				op: "groupby", span: func(n int) string { return fmt.Sprintf("gpu-groupby attempt %d", n) }, demand: demand,
 				run: func(res *gpu.Reservation) (_ []trace.Attr, err error) {
-					out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, groupby.GPUOptions{
-						Race:   e.cfg.Race,
-						Pinned: chain.Pinned,
-					})
+					out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, gopts)
 					if err != nil {
 						return nil, err
 					}
@@ -244,17 +244,34 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	if err != nil {
 		return f.fail(op, err)
 	}
-	q.wallHost(buildStart)
-	finalize := e.model.CPUTime(float64(out.Groups*len(items)), e.model.CPUExprRate, e.cfg.Degree)
-	e.addCPU(f, finalize)
-	op.End(f.at(), trace.Int("groups", int64(out.Groups)), trace.Str("path", detail))
 	f.setTable(outTbl)
+	if k := out.Stats.Kept; k > 0 {
+		// The device shipped only the first k groups of the ORDER BY
+		// above. The host names the same k: TopK over the output's sort
+		// keys, whose rows are in canonical key order, so the Sort above
+		// orders exactly the rows it would have kept, ties included.
+		words, offs, err := sortKeyWords(f, n.TopKeys, e.cfg.Degree)
+		if err != nil {
+			return f.fail(op, err)
+		}
+		f.parts[0].rows = bsort.TopK(bsort.NewFlatKeySource(words, out.Groups, offs[len(n.TopKeys)]), k, e.cfg.Degree)
+		f.sel = selUnkeyed
+	}
+	q.wallHost(buildStart)
+	finalize := e.model.CPUTime(float64(f.Len()*len(items)), e.model.CPUExprRate, e.cfg.Degree)
+	e.addCPU(f, finalize)
+	attrs := []trace.Attr{trace.Int("groups", int64(out.Groups)), trace.Str("path", detail)}
+	if out.Stats.Kept > 0 {
+		attrs = append(attrs, trace.Int("kept", int64(out.Stats.Kept)))
+	}
+	op.End(f.at(), attrs...)
 	rec := &explain.AggRecord{
 		Keys:          n.Keys,
 		Plan:          q.nextPrognosis(),
 		InputRows:     rows,
 		EstGroups:     int64(in.EstGroups),
 		ActualGroups:  int64(out.Groups),
+		Kept:          int64(out.Stats.Kept),
 		RelErr:        relErr,
 		MemoryDemand:  demand,
 		Decision:      decision.String(),
@@ -278,7 +295,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		rec.ChainHighWater = fx.highWater
 	}
 	f.ops = append(f.ops, OpStat{
-		Op: "groupby", Detail: detail, Depth: q.depth, Rows: out.Groups,
+		Op: "groupby", Detail: detail, Depth: q.depth, Rows: f.Len(),
 		Span: op.ID(), Start: start, End: f.at(), Modeled: modeled,
 		Agg: rec,
 	})

@@ -90,8 +90,11 @@ func (cr *chainRec) noteEntry(tbl *columnar.Table) {
 // window, project — breaks the chain and becomes the entry point (its
 // output is what the chain uploads or finds resident). A bare scan entry
 // yields an empty-stage chain that still fuses the upload itself.
-// GPU sort entry points are recognized but not fused in this design —
-// device sort runs through its own job queue (see execSort).
+// An ORDER BY ... LIMIT k above the group-by joins the chain at its exit:
+// the plan hands the group-by its k (plan.Aggregate.TopK), a topk_select
+// kernel picks the k groups on the device when that pays, and only they
+// cross back. A full sort is not fused: it runs through its own job
+// queue (see execSort).
 func planFusedChain(n *plan.Aggregate) *chainRec {
 	cr := &chainRec{members: make(map[plan.Node]bool), needed: make(map[string]bool)}
 	for _, k := range n.Keys {
@@ -163,7 +166,7 @@ func (cr *chainRec) scratchBytes() int64 {
 // gpu.PipelineTime), so only fill time in excess of the window is charged
 // to the query. The fill bytes are never discounted — the H2D counters
 // see every uploaded byte.
-func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, pinned bool, overlap vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
+func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, opts groupby.GPUOptions, overlap vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
 	if in.NumRows == 0 {
 		return nil, nil, gpuRunInfo{declined: true}, nil
 	}
@@ -277,11 +280,8 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 			return fault(err)
 		}
 
-		out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, groupby.GPUOptions{
-			Race:   e.cfg.Race,
-			Pinned: pinned,
-			Fused:  true,
-		})
+		opts.Fused = true
+		out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, opts)
 		if err != nil {
 			return fault(err)
 		}

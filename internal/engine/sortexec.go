@@ -211,9 +211,27 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 		if err != nil {
 			return f.fail(sp, err)
 		}
-		perm, stats, sortT, err := e.hybridSort(bsort.NewFlatKeySource(words, rows, offs[len(n.Keys)]), f, sp)
-		if err != nil {
-			return f.fail(sp, err)
+		src := bsort.NewFlatKeySource(words, rows, offs[len(n.Keys)])
+		var perm []int32
+		var stats bsort.Stats
+		var sortT vtime.Duration
+		detail := ""
+		if k, depth := n.K, src.MaxDepth(); k > 0 && k < rows &&
+			bsort.TopKCost(e.model, rows, k, depth, e.cfg.Degree) < bsort.HostSortCost(e.model, rows, depth, e.cfg.Degree) {
+			// LIMIT k directly above: select the first k rows of the same
+			// order — keys, then row id — and order only those, one host
+			// job.
+			perm = bsort.TopK(src, k, e.cfg.Degree)
+			sortT = bsort.TopKCost(e.model, rows, k, depth, e.cfg.Degree)
+			e.addCPU(f, sortT)
+			sp.Emit("sort-job", "job depth=0", start, sortT, trace.Str("path", "cpu-topk"), trace.Int("rows", int64(rows)))
+			stats = bsort.Stats{Rows: rows, Jobs: 1, CPUJobs: 1}
+			detail = fmt.Sprintf("top-k %d of %d", k, rows)
+		} else {
+			if perm, stats, sortT, err = e.hybridSort(src, f, sp); err != nil {
+				return f.fail(sp, err)
+			}
+			detail = fmt.Sprintf("jobs=%d gpu=%d cpu=%d", stats.Jobs, stats.GPUJobs, stats.CPUJobs)
 		}
 		sp.End(f.at(), trace.Int("rows", int64(rows)),
 			trace.Int("jobs", int64(stats.Jobs)), trace.Int("gpu-jobs", int64(stats.GPUJobs)))
@@ -223,8 +241,8 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 		composeParts(f.parts, perm, e.cfg.Degree)
 		f.sel = selUnkeyed
 		f.ops = append(f.ops, OpStat{
-			Op: "sort", Detail: fmt.Sprintf("jobs=%d gpu=%d cpu=%d", stats.Jobs, stats.GPUJobs, stats.CPUJobs),
-			Depth: q.depth, Rows: rows,
+			Op: "sort", Detail: detail,
+			Depth: q.depth, Rows: len(perm),
 			Span: sp.ID(), Start: start, End: f.at(), Modeled: sortT,
 			Sort: sortRecord(stats),
 		})

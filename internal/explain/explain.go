@@ -43,6 +43,9 @@ type AggRecord struct {
 	EstGroups    int64
 	ActualGroups int64
 	RelErr       float64
+	// Kept is the groups a device top-k selection let leave the device —
+	// the k of an ORDER BY ... LIMIT k above — and 0 when every group did.
+	Kept int64
 	// MemoryDemand is the exact device demand the runtime decision saw.
 	MemoryDemand int64
 	// Decision/Reason are the runtime Figure-3 outcome; Path is what

@@ -79,6 +79,9 @@ func (r *Report) WriteText(w io.Writer) {
 			if g.FallbackCause != "" {
 				fmt.Fprintf(w, " fallback=%q", g.FallbackCause)
 			}
+			if g.Kept > 0 {
+				fmt.Fprintf(w, " kept=%d", g.Kept)
+			}
 			fmt.Fprintf(w, "\n")
 			if g.Fused {
 				fmt.Fprintf(w, "%sfused: stages=%d saved=%d B upload=%d B chain-high-water=%d B\n",

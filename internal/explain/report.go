@@ -97,6 +97,7 @@ type GroupbyReport struct {
 	InputRows     int64   `json:"input_rows"`
 	EstGroups     int64   `json:"est_groups"`
 	ActualGroups  int64   `json:"actual_groups"`
+	Kept          int64   `json:"kept,omitempty"`
 	RelErr        float64 `json:"rel_err"`
 	DemandBytes   int64   `json:"demand_bytes"`
 	Decision      string  `json:"decision"`
@@ -421,6 +422,7 @@ func Build(in Input) *Report {
 				Retries:       a.Retries,
 				FallbackCause: a.FallbackCause,
 				Devices:       a.Devices,
+				Kept:          a.Kept,
 			}
 			if a.Fused {
 				g.Fused = true

@@ -225,6 +225,10 @@ type ExecStats struct {
 	Retried int
 	// Raced lists kernels raced by the moderator (including the winner).
 	Raced []string
+	// Kept is the k groups a topk_select kernel let leave the device (0:
+	// every group did); the result still holds every group, and the
+	// caller picks the k by the order the selection was asked for.
+	Kept int
 
 	// TransferIn/KernelTime/TransferOut split the modeled device path;
 	// HostTime is host-side work (staging, or the whole CPU path).

@@ -52,11 +52,14 @@ func skewedKeys() []uint64 {
 
 // kernelCostCases are the inputs of the kernel-cost golden: every regime
 // the moderator distinguishes, the error path and the race, including the
-// kernel-1 and wide-key runs the workload never makes.
+// kernel-1 and wide-key runs the workload never makes, then an ORDER BY
+// ... LIMIT k over many groups, whose topk_select pays for itself, and
+// over few, where shipping every group is cheaper.
 func kernelCostCases() []struct {
 	name string
 	in   *Input
 	race bool
+	topK int
 } {
 	eight := make([]AggSpec, 8)
 	for i := range eight {
@@ -69,13 +72,16 @@ func kernelCostCases() []struct {
 		name string
 		in   *Input
 		race bool
+		topK int
 	}{
-		{"narrow-low-card", buildInput(makeKeys(30000, 12), stdAggs, 12), false},
-		{"skewed", buildInput(skewedKeys(), stdAggs, 2048), false},
-		{"wide-two-field", buildWideInput(8000, 250, []AggSpec{{Kind: Sum, Type: columnar.Int64}, {Kind: Count}}), false},
-		{"eight-aggs", buildInput(makeKeys(20000, 5000), eight, 5000), false},
-		{"low-estimate", buildInput(makeKeys(5000, 100), stdAggs, 40), false},
-		{"race", buildInput(makeKeys(20000, 12), stdAggs, 12), true},
+		{"narrow-low-card", buildInput(makeKeys(30000, 12), stdAggs, 12), false, 0},
+		{"skewed", buildInput(skewedKeys(), stdAggs, 2048), false, 0},
+		{"wide-two-field", buildWideInput(8000, 250, []AggSpec{{Kind: Sum, Type: columnar.Int64}, {Kind: Count}}), false, 0},
+		{"eight-aggs", buildInput(makeKeys(20000, 5000), eight, 5000), false, 0},
+		{"low-estimate", buildInput(makeKeys(5000, 100), stdAggs, 40), false, 0},
+		{"race", buildInput(makeKeys(20000, 12), stdAggs, 12), true, 0},
+		{"topk-select", buildInput(makeKeys(40000, 20000), stdAggs, 20000), false, 100},
+		{"topk-no-pay", buildInput(makeKeys(5000, 64), stdAggs, 64), false, 10},
 	}
 }
 
@@ -92,7 +98,7 @@ func kernelCostDigest(t *testing.T) []byte {
 			log := &eventLog{}
 			dev := gpu.NewDevice(0, vtime.TeslaK40(), gpu.WithSink(log))
 			res := reserveFor(t, dev, c.in)
-			r, err := RunGPU(c.in, 8, res, model, GPUOptions{Kernel: k, Race: c.race, Pinned: true})
+			r, err := RunGPU(c.in, 8, res, model, GPUOptions{Kernel: k, Race: c.race, Pinned: true, TopK: c.topK})
 			res.Release()
 			fmt.Fprintf(&out, "%s %s: ", c.name, k)
 			switch {
@@ -102,9 +108,13 @@ func kernelCostDigest(t *testing.T) []byte {
 				t.Fatalf("%s %s: %v", c.name, k, err)
 			default:
 				st := r.Stats
-				fmt.Fprintf(&out, "kernel %s retried %d raced %v groups %d kernel %016x modeled %016x\n",
+				fmt.Fprintf(&out, "kernel %s retried %d raced %v groups %d kernel %016x modeled %016x",
 					st.Kernel, st.Retried, st.Raced, r.Groups,
 					math.Float64bits(float64(st.KernelTime)), math.Float64bits(float64(st.Modeled)))
+				if c.topK > 0 {
+					fmt.Fprintf(&out, " top-k %d kept %d", c.topK, st.Kept)
+				}
+				fmt.Fprintln(&out)
 			}
 			slices.Sort(log.lines)
 			for _, l := range log.lines {

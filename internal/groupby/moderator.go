@@ -61,6 +61,14 @@ type GPUOptions struct {
 	// so no input staging or H2D transfer happens here. The chain-exit
 	// result transfer still runs.
 	Fused bool
+	// TopK, when > 0, is the k of an ORDER BY ... LIMIT k over the
+	// group-by's output: only its first k groups can reach the result.
+	// When there are more groups than k and the D2H time that shipping k
+	// of them instead of all would save exceeds a topk_select kernel over
+	// the groups, the kernel runs and only k groups leave the device
+	// (Stats.Kept). The caller picks which k; the device charges the
+	// selection.
+	TopK int
 }
 
 // ChooseKernel is the GPU moderator's primary selection, from optimizer
@@ -194,10 +202,27 @@ func RunGPU(in *Input, degree int, res *gpu.Reservation, model *vtime.CostModel,
 	}
 
 	result := groups.result(in)
+	// An ORDER BY ... LIMIT k above selects its k groups on the device
+	// when the D2H time that saves pays for the selection kernel.
+	shipped, kept := result.Groups, 0
+	var selectT vtime.Duration
+	if k := opts.TopK; k > 0 && result.Groups > k {
+		sel := model.GPUTime(float64(result.Groups), model.GPURadixSortRate)
+		saved := model.Transfer(ResultDeviceBytes(in, result.Groups), opts.Pinned) - model.Transfer(ResultDeviceBytes(in, k), opts.Pinned)
+		if saved > sel {
+			kr := dev.RunKernelSpan("topk_select", res.Span(), func() vtime.Duration {
+				return vtime.Duration(float64(result.Groups) / model.GPURadixSortRate)
+			})
+			if kr.Err != nil {
+				return nil, kr.Err
+			}
+			selectT, shipped, kept = kr.Modeled, k, k
+		}
+	}
 	// The chain-exit copy of the dense result block (groups x entry
 	// words) out of the winning table.
 	var transferOut vtime.Duration
-	if out := ResultDeviceBytes(in, result.Groups); out > 0 {
+	if out := ResultDeviceBytes(in, shipped); out > 0 {
 		if transferOut, err = res.CopyFromDevice(out, opts.Pinned); err != nil {
 			return nil, err
 		}
@@ -207,13 +232,14 @@ func RunGPU(in *Input, degree int, res *gpu.Reservation, model *vtime.CostModel,
 		Kernel:      winner.kernel.String(),
 		Retried:     winner.retried,
 		Raced:       raced,
+		Kept:        kept,
 		TransferIn:  transferIn,
-		KernelTime:  winner.modeled,
+		KernelTime:  winner.modeled + selectT,
 		TransferOut: transferOut,
 		// The input transfer is double-buffered against kernel execution
 		// (CUDA streams): chunks of the staged vectors copy while earlier
 		// chunks are being grouped.
-		Modeled: gpu.PipelineTime(transferIn, winner.modeled) + transferOut,
+		Modeled: gpu.PipelineTime(transferIn, winner.modeled) + selectT + transferOut,
 	}
 	return result, nil
 }

@@ -109,6 +109,12 @@ type Aggregate struct {
 	Input Node
 	Keys  []string
 	Aggs  []AggItem
+	// TopK, when > 0, is the k of an ORDER BY ... LIMIT k the group-by's
+	// output feeds through nothing but a Project of bare columns, and
+	// TopKeys that ORDER BY over the group-by's own output names: only
+	// the first k groups of that order can reach the result.
+	TopK    int
+	TopKeys []SortKey
 }
 
 func (n *Aggregate) String() string {
@@ -165,10 +171,13 @@ func (n *Project) String() string {
 	return fmt.Sprintf("project(%s, %s)", n.Input, strings.Join(parts, ", "))
 }
 
-// Sort orders the result — the hybrid CPU/GPU sort executes it.
+// Sort orders the result — the hybrid CPU/GPU sort executes it. K, when
+// > 0, is the k of a LIMIT k directly above: only the first k rows of
+// the order are kept.
 type Sort struct {
 	Input Node
 	Keys  []SortKey
+	K     int
 }
 
 func (n *Sort) String() string { return fmt.Sprintf("sort(%s, [%s])", n.Input, joinSort(n.Keys)) }
@@ -401,6 +410,10 @@ func (b *builder) build(stmt *sqlparse.SelectStmt) (*Plan, error) {
 		cur = &Sort{Input: cur, Keys: keys}
 	}
 	if stmt.Limit >= 0 {
+		if s, ok := cur.(*Sort); ok && stmt.Limit > 0 {
+			s.K = stmt.Limit
+			pushTopK(s)
+		}
 		cur = &Limit{Input: cur, N: stmt.Limit}
 	}
 	if !stmt.Star {
@@ -409,6 +422,46 @@ func (b *builder) build(stmt *sqlparse.SelectStmt) (*Plan, error) {
 		prune(cur)
 	}
 	return &Plan{Root: cur, Output: output}, nil
+}
+
+// pushTopK hands a top-k Sort's k and keys to the Aggregate below it when
+// every sort key resolves, through a Project of bare columns, to a group
+// key or an aggregate output. Anything else between them — a HAVING
+// Filter, a Window, an expression in the select list — keeps the k on the
+// Sort alone.
+func pushTopK(s *Sort) {
+	proj, ok := s.Input.(*Project)
+	if !ok {
+		return
+	}
+	agg, ok := proj.Input.(*Aggregate)
+	if !ok {
+		return
+	}
+	source := make(map[string]string, len(proj.Cols))
+	for _, c := range proj.Cols {
+		ref, ok := c.Expr.(*expr.Col)
+		if !ok {
+			return
+		}
+		source[c.Name] = ref.Name
+	}
+	outputs := make(map[string]bool, len(agg.Keys)+len(agg.Aggs))
+	for _, k := range agg.Keys {
+		outputs[k] = true
+	}
+	for _, a := range agg.Aggs {
+		outputs[a.Out] = true
+	}
+	keys := make([]SortKey, len(s.Keys))
+	for i, k := range s.Keys {
+		src, ok := source[k.Column]
+		if !ok || !outputs[src] {
+			return
+		}
+		keys[i] = SortKey{Column: src, Desc: k.Desc}
+	}
+	agg.TopK, agg.TopKeys = s.K, keys
 }
 
 // aggOutName picks the aggregate's output column: the select alias when

@@ -197,3 +197,78 @@ func TestPlanStringRendering(t *testing.T) {
 		}
 	}
 }
+
+// findNode returns the first node of type T on the plan's spine.
+func findNode[T Node](n Node) (T, bool) {
+	for n != nil {
+		if x, ok := n.(T); ok {
+			return x, true
+		}
+		switch x := n.(type) {
+		case *Limit:
+			n = x.Input
+		case *Sort:
+			n = x.Input
+		case *Project:
+			n = x.Input
+		case *Filter:
+			n = x.Input
+		case *Window:
+			n = x.Input
+		case *Aggregate:
+			n = x.Input
+		case *Derive:
+			n = x.Input
+		default:
+			n = nil
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// TestTopK: a LIMIT k directly on a Sort gives the Sort its k, and the
+// Sort hands k and its keys, in the group-by's own output names, to the
+// Aggregate below only when a Project of bare columns is all that lies
+// between them.
+func TestTopK(t *testing.T) {
+	cases := []struct {
+		name    string
+		sql     string
+		sortK   int
+		aggK    int
+		aggKeys string
+	}{
+		{"aggregate output", "SELECT region, SUM(qty) AS total FROM s GROUP BY region ORDER BY total DESC LIMIT 10", 10, 10, "total desc"},
+		{"group key through an alias", "SELECT region AS r, SUM(qty) AS total FROM s GROUP BY region ORDER BY r, total DESC LIMIT 3", 3, 3, "region,total desc"},
+		{"aggregate call", "SELECT region, SUM(qty) FROM s GROUP BY region ORDER BY SUM(qty) LIMIT 4", 4, 4, "_agg0"},
+		{"having", "SELECT region, SUM(qty) AS total FROM s GROUP BY region HAVING SUM(qty) > 5 ORDER BY total DESC LIMIT 10", 10, 0, ""},
+		{"rank", "SELECT region, SUM(qty) AS total, RANK() OVER (ORDER BY total DESC) AS rnk FROM s GROUP BY region ORDER BY total DESC LIMIT 10", 10, 0, ""},
+		{"expression in the select list", "SELECT region, SUM(qty) * 2 AS dbl, SUM(qty) AS total FROM s GROUP BY region ORDER BY total DESC LIMIT 10", 10, 0, ""},
+		{"limit 0", "SELECT region, SUM(qty) AS total FROM s GROUP BY region ORDER BY total DESC LIMIT 0", 0, 0, ""},
+		{"no limit", "SELECT region, SUM(qty) AS total FROM s GROUP BY region ORDER BY total DESC", 0, 0, ""},
+		{"no aggregate", "SELECT region, qty FROM s ORDER BY qty LIMIT 5", 5, 0, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := build(t, c.sql)
+			s, ok := findNode[*Sort](p.Root)
+			if !ok {
+				t.Fatalf("no sort in %s", p.Root)
+			}
+			if s.K != c.sortK {
+				t.Errorf("sort k = %d, want %d", s.K, c.sortK)
+			}
+			agg, ok := findNode[*Aggregate](p.Root)
+			if !ok {
+				if c.aggK != 0 {
+					t.Fatalf("no aggregate in %s", p.Root)
+				}
+				return
+			}
+			if agg.TopK != c.aggK || joinSort(agg.TopKeys) != c.aggKeys {
+				t.Errorf("aggregate top-k %d [%s], want %d [%s]", agg.TopK, joinSort(agg.TopKeys), c.aggK, c.aggKeys)
+			}
+		})
+	}
+}
