@@ -446,17 +446,12 @@ func pushTopK(s *Sort) {
 		}
 		source[c.Name] = ref.Name
 	}
-	outputs := make(map[string]bool, len(agg.Keys)+len(agg.Aggs))
-	for _, k := range agg.Keys {
-		outputs[k] = true
-	}
-	for _, a := range agg.Aggs {
-		outputs[a.Out] = true
-	}
+	// A grouped select list names only group keys and aggregate outputs
+	// (validateGroupedExpr), so a bare column over the Aggregate is one.
 	keys := make([]SortKey, len(s.Keys))
 	for i, k := range s.Keys {
 		src, ok := source[k.Column]
-		if !ok || !outputs[src] {
+		if !ok {
 			return
 		}
 		keys[i] = SortKey{Column: src, Desc: k.Desc}
