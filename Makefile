@@ -38,10 +38,11 @@ race:
 # the device at 16 and 500 000 groups, the staged device group-by (claims
 # and transfers, no input copy), the join probe against a resident key
 # index (plain, with a 20 % build mask, and through a 60 % row list), a
-# three-join star over a 60 % fact list with 20 % dimension masks, the
-# typed group-by output, the flat sort-key extractor (NULLs in every key
-# column, and none) and the top-k selection (1M two-segment keys, k = 100,
-# degree 8) against the full sort a LIMIT 100 would cut.
+# three-join star over a 60 % fact list with 20 % dimension masks and the
+# same star with only its top join masked (selective-last, which runs
+# first), the typed group-by output, the flat sort-key extractor (NULLs in
+# every key column, and none) and the top-k selection (1M two-segment
+# keys, k = 100, degree 8) against the full sort a LIMIT 100 would cut.
 bench:
 	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|StarJoin|AggOutput|SortKeys|TopK' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/kmv ./internal/groupby ./internal/engine
@@ -56,8 +57,8 @@ bench:
 # re-parse, and must place every conjunct exactly once, on a table that
 # owns all its columns (internal/plan); then join
 # key columns mutated from the differential cases', index + probe — one
-# join, and a two-join chain over its parts — held to the test-only map
-# join (internal/engine — its inputs are byte slices,
+# join, and two two-join chains over its parts, one whose selective second
+# join runs first — held to the test-only map join (internal/engine — its inputs are byte slices,
 # which the fuzzer would minimize for a minute apiece unless capped); then
 # tables and ASC/DESC key lists, the flat sort-key buffer held segment by
 # segment to the NULL-aware view of the test-only byte keys (no flag for a

@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"blugpu/internal/des"
 	"blugpu/internal/vtime"
 	"blugpu/internal/workload"
 )
@@ -103,4 +104,43 @@ func TestPaperConfigShapes(t *testing.T) {
 	} else {
 		t.Logf("fig8 speedup %.2fx", speedup)
 	}
+
+	// Figure 9, paper §5.3: device memory during the Figure-8 run shows a
+	// "very spiky pattern" and "at many points the workload is near GPU
+	// memory capacity" — on each device, a peak of at least three
+	// quarters of the simulated device's memory, and at least two drops
+	// from there to below a quarter of the peak.
+	if len(res.MemSeries) != len(res.Devices) || len(res.Devices) == 0 {
+		t.Fatalf("fig9: %d memory series for %d devices", len(res.MemSeries), len(res.Devices))
+	}
+	for d, series := range res.MemSeries {
+		peak, drops := memSpikes(series)
+		capacity := res.Devices[d].Mem
+		if float64(peak) < 0.75*float64(capacity) || drops < 2 {
+			t.Errorf("fig9 device %d: peak %.2f MB of %.2f MB, %d drops below a quarter of it; want >= 75%% and >= 2 drops",
+				d, float64(peak)/(1<<20), float64(capacity)/(1<<20), drops)
+		} else {
+			t.Logf("fig9 device %d: peak %.2f MB of %.2f MB, %d drops", d, float64(peak)/(1<<20), float64(capacity)/(1<<20), drops)
+		}
+	}
+}
+
+// memSpikes returns a device's peak memory use over the samples and how
+// many times use fell below a quarter of that peak after reaching at
+// least three quarters of it.
+func memSpikes(series []des.MemSample) (peak int64, drops int) {
+	for _, s := range series {
+		peak = max(peak, s.Used)
+	}
+	high := false
+	for _, s := range series {
+		switch {
+		case 4*s.Used >= 3*peak:
+			high = true
+		case high && 4*s.Used < peak:
+			high = false
+			drops++
+		}
+	}
+	return peak, drops
 }

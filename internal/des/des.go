@@ -112,6 +112,9 @@ type Result struct {
 	Queries []QueryResult
 	// MemSeries holds per-device memory samples.
 	MemSeries [][]MemSample
+	// Devices is the fleet the simulation ran on: MemSeries[d] is device
+	// d's use of Devices[d].Mem.
+	Devices []DeviceSpec
 	// GPUWaits counts GPU-phase admissions that had to queue.
 	GPUWaits int
 }
@@ -147,7 +150,7 @@ func Run(cfg Config, streams [][]Profile) (*Result, error) {
 		free[i] = d.Mem
 	}
 
-	res := &Result{MemSeries: make([][]MemSample, len(cfg.Devices))}
+	res := &Result{MemSeries: make([][]MemSample, len(cfg.Devices)), Devices: cfg.Devices}
 	now := 0.0
 	lastSample := 0.0
 

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"time"
 
 	"blugpu/internal/columnar"
@@ -25,29 +28,288 @@ const (
 	buildSide uint64 = 2
 )
 
-// execJoin is an inner equi-join on one integer key. The smaller side —
-// by logical row count — is the build side and supplies its key column's
-// index (resident on the column, so a base-table dimension builds once per
-// process); the larger side probes it count-then-fill. The join copies no
-// values. The left key is read through its part's list; each left part's
-// list is composed with the match, or left alone when every left row
-// matched exactly once, in order; the joined table becomes a part of its
-// own whose list is its side of the match. A join predicate is evaluated
-// once over the joined base table: the probe skips the build rows it
-// rejects, or, when the joined table probes, reads only the rows it keeps.
-// Output rows are in probe order, a probe row's matches in ascending
-// build-row order.
+// sqlOrderOnly, when set, runs every chain in SQL order. Tests hold the
+// answers of reordered chains to it.
+var sqlOrderOnly bool
+
+// link is one join of a chain and, once starOrder has evaluated its
+// predicate, the joined table's rows the predicate keeps (nil until then).
+type link struct {
+	n    *plan.Join
+	kept []int32
+}
+
+// joined is one join's output, computed but not yet charged: the frame's
+// new parts, and what the join's operator row and span record.
+type joined struct {
+	parts   []part
+	unkeyed bool
+	t       vtime.Duration
+	table   string
+	detail  string
+	kept    int // the joined table's rows the predicate kept; -1 without one
+}
+
+// stepFailed is a join that failed after it started work: unlike a join
+// rejected by its checks, it leaves a span ending in the error.
+type stepFailed struct{ err error }
+
+func (s *stepFailed) Error() string { return s.err.Error() }
+func (s *stepFailed) Unwrap() error { return s.err }
+
+// execJoin runs a chain of joins: n and the joins under it, down to the
+// first input that is not a join, the chain's bottom. The bottom runs
+// first, then the joins in the order starOrder picks, one joinStep a
+// position. Operator rows and spans are in the order that ran, and a
+// position keeps its plan depth. A reordered chain is computed before
+// anything is charged and kept only when runChain confirms it; otherwise,
+// and when nothing moves, the joins run in SQL order.
 func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
-	left, err := e.execInput(n.Left, q.deeper())
+	var links []*link
+	var bottom plan.Node = n
+	for j, ok := bottom.(*plan.Join); ok; j, ok = bottom.(*plan.Join) {
+		links = append(links, &link{n: j})
+		bottom = j.Left
+	}
+	slices.Reverse(links)
+	bq := q
+	bq.depth += len(links)
+	f, err := e.execInput(bottom, bq)
 	if err != nil {
 		return nil, err
 	}
+	if order, moved := e.starOrder(f, links); order != nil && !sqlOrderOnly {
+		if steps, err := e.runChain(f, links, order, moved); err == nil && steps != nil {
+			e.chargeJoins(f, steps, len(links), q)
+			return f, nil
+		}
+	}
+	order := make([]int, len(links))
+	for i := range order {
+		order[i] = i
+	}
+	steps, err := e.runChain(f, links, order, nil)
+	e.chargeJoins(f, steps, len(links), q)
+	if err != nil {
+		var failed *stepFailed
+		if errors.As(err, &failed) {
+			return f.fail(f.begin("op", "join"), failed.err)
+		}
+		return nil, err
+	}
+	return f, nil
+}
 
-	// Everything that can reject the join is checked before the span opens
-	// and before any work is done on its behalf.
+// starOrder picks the order of a chain's joins over its bottom f, as link
+// indices, bottom first: each run of joins that may move is sorted by the
+// fraction of its joined table that its predicate keeps, ascending, joins
+// without a predicate last, ties in SQL order; every other join keeps its
+// place. A join may move when it probes with a column of the bottom, its
+// joined table's key is unique, and no column name of its table is one
+// the bottom or another table of the chain has — so it reads the same key
+// and hands on the same columns at any position (a snowflake link, keyed
+// by an earlier dimension's column, stays where it is). The predicates of
+// a run that could move are evaluated here, once. moved holds the
+// position ranges [lo, hi) of the runs that are not in SQL order. The
+// order is nil when the chain runs in SQL order: SELECT *, where every
+// column is the output, and a chain without a predicate always do.
+func (e *Engine) starOrder(f *frame, links []*link) (order []int, moved [][2]int) {
+	if len(links) < 2 || links[len(links)-1].n.Needed == nil ||
+		!slices.ContainsFunc(links, func(l *link) bool { return l.n.Pred != nil }) {
+		return nil, nil
+	}
+	movable := func(i int) bool {
+		n := links[i].n
+		right := e.tables[n.Table]
+		if right == nil {
+			return false
+		}
+		lcol, rcol := n.LeftCol, n.RightCol
+		if !f.hasColumn(lcol) {
+			lcol, rcol = rcol, lcol
+		}
+		rk, ok := right.Column(rcol).(*columnar.Int64Column)
+		if !ok || !f.hasColumn(lcol) {
+			return false
+		}
+		for _, c := range right.Columns() {
+			if c.Name() == lcol && lcol == rcol {
+				continue
+			}
+			if f.hasColumn(c.Name()) {
+				return false
+			}
+			for j, o := range links {
+				if t := e.tables[o.n.Table]; j != i && t != nil && t.Column(c.Name()) != nil {
+					return false
+				}
+			}
+		}
+		return rk.KeyIndex().Unique()
+	}
+	order = make([]int, len(links))
+	for i := range order {
+		order[i] = i
+	}
+	for lo := 0; lo < len(links); {
+		hi := lo + 1
+		if movable(lo) {
+			for hi < len(links) && movable(hi) {
+				hi++
+			}
+		}
+		run := order[lo:hi]
+		if len(run) > 1 && e.evalPreds(links, run) {
+			slices.SortStableFunc(run, func(a, b int) int { return keptOrder(e, links[a], links[b]) })
+			if !slices.IsSorted(run) {
+				moved = append(moved, [2]int{lo, hi})
+			}
+		}
+		lo = hi
+	}
+	if moved == nil {
+		return nil, nil
+	}
+	return order, moved
+}
+
+// evalPreds evaluates the predicates of the links at idx over their joined
+// tables, reporting false when one fails (the join then reports the error
+// when it runs, in SQL order).
+func (e *Engine) evalPreds(links []*link, idx []int) bool {
+	for _, i := range idx {
+		l := links[i]
+		if l.n.Pred == nil || l.kept != nil {
+			continue
+		}
+		right := e.tables[l.n.Table]
+		if _, err := l.n.Pred.TypeOf(right); err != nil {
+			return false
+		}
+		kept, err := expr.EvalPredicate(right, l.n.Pred, e.cfg.Degree)
+		if err != nil {
+			return false
+		}
+		l.kept = kept
+	}
+	return true
+}
+
+// keptOrder orders two joins by the fraction of its joined table each
+// keeps, ascending, a join without a predicate after every join with one.
+func keptOrder(e *Engine, a, b *link) int {
+	switch {
+	case a.n.Pred == nil && b.n.Pred == nil:
+		return 0
+	case a.n.Pred == nil:
+		return 1
+	case b.n.Pred == nil:
+		return -1
+	}
+	ra, rb := e.tables[a.n.Table].Rows(), e.tables[b.n.Table].Rows()
+	return cmp.Compare(int64(len(a.kept))*int64(rb), int64(len(b.kept))*int64(ra))
+}
+
+// runChain computes a chain's joins over f's parts in the given order and
+// charges nothing. Each join hands on the chain top's columns and the key
+// columns of the joins still to run. A moved run is confirmed once it has
+// run: each of its joined tables must have at most as many rows as its
+// output. The rows reaching a join only shrink along a chain, so every
+// join of the run then built at its position in this order and would
+// have in SQL order too; a built join whose key is unique hands on its
+// left rows in order, narrowed to those it matched, so the run's output
+// is its input's rows in their order, narrowed to those every join
+// matched, whichever order they ran in. runChain returns nil steps when a
+// moved run is not confirmed, and on an error the steps before it.
+func (e *Engine) runChain(f *frame, links []*link, order []int, moved [][2]int) ([]joined, error) {
+	top := links[len(links)-1].n.Needed
+	cur := *f
+	steps := make([]joined, 0, len(links))
+	for p, i := range order {
+		if err := f.q.err(); err != nil {
+			return steps, fmt.Errorf("engine: query canceled: %w", err)
+		}
+		var wanted func(string) bool
+		if top != nil {
+			rest := order[p+1:]
+			wanted = func(name string) bool {
+				if slices.Contains(top, name) {
+					return true
+				}
+				for _, r := range rest {
+					if n := links[r].n; n.LeftCol == name || n.RightCol == name {
+						return true
+					}
+				}
+				return false
+			}
+		}
+		st, err := e.joinStep(&cur, links[i], wanted)
+		if err != nil {
+			return steps, err
+		}
+		cur.parts = st.parts
+		cur.sel, cur.selKey, cur.unkeyed = selNone, 0, st.unkeyed
+		steps = append(steps, st)
+		for _, r := range moved {
+			if r[1] != p+1 {
+				continue
+			}
+			for _, j := range order[r[0]:r[1]] {
+				if e.tables[links[j].n.Table].Rows() > cur.Len() {
+					return nil, nil
+				}
+			}
+		}
+	}
+	return steps, nil
+}
+
+// chargeJoins records computed joins on f in the order they ran: each its
+// span, modeled charge and operator row, the first at the depth of the
+// bottom-most of the chain's n joins.
+func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx) {
+	for p, st := range steps {
+		start := f.at()
+		sp := f.begin("op", "join")
+		f.parts = st.parts
+		f.sel, f.selKey, f.unkeyed = selNone, 0, st.unkeyed
+		e.addCPU(f, st.t)
+		rows := f.Len()
+		attrs := []trace.Attr{trace.Str("table", st.table), trace.Int("rows", int64(rows))}
+		if st.kept >= 0 {
+			attrs = append(attrs, trace.Int("kept", int64(st.kept)))
+		}
+		sp.End(f.at(), attrs...)
+		f.ops = append(f.ops, OpStat{
+			Op: "join", Detail: st.detail,
+			Depth: q.depth + n - 1 - p, Rows: rows,
+			Span: sp.ID(), Start: start, End: f.at(), Modeled: st.t,
+		})
+	}
+}
+
+// joinStep computes one join over left's parts — an inner equi-join on
+// one integer key — and charges nothing; wanted names the columns the
+// output hands on (nil: every column). The smaller side — by logical row
+// count — is the build side and supplies its key column's index (resident
+// on the column, so a base-table dimension builds once per process); the
+// larger side probes it count-then-fill. The join copies no values. The
+// left key is read through its part's list; each left part's list is
+// composed with the match, or left alone when every left row matched
+// exactly once, in order; the joined table becomes a part of its own whose
+// list is its side of the match. A join predicate is evaluated once over
+// the joined base table (by starOrder, or here): the probe skips the build
+// rows it rejects, or, when the joined table probes, reads only the rows
+// it keeps. Output rows are in probe order, a probe row's matches in
+// ascending build-row order.
+func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joined, error) {
+	n := l.n
+	// Everything that can reject the join is checked before any work is
+	// done on its behalf.
 	right := e.tables[n.Table]
 	if right == nil {
-		return nil, fmt.Errorf("engine: unknown join table %q", n.Table)
+		return joined{}, fmt.Errorf("engine: unknown join table %q", n.Table)
 	}
 	// Resolve which condition column belongs to which side.
 	lcol, rcol := n.LeftCol, n.RightCol
@@ -56,38 +318,30 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	}
 	lc, lpart := left.find(lcol)
 	if lc == nil || right.Column(rcol) == nil {
-		return nil, fmt.Errorf("engine: join condition %s=%s references unknown columns", n.LeftCol, n.RightCol)
+		return joined{}, fmt.Errorf("engine: join condition %s=%s references unknown columns", n.LeftCol, n.RightCol)
 	}
 	lk, ok := lc.(*columnar.Int64Column)
 	if !ok {
-		return nil, fmt.Errorf("engine: join column %q must be an integer key", lcol)
+		return joined{}, fmt.Errorf("engine: join column %q must be an integer key", lcol)
 	}
 	rk, ok := right.Column(rcol).(*columnar.Int64Column)
 	if !ok {
-		return nil, fmt.Errorf("engine: join column %q must be an integer key", rcol)
+		return joined{}, fmt.Errorf("engine: join column %q must be an integer key", rcol)
 	}
 	if n.Pred != nil {
 		if _, err := n.Pred.TypeOf(right); err != nil {
-			return nil, err
+			return joined{}, err
 		}
 	}
 	// The output is both sides restricted to the columns read above the
 	// join (late materialization): the left parts narrowed, the joined
 	// table's columns as a new part. Column names must stay unique.
-	wanted := func(name string) bool {
-		if n.Needed == nil {
-			return true
-		}
-		for _, w := range n.Needed {
-			if w == name {
-				return true
-			}
-		}
-		return false
+	if wanted == nil {
+		wanted = func(string) bool { return true }
 	}
 	for _, c := range right.Columns() {
 		if left.hasColumn(c.Name()) && c.Name() != rcol && c.Name() != lcol {
-			return nil, fmt.Errorf("engine: duplicate column %q across join of %s", c.Name(), n.Table)
+			return joined{}, fmt.Errorf("engine: duplicate column %q across join of %s", c.Name(), n.Table)
 		}
 	}
 	parts := make([]part, 0, len(left.parts)+1)
@@ -106,8 +360,7 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 		parts = append(parts, p)
 	}
 
-	start := left.at()
-	sp := left.begin("op", "join")
+	q := left.q
 	hostStart := time.Now()
 
 	// A side's identity in its copied columns' provenance keys: its key
@@ -121,9 +374,11 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	var kept []int32 // the joined table's rows the predicate keeps; nil: every row
 	var predT vtime.Duration
 	if n.Pred != nil {
-		kept, err = expr.EvalPredicate(right, n.Pred, e.cfg.Degree)
-		if err != nil {
-			return left.fail(sp, err)
+		if kept = l.kept; kept == nil {
+			var err error
+			if kept, err = expr.EvalPredicate(right, n.Pred, e.cfg.Degree); err != nil {
+				return joined{}, &stepFailed{err}
+			}
 		}
 		rightID = columnar.MixKeys(rightID, predKey(right, n.Pred))
 		predT = e.model.CPUTime(float64(right.Rows()), e.model.CPUExprRate, e.cfg.Degree)
@@ -137,6 +392,7 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	var m joinMatch
 	var leftPos, rightRows []int32
 	var buildN, probeN, composed int
+	var err error
 	if buildRight {
 		var keep *columnar.Bitmap
 		if kept != nil {
@@ -168,7 +424,7 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 		}
 	}
 	if err != nil {
-		return left.fail(sp, err)
+		return joined{}, &stepFailed{err}
 	}
 	q.wallHost(hostStart)
 
@@ -204,29 +460,21 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 		}
 		parts = append(parts, rp)
 	}
-	left.parts = parts
-	left.sel, left.selKey, left.unkeyed = selNone, 0, !keyed
 	q.wallGather(composeStart)
 
-	outRows := left.Len()
-	t := predT +
-		e.model.CPUTime(float64(buildN), e.model.CPUHashBuildRate, e.cfg.Degree) +
-		e.model.CPUTime(float64(probeN), e.model.CPUHashProbeRate, e.cfg.Degree) +
-		e.model.CPUTime(float64(composed), e.model.CPUScanRate, e.cfg.Degree)
-	e.addCPU(left, t)
-	detail := fmt.Sprintf("%s on %s=%s", n.Table, lcol, rcol)
-	attrs := []trace.Attr{trace.Str("table", n.Table), trace.Int("rows", int64(outRows))}
-	if n.Pred != nil {
-		detail += fmt.Sprintf(" where %s kept %d of %d", n.Pred, len(kept), right.Rows())
-		attrs = append(attrs, trace.Int("kept", int64(len(kept))))
+	st := joined{
+		parts: parts, unkeyed: !keyed, table: n.Table, kept: -1,
+		t: predT +
+			e.model.CPUTime(float64(buildN), e.model.CPUHashBuildRate, e.cfg.Degree) +
+			e.model.CPUTime(float64(probeN), e.model.CPUHashProbeRate, e.cfg.Degree) +
+			e.model.CPUTime(float64(composed), e.model.CPUScanRate, e.cfg.Degree),
+		detail: fmt.Sprintf("%s on %s=%s", n.Table, lcol, rcol),
 	}
-	sp.End(left.at(), attrs...)
-	left.ops = append(left.ops, OpStat{
-		Op: "join", Detail: detail,
-		Depth: q.depth, Rows: outRows,
-		Span: sp.ID(), Start: start, End: left.at(), Modeled: t,
-	})
-	return left, nil
+	if n.Pred != nil {
+		st.detail += fmt.Sprintf(" where %s kept %d of %d", n.Pred, len(kept), right.Rows())
+		st.kept = len(kept)
+	}
+	return st, nil
 }
 
 // narrow returns tbl restricted to the columns keep holds, in order: tbl

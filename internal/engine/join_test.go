@@ -387,8 +387,11 @@ func checkChain(t testing.TB, e *Engine, fact *columnar.Table, start plan.Node, 
 		want = columnar.GatherTable("l", fact, rows)
 	}
 	var node plan.Node = start
+	var top *plan.Join
+	every := columnNames(fact)
 	for _, j := range joins {
 		jn := &plan.Join{Left: node, Table: j.dim.Name(), LeftCol: j.on, RightCol: j.prefix + "k"}
+		every = append(every, columnNames(j.dim)...)
 		masked := j.dim
 		if j.pred != "" {
 			jn.Pred = mustPred(t, j.pred)
@@ -399,7 +402,7 @@ func checkChain(t testing.TB, e *Engine, fact *columnar.Table, start plan.Node, 
 			masked = columnar.GatherTable(j.dim.Name(), j.dim, kept)
 		}
 		_, _, want = referenceJoinBuilding(want, masked, j.on, j.prefix+"k", nil, j.dim.Rows() <= want.Rows())
-		node = jn
+		node, top = jn, jn
 	}
 	f, err := e.exec(node, qctx{})
 	if err != nil {
@@ -407,6 +410,30 @@ func checkChain(t testing.TB, e *Engine, fact *columnar.Table, start plan.Node, 
 	}
 	e.materialize(f)
 	sameTable(t, f.table(), want)
+	// Handing on named columns, as a planned chain does, lets the joins
+	// run in kept-fraction order: the same rows, each table's columns a
+	// part of their own.
+	top.Needed = every
+	if f, err = e.exec(node, qctx{}); err != nil {
+		t.Fatal(err)
+	}
+	e.materialize(f)
+	cols := make([]columnar.Column, 0, want.NumColumns())
+	for _, name := range columnNames(want) {
+		if c := f.table().Column(name); c != nil {
+			cols = append(cols, c)
+		}
+	}
+	sameTable(t, columnar.MustNewTable(f.table().Name(), cols...), want)
+}
+
+// columnNames lists tbl's column names in order.
+func columnNames(tbl *columnar.Table) []string {
+	names := make([]string, tbl.NumColumns())
+	for i, c := range tbl.Columns() {
+		names[i] = c.Name()
+	}
+	return names
 }
 
 // chainStarts are the ways a chain's left side arrives: unlisted, through
@@ -521,18 +548,26 @@ func FuzzJoinMatchesReference(f *testing.F) {
 	for _, tc := range joinCases() {
 		f.Add(head(tc.left), head(tc.right))
 	}
+	// A star whose first dimension keeps every row and whose second keeps
+	// a fifth of its rows (si < 6 keeps rows 0 and 1 of 10): the second
+	// runs first.
+	f.Add(encodeKeys(keysN(200, func(i int) nkey { return nkey{v: int64(i*7) % 10} })),
+		encodeKeys(keysN(10, func(i int) nkey { return nkey{v: int64(i)} })))
 	engines := []*Engine{joinEngine(f, 1), joinEngine(f, 3)}
 	f.Fuzz(func(t *testing.T, leftKeys, rightKeys []byte) {
 		left, right := joinSide("l", "l", decodeKeys(leftKeys)), joinSide("r", "r", decodeKeys(rightKeys))
-		// The same keys through a two-join chain: the second dimension
+		// The same keys through two-join chains: the second dimension
 		// joins the fact's reversed keys, and its left side arrives as
-		// the first join's parts.
+		// the first join's parts, or, when its predicate keeps the
+		// smaller fraction, it joins first.
 		fact, second := chainFact(decodeKeys(leftKeys)), joinSide("s", "s", decodeKeys(rightKeys))
 		joins := []chainJoin{{right, "r", "lk", ""}, {second, "s", "la", "ss <> 's4'"}}
+		selective := []chainJoin{{right, "r", "lk", ""}, {second, "s", "la", "si < 6"}}
 		for _, e := range engines {
 			checkJoinAgainstReference(t, e, left, right, nil)
 			for _, st := range chainStarts {
 				checkChain(t, e, fact, st.node(t), joins)
+				checkChain(t, e, fact, st.node(t), selective)
 			}
 		}
 	})
@@ -959,10 +994,13 @@ func BenchmarkJoinProbe(b *testing.B) {
 }
 
 // BenchmarkStarJoin is the star join's micro-ruler: a fact of 1 M rows
-// through a filter that keeps 60 % of them, then three joins, each
-// dimension masked to 20 % of its rows by a join predicate, handing on
+// through a filter that keeps 60 % of them, then three joins handing on
 // the fact's payload and one column of each dimension — the shape of a
 // warm ROLAP statement's joins, up to the first operator that reads them.
+// all-masked: each dimension masked to 20 % of its rows by a join
+// predicate. selective-last: only the top join's, the ROLAP q01 shape (an
+// unfiltered item join under the date_dim join that keeps a fifth), which
+// runs first.
 func BenchmarkStarJoin(b *testing.B) {
 	const factRows = 1 << 20
 	dimRows := []int{2_000, 10_000, 400}
@@ -982,8 +1020,6 @@ func BenchmarkStarJoin(b *testing.B) {
 		factCols = append(factCols, k.Build())
 	}
 	tables := map[string]*columnar.Table{"f": columnar.MustNewTable("f", factCols...)}
-	var node plan.Node = &plan.Filter{Input: &plan.Scan{Table: "f"}, Pred: mustPred(b, "f_qty < 6")}
-	var joins []*plan.Join
 	for d, n := range dimRows {
 		dk, dv, dn := columnar.NewInt64Builder(fmt.Sprintf("d%d_k", d)), columnar.NewInt64Builder(fmt.Sprintf("d%d_v", d)), columnar.NewStringBuilder(fmt.Sprintf("d%d_n", d))
 		for r := 0; r < n; r++ {
@@ -993,33 +1029,51 @@ func BenchmarkStarJoin(b *testing.B) {
 		}
 		name := fmt.Sprintf("d%d", d)
 		tables[name] = columnar.MustNewTable(name, dk.Build(), dv.Build(), dn.Build())
-		j := &plan.Join{Left: node, Table: name, LeftCol: fmt.Sprintf("f_k%d", d), RightCol: name + "_k",
-			Pred: mustPred(b, name+"_v < 20")}
-		joins = append(joins, j)
-		node = j
 	}
-	// Each join hands on the fact's payload, the dimension names joined so
-	// far and the fact keys the joins above it probe with.
-	for d, j := range joins {
-		j.Needed = []string{"f_qty"}
-		for e := range joins {
-			if e <= d {
-				j.Needed = append(j.Needed, fmt.Sprintf("d%d_n", e))
-			} else {
-				j.Needed = append(j.Needed, fmt.Sprintf("f_k%d", e))
+	for _, tc := range []struct {
+		name   string
+		masked []bool // per dimension, bottom first
+	}{
+		{"all-masked", []bool{true, true, true}},
+		{"selective-last", []bool{false, false, true}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var node plan.Node = &plan.Filter{Input: &plan.Scan{Table: "f"}, Pred: mustPred(b, "f_qty < 6")}
+			var joins []*plan.Join
+			for d := range dimRows {
+				name := fmt.Sprintf("d%d", d)
+				j := &plan.Join{Left: node, Table: name, LeftCol: fmt.Sprintf("f_k%d", d), RightCol: name + "_k"}
+				if tc.masked[d] {
+					j.Pred = mustPred(b, name+"_v < 20")
+				}
+				joins = append(joins, j)
+				node = j
 			}
-		}
-	}
-	e := joinEngine(b, 24)
-	e.tables = tables
-	if _, err := e.exec(node, qctx{}); err != nil { // key indexes fill
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.exec(node, qctx{}); err != nil {
-			b.Fatal(err)
-		}
+			// Each join hands on the fact's payload, the dimension names
+			// joined so far and the fact keys the joins above it probe
+			// with.
+			for d, j := range joins {
+				j.Needed = []string{"f_qty"}
+				for e := range joins {
+					if e <= d {
+						j.Needed = append(j.Needed, fmt.Sprintf("d%d_n", e))
+					} else {
+						j.Needed = append(j.Needed, fmt.Sprintf("f_k%d", e))
+					}
+				}
+			}
+			e := joinEngine(b, 24)
+			e.tables = tables
+			if _, err := e.exec(node, qctx{}); err != nil { // key indexes fill
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.exec(node, qctx{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
