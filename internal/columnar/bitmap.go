@@ -15,16 +15,6 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{n: n, words: make([]uint64, (n+63)/64)}
 }
 
-// NewBitmapFull returns an all-one bitmap over n rows.
-func NewBitmapFull(n int) *Bitmap {
-	b := NewBitmap(n)
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.trim()
-	return b
-}
-
 // Len returns the number of rows the bitmap covers.
 func (b *Bitmap) Len() int { return b.n }
 
@@ -35,9 +25,6 @@ func (b *Bitmap) Words() []uint64 { return b.words }
 
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
-
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Get reports bit i.
 func (b *Bitmap) Get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -60,45 +47,6 @@ func (b *Bitmap) NilIfEmpty() *Bitmap {
 	return b
 }
 
-// And intersects o into b in place. Panics if lengths differ.
-func (b *Bitmap) And(o *Bitmap) {
-	b.mustMatch(o)
-	for i := range b.words {
-		b.words[i] &= o.words[i]
-	}
-}
-
-// Or unions o into b in place. Panics if lengths differ.
-func (b *Bitmap) Or(o *Bitmap) {
-	b.mustMatch(o)
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
-// AndNot removes o's bits from b in place. Panics if lengths differ.
-func (b *Bitmap) AndNot(o *Bitmap) {
-	b.mustMatch(o)
-	for i := range b.words {
-		b.words[i] &^= o.words[i]
-	}
-}
-
-// Not inverts b in place.
-func (b *Bitmap) Not() {
-	for i := range b.words {
-		b.words[i] = ^b.words[i]
-	}
-	b.trim()
-}
-
-// Clone returns a deep copy.
-func (b *Bitmap) Clone() *Bitmap {
-	c := &Bitmap{n: b.n, words: make([]uint64, len(b.words))}
-	copy(c.words, b.words)
-	return c
-}
-
 // ForEach calls fn for every set bit in ascending order.
 func (b *Bitmap) ForEach(fn func(i int)) {
 	for wi, w := range b.words {
@@ -115,17 +63,4 @@ func (b *Bitmap) Indices() []int32 {
 	out := make([]int32, 0, b.Count())
 	b.ForEach(func(i int) { out = append(out, int32(i)) })
 	return out
-}
-
-func (b *Bitmap) mustMatch(o *Bitmap) {
-	if b.n != o.n {
-		panic("columnar: bitmap length mismatch")
-	}
-}
-
-// trim clears bits beyond n in the last word so Count stays exact.
-func (b *Bitmap) trim() {
-	if rem := uint(b.n) & 63; rem != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] &= (1 << rem) - 1
-	}
 }

@@ -20,50 +20,6 @@ func TestBitmapBasics(t *testing.T) {
 	if !b.Get(64) || b.Get(65) {
 		t.Error("Get misreads bits")
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 3 {
-		t.Error("Clear failed")
-	}
-}
-
-func TestBitmapFullAndNot(t *testing.T) {
-	b := NewBitmapFull(100)
-	if b.Count() != 100 {
-		t.Errorf("full bitmap count = %d, want 100", b.Count())
-	}
-	b.Not()
-	if b.Count() != 0 {
-		t.Errorf("inverted full bitmap count = %d, want 0", b.Count())
-	}
-	b.Not()
-	if b.Count() != 100 {
-		t.Errorf("double inversion count = %d, want 100 (trim broken)", b.Count())
-	}
-}
-
-func TestBitmapSetOps(t *testing.T) {
-	a, b := NewBitmap(200), NewBitmap(200)
-	for i := 0; i < 200; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 200; i += 3 {
-		b.Set(i)
-	}
-	and := a.Clone()
-	and.And(b) // multiples of 6
-	if and.Count() != 34 {
-		t.Errorf("and count = %d, want 34", and.Count())
-	}
-	or := a.Clone()
-	or.Or(b)
-	if or.Count() != 100+67-34 {
-		t.Errorf("or count = %d, want 133", or.Count())
-	}
-	diff := a.Clone()
-	diff.AndNot(b)
-	if diff.Count() != 100-34 {
-		t.Errorf("andnot count = %d, want 66", diff.Count())
-	}
 }
 
 func TestBitmapForEachAndIndices(t *testing.T) {
@@ -81,15 +37,6 @@ func TestBitmapForEachAndIndices(t *testing.T) {
 			t.Errorf("indices[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-}
-
-func TestBitmapMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("And on mismatched lengths should panic")
-		}
-	}()
-	NewBitmap(10).And(NewBitmap(20))
 }
 
 func TestBitmapCountProperty(t *testing.T) {

@@ -79,14 +79,12 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := f.at()
-	op := f.begin("op", "groupby")
-	var copyT vtime.Duration
+	row := f.open("groupby", q.depth)
 	if cr != nil && cr.entry == nil {
 		// Chain with no filter/derive stages: the aggregate's direct
 		// input (scan or join output) is the entry table, and the cache
 		// keys its columns as they are — a join's by their provenance.
-		copyT = e.materialize(f)
+		e.materialize(f)
 		cr.entry = f.table()
 	}
 
@@ -96,8 +94,8 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// evaluator. Everything else runs the Figure-2 GPU chain, which
 	// stages into pinned memory as it goes.
 	rows := int64(f.Len())
-	preGPU := e.GPUEnabled() && rows > e.thresholds.T1Rows &&
-		(e.thresholds.T3Rows <= 0 || rows <= e.thresholds.T3Rows)
+	pre, _ := optimizer.Decide(optimizer.Estimate{Rows: rows}, e.thresholds, e.maxDeviceMem())
+	preGPU := pre == optimizer.UseGPU
 
 	// Host evaluator chain: LCOG/LCOV/CCAT/HASH(+KMV)[+MEMCPY], reading
 	// each column through its part's row list; charged below.
@@ -109,7 +107,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		Stage:    preGPU,
 	})
 	if err != nil {
-		return f.fail(op, err)
+		return row.fail(err)
 	}
 	if chain.Staged != nil {
 		defer chain.Staged.Release()
@@ -135,25 +133,25 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// on the device — so a group-by that may fuse is charged its Keys now,
 	// LCOV only once the CPU or the staged path runs, and MEMCPY only once
 	// the staged path does. Any other group-by is charged its whole chain
-	// now: Figure 1's, or Figure 2's, which stages as it goes. hostT is
-	// the evaluator time charged so far.
+	// now: Figure 1's, or Figure 2's, which stages as it goes. keysT is
+	// the key evaluators' time, the window a fused chain's fills overlap.
 	charge := func(evals ...evaluator.Eval) vtime.Duration {
-		d := evaluator.Charge(e.mon, op, f.at(), evals...)
+		d := evaluator.Charge(e.mon, row.sp, f.at(), evals...)
 		e.addCPU(f, d)
 		return d
 	}
 	mayFuse := decision == optimizer.UseGPU && cr != nil
-	var hostT vtime.Duration
+	var keysT vtime.Duration
 	if mayFuse {
-		hostT = charge(chain.Keys()...)
+		keysT = charge(chain.Keys()...)
 	} else {
-		hostT = charge(chain.Chain()...)
+		charge(chain.Chain()...)
 	}
 	// Cancellation checked here (not in the GPU error path below): a
 	// canceled query must abort, never be mistaken for a GPU fault that
 	// triggers the Section 2.1.1 CPU fallback.
 	if cerr := qq.err(); cerr != nil {
-		return f.fail(op, fmt.Errorf("engine: query canceled: %w", cerr))
+		return row.fail(fmt.Errorf("engine: query canceled: %w", cerr))
 	}
 	// Every effective path decision feeds the monitor, so the decision
 	// breakdown (and the Prometheus counters built from it) covers every
@@ -164,7 +162,6 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	detail := ""
 	fallbackCause := ""
 	var ginfo gpuRunInfo
-	var waited vtime.Duration // retry backoff, fused and staged
 	var fx *fusedExec
 	// The plan's top-k rides to both device paths: only k groups of an
 	// ORDER BY ... LIMIT k above may leave the device.
@@ -178,16 +175,15 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		gpuStart := time.Now()
 		var gerr error
 		if mayFuse {
-			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, hostT, f, op)
-			waited = ginfo.backoff
+			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, keysT, f, row.sp)
 			if ginfo.declined {
 				// The staged path reads the staged payloads.
-				hostT += charge(chain.Loads()...)
+				charge(chain.Loads()...)
 				mayFuse = false
 			}
 		}
 		if !mayFuse {
-			ginfo, gerr = e.onDevice(op, f.q.base, &f.modeled, devCall{
+			ginfo, gerr = e.onDevice(row.sp, f.q.base, &f.modeled, devCall{
 				op: "groupby", span: func(n int) string { return fmt.Sprintf("gpu-groupby attempt %d", n) }, demand: demand,
 				run: func(res *gpu.Reservation) (_ []trace.Attr, err error) {
 					out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, gopts)
@@ -198,14 +194,13 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 					return []trace.Attr{trace.Str("kernel", out.Stats.Kernel)}, nil
 				},
 			})
-			waited += ginfo.backoff
 		}
 		q.wallGPU(gpuStart)
 		if gerr != nil {
 			// Device full, admission failed, or a GPU operation faulted:
 			// Section 2.1.1's fallback. The query never sees the error.
 			fallbackCause = gerr.Error()
-			e.fallback("groupby", op, gerr)
+			e.fallback("groupby", row.sp, gerr)
 		} else if fx != nil {
 			detail = fmt.Sprintf("gpu/fused/%s", out.Stats.Kernel)
 		} else {
@@ -215,17 +210,17 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	if out == nil {
 		if mayFuse {
 			// The fused attempt faulted: the CPU path reads LCOV's payloads.
-			hostT += charge(chain.LCOV)
+			charge(chain.LCOV)
 		}
 		cpuAt := f.at()
 		cpuStart := time.Now()
 		out, err = groupby.RunCPU(in, e.cfg.Degree, e.model)
 		if err != nil {
-			return f.fail(op, err)
+			return row.fail(err)
 		}
 		q.wallHost(cpuStart)
 		e.addCPU(f, out.Stats.Modeled)
-		op.Emit("op", "cpu-groupby", cpuAt, out.Stats.Modeled,
+		row.sp.Emit("op", "cpu-groupby", cpuAt, out.Stats.Modeled,
 			trace.Int("groups", int64(out.Groups)))
 		detail = fmt.Sprintf("cpu (%s)", reason)
 	}
@@ -242,7 +237,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	buildStart := time.Now()
 	outTbl, err := e.buildAggOutput(chain, in, out, items)
 	if err != nil {
-		return f.fail(op, err)
+		return row.fail(err)
 	}
 	f.setTable(outTbl)
 	if k := out.Stats.Kept; k > 0 {
@@ -252,22 +247,19 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		// orders exactly the rows it would have kept, ties included.
 		words, offs, err := sortKeyWords(f, n.TopKeys, e.cfg.Degree)
 		if err != nil {
-			return f.fail(op, err)
+			return row.fail(err)
 		}
 		f.parts[0].rows = bsort.TopK(bsort.NewFlatKeySource(words, out.Groups, offs[len(n.TopKeys)]), k, e.cfg.Degree)
 		f.sel = selUnkeyed
 	}
 	q.wallHost(buildStart)
-	finalize := e.model.CPUTime(float64(f.Len()*len(items)), e.model.CPUExprRate, e.cfg.Degree)
-	e.addCPU(f, finalize)
+	e.addCPU(f, e.model.CPUTime(float64(f.Len()*len(items)), e.model.CPUExprRate, e.cfg.Degree))
 	attrs := []trace.Attr{trace.Int("groups", int64(out.Groups)), trace.Str("path", detail)}
 	if out.Stats.Kept > 0 {
 		attrs = append(attrs, trace.Int("kept", int64(out.Stats.Kept)))
 	}
-	op.End(f.at(), attrs...)
 	rec := &explain.AggRecord{
 		Keys:          n.Keys,
-		Plan:          q.nextPrognosis(),
 		InputRows:     rows,
 		EstGroups:     int64(in.EstGroups),
 		ActualGroups:  int64(out.Groups),
@@ -282,23 +274,14 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		FallbackCause: fallbackCause,
 		Devices:       ginfo.devices,
 	}
-	modeled := copyT + hostT + waited + out.Stats.Modeled + finalize
 	if fx != nil {
-		// Fused chains charge cache fills and stage kernels beyond the
-		// group-by's own Stats.Modeled; attribute them here so self times
-		// still sum to the query total.
-		modeled += fx.chainModeled
 		rec.Fused = true
 		rec.FusedStages = len(cr.stages)
 		rec.SavedBytes = fx.saved
 		rec.UploadBytes = fx.uploaded
 		rec.ChainHighWater = fx.highWater
 	}
-	f.ops = append(f.ops, OpStat{
-		Op: "groupby", Detail: detail, Depth: q.depth, Rows: f.Len(),
-		Span: op.ID(), Start: start, End: f.at(), Modeled: modeled,
-		Agg: rec,
-	})
+	row.close(f.Len(), detail, attrs...).Agg = rec
 	return f, nil
 }
 

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blugpu/internal/bsort"
 	"blugpu/internal/columnar"
 	"blugpu/internal/des"
 	"blugpu/internal/explain"
@@ -111,6 +112,9 @@ type Engine struct {
 func New(cfg Config) (*Engine, error) {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 24
+	}
+	if cfg.GPUSortThreshold <= 0 {
+		cfg.GPUSortThreshold = bsort.DefaultGPUThreshold
 	}
 	if cfg.DeviceSpec.CUDACores == 0 {
 		cfg.DeviceSpec = vtime.TeslaK40()
@@ -333,7 +337,7 @@ func (e *Engine) run(ctx context.Context, name, sql string, audit bool, attrs []
 		if audit {
 			rep, res, xerr = e.executeAudited(ctx, name, p, sql, attrs)
 		} else {
-			res, xerr = e.executeWith(ctx, name, p, sql, nil, attrs...)
+			res, xerr = e.executeWith(ctx, name, p, sql, attrs...)
 		}
 		return xerr
 	})
@@ -372,17 +376,11 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan: %s\n", p.Root)
-	e.explainAggregates(&sb, p.Root)
-	return sb.String(), nil
-}
-
-// explainAggregates annotates every Aggregate node with the Figure-3
-// decision the engine would take from table statistics.
-func (e *Engine) explainAggregates(sb *strings.Builder, n plan.Node) {
-	for _, pr := range e.prognoses(n) {
-		fmt.Fprintf(sb, "groupby keys=%v: est rows<=%d groups~%d -> %s (%s)\n",
+	if pr := e.prognosis(p.Root); pr != nil {
+		fmt.Fprintf(&sb, "groupby keys=%v: est rows<=%d groups~%d -> %s (%s)\n",
 			pr.Keys, pr.Estimate.Rows, pr.Estimate.Groups, pr.Decision, pr.Reason)
 	}
+	return sb.String(), nil
 }
 
 // planInput descends one level along a plan's input spine.
@@ -409,43 +407,38 @@ func planInput(n plan.Node) plan.Node {
 	}
 }
 
-// prognoses computes the plan-time Figure-3 prognosis for every
-// Aggregate in the plan, in plan (top-down) order. EXPLAIN renders
-// these directly; EXPLAIN ANALYZE queues them on the query context so
-// each executed group-by can be audited against its plan-time call.
-func (e *Engine) prognoses(n plan.Node) []optimizer.Prognosis {
-	var out []optimizer.Prognosis
+// prognosis computes the plan-time Figure-3 prognosis for the plan's
+// Aggregate, nil when it has none: a plan has at most one. EXPLAIN
+// renders it; EXPLAIN ANALYZE pairs it with the executed group-by's row.
+func (e *Engine) prognosis(n plan.Node) *optimizer.Prognosis {
+	var agg *plan.Aggregate
 	// Estimate base cardinality: the scan's table rows (filters unknown
 	// until runtime; the estimate is the upper bound the optimizer has).
+	var ts *optimizer.TableStats
+	for cur := n; cur != nil; cur = planInput(cur) {
+		switch x := cur.(type) {
+		case *plan.Aggregate:
+			agg = x
+		case *plan.Scan:
+			ts = e.stats[x.Table]
+		}
+	}
+	if agg == nil {
+		return nil
+	}
 	var baseRows int64 = -1
-	for cur := n; cur != nil; cur = planInput(cur) {
-		if s, ok := cur.(*plan.Scan); ok {
-			if ts := e.stats[s.Table]; ts != nil {
-				baseRows = int64(ts.Rows)
-			}
-		}
+	var groups uint64
+	if ts != nil {
+		baseRows = int64(ts.Rows)
+		groups = ts.EstimateGroups(agg.Keys, baseRows)
 	}
-	for cur := n; cur != nil; cur = planInput(cur) {
-		agg, ok := cur.(*plan.Aggregate)
-		if !ok {
-			continue
-		}
-		var groups uint64
-		for cc := cur; cc != nil; cc = planInput(cc) {
-			if s, ok := cc.(*plan.Scan); ok {
-				if ts := e.stats[s.Table]; ts != nil {
-					groups = ts.EstimateGroups(agg.Keys, baseRows)
-				}
-			}
-		}
-		out = append(out, optimizer.Prognose(agg.Keys, optimizer.Estimate{
-			Rows:   baseRows,
-			Groups: int64(groups),
-			// Rough demand: rows * (key + payload vectors).
-			MemoryDemand: baseRows * int64(8*(1+len(agg.Aggs))),
-		}, e.thresholds, e.maxDeviceMem()))
-	}
-	return out
+	pr := optimizer.Prognose(agg.Keys, optimizer.Estimate{
+		Rows:   baseRows,
+		Groups: int64(groups),
+		// Rough demand: rows * (key + payload vectors).
+		MemoryDemand: baseRows * int64(8*(1+len(agg.Aggs))),
+	}, e.thresholds, e.maxDeviceMem())
+	return &pr
 }
 
 // QueryError is the error of a query that failed or was canceled after
@@ -463,16 +456,14 @@ func (e *QueryError) Unwrap() error { return e.Err }
 
 // executeWith runs a lowered plan under a query root span when a tracer
 // is attached (consecutive queries lay out back to back on the engine's
-// virtual clock, so one trace file holds a whole session). prognoses,
-// non-nil for an audited query, queues the plan-time Figure-3 prognoses
-// its aggregates pop as they execute. The query's 1-based sequence number on
-// the tracer — the key for carving its span subtree out of a shared
-// tracer — comes back as Result.TraceSeq, or inside a *QueryError when
-// execution fails. attrs are annotated onto the root span (admission
-// attribution from the serving layer).
-func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql string, prognoses *[]optimizer.Prognosis, attrs ...trace.Attr) (*Result, error) {
+// virtual clock, so one trace file holds a whole session). The query's
+// 1-based sequence number on the tracer — the key for carving its span
+// subtree out of a shared tracer — comes back as Result.TraceSeq, or
+// inside a *QueryError when execution fails. attrs are annotated onto the
+// root span (admission attribution from the serving layer).
+func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql string, attrs ...trace.Attr) (*Result, error) {
 	wallStart := time.Now()
-	q := qctx{ctx: ctx, prognoses: prognoses, wall: &wallAcc{}}
+	q := qctx{ctx: ctx, wall: &wallAcc{}}
 	requestID := qlog.RequestIDFrom(ctx)
 	tr := e.tracer.Load()
 	if tr != nil {
@@ -500,14 +491,9 @@ func (e *Engine) executeWith(ctx context.Context, name string, p *plan.Plan, sql
 	if !f.lined() {
 		// The result is the one copy of the columns the statement outputs:
 		// read through their lists, the rows a sort and a limit left.
-		start := f.at()
-		sp := f.begin("op", "materialize")
-		t := e.materialize(f)
-		sp.End(f.at(), trace.Int("rows", int64(f.Len())))
-		f.ops = append(f.ops, OpStat{
-			Op: "materialize", Detail: "result", Rows: f.Len(),
-			Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
-		})
+		row := f.open("materialize", 0)
+		e.materialize(f)
+		row.close(f.Len(), "result", trace.Int("rows", int64(f.Len())))
 	}
 	cols := p.Output
 	if len(cols) == 0 {
@@ -562,10 +548,6 @@ type qctx struct {
 	tc    trace.Context
 	base  vtime.Time
 	depth int
-	// prognoses queues an audited query's plan-time prognoses in plan
-	// order (root first), shared by every copy of the context; nil for
-	// a query that is not audited.
-	prognoses *[]optimizer.Prognosis
 	// wall accumulates the query's GPU-kernel / host-evaluator / gather
 	// wall-clock split; atomics because sort jobs and the fused-chain
 	// fill overlap run concurrently. nil-safe (no-op) for zero qctx.
@@ -623,30 +605,6 @@ func (q qctx) err() error {
 		return nil
 	}
 	return q.ctx.Err()
-}
-
-// nextPrognosis hands out the next plan-time prognosis, nil when none
-// remain or the query is not audited. Execution visits
-// aggregates bottom-up, so it pops from the back of the plan-order queue.
-func (q qctx) nextPrognosis() *optimizer.Prognosis {
-	if q.prognoses == nil || len(*q.prognoses) == 0 {
-		return nil
-	}
-	last := len(*q.prognoses) - 1
-	p := (*q.prognoses)[last]
-	*q.prognoses = (*q.prognoses)[:last]
-	return &p
-}
-
-// at returns the frame's current offset on the trace timeline: the query
-// start plus everything charged so far. Operator spans begin at at(),
-// charge their modeled time, and end at the new at(), which lays children
-// of the query root out sequentially in virtual time.
-func (f *frame) at() vtime.Time { return f.q.base.Add(f.modeled) }
-
-// begin opens an operator span at the frame's current offset.
-func (f *frame) begin(cat, name string) trace.Context {
-	return f.q.tc.Begin(cat, name, f.at())
 }
 
 // addCPU charges host time to the frame as both modeled duration and a

@@ -8,7 +8,6 @@ import (
 	"blugpu/internal/expr"
 	"blugpu/internal/plan"
 	"blugpu/internal/trace"
-	"blugpu/internal/vtime"
 )
 
 // exprGrain is the minimum rows per worker for the engine's per-row host
@@ -83,15 +82,9 @@ func (e *Engine) execScan(n *plan.Scan, q qctx) (*frame, error) {
 		}
 	}
 	f := &frame{q: q, parts: []part{{tbl: tbl}}}
-	start := f.at()
-	sp := f.begin("op", "scan")
-	t := e.model.CPUTime(float64(tbl.Rows()), e.model.CPUScanRate, e.cfg.Degree)
-	e.addCPU(f, t)
-	sp.End(f.at(), trace.Str("table", n.Table), trace.Int("rows", int64(tbl.Rows())))
-	f.ops = append(f.ops, OpStat{
-		Op: "scan", Detail: n.Table, Depth: q.depth, Rows: tbl.Rows(),
-		Span: sp.ID(), Start: start, End: f.at(), Modeled: t,
-	})
+	row := f.open("scan", q.depth)
+	e.addCPU(f, e.model.CPUTime(float64(tbl.Rows()), e.model.CPUScanRate, e.cfg.Degree))
+	row.close(tbl.Rows(), n.Table, trace.Str("table", n.Table), trace.Int("rows", int64(tbl.Rows())))
 	return f, nil
 }
 
@@ -100,17 +93,16 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := f.at()
-	sp := f.begin("op", "filter")
+	row := f.open("filter", q.depth)
 	// The predicate kernels read whole columns: over a join's output the
 	// filter lines the parts up first, and is charged the copy.
-	copyT := e.materialize(f)
+	e.materialize(f)
 	tbl := f.table()
 	hostStart := time.Now()
 	// The selected rows are the filter's output; nothing is copied.
 	rows, err := expr.EvalPredicate(tbl, n.Pred, e.cfg.Degree)
 	if err != nil {
-		return f.fail(sp, err)
+		return row.fail(err)
 	}
 	q.wallHost(hostStart)
 	if cr := q.chain; cr.member(n) {
@@ -119,17 +111,12 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 		cr.noteEntry(tbl)
 		cr.stages = append(cr.stages, chainStage{op: "filter", inRows: tbl.Rows(), outRows: len(rows)})
 	}
-	t := e.model.CPUTime(float64(tbl.Rows()), e.model.CPUExprRate, e.cfg.Degree)
-	e.addCPU(f, t)
-	sp.End(f.at(), trace.Int("rows", int64(len(rows))))
+	e.addCPU(f, e.model.CPUTime(float64(tbl.Rows()), e.model.CPUExprRate, e.cfg.Degree))
+	row.close(len(rows), n.Pred.String(), trace.Int("rows", int64(len(rows))))
 	if len(rows) < tbl.Rows() {
 		f.parts[0].rows = rows
 		f.sel, f.selKey = selKeyed, predKey(tbl, n.Pred)
 	}
-	f.ops = append(f.ops, OpStat{
-		Op: "filter", Detail: n.Pred.String(), Depth: q.depth, Rows: len(rows),
-		Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + t,
-	})
 	return f, nil
 }
 
@@ -138,36 +125,30 @@ func (e *Engine) execDerive(n *plan.Derive, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := f.at()
-	sp := f.begin("op", "derive")
-	copyT := e.materialize(f)
+	row := f.open("derive", q.depth)
+	e.materialize(f)
 	tbl := f.table()
 	hostStart := time.Now()
 	cols := append([]columnar.Column{}, tbl.Columns()...)
 	for _, dc := range n.Cols {
 		col, err := expr.EvalColumn(tbl, dc.Name, dc.Expr, e.cfg.Degree)
 		if err != nil {
-			return f.fail(sp, err)
+			return row.fail(err)
 		}
 		cols = append(cols, col)
 	}
 	q.wallHost(hostStart)
 	out, err := columnar.NewTable(tbl.Name()+"_d", cols...)
 	if err != nil {
-		return f.fail(sp, err)
+		return row.fail(err)
 	}
 	if cr := q.chain; cr.member(n) {
 		cr.noteEntry(tbl)
 		cr.stages = append(cr.stages, chainStage{op: "derive", inRows: tbl.Rows(), outRows: out.Rows(), cols: len(n.Cols)})
 	}
-	t := e.model.CPUTime(float64(tbl.Rows()*len(n.Cols)), e.model.CPUExprRate, e.cfg.Degree)
-	e.addCPU(f, t)
-	sp.End(f.at(), trace.Int("rows", int64(out.Rows())))
+	e.addCPU(f, e.model.CPUTime(float64(tbl.Rows()*len(n.Cols)), e.model.CPUExprRate, e.cfg.Degree))
+	row.close(out.Rows(), "", trace.Int("rows", int64(out.Rows())))
 	f.setTable(out)
-	f.ops = append(f.ops, OpStat{
-		Op: "derive", Depth: q.depth, Rows: out.Rows(),
-		Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + t,
-	})
 	return f, nil
 }
 
@@ -176,15 +157,13 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := f.at()
-	sp := f.begin("op", "project")
+	row := f.open("project", q.depth)
 	// A project of bare columns hands the parts on, each read through its
 	// own list; an expression reads whole columns, so it needs the rows
 	// lined up.
-	var copyT vtime.Duration
 	for _, dc := range n.Cols {
 		if _, ok := dc.Expr.(*expr.Col); !ok {
-			copyT = e.materialize(f)
+			e.materialize(f)
 			break
 		}
 	}
@@ -195,7 +174,7 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 	for i, dc := range n.Cols {
 		for _, prev := range n.Cols[:i] {
 			if prev.Name == dc.Name {
-				return f.fail(sp, fmt.Errorf("engine: duplicate output column %q", dc.Name))
+				return row.fail(fmt.Errorf("engine: duplicate output column %q", dc.Name))
 			}
 		}
 		// Fast path: a bare column reference shares the source's vectors
@@ -203,14 +182,14 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 		if ref, ok := dc.Expr.(*expr.Col); ok {
 			c, src := f.find(ref.Name)
 			if c == nil {
-				return f.fail(sp, fmt.Errorf("engine: unknown column %q", ref.Name))
+				return row.fail(fmt.Errorf("engine: unknown column %q", ref.Name))
 			}
 			cols[i], srcs[i] = c.Rename(dc.Name), src
 			continue
 		}
 		col, err := expr.EvalColumn(f.table(), dc.Name, dc.Expr, e.cfg.Degree)
 		if err != nil {
-			return f.fail(sp, err)
+			return row.fail(err)
 		}
 		cols[i] = col
 		exprWork += f.Len()
@@ -231,13 +210,8 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 	}
 	f.parts = parts
 	q.wallHost(hostStart)
-	t := e.model.CPUTime(float64(exprWork), e.model.CPUExprRate, e.cfg.Degree)
-	e.addCPU(f, t)
-	sp.End(f.at(), trace.Int("rows", int64(f.Len())))
-	f.ops = append(f.ops, OpStat{
-		Op: "project", Depth: q.depth, Rows: f.Len(),
-		Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + t,
-	})
+	e.addCPU(f, e.model.CPUTime(float64(exprWork), e.model.CPUExprRate, e.cfg.Degree))
+	row.close(f.Len(), "", trace.Int("rows", int64(f.Len())))
 	return f, nil
 }
 

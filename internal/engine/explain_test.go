@@ -392,27 +392,3 @@ func TestExplainAnalyzeSortAudit(t *testing.T) {
 		t.Errorf("span-side job count %d != engine-side %d", srt.JobSpans, srt.Jobs)
 	}
 }
-
-// TestPrognosisPopOrder: the query context queues plan-time prognoses in
-// plan order (root first) and execution is bottom-up, so the deepest
-// aggregate pops first and must get the plan-order *last* prognosis; a
-// query without a queue gets none.
-func TestPrognosisPopOrder(t *testing.T) {
-	queue := []optimizer.Prognosis{
-		optimizer.Prognose([]string{"a"}, optimizer.Estimate{Rows: 100}, optimizer.DefaultThresholds(), 0),
-		optimizer.Prognose([]string{"b"}, optimizer.Estimate{Rows: 200}, optimizer.DefaultThresholds(), 0),
-	}
-	q := qctx{prognoses: &queue}.deeper() // copies share the queue
-	if got := q.nextPrognosis(); got == nil || got.Keys[0] != "b" {
-		t.Fatalf("first pop = %+v, want keys [b]", got)
-	}
-	if got := q.nextPrognosis(); got == nil || got.Keys[0] != "a" {
-		t.Fatalf("second pop = %+v, want keys [a]", got)
-	}
-	if got := q.nextPrognosis(); got != nil {
-		t.Fatalf("empty queue pop = %+v, want nil", got)
-	}
-	if got := (qctx{}).nextPrognosis(); got != nil {
-		t.Fatalf("pop without a queue = %+v, want nil", got)
-	}
-}

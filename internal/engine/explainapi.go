@@ -92,10 +92,17 @@ func (e *Engine) executeAudited(ctx context.Context, name string, p *plan.Plan, 
 		busy0[i] = d.Util()
 	}
 
-	prognoses := e.prognoses(p.Root)
-	res, err := e.executeWith(ctx, name, p, sql, &prognoses, attrs...)
+	pr := e.prognosis(p.Root)
+	res, err := e.executeWith(ctx, name, p, sql, attrs...)
 	if err != nil {
 		return nil, nil, err
+	}
+	// The plan-time call is paired with the group-by that ran: a plan has
+	// at most one.
+	for _, op := range res.Ops {
+		if op.Agg != nil {
+			op.Agg.Plan = pr
+		}
 	}
 	seq := res.TraceSeq
 

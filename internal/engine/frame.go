@@ -124,15 +124,15 @@ func composeParts(parts []part, sel []int32, degree int) int {
 
 // materialize copies every listed part's columns through its list into
 // one table and charges the copy — rows times columns copied — to the
-// frame, returning the charge for the operator row that asked for it:
-// derive, window, an expression project, a filter over a join's output,
-// a fused chain's entry, or the query result. A query copies a column at
-// most once, here. A copied column is keyed by its part's provenance when
-// the lists carry one, by content otherwise; a part with no list hands
-// its columns on as they are. A lined-up frame is left alone.
-func (e *Engine) materialize(f *frame) vtime.Duration {
+// frame, inside the row of the operator that asked for it: derive,
+// window, an expression project, a filter over a join's output, a fused
+// chain's entry, or the query result. A query copies a column at most
+// once, here. A copied column is keyed by its part's provenance when the
+// lists carry one, by content otherwise; a part with no list hands its
+// columns on as they are. A lined-up frame is left alone.
+func (e *Engine) materialize(f *frame) {
 	if f.lined() {
-		return 0
+		return
 	}
 	start := time.Now()
 	n, copied, width := f.Len(), 0, 0
@@ -159,18 +159,53 @@ func (e *Engine) materialize(f *frame) vtime.Duration {
 	// Unique names and equal lengths hold by construction.
 	f.setTable(columnar.MustNewTable(f.parts[0].tbl.Name(), cols...))
 	f.q.wallGather(start)
-	t := e.model.CPUTime(float64(n*copied), e.model.CPUScanRate, e.cfg.Degree)
-	e.addCPU(f, t)
-	return t
+	e.addCPU(f, e.model.CPUTime(float64(n*copied), e.model.CPUScanRate, e.cfg.Degree))
 }
 
 // copyHook, when set, sees every column materialize copies. Tests count
 // copies through it.
 var copyHook func(col columnar.Column)
 
-// fail ends an operator's span with the error that stopped the operator,
-// so a failed query leaves no span open, and returns the error.
-func (f *frame) fail(sp trace.Context, err error) (*frame, error) {
-	sp.End(f.at(), trace.Str("error", err.Error()))
+// at returns the frame's current offset on the trace timeline: the query
+// start plus everything charged so far. Operator spans begin at at(),
+// charge their modeled time, and end at the new at(), which lays children
+// of the query root out sequentially in virtual time.
+func (f *frame) at() vtime.Time { return f.q.base.Add(f.modeled) }
+
+// opRow is one operator's row in the making: its span, opened on the
+// frame's clock, and the frame's charge when it opened.
+type opRow struct {
+	f     *frame
+	sp    trace.Context
+	op    string
+	depth int
+	from  vtime.Duration
+}
+
+// open begins operator op's row at plan depth depth: its span starts at
+// the frame's clock.
+func (f *frame) open(op string, depth int) opRow {
+	return opRow{f: f, sp: f.q.tc.Begin("op", op, f.at()), op: op, depth: depth, from: f.modeled}
+}
+
+// close ends the row's span with attrs and appends the row to the frame.
+// Its self time is everything charged to the frame since open, so the
+// rows of a query tile its modeled time. The row is returned for the
+// group-by and the sorts to attach their records to.
+func (r opRow) close(rows int, detail string, attrs ...trace.Attr) *OpStat {
+	f := r.f
+	r.sp.End(f.at(), attrs...)
+	f.ops = append(f.ops, OpStat{
+		Op: r.op, Detail: detail, Depth: r.depth, Rows: rows,
+		Span: r.sp.ID(), Start: f.q.base.Add(r.from), End: f.at(), Modeled: f.modeled - r.from,
+	})
+	return &f.ops[len(f.ops)-1]
+}
+
+// fail ends the row's span with the error that stopped the operator, so
+// a failed query leaves no span open, and returns the error. A failed
+// operator appends no row.
+func (r opRow) fail(err error) (*frame, error) {
+	r.sp.End(r.f.at(), trace.Str("error", err.Error()))
 	return nil, err
 }

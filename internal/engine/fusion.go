@@ -132,11 +132,6 @@ type fusedExec struct {
 	saved     int64
 	uploaded  int64
 	highWater int64
-	// chainModeled is the chain time charged beyond the group-by's own
-	// Stats.Modeled — cache fills plus the fused stage kernels. The
-	// aggregate executor folds it into the operator's self time so
-	// EXPLAIN ANALYZE's self-time sum still equals the query total.
-	chainModeled vtime.Duration
 }
 
 // scratchBytes is the device footprint of the chain's intermediates:
@@ -286,11 +281,13 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 			return fault(err)
 		}
 		fx = &fusedExec{saved: lease.Saved, uploaded: lease.Uploaded, highWater: res.Used()}
-		fx.chainModeled = max(lease.Modeled-overlap, 0) + stageT
-		// The DES profile keeps the group-by's own demand (not the chain
+		// The chain time beyond the group-by's own Stats.Modeled: cache
+		// fills past the overlap window plus the fused stage kernels. The
+		// DES profile keeps the group-by's own demand (not the chain
 		// total) so concurrency replay and the ROLAP memory calibration see
 		// the same per-query footprint with fusion on or off.
-		e.chargeGroupby(f, dev, fx.chainModeled+out.Stats.Modeled, chainDemand, demand)
+		chainT := max(lease.Modeled-overlap, 0) + stageT
+		e.chargeGroupby(f, dev, chainT+out.Stats.Modeled, chainDemand, demand)
 		e.mon.RecordFusedChain(fx.saved, fx.uploaded)
 		return []trace.Attr{
 			trace.Str("kernel", out.Stats.Kernel),

@@ -93,7 +93,7 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	if err != nil {
 		var failed *stepFailed
 		if errors.As(err, &failed) {
-			return f.fail(f.begin("op", "join"), failed.err)
+			return f.open("join", q.depth).fail(failed.err)
 		}
 		return nil, err
 	}
@@ -270,8 +270,7 @@ func (e *Engine) runChain(f *frame, links []*link, order []int, moved [][2]int) 
 // bottom-most of the chain's n joins.
 func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx) {
 	for p, st := range steps {
-		start := f.at()
-		sp := f.begin("op", "join")
+		row := f.open("join", q.depth+n-1-p)
 		f.parts = st.parts
 		f.sel, f.selKey, f.unkeyed = selNone, 0, st.unkeyed
 		e.addCPU(f, st.t)
@@ -280,12 +279,7 @@ func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx) {
 		if st.kept >= 0 {
 			attrs = append(attrs, trace.Int("kept", int64(st.kept)))
 		}
-		sp.End(f.at(), attrs...)
-		f.ops = append(f.ops, OpStat{
-			Op: "join", Detail: st.detail,
-			Depth: q.depth + n - 1 - p, Rows: rows,
-			Span: sp.ID(), Start: start, End: f.at(), Modeled: st.t,
-		})
+		row.close(rows, st.detail, attrs...)
 	}
 }
 

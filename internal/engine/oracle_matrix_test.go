@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -24,7 +26,8 @@ import (
 // configuration, each statement's modeled time must be bit-identical at
 // every GOMAXPROCS: the host's core count is no input, and the injector
 // draws by a (seed, site, device, n) counter on the query's goroutine, so
-// neither is which faults fire.
+// neither is which faults fire. Every run's operator rows must tile the
+// statement's modeled time (tileOps).
 func TestOracleMatrix(t *testing.T) {
 	ds := workload.Generate(0.02, 20160626)
 	qs := workloadQueries()
@@ -82,6 +85,9 @@ func TestOracleMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s GOMAXPROCS %d %s: %v", c.name, procs, q.ID, err)
 				}
+				if err := tileOps(res); err != nil {
+					t.Errorf("%s GOMAXPROCS %d %s: %v", c.name, procs, q.ID, err)
+				}
 				got := canonicalResult(res.Table)
 				if len(answers) < len(qs) {
 					answers = append(answers, got)
@@ -99,4 +105,28 @@ func TestOracleMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tileOps checks that a result's operator rows tile its modeled time:
+// the first starts at the query's start, each next one where the one
+// before it ended, the last ends at Result.Modeled, and each row's self
+// time is its width. A charge made outside every row, or a row whose
+// self time misses one of its charges, breaks it. The query runs
+// untraced, so its clock starts at 0.
+func tileOps(res *Result) error {
+	at := vtime.Time(0)
+	for i, op := range res.Ops {
+		if op.Start != at {
+			return fmt.Errorf("row %d (%s) starts at %v, the row before ends at %v", i, op.Op, op.Start, at)
+		}
+		w := op.End.Sub(op.Start)
+		if d := math.Abs(float64(w - op.Modeled)); d > 1e-9*math.Max(math.Abs(float64(w)), math.Abs(float64(op.Modeled))) {
+			return fmt.Errorf("row %d (%s) spans %v, self time %v", i, op.Op, w, op.Modeled)
+		}
+		at = op.End
+	}
+	if end := vtime.Time(0).Add(res.Modeled); at != end {
+		return fmt.Errorf("rows end at %v, the query at %v", at, end)
+	}
+	return nil
 }

@@ -128,13 +128,12 @@ func sortKeyWords(src columnar.Source, keys []plan.SortKey, degree int) (words [
 }
 
 // hybridSort sorts the rows behind src through the hybrid job-queue sort
-// and returns the permutation, the sort stats and the time it charged the
-// query: key generation and host sorting, then the busiest device's time,
-// then any retry backoff its GPU jobs waited. The charge runs host and
-// device one after the other, where stats.Modeled overlaps them, so the
-// operator row's self time is the charge. op is the operator span the
+// and returns the permutation and the sort stats. It charges the query
+// key generation and host sorting, then the busiest device's time, then
+// any retry backoff its GPU jobs waited: host and device one after the
+// other, where stats.Modeled overlaps them. op is the operator span the
 // per-job sort spans hang off; each GPU job runs through onDevice.
-func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context) ([]int32, bsort.Stats, vtime.Duration, error) {
+func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context) ([]int32, bsort.Stats, error) {
 	rows := src.NumRows()
 
 	// Stage the partial key buffer in the registered segment when it
@@ -154,10 +153,6 @@ func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context
 		Trace:        op,
 		TraceBase:    f.at(),
 	}
-	threshold := cfg.GPUThreshold
-	if threshold <= 0 {
-		threshold = bsort.DefaultGPUThreshold
-	}
 	var waited vtime.Duration
 	if e.GPUEnabled() {
 		cfg.Device = func(tc trace.Context, at vtime.Time, demand int64, run func(*gpu.Reservation) error) (int, error) {
@@ -173,22 +168,20 @@ func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context
 			}
 			return info.devices[len(info.devices)-1], nil
 		}
-		if len(e.devices) > 1 && rows >= 2*threshold {
+		if len(e.devices) > 1 && rows >= 2*cfg.GPUThreshold {
 			cfg.Partitions = len(e.devices) * 2
 		}
 	}
 	perm, stats, err := bsort.Sort(src, cfg)
 	if err != nil {
-		return nil, stats, 0, err
+		return nil, stats, err
 	}
-	charged := stats.KeyGen + stats.CPUTime
-	e.addCPU(f, charged)
+	e.addCPU(f, stats.KeyGen+stats.CPUTime)
 	if stats.GPUTime > 0 {
 		e.addGPU(f, stats.GPUTime, int64(rows)*16)
-		charged += stats.GPUTime
 	}
 	f.modeled += waited
-	return perm, stats, charged + waited, nil
+	return perm, stats, nil
 }
 
 // sortRecord converts bsort stats to the operator row's shape.
@@ -206,15 +199,14 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 	}
 	if rows := f.Len(); rows > 1 {
 		start := f.at()
-		sp := f.begin("op", "sort")
+		row := f.open("sort", q.depth)
 		words, offs, err := sortKeyWords(f, n.Keys, e.cfg.Degree)
 		if err != nil {
-			return f.fail(sp, err)
+			return row.fail(err)
 		}
 		src := bsort.NewFlatKeySource(words, rows, offs[len(n.Keys)])
 		var perm []int32
 		var stats bsort.Stats
-		var sortT vtime.Duration
 		detail := ""
 		if k, depth := n.K, src.MaxDepth(); k > 0 && k < rows &&
 			bsort.TopKCost(e.model, rows, k, depth, e.cfg.Degree) < bsort.HostSortCost(e.model, rows, depth, e.cfg.Degree) {
@@ -222,30 +214,24 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 			// order — keys, then row id — and order only those, one host
 			// job.
 			perm = bsort.TopK(src, k, e.cfg.Degree)
-			sortT = bsort.TopKCost(e.model, rows, k, depth, e.cfg.Degree)
+			sortT := bsort.TopKCost(e.model, rows, k, depth, e.cfg.Degree)
 			e.addCPU(f, sortT)
-			sp.Emit("sort-job", "job depth=0", start, sortT, trace.Str("path", "cpu-topk"), trace.Int("rows", int64(rows)))
+			row.sp.Emit("sort-job", "job depth=0", start, sortT, trace.Str("path", "cpu-topk"), trace.Int("rows", int64(rows)))
 			stats = bsort.Stats{Rows: rows, Jobs: 1, CPUJobs: 1}
 			detail = fmt.Sprintf("top-k %d of %d", k, rows)
 		} else {
-			if perm, stats, sortT, err = e.hybridSort(src, f, sp); err != nil {
-				return f.fail(sp, err)
+			if perm, stats, err = e.hybridSort(src, f, row.sp); err != nil {
+				return row.fail(err)
 			}
 			detail = fmt.Sprintf("jobs=%d gpu=%d cpu=%d", stats.Jobs, stats.GPUJobs, stats.CPUJobs)
 		}
-		sp.End(f.at(), trace.Int("rows", int64(rows)),
-			trace.Int("jobs", int64(stats.Jobs)), trace.Int("gpu-jobs", int64(stats.GPUJobs)))
+		row.close(len(perm), detail, trace.Int("rows", int64(rows)),
+			trace.Int("jobs", int64(stats.Jobs)), trace.Int("gpu-jobs", int64(stats.GPUJobs))).Sort = sortRecord(stats)
 		// The sort's output is its permutation composed with every part's
 		// list: the paper's tuples stay where they are, and only the first
 		// rows a limit keeps are ever copied.
 		composeParts(f.parts, perm, e.cfg.Degree)
 		f.sel = selUnkeyed
-		f.ops = append(f.ops, OpStat{
-			Op: "sort", Detail: detail,
-			Depth: q.depth, Rows: len(perm),
-			Span: sp.ID(), Start: start, End: f.at(), Modeled: sortT,
-			Sort: sortRecord(stats),
-		})
 	}
 	return f, nil
 }
@@ -265,26 +251,20 @@ func (e *Engine) execWindow(n *plan.Window, q qctx) (*frame, error) {
 			keys = append(keys, plan.SortKey{Column: p})
 		}
 		keys = append(keys, n.OrderBy...)
-		start := f.at()
-		sp := f.begin("op", "window-sort")
-		copyT := e.materialize(f)
+		row := f.open("window-sort", q.depth)
+		e.materialize(f)
 		tbl := f.table()
 		words, offs, err := sortKeyWords(f, keys, e.cfg.Degree)
 		if err != nil {
-			return f.fail(sp, err)
+			return row.fail(err)
 		}
 		depth, partDepth := offs[len(keys)], offs[len(n.PartitionBy)]
-		perm, stats, sortT, err := e.hybridSort(bsort.NewFlatKeySource(words, tbl.Rows(), depth), f, sp)
+		perm, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, tbl.Rows(), depth), f, row.sp)
 		if err != nil {
-			return f.fail(sp, err)
+			return row.fail(err)
 		}
-		sp.End(f.at(), trace.Int("rows", int64(tbl.Rows())))
-		f.ops = append(f.ops, OpStat{
-			Op: "window-sort", Detail: fmt.Sprintf("rank over %d rows", tbl.Rows()),
-			Depth: q.depth, Rows: tbl.Rows(),
-			Span: sp.ID(), Start: start, End: f.at(), Modeled: copyT + sortT,
-			Sort: sortRecord(stats),
-		})
+		row.close(tbl.Rows(), fmt.Sprintf("rank over %d rows", tbl.Rows()),
+			trace.Int("rows", int64(tbl.Rows()))).Sort = sortRecord(stats)
 
 		rank, pos := int64(0), int64(0)
 		var prev []uint32

@@ -121,19 +121,6 @@ func (ts *TableStats) EstimateGroups(cols []string, rows int64) uint64 {
 	return uint64(est + 0.5)
 }
 
-// Selectivity guesses what fraction of rows a predicate keeps. The engine
-// uses it to size downstream estimates; exact counts replace it at
-// runtime once the scan has executed.
-type Selectivity float64
-
-// Standard selectivity guesses, System-R style.
-const (
-	SelEquality Selectivity = 0.01
-	SelRange    Selectivity = 0.33
-	SelIn       Selectivity = 0.05
-	SelDefault  Selectivity = 0.5
-)
-
 // --- Figure 3: path selection ---
 
 // Thresholds are the paper's T1/T2/T3 knobs.
