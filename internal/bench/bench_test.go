@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -137,53 +138,50 @@ func TestROLAPMemoryGate(t *testing.T) {
 	}
 }
 
-// TestPaperShapes asserts the headline directions of every evaluation
-// artifact at the reporting scale.
+// TestPaperShapes holds the default arm — the paper's data path plus
+// this repository's extension, resident columns and intermediates (the
+// fused chain and its column cache) — to the extension's claim: it only
+// removes transfer and staging work, so on every artifact it gains at
+// least as much as the paper's configuration (NoFusion), whose own bands
+// TestPaperConfigShapes holds. Figure 5's complex set must still gain
+// more than Figure 6's intermediate one, and simple queries never touch
+// the device.
 func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test needs the full scale factor")
 	}
-	h := shapeHarness(t)
-
-	// Figure 5: complex queries gain with the GPU.
-	complexRuns, err := h.RunSet(workload.Filter(workload.BDInsights(), workload.Complex))
+	paper, err := noFusionShapes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var on, off float64
-	for _, r := range complexRuns {
-		on += r.GPUOn.Seconds()
-		off += r.GPUOff.Seconds()
-	}
-	gain := 1 - on/off
-	if gain < 0.05 {
-		t.Errorf("fig5 total gain = %.1f%%, want clearly positive (paper ~20%%)", gain*100)
-	}
-
-	// Figure 6: intermediate queries stay close to baseline. The paper
-	// reports a total gain of about 0; the band enforced here is −10 % …
-	// +15 %, and the reporting scale measures +10.89 %.
-	interRuns, err := h.RunSet(workload.Filter(workload.BDInsights(), workload.Intermediate))
+	s, err := measurePaperShapes(Config{SF: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, off = 0, 0
-	for _, r := range interRuns {
-		on += r.GPUOn.Seconds()
-		off += r.GPUOff.Seconds()
+	atLeast := func(claim string, got, want float64) {
+		t.Helper()
+		if got < want {
+			t.Errorf("%s: default arm %.4f below NoFusion's %.4f", claim, got, want)
+		} else {
+			t.Logf("%s: default arm %.4f, NoFusion %.4f", claim, got, want)
+		}
 	}
-	interGain := 1 - on/off
-	if interGain < -0.10 || interGain > 0.15 {
-		t.Errorf("fig6 total gain = %.1f%%, want near baseline", interGain*100)
+	atLeast("fig5 complex gain", s.fig5, paper.fig5)
+	atLeast("fig6 intermediate gain", s.fig6, paper.fig6)
+	for d, degree := range table3Degrees {
+		for st := range s.table3 {
+			atLeast(fmt.Sprintf("table3 %d stream(s), degree %d", st+1, degree), s.table3[st][d], paper.table3[st][d])
+		}
 	}
+	atLeast("fig8 speedup", s.fig8, paper.fig8)
 
 	// Complex queries must beat intermediate queries on GPU benefit.
-	if gain <= interGain {
-		t.Errorf("complex gain (%.1f%%) should exceed intermediate gain (%.1f%%)", gain*100, interGain*100)
+	if s.fig5 <= s.fig6 {
+		t.Errorf("complex gain (%.1f%%) should exceed intermediate gain (%.1f%%)", s.fig5*100, s.fig6*100)
 	}
 
 	// Simple queries never touch the device.
-	simple, err := h.RunSet(workload.Filter(workload.BDInsights(), workload.Simple)[:10])
+	simple, err := s.h.RunSet(workload.Filter(workload.BDInsights(), workload.Simple)[:10])
 	if err != nil {
 		t.Fatal(err)
 	}
