@@ -143,7 +143,8 @@ func TestROLAPMemoryGate(t *testing.T) {
 // fused chain and its column cache) — to the extension's claim: it only
 // removes transfer and staging work, so on every artifact it gains at
 // least as much as the paper's configuration (NoFusion), whose own bands
-// TestPaperConfigShapes holds. Figure 5's complex set must still gain
+// TestPaperConfigShapes holds: Figures 5, 6 and 8 and Tables 2 and 3.
+// Figure 5's complex set must still gain
 // more than Figure 6's intermediate one, and simple queries never touch
 // the device.
 func TestPaperShapes(t *testing.T) {
@@ -168,6 +169,7 @@ func TestPaperShapes(t *testing.T) {
 	}
 	atLeast("fig5 complex gain", s.fig5, paper.fig5)
 	atLeast("fig6 intermediate gain", s.fig6, paper.fig6)
+	atLeast("table2 gain", s.table2, paper.table2)
 	for d, degree := range table3Degrees {
 		for st := range s.table3 {
 			atLeast(fmt.Sprintf("table3 %d stream(s), degree %d", st+1, degree), s.table3[st][d], paper.table3[st][d])

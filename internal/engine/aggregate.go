@@ -80,12 +80,12 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		return nil, err
 	}
 	row := f.open("groupby", q.depth)
-	if cr != nil && cr.entry == nil {
+	if cr != nil && len(cr.stages) == 0 {
 		// Chain with no filter/derive stages: the aggregate's direct
-		// input (scan or join output) is the entry table, and the cache
-		// keys its columns as they are — a join's by their provenance.
-		e.materialize(f)
-		cr.entry = f.table()
+		// input is the entry, keyed where it lives. A miss's fill is
+		// charged the gather into the pinned segment, so nothing is
+		// copied or charged here.
+		e.entryKeys(cr, f)
 	}
 
 	// Figure 3's first decision happens before the chain runs: the exact

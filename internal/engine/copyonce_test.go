@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"blugpu/internal/columnar"
+	"blugpu/internal/fusion"
 	"blugpu/internal/plan"
 	"blugpu/internal/sqlparse"
 )
@@ -48,9 +50,10 @@ const starFrom = "FROM sales JOIN stores ON s_store_sk = st_store_sk " +
 // statement's first reader of lined-up values every part's columns are the
 // base tables' own; no join key column nothing above reads is ever copied;
 // and every column the statement reads is copied at most once, in
-// materialize — by a fused chain's entry, a derive, or the result of an
-// ORDER BY ... LIMIT. A group-by with the device off reads every column
-// through its list and copies nothing.
+// materialize — by a derive or the result of an ORDER BY ... LIMIT. A
+// group-by copies nothing on any path: the device off, it reads every
+// column through its list; fused, its chain's entry is keyed by the parts'
+// provenance where it lives, and a miss's fill is charged the gather.
 func TestStarJoinCopiesOnce(t *testing.T) {
 	keys := map[string]bool{"s_store_sk": true, "st_store_sk": true, "s_month": true, "m_month": true, "m_quarter": true, "q_quarter": true}
 	const groupBy = "SELECT st_name, m_name, SUM(s_qty) AS q " + starFrom + "GROUP BY st_name, m_name"
@@ -60,7 +63,7 @@ func TestStarJoinCopiesOnce(t *testing.T) {
 		fused     bool // the group-by takes the fused device chain
 		copies    int  // columns copied over the statement
 	}{
-		{"fused group-by", groupBy, true, true, 3},
+		{"fused group-by", groupBy, true, true, 0},
 		{"group-by, device off", groupBy, false, false, 0},
 		{"derive", "SELECT st_name, m_name, SUM(s_qty * s_price) AS rev " + starFrom + "GROUP BY st_name, m_name", true, true, 4},
 		{"order by limit", "SELECT st_name, m_name, s_qty " + starFrom + "ORDER BY s_qty DESC, st_name LIMIT 10", true, false, 3},
@@ -138,6 +141,89 @@ func TestStarJoinCopiesOnce(t *testing.T) {
 				if fused := strings.HasPrefix(op.Detail, "gpu/fused/"); op.Op == "groupby" && fused != tc.fused {
 					t.Errorf("group-by took %q", op.Detail)
 				}
+			}
+		})
+	}
+}
+
+// TestEntryKeysMatchMaterialize: a stage-less chain keys its entry where
+// it lives, and each key is the fusion.ColumnKey of the column
+// materialize would have copied — so the cache finds what the copy would
+// have found. The star below has no predicate, so every sales row
+// matches and the fact part stays unlisted, while the dimension parts
+// are listed with provenance. Over lists no key fixes (a sort's), the
+// frame is materialized and keyed by content, as before.
+func TestEntryKeysMatchMaterialize(t *testing.T) {
+	const sql = "SELECT st_name, m_name, SUM(s_qty) AS q FROM sales JOIN stores ON s_store_sk = st_store_sk " +
+		"JOIN months ON s_month = m_month GROUP BY st_name, m_name"
+	for _, tc := range []struct {
+		name   string
+		sel    selKind
+		copies int // columns entryKeys copies
+	}{
+		{"provenance", selNone, 0},
+		{"unkeyed lists", selUnkeyed, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := starEngine(t, 6_000)
+			stmt, err := sqlparse.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := e.plan(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var agg *plan.Aggregate
+			for n := p.Root; n != nil && agg == nil; n = planInput(n) {
+				agg, _ = n.(*plan.Aggregate)
+			}
+			if agg == nil {
+				t.Fatalf("no group-by in %s", p.Root)
+			}
+			// Two frames of one input: one keyed in place, one copied.
+			frames := make([]*frame, 2)
+			for i := range frames {
+				if frames[i], err = e.exec(agg.Input, qctx{}); err != nil {
+					t.Fatal(err)
+				}
+				frames[i].sel = tc.sel
+			}
+			f, mat := frames[0], frames[1]
+			var unlisted, listed int
+			for _, pt := range f.parts {
+				switch {
+				case pt.rows == nil:
+					unlisted++
+				case len(pt.steps) > 0:
+					listed++
+				}
+			}
+			if unlisted != 1 || listed != 2 {
+				t.Fatalf("%d unlisted and %d provenance-listed parts, want 1 and 2", unlisted, listed)
+			}
+
+			copies := 0
+			copyHook = func(columnar.Column) { copies++ }
+			defer func() { copyHook = nil }()
+			cr := planFusedChain(agg)
+			e.entryKeys(cr, f)
+			if copies != tc.copies {
+				t.Errorf("keying the entry copied %d columns, want %d", copies, tc.copies)
+			}
+
+			e.materialize(mat)
+			var want []fusion.Key
+			for _, c := range mat.table().Columns() {
+				if cr.needed[c.Name()] {
+					want = append(want, fusion.ColumnKey(c))
+				}
+			}
+			if len(want) != 3 {
+				t.Fatalf("%d needed columns, want 3", len(want))
+			}
+			if !slices.Equal(cr.entry, want) {
+				t.Errorf("entry keys %v, want materialize's %v", cr.entry, want)
 			}
 		})
 	}

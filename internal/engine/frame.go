@@ -125,11 +125,11 @@ func composeParts(parts []part, sel []int32, degree int) int {
 // materialize copies every listed part's columns through its list into
 // one table and charges the copy — rows times columns copied — to the
 // frame, inside the row of the operator that asked for it: derive,
-// window, an expression project, a filter over a join's output, a fused
-// chain's entry, or the query result. A query copies a column at most
-// once, here. A copied column is keyed by its part's provenance when the
-// lists carry one, by content otherwise; a part with no list hands its
-// columns on as they are. A lined-up frame is left alone.
+// window, an expression project, a filter over a join's output, or the
+// query result. A query copies a column at most once, here. A copied
+// column is keyed by its part's provenance when the lists carry one, by
+// content otherwise; a part with no list hands its columns on as they
+// are. A lined-up frame is left alone.
 func (e *Engine) materialize(f *frame) {
 	if f.lined() {
 		return

@@ -60,8 +60,8 @@ type chainStage struct {
 
 // chainRec is the per-query fusion chain record. The planner marks the
 // plan nodes that belong to the chain and the column set they reference;
-// the exec hooks then capture the chain's entry table (the deepest
-// member's input) and per-stage row counts as execution descends.
+// the exec hooks then capture the cache keys of the chain's entry (the
+// deepest member's input) and per-stage row counts as execution descends.
 type chainRec struct {
 	members map[plan.Node]bool
 	// needed is the union of columns the chain reads: filter predicates,
@@ -69,18 +69,58 @@ type chainRec struct {
 	// go through the device column cache (late materialization) — columns
 	// the chain never touches are not uploaded.
 	needed map[string]bool
-	entry  *columnar.Table
+	// entry addresses the needed columns of the chain's entry, in entry
+	// column order (deterministic).
+	entry  []fusion.Key
 	stages []chainStage
 }
 
 // member reports whether n belongs to the chain.
 func (cr *chainRec) member(n plan.Node) bool { return cr != nil && cr.members[n] }
 
-// noteEntry captures the chain's entry table: the first recording member
-// is the deepest, so the first table wins.
+// noteEntry keys the chain's entry table, the input of its deepest stage:
+// the member that records before any stage has. Call it before appending
+// the member's stage.
 func (cr *chainRec) noteEntry(tbl *columnar.Table) {
-	if cr.entry == nil {
-		cr.entry = tbl
+	if len(cr.stages) > 0 {
+		return
+	}
+	for _, c := range tbl.Columns() {
+		if cr.needed[c.Name()] {
+			cr.entry = append(cr.entry, fusion.ColumnKey(c))
+		}
+	}
+}
+
+// entryKeys keys a stage-less chain's entry — the group-by's own input,
+// a scan's, a join's or a project's output — where its columns live, and
+// copies nothing: an unlisted part's column by its own key, a listed
+// one's by its part's provenance, exactly the key materialize gives its
+// copy. A frame holding a listed part no key fixes (narrowed by a filter,
+// sort or limit since its last join, or joined over such lists) is
+// materialized as any other reader of lined-up values would, and its
+// copies are keyed by content.
+func (e *Engine) entryKeys(cr *chainRec, f *frame) {
+	keyed := f.sel == selNone && !f.unkeyed
+	for _, p := range f.parts {
+		if p.rows != nil && (!keyed || len(p.steps) == 0) {
+			e.materialize(f)
+			cr.noteEntry(f.table())
+			return
+		}
+	}
+	n := f.Len()
+	for _, p := range f.parts {
+		for _, c := range p.tbl.Columns() {
+			if !cr.needed[c.Name()] {
+				continue
+			}
+			if p.rows == nil {
+				cr.entry = append(cr.entry, fusion.ColumnKey(c))
+			} else {
+				cr.entry = append(cr.entry, fusion.Key{H: provenanceKey(c, p.steps), N: n, T: c.Type()})
+			}
+		}
 	}
 }
 
@@ -165,14 +205,6 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	if in.NumRows == 0 {
 		return nil, nil, gpuRunInfo{declined: true}, nil
 	}
-	// Late materialization: only the columns the chain reads go through
-	// the cache, in entry-table column order (deterministic).
-	var entryCols []columnar.Column
-	for _, c := range cr.entry.Columns() {
-		if cr.needed[c.Name()] {
-			entryCols = append(entryCols, c)
-		}
-	}
 	inputBytes := groupby.InputDeviceBytes(in)
 	packWords := int((inputBytes + 7) / 8)
 	// One reservation for the whole chain: group-by demand (packed input
@@ -187,9 +219,9 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	// resolve to the first device, concentrating fills instead of
 	// duplicating them per device.
 	devs := e.sched.Devices()
-	prefer, bestMiss := devs[0], e.fcache.MissBytes(devs[0].ID(), entryCols)
+	prefer, bestMiss := devs[0], e.fcache.MissBytes(devs[0].ID(), cr.entry)
 	for _, d := range devs[1:] {
-		if miss := e.fcache.MissBytes(d.ID(), entryCols); miss < bestMiss {
+		if miss := e.fcache.MissBytes(d.ID(), cr.entry); miss < bestMiss {
 			prefer, bestMiss = d, miss
 		}
 	}
@@ -200,7 +232,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		dev := res.Device()
 		// Fuse/decline policy: how cold is the cache for this chain's entry
 		// columns on the chosen device?
-		if miss := e.fcache.MissBytes(dev.ID(), entryCols); float64(miss) > fuseFactor*float64(inputBytes) {
+		if miss := e.fcache.MissBytes(dev.ID(), cr.entry); float64(miss) > fuseFactor*float64(inputBytes) {
 			return []trace.Attr{trace.Str("decline", "cold-cache"), trace.Int("miss_bytes", miss)}, errFuseDecline
 		}
 
@@ -220,7 +252,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		// Acquire the chain's input columns on the device: hits pin resident
 		// entries, misses upload through the cache (reserve + H2D under this
 		// chain's span).
-		lease, err := e.fcache.Ensure(dev, entryCols, res.Span(), e.model, true, e.cfg.Degree)
+		lease, err := e.fcache.Ensure(dev, cr.entry, res.Span(), e.model, true, e.cfg.Degree)
 		if err != nil {
 			if errors.Is(err, gpu.ErrInjected) {
 				return fault(err)

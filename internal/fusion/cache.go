@@ -11,15 +11,15 @@
 //
 // This package supplies the resident half of that design: a per-device
 // cache of compressed column images. Entries are keyed by what fixes a
-// column's content, not by pointer or name, because the engine copies a
-// joined column through its row lists on every execution — two runs of
-// the same query produce equal content in distinct slices. A base or
-// computed column's key is its content hash (type, length, values,
-// nulls), walked once and kept on the column; a column copied through a
-// join's lists carries a provenance key, a mix of its source column's
-// key, its side and the two key columns' keys per join, made in O(1) when
-// it is copied. Equal provenance is equal content, since columns are
-// immutable and the probe is deterministic.
+// column's content, not by pointer or name, because a join's output is a
+// fresh set of row lists on every execution — two runs of the same query
+// hold equal content in distinct slices. A base or computed column's key
+// is its content hash (type, length, values, nulls), walked once and kept
+// on the column; a column read through a join's lists is addressed by a
+// provenance key, a mix of its source column's key, its side and the two
+// key columns' keys per join, made in O(1) and without copying the
+// column. Equal provenance is equal content, since columns are immutable
+// and the probe is deterministic.
 // Each entry owns its own device Reservation,
 // so cached bytes are visible to the scheduler's admission control
 // exactly like any kernel's working set; when a placement cannot be
@@ -52,7 +52,9 @@ var ErrNoRoom = errors.New("fusion: no device memory for column upload")
 
 // Key addresses one column image by its content. Length and type ride
 // along with the 64-bit column key so a collision would additionally need
-// equal shape.
+// equal shape, and the length sizes the image (DeviceBytes). A key needs
+// no column: the engine keys a join's output by provenance without ever
+// copying it.
 type Key struct {
 	H uint64
 	N int
@@ -63,20 +65,11 @@ type Key struct {
 // and its Column.Key — the content hash, memoised on the column, for base
 // and computed columns, or the provenance key of a join's output. Two
 // columns with equal keys hold equal data. A base-table column is walked
-// once per process; a join output is never walked.
+// once per process; a join output is never walked. Callers key a chain's
+// columns before they reach the cache, so concurrent chains do not
+// serialise on a first hash behind Cache.mu.
 func ColumnKey(col columnar.Column) Key {
 	return Key{H: col.Key(), N: col.Len(), T: col.Type()}
-}
-
-// columnKeys addresses every column of a chain. Callers run it before
-// taking Cache.mu: the first hash of a base column walks every value, and
-// concurrent chains must not serialise on that.
-func columnKeys(cols []columnar.Column) []Key {
-	keys := make([]Key, len(cols))
-	for i, col := range cols {
-		keys[i] = ColumnKey(col)
-	}
-	return keys
 }
 
 // DeviceBytes is the device footprint of one cached column: BLU-style
@@ -132,22 +125,21 @@ func (c *Cache) deviceLocked(id int) *deviceCache {
 	return dc
 }
 
-// MissBytes reports how many H2D bytes a fused chain over cols would
-// have to upload on device devID right now — the fuse/decline policy's
-// input. Resident columns cost nothing.
-func (c *Cache) MissBytes(devID int, cols []columnar.Column) int64 {
-	keys := columnKeys(cols)
+// MissBytes reports how many H2D bytes a fused chain over the columns
+// keys address would have to upload on device devID right now — the
+// fuse/decline policy's input. Resident columns cost nothing.
+func (c *Cache) MissBytes(devID int, keys []Key) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dc := c.devs[devID]
 	var miss int64
-	for i, col := range cols {
+	for _, key := range keys {
 		if dc != nil {
-			if _, ok := dc.entries[keys[i]]; ok {
+			if _, ok := dc.entries[key]; ok {
 				continue
 			}
 		}
-		miss += DeviceBytes(col.Len())
+		miss += DeviceBytes(key.N)
 	}
 	return miss
 }
@@ -206,15 +198,14 @@ func (c *Cache) evictOneLocked(dc *deviceCache) int64 {
 	return victim.bytes
 }
 
-// Ensure pins every column of cols on dev, uploading the ones not yet
-// resident. Fills reserve through dev.ReserveSpan under sp, so cached
+// Ensure pins every column keys address on dev, uploading the ones not
+// yet resident. Fills reserve through dev.ReserveSpan under sp, so cached
 // bytes participate in admission control and the reserve/H2D events land
 // on the fused chain's span. When the device is full, unpinned entries
 // are evicted LRU-first before giving up with ErrNoRoom (decline — run
 // staged); injected reserve/H2D faults propagate as-is (chain fault —
 // spill and fall back). On error the lease is already unwound.
-func (c *Cache) Ensure(dev *gpu.Device, cols []columnar.Column, sp trace.SpanID, model *vtime.CostModel, pinned bool, degree int) (*Lease, error) {
-	keys := columnKeys(cols)
+func (c *Cache) Ensure(dev *gpu.Device, keys []Key, sp trace.SpanID, model *vtime.CostModel, pinned bool, degree int) (*Lease, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dc := c.deviceLocked(dev.ID())
@@ -227,8 +218,7 @@ func (c *Cache) Ensure(dev *gpu.Device, cols []columnar.Column, sp trace.SpanID,
 		}
 		return nil, err
 	}
-	for i, col := range cols {
-		key := keys[i]
+	for _, key := range keys {
 		if e, ok := dc.entries[key]; ok {
 			c.seq++
 			e.lastUse = c.seq
@@ -239,7 +229,7 @@ func (c *Cache) Ensure(dev *gpu.Device, cols []columnar.Column, sp trace.SpanID,
 			c.stats.SavedBytes += e.bytes
 			continue
 		}
-		bytes := DeviceBytes(col.Len())
+		bytes := DeviceBytes(key.N)
 		var res *gpu.Reservation
 		for {
 			var err error
@@ -258,8 +248,10 @@ func (c *Cache) Ensure(dev *gpu.Device, cols []columnar.Column, sp trace.SpanID,
 			res.Release()
 			return fail(err)
 		}
-		// The fill stages through the registered segment like the MEMCPY
-		// evaluator (host copy), then crosses PCIe once.
+		// The fill gathers the column into the registered segment like the
+		// MEMCPY evaluator (host copy), then crosses PCIe once. This is the
+		// only charge for that gather: the engine hands a chain its entry
+		// by key and copies nothing first.
 		t, err := res.CopyToDevice(bytes, pinned)
 		if err != nil {
 			res.Release()

@@ -24,6 +24,15 @@ func intCol(name string, vals []int64) columnar.Column {
 	return columnar.NewInt64Column(name, vals, nil)
 }
 
+// keys addresses cols as the engine hands them to the cache.
+func keys(cols ...columnar.Column) []Key {
+	out := make([]Key, len(cols))
+	for i, c := range cols {
+		out[i] = ColumnKey(c)
+	}
+	return out
+}
+
 func TestColumnKeyContentAddressing(t *testing.T) {
 	a := intCol("a", []int64{1, 2, 3, 4})
 	// Same content in a distinct slice, different name: must collide.
@@ -85,7 +94,7 @@ func TestEnsureHitSkipsTransfer(t *testing.T) {
 	dev := testDevice(t, 0, nil)
 	c := NewCache()
 	model := vtime.Default()
-	cols := []columnar.Column{intCol("x", []int64{1, 2, 3}), intCol("y", []int64{4, 5, 6})}
+	cols := keys(intCol("x", []int64{1, 2, 3}), intCol("y", []int64{4, 5, 6}))
 
 	l1, err := c.Ensure(dev, cols, 0, model, true, 4)
 	if err != nil {
@@ -98,7 +107,7 @@ func TestEnsureHitSkipsTransfer(t *testing.T) {
 	l1.Release()
 
 	// Equal content in fresh slices: both columns must hit.
-	again := []columnar.Column{intCol("x2", []int64{1, 2, 3}), intCol("y2", []int64{4, 5, 6})}
+	again := keys(intCol("x2", []int64{1, 2, 3}), intCol("y2", []int64{4, 5, 6}))
 	l2, err := c.Ensure(dev, again, 0, model, true, 4)
 	if err != nil {
 		t.Fatalf("second Ensure: %v", err)
@@ -119,6 +128,33 @@ func TestEnsureHitSkipsTransfer(t *testing.T) {
 	}
 }
 
+// TestKeySizesTheImage: the cache needs no column, only its key. A key
+// no column carries — the engine's provenance key for a join output it
+// never copies — is sized by its N, fills and then hits like any other.
+func TestKeySizesTheImage(t *testing.T) {
+	dev := testDevice(t, 0, nil)
+	c := NewCache()
+	k := []Key{{H: 0x9e3779b97f4a7c15, N: 1001, T: columnar.Float64}}
+	if got := c.MissBytes(0, k); got != DeviceBytes(1001) {
+		t.Fatalf("MissBytes = %d, want %d", got, DeviceBytes(1001))
+	}
+	l, err := c.Ensure(dev, k, 0, vtime.Default(), true, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Release()
+	if l.Uploaded != DeviceBytes(1001) || dev.UsedMemory() != DeviceBytes(1001) {
+		t.Fatalf("uploaded %d, device holds %d, want %d", l.Uploaded, dev.UsedMemory(), DeviceBytes(1001))
+	}
+	if got := c.MissBytes(0, k); got != 0 {
+		t.Fatalf("MissBytes after the fill = %d", got)
+	}
+	// Same hash, another length: another image.
+	if got := c.MissBytes(0, []Key{{H: k[0].H, N: 1000, T: columnar.Float64}}); got != DeviceBytes(1000) {
+		t.Fatalf("MissBytes for a shorter image = %d", got)
+	}
+}
+
 func TestEvictionLRUAndNoRoom(t *testing.T) {
 	// Room for exactly one 4-row column image (16 bytes packed).
 	dev := testDevice(t, DeviceBytes(4), nil)
@@ -127,19 +163,19 @@ func TestEvictionLRUAndNoRoom(t *testing.T) {
 	a := intCol("a", []int64{1, 2, 3, 4})
 	b := intCol("b", []int64{5, 6, 7, 8})
 
-	la, err := c.Ensure(dev, []columnar.Column{a}, 0, model, true, 4)
+	la, err := c.Ensure(dev, keys(a), 0, model, true, 4)
 	if err != nil {
 		t.Fatalf("Ensure a: %v", err)
 	}
 
 	// While a is pinned, b cannot fit and nothing is evictable.
-	if _, err := c.Ensure(dev, []columnar.Column{b}, 0, model, true, 4); !errors.Is(err, ErrNoRoom) {
+	if _, err := c.Ensure(dev, keys(b), 0, model, true, 4); !errors.Is(err, ErrNoRoom) {
 		t.Fatalf("Ensure b with a pinned: %v, want ErrNoRoom", err)
 	}
 	la.Release()
 
 	// Unpinned, a is the LRU victim.
-	lb, err := c.Ensure(dev, []columnar.Column{b}, 0, model, true, 4)
+	lb, err := c.Ensure(dev, keys(b), 0, model, true, 4)
 	if err != nil {
 		t.Fatalf("Ensure b after release: %v", err)
 	}
@@ -147,10 +183,10 @@ func TestEvictionLRUAndNoRoom(t *testing.T) {
 	if n, _ := c.Resident(0); n != 1 {
 		t.Fatalf("resident entries = %d, want 1", n)
 	}
-	if c.MissBytes(0, []columnar.Column{a}) == 0 {
+	if c.MissBytes(0, keys(a)) == 0 {
 		t.Fatalf("a still resident after eviction")
 	}
-	if c.MissBytes(0, []columnar.Column{b}) != 0 {
+	if c.MissBytes(0, keys(b)) != 0 {
 		t.Fatalf("b not resident after insert")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -170,7 +206,7 @@ func TestEnsureFaultPropagates(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 1, H2D: 1.0})
 	dev := testDevice(t, 0, inj)
 	c := NewCache()
-	_, err := c.Ensure(dev, []columnar.Column{intCol("a", []int64{1, 2})}, 0, vtime.Default(), true, 4)
+	_, err := c.Ensure(dev, keys(intCol("a", []int64{1, 2})), 0, vtime.Default(), true, 4)
 	if !errors.Is(err, gpu.ErrInjected) {
 		t.Fatalf("Ensure under H2D fault: %v, want ErrInjected", err)
 	}
@@ -186,9 +222,8 @@ var keySink Key
 
 // BenchmarkColumnKey is the micro-ruler for the cache key of a 1M-row
 // column: "first" walks every value (a fresh header each time, as a newly
-// computed column is), "again" is what every later MissBytes / Ensure over
-// the same column pays, and "provenance" is a join output's key, made
-// when the join gathered the column.
+// computed column is), "again" is what every later key of the same column
+// pays, and "provenance" is the key of a column given one by WithKey.
 func BenchmarkColumnKey(b *testing.B) {
 	vals := make([]int64, 1_000_000)
 	for i := range vals {
@@ -220,15 +255,14 @@ func BenchmarkColumnKey(b *testing.B) {
 
 // BenchmarkCacheEnsure is the make-bench ruler for pinning a 1M-row column
 // on the device: "fill" is a miss on a fresh cache each time (reserve,
-// claim, H2D), "hit" finds it resident. The column is hashed up front, so
+// claim, H2D), "hit" finds it resident. The column is keyed up front, so
 // only Ensure's own work is timed.
 func BenchmarkCacheEnsure(b *testing.B) {
 	vals := make([]int64, 1_000_000)
 	for i := range vals {
 		vals[i] = int64(i * 2654435761)
 	}
-	cols := []columnar.Column{intCol("k", vals)}
-	ColumnKey(cols[0])
+	cols := keys(intCol("k", vals))
 	dev := gpu.NewDevice(0, vtime.TeslaK40())
 	model := vtime.Default()
 	b.Run("fill", func(b *testing.B) {
