@@ -141,12 +141,11 @@ func TestROLAPMemoryGate(t *testing.T) {
 // TestPaperShapes holds the default arm — the paper's data path plus
 // this repository's extension, resident columns and intermediates (the
 // fused chain and its column cache) — to the extension's claim: it only
-// removes transfer and staging work, so on every artifact it gains at
-// least as much as the paper's configuration (NoFusion), whose own bands
-// TestPaperConfigShapes holds: Figures 5, 6 and 8 and Tables 2 and 3.
-// Figure 5's complex set must still gain
-// more than Figure 6's intermediate one, and simple queries never touch
-// the device.
+// removes transfer and staging work, so on Figures 5, 6 and 8 and Tables
+// 2 and 3 it gains at least as much as the paper's configuration
+// (NoFusion), whose own bands TestPaperConfigShapes holds. Figure 5's
+// complex set must still gain more than Figure 6's intermediate one, and
+// simple queries never touch the device.
 func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test needs the full scale factor")

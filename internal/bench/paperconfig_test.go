@@ -11,11 +11,11 @@ import (
 	"blugpu/internal/workload"
 )
 
-// paperShapes is one arm's reading of the paper's evaluation claims at
-// the reporting scale (sf 0.05), measured in the order blubench reports
-// them on one harness: Figures 5 and 6, Table 2 over the memory-gated
-// ROLAP set, Table 3's throughput gains, and the Figure-8 mixed workload,
-// whose GPU-on run is Figure 9's memory series.
+// paperShapes is one arm's reading of the paper's evaluation claims,
+// measured in the order blubench reports them on one harness: Figures 5
+// and 6, Table 2 over the memory-gated ROLAP set, Table 3's throughput
+// gains, and the Figure-8 mixed workload, whose GPU-on run is Figure 9's
+// memory series.
 type paperShapes struct {
 	fig5, fig6 float64 // complex and intermediate set gains
 	table2     float64 // gain over the ROLAP queries that fit the device

@@ -169,7 +169,7 @@ func TestDefaultArmNeverLoses(t *testing.T) {
 }
 
 // chainEntryIsScan reports whether sql's group-by would fuse a chain
-// whose entry is a bare base-table scan: only filters and derives lie
+// whose entry is a bare base-table scan: only the chain's members lie
 // between the group-by and a scan.
 func chainEntryIsScan(t *testing.T, e *Engine, sql string) bool {
 	t.Helper()
@@ -183,17 +183,12 @@ func chainEntryIsScan(t *testing.T, e *Engine, sql string) bool {
 	}
 	for n := p.Root; n != nil; n = planInput(n) {
 		if agg, ok := n.(*plan.Aggregate); ok {
-			for in := agg.Input; ; {
-				switch x := in.(type) {
-				case *plan.Filter:
-					in = x.Input
-				case *plan.Derive:
-					in = x.Input
-				default:
-					_, scan := in.(*plan.Scan)
-					return scan
-				}
+			cr, in := planFusedChain(agg), agg.Input
+			for cr.member(in) {
+				in = planInput(in)
 			}
+			_, scan := in.(*plan.Scan)
+			return scan
 		}
 	}
 	return false
