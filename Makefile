@@ -15,7 +15,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/serve ./internal/prof ./internal/hostmem \
                 ./internal/obsd ./internal/groupby ./internal/gpu
 
-.PHONY: build vet test race bench check bench-smoke orphans fuzz-smoke
+.PHONY: build vet test race bench check bench-smoke orphans fuzz-smoke size
 
 build:
 	$(GO) build ./...
@@ -100,5 +100,16 @@ orphans:
 	@reached=$$($(GO) list -deps ./cmd/... ./benchmark | grep '^blugpu/internal'); \
 		orphans=$$($(GO) list ./internal/... | grep -vxF -e "$$reached"); \
 		if [ -n "$$orphans" ]; then echo "$$orphans"; exit 1; fi
+
+# Source size: non-test and test lines per package (directory) under cmd/
+# and internal/, then their totals — the figure a change that deletes
+# code quotes before and after. It runs in no gate.
+size:
+	@find cmd internal -name '*.go' -exec wc -l {} + | awk '$$2 != "total" { \
+		d = $$2; sub(/\/[^\/]*$$/, "", d); t = ($$2 ~ /_test\.go$$/) ? 2 : 1; \
+		n[d, t] += $$1; sum[t] += $$1; dirs[d] = 1 } \
+		END { printf "%-24s %8s %8s\n", "package", "non-test", "test"; \
+		for (d in dirs) printf "%-24s %8d %8d\n", d, n[d, 1], n[d, 2] | "sort"; close("sort"); \
+		printf "%-24s %8d %8d\n", "total", sum[1], sum[2] }'
 
 check: vet orphans test race fuzz-smoke bench-smoke

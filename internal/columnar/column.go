@@ -30,33 +30,55 @@ type Column interface {
 	// key, length and type hold equal data. It is ContentHash, unless the
 	// column's maker gave it a provenance key (WithKey).
 	Key() uint64
+	// setKey gives a fresh header a provenance key (WithKey). Unexported,
+	// it closes Column to the three types of this package.
+	setKey(key uint64)
+}
+
+// vec is the column core every column type embeds: a named vector of
+// fixed-width encoded values — integers, floats or dictionary codes, the
+// one layout BLU keeps for every column — with an optional null bitmap
+// (nil when no row is NULL), the content-hash memo and the provenance
+// key. It holds an atomic, so it is filled in place, never copied.
+type vec[T int64 | float64 | int32] struct {
+	name  string
+	data  []T
+	nulls *Bitmap
+	hash  hashMemo
+	prov  provKey
+}
+
+func (v *vec[T]) Name() string { return v.name }
+func (v *vec[T]) Len() int     { return len(v.data) }
+func (v *vec[T]) IsNull(i int) bool {
+	return v.nulls != nil && v.nulls.Get(i)
+}
+
+// Nulls exposes the null bitmap (nil when no row is NULL).
+func (v *vec[T]) Nulls() *Bitmap { return v.nulls }
+
+// rename fills dst as v's header under name: it shares the vector, the
+// bitmap, the provenance key and the memoized content hash.
+func (v *vec[T]) rename(dst *vec[T], name string) {
+	dst.name, dst.data, dst.nulls, dst.prov = name, v.data, v.nulls, v.prov
+	dst.hash.p.Store(v.hash.p.Load())
 }
 
 // --- Int64 ---
 
-// Int64Column is a flat vector of 64-bit integers with an optional null
-// bitmap (nil when no row is NULL).
+// Int64Column is a flat vector of 64-bit integers.
 type Int64Column struct {
-	name  string
-	data  []int64
-	nulls *Bitmap
-	hash  hashMemo
-	prov  provKey
+	vec[int64]
 	// index is the join key index, once KeyIndex has been asked for it.
 	index atomic.Pointer[KeyIndex]
 }
 
 // NewInt64Column builds a column from data; nulls may be nil.
 func NewInt64Column(name string, data []int64, nulls *Bitmap) *Int64Column {
-	return &Int64Column{name: name, data: data, nulls: nulls}
+	return &Int64Column{vec: vec[int64]{name: name, data: data, nulls: nulls}}
 }
 
-func (c *Int64Column) Name() string { return c.name }
-func (c *Int64Column) Type() Type   { return Int64 }
-func (c *Int64Column) Len() int     { return len(c.data) }
-func (c *Int64Column) IsNull(i int) bool {
-	return c.nulls != nil && c.nulls.Get(i)
-}
+func (c *Int64Column) Type() Type { return Int64 }
 func (c *Int64Column) Value(i int) Value {
 	if c.IsNull(i) {
 		return NullValue(Int64)
@@ -70,39 +92,25 @@ func (c *Int64Column) Int64(i int) int64 { return c.data[i] }
 // Data exposes the backing vector for kernel-speed scans.
 func (c *Int64Column) Data() []int64 { return c.data }
 
-// Nulls exposes the null bitmap (nil when no row is NULL).
-func (c *Int64Column) Nulls() *Bitmap { return c.nulls }
-
 // Rename implements Column.
 func (c *Int64Column) Rename(name string) Column {
-	out := &Int64Column{name: name, data: c.data, nulls: c.nulls, prov: c.prov}
-	out.hash.p.Store(c.hash.p.Load())
+	out := &Int64Column{}
+	c.rename(&out.vec, name)
 	out.index.Store(c.index.Load())
 	return out
 }
 
 // --- Float64 ---
 
-// Float64Column is a flat vector of float64 with an optional null bitmap.
-type Float64Column struct {
-	name  string
-	data  []float64
-	nulls *Bitmap
-	hash  hashMemo
-	prov  provKey
-}
+// Float64Column is a flat vector of float64.
+type Float64Column struct{ vec[float64] }
 
 // NewFloat64Column builds a column from data; nulls may be nil.
 func NewFloat64Column(name string, data []float64, nulls *Bitmap) *Float64Column {
-	return &Float64Column{name: name, data: data, nulls: nulls}
+	return &Float64Column{vec[float64]{name: name, data: data, nulls: nulls}}
 }
 
-func (c *Float64Column) Name() string { return c.name }
-func (c *Float64Column) Type() Type   { return Float64 }
-func (c *Float64Column) Len() int     { return len(c.data) }
-func (c *Float64Column) IsNull(i int) bool {
-	return c.nulls != nil && c.nulls.Get(i)
-}
+func (c *Float64Column) Type() Type { return Float64 }
 func (c *Float64Column) Value(i int) Value {
 	if c.IsNull(i) {
 		return NullValue(Float64)
@@ -116,13 +124,10 @@ func (c *Float64Column) Float64(i int) float64 { return c.data[i] }
 // Data exposes the backing vector.
 func (c *Float64Column) Data() []float64 { return c.data }
 
-// Nulls exposes the null bitmap (nil when no row is NULL).
-func (c *Float64Column) Nulls() *Bitmap { return c.nulls }
-
 // Rename implements Column.
 func (c *Float64Column) Rename(name string) Column {
-	out := &Float64Column{name: name, data: c.data, nulls: c.nulls, prov: c.prov}
-	out.hash.p.Store(c.hash.p.Load())
+	out := &Float64Column{}
+	c.rename(&out.vec, name)
 	return out
 }
 
@@ -132,47 +137,35 @@ func (c *Float64Column) Rename(name string) Column {
 // BLU's dictionary compression. Grouping and equality run on codes;
 // order comparisons also run on codes because the dictionary is sorted.
 type StringColumn struct {
-	name  string
-	dict  []string // sorted, unique
-	codes []int32
-	nulls *Bitmap
-	hash  hashMemo
-	prov  provKey
+	vec[int32]
+	dict []string // sorted, unique
 }
 
-func (c *StringColumn) Name() string { return c.name }
-func (c *StringColumn) Type() Type   { return String }
-func (c *StringColumn) Len() int     { return len(c.codes) }
-func (c *StringColumn) IsNull(i int) bool {
-	return c.nulls != nil && c.nulls.Get(i)
-}
+func (c *StringColumn) Type() Type { return String }
 func (c *StringColumn) Value(i int) Value {
 	if c.IsNull(i) {
 		return NullValue(String)
 	}
-	return StringValue(c.dict[c.codes[i]])
+	return StringValue(c.dict[c.data[i]])
 }
 
 // Code returns the dictionary code of row i.
-func (c *StringColumn) Code(i int) int32 { return c.codes[i] }
+func (c *StringColumn) Code(i int) int32 { return c.data[i] }
 
 // Codes exposes the backing code vector.
-func (c *StringColumn) Codes() []int32 { return c.codes }
-
-// Nulls exposes the null bitmap (nil when no row is NULL).
-func (c *StringColumn) Nulls() *Bitmap { return c.nulls }
+func (c *StringColumn) Codes() []int32 { return c.data }
 
 // Rename implements Column.
 func (c *StringColumn) Rename(name string) Column {
-	out := &StringColumn{name: name, dict: c.dict, codes: c.codes, nulls: c.nulls, prov: c.prov}
-	out.hash.p.Store(c.hash.p.Load())
+	out := &StringColumn{dict: c.dict}
+	c.rename(&out.vec, name)
 	return out
 }
 
 // WithCodes returns a column of the given codes and null bitmap (nil for
 // none) over c's dictionary, shared rather than re-encoded.
 func (c *StringColumn) WithCodes(name string, codes []int32, nulls *Bitmap) *StringColumn {
-	return &StringColumn{name: name, dict: c.dict, codes: codes, nulls: nulls}
+	return &StringColumn{vec: vec[int32]{name: name, data: codes, nulls: nulls}, dict: c.dict}
 }
 
 // DictSize returns the number of distinct values in the dictionary.
@@ -192,86 +185,70 @@ func (c *StringColumn) Lookup(s string) (int32, bool) {
 
 // --- Builders ---
 
-// Int64Builder accumulates an Int64Column.
-type Int64Builder struct {
+// builder accumulates a column's values and its NULL rows; each column
+// type's builder embeds one and adds its own Build.
+type builder[T any] struct {
 	name  string
-	data  []int64
+	data  []T
 	nulls []int
 }
+
+// Append adds one value.
+func (b *builder[T]) Append(v T) { b.data = append(b.data, v) }
+
+// AppendNull adds one NULL.
+func (b *builder[T]) AppendNull() {
+	var zero T
+	b.nulls = append(b.nulls, len(b.data))
+	b.data = append(b.data, zero)
+}
+
+// bitmap marks the NULL rows appended so far, nil when there are none.
+func (b *builder[T]) bitmap() *Bitmap {
+	if len(b.nulls) == 0 {
+		return nil
+	}
+	bm := NewBitmap(len(b.data))
+	for _, i := range b.nulls {
+		bm.Set(i)
+	}
+	return bm
+}
+
+// Int64Builder accumulates an Int64Column.
+type Int64Builder struct{ builder[int64] }
 
 // NewInt64Builder returns a builder for the named column.
-func NewInt64Builder(name string) *Int64Builder { return &Int64Builder{name: name} }
-
-// Append adds one value.
-func (b *Int64Builder) Append(v int64) { b.data = append(b.data, v) }
-
-// AppendNull adds one NULL.
-func (b *Int64Builder) AppendNull() {
-	b.nulls = append(b.nulls, len(b.data))
-	b.data = append(b.data, 0)
+func NewInt64Builder(name string) *Int64Builder {
+	return &Int64Builder{builder[int64]{name: name}}
 }
-
-// Len returns the rows appended so far.
-func (b *Int64Builder) Len() int { return len(b.data) }
 
 // Build freezes the column.
-func (b *Int64Builder) Build() *Int64Column {
-	return &Int64Column{name: b.name, data: b.data, nulls: buildNulls(len(b.data), b.nulls)}
-}
+func (b *Int64Builder) Build() *Int64Column { return NewInt64Column(b.name, b.data, b.bitmap()) }
 
 // Float64Builder accumulates a Float64Column.
-type Float64Builder struct {
-	name  string
-	data  []float64
-	nulls []int
-}
+type Float64Builder struct{ builder[float64] }
 
 // NewFloat64Builder returns a builder for the named column.
-func NewFloat64Builder(name string) *Float64Builder { return &Float64Builder{name: name} }
-
-// Append adds one value.
-func (b *Float64Builder) Append(v float64) { b.data = append(b.data, v) }
-
-// AppendNull adds one NULL.
-func (b *Float64Builder) AppendNull() {
-	b.nulls = append(b.nulls, len(b.data))
-	b.data = append(b.data, 0)
+func NewFloat64Builder(name string) *Float64Builder {
+	return &Float64Builder{builder[float64]{name: name}}
 }
-
-// Len returns the rows appended so far.
-func (b *Float64Builder) Len() int { return len(b.data) }
 
 // Build freezes the column.
-func (b *Float64Builder) Build() *Float64Column {
-	return &Float64Column{name: b.name, data: b.data, nulls: buildNulls(len(b.data), b.nulls)}
-}
+func (b *Float64Builder) Build() *Float64Column { return NewFloat64Column(b.name, b.data, b.bitmap()) }
 
 // StringBuilder accumulates a dictionary-encoded StringColumn.
-type StringBuilder struct {
-	name   string
-	values []string
-	nulls  []int
-}
+type StringBuilder struct{ builder[string] }
 
 // NewStringBuilder returns a builder for the named column.
-func NewStringBuilder(name string) *StringBuilder { return &StringBuilder{name: name} }
-
-// Append adds one value.
-func (b *StringBuilder) Append(v string) { b.values = append(b.values, v) }
-
-// AppendNull adds one NULL.
-func (b *StringBuilder) AppendNull() {
-	b.nulls = append(b.nulls, len(b.values))
-	b.values = append(b.values, "")
+func NewStringBuilder(name string) *StringBuilder {
+	return &StringBuilder{builder[string]{name: name}}
 }
-
-// Len returns the rows appended so far.
-func (b *StringBuilder) Len() int { return len(b.values) }
 
 // Build freezes the column, constructing the sorted dictionary.
 func (b *StringBuilder) Build() *StringColumn {
-	distinct := make(map[string]struct{}, len(b.values))
-	for _, v := range b.values {
+	distinct := make(map[string]struct{}, len(b.data))
+	for _, v := range b.data {
 		distinct[v] = struct{}{}
 	}
 	dict := make([]string, 0, len(distinct))
@@ -283,27 +260,11 @@ func (b *StringBuilder) Build() *StringColumn {
 	for i, v := range dict {
 		codeOf[v] = int32(i)
 	}
-	codes := make([]int32, len(b.values))
-	for i, v := range b.values {
+	codes := make([]int32, len(b.data))
+	for i, v := range b.data {
 		codes[i] = codeOf[v]
 	}
-	return &StringColumn{
-		name:  b.name,
-		dict:  dict,
-		codes: codes,
-		nulls: buildNulls(len(b.values), b.nulls),
-	}
-}
-
-func buildNulls(n int, nullRows []int) *Bitmap {
-	if len(nullRows) == 0 {
-		return nil
-	}
-	bm := NewBitmap(n)
-	for _, i := range nullRows {
-		bm.Set(i)
-	}
-	return bm
+	return &StringColumn{vec: vec[int32]{name: b.name, data: codes, nulls: b.bitmap()}, dict: dict}
 }
 
 // ColumnFromValues builds a column of the given type from generic values
@@ -312,35 +273,29 @@ func ColumnFromValues(name string, t Type, values []Value) (Column, error) {
 	switch t {
 	case Int64:
 		b := NewInt64Builder(name)
-		for _, v := range values {
-			if v.Null {
-				b.AppendNull()
-			} else {
-				b.Append(v.I)
-			}
-		}
+		appendValues(&b.builder, values, func(v Value) int64 { return v.I })
 		return b.Build(), nil
 	case Float64:
 		b := NewFloat64Builder(name)
-		for _, v := range values {
-			if v.Null {
-				b.AppendNull()
-			} else {
-				b.Append(v.F)
-			}
-		}
+		appendValues(&b.builder, values, func(v Value) float64 { return v.F })
 		return b.Build(), nil
 	case String:
 		b := NewStringBuilder(name)
-		for _, v := range values {
-			if v.Null {
-				b.AppendNull()
-			} else {
-				b.Append(v.S)
-			}
-		}
+		appendValues(&b.builder, values, func(v Value) string { return v.S })
 		return b.Build(), nil
 	default:
 		return nil, fmt.Errorf("columnar: unsupported type %v", t)
+	}
+}
+
+// appendValues appends values to b, a NULL as one and any other value
+// as get reads it.
+func appendValues[T any](b *builder[T], values []Value, get func(Value) T) {
+	for _, v := range values {
+		if v.Null {
+			b.AppendNull()
+		} else {
+			b.Append(get(v))
+		}
 	}
 }

@@ -10,144 +10,95 @@ import (
 // it, goroutine handoff costs more than the copy itself.
 const gatherGrain = 2048
 
+// gather copies the listed rows of the vector, in order, with their NULL
+// marks. It is the sequential reference: the differential tests assert
+// that gatherDegree produces identical columns.
+func (v *vec[T]) gather(rows []int32) ([]T, *Bitmap) {
+	data := make([]T, len(rows))
+	var nulls *Bitmap
+	for i, r := range rows {
+		data[i] = v.data[r]
+		if v.IsNull(int(r)) {
+			if nulls == nil {
+				nulls = NewBitmap(len(rows))
+			}
+			nulls.Set(i)
+		}
+	}
+	return data, nulls
+}
+
+// gatherDegree is the parallel gather: disjoint row ranges are copied by
+// the worker pool, each worker writing its own 64-aligned region of the
+// output (and of the shared null bitmap), so the result is bit-identical
+// to gather at any degree.
+func (v *vec[T]) gatherDegree(rows []int32, degree int) ([]T, *Bitmap) {
+	n := len(rows)
+	data := make([]T, n)
+	if v.nulls == nil {
+		parallel.For(n, gatherGrain, degree, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				data[i] = v.data[rows[i]]
+			}
+		})
+		return data, nil
+	}
+	nulls, found := NewBitmap(n), make([]bool, parallel.Workers(n, gatherGrain, degree))
+	parallel.For(n, gatherGrain, degree, func(lo, hi, worker int) {
+		any := false
+		for i := lo; i < hi; i++ {
+			data[i] = v.data[rows[i]]
+			if v.nulls.Get(int(rows[i])) {
+				nulls.Set(i)
+				any = true
+			}
+		}
+		found[worker] = any
+	})
+	return data, keepNulls(nulls, found)
+}
+
 // Gather builds a new column containing the given rows, in order. The
 // executor uses it to materialize filtered, joined, sorted and limited
 // intermediates without re-encoding dictionaries.
 //
 // Gather is the sequential reference; GatherDegree is the parallel path
-// the engine threads its Degree into, and the differential tests assert
-// the two produce identical columns.
+// the engine threads its Degree into.
 func (c *Int64Column) Gather(name string, rows []int32) *Int64Column {
-	data := make([]int64, len(rows))
-	var nulls *Bitmap
-	for i, r := range rows {
-		data[i] = c.data[r]
-		if c.IsNull(int(r)) {
-			if nulls == nil {
-				nulls = NewBitmap(len(rows))
-			}
-			nulls.Set(i)
-		}
-	}
-	return &Int64Column{name: name, data: data, nulls: nulls}
+	data, nulls := c.gather(rows)
+	return NewInt64Column(name, data, nulls)
+}
+
+// GatherDegree is the parallel Gather.
+func (c *Int64Column) GatherDegree(name string, rows []int32, degree int) *Int64Column {
+	data, nulls := c.gatherDegree(rows, degree)
+	return NewInt64Column(name, data, nulls)
 }
 
 // Gather builds a new column containing the given rows, in order.
 func (c *Float64Column) Gather(name string, rows []int32) *Float64Column {
-	data := make([]float64, len(rows))
-	var nulls *Bitmap
-	for i, r := range rows {
-		data[i] = c.data[r]
-		if c.IsNull(int(r)) {
-			if nulls == nil {
-				nulls = NewBitmap(len(rows))
-			}
-			nulls.Set(i)
-		}
-	}
-	return &Float64Column{name: name, data: data, nulls: nulls}
+	data, nulls := c.gather(rows)
+	return NewFloat64Column(name, data, nulls)
+}
+
+// GatherDegree is the parallel Gather for float columns.
+func (c *Float64Column) GatherDegree(name string, rows []int32, degree int) *Float64Column {
+	data, nulls := c.gatherDegree(rows, degree)
+	return NewFloat64Column(name, data, nulls)
 }
 
 // Gather builds a new column containing the given rows, in order, sharing
 // the dictionary with the source column.
 func (c *StringColumn) Gather(name string, rows []int32) *StringColumn {
-	codes := make([]int32, len(rows))
-	var nulls *Bitmap
-	for i, r := range rows {
-		codes[i] = c.codes[r]
-		if c.IsNull(int(r)) {
-			if nulls == nil {
-				nulls = NewBitmap(len(rows))
-			}
-			nulls.Set(i)
-		}
-	}
-	return &StringColumn{name: name, dict: c.dict, codes: codes, nulls: nulls}
-}
-
-// GatherDegree is the parallel Gather: disjoint row ranges are copied by
-// the worker pool, each worker writing its own 64-aligned region of the
-// output (and of the shared null bitmap), so the result is bit-identical
-// to Gather at any degree.
-func (c *Int64Column) GatherDegree(name string, rows []int32, degree int) *Int64Column {
-	n := len(rows)
-	data := make([]int64, n)
-	if c.nulls == nil {
-		parallel.For(n, gatherGrain, degree, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				data[i] = c.data[rows[i]]
-			}
-		})
-		return &Int64Column{name: name, data: data}
-	}
-	nulls, found := NewBitmap(n), make([]bool, parallel.Workers(n, gatherGrain, degree))
-	parallel.For(n, gatherGrain, degree, func(lo, hi, worker int) {
-		any := false
-		for i := lo; i < hi; i++ {
-			data[i] = c.data[rows[i]]
-			if c.IsNull(int(rows[i])) {
-				nulls.Set(i)
-				any = true
-			}
-		}
-		found[worker] = any
-	})
-	return &Int64Column{name: name, data: data, nulls: keepNulls(nulls, found)}
-}
-
-// GatherDegree is the parallel Gather for float columns.
-func (c *Float64Column) GatherDegree(name string, rows []int32, degree int) *Float64Column {
-	n := len(rows)
-	data := make([]float64, n)
-	if c.nulls == nil {
-		parallel.For(n, gatherGrain, degree, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				data[i] = c.data[rows[i]]
-			}
-		})
-		return &Float64Column{name: name, data: data}
-	}
-	nulls, found := NewBitmap(n), make([]bool, parallel.Workers(n, gatherGrain, degree))
-	parallel.For(n, gatherGrain, degree, func(lo, hi, worker int) {
-		any := false
-		for i := lo; i < hi; i++ {
-			data[i] = c.data[rows[i]]
-			if c.IsNull(int(rows[i])) {
-				nulls.Set(i)
-				any = true
-			}
-		}
-		found[worker] = any
-	})
-	return &Float64Column{name: name, data: data, nulls: keepNulls(nulls, found)}
+	codes, nulls := c.gather(rows)
+	return c.WithCodes(name, codes, nulls)
 }
 
 // GatherDegree is the parallel Gather for dictionary columns; the
 // dictionary is shared with the source, only codes are copied.
 func (c *StringColumn) GatherDegree(name string, rows []int32, degree int) *StringColumn {
-	n := len(rows)
-	codes := make([]int32, n)
-	if c.nulls == nil {
-		parallel.For(n, gatherGrain, degree, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				codes[i] = c.codes[rows[i]]
-			}
-		})
-		return &StringColumn{name: name, dict: c.dict, codes: codes}
-	}
-	nulls, found := NewBitmap(n), make([]bool, parallel.Workers(n, gatherGrain, degree))
-	parallel.For(n, gatherGrain, degree, func(lo, hi, worker int) {
-		any := false
-		for i := lo; i < hi; i++ {
-			codes[i] = c.codes[rows[i]]
-			if c.IsNull(int(rows[i])) {
-				nulls.Set(i)
-				any = true
-			}
-		}
-		found[worker] = any
-	})
-	return &StringColumn{name: name, dict: c.dict, codes: codes, nulls: keepNulls(nulls, found)}
+	codes, nulls := c.gatherDegree(rows, degree)
+	return c.WithCodes(name, codes, nulls)
 }
 
 // keepNulls drops the bitmap when no worker found a null, matching the
@@ -187,45 +138,20 @@ func GatherColumn(c Column, name string, rows []int32) Column {
 		return col.Gather(name, rows)
 	case *Float64Column:
 		return col.Gather(name, rows)
-	case *StringColumn:
-		return col.Gather(name, rows)
-	default:
-		// Generic fallback through Values.
-		vals := make([]Value, len(rows))
-		for i, r := range rows {
-			vals[i] = c.Value(int(r))
-		}
-		out, err := ColumnFromValues(name, c.Type(), vals)
-		if err != nil {
-			panic(err)
-		}
-		return out
 	}
+	return c.(*StringColumn).Gather(name, rows)
 }
 
 // GatherColumnDegree dispatches GatherDegree over the concrete column
-// types; the generic fallback materializes values on the worker pool.
+// types.
 func GatherColumnDegree(c Column, name string, rows []int32, degree int) Column {
 	switch col := c.(type) {
 	case *Int64Column:
 		return col.GatherDegree(name, rows, degree)
 	case *Float64Column:
 		return col.GatherDegree(name, rows, degree)
-	case *StringColumn:
-		return col.GatherDegree(name, rows, degree)
-	default:
-		vals := make([]Value, len(rows))
-		parallel.For(len(rows), gatherGrain, degree, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				vals[i] = c.Value(int(rows[i]))
-			}
-		})
-		out, err := ColumnFromValues(name, c.Type(), vals)
-		if err != nil {
-			panic(err)
-		}
-		return out
 	}
+	return c.(*StringColumn).GatherDegree(name, rows, degree)
 }
 
 // GatherTable materializes the given rows of tbl, in order, under a new

@@ -10,11 +10,8 @@ import (
 // racing the first computes and stores the same value.
 type hashMemo struct{ p atomic.Pointer[uint64] }
 
-func (m *hashMemo) get(compute func() uint64) uint64 {
-	if p := m.p.Load(); p != nil {
-		return *p
-	}
-	h := compute()
+// store memoizes h and returns it.
+func (m *hashMemo) store(h uint64) uint64 {
 	m.p.Store(&h)
 	return h
 }
@@ -32,19 +29,9 @@ type provKey struct {
 // is fixed by its source column and the two key columns. Building key takes
 // O(1) where hashing the content walks every value.
 func WithKey(c Column, key uint64) Column {
-	switch col := c.Rename(c.Name()).(type) {
-	case *Int64Column:
-		col.prov = provKey{key, true}
-		return col
-	case *Float64Column:
-		col.prov = provKey{key, true}
-		return col
-	case *StringColumn:
-		col.prov = provKey{key, true}
-		return col
-	default:
-		return c
-	}
+	out := c.Rename(c.Name())
+	out.setKey(key)
+	return out
 }
 
 // MixKeys folds keys, in order, into one key with the content hash's
@@ -74,23 +61,48 @@ func mixRow(h, bits uint64, nulls *Bitmap, i int) uint64 {
 	return h
 }
 
-// Key implements Column.
-func (c *Int64Column) Key() uint64 {
-	if c.prov.set {
-		return c.prov.v
-	}
-	return c.ContentHash()
-}
+// setKey implements Column.
+func (v *vec[T]) setKey(key uint64) { v.prov = provKey{key, true} }
 
 // Key implements Column.
-func (c *Float64Column) Key() uint64 {
-	if c.prov.set {
-		return c.prov.v
+func (v *vec[T]) Key() uint64 {
+	if v.prov.set {
+		return v.prov.v
 	}
-	return c.ContentHash()
+	return v.ContentHash()
 }
 
-// Key implements Column.
+// ContentHash implements Column.
+func (v *vec[T]) ContentHash() uint64 {
+	if p := v.hash.p.Load(); p != nil {
+		return *p
+	}
+	return v.hash.store(v.hashValues())
+}
+
+// hashValues hashes the vector's length, values and NULL positions.
+func (v *vec[T]) hashValues() uint64 {
+	h := mix64(0, uint64(len(v.data)))
+	// One type switch per column, so no row's value is boxed.
+	switch d := any(v.data).(type) {
+	case []int64:
+		for i, x := range d {
+			h = mixRow(h, uint64(x), v.nulls, i)
+		}
+	case []float64:
+		for i, x := range d {
+			h = mixRow(h, math.Float64bits(x), v.nulls, i)
+		}
+	case []int32:
+		for i, x := range d {
+			h = mixRow(h, uint64(uint32(x)), v.nulls, i)
+		}
+	}
+	return h
+}
+
+// Key implements Column. It is StringColumn's own, not vec's: the content
+// hash it falls back on must include the dictionary.
 func (c *StringColumn) Key() uint64 {
 	if c.prov.set {
 		return c.prov.v
@@ -98,44 +110,24 @@ func (c *StringColumn) Key() uint64 {
 	return c.ContentHash()
 }
 
-// ContentHash implements Column.
-func (c *Int64Column) ContentHash() uint64 {
-	return c.hash.get(func() uint64 {
-		h := mix64(0, uint64(len(c.data)))
-		for i, v := range c.data {
-			h = mixRow(h, uint64(v), c.nulls, i)
-		}
-		return h
-	})
-}
-
-// ContentHash implements Column.
-func (c *Float64Column) ContentHash() uint64 {
-	return c.hash.get(func() uint64 {
-		h := mix64(0, uint64(len(c.data)))
-		for i, v := range c.data {
-			h = mixRow(h, math.Float64bits(v), c.nulls, i)
-		}
-		return h
-	})
-}
-
 // ContentHash implements Column; the dictionary is part of the content.
 func (c *StringColumn) ContentHash() uint64 {
-	return c.hash.get(func() uint64 {
-		h := mix64(0, uint64(len(c.codes)))
-		for i, code := range c.codes {
-			h = mixRow(h, uint64(uint32(code)), c.nulls, i)
+	if p := c.hash.p.Load(); p != nil {
+		return *p
+	}
+	return c.hash.store(c.hashDict(c.hashValues()))
+}
+
+// hashDict folds every dictionary entry into h.
+func (c *StringColumn) hashDict(h uint64) uint64 {
+	for _, s := range c.dict {
+		// FNV-1a over the entry, folded once; entries are short.
+		f := uint64(14695981039346656037)
+		for i := 0; i < len(s); i++ {
+			f ^= uint64(s[i])
+			f *= 1099511628211
 		}
-		for _, s := range c.dict {
-			// FNV-1a over the entry, folded once; entries are short.
-			f := uint64(14695981039346656037)
-			for i := 0; i < len(s); i++ {
-				f ^= uint64(s[i])
-				f *= 1099511628211
-			}
-			h = mix64(h, f)
-		}
-		return h
-	})
+		h = mix64(h, f)
+	}
+	return h
 }

@@ -80,18 +80,11 @@ func (t *Table) HasColumn(name string) bool {
 func (t *Table) SizeBytes() int64 {
 	var total int64
 	for _, c := range t.columns {
-		switch col := c.(type) {
-		case *Int64Column:
-			total += int64(col.Len()) * 8
-		case *Float64Column:
-			total += int64(col.Len()) * 8
-		case *StringColumn:
-			total += int64(col.Len()) * 4
+		total += int64(c.Len()) * int64(c.Type().Width())
+		if col, ok := c.(*StringColumn); ok {
 			for _, s := range col.dict {
 				total += int64(len(s))
 			}
-		default:
-			total += int64(c.Len()) * 8
 		}
 	}
 	return total

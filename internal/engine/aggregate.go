@@ -80,11 +80,12 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		return nil, err
 	}
 	row := f.open("groupby", q.depth)
-	if cr != nil && len(cr.stages) == 0 {
-		// Chain with no filter/derive stages: the aggregate's direct
-		// input is the entry, keyed where it lives. A miss's fill is
-		// charged the gather into the pinned segment, so nothing is
-		// copied or charged here.
+	if cr != nil {
+		// A chain with no filter/derive stage has the aggregate's direct
+		// input as its entry, keyed where it lives (a staged chain's
+		// deepest member keyed its own). A miss's fill is charged the
+		// gather into the pinned segment, so nothing is copied or charged
+		// here.
 		e.entryKeys(cr, f)
 	}
 

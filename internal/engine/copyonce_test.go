@@ -93,7 +93,7 @@ func TestStarJoinCopiesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			var top *plan.Join
-			for n := p.Root; n != nil && top == nil; n = planInput(n) {
+			for n := p.Root; n != nil && top == nil; n = plan.Input(n) {
 				top, _ = n.(*plan.Join)
 			}
 			if top == nil {
@@ -175,7 +175,7 @@ func TestEntryKeysMatchMaterialize(t *testing.T) {
 				t.Fatal(err)
 			}
 			var agg *plan.Aggregate
-			for n := p.Root; n != nil && agg == nil; n = planInput(n) {
+			for n := p.Root; n != nil && agg == nil; n = plan.Input(n) {
 				agg, _ = n.(*plan.Aggregate)
 			}
 			if agg == nil {

@@ -383,30 +383,6 @@ func (e *Engine) Explain(sql string) (string, error) {
 	return sb.String(), nil
 }
 
-// planInput descends one level along a plan's input spine.
-func planInput(n plan.Node) plan.Node {
-	switch x := n.(type) {
-	case *plan.Join:
-		return x.Left
-	case *plan.Filter:
-		return x.Input
-	case *plan.Derive:
-		return x.Input
-	case *plan.Aggregate:
-		return x.Input
-	case *plan.Window:
-		return x.Input
-	case *plan.Project:
-		return x.Input
-	case *plan.Sort:
-		return x.Input
-	case *plan.Limit:
-		return x.Input
-	default:
-		return nil
-	}
-}
-
 // prognosis computes the plan-time Figure-3 prognosis for the plan's
 // Aggregate, nil when it has none: a plan has at most one. EXPLAIN
 // renders it; EXPLAIN ANALYZE pairs it with the executed group-by's row.
@@ -415,7 +391,7 @@ func (e *Engine) prognosis(n plan.Node) *optimizer.Prognosis {
 	// Estimate base cardinality: the scan's table rows (filters unknown
 	// until runtime; the estimate is the upper bound the optimizer has).
 	var ts *optimizer.TableStats
-	for cur := n; cur != nil; cur = planInput(cur) {
+	for cur := n; cur != nil; cur = plan.Input(cur) {
 		switch x := cur.(type) {
 		case *plan.Aggregate:
 			agg = x

@@ -6,6 +6,7 @@ import (
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/expr"
+	"blugpu/internal/fusion"
 	"blugpu/internal/plan"
 	"blugpu/internal/trace"
 )
@@ -106,10 +107,13 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	}
 	q.wallHost(hostStart)
 	if cr := q.chain; cr.member(n) {
-		// Fusion chain bookkeeping: tbl is this filter's input, so the
-		// deepest member captures the chain's entry table.
-		cr.noteEntry(tbl)
-		cr.stages = append(cr.stages, chainStage{op: "filter", inRows: tbl.Rows(), outRows: len(rows)})
+		// Fusion chain bookkeeping: f holds this filter's input, so the
+		// deepest member keys the chain's entry. The stage claims one
+		// selection-index vector sized by its output.
+		e.entryKeys(cr, f)
+		cr.stages = append(cr.stages, chainStage{
+			kernel: "fused_filter", words: int(fusion.DeviceBytes(len(rows)) / 8), work: float64(tbl.Rows()),
+		})
 	}
 	e.addCPU(f, e.model.CPUTime(float64(tbl.Rows()), e.model.CPUExprRate, e.cfg.Degree))
 	row.close(len(rows), n.Pred.String(), trace.Int("rows", int64(len(rows))))
@@ -143,8 +147,12 @@ func (e *Engine) execDerive(n *plan.Derive, q qctx) (*frame, error) {
 		return row.fail(err)
 	}
 	if cr := q.chain; cr.member(n) {
-		cr.noteEntry(tbl)
-		cr.stages = append(cr.stages, chainStage{op: "derive", inRows: tbl.Rows(), outRows: out.Rows(), cols: len(n.Cols)})
+		// As in execFilter; the stage claims one code vector per derived
+		// column.
+		e.entryKeys(cr, f)
+		cr.stages = append(cr.stages, chainStage{
+			kernel: "fused_derive", words: int(fusion.DeviceBytes(tbl.Rows())/8) * len(n.Cols), work: float64(tbl.Rows() * len(n.Cols)),
+		})
 	}
 	e.addCPU(f, e.model.CPUTime(float64(tbl.Rows()*len(n.Cols)), e.model.CPUExprRate, e.cfg.Degree))
 	row.close(out.Rows(), "", trace.Int("rows", int64(out.Rows())))

@@ -108,6 +108,13 @@ func (f *frame) setTable(tbl *columnar.Table) {
 	f.sel, f.selKey, f.unkeyed = selNone, 0, false
 }
 
+// keyed reports whether p's lists carry a key: p is listed, by joins
+// alone, over lists a key fixes. A copy of its column is keyed by its
+// part's provenance then, and by content otherwise.
+func (f *frame) keyed(p part) bool {
+	return p.rows != nil && len(p.steps) > 0 && f.sel == selNone && !f.unkeyed
+}
+
 // composeParts composes each part's list with sel, a list of places in
 // the frame, and returns the rows composed: a part with no list takes sel
 // itself.
@@ -144,7 +151,7 @@ func (e *Engine) materialize(f *frame) {
 		for _, c := range p.tbl.Columns() {
 			if p.rows != nil {
 				g := columnar.GatherColumnDegree(c, c.Name(), p.rows, e.cfg.Degree)
-				if f.sel == selNone && !f.unkeyed && len(p.steps) > 0 {
+				if f.keyed(p) {
 					g = columnar.WithKey(g, provenanceKey(c, p.steps))
 				}
 				c = g

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 
-	"blugpu/internal/columnar"
 	"blugpu/internal/expr"
 	"blugpu/internal/fusion"
 	"blugpu/internal/gpu"
@@ -50,12 +49,13 @@ import (
 const fuseFactor = 2.0
 
 // chainStage describes one fused pipeline stage in execution order
-// (deepest first), recorded by the exec hooks as the host operators run.
+// (deepest first), recorded by the exec hooks as the host operators run:
+// the kernel it launches, the 64-bit words of device intermediate it
+// claims and the values it streams.
 type chainStage struct {
-	op      string // "filter" or "derive"
-	inRows  int
-	outRows int
-	cols    int // derived column count for "derive"
+	kernel string
+	words  int
+	work   float64
 }
 
 // chainRec is the per-query fusion chain record. The planner marks the
@@ -78,35 +78,23 @@ type chainRec struct {
 // member reports whether n belongs to the chain.
 func (cr *chainRec) member(n plan.Node) bool { return cr != nil && cr.members[n] }
 
-// noteEntry keys the chain's entry table, the input of its deepest stage:
-// the member that records before any stage has. Call it before appending
-// the member's stage.
-func (cr *chainRec) noteEntry(tbl *columnar.Table) {
+// entryKeys keys the chain's entry, f, once: the deepest member calls it
+// with its input before recording its stage, and the group-by with its
+// own input, which is the entry of a stage-less chain — a scan's, a
+// join's or a project's output. Every needed column is keyed where it
+// lives, and nothing is copied: an unlisted part's column by its own key,
+// a listed one's by its part's provenance (frame.keyed), exactly the key
+// materialize gives its copy. A frame holding a listed part no key fixes
+// is materialized as any other reader of lined-up values would, and its
+// copies are keyed by content.
+func (e *Engine) entryKeys(cr *chainRec, f *frame) {
 	if len(cr.stages) > 0 {
 		return
 	}
-	for _, c := range tbl.Columns() {
-		if cr.needed[c.Name()] {
-			cr.entry = append(cr.entry, fusion.ColumnKey(c))
-		}
-	}
-}
-
-// entryKeys keys a stage-less chain's entry — the group-by's own input,
-// a scan's, a join's or a project's output — where its columns live, and
-// copies nothing: an unlisted part's column by its own key, a listed
-// one's by its part's provenance, exactly the key materialize gives its
-// copy. A frame holding a listed part no key fixes (narrowed by a filter,
-// sort or limit since its last join, or joined over such lists) is
-// materialized as any other reader of lined-up values would, and its
-// copies are keyed by content.
-func (e *Engine) entryKeys(cr *chainRec, f *frame) {
-	keyed := f.sel == selNone && !f.unkeyed
 	for _, p := range f.parts {
-		if p.rows != nil && (!keyed || len(p.steps) == 0) {
+		if p.rows != nil && !f.keyed(p) {
 			e.materialize(f)
-			cr.noteEntry(f.table())
-			return
+			break
 		}
 	}
 	n := f.Len()
@@ -115,10 +103,10 @@ func (e *Engine) entryKeys(cr *chainRec, f *frame) {
 			if !cr.needed[c.Name()] {
 				continue
 			}
-			if p.rows == nil {
-				cr.entry = append(cr.entry, fusion.ColumnKey(c))
-			} else {
+			if f.keyed(p) {
 				cr.entry = append(cr.entry, fusion.Key{H: provenanceKey(c, p.steps), N: n, T: c.Type()})
+			} else {
+				cr.entry = append(cr.entry, fusion.ColumnKey(c))
 			}
 		}
 	}
@@ -174,17 +162,12 @@ type fusedExec struct {
 	highWater int64
 }
 
-// scratchBytes is the device footprint of the chain's intermediates:
-// one 4-byte selection-index vector per filter stage (sized by its
-// output) and 4-byte code vectors for derived columns.
+// scratchBytes is the device footprint of the chain's intermediates, the
+// words its stages claim.
 func (cr *chainRec) scratchBytes() int64 {
 	var b int64
 	for _, st := range cr.stages {
-		if st.op == "filter" {
-			b += fusion.DeviceBytes(st.outRows)
-		} else {
-			b += fusion.DeviceBytes(st.inRows) * int64(st.cols)
-		}
+		b += int64(st.words) * 8
 	}
 	return b
 }
@@ -287,16 +270,8 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 			return nil
 		}
 		for _, st := range cr.stages {
-			switch st.op {
-			case "filter":
-				if err := runStage("fused_filter", int(fusion.DeviceBytes(st.outRows)/8), float64(st.inRows)); err != nil {
-					return fault(err)
-				}
-			case "derive":
-				words := int(fusion.DeviceBytes(st.inRows)/8) * st.cols
-				if err := runStage("fused_derive", words, float64(st.inRows*st.cols)); err != nil {
-					return fault(err)
-				}
+			if err := runStage(st.kernel, st.words, st.work); err != nil {
+				return fault(err)
 			}
 		}
 		// Pack the surviving rows into the group-by's compressed input layout

@@ -181,11 +181,11 @@ func chainEntryIsScan(t *testing.T, e *Engine, sql string) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := p.Root; n != nil; n = planInput(n) {
+	for n := p.Root; n != nil; n = plan.Input(n) {
 		if agg, ok := n.(*plan.Aggregate); ok {
 			cr, in := planFusedChain(agg), agg.Input
 			for cr.member(in) {
-				in = planInput(in)
+				in = plan.Input(in)
 			}
 			_, scan := in.(*plan.Scan)
 			return scan

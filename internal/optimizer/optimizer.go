@@ -56,41 +56,9 @@ func Analyze(tbl *columnar.Table) *TableStats {
 				}
 			}
 		case *columnar.Int64Column:
-			sk := kmv.MustNew(kmv.DefaultK)
-			first := true
-			for i, v := range c.Data() {
-				if c.IsNull(i) {
-					cs.Nulls++
-					continue
-				}
-				sk.AddUint64(uint64(v))
-				if first || v < cs.MinI {
-					cs.MinI = v
-				}
-				if first || v > cs.MaxI {
-					cs.MaxI = v
-				}
-				first = false
-			}
-			cs.NDV = sk.EstimateUint64()
+			cs.MinI, cs.MaxI, cs.Nulls, cs.NDV = numStats(c.Data(), c.Nulls(), func(v int64) uint64 { return uint64(v) })
 		case *columnar.Float64Column:
-			sk := kmv.MustNew(kmv.DefaultK)
-			first := true
-			for i, v := range c.Data() {
-				if c.IsNull(i) {
-					cs.Nulls++
-					continue
-				}
-				sk.AddUint64(math.Float64bits(v))
-				if first || v < cs.MinF {
-					cs.MinF = v
-				}
-				if first || v > cs.MaxF {
-					cs.MaxF = v
-				}
-				first = false
-			}
-			cs.NDV = sk.EstimateUint64()
+			cs.MinF, cs.MaxF, cs.Nulls, cs.NDV = numStats(c.Data(), c.Nulls(), math.Float64bits)
 		}
 		if cs.NDV == 0 && tbl.Rows() > 0 && cs.Nulls < tbl.Rows() {
 			cs.NDV = 1
@@ -98,6 +66,29 @@ func Analyze(tbl *columnar.Table) *TableStats {
 		ts.Columns[col.Name()] = cs
 	}
 	return ts
+}
+
+// numStats scans a numeric column's values once for the min and max of
+// its non-NULL rows (zero when it has none), its NULL count and a KMV
+// estimate of its distinct values, each sketched as bits gives it.
+func numStats[T int64 | float64](data []T, nulls *columnar.Bitmap, bits func(T) uint64) (lo, hi T, nullRows int, ndv uint64) {
+	sk := kmv.MustNew(kmv.DefaultK)
+	first := true
+	for i, v := range data {
+		if nulls != nil && nulls.Get(i) {
+			nullRows++
+			continue
+		}
+		sk.AddUint64(bits(v))
+		if first || v < lo {
+			lo = v
+		}
+		if first || v > hi {
+			hi = v
+		}
+		first = false
+	}
+	return lo, hi, nullRows, sk.EstimateUint64()
 }
 
 // EstimateGroups estimates the group count for grouping on the named

@@ -121,6 +121,15 @@ func andAll(cs []expr.Expr) expr.Expr {
 	return out
 }
 
+// Input returns a node's input along the plan's spine (a join's left
+// side), nil for a scan.
+func Input(n Node) Node {
+	if r := inputRef(n); r != nil {
+		return *r
+	}
+	return nil
+}
+
 // inputRef points at a node's input field, nil for a scan.
 func inputRef(n Node) *Node {
 	switch x := n.(type) {
