@@ -3,9 +3,12 @@
 //
 // Usage:
 //
-//	blubench [-sf 0.05] [-seed N] [-devices 2] [-degree 24] [all|table1|fig5|fig6|fig7|table2|table3|fig8|fig9]...
+//	blubench [-sf 0.05] [-seed N] [-devices 2] [-degree 24] [-nofusion] [all|table1|fig5|fig6|fig7|table2|table3|fig8|fig9]...
 //
 // With no experiment arguments it runs everything in paper order.
+// -nofusion runs the paper's own data path (bench.Config.NoFusion), the
+// arm TestPaperConfigShapes holds to the paper's bands; without it the
+// default arm runs, fused chains and device column cache included.
 //
 // -serve holds the process open after the experiments with the admin
 // HTTP surface (/metrics, /healthz, /debug/queries) mounted, so the full
@@ -36,6 +39,7 @@ func main() {
 	devices := flag.Int("devices", 2, "number of simulated GPUs")
 	degree := flag.Int("degree", 24, "intra-query parallelism")
 	race := flag.Bool("race", false, "let the GPU moderator race a second kernel")
+	noFusion := flag.Bool("nofusion", false, "run the paper's data path: no fused device chain and no device column cache")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of every query to this file (load via chrome://tracing or ui.perfetto.dev)")
 	serve := flag.String("serve", "", "after the experiments, serve /metrics, /healthz and /debug/queries on this host:port until interrupted")
 	metricsJSON := flag.String("metrics-json", "", "write the final metrics snapshot as JSON to this file")
@@ -56,7 +60,7 @@ func main() {
 	fmt.Printf("generating dataset (sf=%g, seed=%d)...\n", *sf, *seed)
 	h, err := bench.NewHarness(bench.Config{
 		SF: *sf, Seed: *seed, Devices: *devices, Degree: *degree, Race: *race,
-		Trace: tracer,
+		NoFusion: *noFusion, Trace: tracer,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "blubench:", err)

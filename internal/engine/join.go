@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
+	"strconv"
 	"time"
 
 	"blugpu/internal/columnar"
@@ -48,6 +49,7 @@ type joined struct {
 	table   string
 	detail  string
 	kept    int // the joined table's rows the predicate kept; -1 without one
+	skipped int // probe rows the key-range filter skipped; -1 when it did not run
 }
 
 // stepFailed is a join that failed after it started work: unlike a join
@@ -279,6 +281,9 @@ func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx) {
 		if st.kept >= 0 {
 			attrs = append(attrs, trace.Int("kept", int64(st.kept)))
 		}
+		if st.skipped >= 0 {
+			attrs = append(attrs, trace.Int("skipped", int64(st.skipped)))
+		}
 		row.close(rows, st.detail, attrs...)
 	}
 }
@@ -294,9 +299,10 @@ func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx) {
 // exactly once, in order; the joined table becomes a part of its own whose
 // list is its side of the match. A join predicate is evaluated once over
 // the joined base table (by starOrder, or here): the probe skips the build
-// rows it rejects, or, when the joined table probes, reads only the rows
-// it keeps. Output rows are in probe order, a probe row's matches in
-// ascending build-row order.
+// rows it rejects — and, where rangePays, turns away a probe key outside
+// the kept keys' range before looking it up — or, when the joined table
+// probes, reads only the rows it keeps. Output rows are in probe order, a
+// probe row's matches in ascending build-row order.
 func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joined, error) {
 	n := l.n
 	// Everything that can reject the join is checked before any work is
@@ -386,16 +392,25 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 	var m joinMatch
 	var leftPos, rightRows []int32
 	var buildN, probeN, composed int
+	var rng *keyRange // the kept keys' range, when the probe tests it first
 	var err error
 	if buildRight {
 		var keep *columnar.Bitmap
 		if kept != nil {
 			keep = columnar.NewBitmap(right.Rows())
+			kr := keyRange{lo: math.MaxInt64, hi: math.MinInt64}
+			keys, nulls := rk.Data(), rk.Nulls()
 			for _, r := range kept {
 				keep.Set(int(r))
+				if nulls == nil || !nulls.Get(int(r)) {
+					kr.lo, kr.hi = min(kr.lo, keys[r]), max(kr.hi, keys[r])
+				}
+			}
+			if e.rangePays(left.parts[lpart], lcol, lk, kr) {
+				rng = &kr
 			}
 		}
-		m, err = probeJoin(rk.KeyIndex(), lk, lrows, keep, e.cfg.Degree)
+		m, err = probeJoin(rk.KeyIndex(), lk, lrows, keep, rng, e.cfg.Degree)
 		if !m.identity {
 			leftPos = m.probeRows
 		}
@@ -404,7 +419,7 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 	} else {
 		// The left builds: its key column read through its list, a
 		// per-query index whose rows are left places.
-		m, err = probeJoin(lk.KeyIndexOf(lrows), rk, kept, nil, e.cfg.Degree)
+		m, err = probeJoin(lk.KeyIndexOf(lrows), rk, kept, nil, nil, e.cfg.Degree)
 		leftPos, rightRows = m.buildRows, kept
 		if !m.identity {
 			rightRows = columnar.ComposeRows(kept, m.probeRows, e.cfg.Degree)
@@ -456,19 +471,82 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 	}
 	q.wallGather(composeStart)
 
+	// With the range filter, every probe row is a scan and a predicate
+	// over its key, as is computing the range over the kept rows, and
+	// only the rows inside the range are hash probes.
+	probeT := e.model.CPUTime(float64(probeN), e.model.CPUHashProbeRate, e.cfg.Degree)
+	if rng != nil {
+		probeT = e.model.CPUTime(float64(len(kept)+probeN), e.model.CPUScanRate, e.cfg.Degree) +
+			e.model.CPUTime(float64(probeN-m.skipped), e.model.CPUHashProbeRate, e.cfg.Degree)
+	}
 	st := joined{
-		parts: parts, unkeyed: !keyed, table: n.Table, kept: -1,
+		parts: parts, unkeyed: !keyed, table: n.Table, kept: -1, skipped: -1,
 		t: predT +
 			e.model.CPUTime(float64(buildN), e.model.CPUHashBuildRate, e.cfg.Degree) +
-			e.model.CPUTime(float64(probeN), e.model.CPUHashProbeRate, e.cfg.Degree) +
+			probeT +
 			e.model.CPUTime(float64(composed), e.model.CPUScanRate, e.cfg.Degree),
-		detail: fmt.Sprintf("%s on %s=%s", n.Table, lcol, rcol),
 	}
+	// The detail is appended into one buffer: fmt would box each integer.
+	d := appendAll(make([]byte, 0, 160), n.Table, " on ", lcol, "=", rcol)
 	if n.Pred != nil {
-		st.detail += fmt.Sprintf(" where %s kept %d of %d", n.Pred, len(kept), right.Rows())
+		d = appendOf(appendAll(d, " where ", n.Pred.String(), " kept "), len(kept), right.Rows())
 		st.kept = len(kept)
 	}
+	if rng != nil {
+		d = strconv.AppendInt(append(d, " range ["...), rng.lo, 10)
+		d = strconv.AppendInt(append(d, ", "...), rng.hi, 10)
+		d = appendOf(append(d, "] skipped "...), m.skipped, probeN)
+		st.skipped = m.skipped
+	}
+	st.detail = string(d)
 	return st, nil
+}
+
+// appendAll appends each of ss to d.
+func appendAll(d []byte, ss ...string) []byte {
+	for _, s := range ss {
+		d = append(d, s...)
+	}
+	return d
+}
+
+// appendOf appends "part of whole".
+func appendOf(d []byte, part, whole int) []byte {
+	d = append(strconv.AppendInt(d, int64(part), 10), " of "...)
+	return strconv.AppendInt(d, int64(whole), 10)
+}
+
+// keyRange is the span [lo, hi] of the keys a masked build side keeps, lo
+// > hi when it keeps no non-NULL key: a probe key outside it, or a NULL
+// one, has no kept match.
+type keyRange struct{ lo, hi int64 }
+
+// bounds returns the range's ends, every int64 for a nil range.
+func (r *keyRange) bounds() (lo, hi int64) {
+	if r == nil {
+		return math.MinInt64, math.MaxInt64
+	}
+	return r.lo, r.hi
+}
+
+// rangePays reports whether testing the probe key against the kept keys'
+// range before the hash lookup is predicted to cost less than looking
+// every key up. The test costs every probe row a scan (CPUScanRate) and
+// saves the lookup (CPUHashProbeRate) of each row outside the range, so
+// it pays when the outside share is above CPUHashProbeRate/CPUScanRate.
+// The share is predicted from what is known before the probe: the probe
+// column's analyzed [MinI, MaxI], taken as evenly filled, against the
+// kept range. A probe part that is not a base table's column has no
+// statistics, and the filter is not used.
+func (e *Engine) rangePays(probe part, col string, key *columnar.Int64Column, kr keyRange) bool {
+	ts := e.stats[probe.tbl.Name()]
+	if base := e.tables[probe.tbl.Name()]; ts == nil || base == nil || base.Column(col) != columnar.Column(key) {
+		return false
+	}
+	cs := ts.Columns[col]
+	span := float64(cs.MaxI) - float64(cs.MinI) + 1
+	inside := min(float64(kr.hi), float64(cs.MaxI)) - max(float64(kr.lo), float64(cs.MinI)) + 1
+	return 1-max(inside, 0)/span > e.model.CPUHashProbeRate/e.model.CPUScanRate
 }
 
 // narrow returns tbl restricted to the columns keep holds, in order: tbl
@@ -527,6 +605,9 @@ type joinMatch struct {
 	// be every place in order and is left nil — the probe side's lists
 	// are the output's.
 	identity bool
+	// skipped counts the probe rows not looked up: a NULL key or one
+	// outside the key range.
+	skipped int
 }
 
 // probeJoin probes idx with the non-NULL keys of probe at rows (nil: every
@@ -535,23 +616,28 @@ type joinMatch struct {
 // counting the matches behind it; a prefix sum turns the counts into
 // offsets; each worker then walks its rows' chains into the lists at its
 // offset. A build row keep does not hold (nil holds every row) never
-// matches. The lists are allocated once, at exact size, name probe rows by
-// their row in probe, not their place in rows, and are the same at every
-// degree. On an identity match the remembered lowest matches are the
-// build-side list and there is nothing to fill.
-func probeJoin(idx *columnar.KeyIndex, probe *columnar.Int64Column, rows []int32, keep *columnar.Bitmap, degree int) (joinMatch, error) {
+// matches. A NULL key, and with rng a key outside it, is not looked up,
+// and the match's skipped counts those rows. The lists are allocated
+// once, at exact size, name probe rows by their row in probe, not their
+// place in rows, and are the same at every degree. On an identity match
+// the remembered lowest matches are the build-side list and there is
+// nothing to fill.
+func probeJoin(idx *columnar.KeyIndex, probe *columnar.Int64Column, rows []int32, keep *columnar.Bitmap, rng *keyRange, degree int) (joinMatch, error) {
 	n := probe.Len()
 	if rows != nil {
 		n = len(rows)
 	}
 	keys, nulls := probe.Data(), probe.Nulls()
 	first := make([]int32, n)
-	offsets := make([]int64, parallel.Workers(n, joinGrain, degree))
+	// Each worker's match count, then its skipped rows.
+	workers := parallel.Workers(n, joinGrain, degree)
+	offsets := make([]int64, 2*workers)
+	klo, khi := rng.bounds()
 	parallel.For(n, joinGrain, degree, func(lo, hi, worker int) {
 		var c int64
 		if rows == nil && keep == nil {
 			// The unlisted, unmasked probe — every join with nothing
-			// placed under it — without the two per-row tests below,
+			// placed under it — without the per-row tests below,
 			// which add about a quarter to its time
 			// (BenchmarkJoinProbe/dense2k).
 			for i := lo; i < hi; i++ {
@@ -567,14 +653,17 @@ func probeJoin(idx *columnar.KeyIndex, probe *columnar.Int64Column, rows []int32
 			offsets[worker] = c
 			return
 		}
+		var skipped int64
 		for i := lo; i < hi; i++ {
 			row := i
 			if rows != nil {
 				row = int(rows[i])
 			}
 			r := int32(-1)
-			if nulls == nil || !nulls.Get(row) {
-				r = idx.First(keys[row])
+			if k := keys[row]; (nulls == nil || !nulls.Get(row)) && k >= klo && k <= khi {
+				r = idx.First(k)
+			} else {
+				skipped++
 			}
 			for keep != nil && r >= 0 && !keep.Get(int(r)) {
 				r = idx.Next(r)
@@ -586,16 +675,20 @@ func probeJoin(idx *columnar.KeyIndex, probe *columnar.Int64Column, rows []int32
 				}
 			}
 		}
-		offsets[worker] = c
+		offsets[worker], offsets[workers+worker] = c, skipped
 	})
-	total, err := matchOffsets(offsets)
+	total, err := matchOffsets(offsets[:workers])
 	if err != nil {
 		return joinMatch{}, err
 	}
-	if idx.Unique() && total == n {
-		return joinMatch{buildRows: first, identity: true}, nil
+	var skipped int64
+	for _, s := range offsets[workers:] {
+		skipped += s
 	}
-	m := joinMatch{probeRows: make([]int32, total), buildRows: make([]int32, total)}
+	if idx.Unique() && total == n {
+		return joinMatch{buildRows: first, identity: true, skipped: int(skipped)}, nil
+	}
+	m := joinMatch{probeRows: make([]int32, total), buildRows: make([]int32, total), skipped: int(skipped)}
 	parallel.For(n, joinGrain, degree, func(lo, hi, worker int) {
 		pos := offsets[worker]
 		for i := lo; i < hi; i++ {

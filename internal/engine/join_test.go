@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,9 +14,11 @@ import (
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/expr"
+	"blugpu/internal/optimizer"
 	"blugpu/internal/plan"
 	"blugpu/internal/sqlparse"
 	"blugpu/internal/trace"
+	"blugpu/internal/vtime"
 )
 
 // referenceJoin is the join execJoin ran before the key index: a Go map
@@ -93,7 +96,7 @@ func probeRowLists(t testing.TB, lk, rk *columnar.Int64Column, degree int) (left
 	if !buildRight {
 		buildKeys, probeKeys = lk, rk
 	}
-	m, err := probeJoin(buildKeys.KeyIndex(), probeKeys, nil, nil, degree)
+	m, err := probeJoin(buildKeys.KeyIndex(), probeKeys, nil, nil, nil, degree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,15 +215,26 @@ func runJoin(e *Engine, left, right *columnar.Table, needed []string) (*columnar
 	return runJoinNode(e, left, right, &plan.Join{Left: &plan.Scan{Table: "l"}, Table: "r", LeftCol: "lk", RightCol: "rk", Needed: needed})
 }
 
-// runJoinNode executes a join plan over l and r.
+// runJoinNode executes a join plan over l and r, both analyzed, so a
+// masked build side's key range is tested where the rule says it pays.
 func runJoinNode(e *Engine, left, right *columnar.Table, j *plan.Join) (*columnar.Table, error) {
-	e.tables = map[string]*columnar.Table{"l": left, "r": right}
+	setCatalog(e, left, right)
 	f, err := e.exec(j, qctx{})
 	if err != nil {
 		return nil, err
 	}
 	e.materialize(f)
 	return f.table(), nil
+}
+
+// setCatalog makes tables the engine's whole catalog, each with its
+// statistics.
+func setCatalog(e *Engine, tables ...*columnar.Table) {
+	e.tables = make(map[string]*columnar.Table, len(tables))
+	e.stats = make(map[string]*optimizer.TableStats, len(tables))
+	for _, tbl := range tables {
+		e.tables[tbl.Name()], e.stats[tbl.Name()] = tbl, optimizer.Analyze(tbl)
+	}
 }
 
 // mustPred lowers a WHERE condition for a hand-built plan.
@@ -310,7 +324,7 @@ func TestJoinMatchesReference(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						left, right := joinSide("l", "l", tc.left), joinSide("r", "r", tc.right)
 						j := &plan.Join{Left: lc.left(), Table: "r", LeftCol: "lk", RightCol: "rk"}
-						e.tables = map[string]*columnar.Table{"l": left, "r": right}
+						setCatalog(e, left, right)
 						in, err := e.exec(j.Left, qctx{})
 						if err != nil {
 							t.Fatal(err)
@@ -340,6 +354,183 @@ func TestJoinMatchesReference(t *testing.T) {
 		}
 	}
 	t.Run("chains", joinChainsMatchReference)
+	t.Run("narrow kept range", joinRangeMatchesReference)
+}
+
+// rangeProbeKeys are probe keys around a masked build side's kept range
+// [lo, hi]: both edges, one past each, NULL, the ends of int64, and every
+// key of the dimension in turn.
+func rangeProbeKeys(n int, lo, hi, dimRows int64) []nkey {
+	edges := []nkey{{v: lo - 1}, {v: lo}, {v: hi}, {v: hi + 1}, {null: true}, {v: math.MinInt64}, {v: math.MaxInt64}}
+	return keysN(n, func(i int) nkey {
+		if i%3 == 0 {
+			return edges[(i/3)%len(edges)]
+		}
+		return nkey{v: int64(i) % dimRows}
+	})
+}
+
+// joinRangeMatchesReference holds a join whose build side is masked to a
+// narrow key range, probed by keys at and past its edges, NULL and the
+// ends of int64, to referenceJoin, with and without a row list on the
+// probe side, at degrees 1, 2 and 8 — and checks that the range filter
+// ran.
+func joinRangeMatchesReference(t *testing.T) {
+	const lo, hi, dimRows = 40, 50, 100
+	// ri is three times the row, and rk the row: rows 40…50 keep keys
+	// 40…50.
+	pred := "ri >= 120 AND ri <= 150"
+	left := joinSide("l", "l", rangeProbeKeys(7_000, lo, hi, dimRows))
+	right := joinSide("r", "r", keysN(dimRows, func(i int) nkey { return nkey{v: int64(i)} }))
+	kept, err := expr.EvalPredicate(right, mustPred(t, pred), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masked := columnar.GatherTable("r", right, kept)
+	for _, degree := range []int{1, 2, 8} {
+		e := joinEngine(t, degree)
+		for _, st := range chainStarts {
+			t.Run(fmt.Sprintf("%s/degree=%d", st.name, degree), func(t *testing.T) {
+				setCatalog(e, left, right)
+				j := &plan.Join{Left: st.node(t), Table: "r", LeftCol: "lk", RightCol: "rk", Pred: mustPred(t, pred)}
+				in, err := e.exec(j.Left, qctx{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				listed := left
+				if rows := in.parts[0].rows; rows != nil {
+					listed = columnar.GatherTable("l", left, rows)
+				}
+				builds := dimRows <= listed.Rows()
+				_, _, want := referenceJoinBuilding(listed, masked, "lk", "rk", nil, builds)
+				f, err := e.exec(j, qctx{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// An empty list is smaller than the dimension, which then
+				// probes, and no range is tested.
+				d := f.ops[len(f.ops)-1].Detail
+				if ran := strings.Contains(d, fmt.Sprintf(" range [%d, %d] skipped ", lo, hi)); ran != builds {
+					t.Fatalf("range filter ran = %v with the dimension building = %v: %s", ran, builds, d)
+				}
+				e.materialize(f)
+				sameTable(t, f.table(), want)
+			})
+		}
+	}
+}
+
+// TestRangeFilterRule: the probe tests a masked build side's key range
+// first only when the share of the probe column's analyzed range outside
+// the kept range is predicted above CPUHashProbeRate/CPUScanRate, and only
+// when the probe part is a base table with statistics. A join that does
+// not test it is charged the formula it had before, bit for bit; one that
+// does pays a scan for every probe row and every kept row, and a hash
+// probe for the rows inside.
+func TestRangeFilterRule(t *testing.T) {
+	// Fact keys 0…99 evenly; the dimension's rk is its row, ri three
+	// times it, so "ri <= 3*h" keeps keys 0…h.
+	fact := joinSide("l", "l", keysN(4_000, func(i int) nkey { return nkey{v: int64(i*7) % 100} }))
+	dim := joinSide("r", "r", keysN(100, func(i int) nkey { return nkey{v: int64(i)} }))
+	e := joinEngine(t, 8)
+	m := e.model
+	breakEven := m.CPUHashProbeRate / m.CPUScanRate
+	for _, tc := range []struct {
+		name    string
+		hi      int  // the kept range is [0, hi]
+		noStats bool // the fact has no statistics
+		used    bool
+	}{
+		{"outside share 0.30, above the break-even", 69, false, true},
+		{"outside share 0.95", 4, false, true},
+		{"outside share 0.25, below the break-even", 74, false, false},
+		{"the kept range covers the probe column's", 99, false, false},
+		{"the probe part has no statistics", 4, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if outside := 1 - float64(tc.hi+1)/100; (outside > breakEven) != (tc.used || tc.noStats) {
+				t.Fatalf("case misplaced: outside share %.2f, break-even %.3f", outside, breakEven)
+			}
+			setCatalog(e, fact, dim)
+			if tc.noStats {
+				delete(e.stats, "l")
+			}
+			l := &link{n: &plan.Join{Left: &plan.Scan{Table: "l"}, Table: "r", LeftCol: "lk", RightCol: "rk",
+				Pred: mustPred(t, fmt.Sprintf("ri <= %d", 3*tc.hi))}}
+			in, err := e.exec(l.n.Left, qctx{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := e.joinStep(in, l, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, probeN := tc.hi+1, fact.Rows()
+			inside := 0
+			for i := 0; i < probeN; i++ {
+				if (i*7)%100 <= tc.hi {
+					inside++
+				}
+			}
+			// The fact part is a scan's, with no list: no list rows are
+			// composed.
+			cpu := func(work int, rate float64) vtime.Duration { return m.CPUTime(float64(work), rate, 8) }
+			predT := cpu(dim.Rows(), m.CPUExprRate)
+			want := predT + cpu(dim.Rows(), m.CPUHashBuildRate) + cpu(probeN, m.CPUHashProbeRate) + cpu(0, m.CPUScanRate)
+			skipped := -1
+			if tc.used {
+				skipped = probeN - inside
+				want = predT + cpu(dim.Rows(), m.CPUHashBuildRate) +
+					(cpu(kept+probeN, m.CPUScanRate) + cpu(inside, m.CPUHashProbeRate)) +
+					cpu(0, m.CPUScanRate)
+			}
+			if st.skipped != skipped || st.t != want {
+				t.Fatalf("skipped %d, modeled %v (%#x); want %d, %v (%#x)\n%s",
+					st.skipped, st.t, math.Float64bits(float64(st.t)), skipped, want, math.Float64bits(float64(want)), st.detail)
+			}
+			if ran := strings.Contains(st.detail, " range [0, "); ran != tc.used {
+				t.Fatalf("detail %q: range filter ran = %v, want %v", st.detail, ran, tc.used)
+			}
+		})
+	}
+}
+
+// TestRangeFilterExplained: a join that tests the kept range says so in
+// its EXPLAIN ANALYZE row and its span.
+func TestRangeFilterExplained(t *testing.T) {
+	e := newTestEngine(t, 12_000)
+	mk, quarter := columnar.NewInt64Builder("m_month"), columnar.NewInt64Builder("m_quarter")
+	for m := 1; m <= 12; m++ {
+		mk.Append(int64(m))
+		quarter.Append(int64((m-1)/3 + 1))
+	}
+	if err := e.Register(columnar.MustNewTable("months", mk.Build(), quarter.Build())); err != nil {
+		t.Fatal(err)
+	}
+	// The fact's months run 1…12 evenly; the first quarter keeps 1…3.
+	const sql = "SELECT s_qty FROM sales JOIN months ON s_month = m_month WHERE m_quarter = 1"
+	const want = "range [1, 3] skipped 9000 of 12000"
+	rep, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "range", sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rep.Text(), want) {
+		t.Fatalf("EXPLAIN ANALYZE lacks %q:\n%s", want, rep.Text())
+	}
+	tr := trace.New()
+	e.SetTracer(tr)
+	res, err := e.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.QuerySpans(res.TraceSeq) {
+		for _, a := range sp.Attrs {
+			if sp.Name == "join" && a.Key == "skipped" && a.Int == 9000 {
+				return
+			}
+		}
+	}
+	t.Fatal("no join span carries skipped=9000")
 }
 
 // chainJoin is one join of a chain: the dimension joined, the chain's
@@ -374,10 +565,11 @@ func chainFact(keys []nkey) *columnar.Table {
 // side the engine picks from logical row counts.
 func checkChain(t testing.TB, e *Engine, fact *columnar.Table, start plan.Node, joins []chainJoin) {
 	t.Helper()
-	e.tables = map[string]*columnar.Table{"l": fact}
+	tables := []*columnar.Table{fact}
 	for _, j := range joins {
-		e.tables[j.dim.Name()] = j.dim
+		tables = append(tables, j.dim)
 	}
+	setCatalog(e, tables...)
 	in, err := e.exec(start, qctx{})
 	if err != nil {
 		t.Fatal(err)
@@ -553,6 +745,14 @@ func FuzzJoinMatchesReference(f *testing.F) {
 	// runs first.
 	f.Add(encodeKeys(keysN(200, func(i int) nkey { return nkey{v: int64(i*7) % 10} })),
 		encodeKeys(keysN(10, func(i int) nkey { return nkey{v: int64(i)} })))
+	// The selective chain's second dimension keeps keys 40 and 50 (its
+	// rows 0 and 1), a narrow range the fact's keys sit at and past both
+	// edges of, NULL and the ends of int64 among them: the probe tests the
+	// range first. Then the same with the kept range one key wide.
+	f.Add(encodeKeys(rangeProbeKeys(200, 40, 50, 100)),
+		encodeKeys(append(keyList(40, 50), keysN(60, func(i int) nkey { return nkey{v: int64(i)} })...)))
+	f.Add(encodeKeys(rangeProbeKeys(200, 7, 7, 20)),
+		encodeKeys(append(keyList(7, 7), keysN(15, func(i int) nkey { return nkey{v: int64(i)} })...)))
 	engines := []*Engine{joinEngine(f, 1), joinEngine(f, 3)}
 	f.Fuzz(func(t *testing.T, leftKeys, rightKeys []byte) {
 		left, right := joinSide("l", "l", decodeKeys(leftKeys)), joinSide("r", "r", decodeKeys(rightKeys))
@@ -918,9 +1118,10 @@ func TestJoinPassesProbeSideThrough(t *testing.T) {
 
 // BenchmarkJoinProbe is the probe's micro-ruler: 1 M probe rows against a
 // resident index (built outside the timer, as a warm star join finds it),
-// plus the two shapes a placed WHERE gives it: a build side masked by a
-// join predicate that keeps 20 % of the dimension, and a probe through the
-// row list of a fact filter that keeps 60 % of the rows.
+// plus the shapes a placed WHERE gives it: a build side masked by a join
+// predicate that keeps 20 % of the dimension, a probe through the row
+// list of a fact filter that keeps 60 % of the rows, and a build side
+// whose kept keys form a narrow range, tested before the lookup.
 func BenchmarkJoinProbe(b *testing.B) {
 	const probeRows = 1 << 20
 	for _, bc := range []struct {
@@ -949,7 +1150,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := probeJoin(idx, keys, nil, nil, 24); err != nil {
+				if _, err := probeJoin(idx, keys, nil, nil, nil, 24); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -969,23 +1170,30 @@ func BenchmarkJoinProbe(b *testing.B) {
 			list = append(list, int32(i))
 		}
 	}
-	keep := columnar.NewBitmap(buildRows)
+	keep, low := columnar.NewBitmap(buildRows), columnar.NewBitmap(buildRows)
 	for r := 0; r < buildRows; r += 5 {
 		keep.Set(r)
+	}
+	for r := 0; r < buildRows/5; r++ {
+		low.Set(r)
 	}
 	idx, keys := build.Build().KeyIndex(), probe.Build()
 	for _, bc := range []struct {
 		name string
 		rows []int32
 		keep *columnar.Bitmap
+		rng  *keyRange
 	}{
-		{"dense10kMask20", nil, keep},
-		{"dense10kList60", list, nil},
+		{"dense10kMask20", nil, keep, nil},
+		{"dense10kList60", list, nil, nil},
+		// The kept keys are the lowest fifth, and a fifth of the probe
+		// keys fall inside their range.
+		{"dense10kRange20", nil, low, &keyRange{lo: 0, hi: buildRows/5 - 1}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := probeJoin(idx, keys, bc.rows, bc.keep, 24); err != nil {
+				if _, err := probeJoin(idx, keys, bc.rows, bc.keep, bc.rng, 24); err != nil {
 					b.Fatal(err)
 				}
 			}
