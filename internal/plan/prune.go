@@ -26,13 +26,13 @@ func visit(n Node, needed map[string]bool) {
 		needed[node.RightCol] = true
 		visit(node.Left, needed)
 	case *Filter:
-		collectExprCols(node.Pred, needed)
+		addCols(needed, node.Pred)
 		visit(node.Input, needed)
 	case *Derive:
 		for _, c := range node.Cols {
 			// The derived name itself is produced, not consumed below.
 			delete(needed, c.Name)
-			collectExprCols(c.Expr, needed)
+			addCols(needed, c.Expr)
 		}
 		visit(node.Input, needed)
 	case *Aggregate:
@@ -60,7 +60,7 @@ func visit(n Node, needed map[string]bool) {
 	case *Project:
 		below := map[string]bool{}
 		for _, c := range node.Cols {
-			collectExprCols(c.Expr, below)
+			addCols(below, c.Expr)
 		}
 		// Anything the caller needs above Project resolves to projected
 		// names, which the projection computes from `below`.
@@ -75,31 +75,10 @@ func visit(n Node, needed map[string]bool) {
 	}
 }
 
-// collectExprCols adds every column referenced by e to set.
-func collectExprCols(e expr.Expr, set map[string]bool) {
-	switch x := e.(type) {
-	case nil:
-	case *expr.Col:
-		set[x.Name] = true
-	case *expr.Arith:
-		collectExprCols(x.Left, set)
-		collectExprCols(x.Right, set)
-	case *expr.Cmp:
-		collectExprCols(x.Left, set)
-		collectExprCols(x.Right, set)
-	case *expr.Logic:
-		collectExprCols(x.Left, set)
-		collectExprCols(x.Right, set)
-	case *expr.Not:
-		collectExprCols(x.Inner, set)
-	case *expr.Between:
-		collectExprCols(x.X, set)
-		collectExprCols(x.Lo, set)
-		collectExprCols(x.Hi, set)
-	case *expr.In:
-		collectExprCols(x.X, set)
-	case *expr.IsNull:
-		collectExprCols(x.X, set)
+// addCols adds every column e references to set.
+func addCols(set map[string]bool, e expr.Expr) {
+	for _, c := range expr.Columns(e) {
+		set[c] = true
 	}
 }
 
