@@ -469,3 +469,40 @@ func TestAliasedProjectionSharesVectors(t *testing.T) {
 		}
 	}
 }
+
+// TestSignedZeroKeysGroupTogether: -0.0 and +0.0 are one GROUP BY key, as
+// f = 0 selects both, on the CPU and the device path at degrees 1 and 8.
+func TestSignedZeroKeysGroupTogether(t *testing.T) {
+	for _, degree := range []int{1, 8} {
+		e, err := New(Config{Devices: 1, Degree: degree, Thresholds: optimizer.Thresholds{
+			T1Rows: 1, T2Groups: 0, T3Rows: 1 << 40,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := columnar.NewFloat64Builder("f")
+		for i := 0; i < 4000; i++ {
+			f.Append([]float64{0, math.Copysign(0, -1), 1.5, -2}[i%4])
+		}
+		if err := e.Register(columnar.MustNewTable("t", f.Build())); err != nil {
+			t.Fatal(err)
+		}
+		for _, gpu := range []bool{true, false} {
+			e.SetGPUEnabled(gpu)
+			res, err := e.Query("SELECT f, COUNT(*) AS c FROM t GROUP BY f ORDER BY f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.GPUUsed != gpu {
+				t.Fatalf("degree %d: GPU used %v, want %v", degree, res.GPUUsed, gpu)
+			}
+			if got := res.Table.Rows(); got != 3 {
+				t.Fatalf("degree %d gpu %v: %d groups, want 3 (-2, 0, 1.5)", degree, gpu, got)
+			}
+			zero := res.Table.Column("f").(*columnar.Float64Column).Float64(1)
+			if c := res.Table.Column("c").Value(1); zero != 0 || math.Signbit(zero) || !c.Equal(columnar.IntValue(2000)) {
+				t.Fatalf("degree %d gpu %v: zero group is %v with count %v, want +0 with 2000", degree, gpu, zero, c)
+			}
+		}
+	}
+}

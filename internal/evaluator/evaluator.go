@@ -338,10 +338,10 @@ func (f KeyField) DecodeWideColumn(keys [][]byte, perm []int32, degree int) colu
 	return f.decodeCodes(codes, 0, ^uint64(0), degree)
 }
 
-// Float key fields code a value as its bits, with every NaN folded into
-// floatNaNCode (NaNs group together); floatNullCode, another NaN pattern
-// no value then codes as, marks NULL. Shifting float codes like int codes
-// would alias adjacent bit patterns. Neither code is all ones, so a
+// Float key fields code a value as its bits, with -0 folded into +0's
+// code and every NaN into floatNaNCode (NaNs group together);
+// floatNullCode, another NaN pattern no value then codes as, marks NULL.
+// Shifting float codes like int codes would alias adjacent bit patterns. Neither code is all ones, so a
 // leading float field never makes a wide key's first word the device
 // table's empty sentinel.
 const (
@@ -514,10 +514,14 @@ func (f *keyVec) codeAt(r int) uint64 {
 	case columnar.Int64:
 		return uint64(f.ints[r] - f.MinI)
 	default:
-		if v := f.floats[r]; !math.IsNaN(v) {
+		switch v := f.floats[r]; {
+		case math.IsNaN(v):
+			return floatNaNCode
+		case v == 0:
+			return 0 // -0 groups with +0, as f = 0 selects both
+		default:
 			return math.Float64bits(v)
 		}
-		return floatNaNCode
 	}
 }
 

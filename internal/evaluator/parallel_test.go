@@ -144,7 +144,8 @@ func TestDegreeDefaultsToGOMAXPROCS(t *testing.T) {
 // referenceCode is the key packing BuildInput ran before it went column
 // at a time: one row, one field, through the Column interface. NULL is
 // code 0 (floatNullCode in a wide float field); real integer and string
-// codes shift up by one when the column has NULLs.
+// codes shift up by one when the column has NULLs. A float codes as its
+// bits, -0 as +0 and every NaN as floatNaNCode.
 func referenceCode(tbl *columnar.Table, f KeyField, r int) uint64 {
 	col := tbl.Column(f.Column)
 	if col.IsNull(r) {
@@ -160,10 +161,14 @@ func referenceCode(tbl *columnar.Table, f KeyField, r int) uint64 {
 	case *columnar.Int64Column:
 		code = uint64(c.Int64(r) - f.MinI)
 	case *columnar.Float64Column:
-		if v := c.Float64(r); !math.IsNaN(v) {
+		switch v := c.Float64(r); {
+		case math.IsNaN(v):
+			return floatNaNCode
+		case v == 0:
+			return 0
+		default:
 			return math.Float64bits(v)
 		}
-		return floatNaNCode
 	}
 	if f.HasNull {
 		code++
