@@ -40,18 +40,25 @@ race:
 # index (plain, with a 20 % build mask, and through a 60 % row list), a
 # three-join star over a 60 % fact list with 20 % dimension masks and the
 # same star with only its top join masked (selective-last, which runs
-# first), the typed group-by output, the flat sort-key extractor (NULLs in
+# first), the typed group-by output, the wide-key group-by from the
+# evaluator chain through the typed output (1M rows, a string, int and
+# float key, 65 536 groups), the flat sort-key extractor (NULLs in
 # every key column, and none) and the top-k selection (1M two-segment
 # keys, k = 100, degree 8) against the full sort a LIMIT 100 would cut.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|StarJoin|AggOutput|SortKeys|TopK' -benchmem -run '^$$' \
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|RadixPass|Predicate|ColumnKey|CacheEnsure|Sketch|RunCPU|RunGPU|JoinProbe|StarJoin|AggOutput|WideKeyGroupBy|SortKeys|TopK' -benchmem -run '^$$' \
 		./internal/columnar ./internal/bsort ./internal/expr ./internal/fusion ./internal/kmv ./internal/groupby ./internal/engine
 
 # Five seconds of native fuzzing each: WHERE clauses mutated from the
 # workload's own, kernels held to the test-only row interpreter
 # (internal/expr); then hash streams cut into chunks, the merged KMV
 # sketch held to a sort-and-deduplicate reference (internal/kmv, a
-# byte-slice target capped like the engine's below); then whole
+# byte-slice target capped like the engine's below); then grouping-key
+# column mixes — strings, ints of spans around 32, 63 and 64 bits and
+# floats, with NULLs, ±0 and NaN, over the table and through a row list —
+# packed at degrees 1 and 8, the key words held to the row-at-a-time
+# packer and their decode to the value-at-a-time one (internal/evaluator,
+# capped likewise); then whole
 # statements through parse → plan → WHERE placement over a fixed
 # three-table catalog, which must not panic, must survive print →
 # re-parse, and must place every conjunct exactly once, on a table that
@@ -76,6 +83,7 @@ bench:
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzKernelsMatchReference -fuzztime 5s
 	$(GO) test ./internal/kmv -run '^$$' -fuzz FuzzSketchMatchesReference -fuzztime 5s -fuzzminimizetime 200x
+	$(GO) test ./internal/evaluator -run '^$$' -fuzz FuzzKeyWordsMatchReference -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinMatchesReference -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSortKeysMatchReference -fuzztime 5s -fuzzminimizetime 200x

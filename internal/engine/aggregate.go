@@ -1,9 +1,10 @@
 package engine
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -293,24 +294,21 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 // loop's group order follows its partitions, and so the degree; sorting
 // by key makes the output order independent of it, so ties under ORDER
 // BY ... LIMIT break the same way at every degree. Narrow keys take a
-// radix pass and decode from the sorted key vector; wide keys keep a
-// comparison sort, no workload statement groups by one.
+// radix pass, wide keys keep a comparison sort (no workload statement
+// groups by one); both decode from the sorted key words.
 func (e *Engine) buildAggOutput(chain *evaluator.Result, in *groupby.Input, out *groupby.Result, items []aggPlanItem) (*columnar.Table, error) {
 	groups, degree := out.Groups, e.cfg.Degree
 	tcols := make([]columnar.Column, 0, len(chain.Fields)+len(items))
+	kw := in.KeyWords()
+	var sorted []uint64
 	var perm []int32
 	if in.Wide() {
-		perm = columnar.IotaRows(groups, degree)
-		slices.SortFunc(perm, func(a, b int32) int { return bytes.Compare(out.WideKeys[a], out.WideKeys[b]) })
-		for _, field := range chain.Fields {
-			tcols = append(tcols, field.DecodeWideColumn(out.WideKeys, perm, degree))
-		}
+		sorted, perm = wideOrder(out.Keys, kw, degree)
 	} else {
-		var sorted []uint64
 		sorted, perm = radixOrder(out.Keys, in.KeyBits, degree)
-		for _, field := range chain.Fields {
-			tcols = append(tcols, field.DecodeColumn(sorted, degree))
-		}
+	}
+	for _, field := range chain.Fields {
+		tcols = append(tcols, field.DecodeColumn(sorted, kw, degree))
 	}
 
 	for _, item := range items {
@@ -394,6 +392,28 @@ func radixOrder(keys []uint64, keyBits, degree int) ([]uint64, []int32) {
 		if _, moved := bsort.RadixPass(sorted, bufK, perm, bufP, shift, degree); moved {
 			sorted, bufK, perm, bufP = bufK, sorted, bufP, perm
 		}
+	}
+	return sorted, perm
+}
+
+// wideOrder sorts the distinct wide keys, kw words a key, in the order of
+// their little-endian bytes: word by word, each word's bytes reversed so
+// that it compares as a big-endian number. The padding bytes past KeyBytes
+// are zero in every key and break no tie. It returns the sorted key words
+// and, for every output position, the group it came from.
+func wideOrder(keys []uint64, kw, degree int) ([]uint64, []int32) {
+	perm := columnar.IotaRows(len(keys)/kw, degree)
+	slices.SortFunc(perm, func(a, b int32) int {
+		for j := 0; j < kw; j++ {
+			if c := cmp.Compare(bits.ReverseBytes64(keys[int(a)*kw+j]), bits.ReverseBytes64(keys[int(b)*kw+j])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	sorted := make([]uint64, len(keys))
+	for i, g := range perm {
+		copy(sorted[i*kw:(i+1)*kw], keys[int(g)*kw:])
 	}
 	return sorted, perm
 }

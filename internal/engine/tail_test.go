@@ -26,32 +26,39 @@ import (
 
 // --- group-by output ---
 
+// keyBytes is key g of keys, kw words a key, as little-endian bytes.
+func keyBytes(keys []uint64, kw, g int) []byte {
+	b := make([]byte, 8*kw)
+	for j, w := range keys[g*kw : (g+1)*kw] {
+		binary.LittleEndian.PutUint64(b[8*j:], w)
+	}
+	return b
+}
+
 // referenceAggOutput is buildAggOutput as it was — a sort.Slice over a
 // permutation, builders appended one group at a time — except for the key
 // decode: the comparison-sorted keys go through the evaluator's typed
 // decode, which its own TestDecodeColumnMatchesValueOracle holds to the
 // boxed value-at-a-time decoder. What is checked here is the group order
-// and the aggregates' finalization.
+// — a narrow key's word, a wide key's little-endian bytes — and the
+// aggregates' finalization.
 func referenceAggOutput(chain *evaluator.Result, in *groupby.Input, out *groupby.Result, items []aggPlanItem) (*columnar.Table, error) {
-	groups := out.Groups
+	groups, kw := out.Groups, in.KeyWords()
 	perm := columnar.IotaRows(groups, 1)
 	var tcols []columnar.Column
 	if in.Wide() {
 		sort.Slice(perm, func(a, b int) bool {
-			return bytes.Compare(out.WideKeys[perm[a]], out.WideKeys[perm[b]]) < 0
+			return bytes.Compare(keyBytes(out.Keys, kw, int(perm[a])), keyBytes(out.Keys, kw, int(perm[b]))) < 0
 		})
-		for _, field := range chain.Fields {
-			tcols = append(tcols, field.DecodeWideColumn(out.WideKeys, perm, 1))
-		}
 	} else {
 		sort.Slice(perm, func(a, b int) bool { return out.Keys[perm[a]] < out.Keys[perm[b]] })
-		sorted := make([]uint64, groups)
-		for g, src := range perm {
-			sorted[g] = out.Keys[src]
-		}
-		for _, field := range chain.Fields {
-			tcols = append(tcols, field.DecodeColumn(sorted, 1))
-		}
+	}
+	sorted := make([]uint64, 0, len(out.Keys))
+	for _, src := range perm {
+		sorted = append(sorted, out.Keys[int(src)*kw:int(src+1)*kw]...)
+	}
+	for _, field := range chain.Fields {
+		tcols = append(tcols, field.DecodeColumn(sorted, kw, 1))
 	}
 	for _, item := range items {
 		spec := in.Aggs[item.sumIdx]
@@ -712,6 +719,47 @@ func BenchmarkAggOutput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := e.buildAggOutput(chain, chain.Input, out, items); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWideKeyGroupBy is the wide-key group-by's wall ruler, from
+// the evaluator chain to the typed output: 1M rows under a (string, int,
+// float) key in 65 536 groups, an int SUM and a COUNT(*), at degree 8. The
+// int spans over 2^29 values and the float takes 64 bits, so the key is
+// wide: 20 bytes in three words.
+func BenchmarkWideKeyGroupBy(b *testing.B) {
+	const n, groups = 1 << 20, 1 << 16
+	sb, kb := columnar.NewStringBuilder("s"), columnar.NewInt64Builder("k")
+	fb, vb := columnar.NewFloat64Builder("f"), columnar.NewInt64Builder("v")
+	for r := 0; r < n; r++ {
+		g := r % groups
+		sb.Append(fmt.Sprintf("label-%d", g%8))
+		kb.Append(int64(g/8) * 65_537)
+		fb.Append(float64(g%97) / 4)
+		vb.Append(int64(r % 1000))
+	}
+	tbl := columnar.MustNewTable("t", sb.Build(), kb.Build(), fb.Build(), vb.Build())
+	cols, items, err := lowerAggs([]plan.AggItem{{Func: plan.AggSum, Column: "v", Out: "sv"}, {Func: plan.AggCount, Out: "c"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := evaluator.Spec{Keys: []string{"s", "k", "f"}, Aggs: cols}
+	deps := evaluator.Deps{Model: vtime.Default(), Degree: 8}
+	e := joinEngine(b, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chain, err := evaluator.BuildInput(columnar.TableRows{Table: tbl}, spec, deps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := groupby.RunCPU(chain.Input, 8, deps.Model)
+		if err != nil || out.Groups != groups {
+			b.Fatalf("%d groups, %v", out.Groups, err)
+		}
 		if _, err := e.buildAggOutput(chain, chain.Input, out, items); err != nil {
 			b.Fatal(err)
 		}

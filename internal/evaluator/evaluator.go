@@ -105,11 +105,12 @@ func Charge(mon *monitor.Monitor, tc trace.Context, at vtime.Time, evals ...Eval
 type KeyField struct {
 	Column string
 	Type   columnar.Type
-	// BitOffset/Bits locate the field in a narrow packed key.
+	// BitOffset/Bits locate the field in a row's little-endian key words.
+	// A narrow key packs each field in its codes' width; a wide one gives
+	// a dictionary code 32 bits and any other field 64, byte-aligned, so
+	// a field may straddle two words.
 	BitOffset, Bits int
-	// ByteOffset/Bytes locate the field in a wide concatenated key.
-	ByteOffset, Bytes int
-	// MinI rebases Int64 fields (code = value - MinI) in narrow keys.
+	// MinI rebases Int64 fields (code = value - MinI).
 	MinI int64
 	// Dict decodes String fields.
 	Dict *columnar.StringColumn
@@ -193,53 +194,48 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.LCOG = Eval{"LCOG", int64(n), deps.Model.CPUTime(float64(n*len(spec.Keys)), deps.Model.CPUScanRate, deps.Degree)}
+
+	keyBits := 0
+	for _, f := range vecs {
+		keyBits += f.Bits
+	}
+	// A key that needs all 64 bits cannot be packed narrow: every code
+	// would have to differ from the table's empty sentinel. It is laid
+	// out wide instead, and KeyBits over 63 is what selects the wide path.
+	wide := keyBits > 63
+	if wide {
+		keyBits = 0
+		for f := range vecs {
+			vecs[f].BitOffset, vecs[f].Bits = keyBits, 64
+			if vecs[f].Type == columnar.String {
+				vecs[f].Bits = 32
+			}
+			keyBits += vecs[f].Bits
+		}
+	}
 	fields := make([]KeyField, len(vecs))
 	for i := range vecs {
 		fields[i] = vecs[i].KeyField
 	}
-	res.LCOG = Eval{"LCOG", int64(n), deps.Model.CPUTime(float64(n*len(spec.Keys)), deps.Model.CPUScanRate, deps.Degree)}
 
-	totalBits := 0
-	totalBytes := 0
-	for _, f := range fields {
-		totalBits += f.Bits
-		totalBytes += f.Bytes
+	in := &groupby.Input{NumRows: n, KeyBytes: 8, KeyBits: keyBits}
+	if wide {
+		in.KeyBytes = keyBits / 8
 	}
-	// A key that needs all 64 bits cannot be packed narrow: every code
-	// would have to differ from the table's empty sentinel. WideKeys then
-	// carries it, and its presence is what selects the wide path.
-	wide := totalBits > 63
-
-	in := &groupby.Input{NumRows: n}
-	var ccatT vtime.Duration
-	// Each worker packs a disjoint row range into preallocated vectors,
+	kw := in.KeyWords()
+	// Each worker packs a disjoint row range into the preallocated words,
 	// so parallel CCAT output is bit-identical to the sequential pack;
 	// within its range it goes a field at a time over the typed vector.
-	if wide {
-		in.KeyBytes = totalBytes
-		in.WideKeys = make([][]byte, n)
-		flat := make([]byte, n*totalBytes)
-		parallel.For(n, evalGrain, deps.Degree, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				in.WideKeys[i] = flat[i*totalBytes : (i+1)*totalBytes]
-			}
-			for f := range vecs {
-				vecs[f].packWide(flat, totalBytes, lo, hi)
-			}
-		})
-		ccatT = deps.Model.CPUTime(float64(n*len(fields)), deps.Model.CPUExprRate, deps.Degree)
-	} else {
-		in.KeyBytes = 8
-		in.KeyBits = totalBits
-		in.Keys = make([]uint64, n)
-		parallel.For(n, evalGrain, deps.Degree, func(lo, hi, _ int) {
-			for f := range vecs {
-				vecs[f].packNarrow(in.Keys, lo, hi)
-			}
-		})
-		if len(fields) > 1 {
-			ccatT = deps.Model.CPUTime(float64(n*len(fields)), deps.Model.CPUExprRate, deps.Degree)
+	in.Keys = make([]uint64, n*kw)
+	parallel.For(n, evalGrain, deps.Degree, func(lo, hi, _ int) {
+		for f := range vecs {
+			vecs[f].pack(in.Keys, kw, lo, hi)
 		}
+	})
+	var ccatT vtime.Duration
+	if wide || len(fields) > 1 {
+		ccatT = deps.Model.CPUTime(float64(n*len(fields)), deps.Model.CPUExprRate, deps.Degree)
 	}
 	res.CCAT = Eval{"CCAT", int64(n), ccatT}
 
@@ -269,8 +265,13 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 		sk := kmv.MustNew(kmv.DefaultK)
 		sketches[worker] = sk
 		if wide {
+			// Murmur over the key's KeyBytes little-endian bytes.
+			buf := make([]byte, 8*kw)
 			for i := lo; i < hi; i++ {
-				h := murmur.Sum64(in.WideKeys[i], 0x5bd1e995)
+				for j, w := range in.Keys[i*kw : (i+1)*kw] {
+					binary.LittleEndian.PutUint64(buf[8*j:], w)
+				}
+				h := murmur.Sum64(buf[:in.KeyBytes], 0x5bd1e995)
 				in.Hashes[i] = h
 				sk.AddHash(h)
 			}
@@ -312,48 +313,16 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 	return res, nil
 }
 
-// DecodeColumn decodes field f of every narrow packed key into a typed
-// column named after the grouping column: rebased integers, or dictionary
-// codes over the source column's dictionary. NULL rows hold the zero value
-// and the bitmap is nil when no key carries the NULL code, exactly as the
-// column builders leave them.
-func (f KeyField) DecodeColumn(keys []uint64, degree int) columnar.Column {
-	return f.decodeCodes(keys, uint(f.BitOffset), uint64(1)<<uint(f.Bits)-1, degree)
-}
-
-// DecodeWideColumn decodes field f of keys[perm[i]], for every i, out of
-// wide concatenated keys.
-func (f KeyField) DecodeWideColumn(keys [][]byte, perm []int32, degree int) columnar.Column {
-	codes := make([]uint64, len(perm))
-	parallel.For(len(perm), evalGrain, degree, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			seg := keys[perm[i]][f.ByteOffset:]
-			if f.Bytes == 4 {
-				codes[i] = uint64(binary.LittleEndian.Uint32(seg))
-			} else {
-				codes[i] = binary.LittleEndian.Uint64(seg)
-			}
-		}
-	})
-	return f.decodeCodes(codes, 0, ^uint64(0), degree)
-}
-
-// Float key fields code a value as its bits, with -0 folded into +0's
-// code and every NaN into floatNaNCode (NaNs group together);
-// floatNullCode, another NaN pattern no value then codes as, marks NULL.
-// Shifting float codes like int codes would alias adjacent bit patterns. Neither code is all ones, so a
-// leading float field never makes a wide key's first word the device
-// table's empty sentinel.
-const (
-	floatNaNCode  = 0x7FF8000000000001
-	floatNullCode = 0xFFF8000000000001
-)
-
-// decodeCodes decodes (words[i] >> off) & mask, the inverse of packNarrow
-// and packWide: workers fill 64-aligned ranges of a typed vector and of
-// the shared null bitmap.
-func (f KeyField) decodeCodes(words []uint64, off uint, mask uint64, degree int) columnar.Column {
-	n := len(words)
+// DecodeColumn decodes field f of every key — kw words a key — into a
+// typed column named after the grouping column: rebased integers, float
+// bits, or dictionary codes over the source column's dictionary. NULL rows
+// hold the zero value and the bitmap is nil when no key carries the NULL
+// code, exactly as the column builders leave them. Workers fill 64-aligned
+// ranges of the vector and of the shared null bitmap.
+func (f KeyField) DecodeColumn(keys []uint64, kw, degree int) columnar.Column {
+	n := len(keys) / kw
+	word, off := f.BitOffset/64, uint(f.BitOffset%64)
+	straddles, mask := off+uint(f.Bits) > 64, ^uint64(0)>>(64-f.Bits)
 	var shift, null uint64
 	if f.Type == columnar.Float64 {
 		null = floatNullCode
@@ -368,7 +337,11 @@ func (f KeyField) decodeCodes(words []uint64, off uint, mask uint64, degree int)
 	each := func(set func(i int, code uint64)) {
 		parallel.For(n, evalGrain, degree, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
-				if code := words[i] >> off & mask; f.HasNull && code == null {
+				code := keys[i*kw+word] >> off
+				if straddles {
+					code |= keys[i*kw+word+1] << (64 - off)
+				}
+				if code &= mask; f.HasNull && code == null {
 					nulls.Set(i)
 				} else {
 					set(i, code-shift)
@@ -392,6 +365,17 @@ func (f KeyField) decodeCodes(words []uint64, off uint, mask uint64, degree int)
 	}
 }
 
+// Float key fields code a value as its bits, with -0 folded into +0's
+// code and every NaN into floatNaNCode (NaNs group together);
+// floatNullCode, another NaN pattern no value then codes as, marks NULL.
+// Shifting float codes like int codes would alias adjacent bit patterns. Neither code is all ones, so a
+// leading float field never makes a wide key's first word the device
+// table's empty sentinel.
+const (
+	floatNaNCode  = 0x7FF8000000000001
+	floatNullCode = 0xFFF8000000000001
+)
+
 // --- helpers ---
 
 // at is the table row behind position i of a selection: rows[i], or i
@@ -403,20 +387,20 @@ func at(rows []int32, i int) int {
 	return int(rows[i])
 }
 
-// planKeyFields computes per-column packing geometry over the rows each
-// key column's list selects, exactly as over a column gathered from them.
-// Int columns are rebased to their min so the code fits the value range;
-// string columns use dictionary codes. A NULL code is reserved when a
-// selected row is NULL.
+// planKeyFields computes per-column narrow packing geometry over the rows
+// each key column's list selects, exactly as over a column gathered from
+// them. Int columns are rebased to their min so the code fits the value
+// range; string columns use dictionary codes. A NULL code is reserved when
+// a selected row is NULL.
 func planKeyFields(src columnar.Source, keys []string, degree int) ([]keyVec, error) {
 	fields := make([]keyVec, 0, len(keys))
-	bitOff, byteOff := 0, 0
+	bitOff := 0
 	for _, name := range keys {
 		col, rows := src.Listed(name)
 		if col == nil {
 			return nil, fmt.Errorf("evaluator: unknown grouping column %q", name)
 		}
-		f := keyVec{KeyField: KeyField{Column: name, Type: col.Type(), BitOffset: bitOff, ByteOffset: byteOff}, rows: rows}
+		f := keyVec{KeyField: KeyField{Column: name, Type: col.Type(), BitOffset: bitOff}, rows: rows}
 		switch c := col.(type) {
 		case *columnar.StringColumn:
 			f.Dict = c
@@ -427,28 +411,27 @@ func planKeyFields(src columnar.Source, keys []string, degree int) ([]keyVec, er
 				span++
 			}
 			f.Bits = bitsFor(span)
-			f.Bytes = 4
 		case *columnar.Int64Column:
 			f.ints, f.nulls = c.Data(), c.Nulls()
 			f.HasNull = columnar.AnyNull(f.nulls, rows, degree)
 			minV, maxV := columnMinMax(c, rows, degree)
 			f.MinI = minV
-			span := uint64(maxV-minV) + 1
+			top := uint64(maxV - minV) // the largest code before the NULL shift
 			if f.HasNull {
-				span++
+				if top == math.MaxUint64 {
+					return nil, fmt.Errorf("evaluator: grouping column %q spans every int64 value and holds NULL", name)
+				}
+				top++
 			}
-			f.Bits = bitsFor(span)
-			f.Bytes = 8
+			f.Bits = max(bits.Len64(top), 1)
 		case *columnar.Float64Column:
 			f.floats, f.nulls = c.Data(), c.Nulls()
 			f.HasNull = columnar.AnyNull(f.nulls, rows, degree)
 			f.Bits = 64 // floats group by raw bits: always the wide path
-			f.Bytes = 8
 		default:
 			return nil, fmt.Errorf("evaluator: unsupported key column type %v", col.Type())
 		}
 		bitOff += f.Bits
-		byteOff += f.Bytes
 		fields = append(fields, f)
 	}
 	return fields, nil
@@ -525,29 +508,14 @@ func (f *keyVec) codeAt(r int) uint64 {
 	}
 }
 
-// packNarrow ORs field f's packed codes for selection positions [lo, hi)
-// into keys[lo:hi]. A NULL row contributes code 0; real codes shift up by
-// one when the column has NULLs.
-func (f *keyVec) packNarrow(keys []uint64, lo, hi int) {
+// pack ORs field f's code for selection positions [lo, hi) into the key
+// words, kw a row, at the field's bits. Integer and string codes shift up
+// by one when the column has NULLs and NULL is code 0; floats keep their
+// code and NULL is floatNullCode.
+func (f *keyVec) pack(keys []uint64, kw, lo, hi int) {
 	rows := f.rows
-	off := uint(f.BitOffset)
-	var shift uint64
-	if f.HasNull {
-		shift = 1
-	}
-	for i := lo; i < hi; i++ {
-		if r := at(rows, i); !f.HasNull || !f.nulls.Get(r) {
-			keys[i] |= (f.codeAt(r) + shift) << off
-		}
-	}
-}
-
-// packWide writes field f's fixed-width encoding for selection positions
-// [lo, hi) into the flat wide-key buffer (stride bytes per key, f at ByteOffset). Integer
-// and string codes shift up by one when the column has NULLs and NULL is
-// code 0; floats keep their bits and NULL is floatNullCode.
-func (f *keyVec) packWide(flat []byte, stride, lo, hi int) {
-	rows := f.rows
+	word, off := f.BitOffset/64, uint(f.BitOffset%64)
+	straddles := off+uint(f.Bits) > 64
 	var shift, null uint64
 	if f.Type == columnar.Float64 {
 		null = floatNullCode
@@ -560,11 +528,9 @@ func (f *keyVec) packWide(flat []byte, stride, lo, hi int) {
 		if !f.HasNull || !f.nulls.Get(r) {
 			code = f.codeAt(r) + shift
 		}
-		dst := flat[i*stride+f.ByteOffset:]
-		if f.Bytes == 4 {
-			binary.LittleEndian.PutUint32(dst, uint32(code))
-		} else {
-			binary.LittleEndian.PutUint64(dst, code)
+		keys[i*kw+word] |= code << off
+		if straddles {
+			keys[i*kw+word+1] |= code >> (64 - off)
 		}
 	}
 }

@@ -216,7 +216,7 @@ func TestWidePathManyColumns(t *testing.T) {
 		t.Fatalf("groups = %d, want 105", out.Groups)
 	}
 	// Decode one wide key and verify values are multiples of 1e15.
-	kv := DecodeWideKey(out.WideKeys[0], res.Fields[0])
+	kv := DecodeWideKey(rowBytes(out.Keys, res.Input.KeyWords(), 0), res.Fields[0])
 	if kv.I%1e15 != 0 {
 		t.Errorf("decoded a = %d, want multiple of 1e15", kv.I)
 	}

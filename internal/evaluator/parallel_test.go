@@ -67,11 +67,6 @@ func sameInput(t *testing.T, label string, seq, par *Result) {
 			t.Fatalf("%s: Keys[%d] = %x, want %x", label, i, pi.Keys[i], si.Keys[i])
 		}
 	}
-	for i := range si.WideKeys {
-		if !bytes.Equal(si.WideKeys[i], pi.WideKeys[i]) {
-			t.Fatalf("%s: WideKeys[%d] = %x, want %x", label, i, pi.WideKeys[i], si.WideKeys[i])
-		}
-	}
 	for i := range si.Hashes {
 		if si.Hashes[i] != pi.Hashes[i] {
 			t.Fatalf("%s: Hashes[%d] = %x, want %x", label, i, pi.Hashes[i], si.Hashes[i])
@@ -176,13 +171,46 @@ func referenceCode(tbl *columnar.Table, f KeyField, r int) uint64 {
 	return code
 }
 
-// TestKeyPackingMatchesRowReference holds the column-at-a-time packers to
-// the row-at-a-time reference, bit for bit: narrow and wide keys, every
-// column type, columns with and without NULLs, a selection, every degree.
+// referenceKey is the row-at-a-time key packer: table row r's key, kw
+// words, as little-endian bytes. A narrow key ORs each field's code in at
+// its bit offset; a wide one writes each code's Bits/8 bytes at byte
+// BitOffset/8.
+func referenceKey(tbl *columnar.Table, fields []KeyField, wide bool, kw, r int) []byte {
+	key := make([]byte, 8*kw)
+	var narrow uint64
+	for _, f := range fields {
+		switch code := referenceCode(tbl, f, r); {
+		case !wide:
+			narrow |= code << uint(f.BitOffset)
+		case f.Bits == 32:
+			binary.LittleEndian.PutUint32(key[f.BitOffset/8:], uint32(code))
+		default:
+			binary.LittleEndian.PutUint64(key[f.BitOffset/8:], code)
+		}
+	}
+	if !wide {
+		binary.LittleEndian.PutUint64(key, narrow)
+	}
+	return key
+}
+
+// rowBytes is key i of keys, kw words a key, as little-endian bytes.
+func rowBytes(keys []uint64, kw, i int) []byte {
+	b := make([]byte, 8*kw)
+	for j, w := range keys[i*kw : (i+1)*kw] {
+		binary.LittleEndian.PutUint64(b[8*j:], w)
+	}
+	return b
+}
+
+// TestKeyPackingMatchesRowReference holds the column-at-a-time packer to
+// the row-at-a-time reference, bit for bit, padding bytes included: narrow
+// and wide keys, every column type, columns with and without NULLs, a
+// selection, every degree.
 func TestKeyPackingMatchesRowReference(t *testing.T) {
 	const n = 5_000
 	tbl := diffTable(n)
-	// Columns without a single NULL take the packers' no-shift arms.
+	// Columns without a single NULL take the packer's no-shift arm.
 	db, fb := columnar.NewStringBuilder("d"), columnar.NewFloat64Builder("f")
 	for r := 0; r < n; r++ {
 		db.Append(fmt.Sprintf("d%02d", r%23))
@@ -204,27 +232,11 @@ func TestKeyPackingMatchesRowReference(t *testing.T) {
 				if rows == nil {
 					rows = columnar.IotaRows(n, 1)
 				}
+				in := res.Input
 				for i, r := range rows {
-					if res.Input.WideKeys == nil {
-						var want uint64
-						for _, f := range res.Fields {
-							want |= referenceCode(tbl, f, int(r)) << uint(f.BitOffset)
-						}
-						if res.Input.Keys[i] != want {
-							t.Fatalf("keys %v degree %d row %d: narrow key %x, want %x", keys, degree, r, res.Input.Keys[i], want)
-						}
-						continue
-					}
-					want := make([]byte, res.Input.KeyBytes)
-					for _, f := range res.Fields {
-						if code := referenceCode(tbl, f, int(r)); f.Bytes == 4 {
-							binary.LittleEndian.PutUint32(want[f.ByteOffset:], uint32(code))
-						} else {
-							binary.LittleEndian.PutUint64(want[f.ByteOffset:], code)
-						}
-					}
-					if !bytes.Equal(res.Input.WideKeys[i], want) {
-						t.Fatalf("keys %v degree %d row %d: wide key %x, want %x", keys, degree, r, res.Input.WideKeys[i], want)
+					got, want := rowBytes(in.Keys, in.KeyWords(), i), referenceKey(tbl, res.Fields, in.Wide(), in.KeyWords(), int(r))
+					if !bytes.Equal(got, want) {
+						t.Fatalf("keys %v degree %d row %d: key %x, want %x", keys, degree, r, got, want)
 					}
 				}
 			}

@@ -104,19 +104,8 @@ func (t *table) grow() {
 }
 
 // result renders the table as a Result, groups in id order.
-func (t *table) result(in *Input) *Result {
-	res := &Result{Groups: t.groups(), AggWords: t.accs}
-	if !in.Wide() {
-		res.Keys = t.keys
-		return res
-	}
-	res.WideKeys = make([][]byte, t.groups())
-	flat := make([]byte, t.groups()*in.KeyBytes)
-	for g := range res.WideKeys {
-		res.WideKeys[g] = flat[g*in.KeyBytes : (g+1)*in.KeyBytes]
-		unpackKey(t.keys[g*t.kw:(g+1)*t.kw], res.WideKeys[g])
-	}
-	return res
+func (t *table) result() *Result {
+	return &Result{Groups: t.groups(), Keys: t.keys, AggWords: t.accs}
 }
 
 // aggregate is the group-by, for the CPU path and every device kernel
@@ -248,18 +237,13 @@ func estimate(in *Input) int {
 // to group ids, then folds each aggregate's payloads for them.
 func aggregateRange(in *Input, lo, hi int) *table {
 	t := newTable(in, min(hi-lo, estimate(in)))
-	key, wide := make([]uint64, t.kw), in.Wide()
+	kw := t.kw
 	var ids [foldRows]int32
 	for start := lo; start < hi; start += foldRows {
 		end := min(start+foldRows, hi)
 		rows := ids[:end-start]
 		for i := start; i < end; i++ {
-			if wide {
-				packKey(in.WideKeys[i], key)
-			} else {
-				key[0] = in.Keys[i]
-			}
-			g, _ := t.find(key, in.Hashes[i], in.Aggs)
+			g, _ := t.find(in.Keys[i*kw:(i+1)*kw], in.Hashes[i], in.Aggs)
 			rows[i-start] = int32(g)
 		}
 		for a, spec := range in.Aggs {

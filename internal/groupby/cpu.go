@@ -18,7 +18,7 @@ func RunCPU(in *Input, degree int, model *vtime.CostModel) (*Result, error) {
 		return nil, err
 	}
 	t, localEntries := aggregate(in, degree)
-	res := t.result(in)
+	res := t.result()
 
 	rows := float64(in.NumRows)
 	// The probe rate degrades once the hash tables blow past cache — the

@@ -17,7 +17,6 @@
 package groupby
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -73,9 +72,9 @@ func (a AggSpec) InitWord() uint64 {
 }
 
 // EmptyKey is the sentinel marking an unoccupied hash-table slot: the
-// all-Fs pattern of the paper's mask. Packed grouping keys and the first
-// word of wide ones must therefore never equal it: the evaluator chain
-// packs narrow keys into < 64 bits, and Validate rejects both.
+// all-Fs pattern of the paper's mask. A key's first word must therefore
+// never equal it: the evaluator chain packs narrow keys into < 64 bits,
+// and Validate rejects it.
 const EmptyKey = ^uint64(0)
 
 // Input is one group-by/aggregation task, as produced by the evaluator
@@ -83,22 +82,19 @@ const EmptyKey = ^uint64(0)
 type Input struct {
 	// NumRows is the exact input row count (known by kernel launch time).
 	NumRows int
-	// Keys holds the packed grouping key per row when the key packs into
-	// fewer than 64 bits; each value must be != EmptyKey.
+	// Keys holds the packed grouping key per row: KeyWords little-endian
+	// words a row, the first of which must be != EmptyKey. A key that
+	// packs into fewer than 64 bits is one word.
 	Keys []uint64
-	// WideKeys holds fixed-width concatenated keys when the grouping key
-	// needs 64 bits or more (any float field does); all entries share
-	// KeyBytes length, and the first 8 bytes must not read as EmptyKey.
-	// A non-nil WideKeys selects the wide path: Murmur hashing, and on
-	// the device lock-based slot claims instead of atomicCAS (a cost
-	// term).
-	WideKeys [][]byte
-	// KeyBytes is the fixed key width in bytes (8 for narrow keys).
+	// KeyBytes is the key width in bytes (8 for narrow keys).
 	KeyBytes int
-	// KeyBits is the number of bits the packed narrow key actually uses
-	// (0 = unknown, treated as 64). Keys using <= 32 bits ship to the
-	// device as compressed 4-byte codes, matching BLU's compressed page
-	// format ("process DB2 BLU data with minimum conversion cost").
+	// KeyBits is the number of bits the key uses: under 64 for a narrow
+	// key (0 = unknown, 8-byte codes), 8·KeyBytes for a wide one. Over 63
+	// selects the wide path (any float field takes it): Murmur hashing,
+	// and on the device lock-based slot claims instead of atomicCAS (a
+	// cost term). Narrow keys using <= 32 bits ship to the device as
+	// compressed 4-byte codes, matching BLU's compressed page format
+	// ("process DB2 BLU data with minimum conversion cost").
 	KeyBits int
 	// Hashes is the per-row output of the HASH evaluator.
 	Hashes []uint64
@@ -115,7 +111,7 @@ type Input struct {
 
 // Wide reports whether the task uses the wide-key path. It is the one
 // test of wideness: a lone float key is wide in 8 bytes.
-func (in *Input) Wide() bool { return in.WideKeys != nil }
+func (in *Input) Wide() bool { return in.KeyBits > 63 }
 
 // Validate checks internal consistency.
 func (in *Input) Validate() error {
@@ -125,26 +121,13 @@ func (in *Input) Validate() error {
 	if in.KeyBytes <= 0 {
 		return errors.New("groupby: KeyBytes must be positive")
 	}
-	if in.Wide() {
-		if len(in.WideKeys) != in.NumRows {
-			return fmt.Errorf("groupby: %d wide keys for %d rows", len(in.WideKeys), in.NumRows)
-		}
-		for i, k := range in.WideKeys {
-			if len(k) != in.KeyBytes {
-				return fmt.Errorf("groupby: wide key %d has %d bytes, want %d", i, len(k), in.KeyBytes)
-			}
-			if len(k) >= 8 && binary.LittleEndian.Uint64(k) == EmptyKey {
-				return fmt.Errorf("groupby: wide key %d collides with the empty sentinel", i)
-			}
-		}
-	} else {
-		if len(in.Keys) != in.NumRows {
-			return fmt.Errorf("groupby: %d keys for %d rows", len(in.Keys), in.NumRows)
-		}
-		for i, k := range in.Keys {
-			if k == EmptyKey {
-				return fmt.Errorf("groupby: key %d collides with the empty sentinel", i)
-			}
+	kw := in.KeyWords()
+	if len(in.Keys) != in.NumRows*kw {
+		return fmt.Errorf("groupby: %d key words for %d rows of %d", len(in.Keys), in.NumRows, kw)
+	}
+	for i := 0; i < len(in.Keys); i += kw {
+		if in.Keys[i] == EmptyKey {
+			return fmt.Errorf("groupby: key %d collides with the empty sentinel", i/kw)
 		}
 	}
 	if len(in.Hashes) != in.NumRows {
@@ -188,10 +171,8 @@ func (in *Input) EntryWords() int {
 type Result struct {
 	// Groups is the number of distinct groups found.
 	Groups int
-	// Keys holds the packed key per group (narrow path).
+	// Keys holds the packed key per group, KeyWords words a group.
 	Keys []uint64
-	// WideKeys holds the concatenated key per group (wide path).
-	WideKeys [][]byte
 	// AggWords holds, per aggregate, the raw accumulator per group.
 	AggWords [][]uint64
 	// Stats describes how the task executed.

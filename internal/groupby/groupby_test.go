@@ -3,6 +3,7 @@ package groupby
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -49,16 +50,14 @@ func buildInput(keys []uint64, aggs []AggSpec, est uint64) *Input {
 	return in
 }
 
+// keyOf is key i of keys, kw words a key, as a map key.
+func keyOf(keys []uint64, kw, i int) string { return fmt.Sprint(keys[i*kw : (i+1)*kw]) }
+
 // refGroupBy computes the expected result with plain maps.
-func refGroupBy(in *Input) map[uint64][]uint64 {
-	out := make(map[uint64][]uint64)
+func refGroupBy(in *Input) map[string][]uint64 {
+	out := make(map[string][]uint64)
 	for i := 0; i < in.NumRows; i++ {
-		var k uint64
-		if in.Wide() {
-			k = murmur.Sum64(in.WideKeys[i], 0)
-		} else {
-			k = in.Keys[i]
-		}
+		k := keyOf(in.Keys, in.KeyWords(), i)
 		acc := out[k]
 		if acc == nil {
 			acc = Mask(in)[in.KeyWords():]
@@ -83,12 +82,7 @@ func checkResult(t *testing.T, in *Input, res *Result) {
 		t.Fatalf("groups = %d, want %d", res.Groups, len(want))
 	}
 	for g := 0; g < res.Groups; g++ {
-		var k uint64
-		if in.Wide() {
-			k = murmur.Sum64(res.WideKeys[g], 0)
-		} else {
-			k = res.Keys[g]
-		}
+		k := keyOf(res.Keys, in.KeyWords(), g)
 		acc, ok := want[k]
 		if !ok {
 			t.Fatalf("unexpected group key %v", k)
@@ -201,22 +195,26 @@ func TestGPUKernel3RowLock(t *testing.T) {
 	checkResult(t, in, out)
 }
 
+// buildWideInput constructs a two-word-key task in the given number of
+// groups, hashed by Murmur over the key's bytes as the HASH evaluator
+// hashes wide keys.
 func buildWideInput(n, groups int, aggs []AggSpec) *Input {
 	in := &Input{
 		NumRows:   n,
+		Keys:      make([]uint64, 2*n),
 		KeyBytes:  16,
-		WideKeys:  make([][]byte, n),
+		KeyBits:   128,
 		Hashes:    make([]uint64, n),
 		Aggs:      aggs,
 		Payloads:  make([][]uint64, len(aggs)),
 		EstGroups: uint64(groups),
 	}
+	k := make([]byte, 16)
 	for i := 0; i < n; i++ {
-		k := make([]byte, 16)
 		g := uint64(i % groups)
+		in.Keys[2*i], in.Keys[2*i+1] = g, g*31+7
 		binary.LittleEndian.PutUint64(k, g)
 		binary.LittleEndian.PutUint64(k[8:], g*31+7)
-		in.WideKeys[i] = k
 		in.Hashes[i] = murmur.Sum64(k, 0) // Murmur for >64-bit keys
 	}
 	for a, spec := range aggs {
@@ -445,6 +443,23 @@ func TestValidate(t *testing.T) {
 	if err := sentinel.Validate(); err == nil {
 		t.Error("sentinel key collision should fail validation")
 	}
+	wide := buildWideInput(10, 2, stdAggs)
+	if err := wide.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	wide.Keys = wide.Keys[:19]
+	if err := wide.Validate(); err == nil {
+		t.Error("a wide key short of a word should fail validation")
+	}
+	wide = buildWideInput(10, 2, stdAggs)
+	wide.Keys[1] = EmptyKey // a second word may be all ones
+	if err := wide.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	wide.Keys[6] = EmptyKey
+	if err := wide.Validate(); err == nil {
+		t.Error("a wide key whose first word is the sentinel should fail validation")
+	}
 	countPayload := buildInput(makeKeys(10, 2), []AggSpec{{Kind: Count}}, 2)
 	countPayload.Payloads[0] = make([]uint64, 10)
 	if err := countPayload.Validate(); err == nil {
@@ -658,7 +673,7 @@ func TestDeviceAnswerIsCPUAnswer(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s degree %d %+v: %v", c.name, degree, opts, err)
 				}
-				if !reflect.DeepEqual(got.Keys, want.Keys) || !reflect.DeepEqual(got.WideKeys, want.WideKeys) ||
+				if !reflect.DeepEqual(got.Keys, want.Keys) ||
 					!reflect.DeepEqual(got.AggWords, want.AggWords) {
 					t.Errorf("%s degree %d %s: device answer differs from RunCPU's", c.name, degree, got.Stats.Kernel)
 				}

@@ -65,8 +65,7 @@ func InputDeviceBytes(in *Input) int64 {
 	n := int64(in.NumRows)
 	var b int64
 	if in.Wide() {
-		perRow := int64((in.KeyBytes + 7) / 8 * 8)
-		b += perRow * n
+		b += 8 * int64(in.KeyWords()) * n
 		b += 8 * n // murmur hashes
 	} else if in.KeyBits > 0 && in.KeyBits <= 32 {
 		b += 4 * n
@@ -115,23 +114,4 @@ func claimTable(res *gpu.Reservation, in *Input, slots int, model *vtime.CostMod
 		return model.DeviceFill(bytes)
 	})
 	return kr.Modeled, kr.Err
-}
-
-// packKey packs key bytes into little-endian words; the first byte of a
-// valid key must not make the first word equal EmptyKey (dictionary codes
-// and packed column values never do).
-func packKey(key []byte, dst []uint64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, b := range key {
-		dst[i/8] |= uint64(b) << (uint(i%8) * 8)
-	}
-}
-
-// unpackKey reverses packKey into dst (whose length selects the bytes).
-func unpackKey(words []uint64, dst []byte) {
-	for i := range dst {
-		dst[i] = byte(words[i/8] >> (uint(i%8) * 8))
-	}
 }

@@ -121,7 +121,7 @@ func RunGPU(in *Input, degree int, res *gpu.Reservation, model *vtime.CostModel,
 		return nil, fmt.Errorf("groupby: invalid kernel %v", opts.Kernel)
 	}
 	if in.NumRows == 0 {
-		out := newTable(in, 0).result(in)
+		out := newTable(in, 0).result()
 		out.Stats = ExecStats{Path: PathGPU, Kernel: "empty"}
 		return out, nil
 	}
@@ -201,7 +201,7 @@ func RunGPU(in *Input, degree int, res *gpu.Reservation, model *vtime.CostModel,
 		}
 	}
 
-	result := groups.result(in)
+	result := groups.result()
 	// An ORDER BY ... LIMIT k above selects its k groups on the device
 	// when the D2H time that saves pays for the selection kernel.
 	shipped, kept := result.Groups, 0
