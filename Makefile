@@ -110,14 +110,18 @@ orphans:
 		if [ -n "$$orphans" ]; then echo "$$orphans"; exit 1; fi
 
 # Source size: non-test and test lines per package (directory) under cmd/
-# and internal/, then their totals — the figure a change that deletes
-# code quotes before and after. It runs in no gate.
+# and internal/, then the subtotal of the seven observability packages
+# and the totals — the figures a change that deletes code quotes before
+# and after. It runs in no gate.
+OBS_PKGS = metrics obsd explain monitor trace qlog prof
 size:
-	@find cmd internal -name '*.go' -exec wc -l {} + | awk '$$2 != "total" { \
+	@find cmd internal -name '*.go' -exec wc -l {} + | awk -v obs="$(OBS_PKGS)" '$$2 != "total" { \
 		d = $$2; sub(/\/[^\/]*$$/, "", d); t = ($$2 ~ /_test\.go$$/) ? 2 : 1; \
 		n[d, t] += $$1; sum[t] += $$1; dirs[d] = 1 } \
 		END { printf "%-24s %8s %8s\n", "package", "non-test", "test"; \
 		for (d in dirs) printf "%-24s %8d %8d\n", d, n[d, 1], n[d, 2] | "sort"; close("sort"); \
+		k = split(obs, o, " "); for (i = 1; i <= k; i++) for (t = 1; t <= 2; t++) os[t] += n["internal/" o[i], t]; \
+		printf "%-24s %8d %8d\n", "observability", os[1], os[2]; \
 		printf "%-24s %8d %8d\n", "total", sum[1], sum[2] }'
 
 check: vet orphans test race fuzz-smoke bench-smoke

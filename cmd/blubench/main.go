@@ -12,8 +12,7 @@
 //
 // -serve holds the process open after the experiments with the admin
 // HTTP surface (/metrics, /healthz, /debug/queries) mounted, so the full
-// run's telemetry can be scraped; -metrics-json writes the same snapshot
-// to a file and exits.
+// run's telemetry can be scraped.
 package main
 
 import (
@@ -42,7 +41,6 @@ func main() {
 	noFusion := flag.Bool("nofusion", false, "run the paper's data path: no fused device chain and no device column cache")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of every query to this file (load via chrome://tracing or ui.perfetto.dev)")
 	serve := flag.String("serve", "", "after the experiments, serve /metrics, /healthz and /debug/queries on this host:port until interrupted")
-	metricsJSON := flag.String("metrics-json", "", "write the final metrics snapshot as JSON to this file")
 	explainOut := flag.String("explain", "", "run the explain suite and write its EXPLAIN ANALYZE reports as a JSON array to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: blubench [flags] [experiment]...\nexperiments: all %s\nflags:\n",
@@ -105,21 +103,6 @@ func main() {
 		if err := writeExplainReports(h, *explainOut); err != nil {
 			fail(err)
 		}
-	}
-
-	if *metricsJSON != "" {
-		f, err := os.Create(*metricsJSON)
-		if err != nil {
-			fail(err)
-		}
-		err = metrics.Collect(metrics.SourcesFromEngine(h.Eng)()).WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("metrics: snapshot -> %s\n", *metricsJSON)
 	}
 
 	if *serve != "" {

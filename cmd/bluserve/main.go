@@ -12,7 +12,6 @@
 //	                  including blu_go_* runtime, blu_slo_* burn rates,
 //	                  blu_prof_* per-class resource attribution and
 //	                  blu_device_* utilization
-//	/metrics.json     the same snapshot as structured JSON
 //	/healthz          scheduler device health + circuit-breaker state +
 //	                  firing alerts (a severity-page alert answers 503)
 //	/debug/queries    per-query latency rollups + recent requests
@@ -21,7 +20,9 @@
 //	/debug/dash       self-contained HTML dashboard over the embedded
 //	                  time-series history (inline SVG sparklines)
 //	/api/v1/query_range  Prometheus-compatible range queries over the
-//	                     embedded history (also /api/v1/query)
+//	                     embedded history
+//	/api/v1/query     Prometheus-compatible instant queries over the
+//	                  same history
 //	/debug/pprof/     live profiling (only with -pprof); CPU samples
 //	                  carry blu_class/blu_phase/blu_request labels
 //

@@ -192,7 +192,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 					if err != nil {
 						return nil, err
 					}
-					e.chargeGroupby(f, res.Device(), out.Stats.Modeled, demand, demand)
+					e.addGPU(f, out.Stats.Modeled, demand)
 					return []trace.Attr{trace.Str("kernel", out.Stats.Kernel)}, nil
 				},
 			})

@@ -127,12 +127,3 @@ func (e *Engine) fallback(op string, sp trace.Context, err error) {
 	e.mon.RecordFallback(op, errors.Is(err, gpu.ErrInjected))
 	sp.Annotate(trace.Str("fallback", err.Error()))
 }
-
-// chargeGroupby charges a device group-by's time d to the frame, the DES
-// profile holding mem, between the monitor's memory samples: held bytes
-// for its duration, then none.
-func (e *Engine) chargeGroupby(f *frame, dev *gpu.Device, d vtime.Duration, held, mem int64) {
-	e.mon.RecordMemSample(dev.ID(), vtime.Time(f.modeled.Seconds()), held, dev.TotalMemory())
-	e.addGPU(f, d, mem)
-	e.mon.RecordMemSample(dev.ID(), vtime.Time(f.modeled.Seconds()), 0, dev.TotalMemory())
-}

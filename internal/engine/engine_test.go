@@ -506,3 +506,45 @@ func TestSignedZeroKeysGroupTogether(t *testing.T) {
 		}
 	}
 }
+
+// TestExtremeIntKeysGroup: an int grouping key holding both MinInt64
+// and MaxInt64 spans every 64-bit code, so one of its codes is all
+// ones — the device table's empty sentinel — unless the layout keeps
+// it out of the key's first word.
+func TestExtremeIntKeysGroup(t *testing.T) {
+	vals := []int64{math.MinInt64, 0, math.MaxInt64}
+	for _, degree := range []int{1, 8} {
+		e, err := New(Config{Devices: 1, Degree: degree, Thresholds: optimizer.Thresholds{
+			T1Rows: 1, T2Groups: 0, T3Rows: 1 << 40,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := columnar.NewInt64Builder("k")
+		for i := 0; i < 3000; i++ {
+			k.Append(vals[i%3])
+		}
+		if err := e.Register(columnar.MustNewTable("t", k.Build())); err != nil {
+			t.Fatal(err)
+		}
+		for _, gpu := range []bool{true, false} {
+			e.SetGPUEnabled(gpu)
+			res, err := e.Query("SELECT k, COUNT(*) AS c FROM t GROUP BY k ORDER BY k")
+			if err != nil {
+				t.Fatalf("degree %d gpu %v: %v", degree, gpu, err)
+			}
+			if res.GPUUsed != gpu {
+				t.Fatalf("degree %d: GPU used %v, want %v", degree, res.GPUUsed, gpu)
+			}
+			if got := res.Table.Rows(); got != 3 {
+				t.Fatalf("degree %d gpu %v: %d groups, want 3", degree, gpu, got)
+			}
+			for i, v := range vals {
+				key, c := res.Table.Column("k").Value(i), res.Table.Column("c").Value(i)
+				if !key.Equal(columnar.IntValue(v)) || !c.Equal(columnar.IntValue(1000)) {
+					t.Fatalf("degree %d gpu %v: group %d is %v with count %v, want %d with 1000", degree, gpu, i, key, c, v)
+				}
+			}
+		}
+	}
+}

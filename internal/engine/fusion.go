@@ -294,7 +294,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		// total) so concurrency replay and the ROLAP memory calibration see
 		// the same per-query footprint with fusion on or off.
 		chainT := max(lease.Modeled-overlap, 0) + stageT
-		e.chargeGroupby(f, dev, chainT+out.Stats.Modeled, chainDemand, demand)
+		e.addGPU(f, chainT+out.Stats.Modeled, demand)
 		e.mon.RecordFusedChain(fx.saved, fx.uploaded)
 		return []trace.Attr{
 			trace.Str("kernel", out.Stats.Kernel),

@@ -108,7 +108,8 @@ type KeyField struct {
 	// BitOffset/Bits locate the field in a row's little-endian key words.
 	// A narrow key packs each field in its codes' width; a wide one gives
 	// a dictionary code 32 bits and any other field 64, byte-aligned, so
-	// a field may straddle two words.
+	// a field may straddle two words. A wide key whose first field is a
+	// 64-bit int starts with a zero byte.
 	BitOffset, Bits int
 	// MinI rebases Int64 fields (code = value - MinI).
 	MinI int64
@@ -203,9 +204,15 @@ func BuildInput(src columnar.Source, spec Spec, deps Deps) (*Result, error) {
 	// A key that needs all 64 bits cannot be packed narrow: every code
 	// would have to differ from the table's empty sentinel. It is laid
 	// out wide instead, and KeyBits over 63 is what selects the wide path.
+	// There, a leading int field of 64 bits could still code as all ones
+	// (one spanning MinInt64 to MaxInt64 does), so it starts after a zero
+	// byte and the first word stays below the sentinel.
 	wide := keyBits > 63
 	if wide {
 		keyBits = 0
+		if vecs[0].Type == columnar.Int64 && vecs[0].Bits == 64 {
+			keyBits = 8
+		}
 		for f := range vecs {
 			vecs[f].BitOffset, vecs[f].Bits = keyBits, 64
 			if vecs[f].Type == columnar.String {

@@ -19,6 +19,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"blugpu/internal/columnar"
@@ -267,38 +268,31 @@ func numericResult(l, r columnar.Type) (columnar.Type, error) {
 // Columns returns the distinct column names e references, in first-
 // reference order. Planners use it to compute the exact column set an
 // expression needs (late materialization).
-func Columns(e Expr) []string {
-	var out []string
-	seen := make(map[string]bool)
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *Col:
-			if !seen[x.Name] {
-				seen[x.Name] = true
-				out = append(out, x.Name)
-			}
-		case *Arith:
-			walk(x.Left)
-			walk(x.Right)
-		case *Cmp:
-			walk(x.Left)
-			walk(x.Right)
-		case *Logic:
-			walk(x.Left)
-			walk(x.Right)
-		case *Not:
-			walk(x.Inner)
-		case *Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *In:
-			walk(x.X)
-		case *IsNull:
-			walk(x.X)
+func Columns(e Expr) []string { return appendColumns(nil, e) }
+
+// appendColumns appends to out the columns e references that out does
+// not hold yet. An expression names a handful of columns, so a linear
+// scan of out costs less than a set would.
+func appendColumns(out []string, e Expr) []string {
+	switch x := e.(type) {
+	case *Col:
+		if !slices.Contains(out, x.Name) {
+			out = append(out, x.Name)
 		}
+	case *Arith:
+		out = appendColumns(appendColumns(out, x.Left), x.Right)
+	case *Cmp:
+		out = appendColumns(appendColumns(out, x.Left), x.Right)
+	case *Logic:
+		out = appendColumns(appendColumns(out, x.Left), x.Right)
+	case *Not:
+		out = appendColumns(out, x.Inner)
+	case *Between:
+		out = appendColumns(appendColumns(appendColumns(out, x.X), x.Lo), x.Hi)
+	case *In:
+		out = appendColumns(out, x.X)
+	case *IsNull:
+		out = appendColumns(out, x.X)
 	}
-	walk(e)
 	return out
 }

@@ -143,8 +143,8 @@ func TestKeySizesTheImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Release()
-	if l.Uploaded != DeviceBytes(1001) || dev.UsedMemory() != DeviceBytes(1001) {
-		t.Fatalf("uploaded %d, device holds %d, want %d", l.Uploaded, dev.UsedMemory(), DeviceBytes(1001))
+	if l.Uploaded != DeviceBytes(1001) || dev.Util().ReservedBytes != DeviceBytes(1001) {
+		t.Fatalf("uploaded %d, device holds %d, want %d", l.Uploaded, dev.Util().ReservedBytes, DeviceBytes(1001))
 	}
 	if got := c.MissBytes(0, k); got != 0 {
 		t.Fatalf("MissBytes after the fill = %d", got)
@@ -197,8 +197,8 @@ func TestEvictionLRUAndNoRoom(t *testing.T) {
 	if freed := c.PurgeAll(); freed != DeviceBytes(4) {
 		t.Fatalf("PurgeAll freed %d", freed)
 	}
-	if dev.UsedMemory() != 0 {
-		t.Fatalf("device still holds %d bytes after purge", dev.UsedMemory())
+	if dev.Util().ReservedBytes != 0 {
+		t.Fatalf("device still holds %d bytes after purge", dev.Util().ReservedBytes)
 	}
 }
 
@@ -213,8 +213,8 @@ func TestEnsureFaultPropagates(t *testing.T) {
 	if n, _ := c.Resident(0); n != 0 {
 		t.Fatalf("faulted fill left %d entries resident", n)
 	}
-	if dev.UsedMemory() != 0 {
-		t.Fatalf("faulted fill leaked %d reserved bytes", dev.UsedMemory())
+	if dev.Util().ReservedBytes != 0 {
+		t.Fatalf("faulted fill leaked %d reserved bytes", dev.Util().ReservedBytes)
 	}
 }
 

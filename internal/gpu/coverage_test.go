@@ -17,8 +17,8 @@ func TestDeviceStringAndAccessors(t *testing.T) {
 		t.Error("ID wrong")
 	}
 	r, _ := d.Reserve(1 << 20)
-	if d.UsedMemory() != 1<<20 {
-		t.Errorf("UsedMemory = %d", d.UsedMemory())
+	if d.Util().ReservedBytes != 1<<20 {
+		t.Errorf("ReservedBytes = %d", d.Util().ReservedBytes)
 	}
 	if r.Size() != 1<<20 || r.Device() != d {
 		t.Error("reservation accessors wrong")
@@ -27,7 +27,7 @@ func TestDeviceStringAndAccessors(t *testing.T) {
 		t.Errorf("claim accessor wrong: used %d, err %v", r.Used(), err)
 	}
 	r.Release()
-	if d.UsedMemory() != 0 {
+	if d.Util().ReservedBytes != 0 {
 		t.Error("release did not return memory")
 	}
 	// TransferTime estimation without a copy.

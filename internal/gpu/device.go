@@ -176,13 +176,6 @@ func (d *Device) FreeMemory() int64 {
 	return d.spec.DeviceMemory - d.memUsed
 }
 
-// UsedMemory returns allocated+reserved device memory in bytes.
-func (d *Device) UsedMemory() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.memUsed
-}
-
 // Outstanding returns the number of admitted, unfinished kernel calls.
 // The multi-GPU scheduler balances on this.
 func (d *Device) Outstanding() int {
@@ -195,14 +188,13 @@ func (d *Device) Outstanding() int {
 type Counters struct {
 	Kernels   uint64
 	Transfers uint64
-	MemUsed   int64
 }
 
 // Counters returns a snapshot of device activity.
 func (d *Device) Counters() Counters {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return Counters{Kernels: d.kernels, Transfers: d.transfers, MemUsed: d.memUsed}
+	return Counters{Kernels: d.kernels, Transfers: d.transfers}
 }
 
 // Utilization is a snapshot of the device's cumulative busy time split
@@ -213,7 +205,8 @@ type Utilization struct {
 	Kernel vtime.Duration
 	H2D    vtime.Duration
 	D2H    vtime.Duration
-	// ReservedBytes is current reservation occupancy (= UsedMemory).
+	// ReservedBytes is current reservation occupancy: bytes allocated
+	// or reserved.
 	ReservedBytes int64
 	// ReservedPeakBytes is the lifetime high-water mark of occupancy.
 	ReservedPeakBytes int64

@@ -24,7 +24,7 @@ func TestInjectedReserveFault(t *testing.T) {
 	if !errors.Is(err, ErrOutOfMemory) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrOutOfMemory+ErrInjected, got %v", err)
 	}
-	if d.UsedMemory() != 0 {
+	if d.Util().ReservedBytes != 0 {
 		t.Error("faulted reservation changed memory accounting")
 	}
 	if len(sink.faults) != 1 || sink.faults[0] != "reserve" {

@@ -79,8 +79,8 @@ func TestAllocWithinReservation(t *testing.T) {
 	if err := r.Claim(1 << 20); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("claim overflow should wrap ErrOutOfMemory, got %v", err)
 	}
-	if r.Used() != 8192+4096 || d.UsedMemory() != 1<<20 {
-		t.Errorf("failed claim moved the accounting: used %d, device %d", r.Used(), d.UsedMemory())
+	if r.Used() != 8192+4096 || d.Util().ReservedBytes != 1<<20 {
+		t.Errorf("failed claim moved the accounting: used %d, device %d", r.Used(), d.Util().ReservedBytes)
 	}
 	if err := r.Claim(0); err == nil {
 		t.Error("empty claim should fail")

@@ -73,8 +73,9 @@ func (a AggSpec) InitWord() uint64 {
 
 // EmptyKey is the sentinel marking an unoccupied hash-table slot: the
 // all-Fs pattern of the paper's mask. A key's first word must therefore
-// never equal it: the evaluator chain packs narrow keys into < 64 bits,
-// and Validate rejects it.
+// never equal it: the evaluator chain packs narrow keys into < 64 bits
+// and lays wide ones out so that no code fills the first word with
+// ones, and Validate rejects it.
 const EmptyKey = ^uint64(0)
 
 // Input is one group-by/aggregation task, as produced by the evaluator

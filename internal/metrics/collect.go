@@ -56,7 +56,7 @@ type EngineLike interface {
 // SourcesFromEngine adapts an engine into the scrape-time source
 // function AdminMux and Collect consume. Go runtime telemetry is wired
 // by default: every consumer of an engine-backed scrape (the shell's
-// \metrics, blubench -metrics-out, the admin mux) gets the blu_go_*
+// \metrics, blubench -serve, the admin mux) gets the blu_go_*
 // family without extra plumbing. The blu_slo_* family still needs an
 // Admission source — it is a property of the serving layer, which a
 // bare engine does not have.
@@ -206,21 +206,6 @@ func collectMonitor(r *Registry, m *monitor.Monitor) {
 	breaker := r.Counter("blu_breaker_transitions_total", "Circuit-breaker transitions by direction.")
 	breaker.With(L("transition", "trip")).AddUint(trips)
 	breaker.With(L("transition", "recover")).AddUint(recovers)
-
-	peak := r.Gauge("blu_device_memory_peak_bytes", "Peak sampled device-memory use over the run, by device.")
-	samples := r.Gauge("blu_device_memory_samples", "Retained device-memory utilization samples, by device.")
-	for _, dev := range m.Devices() {
-		series := m.MemSeries(dev)
-		var p int64
-		for _, s := range series {
-			if s.Used > p {
-				p = s.Used
-			}
-		}
-		lbl := L("device", strconv.Itoa(dev))
-		peak.With(lbl).Set(float64(p))
-		samples.With(lbl).Set(float64(len(series)))
-	}
 }
 
 func collectSched(r *Registry, s *sched.Scheduler) {
@@ -254,7 +239,6 @@ func collectDevices(r *Registry, devices []*gpu.Device, now vtime.Time) {
 	if len(devices) == 0 {
 		return
 	}
-	used := r.Gauge("blu_device_memory_used_bytes", "Allocated plus reserved device memory, by device.")
 	total := r.Gauge("blu_device_memory_total_bytes", "Device-memory capacity, by device.")
 	kernels := r.Counter("blu_device_kernels_total", "Kernel launches by device.")
 	transfers := r.Counter("blu_device_transfers_total", "PCIe transfers by device.")
@@ -265,7 +249,6 @@ func collectDevices(r *Registry, devices []*gpu.Device, now vtime.Time) {
 	for _, d := range devices {
 		lbl := L("device", strconv.Itoa(d.ID()))
 		c := d.Counters()
-		used.With(lbl).Set(float64(c.MemUsed))
 		total.With(lbl).Set(float64(d.TotalMemory()))
 		kernels.With(lbl).AddUint(c.Kernels)
 		transfers.With(lbl).AddUint(c.Transfers)

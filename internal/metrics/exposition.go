@@ -37,64 +37,60 @@ func (f *family) sortedSeries() []*series {
 }
 
 // WriteText renders the registry in Prometheus text exposition format
-// (version 0.0.4): families sorted by name, series sorted by label set,
-// histogram buckets ascending with a final +Inf bucket plus _sum and
-// _count. Output is byte-deterministic for identical registry contents.
+// (version 0.0.4): each family's HELP and TYPE lines, then one line per
+// sample of that family as Samples flattens it. Output is
+// byte-deterministic for identical registry contents.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, f := range r.snapshotLocked() {
 		// A declared family with no series yet (e.g. no kernels have run)
 		// renders nothing: metadata-only families would fail validation
 		// and carry no information.
-		if len(f.series) == 0 {
+		samples := f.samples()
+		if len(samples) == 0 {
 			continue
 		}
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.sortedSeries() {
-			switch f.typ {
-			case HistogramType:
-				for _, b := range s.bucket {
-					writeSample(bw, f.name+"_bucket", s.labels, L("le", formatFloat(b.UpperBound.Seconds())), float64(b.CumCount))
-				}
-				writeSample(bw, f.name+"_bucket", s.labels, L("le", "+Inf"), float64(s.count))
-				writeSample(bw, f.name+"_sum", s.labels, Label{}, s.value)
-				writeSample(bw, f.name+"_count", s.labels, Label{}, float64(s.count))
-			default:
-				writeSample(bw, f.name, s.labels, Label{}, s.value)
-			}
+		for _, sm := range samples {
+			line = appendSeriesID(line[:0], sm.Name, sm.Labels)
+			line = append(line, ' ')
+			line = append(line, FormatValue(sm.Value)...)
+			line = append(line, '\n')
+			bw.Write(line)
 		}
 	}
 	return bw.Flush()
 }
 
-// writeSample emits one sample line. extra, when non-zero, is appended
-// after the series labels (the histogram le label).
-func writeSample(w io.Writer, name string, labels []Label, extra Label, value float64) {
-	io.WriteString(w, name)
-	if len(labels) > 0 || extra.Name != "" {
-		io.WriteString(w, "{")
-		first := true
-		for _, l := range labels {
-			if !first {
-				io.WriteString(w, ",")
-			}
-			first = false
-			fmt.Fprintf(w, `%s="%s"`, l.Name, escapeLabelValue(l.Value))
-		}
-		if extra.Name != "" {
-			if !first {
-				io.WriteString(w, ",")
-			}
-			fmt.Fprintf(w, `%s="%s"`, extra.Name, escapeLabelValue(extra.Value))
-		}
-		io.WriteString(w, "}")
+// SeriesID renders a sample's series identity: the left-hand side of
+// its exposition line, label values escaped. Two samples are the same
+// series exactly when their identities are equal.
+func SeriesID(name string, labels []Label) string {
+	return string(appendSeriesID(nil, name, labels))
+}
+
+func appendSeriesID(b []byte, name string, labels []Label) []byte {
+	b = append(b, name...)
+	if len(labels) == 0 {
+		return b
 	}
-	fmt.Fprintf(w, " %s\n", formatFloat(value))
+	b = append(b, '{')
+	for i, l := range labels {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, l.Name...)
+		b = append(b, `="`...)
+		b = append(b, escapeLabelValue(l.Value)...)
+		b = append(b, '"')
+	}
+	return append(b, '}')
 }
 
 // escapeLabelValue escapes a label value per the exposition format:
@@ -126,10 +122,10 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// formatFloat renders a sample value deterministically: integers
+// FormatValue renders a sample value deterministically: integers
 // without exponent or decimal point, everything else in Go's shortest
 // 'g' form, infinities as +Inf/-Inf.
-func formatFloat(v float64) string {
+func FormatValue(v float64) string {
 	switch {
 	case math.IsInf(v, +1):
 		return "+Inf"
@@ -142,68 +138,6 @@ func formatFloat(v float64) string {
 	default:
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
-}
-
-// WriteJSON renders the registry as one structured JSON object — the
-// machine-readable twin of WriteText, used by /metrics.json and the
-// blubench -metrics-json event log. Families, series and labels appear
-// in the same canonical order as the text form, so the output is
-// byte-deterministic too.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"families":[`)
-	fi := 0
-	for _, f := range r.snapshotLocked() {
-		if len(f.series) == 0 {
-			continue
-		}
-		if fi > 0 {
-			bw.WriteByte(',')
-		}
-		fi++
-		fmt.Fprintf(bw, `{"name":%q,"type":%q,"help":%q,"series":[`, f.name, f.typ, f.help)
-		for si, s := range f.sortedSeries() {
-			if si > 0 {
-				bw.WriteByte(',')
-			}
-			bw.WriteString(`{"labels":{`)
-			for li, l := range s.labels {
-				if li > 0 {
-					bw.WriteByte(',')
-				}
-				fmt.Fprintf(bw, `%q:%q`, l.Name, l.Value)
-			}
-			bw.WriteString(`}`)
-			switch f.typ {
-			case HistogramType:
-				fmt.Fprintf(bw, `,"sum":%s,"count":%d,"buckets":[`, jsonFloat(s.value), s.count)
-				for bi, b := range s.bucket {
-					if bi > 0 {
-						bw.WriteByte(',')
-					}
-					fmt.Fprintf(bw, `{"le":%s,"count":%d}`, jsonFloat(b.UpperBound.Seconds()), b.CumCount)
-				}
-				bw.WriteString(`]`)
-			default:
-				fmt.Fprintf(bw, `,"value":%s`, jsonFloat(s.value))
-			}
-			bw.WriteString(`}`)
-		}
-		bw.WriteString(`]}`)
-	}
-	bw.WriteString("]}\n")
-	return bw.Flush()
-}
-
-// jsonFloat renders a float as a JSON number (infinities, invalid in
-// JSON, become strings).
-func jsonFloat(v float64) string {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return fmt.Sprintf("%q", formatFloat(v))
-	}
-	return formatFloat(v)
 }
 
 // --- exposition validation (the check TestStackServesDocumentedRoutes holds /metrics to) ---

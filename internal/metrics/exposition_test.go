@@ -19,8 +19,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // testSources builds a fully deterministic source set covering every
 // collector path: kernels, evaluators, queries, transfers,
-// reservations, faults, retries, fallbacks, breaker state, memory
-// samples, scheduler health and a traced span.
+// reservations, faults, retries, fallbacks, breaker state, device
+// occupancy, scheduler health and a traced span.
 func testSources(t *testing.T) Sources {
 	t.Helper()
 	m := monitor.New()
@@ -57,8 +57,6 @@ func testSources(t *testing.T) Sources {
 	m.RecordKMVError(0.10)
 	m.RecordFusedChain(1<<20, 1<<19)
 	m.RecordFusedChain(1<<21, 0)
-	m.RecordMemSample(0, vtime.Time(0.001), 1<<20, 1<<30)
-	m.RecordMemSample(0, vtime.Time(0.002), 3<<20, 1<<30)
 
 	spec := vtime.TeslaK40()
 	devices := []*gpu.Device{gpu.NewDevice(0, spec), gpu.NewDevice(1, spec)}
@@ -110,22 +108,17 @@ func golden(t *testing.T, name string, got []byte) {
 }
 
 // TestExpositionGolden locks the full deterministic exposition —
-// ordering, escaping, formatting — behind golden files for both the
-// text and the JSON form.
+// ordering, escaping, formatting — behind a golden file.
 func TestExpositionGolden(t *testing.T) {
 	r := Collect(testSources(t))
-	var text, js bytes.Buffer
+	var text bytes.Buffer
 	if err := r.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateExposition(text.Bytes()); err != nil {
 		t.Fatalf("golden exposition must self-validate: %v", err)
 	}
 	golden(t, "exposition_golden.txt", text.Bytes())
-	golden(t, "metrics_golden.json", js.Bytes())
 }
 
 // TestCollectDeterministic re-collects the same sources and demands

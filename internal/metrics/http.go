@@ -12,7 +12,6 @@ import (
 // function:
 //
 //	/metrics        Prometheus text exposition of Collect(src())
-//	/metrics.json   the same snapshot as structured JSON
 //	/healthz        scheduler device health and circuit-breaker state
 //	/debug/queries  recent per-query rollups + the tracer's flame summary
 //	/debug/explain  run ?q=<sql> and return its EXPLAIN ANALYZE audit
@@ -24,10 +23,6 @@ func AdminMux(src func() Sources) *http.ServeMux {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		Collect(src()).WriteText(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		Collect(src()).WriteJSON(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		writeHealth(w, src())

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -51,7 +50,7 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 		"blu_sched_placements_total{result=\"ok\"} 1",
 		"blu_faults_injected_total{site=\"kernel\"} 1",
 		"blu_device_memory_total_bytes{device=\"0\"}",
-		"blu_device_memory_used_bytes{device=\"0\"} 1048576",
+		"blu_device_reserved_bytes{device=\"0\"} 1048576",
 		"blu_device_quarantined{device=\"1\"} 1",
 		"blu_query_latency_seconds_bucket{query=\"bd-complex-1\",le=\"+Inf\"} 2",
 		"blu_optimizer_decisions_total{decision=\"gpu\",reason=\"eligible\"} 2",
@@ -62,18 +61,6 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)
 		}
-	}
-
-	code, jsBody := get(t, srv, "/metrics.json")
-	if code != http.StatusOK {
-		t.Fatalf("GET /metrics.json: %d", code)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(jsBody), &decoded); err != nil {
-		t.Fatalf("metrics.json is not valid JSON: %v", err)
-	}
-	if _, ok := decoded["families"]; !ok {
-		t.Fatal("metrics.json missing families")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package metrics is the exposition half of the engine's observability
 // stack: a typed metric registry (counters, gauges, label-set
-// histograms) whose contents render as deterministic Prometheus text
-// exposition format and as a structured JSON snapshot, plus the admin
+// histograms) whose contents flatten once into samples that render as
+// deterministic Prometheus text exposition format, plus the admin
 // HTTP surface (/metrics, /healthz, /debug/queries) that bluserve,
 // blubench and blushell mount.
 //

@@ -51,28 +51,6 @@ func TestHistExtremes(t *testing.T) {
 	}
 }
 
-func TestMemSampleCap(t *testing.T) {
-	m := New()
-	const total = 100000
-	for i := 0; i < total; i++ {
-		m.RecordMemSample(1, vtime.Time(float64(i)), int64(i), total)
-	}
-	s := m.MemSeries(1)
-	if len(s) == 0 || len(s) > MaxMemSamples {
-		t.Fatalf("series length = %d, want in (0, %d]", len(s), MaxMemSamples)
-	}
-	// Downsampling must keep the series in time order and spread across
-	// the whole run, not just the head.
-	for i := 1; i < len(s); i++ {
-		if s[i].At.Before(s[i-1].At) {
-			t.Fatalf("series out of order at %d", i)
-		}
-	}
-	if last := s[len(s)-1].At; last < vtime.Time(total/2) {
-		t.Errorf("downsampled series ends at %v, want coverage of the whole run", last)
-	}
-}
-
 func TestQueryRollups(t *testing.T) {
 	m := New()
 	m.RecordQuery("Q1", 10*vtime.Millisecond, true)

@@ -6,9 +6,9 @@
 // own monitoring, folded into the engine's existing monitor. This package
 // plays that role: it is the gpu.EventSink for every device, aggregates
 // kernel and transfer timings by name, tracks evaluator timings on the
-// host side, keeps log-scale latency histograms (p50/p95/p99 per kernel,
-// per evaluator and per query), and samples device-memory utilization
-// over virtual time (the series behind Figure 9).
+// host side, and keeps log-scale latency histograms (p50/p95/p99 per
+// kernel, per evaluator and per query). Device memory is not recorded
+// here: each gpu.Device holds its own occupancy and high-water mark.
 package monitor
 
 import (
@@ -73,26 +73,6 @@ type QueryStats struct {
 	GPURuns uint64
 }
 
-// MemSample is one point of the device-memory utilization series.
-type MemSample struct {
-	At    vtime.Time
-	Used  int64
-	Total int64
-}
-
-// MaxMemSamples bounds the per-device memory series. When the cap is
-// hit the series is stride-downsampled: every second retained sample is
-// dropped and the recording stride doubles, so a run of any length
-// keeps an evenly spread series of at most MaxMemSamples points.
-const MaxMemSamples = 2048
-
-// memSeries is the bounded per-device sample store.
-type memSeries struct {
-	samples []MemSample
-	stride  int // record every stride-th offered sample
-	seen    int // samples offered since the last stride change
-}
-
 type kernelAgg struct {
 	name string
 	hist Hist
@@ -120,7 +100,6 @@ type Monitor struct {
 	queryOrder   []string
 	reserves     uint64
 	reserveFails uint64
-	memSamples   map[int]*memSeries
 	degrade      degradeState
 	// decisions counts optimizer outcomes by (decision, reason); kmvErr
 	// is the KMV estimator relative-error distribution (see estimator.go).
@@ -137,11 +116,10 @@ type Monitor struct {
 // New returns an empty monitor.
 func New() *Monitor {
 	return &Monitor{
-		kernels:    make(map[string]*kernelAgg),
-		evals:      make(map[string]*evalAgg),
-		queries:    make(map[string]*queryAgg),
-		memSamples: make(map[int]*memSeries),
-		degrade:    newDegradeState(),
+		kernels: make(map[string]*kernelAgg),
+		evals:   make(map[string]*evalAgg),
+		queries: make(map[string]*queryAgg),
+		degrade: newDegradeState(),
 	}
 }
 
@@ -236,33 +214,6 @@ func (m *Monitor) FusedStats() (chains uint64, saved, uploaded int64) {
 	return m.fusedChains, m.fusedSaved, m.fusedUploaded
 }
 
-// RecordMemSample appends one device-memory utilization sample, subject
-// to the MaxMemSamples stride-downsampling cap.
-func (m *Monitor) RecordMemSample(device int, at vtime.Time, used, total int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms := m.memSamples[device]
-	if ms == nil {
-		ms = &memSeries{stride: 1}
-		m.memSamples[device] = ms
-	}
-	ms.seen++
-	if (ms.seen-1)%ms.stride != 0 {
-		return
-	}
-	ms.samples = append(ms.samples, MemSample{At: at, Used: used, Total: total})
-	if len(ms.samples) >= MaxMemSamples {
-		// Compact: keep every second sample, double the stride.
-		half := len(ms.samples) / 2
-		for i := 0; i < half; i++ {
-			ms.samples[i] = ms.samples[2*i]
-		}
-		ms.samples = ms.samples[:half]
-		ms.stride *= 2
-		ms.seen = 0
-	}
-}
-
 func kernelSnapshot(a *kernelAgg) KernelStats {
 	p50, p95, p99 := a.hist.Quantiles()
 	return KernelStats{
@@ -344,32 +295,6 @@ func (m *Monitor) ReserveCounts() (uint64, uint64) {
 	return m.reserves, m.reserveFails
 }
 
-// MemSeries returns the memory-utilization samples for one device, in
-// insertion order.
-func (m *Monitor) MemSeries(device int) []MemSample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms := m.memSamples[device]
-	if ms == nil {
-		return nil
-	}
-	out := make([]MemSample, len(ms.samples))
-	copy(out, ms.samples)
-	return out
-}
-
-// Devices returns the ids of devices with memory samples, ascending.
-func (m *Monitor) Devices() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int, 0, len(m.memSamples))
-	for d := range m.memSamples {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Reset clears all telemetry.
 func (m *Monitor) Reset() {
 	m.mu.Lock()
@@ -380,7 +305,6 @@ func (m *Monitor) Reset() {
 	m.queryOrder = nil
 	m.h2d, m.d2h = TransferStats{}, TransferStats{}
 	m.reserves, m.reserveFails = 0, 0
-	m.memSamples = make(map[int]*memSeries)
 	m.degrade = newDegradeState()
 	m.decisions = nil
 	m.kmvErr = Hist{}
@@ -442,25 +366,6 @@ func (m *Monitor) Report(w io.Writer) {
 		for _, q := range queries {
 			fmt.Fprintf(w, "  %-24s runs=%-5d gpu=%-5d total=%-12s p50=%-10s p95=%-10s p99=%-10s max=%s\n",
 				q.Name, q.Count, q.GPURuns, q.Total, q.P50, q.P95, q.P99, q.Max)
-		}
-	}
-	if devs := m.Devices(); len(devs) > 0 {
-		fmt.Fprintf(w, "device memory:\n")
-		for _, d := range devs {
-			series := m.MemSeries(d)
-			var peak, total int64
-			for _, s := range series {
-				if s.Used > peak {
-					peak = s.Used
-				}
-				total = s.Total
-			}
-			pctOf := 0.0
-			if total > 0 {
-				pctOf = float64(peak) / float64(total) * 100
-			}
-			fmt.Fprintf(w, "  gpu%d: %d samples, peak %.1f MB (%.1f%% of capacity)\n",
-				d, len(series), float64(peak)/(1<<20), pctOf)
 		}
 	}
 	m.reportRobustness(w)

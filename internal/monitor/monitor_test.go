@@ -69,25 +69,6 @@ func TestEvaluators(t *testing.T) {
 	}
 }
 
-func TestMemSeries(t *testing.T) {
-	m := New()
-	m.RecordMemSample(0, vtime.Time(1), 4<<30, 12<<30)
-	m.RecordMemSample(0, vtime.Time(2), 8<<30, 12<<30)
-	m.RecordMemSample(1, vtime.Time(1), 1<<30, 12<<30)
-	if got := m.Devices(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("Devices = %v", got)
-	}
-	s := m.MemSeries(0)
-	if len(s) != 2 || s[1].Used != 8<<30 {
-		t.Errorf("series = %+v", s)
-	}
-	// Returned slice is a copy.
-	s[0].Used = 0
-	if m.MemSeries(0)[0].Used != 4<<30 {
-		t.Error("MemSeries must return a copy")
-	}
-}
-
 func TestResetAndReport(t *testing.T) {
 	m := New()
 	m.RecordGPUEvent(gpu.Event{Kind: gpu.EventKernel, Name: "k", Modeled: vtime.Second})
@@ -116,7 +97,6 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				m.RecordGPUEvent(gpu.Event{Kind: gpu.EventKernel, Name: "k", Modeled: vtime.Microsecond})
 				m.RecordEvaluator("HASH", 1, vtime.Nanosecond)
-				m.RecordMemSample(0, vtime.Time(i), int64(i), 100)
 			}
 		}()
 	}
@@ -124,31 +104,13 @@ func TestConcurrentRecording(t *testing.T) {
 	if ks := m.Kernels(); ks[0].Count != 8000 {
 		t.Errorf("kernel count = %d, want 8000", ks[0].Count)
 	}
-	if n := len(m.MemSeries(0)); n == 0 || n > MaxMemSamples {
-		t.Errorf("mem samples = %d, want in (0, %d]", n, MaxMemSamples)
-	}
-}
-
-func TestReportIncludesMemorySummary(t *testing.T) {
-	m := New()
-	m.RecordMemSample(0, vtime.Time(1), 6<<30, 12<<30)
-	m.RecordMemSample(0, vtime.Time(2), 0, 12<<30)
-	var sb strings.Builder
-	m.Report(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "device memory:") || !strings.Contains(out, "gpu0") {
-		t.Errorf("report missing memory summary:\n%s", out)
-	}
-	if !strings.Contains(out, "50.0% of capacity") {
-		t.Errorf("report missing peak percentage:\n%s", out)
-	}
 }
 
 // TestResetClearsEverything populates every aggregate the monitor owns —
 // kernel/evaluator/query histograms, transfer totals, reservation
-// counts, memory series, fault/retry/fallback/breaker counters — and
-// demands that Reset returns each accessor to its zero state, then that
-// recording resumes from scratch rather than on stale histograms.
+// counts, fault/retry/fallback/breaker counters — and demands that
+// Reset returns each accessor to its zero state, then that recording
+// resumes from scratch rather than on stale histograms.
 func TestResetClearsEverything(t *testing.T) {
 	m := New()
 	m.RecordGPUEvent(gpu.Event{Kind: gpu.EventKernel, Name: "k", Modeled: vtime.Millisecond})
@@ -163,7 +125,6 @@ func TestResetClearsEverything(t *testing.T) {
 	m.RecordFallback("groupby", false)
 	m.RecordBreaker(0, true)
 	m.RecordBreaker(0, false)
-	m.RecordMemSample(0, vtime.Time(1), 1<<20, 1<<30)
 
 	m.Reset()
 
@@ -182,12 +143,6 @@ func TestResetClearsEverything(t *testing.T) {
 	}
 	if ok, fail := m.ReserveCounts(); ok != 0 || fail != 0 {
 		t.Errorf("ReserveCounts after Reset = %d, %d", ok, fail)
-	}
-	if n := len(m.Devices()); n != 0 {
-		t.Errorf("Devices after Reset = %v", m.Devices())
-	}
-	if n := len(m.MemSeries(0)); n != 0 {
-		t.Errorf("MemSeries after Reset = %d samples", n)
 	}
 	if n := m.FaultTotal(); n != 0 {
 		t.Errorf("FaultTotal after Reset = %d", n)

@@ -43,8 +43,6 @@ func TestReportGolden(t *testing.T) {
 	m.RecordGPURetry("place", true)
 	m.RecordFallback("groupby", false)
 	m.RecordBreaker(1, true)
-	m.RecordMemSample(0, vtime.Time(0.001), 1<<20, 1<<30)
-	m.RecordMemSample(0, vtime.Time(0.002), 3<<20, 1<<30)
 
 	var got bytes.Buffer
 	m.Report(&got)

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"blugpu/internal/metrics"
 )
 
 // dashPanel is one sparkline panel on /debug/dash.
@@ -81,7 +83,7 @@ func (s *Store) handleDash(w http.ResponseWriter, req *http.Request) {
 	for _, st := range snap.States {
 		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td class=%q>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
 			html.EscapeString(st.Name), html.EscapeString(st.Severity), st.State, st.State,
-			html.EscapeString(st.Since), formatVal(st.Value), html.EscapeString(st.Summary))
+			html.EscapeString(st.Since), metrics.FormatValue(st.Value), html.EscapeString(st.Summary))
 	}
 	b.WriteString("</table>\n")
 
@@ -91,7 +93,7 @@ func (s *Store) handleDash(w http.ResponseWriter, req *http.Request) {
 		for i := len(snap.Transitions) - 1; i >= 0; i-- {
 			tr := snap.Transitions[i]
 			fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td class=%q>%s</td><td>%s</td></tr>\n",
-				html.EscapeString(tr.At), html.EscapeString(tr.Alert), tr.To, tr.To, formatVal(tr.Value))
+				html.EscapeString(tr.At), html.EscapeString(tr.Alert), tr.To, tr.To, metrics.FormatValue(tr.Value))
 		}
 		b.WriteString("</table>\n")
 	}
@@ -162,7 +164,7 @@ func writeSparkline(b *strings.Builder, series []RangeSeries, unit string) {
 		last := rs.Points[len(rs.Points)-1].V
 		label := seriesLegend(rs)
 		fmt.Fprintf(b, "<div class=\"leg\"><span style=\"color:%s\">—</span> %s: %s%s</div>\n",
-			color, html.EscapeString(label), formatVal(last), html.EscapeString(unit))
+			color, html.EscapeString(label), metrics.FormatValue(last), html.EscapeString(unit))
 	}
 }
 

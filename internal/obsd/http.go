@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"blugpu/internal/metrics"
 )
 
 // Mount registers the store's HTTP surface:
@@ -64,7 +66,7 @@ func parseStep(s string) (time.Duration, error) {
 type promPair RangePoint
 
 func (p promPair) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf(`[%s,%q]`, strconv.FormatFloat(p.T, 'f', 3, 64), formatVal(p.V))), nil
+	return []byte(fmt.Sprintf(`[%s,%q]`, strconv.FormatFloat(p.T, 'f', 3, 64), metrics.FormatValue(p.V))), nil
 }
 
 // promSeries is one matrix/vector entry in the Prometheus API shape.

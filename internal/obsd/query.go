@@ -394,7 +394,7 @@ func histogramQuantile(phi float64, bucketName string, in []samplePoint) []sampl
 		if !haveLe {
 			continue
 		}
-		gk := seriesKey(name, rest)
+		gk := metrics.SeriesID(name, rest)
 		g, ok := groups[gk]
 		if !ok {
 			g = &struct {

@@ -20,9 +20,7 @@
 package obsd
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -168,28 +166,6 @@ func (s *Store) SetRules(rules []Rule) error {
 	return s.engine.setRules(rules)
 }
 
-// seriesKey renders the canonical series identity — the exposition
-// sample line's left-hand side.
-func seriesKey(name string, labels []metrics.Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(l.Value)
-		b.WriteString(`"`)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
 // Scrape takes one sample+evaluate cycle at the injected clock's
 // current time: collect the sources into a fresh registry, flatten it
 // into sample points, append each to its ring, then evaluate the alert
@@ -207,7 +183,7 @@ func (s *Store) Scrape() {
 
 	s.mu.Lock()
 	for _, sm := range samples {
-		key := seriesKey(sm.Name, sm.Labels)
+		key := metrics.SeriesID(sm.Name, sm.Labels)
 		sr, ok := s.series[key]
 		if !ok {
 			if len(s.series) >= s.maxSeries {
@@ -309,13 +285,4 @@ func labelsToMap(name string, labels []metrics.Label) map[string]string {
 		m[l.Name] = l.Value
 	}
 	return m
-}
-
-// formatVal renders a sample value like the text exposition: integers
-// plain, everything else shortest-roundtrip 'g'.
-func formatVal(v float64) string {
-	if v == float64(int64(v)) && v < 1e15 && v > -1e15 {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
 }

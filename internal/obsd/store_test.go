@@ -3,10 +3,13 @@ package obsd
 import (
 	"bytes"
 	"flag"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"blugpu/internal/gpu"
 	"blugpu/internal/metrics"
 	"blugpu/internal/monitor"
 	"blugpu/internal/qlog"
@@ -468,5 +471,60 @@ func TestStartStop(t *testing.T) {
 	e.store.Stop()
 	if e.store.ObsSnapshot().Scrapes == 0 {
 		t.Fatal("background scraper took no scrapes")
+	}
+}
+
+// TestThreeViewsOfOneScrape: the exposition's sample lines, the
+// registry's flattened Samples and the series the store keeps after one
+// scrape are one list. The store keeps its series in identity order, so
+// its list is held to the exposition's lines sorted. A query name that
+// needs escaping checks that the store keys a series by the exposition's
+// own identity.
+func TestThreeViewsOfOneScrape(t *testing.T) {
+	m := monitor.New()
+	m.RecordGPUEvent(gpu.Event{Kind: gpu.EventKernel, Name: "grpby_k1", Modeled: 2 * vtime.Millisecond})
+	m.RecordGPUEvent(gpu.Event{Kind: gpu.EventKernel, Name: "grpby_k2", Modeled: 300 * vtime.Microsecond})
+	m.RecordQuery(`say "hi" \ bye`, 1500*vtime.Microsecond, true)
+	src := metrics.Sources{Monitor: m}
+	r := metrics.Collect(src)
+
+	var text bytes.Buffer
+	if err := r.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, l := range strings.Split(strings.TrimSuffix(text.String(), "\n"), "\n") {
+		if !strings.HasPrefix(l, "#") {
+			lines = append(lines, l)
+		}
+	}
+	var flat []string
+	histogram := false
+	for _, sm := range r.Samples() {
+		flat = append(flat, metrics.SeriesID(sm.Name, sm.Labels)+" "+metrics.FormatValue(sm.Value))
+		histogram = histogram || strings.HasSuffix(sm.Name, "_bucket")
+	}
+	if !histogram {
+		t.Fatal("scrape has no histogram family")
+	}
+	if strings.Join(flat, "\n") != strings.Join(lines, "\n") {
+		t.Fatalf("Samples() differs from WriteText's sample lines\n--- samples ---\n%s\n--- text ---\n%s",
+			strings.Join(flat, "\n"), strings.Join(lines, "\n"))
+	}
+
+	s := New(Options{Clock: func() time.Time { return baseTime }, Sources: func() metrics.Sources { return src }})
+	s.Scrape()
+	var held []string
+	for _, k := range s.keys {
+		sr := s.series[k]
+		if sr.ring.n != 1 {
+			t.Fatalf("%s holds %d points after one scrape", k, sr.ring.n)
+		}
+		held = append(held, k+" "+metrics.FormatValue(sr.ring.at(0).v))
+	}
+	sort.Strings(lines)
+	if strings.Join(held, "\n") != strings.Join(lines, "\n") {
+		t.Fatalf("store series differ from the exposition\n--- store ---\n%s\n--- text ---\n%s",
+			strings.Join(held, "\n"), strings.Join(lines, "\n"))
 	}
 }

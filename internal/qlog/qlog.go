@@ -188,103 +188,92 @@ func (l *Logger) Records() uint64 {
 	return l.records
 }
 
-// Validate checks a query-log stream line by line: every line must
-// decode as a Record with a known schema, event and outcome, a
-// non-empty request ID, a parseable timestamp, and non-negative phase
-// and total times. Decode runs it first, so every test that decodes a
+// Decode parses a query-log stream into records, skipping blank lines.
+// Every line must decode as a Record with a known schema, event and
+// outcome, a non-empty request ID, a parseable timestamp, and
+// non-negative phase and total times, so every test that decodes a
 // server's log (TestRequestIDJoin, TestQlogOutcomeLedger) holds the log
-// to it.
-func Validate(data []byte) error {
+// to that.
+func Decode(data []byte) ([]Record, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var out []Record
 	line := 0
-	seen := 0
 	for sc.Scan() {
 		line++
 		text := bytes.TrimSpace(sc.Bytes())
 		if len(text) == 0 {
 			continue
 		}
-		seen++
-		var rec Record
-		dec := json.NewDecoder(bytes.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return fmt.Errorf("qlog: line %d: %w", line, err)
-		}
-		switch {
-		case rec.Schema != Schema:
-			return fmt.Errorf("qlog: line %d: schema %d, want %d", line, rec.Schema, Schema)
-		case !validEvents[rec.Event]:
-			return fmt.Errorf("qlog: line %d: unknown event %q", line, rec.Event)
-		case rec.TotalMs < 0:
-			return fmt.Errorf("qlog: line %d: negative total_ms", line)
-		}
-		if rec.Event == EventAlert {
-			// Alert transitions carry no request or outcome; they must
-			// name the rule and a known destination state instead.
-			switch {
-			case rec.Alert == "":
-				return fmt.Errorf("qlog: line %d: alert event missing alert name", line)
-			case !validAlertStates[rec.AlertState]:
-				return fmt.Errorf("qlog: line %d: unknown alert_state %q", line, rec.AlertState)
-			}
-		} else {
-			switch {
-			case rec.RequestID == "":
-				return fmt.Errorf("qlog: line %d: missing request_id", line)
-			case !validOutcomes[rec.Outcome]:
-				return fmt.Errorf("qlog: line %d: unknown outcome %q", line, rec.Outcome)
-			}
-		}
-		if _, err := time.Parse(time.RFC3339Nano, rec.TS); err != nil {
-			return fmt.Errorf("qlog: line %d: bad ts: %w", line, err)
-		}
-		for _, ph := range []struct {
-			name string
-			v    float64
-		}{
-			{"queue_wait_ms", rec.Phases.QueueWaitMs},
-			{"admission_ms", rec.Phases.AdmissionMs},
-			{"parse_ms", rec.Phases.ParseMs},
-			{"plan_ms", rec.Phases.PlanMs},
-			{"exec_ms", rec.Phases.ExecMs},
-			{"serialize_ms", rec.Phases.SerializeMs},
-		} {
-			if ph.v < 0 {
-				return fmt.Errorf("qlog: line %d: negative %s", line, ph.name)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("qlog: %w", err)
-	}
-	if seen == 0 {
-		return fmt.Errorf("qlog: empty log")
-	}
-	return nil
-}
-
-// Decode parses a query-log stream into records (skipping blank lines).
-func Decode(data []byte) ([]Record, error) {
-	if err := Validate(data); err != nil {
-		return nil, err
-	}
-	var out []Record
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(text, &rec); err != nil {
-			return nil, err
+		rec, err := decodeRecord(text)
+		if err != nil {
+			return nil, fmt.Errorf("qlog: line %d: %w", line, err)
 		}
 		out = append(out, rec)
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("qlog: %w", err)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("qlog: empty log")
+	}
+	return out, nil
+}
+
+// decodeRecord decodes and checks one line of the stream.
+func decodeRecord(text []byte) (Record, error) {
+	var rec Record
+	dec := json.NewDecoder(bytes.NewReader(text))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return rec, err
+	}
+	switch {
+	case dec.InputOffset() != int64(len(text)):
+		return rec, fmt.Errorf("data after the record")
+	case rec.Schema != Schema:
+		return rec, fmt.Errorf("schema %d, want %d", rec.Schema, Schema)
+	case !validEvents[rec.Event]:
+		return rec, fmt.Errorf("unknown event %q", rec.Event)
+	case rec.TotalMs < 0:
+		return rec, fmt.Errorf("negative total_ms")
+	}
+	if rec.Event == EventAlert {
+		// Alert transitions carry no request or outcome; they must
+		// name the rule and a known destination state instead.
+		switch {
+		case rec.Alert == "":
+			return rec, fmt.Errorf("alert event missing alert name")
+		case !validAlertStates[rec.AlertState]:
+			return rec, fmt.Errorf("unknown alert_state %q", rec.AlertState)
+		}
+	} else {
+		switch {
+		case rec.RequestID == "":
+			return rec, fmt.Errorf("missing request_id")
+		case !validOutcomes[rec.Outcome]:
+			return rec, fmt.Errorf("unknown outcome %q", rec.Outcome)
+		}
+	}
+	if _, err := time.Parse(time.RFC3339Nano, rec.TS); err != nil {
+		return rec, fmt.Errorf("bad ts: %w", err)
+	}
+	for _, ph := range []struct {
+		name string
+		v    float64
+	}{
+		{"queue_wait_ms", rec.Phases.QueueWaitMs},
+		{"admission_ms", rec.Phases.AdmissionMs},
+		{"parse_ms", rec.Phases.ParseMs},
+		{"plan_ms", rec.Phases.PlanMs},
+		{"exec_ms", rec.Phases.ExecMs},
+		{"serialize_ms", rec.Phases.SerializeMs},
+	} {
+		if ph.v < 0 {
+			return rec, fmt.Errorf("negative %s", ph.name)
+		}
+	}
+	return rec, nil
 }
 
 // ctxKey keys the request ID on a context.Context.

@@ -13,6 +13,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// Validate checks a query-log stream as Decode does, without keeping
+// the records.
+func Validate(data []byte) error {
+	_, err := Decode(data)
+	return err
+}
+
 // fixedClock steps one second per call from a pinned instant, so the
 // golden log is byte-stable.
 func fixedClock() func() time.Time {

@@ -12,7 +12,7 @@ type Config struct {
 	// MaxBytes rotates the file before a write would push it past this
 	// size. Rotation happens only at whole-record boundaries — the
 	// Logger writes exactly one record per Write call — so every
-	// generation is independently Validate/Decode-clean.
+	// generation is independently Decode-clean.
 	MaxBytes int64
 	// Keep is how many rotated generations to retain (path.1 newest …
 	// path.Keep oldest). 0 defaults to 3 when MaxBytes is set.
