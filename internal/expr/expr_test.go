@@ -221,3 +221,53 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("In rendering = %q", got)
 	}
 }
+
+// TestColumns: Columns names each referenced column once, in the order
+// of first use, through every node that holds a sub-expression, and
+// returns nil for an expression that references none.
+func TestColumns(t *testing.T) {
+	e := &Logic{
+		Op: Or,
+		Left: &Logic{
+			Op:    And,
+			Left:  &Cmp{Op: Gt, Left: &Arith{Op: Add, Left: &Col{"b"}, Right: &Col{"a"}}, Right: Int(1)},
+			Right: &Not{&Between{X: &Col{"c"}, Lo: &Col{"a"}, Hi: &Col{"d"}}},
+		},
+		Right: &Logic{
+			Op:    And,
+			Left:  &In{X: &Col{"e"}, Vals: []columnar.Value{columnar.IntValue(1)}},
+			Right: &IsNull{X: &Col{"b"}, Negate: true},
+		},
+	}
+	if got, want := Columns(e), []string{"b", "a", "c", "d", "e"}; !slices.Equal(got, want) {
+		t.Errorf("Columns = %v, want %v", got, want)
+	}
+	if got := Columns(&Cmp{Op: Eq, Left: Int(1), Right: Str("x")}); got != nil {
+		t.Errorf("Columns of a constant expression = %v, want nil", got)
+	}
+}
+
+// TestColumnsAllocatesOnlyItsResult: Columns runs for every plan node
+// and fused stage, so a call allocates no more than appending its
+// result's names, one by one, to an empty slice does. Ten columns take
+// a set past the size it could keep on the stack.
+func TestColumnsAllocatesOnlyItsResult(t *testing.T) {
+	var e Expr = Int(0)
+	for _, name := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} {
+		e = &Arith{Op: Add, Left: e, Right: &Arith{Op: Mul, Left: &Col{name}, Right: &Col{"a"}}}
+	}
+	names := Columns(e)
+	if len(names) != 10 {
+		t.Fatalf("Columns = %v, want 10 names", names)
+	}
+	var sink []string
+	result := testing.AllocsPerRun(100, func() {
+		sink = nil
+		for _, name := range names {
+			sink = append(sink, name)
+		}
+	})
+	if allocs := testing.AllocsPerRun(100, func() { sink = Columns(e) }); allocs > result {
+		t.Errorf("Columns allocates %.0f times; its result alone takes %.0f", allocs, result)
+	}
+}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,6 +164,63 @@ func TestLabelValueEscaping(t *testing.T) {
 	}
 	if err := ValidateExposition(b.Bytes()); err != nil {
 		t.Fatalf("escaped exposition must validate: %v", err)
+	}
+}
+
+// TestSeriesID: a series identity is the left-hand side of its
+// exposition line — a bare name without labels, label values escaped
+// as WriteText escapes them — so a store keyed by it names a series
+// the way a scrape does.
+func TestSeriesID(t *testing.T) {
+	for _, c := range []struct {
+		labels []Label
+		want   string
+	}{
+		{nil, `c_total`},
+		{[]Label{L("k", "plain")}, `c_total{k="plain"}`},
+		{[]Label{L("a", "x"), L("k", "y")}, `c_total{a="x",k="y"}`},
+		{[]Label{L("k", `back\slash`)}, `c_total{k="back\\slash"}`},
+		{[]Label{L("k", `"quoted"`)}, `c_total{k="\"quoted\""}`},
+		{[]Label{L("k", "new\nline")}, `c_total{k="new\nline"}`},
+	} {
+		if got := SeriesID("c_total", c.labels); got != c.want {
+			t.Errorf("SeriesID(%v) = %s, want %s", c.labels, got, c.want)
+		}
+		r := NewRegistry()
+		r.Counter("c_total", "h").With(c.labels...).Add(2)
+		var b bytes.Buffer
+		if err := r.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), "\n"+c.want+" 2\n") {
+			t.Errorf("exposition has no line %q:\n%s", c.want+" 2", b.String())
+		}
+	}
+}
+
+// TestFormatValue: integers print without exponent or decimal point up
+// to 1e15, other values in Go's shortest 'g' form, and the three
+// non-finite values by their exposition spellings.
+func TestFormatValue(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{
+		{0, "0"},
+		{3, "3"},
+		{-42, "-42"},
+		{1 << 30, "1073741824"},
+		{999999999999999, "999999999999999"},
+		{1e15, "1e+15"},
+		{0.25, "0.25"},
+		{1.5e-7, "1.5e-07"},
+		{math.Inf(+1), "+Inf"},
+		{math.Inf(-1), "-Inf"},
+		{math.NaN(), "NaN"},
+	} {
+		if got := FormatValue(c.v); got != c.want {
+			t.Errorf("FormatValue(%v) = %s, want %s", c.v, got, c.want)
+		}
 	}
 }
 
