@@ -62,6 +62,71 @@ func lowerAggs(aggs []plan.AggItem) ([]evaluator.AggColumn, []aggPlanItem, error
 	return cols, items, nil
 }
 
+// estimate is Figure 3's one estimate for the group-by n, lowered to
+// aggs, over rows input rows: EXPLAIN's prognosis passes the plan-time
+// count, the runtime decision the exact one. Groups are the product of
+// each key's NDV, read from the statistics of the table that owns its
+// column, capped at rows; the memory demand is bounded from those groups.
+// It reads no row, so the decision is made before the key evaluators run.
+func (e *Engine) estimate(n *plan.Aggregate, aggs []evaluator.AggColumn, rows int64) optimizer.Estimate {
+	keys := make([]*optimizer.ColumnStats, len(n.Keys))
+	for i, k := range n.Keys {
+		keys[i] = e.keyStats(n.Input, k)
+	}
+	payloads := 0
+	for _, a := range aggs {
+		if a.Column != "" {
+			payloads++
+		}
+	}
+	groups := int64(optimizer.EstimateGroups(keys, rows))
+	return optimizer.Estimate{
+		Rows:         rows,
+		Groups:       groups,
+		MemoryDemand: groupby.DemandBound(max(rows, 0), groups, optimizer.KeyBits(keys), len(keys), len(aggs), payloads),
+	}
+}
+
+// keyStats finds the statistics of the column col as the plan below
+// reads it: the stats of the first joined or scanned table down the
+// spine that owns it, nil when a derived column, a window's output or an
+// inner aggregate's output produces it first.
+func (e *Engine) keyStats(n plan.Node, col string) *optimizer.ColumnStats {
+	for cur := n; cur != nil; cur = plan.Input(cur) {
+		var table string
+		switch x := cur.(type) {
+		case *plan.Derive:
+			for _, dc := range x.Cols {
+				if dc.Name == col {
+					return nil
+				}
+			}
+		case *plan.Project:
+			for _, dc := range x.Cols {
+				if dc.Name == col {
+					return nil
+				}
+			}
+		case *plan.Window:
+			if x.Out == col {
+				return nil
+			}
+		case *plan.Aggregate:
+			return nil
+		case *plan.Join:
+			table = x.Table
+		case *plan.Scan:
+			table = x.Table
+		}
+		if ts := e.stats[table]; ts != nil {
+			if cs, ok := ts.Columns[col]; ok {
+				return &cs
+			}
+		}
+	}
+	return nil
+}
+
 func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// Fusion planning happens before the descent: the chain record rides
 	// the query context so the filter/derive hooks can capture the entry
@@ -90,14 +155,16 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		e.entryKeys(cr, f)
 	}
 
-	// Figure 3's first decision happens before the chain runs: the exact
-	// input row count is known, so small (<= T1) and oversized (> T3)
-	// queries take the original Figure-1 CPU chain with no MEMCPY
-	// evaluator. Everything else runs the Figure-2 GPU chain, which
-	// stages into pinned memory as it goes.
+	// Figure 3 decides once, before the evaluator chain runs, on the exact
+	// input row count and the group count and memory demand estimated from
+	// table statistics: small (<= T1), few-group (<= T2), oversized (> T3)
+	// and memory-gated group-bys take the original Figure-1 CPU chain with
+	// no MEMCPY evaluator. Everything else runs the Figure-2 GPU chain,
+	// which stages into pinned memory as it goes. The KMV sketch the chain
+	// builds only sizes the device's hash table.
 	rows := int64(f.Len())
-	pre, _ := optimizer.Decide(optimizer.Estimate{Rows: rows}, e.thresholds, e.maxDeviceMem())
-	preGPU := pre == optimizer.UseGPU
+	est := e.estimate(n, cols, rows)
+	decision, reason := optimizer.Decide(est, e.thresholds, e.maxDeviceMem())
 
 	// Host evaluator chain: LCOG/LCOV/CCAT/HASH(+KMV)[+MEMCPY], reading
 	// each column through its part's row list; charged below.
@@ -106,7 +173,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		Model:    e.model,
 		Degree:   e.cfg.Degree,
 		Registry: e.registry,
-		Stage:    preGPU,
+		Stage:    decision == optimizer.UseGPU,
 	})
 	if err != nil {
 		return row.fail(err)
@@ -118,36 +185,42 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 
 	in := chain.Input
 	demand := groupby.MemoryDemand(in)
-	// Second decision, now with the KMV group estimate and the exact
-	// memory demand.
-	decision, reason := optimizer.Decide(optimizer.Estimate{
-		Rows:         rows,
-		Groups:       int64(in.EstGroups),
-		MemoryDemand: demand,
-	}, e.thresholds, e.maxDeviceMem())
-	if !preGPU {
-		decision = optimizer.UseCPU
-	}
 
-	// The chain is charged by the path that reads its output. The
-	// decision reads only the key evaluators' KMV estimate, and a fused
-	// chain reads nothing more — fused_pack loads and packs the payloads
-	// on the device — so a group-by that may fuse is charged its Keys now,
-	// LCOV only once the CPU or the staged path runs, and MEMCPY only once
-	// the staged path does. Any other group-by is charged its whole chain
-	// now: Figure 1's, or Figure 2's, which stages as it goes. keysT is
-	// the key evaluators' time, the window a fused chain's fills overlap.
+	// The chain is charged by the path that reads its output. A group-by
+	// that may fuse is charged LCOV only once the CPU or the staged path
+	// runs, and MEMCPY only once the staged path does: fused_pack loads and
+	// packs the payloads on the device. Its keys go where its entry's
+	// columns are. When they are all resident on the device the chain
+	// prefers, fused_pack builds the keys there too, and a path that leaves
+	// the chain is charged them first. Otherwise the entry must fill, and
+	// the key evaluators are charged now: keysT is their time, the window
+	// the fills overlap. Any other group-by is charged its whole chain now:
+	// Figure 1's, or Figure 2's, which stages as it goes.
 	charge := func(evals ...evaluator.Eval) vtime.Duration {
 		d := evaluator.Charge(e.mon, row.sp, f.at(), evals...)
 		e.addCPU(f, d)
 		return d
 	}
 	mayFuse := decision == optimizer.UseGPU && cr != nil
+	var prefer *gpu.Device
 	var keysT vtime.Duration
+	deviceKeys := 0
 	if mayFuse {
-		keysT = charge(chain.Keys()...)
+		if p, miss := e.fusedPrefer(cr); miss == 0 {
+			prefer, deviceKeys = p, len(n.Keys)
+		} else {
+			prefer, keysT = p, charge(chain.Keys()...)
+		}
 	} else {
 		charge(chain.Chain()...)
+	}
+	// leave charges a path that leaves the fused chain what it reads on the
+	// host: the keys, unless the fill's window was charged them, then evals.
+	leave := func(evals ...evaluator.Eval) {
+		if deviceKeys > 0 {
+			evals = append(chain.Keys(), evals...)
+		}
+		charge(evals...)
 	}
 	// Cancellation checked here (not in the GPU error path below): a
 	// canceled query must abort, never be mistaken for a GPU fault that
@@ -177,10 +250,10 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		gpuStart := time.Now()
 		var gerr error
 		if mayFuse {
-			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, keysT, f, row.sp)
+			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, prefer, deviceKeys, keysT, f, row.sp)
 			if ginfo.declined {
 				// The staged path reads the staged payloads.
-				charge(chain.Loads()...)
+				leave(chain.Loads()...)
 				mayFuse = false
 			}
 		}
@@ -212,7 +285,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	if out == nil {
 		if mayFuse {
 			// The fused attempt faulted: the CPU path reads LCOV's payloads.
-			charge(chain.LCOV)
+			leave(chain.LCOV)
 		}
 		cpuAt := f.at()
 		cpuStart := time.Now()
@@ -263,11 +336,12 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	rec := &explain.AggRecord{
 		Keys:          n.Keys,
 		InputRows:     rows,
+		Groups:        est.Groups,
 		EstGroups:     int64(in.EstGroups),
 		ActualGroups:  int64(out.Groups),
 		Kept:          int64(out.Stats.Kept),
 		RelErr:        relErr,
-		MemoryDemand:  demand,
+		MemoryDemand:  est.MemoryDemand,
 		Decision:      decision.String(),
 		Reason:        reason.String(),
 		Path:          detail,
@@ -279,6 +353,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	if fx != nil {
 		rec.Fused = true
 		rec.FusedStages = len(cr.stages)
+		rec.DeviceKeys = deviceKeys > 0
 		rec.SavedBytes = fx.saved
 		rec.UploadBytes = fx.uploaded
 		rec.ChainHighWater = fx.highWater

@@ -386,34 +386,30 @@ func (e *Engine) Explain(sql string) (string, error) {
 // prognosis computes the plan-time Figure-3 prognosis for the plan's
 // Aggregate, nil when it has none: a plan has at most one. EXPLAIN
 // renders it; EXPLAIN ANALYZE pairs it with the executed group-by's row.
+// Its row count is the leftmost scan's table rows (filters and joins are
+// unknown until run time: the count is the upper bound the optimizer
+// has), -1 when that table has no statistics.
 func (e *Engine) prognosis(n plan.Node) *optimizer.Prognosis {
 	var agg *plan.Aggregate
-	// Estimate base cardinality: the scan's table rows (filters unknown
-	// until runtime; the estimate is the upper bound the optimizer has).
-	var ts *optimizer.TableStats
+	var baseRows int64 = -1
 	for cur := n; cur != nil; cur = plan.Input(cur) {
 		switch x := cur.(type) {
 		case *plan.Aggregate:
 			agg = x
 		case *plan.Scan:
-			ts = e.stats[x.Table]
+			if ts := e.stats[x.Table]; ts != nil {
+				baseRows = int64(ts.Rows)
+			}
 		}
 	}
 	if agg == nil {
 		return nil
 	}
-	var baseRows int64 = -1
-	var groups uint64
-	if ts != nil {
-		baseRows = int64(ts.Rows)
-		groups = ts.EstimateGroups(agg.Keys, baseRows)
+	cols, _, err := lowerAggs(agg.Aggs)
+	if err != nil {
+		return nil
 	}
-	pr := optimizer.Prognose(agg.Keys, optimizer.Estimate{
-		Rows:   baseRows,
-		Groups: int64(groups),
-		// Rough demand: rows * (key + payload vectors).
-		MemoryDemand: baseRows * int64(8*(1+len(agg.Aggs))),
-	}, e.thresholds, e.maxDeviceMem())
+	pr := optimizer.Prognose(agg.Keys, e.estimate(agg, cols, baseRows), e.thresholds, e.maxDeviceMem())
 	return &pr
 }
 

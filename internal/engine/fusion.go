@@ -172,19 +172,41 @@ func (cr *chainRec) scratchBytes() int64 {
 	return b
 }
 
+// fusedPrefer picks the device a fused chain tries first, the one with
+// the fewest miss bytes for the chain's entry columns, and returns those
+// misses. The column cache is per-device, and the scheduler's free-memory
+// ranking would otherwise steer successive chains *away* from the warm
+// device (its resident bytes read as load); ties resolve to the first
+// device, concentrating fills instead of duplicating them per device.
+func (e *Engine) fusedPrefer(cr *chainRec) (*gpu.Device, int64) {
+	devs := e.sched.Devices()
+	prefer, bestMiss := devs[0], e.fcache.MissBytes(devs[0].ID(), cr.entry)
+	for _, d := range devs[1:] {
+		if miss := e.fcache.MissBytes(d.ID(), cr.entry); miss < bestMiss {
+			prefer, bestMiss = d, miss
+		}
+	}
+	return prefer, bestMiss
+}
+
 // runAggregateFused attempts the group-by as a fused device chain through
-// onDevice. The returned info is declined when the chain gave way — the
-// caller then runs the staged path exactly as it would without fusion. An
-// error that is not a decline is a mid-chain fault on every attempt: each
-// chain spilled and released, and the caller routes to the CPU.
+// onDevice, on prefer first. The returned info is declined when the chain
+// gave way — the caller then runs the staged path exactly as it would
+// without fusion. An error that is not a decline is a mid-chain fault on
+// every attempt: each chain spilled and released, and the caller routes
+// to the CPU.
 //
-// overlap is the key evaluators' time (LCOG/CCAT/HASH), the host work
-// the query has been charged before the attempt: cache fills are DMA
-// streams that run concurrently with it (the same overlap idiom as
+// deviceKeys, when not 0, is the grouping key columns fused_pack builds
+// as well: it reads each, packs it, hashes the row and feeds the device's
+// KMV sketch, which only sizes the device's table. The caller passes them
+// when the entry is resident on prefer and charges the host key
+// evaluators otherwise. overlap is their time (LCOG/CCAT/HASH), the host work the
+// query has been charged before the attempt: cache fills are DMA streams
+// that run concurrently with it (the same overlap idiom as
 // gpu.PipelineTime), so only fill time in excess of the window is charged
 // to the query. The fill bytes are never discounted — the H2D counters
 // see every uploaded byte.
-func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, opts groupby.GPUOptions, overlap vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
+func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, opts groupby.GPUOptions, prefer *gpu.Device, deviceKeys int, overlap vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
 	if in.NumRows == 0 {
 		return nil, nil, gpuRunInfo{declined: true}, nil
 	}
@@ -194,19 +216,11 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	// + hash tables + result) plus the stage intermediates, with a little
 	// slack for word-rounding of the packed image.
 	chainDemand := demand + cr.scratchBytes() + 64
-
-	// Cache affinity: the column cache is per-device, and the scheduler's
-	// free-memory ranking would otherwise steer successive chains *away*
-	// from the warm device (its resident bytes read as load). Prefer the
-	// device with the fewest miss bytes for this chain's columns; ties
-	// resolve to the first device, concentrating fills instead of
-	// duplicating them per device.
-	devs := e.sched.Devices()
-	prefer, bestMiss := devs[0], e.fcache.MissBytes(devs[0].ID(), cr.entry)
-	for _, d := range devs[1:] {
-		if miss := e.fcache.MissBytes(d.ID(), cr.entry); miss < bestMiss {
-			prefer, bestMiss = d, miss
-		}
+	// fused_pack streams the surviving rows once; building the keys adds a
+	// read of each key column and the hash of the row.
+	packWork := float64(in.NumRows)
+	if deviceKeys > 0 {
+		packWork += float64(in.NumRows * (deviceKeys + 1))
 	}
 
 	var out *groupby.Result
@@ -277,8 +291,9 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		// Pack the surviving rows into the group-by's compressed input layout
 		// (keys + payload codes) — the fused replacement for the staged
 		// path's host-side LCOV + MEMCPY + H2D upload, so a fused group-by
-		// is charged neither evaluator.
-		if err := runStage("fused_pack", packWords, float64(in.NumRows)); err != nil {
+		// is charged neither evaluator, nor its key evaluators when the
+		// keys are built here.
+		if err := runStage("fused_pack", packWords, packWork); err != nil {
 			return fault(err)
 		}
 

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"blugpu/internal/bsort"
+	"blugpu/internal/expr"
+	"blugpu/internal/plan"
 	"blugpu/internal/sqlparse"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
@@ -180,6 +184,63 @@ func TestPrognosisOnlyForAggregate(t *testing.T) {
 		}
 		if pr.Estimate.Rows != 1000 {
 			t.Errorf("%s: prognosis estimate %d rows, want the scan's 1000", c.sql, pr.Estimate.Rows)
+		}
+	}
+}
+
+// TestOneEstimate: Figure 3's one estimate reads each key column's NDV
+// from the statistics of the table that owns it — a fact key and a joined
+// dimension's key each their own — counts sqrt(rows) for a derived key,
+// and caps the product at rows. EXPLAIN's prognosis and the runtime
+// decision run the same function, so on an unfiltered input EXPLAIN's
+// groups~ is the runtime estimate.
+func TestOneEstimate(t *testing.T) {
+	const rows = 120_000
+	e := newTestEngine(t, rows)
+	sales := &plan.Scan{Table: "sales"}
+	joined := &plan.Join{Left: sales, Table: "stores", LeftCol: "s_store_sk", RightCol: "st_store_sk"}
+	derived := &plan.Derive{Input: sales, Cols: []plan.DerivedCol{{Name: "_k", Expr: expr.Int(1)}}}
+	for _, c := range []struct {
+		name  string
+		input plan.Node
+		keys  []string
+		rows  int64
+		want  int64
+	}{
+		{"fact and dimension keys", joined, []string{"s_month", "st_region"}, rows, 12 * 2},
+		{"dimension key", joined, []string{"st_name"}, rows, 10},
+		{"derived key", derived, []string{"_k", "s_month"}, rows, int64(12*math.Sqrt(rows) + 0.5)},
+		{"capped at rows", joined, []string{"s_month", "st_name"}, 100, 100},
+	} {
+		est := e.estimate(&plan.Aggregate{Input: c.input, Keys: c.keys}, nil, c.rows)
+		if est.Rows != c.rows || est.Groups != c.want {
+			t.Errorf("%s: estimate %d rows %d groups, want %d rows %d groups", c.name, est.Rows, est.Groups, c.rows, c.want)
+		}
+		if est.MemoryDemand <= 0 {
+			t.Errorf("%s: no memory demand", c.name)
+		}
+	}
+
+	const sql = "SELECT s_month, st_region, SUM(s_qty) AS t FROM sales JOIN stores ON s_store_sk = st_store_sk GROUP BY s_month, st_region"
+	text, err := e.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "groups~24 ") {
+		t.Errorf("EXPLAIN does not estimate 24 groups:\n%s", text)
+	}
+	_, res, err := e.ExplainAnalyzeNamedCtx(context.Background(), "q", sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range res.Ops {
+		if a := op.Agg; a != nil {
+			if a.Plan == nil || a.Plan.Estimate.Groups != a.Groups || a.Groups != 24 {
+				t.Errorf("runtime estimate %d groups, prognosis %+v", a.Groups, a.Plan)
+			}
+			if a.Plan != nil && a.Plan.Estimate.MemoryDemand != a.MemoryDemand {
+				t.Errorf("runtime demand %d, prognosis %d", a.MemoryDemand, a.Plan.Estimate.MemoryDemand)
+			}
 		}
 	}
 }

@@ -35,18 +35,22 @@ type AggRecord struct {
 	// Plan is the plan-time prognosis (from table statistics), when the
 	// planner produced one for this group-by.
 	Plan *optimizer.Prognosis
-	// InputRows is the exact input cardinality the runtime decision saw.
+	// InputRows is the exact input cardinality the runtime decision saw,
+	// and Groups the group count it estimated from table statistics.
 	InputRows int64
-	// EstGroups is the KMV sketch's group-count estimate; ActualGroups
-	// is what the group-by actually produced. RelErr is
-	// |EstGroups-ActualGroups|/ActualGroups (0 when ActualGroups is 0).
+	Groups    int64
+	// EstGroups is the KMV sketch's group-count estimate, which sizes the
+	// device's hash table; ActualGroups is what the group-by actually
+	// produced. RelErr is |EstGroups-ActualGroups|/ActualGroups (0 when
+	// ActualGroups is 0).
 	EstGroups    int64
 	ActualGroups int64
 	RelErr       float64
 	// Kept is the groups a device top-k selection let leave the device —
 	// the k of an ORDER BY ... LIMIT k above — and 0 when every group did.
 	Kept int64
-	// MemoryDemand is the exact device demand the runtime decision saw.
+	// MemoryDemand is the device demand the runtime decision saw, bounded
+	// from Groups.
 	MemoryDemand int64
 	// Decision/Reason are the runtime Figure-3 outcome; Path is what
 	// finally executed ("gpu/<kernel>" or "cpu (<reason>)").
@@ -68,8 +72,12 @@ type AggRecord struct {
 	// pipeline stages ahead of the group-by; SavedBytes/UploadBytes are
 	// the H2D bytes avoided (cache hits) vs moved (cache fills);
 	// ChainHighWater is the chain reservation's peak allocation.
+	// DeviceKeys marks a chain whose fused_pack built the grouping keys,
+	// its entry resident, where the host key evaluators are charged
+	// otherwise.
 	Fused          bool
 	FusedStages    int
+	DeviceKeys     bool
 	SavedBytes     int64
 	UploadBytes    int64
 	ChainHighWater int64

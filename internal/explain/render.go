@@ -70,8 +70,8 @@ func (r *Report) WriteText(w io.Writer) {
 				fmt.Fprintf(w, "%splan: est rows<=%d groups~%d demand=%d B -> %s (%s) [%s]\n",
 					sub, g.Plan.Rows, g.Plan.Groups, g.Plan.DemandBytes, g.Plan.Decision, g.Plan.Reason, agree)
 			}
-			fmt.Fprintf(w, "%srun:  rows=%d kmv~%d actual=%d err=%.2f%% demand=%d B -> %s (%s)\n",
-				sub, g.InputRows, g.EstGroups, g.ActualGroups, g.RelErr*100, g.DemandBytes, g.Decision, g.Reason)
+			fmt.Fprintf(w, "%srun:  rows=%d groups~%d demand=%d B -> %s (%s); kmv~%d actual=%d err=%.2f%%\n",
+				sub, g.InputRows, g.Groups, g.DemandBytes, g.Decision, g.Reason, g.EstGroups, g.ActualGroups, g.RelErr*100)
 			fmt.Fprintf(w, "%sexec: path=%s", sub, g.Path)
 			if g.Attempts > 0 {
 				fmt.Fprintf(w, " attempts=%d retries=%d devices=%v", g.Attempts, g.Retries, g.Devices)
@@ -84,8 +84,12 @@ func (r *Report) WriteText(w io.Writer) {
 			}
 			fmt.Fprintf(w, "\n")
 			if g.Fused {
-				fmt.Fprintf(w, "%sfused: stages=%d saved=%d B upload=%d B chain-high-water=%d B\n",
-					sub, g.FusedStages, g.SavedBytes, g.UploadBytes, g.ChainHighWater)
+				keys := "host"
+				if g.DeviceKeys {
+					keys = "device"
+				}
+				fmt.Fprintf(w, "%sfused: stages=%d keys=%s saved=%d B upload=%d B chain-high-water=%d B\n",
+					sub, g.FusedStages, keys, g.SavedBytes, g.UploadBytes, g.ChainHighWater)
 			}
 		}
 		if s := op.Sort; s != nil {

@@ -92,9 +92,11 @@ type PlanReport struct {
 type GroupbyReport struct {
 	Keys []string    `json:"keys"`
 	Plan *PlanReport `json:"plan,omitempty"`
-	// InputRows/EstGroups/DemandBytes are what the runtime Figure-3
-	// decision actually saw; ActualGroups what the operator produced.
+	// InputRows/Groups/DemandBytes are what the runtime Figure-3 decision
+	// actually saw; EstGroups is the KMV estimate that sized the device
+	// table, ActualGroups what the operator produced.
 	InputRows     int64   `json:"input_rows"`
+	Groups        int64   `json:"groups"`
 	EstGroups     int64   `json:"est_groups"`
 	ActualGroups  int64   `json:"actual_groups"`
 	Kept          int64   `json:"kept,omitempty"`
@@ -111,6 +113,7 @@ type GroupbyReport struct {
 	// device chain (see AggRecord).
 	Fused          bool  `json:"fused,omitempty"`
 	FusedStages    int   `json:"fused_stages,omitempty"`
+	DeviceKeys     bool  `json:"device_keys,omitempty"`
 	SavedBytes     int64 `json:"saved_bytes,omitempty"`
 	UploadBytes    int64 `json:"upload_bytes,omitempty"`
 	ChainHighWater int64 `json:"chain_high_water,omitempty"`
@@ -411,6 +414,7 @@ func Build(in Input) *Report {
 			g := &GroupbyReport{
 				Keys:          a.Keys,
 				InputRows:     a.InputRows,
+				Groups:        a.Groups,
 				EstGroups:     a.EstGroups,
 				ActualGroups:  a.ActualGroups,
 				RelErr:        math.Round(a.RelErr*1e6) / 1e6,
@@ -427,6 +431,7 @@ func Build(in Input) *Report {
 			if a.Fused {
 				g.Fused = true
 				g.FusedStages = a.FusedStages
+				g.DeviceKeys = a.DeviceKeys
 				g.SavedBytes = a.SavedBytes
 				g.UploadBytes = a.UploadBytes
 				g.ChainHighWater = a.ChainHighWater

@@ -160,8 +160,11 @@ func (in *Input) KeyWords() int { return (in.KeyBytes + 7) / 8 }
 // EntryWords returns the hash-table slot width in words: key words plus
 // one accumulator word per aggregate, padded per the device's 16-byte
 // alignment rule (Section 4.3.1's padding column).
-func (in *Input) EntryWords() int {
-	w := in.KeyWords() + len(in.Aggs)
+func (in *Input) EntryWords() int { return entryWords(in.KeyWords(), len(in.Aggs)) }
+
+// entryWords is EntryWords for kw key words and aggs aggregates.
+func entryWords(kw, aggs int) int {
+	w := kw + aggs
 	if w%2 != 0 {
 		w++ // pad to 16-byte alignment
 	}

@@ -62,22 +62,28 @@ func TableBytes(slots, entryWords int) int64 {
 // vector — the device recomputes the mod hash from the key itself; wide
 // keys ship their precomputed Murmur hashes.
 func InputDeviceBytes(in *Input) int64 {
-	n := int64(in.NumRows)
-	var b int64
-	if in.Wide() {
-		b += 8 * int64(in.KeyWords()) * n
-		b += 8 * n // murmur hashes
-	} else if in.KeyBits > 0 && in.KeyBits <= 32 {
-		b += 4 * n
-	} else {
-		b += 8 * n
-	}
+	payloads := 0
 	for _, p := range in.Payloads {
 		if p != nil {
-			b += 4 * n // compressed payload codes
+			payloads++
 		}
 	}
-	return b
+	return inputBytes(int64(in.NumRows), in.KeyBits, in.KeyWords(), payloads)
+}
+
+// inputBytes is InputDeviceBytes for n rows of a key of keyBits bits in
+// kw words and payloads compressed payload vectors.
+func inputBytes(n int64, keyBits, kw, payloads int) int64 {
+	var b int64
+	switch {
+	case keyBits > 63:
+		b = 8*int64(kw)*n + 8*n // key words and murmur hashes
+	case keyBits > 0 && keyBits <= 32:
+		b = 4 * n
+	default:
+		b = 8 * n
+	}
+	return b + 4*n*int64(payloads) // compressed payload codes
 }
 
 // ResultDeviceBytes bounds the bytes shipped device-to-host: one entry
@@ -92,13 +98,32 @@ func ResultDeviceBytes(in *Input, groups int) int64 {
 // on this number (Section 2.2: "we know the amount of memory that each
 // kernel invocation call needs in advance").
 func MemoryDemand(in *Input) int64 {
-	slots := TableSlots(in.EstGroups, in.NumRows)
-	table := TableBytes(slots, in.EntryWords())
-	est := int(in.EstGroups)
-	if est == 0 {
-		est = in.NumRows
+	return demand(InputDeviceBytes(in), in.NumRows, in.EstGroups, in.EntryWords())
+}
+
+// DemandBound bounds MemoryDemand before the evaluator chain has run, for
+// rows input rows in groups groups, a key of keys columns packing into
+// keyBits bits (over 63 selects the wide layout, bounded at 8 bytes a
+// column and a leading pad byte), and aggs aggregates of which payloads
+// read a column. It is what Figure 3's memory gate reads.
+func DemandBound(rows, groups int64, keyBits, keys, aggs, payloads int) int64 {
+	kw := 1
+	if keyBits > 63 {
+		kw = (8*keys + 1 + 7) / 8
 	}
-	return InputDeviceBytes(in) + table*3 + ResultDeviceBytes(in, est)
+	return demand(inputBytes(rows, keyBits, kw, payloads), int(rows), uint64(groups), entryWords(kw, aggs))
+}
+
+// demand is the up-front device demand of a task whose input ships input
+// bytes: its global hash table sized for groups groups (rows when 0)
+// three times over, and one result entry per group.
+func demand(input int64, rows int, groups uint64, entryWords int) int64 {
+	table := TableBytes(TableSlots(groups, rows), entryWords)
+	est := int64(groups)
+	if est == 0 {
+		est = int64(rows)
+	}
+	return input + table*3 + est*int64(entryWords)*8
 }
 
 // claimTable claims a slots-slot global hash table from the reservation

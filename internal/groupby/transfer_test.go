@@ -120,3 +120,19 @@ func BenchmarkRunGPUStaged(b *testing.B) {
 		res.Release()
 	}
 }
+
+// TestDemandBound: before the evaluator chain has run, the bound is
+// MemoryDemand itself for a narrow key of the same width, and no less
+// than it for a wide one, whose layout it bounds at 8 bytes a column.
+func TestDemandBound(t *testing.T) {
+	payloads := [][]uint64{{}, nil, {}}
+	for _, c := range []struct {
+		keyBits, keyBytes, keys int
+	}{{12, 8, 2}, {40, 8, 3}, {96, 12, 2}, {136, 17, 2}} {
+		in := &Input{NumRows: 100_000, KeyBytes: c.keyBytes, KeyBits: c.keyBits, EstGroups: 3000, Aggs: make([]AggSpec, 3), Payloads: payloads}
+		got, want := DemandBound(100_000, 3000, c.keyBits, c.keys, 3, 2), MemoryDemand(in)
+		if in.Wide() && got < want || !in.Wide() && got != want {
+			t.Errorf("%d-bit key over %d columns: bound %d, demand %d", c.keyBits, c.keys, got, want)
+		}
+	}
+}

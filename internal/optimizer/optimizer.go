@@ -9,6 +9,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/kmv"
@@ -91,16 +92,18 @@ func numStats[T int64 | float64](data []T, nulls *columnar.Bitmap, bits func(T) 
 	return lo, hi, nullRows, sk.EstimateUint64()
 }
 
-// EstimateGroups estimates the group count for grouping on the named
-// columns: the product of per-column NDVs, capped by the row count.
-// Unknown columns contribute a conservative sqrt(rows).
-func (ts *TableStats) EstimateGroups(cols []string, rows int64) uint64 {
+// EstimateGroups estimates the group count of grouping on keys with the
+// given statistics, one entry a key, each from the table that owns its
+// column: the product of their NDVs, capped at rows. A nil entry — a key
+// no table describes, such as a derived column — contributes a
+// conservative sqrt(rows).
+func EstimateGroups(keys []*ColumnStats, rows int64) uint64 {
 	if rows <= 0 {
 		return 0
 	}
 	est := 1.0
-	for _, c := range cols {
-		if cs, ok := ts.Columns[c]; ok && cs.NDV > 0 {
+	for _, cs := range keys {
+		if cs != nil && cs.NDV > 0 {
 			est *= float64(cs.NDV)
 		} else {
 			est *= math.Sqrt(float64(rows))
@@ -110,6 +113,33 @@ func (ts *TableStats) EstimateGroups(cols []string, rows int64) uint64 {
 		}
 	}
 	return uint64(est + 0.5)
+}
+
+// KeyBits bounds the bits a narrow packed key over keys takes, as the
+// evaluator chain's LCOG lays it out over the whole table: a dictionary
+// code's width, an int column's value range, one more code for NULL. A
+// float key or a nil entry (a derived key) takes 64, which selects the
+// wide layout. Only the rows the group-by sees are packed, so the key it
+// packs is never wider.
+func KeyBits(keys []*ColumnStats) int {
+	total := 0
+	for _, cs := range keys {
+		if cs == nil || cs.Type == columnar.Float64 {
+			total += 64
+			continue
+		}
+		var top uint64 // the largest code before the NULL shift
+		if cs.Type == columnar.String {
+			top = max(cs.NDV, 1) - 1
+		} else {
+			top = uint64(cs.MaxI - cs.MinI)
+		}
+		if cs.Nulls > 0 && top < math.MaxUint64 {
+			top++
+		}
+		total += max(bits.Len64(top), 1)
+	}
+	return total
 }
 
 // --- Figure 3: path selection ---
@@ -193,8 +223,10 @@ func (r Reason) String() string {
 	}
 }
 
-// Estimate is the metadata a decision runs on: optimizer estimates before
-// execution, or exact counts once the chain's first phase has run.
+// Estimate is the metadata a decision runs on, taken before the evaluator
+// chain runs: the input row count (the plan-time count for a prognosis,
+// the exact one at run time), the group count estimated from table
+// statistics, and the device memory demand bounded from those groups.
 type Estimate struct {
 	Rows         int64
 	Groups       int64

@@ -49,23 +49,58 @@ func TestAnalyze(t *testing.T) {
 
 func TestEstimateGroups(t *testing.T) {
 	ts := Analyze(statsTable(t))
-	if g := ts.EstimateGroups([]string{"month"}, 10_000); g != 12 {
+	col := func(names ...string) []*ColumnStats {
+		out := make([]*ColumnStats, len(names))
+		for i, n := range names {
+			if cs, ok := ts.Columns[n]; ok {
+				out[i] = &cs
+			}
+		}
+		return out
+	}
+	if g := EstimateGroups(col("month"), 10_000); g != 12 {
 		t.Errorf("groups(month) = %d, want 12", g)
 	}
 	// Product of NDVs: 12 * 4 = 48.
-	if g := ts.EstimateGroups([]string{"month", "state"}, 10_000); g != 48 {
+	if g := EstimateGroups(col("month", "state"), 10_000); g != 48 {
 		t.Errorf("groups(month,state) = %d, want 48", g)
 	}
 	// Capped by row count.
-	if g := ts.EstimateGroups([]string{"id", "month"}, 10_000); g != 10_000 {
+	if g := EstimateGroups(col("id", "month"), 10_000); g != 10_000 {
 		t.Errorf("groups(id,month) = %d, want cap 10000", g)
 	}
-	// Unknown column falls back to sqrt.
-	if g := ts.EstimateGroups([]string{"nope"}, 10_000); g != 100 {
+	if g := EstimateGroups(col("month", "state"), 40); g != 40 {
+		t.Errorf("groups(month,state) over 40 rows = %d, want cap 40", g)
+	}
+	// A key no statistics describe falls back to sqrt.
+	if g := EstimateGroups(col("nope"), 10_000); g != 100 {
 		t.Errorf("groups(unknown) = %d, want 100", g)
 	}
-	if g := ts.EstimateGroups([]string{"month"}, 0); g != 0 {
+	if g := EstimateGroups(col("month"), 0); g != 0 {
 		t.Errorf("zero rows should estimate 0 groups, got %d", g)
+	}
+}
+
+// TestKeyBits: a key's width is its dictionary's or its value range's,
+// one more code for a NULL, and a float or derived key is 64 bits.
+func TestKeyBits(t *testing.T) {
+	cases := []struct {
+		cols []*ColumnStats
+		want int
+	}{
+		{[]*ColumnStats{{Type: columnar.Int64, MinI: 1, MaxI: 12}}, 4},
+		{[]*ColumnStats{{Type: columnar.Int64, MinI: 5, MaxI: 5}}, 1},
+		{[]*ColumnStats{{Type: columnar.Int64, MinI: 0, MaxI: 15, Nulls: 1}}, 5},
+		{[]*ColumnStats{{Type: columnar.String, NDV: 4}}, 2},
+		{[]*ColumnStats{{Type: columnar.String, NDV: 4, Nulls: 3}}, 3},
+		{[]*ColumnStats{{Type: columnar.String, NDV: 4}, {Type: columnar.Int64, MinI: 1, MaxI: 12}}, 6},
+		{[]*ColumnStats{{Type: columnar.Float64}}, 64},
+		{[]*ColumnStats{nil, {Type: columnar.String, NDV: 2}}, 65},
+	}
+	for i, c := range cases {
+		if got := KeyBits(c.cols); got != c.want {
+			t.Errorf("case %d: KeyBits = %d, want %d", i, got, c.want)
+		}
 	}
 }
 
