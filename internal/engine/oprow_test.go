@@ -244,3 +244,27 @@ func TestOneEstimate(t *testing.T) {
 		}
 	}
 }
+
+// TestHybridSortChargesOverlap: a sort with jobs on the host and on the
+// devices is charged stats.Modeled, key generation plus the longer of the
+// two, not their sum — the job queue runs them side by side.
+func TestHybridSortChargesOverlap(t *testing.T) {
+	const rows = 2 * bsort.DefaultGPUThreshold
+	e := newTestEngine(t, rows)
+	words := make([]uint32, rows)
+	for i := range words {
+		words[i] = uint32(i*7919) % rows
+	}
+	f, _ := tracedFrame(0, 0)
+	_, stats, err := e.hybridSort(bsort.NewFlatKeySource(words, rows, 1), f, f.q.tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.GPUJobs == 0 || stats.CPUTime <= 0 || stats.GPUTime <= 0 {
+		t.Fatalf("sort of %d rows ran %d GPU jobs, host %v, device %v: want both sides busy", rows, stats.GPUJobs, stats.CPUTime, stats.GPUTime)
+	}
+	if f.modeled != stats.Modeled {
+		t.Errorf("sort charged %v, want keygen + max(host, device) = %v (sum %v)",
+			f.modeled, stats.Modeled, stats.KeyGen+stats.CPUTime+stats.GPUTime)
+	}
+}

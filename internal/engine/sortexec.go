@@ -129,10 +129,12 @@ func sortKeyWords(src columnar.Source, keys []plan.SortKey, degree int) (words [
 
 // hybridSort sorts the rows behind src through the hybrid job-queue sort
 // and returns the permutation and the sort stats. It charges the query
-// key generation and host sorting, then the busiest device's time, then
-// any retry backoff its GPU jobs waited: host and device one after the
-// other, where stats.Modeled overlaps them. op is the operator span the
-// per-job sort spans hang off; each GPU job runs through onDevice.
+// stats.Modeled — key generation, then host sorting and the busiest
+// device's time overlapped, as the job queue runs them — and then any
+// retry backoff its GPU jobs waited: key generation and the host sorting
+// the device does not hide, then the device's time. op is the operator
+// span the per-job sort spans hang off; each GPU job runs through
+// onDevice.
 func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context) ([]int32, bsort.Stats, error) {
 	rows := src.NumRows()
 
@@ -176,10 +178,8 @@ func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context
 	if err != nil {
 		return nil, stats, err
 	}
-	e.addCPU(f, stats.KeyGen+stats.CPUTime)
-	if stats.GPUTime > 0 {
-		e.addGPU(f, stats.GPUTime, int64(rows)*16)
-	}
+	e.addCPU(f, stats.KeyGen+max(stats.CPUTime-stats.GPUTime, 0))
+	e.addGPU(f, stats.GPUTime, int64(rows)*16)
 	f.modeled += waited
 	return perm, stats, nil
 }
