@@ -15,7 +15,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/serve ./internal/prof ./internal/hostmem \
                 ./internal/obsd ./internal/groupby ./internal/gpu
 
-.PHONY: build vet test race bench check bench-smoke orphans fuzz-smoke size
+.PHONY: build vet test race bench check bench-smoke orphans fuzz-smoke size modeled-rises
 
 build:
 	$(GO) build ./...
@@ -123,5 +123,14 @@ size:
 		k = split(obs, o, " "); for (i = 1; i <= k; i++) for (t = 1; t <= 2; t++) os[t] += n["internal/" o[i], t]; \
 		printf "%-24s %8d %8d\n", "observability", os[1], os[2]; \
 		printf "%-24s %8d %8d\n", "total", sum[1], sum[2] }'
+
+# Modeled-time moves against a revision: every statement row of
+# internal/bench/testdata/modeled.golden in the working tree that moved
+# against REV's (default HEAD), GPU on and off, with the delta in ms; it
+# exits non-zero when one rose (scripts/modeled_rises.sh). Not part of
+# check: a pull request's CI prints it against the base branch.
+REV ?= HEAD
+modeled-rises:
+	sh scripts/modeled_rises.sh $(REV)
 
 check: vet orphans test race fuzz-smoke bench-smoke

@@ -69,9 +69,10 @@ func lowerAggs(aggs []plan.AggItem) ([]evaluator.AggColumn, []aggPlanItem, error
 // column, capped at rows; the memory demand is bounded from those groups.
 // It reads no row, so the decision is made before the key evaluators run.
 func (e *Engine) estimate(n *plan.Aggregate, aggs []evaluator.AggColumn, rows int64) optimizer.Estimate {
-	keys := make([]*optimizer.ColumnStats, len(n.Keys))
-	for i, k := range n.Keys {
-		keys[i] = e.keyStats(n.Input, k)
+	var buf [4]*optimizer.ColumnStats
+	keys := buf[:0]
+	for _, k := range n.Keys {
+		keys = append(keys, e.keyStats(n.Input, k))
 	}
 	payloads := 0
 	for _, a := range aggs {
@@ -88,40 +89,19 @@ func (e *Engine) estimate(n *plan.Aggregate, aggs []evaluator.AggColumn, rows in
 }
 
 // keyStats finds the statistics of the column col as the plan below
-// reads it: the stats of the first joined or scanned table down the
-// spine that owns it, nil when a derived column, a window's output or an
-// inner aggregate's output produces it first.
+// reads it: those of the first joined or scanned table down the spine
+// that owns it, nil when none does (a derived column).
 func (e *Engine) keyStats(n plan.Node, col string) *optimizer.ColumnStats {
 	for cur := n; cur != nil; cur = plan.Input(cur) {
 		var table string
 		switch x := cur.(type) {
-		case *plan.Derive:
-			for _, dc := range x.Cols {
-				if dc.Name == col {
-					return nil
-				}
-			}
-		case *plan.Project:
-			for _, dc := range x.Cols {
-				if dc.Name == col {
-					return nil
-				}
-			}
-		case *plan.Window:
-			if x.Out == col {
-				return nil
-			}
-		case *plan.Aggregate:
-			return nil
 		case *plan.Join:
 			table = x.Table
 		case *plan.Scan:
 			table = x.Table
 		}
-		if ts := e.stats[table]; ts != nil {
-			if cs, ok := ts.Columns[col]; ok {
-				return &cs
-			}
+		if ts := e.stats[table]; ts != nil && ts.Columns[col] != nil {
+			return ts.Columns[col]
 		}
 	}
 	return nil
@@ -301,7 +281,8 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	}
 
 	// Estimate accountability: with the actual group count in hand, the
-	// KMV estimate the decision ran on gets its relative error recorded.
+	// KMV estimate that sized the device table gets its relative error
+	// recorded.
 	var relErr float64
 	if in.EstGroups > 0 && out.Groups > 0 {
 		relErr = math.Abs(float64(int64(in.EstGroups))-float64(out.Groups)) / float64(out.Groups)

@@ -160,8 +160,9 @@ func (r *Result) Chain() []Eval {
 	return evals
 }
 
-// Keys returns the key evaluators, LCOG, CCAT and HASH: all the Figure-3
-// decision reads, through the KMV estimate.
+// Keys returns the key evaluators, LCOG, CCAT and HASH: the host work a
+// fused chain that fills overlaps, and that one whose entry is resident
+// builds on the device instead.
 func (r *Result) Keys() []Eval { return []Eval{r.LCOG, r.CCAT, r.HASH} }
 
 // Loads returns the payload evaluators, LCOV then MEMCPY when the chain

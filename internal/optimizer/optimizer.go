@@ -34,7 +34,7 @@ type ColumnStats struct {
 type TableStats struct {
 	Table   string
 	Rows    int
-	Columns map[string]ColumnStats
+	Columns map[string]*ColumnStats
 }
 
 // Analyze computes statistics for every column of tbl. NDV for string
@@ -44,7 +44,7 @@ func Analyze(tbl *columnar.Table) *TableStats {
 	ts := &TableStats{
 		Table:   tbl.Name(),
 		Rows:    tbl.Rows(),
-		Columns: make(map[string]ColumnStats, tbl.NumColumns()),
+		Columns: make(map[string]*ColumnStats, tbl.NumColumns()),
 	}
 	for _, col := range tbl.Columns() {
 		cs := ColumnStats{Name: col.Name(), Type: col.Type()}
@@ -64,7 +64,7 @@ func Analyze(tbl *columnar.Table) *TableStats {
 		if cs.NDV == 0 && tbl.Rows() > 0 && cs.Nulls < tbl.Rows() {
 			cs.NDV = 1
 		}
-		ts.Columns[col.Name()] = cs
+		ts.Columns[col.Name()] = &cs
 	}
 	return ts
 }

@@ -52,9 +52,7 @@ func TestEstimateGroups(t *testing.T) {
 	col := func(names ...string) []*ColumnStats {
 		out := make([]*ColumnStats, len(names))
 		for i, n := range names {
-			if cs, ok := ts.Columns[n]; ok {
-				out[i] = &cs
-			}
+			out[i] = ts.Columns[n]
 		}
 		return out
 	}
