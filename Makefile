@@ -15,7 +15,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/serve ./internal/prof ./internal/hostmem \
                 ./internal/obsd ./internal/groupby ./internal/gpu
 
-.PHONY: build vet test race bench check bench-smoke orphans fuzz-smoke size modeled-rises
+.PHONY: build vet test race cpus bench check bench-smoke orphans fuzz-smoke size modeled-rises
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,16 @@ test:
 race:
 	$(GO) test -race $(PARALLEL_PKGS)
 	$(GO) test -race -run 'FaultSweep|FusedFault|TraceFaultAttribution' ./internal/bench
+
+# Host independence: the packages whose answers and modeled times must
+# not depend on the host's core count, at GOMAXPROCS 1, 2 and 8 —
+# TestOracleMatrix's twenty-one runs, the bucketed merge and radix pass
+# against their serial forms, the fusion cache. Answers and modeled time
+# are functions of the configured degree alone.
+CPU_PKGS = ./internal/engine ./internal/groupby ./internal/bsort ./internal/fusion
+
+cpus:
+	$(GO) test -cpu 1,2,8 $(CPU_PKGS)
 
 # Host-path micro-rulers (1M rows or groups, allocations reported):
 # gathers, the partial key buffer build, the shared radix pass, the
@@ -133,4 +143,4 @@ REV ?= HEAD
 modeled-rises:
 	sh scripts/modeled_rises.sh $(REV)
 
-check: vet orphans test race fuzz-smoke bench-smoke
+check: vet orphans test race cpus fuzz-smoke bench-smoke

@@ -9,6 +9,7 @@ package bench
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"blugpu/internal/engine"
@@ -95,12 +96,58 @@ func TestFusionDifferential(t *testing.T) {
 // the same bytes an engine that never fused produces. The monitor's
 // one-fault-one-handling ledger must stay exact through the spill path.
 func TestFusedChainFaultSweep(t *testing.T) {
-	data := workload.Generate(0.004, 7)
 	qs := append(workload.BDInsights(), workload.CognosROLAP()...)
 	if testing.Short() {
 		qs = qs[:30]
 	}
+	faultSweep(t, qs, 1, func(t *testing.T, eng *engine.Engine, _ []*engine.Result) {
+		if chains, _, _ := eng.Monitor().FusedStats(); chains == 0 {
+			t.Error("no fused chain completed; the sweep never exercised the fused path")
+		}
+	})
+}
 
+// TestDeviceJoinFaultSweep runs the sweep over the statements whose
+// group-by sits on joins, three passes over them, so that the later
+// passes find the build tables and the fact columns the earlier ones
+// filled and probe on the device: a fused_join that faults spills with
+// its chain, and the join is then charged on the host once, while the
+// answer is the unfused engine's, bit for bit.
+func TestDeviceJoinFaultSweep(t *testing.T) {
+	var qs []workload.Query
+	for _, q := range append(workload.BDInsights(), workload.CognosROLAP()...) {
+		if strings.Contains(q.SQL, " JOIN ") && strings.Contains(q.SQL, "GROUP BY") {
+			qs = append(qs, q)
+		}
+	}
+	if testing.Short() {
+		qs = qs[:10]
+	}
+	faultSweep(t, qs, 3, func(t *testing.T, _ *engine.Engine, res []*engine.Result) {
+		joins := 0
+		for _, r := range res {
+			for _, op := range r.Ops {
+				if op.Agg != nil {
+					joins += op.Agg.DeviceJoins
+				}
+			}
+		}
+		if joins == 0 {
+			t.Error("no join completed on the device; the sweep never exercised the device probe")
+		}
+		t.Logf("%d joins probed on the device", joins)
+	})
+}
+
+// faultSweep runs qs, laps times over, on a fused engine at fault rates
+// 0, 0.1 and 0.5 at every device site, and with device 0 killed halfway.
+// Every answer must be the bytes an engine that never fused gives, and
+// every injected fault one faulted retry or fallback on the monitor.
+// fused, run on the fault-free case, checks that the sweep exercised the
+// path it is about, from the engine and every result.
+func faultSweep(t *testing.T, qs []workload.Query, laps int, fused func(*testing.T, *engine.Engine, []*engine.Result)) {
+	t.Helper()
+	data := workload.Generate(0.004, 7)
 	// The baseline arm never fuses: a faulted fused run must match
 	// results produced with the fused path never engaged at all.
 	clean := fusionEngine(t, data, nil, true)
@@ -134,17 +181,20 @@ func TestFusedChainFaultSweep(t *testing.T) {
 				Kernel:  tc.rate,
 			})
 			eng := fusionEngine(t, data, inj, false)
-			for i, q := range qs {
-				if tc.killAtHalf && i == len(qs)/2 {
+			var results []*engine.Result
+			for n := 0; n < laps*len(qs); n++ {
+				if tc.killAtHalf && n == laps*len(qs)/2 {
 					inj.KillDevice(0)
 				}
-				res, err := eng.Query(q.SQL)
+				i := n % len(qs)
+				res, err := eng.Query(qs[i].SQL)
 				if err != nil {
-					t.Fatalf("invariant violated: %s errored under faults: %v", q.ID, err)
+					t.Fatalf("invariant violated: %s errored under faults: %v", qs[i].ID, err)
 				}
 				if msg := DiffResults(baseline[i], res); msg != "" {
-					t.Errorf("%s: fused-under-fault differs from unfused baseline: %s", q.ID, msg)
+					t.Errorf("%s: fused-under-fault differs from unfused baseline: %s", qs[i].ID, msg)
 				}
+				results = append(results, res)
 			}
 
 			mon := eng.Monitor()
@@ -152,8 +202,8 @@ func TestFusedChainFaultSweep(t *testing.T) {
 			// toy-scale run's virtual time never outlives the probation, so
 			// chains only reliably complete while devices are healthy: the
 			// fault-free case and the pre-kill half of device-dead.
-			if chains, _, _ := mon.FusedStats(); chains == 0 && tc.rate == 0 {
-				t.Error("no fused chain completed; the sweep never exercised the fused path")
+			if tc.rate == 0 && !tc.killAtHalf {
+				fused(t, eng, results)
 			}
 			total := mon.FaultTotal()
 			if injected := inj.Counts().Total(); total != injected {

@@ -88,6 +88,18 @@ func (e *Engine) estimate(n *plan.Aggregate, aggs []evaluator.AggColumn, rows in
 	}
 }
 
+// decide is Figure 3's decision for the group-by n, lowered to aggs, over
+// rows input rows — or the one the fused chain cr made before the joins
+// it spans ran.
+func (e *Engine) decide(n *plan.Aggregate, aggs []evaluator.AggColumn, rows int64, cr *chainRec) (optimizer.Estimate, optimizer.Decision, optimizer.Reason) {
+	if cr != nil && cr.decided {
+		return cr.est, cr.decision, cr.reason
+	}
+	est := e.estimate(n, aggs, rows)
+	decision, reason := optimizer.Decide(est, e.thresholds, e.maxDeviceMem())
+	return est, decision, reason
+}
+
 // keyStats finds the statistics of the column col as the plan below
 // reads it: those of the first joined or scanned table down the spine
 // that owns it, nil when none does (a derived column).
@@ -111,17 +123,18 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// Fusion planning happens before the descent: the chain record rides
 	// the query context so the filter/derive hooks can capture the entry
 	// table and stage shapes as the host operators execute.
+	cols, items, err := lowerAggs(n.Aggs)
+	if err != nil {
+		return nil, err
+	}
 	qq := q.deeper()
 	var cr *chainRec
 	if e.fcache != nil && e.GPUEnabled() {
 		cr = planFusedChain(n)
+		cr.aggs = cols
 		qq.chain = cr
 	}
 	f, err := e.execInput(n.Input, qq)
-	if err != nil {
-		return nil, err
-	}
-	cols, items, err := lowerAggs(n.Aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -129,9 +142,9 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	if cr != nil {
 		// A chain with no filter/derive stage has the aggregate's direct
 		// input as its entry, keyed where it lives (a staged chain's
-		// deepest member keyed its own). A miss's fill is charged the
-		// gather into the pinned segment, so nothing is copied or charged
-		// here.
+		// deepest member, or the joins it spans, keyed their own). A miss's
+		// fill is charged the gather into the pinned segment, so nothing is
+		// copied or charged here.
 		e.entryKeys(cr, f)
 	}
 
@@ -141,10 +154,11 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// and memory-gated group-bys take the original Figure-1 CPU chain with
 	// no MEMCPY evaluator. Everything else runs the Figure-2 GPU chain,
 	// which stages into pinned memory as it goes. The KMV sketch the chain
-	// builds only sizes the device's hash table.
+	// builds only sizes the device's hash table. A chain that spans the
+	// joins below was decided before they ran, on the pre-join estimate
+	// (placeJoins).
 	rows := int64(f.Len())
-	est := e.estimate(n, cols, rows)
-	decision, reason := optimizer.Decide(est, e.thresholds, e.maxDeviceMem())
+	est, decision, reason := e.decide(n, cols, rows, cr)
 
 	// Host evaluator chain: LCOG/LCOV/CCAT/HASH(+KMV)[+MEMCPY], reading
 	// each column through its part's row list; charged below.
@@ -173,30 +187,45 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// columns are. When they are all resident on the device the chain
 	// prefers, fused_pack builds the keys there too, and a path that leaves
 	// the chain is charged them first. Otherwise the entry must fill, and
-	// the key evaluators are charged now: keysT is their time, the window
-	// the fills overlap. Any other group-by is charged its whole chain now:
-	// Figure 1's, or Figure 2's, which stages as it goes.
+	// the key evaluators are charged now: overlap is the host work the
+	// fills run beside — the keys, or, for a join entry, everything charged
+	// since its images existed (pickEntry). Any other group-by is charged
+	// its whole chain now: Figure 1's, or Figure 2's, which stages as it
+	// goes.
 	charge := func(evals ...evaluator.Eval) vtime.Duration {
 		d := evaluator.Charge(e.mon, row.sp, f.at(), evals...)
 		e.addCPU(f, d)
 		return d
 	}
 	mayFuse := decision == optimizer.UseGPU && cr != nil
-	var prefer *gpu.Device
-	var keysT vtime.Duration
+	var overlap vtime.Duration
 	deviceKeys := 0
 	if mayFuse {
-		if p, miss := e.fusedPrefer(cr); miss == 0 {
-			prefer, deviceKeys = p, len(n.Keys)
+		if cr.prefer == nil {
+			cr.prefer, cr.miss = e.fusedPrefer(cr.entry)
+		}
+		if cr.joinEntry && cr.miss > 0 {
+			e.pickEntry(cr, chain.Keys(), f.modeled, in, demand)
+		}
+		if cr.miss == 0 {
+			deviceKeys = len(n.Keys)
 		} else {
-			prefer, keysT = p, charge(chain.Keys()...)
+			overlap = charge(chain.Keys()...)
+			if cr.joinEntry {
+				overlap = f.modeled - cr.ready
+			}
 		}
 	} else {
 		charge(chain.Chain()...)
 	}
 	// leave charges a path that leaves the fused chain what it reads on the
-	// host: the keys, unless the fill's window was charged them, then evals.
+	// host: the joins and the keys, unless the fill's window was charged
+	// them, then evals.
 	leave := func(evals ...evaluator.Eval) {
+		if cr.deviceJoins {
+			row.sp.Emit("op", "host-join", f.at(), cr.joinT, trace.Int("joins", int64(cr.joins)))
+			e.addCPU(f, cr.joinT)
+		}
 		if deviceKeys > 0 {
 			evals = append(chain.Keys(), evals...)
 		}
@@ -230,7 +259,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		gpuStart := time.Now()
 		var gerr error
 		if mayFuse {
-			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, prefer, deviceKeys, keysT, f, row.sp)
+			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, cr.prefer, deviceKeys, overlap, f, row.sp)
 			if ginfo.declined {
 				// The staged path reads the staged payloads.
 				leave(chain.Loads()...)
@@ -317,6 +346,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	rec := &explain.AggRecord{
 		Keys:          n.Keys,
 		InputRows:     rows,
+		EstRows:       cr.preJoinRows(),
 		Groups:        est.Groups,
 		EstGroups:     int64(in.EstGroups),
 		ActualGroups:  int64(out.Groups),
@@ -335,6 +365,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		rec.Fused = true
 		rec.FusedStages = len(cr.stages)
 		rec.DeviceKeys = deviceKeys > 0
+		rec.DeviceJoins = cr.joins
 		rec.SavedBytes = fx.saved
 		rec.UploadBytes = fx.uploaded
 		rec.ChainHighWater = fx.highWater

@@ -13,16 +13,21 @@ import (
 )
 
 // chargeRun is one traced run of a statement: its group-by row, the
-// group-by's eval spans in order, the fused-chain span, the fused_pack
-// kernel spans, the time of every span the group-by's row parents and the
-// monitor's evaluator records.
+// group-by's eval spans in order, the fused-chain span, the fused_pack and
+// fused_join kernel spans, the host-join spans the group-by's row parents,
+// the time of every span the group-by's row parents, the join rows' self
+// time and the monitor's evaluator records.
 type chargeRun struct {
 	gb       OpStat
 	evals    []trace.Span
 	fused    *trace.Span
 	packs    []trace.Span
+	joins    []trace.Span // fused_join kernels
+	hostJoin []trace.Span
 	children vtime.Duration
+	joinRows vtime.Duration
 	mon      map[string]bool
+	tiles    error // tileOpsAt over the run's rows
 }
 
 func (r chargeRun) evalNames() []string {
@@ -33,19 +38,36 @@ func (r chargeRun) evalNames() []string {
 	return names
 }
 
+// joinCharged is the host join time the run was charged: its join rows
+// plus what the group-by charged for joins that left the device.
+func (r chargeRun) joinCharged() vtime.Duration {
+	d := r.joinRows
+	for _, sp := range r.hostJoin {
+		d += sp.End.Sub(sp.Start)
+	}
+	return d
+}
+
 func runCharged(t *testing.T, e *Engine, sql string) chargeRun {
 	t.Helper()
 	tr := trace.New()
 	e.SetTracer(tr)
 	defer e.SetTracer(nil)
+	e.clockMu.Lock()
+	base := e.clock
+	e.clockMu.Unlock()
 	res, err := e.Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var run chargeRun
+	run.tiles = tileOpsAt(res, base)
 	for _, op := range res.Ops {
-		if op.Op == "groupby" {
+		switch op.Op {
+		case "groupby":
 			run.gb = op
+		case "join":
+			run.joinRows += op.Modeled
 		}
 	}
 	for _, sp := range tr.QuerySpans(res.TraceSeq) {
@@ -55,10 +77,14 @@ func runCharged(t *testing.T, e *Engine, sql string) chargeRun {
 		switch {
 		case sp.Cat == "eval" && sp.Parent == run.gb.Span:
 			run.evals = append(run.evals, sp)
+		case sp.Name == "host-join" && sp.Parent == run.gb.Span:
+			run.hostJoin = append(run.hostJoin, sp)
 		case sp.Cat == "gpu" && sp.Name == "fused-chain":
 			run.fused = &sp
 		case sp.Name == "fused_pack":
 			run.packs = append(run.packs, sp)
+		case sp.Name == "fused_join":
+			run.joins = append(run.joins, sp)
 		}
 	}
 	run.mon = map[string]bool{}
@@ -96,6 +122,9 @@ func TestFusedGroupByChargesNoHostLoad(t *testing.T) {
 		t.Helper()
 		if want := r.children + finalize; math.Abs(float64(r.gb.Modeled-want)) > 1e-9*float64(want) {
 			t.Errorf("group-by charged %v, want keys + chain + finalize = %v", r.gb.Modeled, want)
+		}
+		if r.tiles != nil {
+			t.Error(r.tiles)
 		}
 	}
 	evals := func(t *testing.T, r chargeRun, want ...string) {
@@ -230,6 +259,151 @@ func TestFusedGroupByChargesNoHostLoad(t *testing.T) {
 				math.Float64bits(float64(gb.Modeled)), math.Float64bits(float64(gb.Start)), math.Float64bits(float64(gb.End)))
 		}
 		sums(t, staged)
+	})
+}
+
+// TestFusedJoinChargedOnce runs TestFusedGroupByChargesNoHostLoad's arms
+// over a group-by on a join, whose fused chain spans the join. A chain
+// whose entry fills probes on the host, charged in the join's row, as the
+// fill's overlap window; a resident one probes on the device, a fused_join
+// kernel that looks every sales row up in the resident build table and
+// gathers st_name, and the join's row is empty. A chain that leaves a
+// resident entry — declined, or faulted on dead devices — is charged the
+// host join exactly once, in a host-join span after the attempt, with the
+// keys. In every arm the host join time charged is the join's, or none,
+// the group-by's row is its spans plus the finalize, and the rows tile the
+// query (tileOpsAt).
+func TestFusedJoinChargedOnce(t *testing.T) {
+	const sql = "SELECT st_name, SUM(s_qty) AS t, AVG(s_price) AS ap FROM sales JOIN stores ON s_store_sk = st_store_sk GROUP BY st_name"
+	const rows = 120_000
+	keys := []string{"LCOG", "CCAT", "HASH"}
+	m := vtime.Default()
+	// 10 groups by two aggregates.
+	finalize := m.CPUTime(10*2, m.CPUExprRate, 24)
+	check := func(t *testing.T, r chargeRun, joinT vtime.Duration, evals ...string) {
+		t.Helper()
+		if want := r.children + finalize; math.Abs(float64(r.gb.Modeled-want)) > 1e-9*float64(want) {
+			t.Errorf("group-by charged %v, want its spans + finalize = %v", r.gb.Modeled, want)
+		}
+		if r.tiles != nil {
+			t.Error(r.tiles)
+		}
+		if got := r.joinCharged(); math.Abs(float64(got-joinT)) > 1e-9*float64(joinT) {
+			t.Errorf("host join charged %v, want %v", got, joinT)
+		}
+		if got := r.evalNames(); !slices.Equal(got, evals) {
+			t.Errorf("eval spans %v, want %v", got, evals)
+		}
+	}
+	// left: the chain left a resident entry; the join and the keys are
+	// charged once, after the attempt, the join first.
+	left := func(t *testing.T, r chargeRun) {
+		t.Helper()
+		if r.joinRows != 0 || len(r.hostJoin) != 1 {
+			t.Fatalf("join rows charged %v, %d host-join spans; want 0 and one", r.joinRows, len(r.hostJoin))
+		}
+		if r.fused == nil || r.hostJoin[0].Start.Before(r.fused.End) || len(r.evals) == 0 || r.evals[0].Start.Before(r.hostJoin[0].End) {
+			t.Errorf("the host join is not charged after the fused-chain attempt, before the keys: fused ends %v, join %v-%v, keys from %v",
+				r.fused.End, r.hostJoin[0].Start, r.hostJoin[0].End, r.evals[0].Start)
+		}
+	}
+
+	nofusion := runCharged(t, newTestEngineWith(t, Config{Devices: 2, Degree: 24, NoFusion: true}, rows), sql)
+	joinT := nofusion.joinRows
+	if joinT <= 0 || len(nofusion.hostJoin) != 0 {
+		t.Fatalf("NoFusion join charged %v in its row, %d host-join spans", joinT, len(nofusion.hostJoin))
+	}
+	t.Run("nofusion", func(t *testing.T) {
+		check(t, nofusion, joinT, "LCOG", "CCAT", "LCOV", "HASH", "MEMCPY")
+	})
+
+	var fill, resident chargeRun
+	e := newTestEngine(t, rows)
+	t.Run("fill", func(t *testing.T) {
+		fill = runCharged(t, e, sql)
+		if !strings.HasPrefix(fill.gb.Detail, "gpu/fused/") || fill.gb.Agg.DeviceKeys || fill.gb.Agg.DeviceJoins != 0 {
+			t.Fatalf("group-by took %q (device keys %t, device joins %d), want the fused chain with host keys and join",
+				fill.gb.Detail, fill.gb.Agg.DeviceKeys, fill.gb.Agg.DeviceJoins)
+		}
+		if fill.gb.Agg.EstRows != rows || fill.gb.Agg.InputRows != rows {
+			t.Errorf("decided on %d rows before the join, %d after; want %d", fill.gb.Agg.EstRows, fill.gb.Agg.InputRows, rows)
+		}
+		if fill.joinRows != joinT || len(fill.joins) != 0 {
+			t.Errorf("join row charged %v with %d fused_join kernels, want %v on the host", fill.joinRows, len(fill.joins), joinT)
+		}
+		check(t, fill, joinT, keys...)
+	})
+	t.Run("resident", func(t *testing.T) {
+		resident = runCharged(t, e, sql)
+		if !strings.HasPrefix(resident.gb.Detail, "gpu/fused/") || !resident.gb.Agg.DeviceKeys || resident.gb.Agg.DeviceJoins != 1 {
+			t.Fatalf("warm group-by took %q (device keys %t, device joins %d), want the fused chain with device keys and join",
+				resident.gb.Detail, resident.gb.Agg.DeviceKeys, resident.gb.Agg.DeviceJoins)
+		}
+		if len(resident.joins) != 1 {
+			t.Fatalf("%d fused_join kernels, want 1", len(resident.joins))
+		}
+		// Every sales row is looked up (no predicate, so no range test),
+		// and st_name is gathered for each.
+		want := vtime.Duration(rows/m.GPUScanRate) + vtime.Duration(rows/m.GPUHashInsertRate) + m.GPUKernelLaunch
+		if got := resident.joins[0].End.Sub(resident.joins[0].Start); math.Abs(float64(got-want)) > 1e-9*float64(want) {
+			t.Errorf("fused_join took %v, want %v", got, want)
+		}
+		check(t, resident, 0)
+	})
+	t.Run("declined", func(t *testing.T) {
+		if resident.fused == nil {
+			t.Skip("resident arm failed")
+		}
+		// With every device's memory held, the chain and then the staged
+		// path find no room, and the CPU runs it.
+		for _, d := range e.sched.Devices() {
+			res, err := d.Reserve(d.FreeMemory())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Release()
+		}
+		held := runCharged(t, e, sql)
+		if held.gb.Agg.Fused || held.gb.Agg.FallbackCause == "" {
+			t.Fatalf("group-by took %q (cause %q), want a declined chain and the CPU fallback", held.gb.Detail, held.gb.Agg.FallbackCause)
+		}
+		left(t, held)
+		check(t, held, joinT, append(keys, "LCOV", "MEMCPY")...)
+	})
+	t.Run("faulted", func(t *testing.T) {
+		// From a resident entry: both devices die after the first run.
+		inj := fault.New(fault.Config{Seed: 20160626})
+		e := newTestEngineWith(t, Config{Devices: 2, Degree: 24, Faults: inj}, rows)
+		runCharged(t, e, sql)
+		if warm := runCharged(t, e, sql); warm.gb.Agg.DeviceJoins != 1 {
+			t.Fatalf("warm group-by took %q with %d device joins, want 1", warm.gb.Detail, warm.gb.Agg.DeviceJoins)
+		}
+		inj.KillDevice(0)
+		inj.KillDevice(1)
+		dead := runCharged(t, e, sql)
+		if !strings.HasPrefix(dead.gb.Detail, "cpu") || !strings.Contains(dead.gb.Agg.FallbackCause, "injected") {
+			t.Fatalf("group-by on dead devices took %q (cause %q), want the CPU fallback", dead.gb.Detail, dead.gb.Agg.FallbackCause)
+		}
+		left(t, dead)
+		check(t, dead, joinT, append(keys, "LCOV")...)
+
+		// From an entry that fills: every kernel faults, and the join was
+		// charged in its row before the attempt. The fills stay, so the
+		// next run's chain probes on the device, and its first kernel, the
+		// fused_join, faults on both devices.
+		inj = fault.New(fault.Config{Seed: 20160626, Kernel: 1})
+		e = newTestEngineWith(t, Config{Devices: 2, Degree: 24, Faults: inj}, rows)
+		filled := runCharged(t, e, sql)
+		if !strings.HasPrefix(filled.gb.Detail, "cpu") || filled.joinRows != joinT {
+			t.Fatalf("faulted group-by took %q with %v in its join row, want the CPU fallback and %v", filled.gb.Detail, filled.joinRows, joinT)
+		}
+		check(t, filled, joinT, append(keys, "LCOV")...)
+		probed := runCharged(t, e, sql)
+		if !strings.HasPrefix(probed.gb.Detail, "cpu") || probed.gb.Agg.Retries != 1 {
+			t.Fatalf("group-by took %q after %d retries, want the CPU fallback after one", probed.gb.Detail, probed.gb.Agg.Retries)
+		}
+		left(t, probed)
+		check(t, probed, joinT, append(keys, "LCOV")...)
 	})
 }
 

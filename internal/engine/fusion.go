@@ -3,10 +3,13 @@ package engine
 import (
 	"errors"
 
+	"blugpu/internal/columnar"
+	"blugpu/internal/evaluator"
 	"blugpu/internal/expr"
 	"blugpu/internal/fusion"
 	"blugpu/internal/gpu"
 	"blugpu/internal/groupby"
+	"blugpu/internal/optimizer"
 	"blugpu/internal/plan"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
@@ -14,23 +17,24 @@ import (
 
 // This file implements the engine's fused data path: when the optimizer
 // sends a group-by to the device, the whole operator chain feeding it —
-// scan/join output through consecutive filters and derives — executes as
-// one device pipeline. The chain's input columns come from the
-// device-resident column cache (internal/fusion), per-stage selection
-// vectors and derived columns stay in device memory claimed from one
-// chain-level reservation, and the only host round-trip is the dense
-// result block at chain exit.
+// the star join under it, then consecutive filters and derives — executes
+// as one device pipeline. The chain's input columns and the joins' build
+// tables come from the device-resident cache (internal/fusion), per-stage
+// selection vectors, match lists and derived columns stay in device memory
+// claimed from one chain-level reservation, and the only host round-trip
+// is the dense result block at chain exit.
 //
 // The host operators still run functionally (the simulation computes on
 // host slices), so the fused path changes what is *modeled and
 // accounted*: H2D traffic collapses to cache misses, D2H defers to chain
-// exit, and one reservation spans the chain instead of per-operator
-// reserve/release. Falling out of the fused path can happen two ways,
-// with very different handling:
+// exit, a resident chain's joins are charged their device probe in place
+// of the host's, and one reservation spans the chain instead of
+// per-operator reserve/release. Falling out of the fused path can happen
+// two ways, with very different handling:
 //
 //   - decline (no room, cold cache, placement failure): not an error.
 //     The group-by falls through to the staged path, byte-identical to a
-//     build without fusion, and is charged the same evaluators.
+//     build without fusion, and is charged the same evaluators and joins.
 //   - mid-chain fault (injected reserve/H2D/kernel/D2H failure or a dead
 //     device): the chain spills its live device intermediates back to
 //     the host, releases everything, and onDevice retries it once on
@@ -51,11 +55,12 @@ const fuseFactor = 2.0
 // chainStage describes one fused pipeline stage in execution order
 // (deepest first), recorded by the exec hooks as the host operators run:
 // the kernel it launches, the 64-bit words of device intermediate it
-// claims and the values it streams.
+// claims, the values it streams and the hash lookups it makes.
 type chainStage struct {
-	kernel string
-	words  int
-	work   float64
+	kernel  string
+	words   int
+	work    float64
+	lookups float64
 }
 
 // chainRec is the per-query fusion chain record. The planner marks the
@@ -65,14 +70,45 @@ type chainStage struct {
 type chainRec struct {
 	members map[plan.Node]bool
 	// needed is the union of columns the chain reads: filter predicates,
-	// derive expressions, group-by keys and aggregate inputs. Only these
-	// go through the device column cache (late materialization) — columns
-	// the chain never touches are not uploaded.
-	needed map[string]bool
+	// derive expressions, group-by keys and aggregate inputs. Only these go
+	// through the device column cache (late materialization) — columns the
+	// chain never touches are not uploaded. joinKeys are the key columns
+	// of the joins it spans, which the device probe reads too.
+	needed   map[string]bool
+	joinKeys map[string]bool
 	// entry addresses the needed columns of the chain's entry, in entry
-	// column order (deterministic).
-	entry  []fusion.Key
-	stages []chainStage
+	// column order (deterministic); joinEntry marks the entry placeJoins
+	// keyed at the joins' bottom, with the joins' build tables. hostEntry
+	// is what a chain that does not span its joins would key, their
+	// output; chargeJoins keys it for a chain whose join entry must fill.
+	entry     []fusion.Key
+	hostEntry []fusion.Key
+	joinEntry bool
+	stages    []chainStage
+
+	// A chain that spans joins is prepared at the join (placeJoins), before
+	// any join runs: Figure 3 is decided there, on the pre-join row
+	// estimate, for the group-by agg lowered to aggs.
+	agg      *plan.Aggregate
+	aggs     []evaluator.AggColumn
+	decided  bool
+	estRows  int64
+	est      optimizer.Estimate
+	decision optimizer.Decision
+	reason   optimizer.Reason
+	// prefer, once set, is the device the chain tries first, and miss its
+	// entry's misses there.
+	prefer *gpu.Device
+	miss   int64
+	// deviceJoins: the join entry is resident, so the joins probe on the
+	// device, each a fused_join stage, and their host time, joinT, is
+	// charged only when the chain leaves.
+	deviceJoins bool
+	joins       int
+	joinT       vtime.Duration
+	// ready is the query's charge when the join entry's last image came to
+	// exist: 0 for a bare scan bottom, the bottom filter's end otherwise.
+	ready vtime.Duration
 }
 
 // member reports whether n belongs to the chain.
@@ -81,14 +117,15 @@ func (cr *chainRec) member(n plan.Node) bool { return cr != nil && cr.members[n]
 // entryKeys keys the chain's entry, f, once: the deepest member calls it
 // with its input before recording its stage, and the group-by with its
 // own input, which is the entry of a stage-less chain — a scan's, a
-// join's or a project's output. Every needed column is keyed where it
+// join's or a project's output. A chain placeJoins keyed at its joins'
+// bottom is keyed already. Every needed column is keyed where it
 // lives, and nothing is copied: an unlisted part's column by its own key,
 // a listed one's by its part's provenance (frame.keyed), exactly the key
 // materialize gives its copy. A frame holding a listed part no key fixes
 // is materialized as any other reader of lined-up values would, and its
 // copies are keyed by content.
 func (e *Engine) entryKeys(cr *chainRec, f *frame) {
-	if len(cr.stages) > 0 {
+	if cr.joinEntry || len(cr.stages) > 0 {
 		return
 	}
 	for _, p := range f.parts {
@@ -114,17 +151,24 @@ func (e *Engine) entryKeys(cr *chainRec, f *frame) {
 
 // planFusedChain walks the aggregate's input spine and groups the
 // contiguous device-eligible span into a chain: consecutive Filter and
-// Derive nodes directly feeding the group-by. Anything else — a join,
-// window, project — breaks the chain and becomes the entry point (its
-// output is what the chain uploads or finds resident). A bare scan entry
-// yields an empty-stage chain that still fuses the upload itself.
+// Derive nodes directly feeding the group-by and, below them, a chain of
+// joins whose bottom is a scan or a filtered scan. Anything else — a
+// window, a project, a join over another input or under a filter, whose
+// selectivity no estimate made before the join knows — breaks the chain
+// and becomes the entry point (its output is what the chain uploads or
+// finds resident). A chain that spans joins enters at their bottom: its
+// entry is the bottom's columns the chain reads, the dimension columns it
+// reads and one device build table per join, all entries of the fusion
+// cache, and each join is a fused_join stage when the entry is resident
+// (placeJoins, chargeJoins). A bare scan entry yields an empty-stage chain
+// that still fuses the upload itself.
 // An ORDER BY ... LIMIT k above the group-by joins the chain at its exit:
 // the plan hands the group-by its k (plan.Aggregate.TopK), a topk_select
 // kernel picks the k groups on the device when that pays, and only they
 // cross back. A full sort is not fused: it runs through its own job
 // queue (see execSort).
 func planFusedChain(n *plan.Aggregate) *chainRec {
-	cr := &chainRec{members: make(map[plan.Node]bool), needed: make(map[string]bool)}
+	cr := &chainRec{members: make(map[plan.Node]bool), needed: make(map[string]bool), agg: n}
 	for _, k := range n.Keys {
 		cr.needed[k] = true
 	}
@@ -133,10 +177,12 @@ func planFusedChain(n *plan.Aggregate) *chainRec {
 			cr.needed[a.Column] = true
 		}
 	}
+	filtered := false
 	for cur := n.Input; ; {
 		switch x := cur.(type) {
 		case *plan.Filter:
 			cr.members[x] = true
+			filtered = true
 			for _, c := range expr.Columns(x.Pred) {
 				cr.needed[c] = true
 			}
@@ -149,10 +195,190 @@ func planFusedChain(n *plan.Aggregate) *chainRec {
 				}
 			}
 			cur = x.Input
+		case *plan.Join:
+			if filtered {
+				return cr
+			}
+			bottom := plan.Node(x)
+			for j, ok := bottom.(*plan.Join); ok; j, ok = bottom.(*plan.Join) {
+				bottom = j.Left
+			}
+			if f, ok := bottom.(*plan.Filter); ok {
+				bottom = f.Input
+			}
+			if _, ok := bottom.(*plan.Scan); !ok {
+				return cr
+			}
+			cr.joinKeys = make(map[string]bool)
+			for j, ok := cur.(*plan.Join); ok; j, ok = cur.(*plan.Join) {
+				cr.members[j] = true
+				cr.joinKeys[j.LeftCol], cr.joinKeys[j.RightCol] = true, true
+				cur = j.Left
+			}
+			return cr
 		default:
 			return cr
 		}
 	}
+}
+
+// placeJoins prepares a chain that spans the joins of links, over their
+// bottom f, before any of them runs. It keys the chain's entry — f's
+// columns the chain reads, keyed as a bare scan's or by their filter's
+// provenance; per join, its build table, keyed by the dimension key
+// column's key mixed with the join predicate's, and the dimension's
+// columns the chain reads — and decides Figure 3 on what is known before
+// the joins: f's rows times each join's kept fraction and its probe key's
+// share of non-NULL rows in the statistics. When the group-by goes to the
+// device and the whole entry is resident on the device the chain prefers,
+// the joins probe there (deviceJoins). A chain it cannot key is left to
+// the host joins: the join that cannot run reports why.
+func (e *Engine) placeJoins(cr *chainRec, f *frame, links []*link) {
+	if len(f.parts) != 1 || (f.parts[0].rows != nil && f.sel != selKeyed) {
+		return
+	}
+	idx := make([]int, len(links))
+	for i := range idx {
+		idx[i] = i
+	}
+	if !e.evalPreds(links, idx) {
+		return
+	}
+	p := f.parts[0]
+	entry := make([]fusion.Key, 0, p.tbl.NumColumns()+2*len(links))
+	for _, c := range p.tbl.Columns() {
+		switch {
+		case !cr.needed[c.Name()] && !cr.joinKeys[c.Name()]:
+		case p.rows == nil:
+			entry = append(entry, fusion.ColumnKey(c))
+		default:
+			entry = append(entry, fusion.Key{H: columnar.MixKeys(c.Key(), f.selKey), N: f.Len(), T: c.Type()})
+		}
+	}
+	rows := float64(f.Len())
+	for i, l := range links {
+		right := e.tables[l.n.Table]
+		if right == nil || right.Rows() == 0 {
+			return
+		}
+		bcol, pcol := l.n.RightCol, l.n.LeftCol
+		if right.Column(bcol) == nil {
+			bcol, pcol = pcol, bcol
+		}
+		rk, ok := right.Column(bcol).(*columnar.Int64Column)
+		if !ok {
+			return
+		}
+		h, n := rk.Key(), right.Rows()
+		if l.n.Pred != nil {
+			h, n = columnar.MixKeys(h, predKey(right, l.n.Pred)), len(l.kept)
+		}
+		rows *= float64(n) / float64(right.Rows()) * e.nonNull(pcol, p.tbl.Name(), links[:i])
+		entry = append(entry, fusion.BuildKey(h, n))
+		for _, c := range right.Columns() {
+			if c.Name() != bcol && (cr.needed[c.Name()] || cr.joinKeys[c.Name()]) {
+				entry = append(entry, fusion.ColumnKey(c))
+			}
+		}
+	}
+	cr.entry, cr.joinEntry = entry, true
+	if p.rows != nil {
+		cr.ready = f.modeled
+	}
+	cr.decided, cr.estRows = true, int64(rows)
+	cr.est = e.estimate(cr.agg, cr.aggs, cr.estRows)
+	cr.decision, cr.reason = optimizer.Decide(cr.est, e.thresholds, e.maxDeviceMem())
+	if cr.decision == optimizer.UseGPU {
+		cr.prefer, cr.miss = e.fusedPrefer(cr.entry)
+		cr.deviceJoins = cr.miss == 0
+	}
+}
+
+// pickEntry decides what a chain keyed at its joins fills when its join
+// entry is not resident: that entry — the investment that lets later runs
+// probe on the device — only when this run pays no more for it than for
+// the host-join entry, the joins' output, which a chain that does not span
+// its joins keys. What a fill costs is its time past the host work it
+// overlaps. The join entry's images are base columns, build tables and,
+// for a filtered bottom, the filter's output, so its fill overlaps every
+// charge since the query began (at is the query's charge so far), or since
+// the filter ran (ready); the host-join entry exists only once the joins
+// have run, so its fill overlaps the key evaluators alone. The host-join
+// entry is priced by its misses, and by its whole fill once it is resident:
+// which entry an earlier run left resident does not decide, and a chain
+// moves to its join entry once the images it shares with other chains are
+// resident. A join entry that cannot fit beside the chain's reservation
+// on the device is not filled, and a host-join entry the cold-cache policy
+// (fuseFactor) declines is taken, as the chain would decline it without
+// the joins.
+func (e *Engine) pickEntry(cr *chainRec, keys []evaluator.Eval, at vtime.Duration, in *groupby.Input, demand int64) {
+	var keysT vtime.Duration
+	for _, ev := range keys {
+		keysT += ev.Modeled
+	}
+	prefer, miss := e.fusedPrefer(cr.hostEntry)
+	bytes, fill := miss, e.fcache.MissTime(prefer.ID(), cr.hostEntry, e.model, true, e.cfg.Degree)
+	if miss == 0 {
+		for _, k := range cr.hostEntry {
+			bytes += k.Bytes()
+			fill += fusion.FillTime(k, e.model, true, e.cfg.Degree)
+		}
+	}
+	room := cr.prefer.TotalMemory() - cr.reservation(demand)
+	for _, k := range cr.entry {
+		room -= k.Bytes()
+	}
+	joinFill := e.fcache.MissTime(cr.prefer.ID(), cr.entry, e.model, true, e.cfg.Degree)
+	if room >= 0 && float64(bytes) <= fuseFactor*float64(groupby.InputDeviceBytes(in)) && max(joinFill-(at-cr.ready), 0) <= max(fill-keysT, 0) {
+		return
+	}
+	cr.entry, cr.prefer, cr.miss, cr.joinEntry = cr.hostEntry, prefer, miss, false
+}
+
+// nonNull is the share of the rows of the table that owns the probe key
+// column col — the bottom's table, or one an earlier join of the chain
+// joined — whose key is not NULL, from its statistics: a NULL key matches
+// nothing. It is 1 when no table's statistics know the column.
+func (e *Engine) nonNull(col, bottom string, earlier []*link) float64 {
+	for i := -1; i < len(earlier); i++ {
+		table := bottom
+		if i >= 0 {
+			table = earlier[i].n.Table
+		}
+		if ts := e.stats[table]; ts != nil && ts.Rows > 0 && ts.Columns[col] != nil {
+			return 1 - float64(ts.Columns[col].Nulls)/float64(ts.Rows)
+		}
+	}
+	return 1
+}
+
+// preJoinRows is the row estimate Figure 3 was decided on before the
+// joins the chain spans ran, 0 when it was decided on the exact count.
+func (cr *chainRec) preJoinRows() int64 {
+	if cr == nil || !cr.decided {
+		return 0
+	}
+	return cr.estRows
+}
+
+// joinStage is the fused_join stage of a join the chain probes on the
+// device: probe rows reach it, the output rows leave it. Where the host
+// tested the kept keys' range first (skipped >= 0), so does the device,
+// at its scan rate, and only the rows inside the range look the build
+// table up; the stage then gathers the output's dimension codes. It claims
+// the output's match list and the gathered codes.
+func joinStage(st joined, probe, rows int) chainStage {
+	cs := chainStage{
+		kernel:  "fused_join",
+		words:   int(fusion.DeviceBytes(rows)/8) * (1 + st.dimCols),
+		work:    float64(rows * st.dimCols),
+		lookups: float64(probe),
+	}
+	if st.skipped >= 0 {
+		cs.work += float64(probe)
+		cs.lookups -= float64(st.skipped)
+	}
+	return cs
 }
 
 // fusedExec summarizes one fused chain execution for EXPLAIN ANALYZE.
@@ -162,10 +388,12 @@ type fusedExec struct {
 	highWater int64
 }
 
-// scratchBytes is the device footprint of the chain's intermediates, the
-// words its stages claim.
-func (cr *chainRec) scratchBytes() int64 {
-	var b int64
+// reservation is the chain's one reservation for a group-by of demand
+// bytes: that demand (packed input + hash tables + result) plus the words
+// its stages claim, with a little slack for word-rounding of the packed
+// image.
+func (cr *chainRec) reservation(demand int64) int64 {
+	b := demand + 64
 	for _, st := range cr.stages {
 		b += int64(st.words) * 8
 	}
@@ -173,16 +401,16 @@ func (cr *chainRec) scratchBytes() int64 {
 }
 
 // fusedPrefer picks the device a fused chain tries first, the one with
-// the fewest miss bytes for the chain's entry columns, and returns those
+// the fewest miss bytes for the chain's entry, and returns those
 // misses. The column cache is per-device, and the scheduler's free-memory
 // ranking would otherwise steer successive chains *away* from the warm
 // device (its resident bytes read as load); ties resolve to the first
 // device, concentrating fills instead of duplicating them per device.
-func (e *Engine) fusedPrefer(cr *chainRec) (*gpu.Device, int64) {
+func (e *Engine) fusedPrefer(entry []fusion.Key) (*gpu.Device, int64) {
 	devs := e.sched.Devices()
-	prefer, bestMiss := devs[0], e.fcache.MissBytes(devs[0].ID(), cr.entry)
+	prefer, bestMiss := devs[0], e.fcache.MissBytes(devs[0].ID(), entry)
 	for _, d := range devs[1:] {
-		if miss := e.fcache.MissBytes(d.ID(), cr.entry); miss < bestMiss {
+		if miss := e.fcache.MissBytes(d.ID(), entry); miss < bestMiss {
 			prefer, bestMiss = d, miss
 		}
 	}
@@ -200,11 +428,12 @@ func (e *Engine) fusedPrefer(cr *chainRec) (*gpu.Device, int64) {
 // as well: it reads each, packs it, hashes the row and feeds the device's
 // KMV sketch, which only sizes the device's table. The caller passes them
 // when the entry is resident on prefer and charges the host key
-// evaluators otherwise. overlap is their time (LCOG/CCAT/HASH), the host work the
-// query has been charged before the attempt: cache fills are DMA streams
-// that run concurrently with it (the same overlap idiom as
-// gpu.PipelineTime), so only fill time in excess of the window is charged
-// to the query. The fill bytes are never discounted — the H2D counters
+// evaluators otherwise. overlap is the host work the query has been
+// charged before the attempt for a chain that fills: the key evaluators'
+// time (LCOG/CCAT/HASH) and the host joins of a chain that spans them.
+// Cache fills are DMA streams that run concurrently with it (the same
+// overlap idiom as gpu.PipelineTime), so only fill time in excess of the
+// window is charged to the query. The fill bytes are never discounted — the H2D counters
 // see every uploaded byte.
 func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, opts groupby.GPUOptions, prefer *gpu.Device, deviceKeys int, overlap vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
 	if in.NumRows == 0 {
@@ -212,10 +441,6 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	}
 	inputBytes := groupby.InputDeviceBytes(in)
 	packWords := int((inputBytes + 7) / 8)
-	// One reservation for the whole chain: group-by demand (packed input
-	// + hash tables + result) plus the stage intermediates, with a little
-	// slack for word-rounding of the packed image.
-	chainDemand := demand + cr.scratchBytes() + 64
 	// fused_pack streams the surviving rows once; building the keys adds a
 	// read of each key column and the hash of the row.
 	packWork := float64(in.NumRows)
@@ -228,8 +453,9 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	run := func(res *gpu.Reservation) ([]trace.Attr, error) {
 		dev := res.Device()
 		// Fuse/decline policy: how cold is the cache for this chain's entry
-		// columns on the chosen device?
-		if miss := e.fcache.MissBytes(dev.ID(), cr.entry); float64(miss) > fuseFactor*float64(inputBytes) {
+		// columns on the chosen device? A join entry was weighed against
+		// the host-join entry, which passed this test (pickEntry).
+		if miss := e.fcache.MissBytes(dev.ID(), cr.entry); !cr.joinEntry && float64(miss) > fuseFactor*float64(inputBytes) {
 			return []trace.Attr{trace.Str("decline", "cold-cache"), trace.Int("miss_bytes", miss)}, errFuseDecline
 		}
 
@@ -263,19 +489,23 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		// (selection vector / derived codes) from the chain reservation and
 		// charges streaming time over its input rows.
 		var stageT vtime.Duration
-		runStage := func(name string, words int, work float64) error {
-			if words > 0 {
-				bytes := int64(words) * 8
+		runStage := func(st chainStage) error {
+			if st.words > 0 {
+				bytes := int64(st.words) * 8
 				if err := res.Claim(bytes); err != nil {
 					return err
 				}
 				live += bytes
 			}
-			kr := dev.RunKernelSpan(name, res.Span(), func() vtime.Duration {
-				if work <= 0 {
-					return 0
+			kr := dev.RunKernelSpan(st.kernel, res.Span(), func() vtime.Duration {
+				var t vtime.Duration
+				if st.work > 0 {
+					t += vtime.Duration(st.work / e.model.GPUScanRate)
 				}
-				return vtime.Duration(work / e.model.GPUScanRate)
+				if st.lookups > 0 {
+					t += vtime.Duration(st.lookups / e.model.GPUHashInsertRate)
+				}
+				return t
 			})
 			if kr.Err != nil {
 				return kr.Err
@@ -284,7 +514,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 			return nil
 		}
 		for _, st := range cr.stages {
-			if err := runStage(st.kernel, st.words, st.work); err != nil {
+			if err := runStage(st); err != nil {
 				return fault(err)
 			}
 		}
@@ -293,7 +523,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		// path's host-side LCOV + MEMCPY + H2D upload, so a fused group-by
 		// is charged neither evaluator, nor its key evaluators when the
 		// keys are built here.
-		if err := runStage("fused_pack", packWords, packWork); err != nil {
+		if err := runStage(chainStage{kernel: "fused_pack", words: packWords, work: packWork}); err != nil {
 			return fault(err)
 		}
 
@@ -321,7 +551,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		}, nil
 	}
 	info, err := e.onDevice(op, f.q.base, &f.modeled, devCall{
-		op: "groupby", span: func(int) string { return "fused-chain" }, demand: chainDemand, prefer: prefer, run: run,
+		op: "groupby", span: func(int) string { return "fused-chain" }, demand: cr.reservation(demand), prefer: prefer, run: run,
 	})
 	return out, fx, info, err
 }

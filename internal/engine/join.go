@@ -50,6 +50,7 @@ type joined struct {
 	detail  string
 	kept    int // the joined table's rows the predicate kept; -1 without one
 	skipped int // probe rows the key-range filter skipped; -1 when it did not run
+	dimCols int // the joined table's columns the output hands on
 }
 
 // stepFailed is a join that failed after it started work: unlike a join
@@ -65,7 +66,10 @@ func (s *stepFailed) Unwrap() error { return s.err }
 // position. Operator rows and spans are in the order that ran, and a
 // position keeps its plan depth. A reordered chain is computed before
 // anything is charged and kept only when runChain confirms it; otherwise,
-// and when nothing moves, the joins run in SQL order.
+// and when nothing moves, the joins run in SQL order. When the joins
+// belong to the group-by's fused chain, placeJoins prepares the chain once
+// the bottom has run, and a chain that probes on the device settles the
+// joins' charge after its attempt (chargeJoins).
 func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	var links []*link
 	var bottom plan.Node = n
@@ -80,9 +84,15 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	cr := q.chain
+	if cr.member(n) {
+		e.placeJoins(cr, f, links)
+	} else {
+		cr = nil
+	}
 	if order, moved := e.starOrder(f, links); order != nil && !sqlOrderOnly {
 		if steps, err := e.runChain(f, links, order, moved); err == nil && steps != nil {
-			e.chargeJoins(f, steps, len(links), q)
+			e.chargeJoins(f, steps, len(links), q, cr)
 			return f, nil
 		}
 	}
@@ -91,7 +101,7 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 		order[i] = i
 	}
 	steps, err := e.runChain(f, links, order, nil)
-	e.chargeJoins(f, steps, len(links), q)
+	e.chargeJoins(f, steps, len(links), q, cr)
 	if err != nil {
 		var failed *stepFailed
 		if errors.As(err, &failed) {
@@ -269,14 +279,29 @@ func (e *Engine) runChain(f *frame, links []*link, order []int, moved [][2]int) 
 
 // chargeJoins records computed joins on f in the order they ran: each its
 // span, modeled charge and operator row, the first at the depth of the
-// bottom-most of the chain's n joins.
-func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx) {
+// bottom-most of the chain's n joins. cr is the fused chain the joins
+// belong to, nil when they belong to none. It adds up their host time, and
+// a chain that probes on the device takes each join as a fused_join stage
+// instead of charging it here: the row is then empty, and the chain's
+// attempt settles the charge. For a chain whose join entry must fill, it
+// keys the joins' output as the host-join entry the chain may fill instead
+// (pickEntry).
+func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx, cr *chainRec) {
 	for p, st := range steps {
 		row := f.open("join", q.depth+n-1-p)
+		probe := f.Len()
 		f.parts = st.parts
 		f.sel, f.selKey, f.unkeyed = selNone, 0, st.unkeyed
-		e.addCPU(f, st.t)
 		rows := f.Len()
+		if cr != nil {
+			cr.joinT += st.t
+		}
+		if cr != nil && cr.deviceJoins {
+			cr.stages = append(cr.stages, joinStage(st, probe, rows))
+			cr.joins++
+		} else {
+			e.addCPU(f, st.t)
+		}
 		attrs := []trace.Attr{trace.Str("table", st.table), trace.Int("rows", int64(rows))}
 		if st.kept >= 0 {
 			attrs = append(attrs, trace.Int("kept", int64(st.kept)))
@@ -285,6 +310,11 @@ func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx) {
 			attrs = append(attrs, trace.Int("skipped", int64(st.skipped)))
 		}
 		row.close(rows, st.detail, attrs...)
+	}
+	if cr != nil && cr.prefer != nil && cr.miss > 0 {
+		host := &chainRec{needed: cr.needed}
+		e.entryKeys(host, f)
+		cr.hostEntry = host.entry
 	}
 }
 
@@ -499,6 +529,9 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 		st.skipped = m.skipped
 	}
 	st.detail = string(d)
+	if rightTbl != nil {
+		st.dimCols = rightTbl.NumColumns()
+	}
 	return st, nil
 }
 

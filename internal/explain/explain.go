@@ -35,9 +35,14 @@ type AggRecord struct {
 	// Plan is the plan-time prognosis (from table statistics), when the
 	// planner produced one for this group-by.
 	Plan *optimizer.Prognosis
-	// InputRows is the exact input cardinality the runtime decision saw,
-	// and Groups the group count it estimated from table statistics.
+	// InputRows is the exact input cardinality, and Groups the group
+	// count the runtime decision estimated from table statistics.
+	// EstRows, when not 0, is the row estimate the decision was made on
+	// instead of InputRows: a fused chain that spans the joins below
+	// decides before they run, on the probe side's rows times each join's
+	// kept fraction.
 	InputRows int64
+	EstRows   int64
 	Groups    int64
 	// EstGroups is the KMV sketch's group-count estimate, which sizes the
 	// device's hash table; ActualGroups is what the group-by actually
@@ -74,10 +79,13 @@ type AggRecord struct {
 	// ChainHighWater is the chain reservation's peak allocation.
 	// DeviceKeys marks a chain whose fused_pack built the grouping keys,
 	// its entry resident, where the host key evaluators are charged
+	// otherwise; DeviceJoins counts the joins it probed on the device
+	// against resident build tables, where the host joins are charged
 	// otherwise.
 	Fused          bool
 	FusedStages    int
 	DeviceKeys     bool
+	DeviceJoins    int
 	SavedBytes     int64
 	UploadBytes    int64
 	ChainHighWater int64

@@ -70,8 +70,12 @@ func (r *Report) WriteText(w io.Writer) {
 				fmt.Fprintf(w, "%splan: est rows<=%d groups~%d demand=%d B -> %s (%s) [%s]\n",
 					sub, g.Plan.Rows, g.Plan.Groups, g.Plan.DemandBytes, g.Plan.Decision, g.Plan.Reason, agree)
 			}
-			fmt.Fprintf(w, "%srun:  rows=%d groups~%d demand=%d B -> %s (%s); kmv~%d actual=%d err=%.2f%%\n",
-				sub, g.InputRows, g.Groups, g.DemandBytes, g.Decision, g.Reason, g.EstGroups, g.ActualGroups, g.RelErr*100)
+			rows := fmt.Sprintf("rows=%d", g.InputRows)
+			if g.EstRows > 0 {
+				rows = fmt.Sprintf("rows~%d (pre-join) actual=%d", g.EstRows, g.InputRows)
+			}
+			fmt.Fprintf(w, "%srun:  %s groups~%d demand=%d B -> %s (%s); kmv~%d actual=%d err=%.2f%%\n",
+				sub, rows, g.Groups, g.DemandBytes, g.Decision, g.Reason, g.EstGroups, g.ActualGroups, g.RelErr*100)
 			fmt.Fprintf(w, "%sexec: path=%s", sub, g.Path)
 			if g.Attempts > 0 {
 				fmt.Fprintf(w, " attempts=%d retries=%d devices=%v", g.Attempts, g.Retries, g.Devices)
@@ -88,8 +92,12 @@ func (r *Report) WriteText(w io.Writer) {
 				if g.DeviceKeys {
 					keys = "device"
 				}
-				fmt.Fprintf(w, "%sfused: stages=%d keys=%s saved=%d B upload=%d B chain-high-water=%d B\n",
-					sub, g.FusedStages, keys, g.SavedBytes, g.UploadBytes, g.ChainHighWater)
+				joins := ""
+				if g.DeviceJoins > 0 {
+					joins = fmt.Sprintf(" joins=device(%d)", g.DeviceJoins)
+				}
+				fmt.Fprintf(w, "%sfused: stages=%d keys=%s%s saved=%d B upload=%d B chain-high-water=%d B\n",
+					sub, g.FusedStages, keys, joins, g.SavedBytes, g.UploadBytes, g.ChainHighWater)
 			}
 		}
 		if s := op.Sort; s != nil {

@@ -93,9 +93,11 @@ type GroupbyReport struct {
 	Keys []string    `json:"keys"`
 	Plan *PlanReport `json:"plan,omitempty"`
 	// InputRows/Groups/DemandBytes are what the runtime Figure-3 decision
-	// actually saw; EstGroups is the KMV estimate that sized the device
-	// table, ActualGroups what the operator produced.
+	// actually saw — EstRows in place of InputRows when it decided before
+	// the joins below ran; EstGroups is the KMV estimate that sized the
+	// device table, ActualGroups what the operator produced.
 	InputRows     int64   `json:"input_rows"`
+	EstRows       int64   `json:"est_rows,omitempty"`
 	Groups        int64   `json:"groups"`
 	EstGroups     int64   `json:"est_groups"`
 	ActualGroups  int64   `json:"actual_groups"`
@@ -114,6 +116,7 @@ type GroupbyReport struct {
 	Fused          bool  `json:"fused,omitempty"`
 	FusedStages    int   `json:"fused_stages,omitempty"`
 	DeviceKeys     bool  `json:"device_keys,omitempty"`
+	DeviceJoins    int   `json:"device_joins,omitempty"`
 	SavedBytes     int64 `json:"saved_bytes,omitempty"`
 	UploadBytes    int64 `json:"upload_bytes,omitempty"`
 	ChainHighWater int64 `json:"chain_high_water,omitempty"`
@@ -414,6 +417,7 @@ func Build(in Input) *Report {
 			g := &GroupbyReport{
 				Keys:          a.Keys,
 				InputRows:     a.InputRows,
+				EstRows:       a.EstRows,
 				Groups:        a.Groups,
 				EstGroups:     a.EstGroups,
 				ActualGroups:  a.ActualGroups,
@@ -432,6 +436,7 @@ func Build(in Input) *Report {
 				g.Fused = true
 				g.FusedStages = a.FusedStages
 				g.DeviceKeys = a.DeviceKeys
+				g.DeviceJoins = a.DeviceJoins
 				g.SavedBytes = a.SavedBytes
 				g.UploadBytes = a.UploadBytes
 				g.ChainHighWater = a.ChainHighWater

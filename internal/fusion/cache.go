@@ -29,6 +29,14 @@
 // compute from host slices, so a fill is a reservation, a claim and an H2D
 // transfer of DeviceBytes, and no packed copy of the column exists.
 //
+// A chain that spans the joins under its group-by also keeps each join's
+// build side here: a device build table, the hash table over a dimension's
+// key column, is one more entry, addressed by the key column's key mixed
+// with the join predicate's identity (the predicate fixes the rows the
+// table holds). It is filled, pinned, evicted and purged exactly like a
+// column image and owns its reservation the same way, so it too is only a
+// performance layer.
+//
 // Entries are pinned (refcounted) for the duration of a fused chain and
 // evicted in strict least-recently-used order, tracked by a monotonic use
 // sequence so eviction is deterministic run to run.
@@ -50,15 +58,35 @@ import (
 // not a fault.
 var ErrNoRoom = errors.New("fusion: no device memory for column upload")
 
-// Key addresses one column image by its content. Length and type ride
-// along with the 64-bit column key so a collision would additionally need
-// equal shape, and the length sizes the image (DeviceBytes). A key needs
-// no column: the engine keys a join's output by provenance without ever
-// copying it.
+// Key addresses one column image, or one build table, by its content.
+// Length and type ride along with the 64-bit column key so a collision
+// would additionally need equal shape, and the length sizes the image
+// (Bytes). A key needs no column: the engine keys a join's output by
+// provenance without ever copying it.
 type Key struct {
 	H uint64
 	N int
 	T columnar.Type
+	// Table marks a device build table of N rows (BuildKey).
+	Table bool
+}
+
+// BuildKey addresses the device build table a join probes: the hash
+// table over a dimension's integer key column, holding rows rows — those
+// its join predicate keeps, or every row. h is the key column's
+// Column.Key, mixed with the predicate's identity when there is one.
+func BuildKey(h uint64, rows int) Key {
+	return Key{H: h, N: rows, T: columnar.Int64, Table: true}
+}
+
+// Bytes is the device footprint of the image k addresses: DeviceBytes for
+// a column; for a build table, two 8-byte slots a row (a key code and its
+// row at a load factor of one half).
+func (k Key) Bytes() int64 {
+	if k.Table {
+		return int64(k.N) * 16
+	}
+	return DeviceBytes(k.N)
 }
 
 // ColumnKey computes the cache address of a column: its type, its length
@@ -125,7 +153,7 @@ func (c *Cache) deviceLocked(id int) *deviceCache {
 	return dc
 }
 
-// MissBytes reports how many H2D bytes a fused chain over the columns
+// MissBytes reports how many H2D bytes a fused chain over the images
 // keys address would have to upload on device devID right now — the
 // fuse/decline policy's input. Resident columns cost nothing.
 func (c *Cache) MissBytes(devID int, keys []Key) int64 {
@@ -139,9 +167,34 @@ func (c *Cache) MissBytes(devID int, keys []Key) int64 {
 				continue
 			}
 		}
-		miss += DeviceBytes(key.N)
+		miss += key.Bytes()
 	}
 	return miss
+}
+
+// FillTime is the time Ensure charges to fill the image key addresses:
+// the copy into the pinned segment and its transfer.
+func FillTime(key Key, model *vtime.CostModel, pinned bool, degree int) vtime.Duration {
+	bytes := key.Bytes()
+	return model.HostCopy(bytes, degree) + model.Transfer(bytes, pinned)
+}
+
+// MissTime is the time Ensure would charge, right now, to fill the images
+// keys address that are not resident on device devID.
+func (c *Cache) MissTime(devID int, keys []Key, model *vtime.CostModel, pinned bool, degree int) vtime.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	dc := c.devs[devID]
+	var t vtime.Duration
+	for _, key := range keys {
+		if dc != nil {
+			if _, ok := dc.entries[key]; ok {
+				continue
+			}
+		}
+		t += FillTime(key, model, pinned, degree)
+	}
+	return t
 }
 
 // Lease pins a chain's column set on one device for the duration of a
@@ -198,7 +251,7 @@ func (c *Cache) evictOneLocked(dc *deviceCache) int64 {
 	return victim.bytes
 }
 
-// Ensure pins every column keys address on dev, uploading the ones not
+// Ensure pins every image keys address on dev, uploading the ones not
 // yet resident. Fills reserve through dev.ReserveSpan under sp, so cached
 // bytes participate in admission control and the reserve/H2D events land
 // on the fused chain's span. When the device is full, unpinned entries
@@ -229,7 +282,7 @@ func (c *Cache) Ensure(dev *gpu.Device, keys []Key, sp trace.SpanID, model *vtim
 			c.stats.SavedBytes += e.bytes
 			continue
 		}
-		bytes := DeviceBytes(key.N)
+		bytes := key.Bytes()
 		var res *gpu.Reservation
 		for {
 			var err error

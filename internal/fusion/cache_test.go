@@ -78,10 +78,10 @@ func TestColumnKeyPinned(t *testing.T) {
 	fb.Append(math.NaN())
 	cols := []columnar.Column{ib.Build(), fb.Build(), sb.Build(), intCol("e", nil)}
 	want := []Key{
-		{0x5ff7fba203549ea1, 70, columnar.Int64},
-		{0xce0d6220ab06b23b, 71, columnar.Float64},
-		{0xd7215a085f2e1735, 70, columnar.String},
-		{0xe220a8397b1dcdaf, 0, columnar.Int64},
+		{H: 0x5ff7fba203549ea1, N: 70, T: columnar.Int64},
+		{H: 0xce0d6220ab06b23b, N: 71, T: columnar.Float64},
+		{H: 0xd7215a085f2e1735, N: 70, T: columnar.String},
+		{H: 0xe220a8397b1dcdaf, N: 0, T: columnar.Int64},
 	}
 	for i, col := range cols {
 		if got := ColumnKey(col); got != want[i] {
@@ -152,6 +152,41 @@ func TestKeySizesTheImage(t *testing.T) {
 	// Same hash, another length: another image.
 	if got := c.MissBytes(0, []Key{{H: k[0].H, N: 1000, T: columnar.Float64}}); got != DeviceBytes(1000) {
 		t.Fatalf("MissBytes for a shorter image = %d", got)
+	}
+}
+
+// TestBuildTableIsAnEntry: a build table is sized at 16 bytes a row and
+// is otherwise a column image — it fills, hits and is a distinct entry
+// from a column with the same hash and length — and MissTime is the
+// charge Ensure then makes for the misses.
+func TestBuildTableIsAnEntry(t *testing.T) {
+	dev := testDevice(t, 0, nil)
+	c := NewCache()
+	m := vtime.Default()
+	col := Key{H: 0x9e3779b97f4a7c15, N: 500, T: columnar.Int64}
+	bt := BuildKey(col.H, 500)
+	if bt == col || bt.Bytes() != 500*16 {
+		t.Fatalf("build table key %+v (%d B), column key %+v", bt, bt.Bytes(), col)
+	}
+	l, err := c.Ensure(dev, []Key{col}, 0, m, true, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Release()
+	keys := []Key{col, bt}
+	if got := c.MissBytes(0, keys); got != 500*16 {
+		t.Fatalf("MissBytes = %d, want the build table's %d", got, 500*16)
+	}
+	want := c.MissTime(0, keys, m, true, 4)
+	if l, err = c.Ensure(dev, keys, 0, m, true, 4); err != nil {
+		t.Fatal(err)
+	}
+	l.Release()
+	if l.Modeled != want || l.Uploaded != 500*16 || l.Saved != DeviceBytes(500) {
+		t.Fatalf("fill charged %v (MissTime %v), uploaded %d, saved %d", l.Modeled, want, l.Uploaded, l.Saved)
+	}
+	if got := c.MissTime(0, keys, m, true, 4); got != 0 {
+		t.Fatalf("MissTime after the fill = %v", got)
 	}
 }
 
