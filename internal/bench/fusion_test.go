@@ -100,7 +100,7 @@ func TestFusedChainFaultSweep(t *testing.T) {
 	if testing.Short() {
 		qs = qs[:30]
 	}
-	faultSweep(t, qs, 1, func(t *testing.T, eng *engine.Engine, _ []*engine.Result) {
+	faultSweep(t, 0.004, qs, 1, func(t *testing.T, eng *engine.Engine, _ []*engine.Result) {
 		if chains, _, _ := eng.Monitor().FusedStats(); chains == 0 {
 			t.Error("no fused chain completed; the sweep never exercised the fused path")
 		}
@@ -123,7 +123,7 @@ func TestDeviceJoinFaultSweep(t *testing.T) {
 	if testing.Short() {
 		qs = qs[:10]
 	}
-	faultSweep(t, qs, 3, func(t *testing.T, _ *engine.Engine, res []*engine.Result) {
+	faultSweep(t, 0.02, qs, 3, func(t *testing.T, _ *engine.Engine, res []*engine.Result) {
 		joins := 0
 		for _, r := range res {
 			for _, op := range r.Ops {
@@ -140,14 +140,16 @@ func TestDeviceJoinFaultSweep(t *testing.T) {
 }
 
 // faultSweep runs qs, laps times over, on a fused engine at fault rates
-// 0, 0.1 and 0.5 at every device site, and with device 0 killed halfway.
+// 0, 0.1 and 0.5 at every device site, with device 0 killed halfway, and
+// with device 0's free memory held from halfway on, so chains whose entry
+// is resident there place on device 1 and weigh their fill there.
 // Every answer must be the bytes an engine that never fused gives, and
 // every injected fault one faulted retry or fallback on the monitor.
 // fused, run on the fault-free case, checks that the sweep exercised the
 // path it is about, from the engine and every result.
-func faultSweep(t *testing.T, qs []workload.Query, laps int, fused func(*testing.T, *engine.Engine, []*engine.Result)) {
+func faultSweep(t *testing.T, sf float64, qs []workload.Query, laps int, fused func(*testing.T, *engine.Engine, []*engine.Result)) {
 	t.Helper()
-	data := workload.Generate(0.004, 7)
+	data := workload.Generate(sf, 7)
 	// The baseline arm never fuses: a faulted fused run must match
 	// results produced with the fused path never engaged at all.
 	clean := fusionEngine(t, data, nil, true)
@@ -164,12 +166,14 @@ func faultSweep(t *testing.T, qs []workload.Query, laps int, fused func(*testing
 		name       string
 		rate       float64
 		killAtHalf bool
+		fullAtHalf bool
 		wantFaults bool
 	}{
 		{name: "rate-0", rate: 0},
 		{name: "rate-0.1", rate: 0.1, wantFaults: true},
 		{name: "rate-0.5", rate: 0.5, wantFaults: true},
 		{name: "device-dead", rate: 0, killAtHalf: true, wantFaults: true},
+		{name: "device-full", rate: 0, fullAtHalf: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,6 +189,14 @@ func faultSweep(t *testing.T, qs []workload.Query, laps int, fused func(*testing
 			for n := 0; n < laps*len(qs); n++ {
 				if tc.killAtHalf && n == laps*len(qs)/2 {
 					inj.KillDevice(0)
+				}
+				if tc.fullAtHalf && n == laps*len(qs)/2 {
+					dev := eng.Devices()[0]
+					held, err := dev.Reserve(dev.FreeMemory())
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer held.Release()
 				}
 				i := n % len(qs)
 				res, err := eng.Query(qs[i].SQL)
@@ -202,7 +214,7 @@ func faultSweep(t *testing.T, qs []workload.Query, laps int, fused func(*testing
 			// toy-scale run's virtual time never outlives the probation, so
 			// chains only reliably complete while devices are healthy: the
 			// fault-free case and the pre-kill half of device-dead.
-			if tc.rate == 0 && !tc.killAtHalf {
+			if tc.rate == 0 && !tc.killAtHalf && !tc.fullAtHalf {
 				fused(t, eng, results)
 			}
 			total := mon.FaultTotal()

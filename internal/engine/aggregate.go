@@ -187,33 +187,33 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// columns are. When they are all resident on the device the chain
 	// prefers, fused_pack builds the keys there too, and a path that leaves
 	// the chain is charged them first. Otherwise the entry must fill, and
-	// the key evaluators are charged now: overlap is the host work the
-	// fills run beside — the keys, or, for a join entry, everything charged
-	// since its images existed (pickEntry). Any other group-by is charged
-	// its whole chain now: Figure 1's, or Figure 2's, which stages as it
-	// goes.
+	// the key evaluators are charged now, the host work its fills run
+	// beside: the keys, and for a join entry everything charged since its
+	// images existed (pickEntry). Any other group-by is charged its whole
+	// chain now: Figure 1's, or Figure 2's, which stages as it goes.
 	charge := func(evals ...evaluator.Eval) vtime.Duration {
 		d := evaluator.Charge(e.mon, row.sp, f.at(), evals...)
 		e.addCPU(f, d)
 		return d
 	}
 	mayFuse := decision == optimizer.UseGPU && cr != nil
-	var overlap vtime.Duration
+	var keysT vtime.Duration
 	deviceKeys := 0
 	if mayFuse {
 		if cr.prefer == nil {
 			cr.prefer, cr.miss = e.fusedPrefer(cr.entry)
 		}
-		if cr.joinEntry && cr.miss > 0 {
-			e.pickEntry(cr, chain.Keys(), f.modeled, in, demand)
+		cr.fills = []fill{{keys: cr.entry}}
+		if cr.joinEntry {
+			cr.fills[0].since = f.modeled - cr.ready
+			if cr.miss > 0 {
+				e.pickEntry(cr, chain.Keys(), f.modeled, in, demand)
+			}
 		}
 		if cr.miss == 0 {
 			deviceKeys = len(n.Keys)
 		} else {
-			overlap = charge(chain.Keys()...)
-			if cr.joinEntry {
-				overlap = f.modeled - cr.ready
-			}
+			keysT = charge(chain.Keys()...)
 		}
 	} else {
 		charge(chain.Chain()...)
@@ -259,7 +259,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		gpuStart := time.Now()
 		var gerr error
 		if mayFuse {
-			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, cr.prefer, deviceKeys, overlap, f, row.sp)
+			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, cr.prefer, deviceKeys, keysT, f, row.sp)
 			if ginfo.declined {
 				// The staged path reads the staged payloads.
 				leave(chain.Loads()...)

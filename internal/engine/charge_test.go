@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"blugpu/internal/fault"
+	"blugpu/internal/fusion"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 	"blugpu/internal/workload"
@@ -320,6 +321,17 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 	var fill, resident chargeRun
 	e := newTestEngine(t, rows)
 	t.Run("fill", func(t *testing.T) {
+		// Cold, the join entry's sales columns cost more to fill than the
+		// host join hides, so the chain fills only the join's output:
+		// st_name, s_qty and s_price.
+		cold := runCharged(t, newTestEngine(t, rows), sql)
+		if cold.gb.Agg.UploadBytes != 3*fusion.DeviceBytes(rows) || cold.gb.Agg.DeviceJoins != 0 {
+			t.Errorf("cold chain uploaded %d bytes with %d device joins, want the host-join entry's %d and none",
+				cold.gb.Agg.UploadBytes, cold.gb.Agg.DeviceJoins, 3*fusion.DeviceBytes(rows))
+		}
+		check(t, cold, joinT, keys...)
+
+		warmFacts(t, e)
 		fill = runCharged(t, e, sql)
 		if !strings.HasPrefix(fill.gb.Detail, "gpu/fused/") || fill.gb.Agg.DeviceKeys || fill.gb.Agg.DeviceJoins != 0 {
 			t.Fatalf("group-by took %q (device keys %t, device joins %d), want the fused chain with host keys and join",
@@ -330,6 +342,15 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 		}
 		if fill.joinRows != joinT || len(fill.joins) != 0 {
 			t.Errorf("join row charged %v with %d fused_join kernels, want %v on the host", fill.joinRows, len(fill.joins), joinT)
+		}
+		// The group-by reads what the host join produced, so that crosses
+		// too: st_name through the join's list (s_qty and s_price, whose
+		// rows the join kept in order, are the resident base columns),
+		// beside the join entry's misses, the stores build table and
+		// st_name.
+		want := fusion.DeviceBytes(rows) + fusion.BuildKey(0, 10).Bytes() + fusion.DeviceBytes(10)
+		if fill.gb.Agg.UploadBytes != want {
+			t.Errorf("filling chain uploaded %d bytes, want the joins' output and the join entry's misses, %d", fill.gb.Agg.UploadBytes, want)
 		}
 		check(t, fill, joinT, keys...)
 	})
@@ -349,6 +370,48 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 			t.Errorf("fused_join took %v, want %v", got, want)
 		}
 		check(t, resident, 0)
+	})
+	t.Run("prefer-full", func(t *testing.T) {
+		// Two stores of ten: the join keeps a fifth of the sales rows, so
+		// the chain's input is far narrower than its join entry's sales
+		// columns.
+		const two = "SELECT st_name, SUM(s_qty) AS t, AVG(s_price) AS ap FROM sales JOIN stores ON s_store_sk = st_store_sk WHERE st_store_sk < 2 GROUP BY st_name"
+		e := newTestEngine(t, 300_000)
+		warmFacts(t, e)
+		runCharged(t, e, two)
+		if warm := runCharged(t, e, two); warm.gb.Agg.DeviceJoins != 1 || warm.gb.Agg.Devices[0] != 0 {
+			t.Fatalf("warm group-by took %q on %v with %d device joins, want 1 on device 0", warm.gb.Detail, warm.gb.Agg.Devices, warm.gb.Agg.DeviceJoins)
+		}
+		// Device 0, where the join entry is resident, is now full: the
+		// chain places on device 1, where the entry misses whole, and the
+		// cold-cache policy weighs that fill there as it would for any
+		// chain: more than fuseFactor times the input, so it declines and
+		// the staged path runs, charged the host join once.
+		dev0 := e.sched.Devices()[0]
+		res, err := dev0.Reserve(dev0.FreeMemory())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Release()
+		moved := runCharged(t, e, two)
+		if moved.gb.Agg.Fused || !strings.HasPrefix(moved.gb.Detail, "gpu/") || moved.fused == nil {
+			t.Fatalf("group-by took %q (fused %t), want a declined chain and the staged path", moved.gb.Detail, moved.gb.Agg.Fused)
+		}
+		var decline string
+		for _, a := range moved.fused.Attrs {
+			if a.Key == "decline" {
+				decline = a.Str
+			}
+		}
+		if decline != "cold-cache" {
+			t.Errorf("the chain on device 1 declined %q, want cold-cache", decline)
+		}
+		if len(moved.hostJoin) != 1 || moved.joinRows != 0 {
+			t.Errorf("join rows charged %v, %d host-join spans; want 0 and one", moved.joinRows, len(moved.hostJoin))
+		}
+		if moved.tiles != nil {
+			t.Error(moved.tiles)
+		}
 	})
 	t.Run("declined", func(t *testing.T) {
 		if resident.fused == nil {
@@ -374,6 +437,7 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 		// From a resident entry: both devices die after the first run.
 		inj := fault.New(fault.Config{Seed: 20160626})
 		e := newTestEngineWith(t, Config{Devices: 2, Degree: 24, Faults: inj}, rows)
+		warmFacts(t, e)
 		runCharged(t, e, sql)
 		if warm := runCharged(t, e, sql); warm.gb.Agg.DeviceJoins != 1 {
 			t.Fatalf("warm group-by took %q with %d device joins, want 1", warm.gb.Detail, warm.gb.Agg.DeviceJoins)
@@ -393,6 +457,7 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 		// fused_join, faults on both devices.
 		inj = fault.New(fault.Config{Seed: 20160626, Kernel: 1})
 		e = newTestEngineWith(t, Config{Devices: 2, Degree: 24, Faults: inj}, rows)
+		warmFacts(t, e)
 		filled := runCharged(t, e, sql)
 		if !strings.HasPrefix(filled.gb.Detail, "cpu") || filled.joinRows != joinT {
 			t.Fatalf("faulted group-by took %q with %v in its join row, want the CPU fallback and %v", filled.gb.Detail, filled.joinRows, joinT)
@@ -405,6 +470,22 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 		left(t, probed)
 		check(t, probed, joinT, append(keys, "LCOV")...)
 	})
+}
+
+// warmFacts runs a group-by over the sales columns TestFusedJoinChargedOnce's
+// chain reads, which fill as its entry: the join's chain then misses only
+// the stores build table and st_name, a fill the host join hides.
+func warmFacts(t *testing.T, e *Engine) {
+	t.Helper()
+	runCharged(t, e, "SELECT s_store_sk, SUM(s_qty) AS t, AVG(s_price) AS ap FROM sales GROUP BY s_store_sk")
+	sales := e.tables["sales"]
+	var keys []fusion.Key
+	for _, c := range []string{"s_store_sk", "s_qty", "s_price"} {
+		keys = append(keys, fusion.ColumnKey(sales.Column(c)))
+	}
+	if e.fcache.MissBytes(0, keys) != 0 {
+		t.Fatal("the sales group-by left its columns missing on device 0")
+	}
 }
 
 // The NoFusion group-by row of TestFusedGroupByChargesNoHostLoad's

@@ -73,6 +73,45 @@ func TestJoinEstimateDecides(t *testing.T) {
 	}
 }
 
+// TestJoinEstimateMisdecides pins a statement whose pre-join estimate and
+// joined count fall on either side of T1, so a change to the estimate
+// shows here. The join keeps the east stores, half of them, so the
+// estimate is half the filtered sales rows; but the east stores are the
+// even ones and every NULL s_qty falls on an odd one, so more rows join
+// than that. The estimate decides the CPU where the exact count would
+// have decided the device.
+func TestJoinEstimateMisdecides(t *testing.T) {
+	e := newTestEngine(t, 120_000)
+	const sql = "SELECT s_month, SUM(s_qty) AS q FROM sales JOIN stores ON s_store_sk = st_store_sk " +
+		"WHERE s_qty > 1 AND st_region = 'east' GROUP BY s_month"
+	if e.thresholds.T1Rows != 50_000 {
+		t.Fatalf("T1 is %d, want the default 50 000", e.thresholds.T1Rows)
+	}
+	res, err := e.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range res.Ops {
+		a := op.Agg
+		if a == nil {
+			continue
+		}
+		if a.EstRows != 48_857 || a.InputRows != 51_428 {
+			t.Errorf("estimated %d rows before the join, %d joined; want 48 857 and 51 428", a.EstRows, a.InputRows)
+		}
+		agg := planAggregate(t, e, sql)
+		cols, _, err := lowerAggs(agg.Aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, exact, _ := e.decide(agg, cols, a.InputRows, nil); a.Decision != "cpu" || exact.String() != "gpu" {
+			t.Errorf("the estimate decided %s (%s) and the exact count %s; want cpu and gpu", a.Decision, a.Reason, exact)
+		}
+		return
+	}
+	t.Fatal("no group-by record")
+}
+
 // explainRunLine: EXPLAIN ANALYZE of a warm group-by over a join shows
 // the pre-join estimate the decision read and the actual rows on its run
 // line, and how many joins the chain probed on the device on its fused

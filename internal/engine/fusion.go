@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"math"
+	"slices"
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/evaluator"
@@ -63,6 +65,19 @@ type chainStage struct {
 	lookups float64
 }
 
+// time is the stage's kernel time before its launch: its streamed values
+// at GPUScanRate and its lookups at GPUHashInsertRate.
+func (st chainStage) time(m *vtime.CostModel) vtime.Duration {
+	var t vtime.Duration
+	if st.work > 0 {
+		t += vtime.Duration(st.work / m.GPUScanRate)
+	}
+	if st.lookups > 0 {
+		t += vtime.Duration(st.lookups / m.GPUHashInsertRate)
+	}
+	return t
+}
+
 // chainRec is the per-query fusion chain record. The planner marks the
 // plan nodes that belong to the chain and the column set they reference;
 // the exec hooks then capture the cache keys of the chain's entry (the
@@ -80,10 +95,13 @@ type chainRec struct {
 	// column order (deterministic); joinEntry marks the entry placeJoins
 	// keyed at the joins' bottom, with the joins' build tables. hostEntry
 	// is what a chain that does not span its joins would key, their
-	// output; chargeJoins keys it for a chain whose join entry must fill.
+	// output; chargeJoins keys it for a chain whose joins stay on the host.
+	// fills is what the attempt pins, in the order its fills cross
+	// (execAggregate, pickEntry).
 	entry     []fusion.Key
 	hostEntry []fusion.Key
 	joinEntry bool
+	fills     []fill
 	stages    []chainStage
 
 	// A chain that spans joins is prepared at the join (placeJoins), before
@@ -96,19 +114,43 @@ type chainRec struct {
 	est      optimizer.Estimate
 	decision optimizer.Decision
 	reason   optimizer.Reason
-	// prefer, once set, is the device the chain tries first, and miss its
-	// entry's misses there.
+	// prefer, once set, is the device the chain tries first, and miss the
+	// misses there of the entry the group-by reads: the join entry's, or
+	// the host-join entry's once pickEntry ran.
 	prefer *gpu.Device
 	miss   int64
-	// deviceJoins: the join entry is resident, so the joins probe on the
-	// device, each a fused_join stage, and their host time, joinT, is
-	// charged only when the chain leaves.
+	// deviceJoins: the join entry is resident and probing there pays, so
+	// the joins probe on the device, each a fused_join stage, and their
+	// host time, joinT, is charged only when the chain leaves. probeT is
+	// what those stages take on the device (settle).
 	deviceJoins bool
 	joins       int
 	joinT       vtime.Duration
+	probeT      vtime.Duration
 	// ready is the query's charge when the join entry's last image came to
 	// exist: 0 for a bare scan bottom, the bottom filter's end otherwise.
 	ready vtime.Duration
+}
+
+// fill is one part of what a fused chain pins, and since, the host work
+// the query was charged between that part's images coming to exist and
+// the group-by's key evaluators: 0 for an entry the group-by's input
+// holds, the host joins (and a bare bottom's scan) for a join entry.
+type fill struct {
+	keys  []fusion.Key
+	since vtime.Duration
+}
+
+// exposed is the time the fills of parts, part i taking t(i), run past
+// the host work they stream beside, which ends with keysT of key
+// evaluators: the part of the fills the query waits for. The parts cross
+// in order, each once its images exist and the one before it has crossed.
+func exposed(parts []fill, keysT vtime.Duration, t func(i int) vtime.Duration) vtime.Duration {
+	late := vtime.Duration(math.Inf(-1)) // when the last part crossed, after the host work ended
+	for i, p := range parts {
+		late = max(late, -(p.since+keysT)) + t(i)
+	}
+	return max(late, 0)
 }
 
 // member reports whether n belongs to the chain.
@@ -160,8 +202,10 @@ func (e *Engine) entryKeys(cr *chainRec, f *frame) {
 // entry is the bottom's columns the chain reads, the dimension columns it
 // reads and one device build table per join, all entries of the fusion
 // cache, and each join is a fused_join stage when the entry is resident
-// (placeJoins, chargeJoins). A bare scan entry yields an empty-stage chain
-// that still fuses the upload itself.
+// and probing there pays (placeJoins, settle); otherwise the joins run on
+// the host and the chain reads their output, filling the join entry beside
+// it when that costs the run nothing more (pickEntry). A bare scan entry
+// yields an empty-stage chain that still fuses the upload itself.
 // An ORDER BY ... LIMIT k above the group-by joins the chain at its exit:
 // the plan hands the group-by its k (plan.Aggregate.TopK), a topk_select
 // kernel picks the k groups on the device when that pays, and only they
@@ -230,9 +274,10 @@ func planFusedChain(n *plan.Aggregate) *chainRec {
 // columns the chain reads — and decides Figure 3 on what is known before
 // the joins: f's rows times each join's kept fraction and its probe key's
 // share of non-NULL rows in the statistics. When the group-by goes to the
-// device and the whole entry is resident on the device the chain prefers,
-// the joins probe there (deviceJoins). A chain it cannot key is left to
-// the host joins: the join that cannot run reports why.
+// device, it picks the device the chain prefers and the entry's misses
+// there, from which the joins' charge is settled once they have run
+// (settle). A chain it cannot key is left to the host joins: the join that
+// cannot run reports why.
 func (e *Engine) placeJoins(cr *chainRec, f *frame, links []*link) {
 	if len(f.parts) != 1 || (f.parts[0].rows != nil && f.sel != selKeyed) {
 		return
@@ -290,49 +335,82 @@ func (e *Engine) placeJoins(cr *chainRec, f *frame, links []*link) {
 	cr.decision, cr.reason = optimizer.Decide(cr.est, e.thresholds, e.maxDeviceMem())
 	if cr.decision == optimizer.UseGPU {
 		cr.prefer, cr.miss = e.fusedPrefer(cr.entry)
-		cr.deviceJoins = cr.miss == 0
 	}
 }
 
-// pickEntry decides what a chain keyed at its joins fills when its join
-// entry is not resident: that entry — the investment that lets later runs
-// probe on the device — only when this run pays no more for it than for
-// the host-join entry, the joins' output, which a chain that does not span
-// its joins keys. What a fill costs is its time past the host work it
-// overlaps. The join entry's images are base columns, build tables and,
-// for a filtered bottom, the filter's output, so its fill overlaps every
-// charge since the query began (at is the query's charge so far), or since
-// the filter ran (ready); the host-join entry exists only once the joins
-// have run, so its fill overlaps the key evaluators alone. The host-join
-// entry is priced by its misses, and by its whole fill once it is resident:
-// which entry an earlier run left resident does not decide, and a chain
-// moves to its join entry once the images it shares with other chains are
-// resident. A join entry that cannot fit beside the chain's reservation
-// on the device is not filled, and a host-join entry the cold-cache policy
-// (fuseFactor) declines is taken, as the chain would decline it without
-// the joins.
+// settle adds up the host time of the chain's joins, steps, over probe
+// rows, and what the fused_join stages they would be take on the device,
+// launches included. It takes those stages (deviceJoins) when the join
+// entry is resident on the device the chain prefers and probing there
+// costs no more than the host joins.
+func (cr *chainRec) settle(m *vtime.CostModel, probe int, steps []joined) {
+	stages := make([]chainStage, len(steps))
+	for i, st := range steps {
+		rows := (&frame{parts: st.parts}).Len()
+		stages[i] = joinStage(st, probe, rows)
+		cr.joinT += st.t
+		cr.probeT += stages[i].time(m) + m.GPUKernelLaunch
+		probe = rows
+	}
+	if cr.prefer != nil && cr.miss == 0 && cr.probeT <= cr.joinT {
+		cr.deviceJoins, cr.joins = true, len(steps)
+		cr.stages = append(cr.stages, stages...)
+	}
+}
+
+// pickEntry decides what a chain keyed at its joins pins when its join
+// entry is not resident. The joins then run on the host, charged in their
+// rows, and the group-by reads their output, the host-join entry, which a
+// chain that does not span its joins keys. The join entry — the investment
+// that lets later runs probe on the device — fills beside it only when this
+// run pays no more for both than for the host-join entry alone. The join
+// entry's images are base columns, build tables and, for a filtered bottom,
+// the filter's output, so its fill streams from the query's start, or the
+// filter's end (ready), beside the host joins; the host-join entry's fill
+// streams only once the joins have run, beside the keys, which the host
+// builds when that entry misses on the device that runs (at is the query's
+// charge so far). A chain whose host-join entry is resident has run before,
+// so it may pay this run up to what one later run saves by probing on the
+// device (joinT - probeT): the break-even of filling once for a repeat.
+// The join entry fills only when the probe pays at all and both entries
+// fit beside the chain's reservation, and a host-join entry the cold-cache
+// policy (fuseFactor) declines is taken, as the chain would decline it
+// without the joins.
 func (e *Engine) pickEntry(cr *chainRec, keys []evaluator.Eval, at vtime.Duration, in *groupby.Input, demand int64) {
 	var keysT vtime.Duration
 	for _, ev := range keys {
 		keysT += ev.Modeled
 	}
-	prefer, miss := e.fusedPrefer(cr.hostEntry)
-	bytes, fill := miss, e.fcache.MissTime(prefer.ID(), cr.hostEntry, e.model, true, e.cfg.Degree)
-	if miss == 0 {
-		for _, k := range cr.hostEntry {
-			bytes += k.Bytes()
-			fill += fusion.FillTime(k, e.model, true, e.cfg.Degree)
+	// cost is what reading the host-join entry on dev, after filling parts
+	// there, adds to the query from at on, and the entry's misses there.
+	cost := func(dev *gpu.Device, parts []fill) (vtime.Duration, int64) {
+		miss, kT := e.fcache.MissBytes(dev.ID(), cr.hostEntry), vtime.Duration(0)
+		if miss > 0 {
+			kT = keysT
 		}
+		return kT + exposed(parts, kT, func(i int) vtime.Duration {
+			return e.fcache.MissTime(dev.ID(), parts[i].keys, e.model, true, e.cfg.Degree)
+		}), miss
 	}
+	host := fill{keys: cr.hostEntry}
+	prefer, _ := e.fusedPrefer(cr.hostEntry)
+	hostT, miss := cost(prefer, []fill{host})
+	both := []fill{{cr.entry, at - cr.ready}, host}
+	bothT, bothMiss := cost(cr.prefer, both)
+	pinned := slices.Concat(cr.entry, cr.hostEntry)
 	room := cr.prefer.TotalMemory() - cr.reservation(demand)
-	for _, k := range cr.entry {
+	for _, k := range pinned {
 		room -= k.Bytes()
 	}
-	joinFill := e.fcache.MissTime(cr.prefer.ID(), cr.entry, e.model, true, e.cfg.Degree)
-	if room >= 0 && float64(bytes) <= fuseFactor*float64(groupby.InputDeviceBytes(in)) && max(joinFill-(at-cr.ready), 0) <= max(fill-keysT, 0) {
+	var invest vtime.Duration
+	if miss == 0 {
+		invest = cr.joinT - cr.probeT
+	}
+	if cr.probeT <= cr.joinT && room >= 0 && float64(miss) <= fuseFactor*float64(groupby.InputDeviceBytes(in)) && bothT <= hostT+invest {
+		cr.entry, cr.fills, cr.miss = pinned, both, bothMiss
 		return
 	}
-	cr.entry, cr.prefer, cr.miss, cr.joinEntry = cr.hostEntry, prefer, miss, false
+	cr.entry, cr.fills, cr.prefer, cr.miss, cr.joinEntry = cr.hostEntry, []fill{host}, prefer, miss, false
 }
 
 // nonNull is the share of the rows of the table that owns the probe key
@@ -428,14 +506,14 @@ func (e *Engine) fusedPrefer(entry []fusion.Key) (*gpu.Device, int64) {
 // as well: it reads each, packs it, hashes the row and feeds the device's
 // KMV sketch, which only sizes the device's table. The caller passes them
 // when the entry is resident on prefer and charges the host key
-// evaluators otherwise. overlap is the host work the query has been
-// charged before the attempt for a chain that fills: the key evaluators'
-// time (LCOG/CCAT/HASH) and the host joins of a chain that spans them.
-// Cache fills are DMA streams that run concurrently with it (the same
-// overlap idiom as gpu.PipelineTime), so only fill time in excess of the
-// window is charged to the query. The fill bytes are never discounted — the H2D counters
-// see every uploaded byte.
-func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, opts groupby.GPUOptions, prefer *gpu.Device, deviceKeys int, overlap vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
+// evaluators otherwise, keysT, before the attempt. The chain pins
+// cr.fills in order. Cache fills are DMA streams that run concurrently
+// with the host work the query has been charged since each part's images
+// existed — the key evaluators (LCOG/CCAT/HASH), and the host joins for a
+// join entry (the same overlap idiom as gpu.PipelineTime) — so only fill
+// time past that work is charged to the query (exposed). The fill bytes
+// are never discounted — the H2D counters see every uploaded byte.
+func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, opts groupby.GPUOptions, prefer *gpu.Device, deviceKeys int, keysT vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
 	if in.NumRows == 0 {
 		return nil, nil, gpuRunInfo{declined: true}, nil
 	}
@@ -453,9 +531,10 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	run := func(res *gpu.Reservation) ([]trace.Attr, error) {
 		dev := res.Device()
 		// Fuse/decline policy: how cold is the cache for this chain's entry
-		// columns on the chosen device? A join entry was weighed against
-		// the host-join entry, which passed this test (pickEntry).
-		if miss := e.fcache.MissBytes(dev.ID(), cr.entry); !cr.joinEntry && float64(miss) > fuseFactor*float64(inputBytes) {
+		// columns on the chosen device? A join entry was weighed on prefer
+		// against the host-join entry, which passed this test (pickEntry);
+		// on any other device it takes the test too.
+		if miss := e.fcache.MissBytes(dev.ID(), cr.entry); !(cr.joinEntry && dev == prefer) && float64(miss) > fuseFactor*float64(inputBytes) {
 			return []trace.Attr{trace.Str("decline", "cold-cache"), trace.Int("miss_bytes", miss)}, errFuseDecline
 		}
 
@@ -472,18 +551,23 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 			return []trace.Attr{trace.Int("spill_bytes", live)}, cause
 		}
 
-		// Acquire the chain's input columns on the device: hits pin resident
-		// entries, misses upload through the cache (reserve + H2D under this
-		// chain's span).
-		lease, err := e.fcache.Ensure(dev, cr.entry, res.Span(), e.model, true, e.cfg.Degree)
-		if err != nil {
-			if errors.Is(err, gpu.ErrInjected) {
-				return fault(err)
+		// Acquire the chain's input columns on the device, part by part:
+		// hits pin resident entries, misses upload through the cache
+		// (reserve + H2D under this chain's span).
+		fillT := make([]vtime.Duration, len(cr.fills))
+		var saved, uploaded int64
+		for i, p := range cr.fills {
+			lease, err := e.fcache.Ensure(dev, p.keys, res.Span(), e.model, true, e.cfg.Degree)
+			if err != nil {
+				if errors.Is(err, gpu.ErrInjected) {
+					return fault(err)
+				}
+				// No room even after eviction: decline, staged may still fit.
+				return []trace.Attr{trace.Str("decline", err.Error())}, errFuseDecline
 			}
-			// No room even after eviction: decline, staged may still fit.
-			return []trace.Attr{trace.Str("decline", err.Error())}, errFuseDecline
+			defer lease.Release()
+			fillT[i], saved, uploaded = lease.Modeled, saved+lease.Saved, uploaded+lease.Uploaded
 		}
-		defer lease.Release()
 
 		// Run the chain stages on-device: each stage claims its intermediate
 		// (selection vector / derived codes) from the chain reservation and
@@ -497,16 +581,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 				}
 				live += bytes
 			}
-			kr := dev.RunKernelSpan(st.kernel, res.Span(), func() vtime.Duration {
-				var t vtime.Duration
-				if st.work > 0 {
-					t += vtime.Duration(st.work / e.model.GPUScanRate)
-				}
-				if st.lookups > 0 {
-					t += vtime.Duration(st.lookups / e.model.GPUHashInsertRate)
-				}
-				return t
-			})
+			kr := dev.RunKernelSpan(st.kernel, res.Span(), func() vtime.Duration { return st.time(e.model) })
 			if kr.Err != nil {
 				return kr.Err
 			}
@@ -528,17 +603,18 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		}
 
 		opts.Fused = true
-		out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, opts)
-		if err != nil {
+		var err error
+		if out, err = groupby.RunGPU(in, e.cfg.Degree, res, e.model, opts); err != nil {
 			return fault(err)
 		}
-		fx = &fusedExec{saved: lease.Saved, uploaded: lease.Uploaded, highWater: res.Used()}
+		fx = &fusedExec{saved: saved, uploaded: uploaded, highWater: res.Used()}
 		// The chain time beyond the group-by's own Stats.Modeled: cache
-		// fills past the overlap window plus the fused stage kernels. The
-		// DES profile keeps the group-by's own demand (not the chain
-		// total) so concurrency replay and the ROLAP memory calibration see
-		// the same per-query footprint with fusion on or off.
-		chainT := max(lease.Modeled-overlap, 0) + stageT
+		// fills past the host work they overlap plus the fused stage
+		// kernels. The DES profile keeps the group-by's own demand (not the
+		// chain total) so concurrency replay and the ROLAP memory
+		// calibration see the same per-query footprint with fusion on or
+		// off.
+		chainT := exposed(cr.fills, keysT, func(i int) vtime.Duration { return fillT[i] }) + stageT
 		e.addGPU(f, chainT+out.Stats.Modeled, demand)
 		e.mon.RecordFusedChain(fx.saved, fx.uploaded)
 		return []trace.Attr{

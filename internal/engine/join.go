@@ -280,26 +280,22 @@ func (e *Engine) runChain(f *frame, links []*link, order []int, moved [][2]int) 
 // chargeJoins records computed joins on f in the order they ran: each its
 // span, modeled charge and operator row, the first at the depth of the
 // bottom-most of the chain's n joins. cr is the fused chain the joins
-// belong to, nil when they belong to none. It adds up their host time, and
-// a chain that probes on the device takes each join as a fused_join stage
-// instead of charging it here: the row is then empty, and the chain's
-// attempt settles the charge. For a chain whose join entry must fill, it
-// keys the joins' output as the host-join entry the chain may fill instead
-// (pickEntry).
+// belong to, nil when they belong to none. A chain that probes on the
+// device takes each join as a fused_join stage instead of charging it
+// here (settle): the row is then empty, and the chain's attempt settles
+// the charge. Otherwise it keys the joins' output as the host-join entry
+// the group-by reads (pickEntry); a chain whose join entry is resident but
+// whose device probe would cost more than the host joins reads only that.
 func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx, cr *chainRec) {
+	if cr != nil {
+		cr.settle(e.model, f.Len(), steps)
+	}
 	for p, st := range steps {
 		row := f.open("join", q.depth+n-1-p)
-		probe := f.Len()
 		f.parts = st.parts
 		f.sel, f.selKey, f.unkeyed = selNone, 0, st.unkeyed
 		rows := f.Len()
-		if cr != nil {
-			cr.joinT += st.t
-		}
-		if cr != nil && cr.deviceJoins {
-			cr.stages = append(cr.stages, joinStage(st, probe, rows))
-			cr.joins++
-		} else {
+		if cr == nil || !cr.deviceJoins {
 			e.addCPU(f, st.t)
 		}
 		attrs := []trace.Attr{trace.Str("table", st.table), trace.Int("rows", int64(rows))}
@@ -311,10 +307,13 @@ func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx, cr *chainR
 		}
 		row.close(rows, st.detail, attrs...)
 	}
-	if cr != nil && cr.prefer != nil && cr.miss > 0 {
+	if cr != nil && cr.prefer != nil && !cr.deviceJoins {
 		host := &chainRec{needed: cr.needed}
 		e.entryKeys(host, f)
 		cr.hostEntry = host.entry
+		if cr.miss == 0 {
+			cr.entry, cr.joinEntry, cr.prefer = host.entry, false, nil
+		}
 	}
 }
 

@@ -1018,8 +1018,7 @@ func TestJoinOutputsKeyedByProvenance(t *testing.T) {
 		e := newTestEngine(t, 120_000)
 		// The statement must reach the device to test the cache. Its
 		// joined count (51 428) sits just above T1 and its pre-join
-		// estimate (48 857) just below: the east stores are the even ones,
-		// and every NULL s_qty falls on an odd one.
+		// estimate (48 857) just below (TestJoinEstimateMisdecides).
 		e.thresholds.T1Rows = 1_000
 		const sql = "SELECT s_month, SUM(s_qty) AS q FROM sales JOIN stores ON s_store_sk = st_store_sk " +
 			"WHERE s_qty > 1 AND st_region = 'east' GROUP BY s_month"

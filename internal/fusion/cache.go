@@ -173,7 +173,8 @@ func (c *Cache) MissBytes(devID int, keys []Key) int64 {
 }
 
 // FillTime is the time Ensure charges to fill the image key addresses:
-// the copy into the pinned segment and its transfer.
+// the copy into the pinned segment and its transfer. It is the one place
+// that charge is written, so MissTime prices exactly what Ensure charges.
 func FillTime(key Key, model *vtime.CostModel, pinned bool, degree int) vtime.Duration {
 	bytes := key.Bytes()
 	return model.HostCopy(bytes, degree) + model.Transfer(bytes, pinned)
@@ -302,15 +303,14 @@ func (c *Cache) Ensure(dev *gpu.Device, keys []Key, sp trace.SpanID, model *vtim
 			return fail(err)
 		}
 		// The fill gathers the column into the registered segment like the
-		// MEMCPY evaluator (host copy), then crosses PCIe once. This is the
-		// only charge for that gather: the engine hands a chain its entry
-		// by key and copies nothing first.
-		t, err := res.CopyToDevice(bytes, pinned)
-		if err != nil {
+		// MEMCPY evaluator (host copy), then crosses PCIe once (FillTime).
+		// This is the only charge for that gather: the engine hands a chain
+		// its entry by key and copies nothing first.
+		if _, err := res.CopyToDevice(bytes, pinned); err != nil {
 			res.Release()
 			return fail(err)
 		}
-		lease.Modeled += model.HostCopy(bytes, degree) + t
+		lease.Modeled += FillTime(key, model, pinned, degree)
 		c.seq++
 		e := &entry{key: key, bytes: bytes, res: res, pins: 1, lastUse: c.seq}
 		dc.entries[key] = e
