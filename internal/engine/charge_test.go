@@ -265,11 +265,13 @@ func TestFusedGroupByChargesNoHostLoad(t *testing.T) {
 
 // TestFusedJoinChargedOnce runs TestFusedGroupByChargesNoHostLoad's arms
 // over a group-by on a join, whose fused chain spans the join. A chain
-// whose entry fills probes on the host, charged in the join's row, as the
-// fill's overlap window; a resident one probes on the device, a fused_join
-// kernel that looks every sales row up in the resident build table and
-// gathers st_name, and the join's row is empty. A chain that leaves a
-// resident entry — declined, or faulted on dead devices — is charged the
+// whose join entry misses joins on the host, charged in the join's row,
+// and uploads the join's output it reads, with the join entry's misses
+// when the host join hides them; a resident one probes on the device, a
+// fused_join kernel that looks every sales row up in the resident build
+// table and gathers st_name, and the join's row is empty. A chain that
+// leaves a resident entry — declined by a full device or the cold-cache
+// policy on the other one, or faulted on dead devices — is charged the
 // host join exactly once, in a host-join span after the attempt, with the
 // keys. In every arm the host join time charged is the join's, or none,
 // the group-by's row is its spans plus the finalize, and the rows tile the
