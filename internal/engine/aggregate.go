@@ -142,9 +142,9 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	if cr != nil {
 		// A chain with no filter/derive stage has the aggregate's direct
 		// input as its entry, keyed where it lives (a staged chain's
-		// deepest member, or the joins it spans, keyed their own). A miss's
-		// fill is charged the gather into the pinned segment, so nothing is
-		// copied or charged here.
+		// deepest member keyed its own); for joins run on the host, that is
+		// their output. A miss's fill is charged the gather into the pinned
+		// segment, so nothing is copied or charged here.
 		e.entryKeys(cr, f)
 	}
 
@@ -189,7 +189,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	// the chain is charged them first. Otherwise the entry must fill, and
 	// the key evaluators are charged now, the host work its fills run
 	// beside: the keys, and for a join entry everything charged since its
-	// images existed (pickEntry). Any other group-by is charged its whole
+	// images existed (pin). Any other group-by is charged its whole
 	// chain now: Figure 1's, or Figure 2's, which stages as it goes.
 	charge := func(evals ...evaluator.Eval) vtime.Duration {
 		d := evaluator.Charge(e.mon, row.sp, f.at(), evals...)
@@ -200,16 +200,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	var keysT vtime.Duration
 	deviceKeys := 0
 	if mayFuse {
-		if cr.prefer == nil {
-			cr.prefer, cr.miss = e.fusedPrefer(cr.entry)
-		}
-		cr.fills = []fill{{keys: cr.entry}}
-		if cr.joinEntry {
-			cr.fills[0].since = f.modeled - cr.ready
-			if cr.miss > 0 {
-				e.pickEntry(cr, chain.Keys(), f.modeled, in, demand)
-			}
-		}
+		e.pin(cr, chain.Keys(), f.modeled, in, demand)
 		if cr.miss == 0 {
 			deviceKeys = len(n.Keys)
 		} else {
@@ -259,7 +250,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		gpuStart := time.Now()
 		var gerr error
 		if mayFuse {
-			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, cr.prefer, deviceKeys, keysT, f, row.sp)
+			out, fx, ginfo, gerr = e.runAggregateFused(cr, in, demand, gopts, deviceKeys, keysT, f, row.sp)
 			if ginfo.declined {
 				// The staged path reads the staged payloads.
 				leave(chain.Loads()...)

@@ -8,6 +8,7 @@ import (
 
 	"blugpu/internal/fault"
 	"blugpu/internal/fusion"
+	"blugpu/internal/optimizer"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
 	"blugpu/internal/workload"
@@ -273,7 +274,9 @@ func TestFusedGroupByChargesNoHostLoad(t *testing.T) {
 // leaves a resident entry — declined by a full device or the cold-cache
 // policy on the other one, or faulted on dead devices — is charged the
 // host join exactly once, in a host-join span after the attempt, with the
-// keys. In every arm the host join time charged is the join's, or none,
+// keys. A chain whose join entry is resident but whose probe costs more
+// than the host join runs the join on the host and pins the join's output
+// once. In every arm the host join time charged is the join's, or none,
 // the group-by's row is its spans plus the finalize, and the rows tile the
 // query (tileOpsAt).
 func TestFusedJoinChargedOnce(t *testing.T) {
@@ -414,6 +417,55 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 		if moved.tiles != nil {
 			t.Error(moved.tiles)
 		}
+	})
+	t.Run("resident-host-join", func(t *testing.T) {
+		// A join entry can be resident while its probe costs more than the
+		// host join: at 36 000 rows the probe's launch and its st_name
+		// gather outweigh what it saves, while a chain reading no stores
+		// column probes for less. Other chains fill the entry: the sales
+		// group-by its fact columns, a group-by over stores st_name, and
+		// the join of that cheaper probe, on its second run, the stores
+		// build table. The join then runs on the host, charged once in its
+		// row, and the chain pins the join's output it reads, each key once.
+		const rows = 36_000
+		th := optimizer.Thresholds{T1Rows: 1, T2Groups: 4, T3Rows: 1 << 40}
+		joinT := runCharged(t, newTestEngineWith(t, Config{Devices: 2, Degree: 24, Thresholds: th, NoFusion: true}, rows), sql).joinRows
+		e := newTestEngineWith(t, Config{Devices: 2, Degree: 24, Thresholds: th}, rows)
+		warmFacts(t, e)
+		runCharged(t, e, "SELECT st_name, COUNT(*) AS n FROM stores GROUP BY st_name")
+		const cheaper = "SELECT s_month, SUM(s_qty) AS t FROM sales JOIN stores ON s_store_sk = st_store_sk GROUP BY s_month"
+		runCharged(t, e, cheaper)
+		if r := runCharged(t, e, cheaper); r.gb.Agg.UploadBytes != fusion.BuildKey(0, 10).Bytes() {
+			t.Fatalf("the cheaper probe's chain uploaded %d bytes, want the stores build table's %d", r.gb.Agg.UploadBytes, fusion.BuildKey(0, 10).Bytes())
+		}
+		sales, stores := e.tables["sales"], e.tables["stores"]
+		join := []fusion.Key{
+			fusion.ColumnKey(sales.Column("s_store_sk")), fusion.ColumnKey(sales.Column("s_qty")), fusion.ColumnKey(sales.Column("s_price")),
+			fusion.BuildKey(stores.Column("st_store_sk").Key(), 10), fusion.ColumnKey(stores.Column("st_name")),
+		}
+		if miss := e.fcache.MissBytes(0, join); miss != 0 {
+			t.Fatalf("the join entry misses %d bytes on device 0, want it resident", miss)
+		}
+
+		before := e.fcache.Stats()
+		r := runCharged(t, e, sql)
+		after := e.fcache.Stats()
+		if !r.gb.Agg.Fused || r.gb.Agg.DeviceJoins != 0 || len(r.joins) != 0 {
+			t.Fatalf("group-by took %q (fused %t) with %d device joins, want the fused chain and the host join", r.gb.Detail, r.gb.Agg.Fused, r.gb.Agg.DeviceJoins)
+		}
+		// The join's output: st_name through the join's list, which fills,
+		// and the resident s_qty and s_price.
+		if pins := (after.Hits - before.Hits) + (after.Misses - before.Misses); pins != 3 {
+			t.Errorf("the chain pinned %d keys, want the join output's 3, each once", pins)
+		}
+		if r.gb.Agg.UploadBytes != fusion.DeviceBytes(rows) || r.gb.Agg.SavedBytes != 2*fusion.DeviceBytes(rows) {
+			t.Errorf("the chain uploaded %d and saved %d bytes, want %d and %d",
+				r.gb.Agg.UploadBytes, r.gb.Agg.SavedBytes, fusion.DeviceBytes(rows), 2*fusion.DeviceBytes(rows))
+		}
+		if len(r.hostJoin) != 0 || r.joinRows != joinT {
+			t.Errorf("join charged %v in its row and %d host-join spans, want %v and none", r.joinRows, len(r.hostJoin), joinT)
+		}
+		check(t, r, joinT, keys...)
 	})
 	t.Run("declined", func(t *testing.T) {
 		if resident.fused == nil {

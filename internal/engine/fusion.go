@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"math"
-	"slices"
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/evaluator"
@@ -91,18 +90,16 @@ type chainRec struct {
 	// of the joins it spans, which the device probe reads too.
 	needed   map[string]bool
 	joinKeys map[string]bool
-	// entry addresses the needed columns of the chain's entry, in entry
-	// column order (deterministic); joinEntry marks the entry placeJoins
-	// keyed at the joins' bottom, with the joins' build tables. hostEntry
-	// is what a chain that does not span its joins would key, their
-	// output; chargeJoins keys it for a chain whose joins stay on the host.
-	// fills is what the attempt pins, in the order its fills cross
-	// (execAggregate, pickEntry).
-	entry     []fusion.Key
-	hostEntry []fusion.Key
-	joinEntry bool
-	fills     []fill
-	stages    []chainStage
+	// entry addresses the needed columns of what the chain's deepest stage,
+	// or the group-by, reads, in column order (entryKeys): for a chain that
+	// spans joins run on the host, their output, the host-join entry. join
+	// is the join entry placeJoins keys at the joins' bottom, with their
+	// build tables, until pin leaves it unpinned. fills is what the attempt
+	// pins, in the order its fills cross (pin).
+	entry  []fusion.Key
+	join   []fusion.Key
+	fills  []fill
+	stages []chainStage
 
 	// A chain that spans joins is prepared at the join (placeJoins), before
 	// any join runs: Figure 3 is decided there, on the pre-join row
@@ -115,8 +112,8 @@ type chainRec struct {
 	decision optimizer.Decision
 	reason   optimizer.Reason
 	// prefer, once set, is the device the chain tries first, and miss the
-	// misses there of the entry the group-by reads: the join entry's, or
-	// the host-join entry's once pickEntry ran.
+	// misses there of the entry the group-by reads: the join entry's from
+	// placeJoins, what pin decides once the joins have run.
 	prefer *gpu.Device
 	miss   int64
 	// deviceJoins: the join entry is resident and probing there pays, so
@@ -159,15 +156,12 @@ func (cr *chainRec) member(n plan.Node) bool { return cr != nil && cr.members[n]
 // entryKeys keys the chain's entry, f, once: the deepest member calls it
 // with its input before recording its stage, and the group-by with its
 // own input, which is the entry of a stage-less chain — a scan's, a
-// join's or a project's output. A chain placeJoins keyed at its joins'
-// bottom is keyed already. Every needed column is keyed where it
-// lives, and nothing is copied: an unlisted part's column by its own key,
-// a listed one's by its part's provenance (frame.keyed), exactly the key
-// materialize gives its copy. A frame holding a listed part no key fixes
-// is materialized as any other reader of lined-up values would, and its
-// copies are keyed by content.
+// join's or a project's output. Every needed column is keyed where it
+// lives (frameKeys), and nothing is copied. A frame holding a listed part
+// no key fixes is materialized as any other reader of lined-up values
+// would, and its copies are keyed by content.
 func (e *Engine) entryKeys(cr *chainRec, f *frame) {
-	if cr.joinEntry || len(cr.stages) > 0 {
+	if len(cr.stages) > 0 {
 		return
 	}
 	for _, p := range f.parts {
@@ -176,19 +170,31 @@ func (e *Engine) entryKeys(cr *chainRec, f *frame) {
 			break
 		}
 	}
+	cr.entry = frameKeys(f, func(name string) bool { return cr.needed[name] })
+}
+
+// frameKeys keys f's columns that read holds, part by part in column
+// order: an unlisted part's column by its own key, a filtered frame's —
+// its list is over a lined-up table — by its key mixed with the filter's
+// (frame.selKey), and a listed part's by its provenance (frame.keyed),
+// exactly the key materialize gives its copy.
+func frameKeys(f *frame, read func(string) bool) []fusion.Key {
+	var keys []fusion.Key
 	n := f.Len()
 	for _, p := range f.parts {
 		for _, c := range p.tbl.Columns() {
-			if !cr.needed[c.Name()] {
-				continue
-			}
-			if f.keyed(p) {
-				cr.entry = append(cr.entry, fusion.Key{H: provenanceKey(c, p.steps), N: n, T: c.Type()})
-			} else {
-				cr.entry = append(cr.entry, fusion.ColumnKey(c))
+			switch {
+			case !read(c.Name()):
+			case p.rows == nil:
+				keys = append(keys, fusion.ColumnKey(c))
+			case f.sel == selKeyed:
+				keys = append(keys, fusion.Key{H: columnar.MixKeys(c.Key(), f.selKey), N: n, T: c.Type()})
+			default:
+				keys = append(keys, fusion.Key{H: provenanceKey(c, p.steps), N: n, T: c.Type()})
 			}
 		}
 	}
+	return keys
 }
 
 // planFusedChain walks the aggregate's input spine and groups the
@@ -204,7 +210,7 @@ func (e *Engine) entryKeys(cr *chainRec, f *frame) {
 // cache, and each join is a fused_join stage when the entry is resident
 // and probing there pays (placeJoins, settle); otherwise the joins run on
 // the host and the chain reads their output, filling the join entry beside
-// it when that costs the run nothing more (pickEntry). A bare scan entry
+// it when that costs the run nothing more (pin). A bare scan entry
 // yields an empty-stage chain that still fuses the upload itself.
 // An ORDER BY ... LIMIT k above the group-by joins the chain at its exit:
 // the plan hands the group-by its k (plan.Aggregate.TopK), a topk_select
@@ -267,17 +273,16 @@ func planFusedChain(n *plan.Aggregate) *chainRec {
 }
 
 // placeJoins prepares a chain that spans the joins of links, over their
-// bottom f, before any of them runs. It keys the chain's entry — f's
-// columns the chain reads, keyed as a bare scan's or by their filter's
-// provenance; per join, its build table, keyed by the dimension key
-// column's key mixed with the join predicate's, and the dimension's
-// columns the chain reads — and decides Figure 3 on what is known before
-// the joins: f's rows times each join's kept fraction and its probe key's
-// share of non-NULL rows in the statistics. When the group-by goes to the
-// device, it picks the device the chain prefers and the entry's misses
-// there, from which the joins' charge is settled once they have run
-// (settle). A chain it cannot key is left to the host joins: the join that
-// cannot run reports why.
+// bottom f, before any of them runs. It keys the chain's join entry — f's
+// columns the chain reads (frameKeys); per join, its build table, keyed by
+// the dimension key column's key mixed with the join predicate's, and the
+// dimension's columns the chain reads — and decides Figure 3 on what is
+// known before the joins: f's rows times each join's kept fraction and its
+// probe key's share of non-NULL rows in the statistics. When the group-by
+// goes to the device, it picks the device the chain prefers and the join
+// entry's misses there, from which the joins' charge is settled once they
+// have run (settle). A chain it cannot key is left to the host joins: the
+// join that cannot run reports why.
 func (e *Engine) placeJoins(cr *chainRec, f *frame, links []*link) {
 	if len(f.parts) != 1 || (f.parts[0].rows != nil && f.sel != selKeyed) {
 		return
@@ -289,17 +294,8 @@ func (e *Engine) placeJoins(cr *chainRec, f *frame, links []*link) {
 	if !e.evalPreds(links, idx) {
 		return
 	}
-	p := f.parts[0]
-	entry := make([]fusion.Key, 0, p.tbl.NumColumns()+2*len(links))
-	for _, c := range p.tbl.Columns() {
-		switch {
-		case !cr.needed[c.Name()] && !cr.joinKeys[c.Name()]:
-		case p.rows == nil:
-			entry = append(entry, fusion.ColumnKey(c))
-		default:
-			entry = append(entry, fusion.Key{H: columnar.MixKeys(c.Key(), f.selKey), N: f.Len(), T: c.Type()})
-		}
-	}
+	read := func(name string) bool { return cr.needed[name] || cr.joinKeys[name] }
+	join := frameKeys(f, read)
 	rows := float64(f.Len())
 	for i, l := range links {
 		right := e.tables[l.n.Table]
@@ -318,23 +314,19 @@ func (e *Engine) placeJoins(cr *chainRec, f *frame, links []*link) {
 		if l.n.Pred != nil {
 			h, n = columnar.MixKeys(h, predKey(right, l.n.Pred)), len(l.kept)
 		}
-		rows *= float64(n) / float64(right.Rows()) * e.nonNull(pcol, p.tbl.Name(), links[:i])
-		entry = append(entry, fusion.BuildKey(h, n))
-		for _, c := range right.Columns() {
-			if c.Name() != bcol && (cr.needed[c.Name()] || cr.joinKeys[c.Name()]) {
-				entry = append(entry, fusion.ColumnKey(c))
-			}
-		}
+		rows *= float64(n) / float64(right.Rows()) * e.nonNull(pcol, f.parts[0].tbl.Name(), links[:i])
+		join = append(join, fusion.BuildKey(h, n))
+		join = append(join, frameKeys(&frame{parts: []part{{tbl: right}}}, func(name string) bool { return name != bcol && read(name) })...)
 	}
-	cr.entry, cr.joinEntry = entry, true
-	if p.rows != nil {
+	cr.join = join
+	if f.parts[0].rows != nil {
 		cr.ready = f.modeled
 	}
 	cr.decided, cr.estRows = true, int64(rows)
 	cr.est = e.estimate(cr.agg, cr.aggs, cr.estRows)
 	cr.decision, cr.reason = optimizer.Decide(cr.est, e.thresholds, e.maxDeviceMem())
 	if cr.decision == optimizer.UseGPU {
-		cr.prefer, cr.miss = e.fusedPrefer(cr.entry)
+		cr.prefer, cr.miss = e.fusedPrefer(cr.join)
 	}
 }
 
@@ -358,59 +350,76 @@ func (cr *chainRec) settle(m *vtime.CostModel, probe int, steps []joined) {
 	}
 }
 
-// pickEntry decides what a chain keyed at its joins pins when its join
-// entry is not resident. The joins then run on the host, charged in their
-// rows, and the group-by reads their output, the host-join entry, which a
-// chain that does not span its joins keys. The join entry — the investment
-// that lets later runs probe on the device — fills beside it only when this
-// run pays no more for both than for the host-join entry alone. The join
-// entry's images are base columns, build tables and, for a filtered bottom,
-// the filter's output, so its fill streams from the query's start, or the
-// filter's end (ready), beside the host joins; the host-join entry's fill
-// streams only once the joins have run, beside the keys, which the host
-// builds when that entry misses on the device that runs (at is the query's
-// charge so far). A chain whose host-join entry is resident has run before,
-// so it may pay this run up to what one later run saves by probing on the
-// device (joinT - probeT): the break-even of filling once for a repeat.
-// The join entry fills only when the probe pays at all and both entries
-// fit beside the chain's reservation, and a host-join entry the cold-cache
-// policy (fuseFactor) declines is taken, as the chain would decline it
-// without the joins.
-func (e *Engine) pickEntry(cr *chainRec, keys []evaluator.Eval, at vtime.Duration, in *groupby.Input, demand int64) {
-	var keysT vtime.Duration
-	for _, ev := range keys {
-		keysT += ev.Modeled
-	}
-	// cost is what reading the host-join entry on dev, after filling parts
-	// there, adds to the query from at on, and the entry's misses there.
-	cost := func(dev *gpu.Device, parts []fill) (vtime.Duration, int64) {
-		miss, kT := e.fcache.MissBytes(dev.ID(), cr.hostEntry), vtime.Duration(0)
-		if miss > 0 {
-			kT = keysT
-		}
-		return kT + exposed(parts, kT, func(i int) vtime.Duration {
-			return e.fcache.MissTime(dev.ID(), parts[i].keys, e.model, true, e.cfg.Degree)
-		}), miss
-	}
-	host := fill{keys: cr.hostEntry}
-	prefer, _ := e.fusedPrefer(cr.hostEntry)
-	hostT, miss := cost(prefer, []fill{host})
-	both := []fill{{cr.entry, at - cr.ready}, host}
-	bothT, bothMiss := cost(cr.prefer, both)
-	pinned := slices.Concat(cr.entry, cr.hostEntry)
-	room := cr.prefer.TotalMemory() - cr.reservation(demand)
-	for _, k := range pinned {
-		room -= k.Bytes()
-	}
-	var invest vtime.Duration
-	if miss == 0 {
-		invest = cr.joinT - cr.probeT
-	}
-	if cr.probeT <= cr.joinT && room >= 0 && float64(miss) <= fuseFactor*float64(groupby.InputDeviceBytes(in)) && bothT <= hostT+invest {
-		cr.entry, cr.fills, cr.miss = pinned, both, bothMiss
+// pin decides what a chain that may fuse pins, in the order its fills
+// cross, the device it tries first and the misses there of the entry the
+// group-by reads: the one place fills, prefer and miss are set once the
+// joins have run. keys are the group-by's key evaluators, at the query's
+// charge so far.
+//
+// A chain that probes its joins on the device pins its join entry. Any
+// other pins its entry — for a chain that spans joins, their output, the
+// host-join entry — on the device with the fewest misses for it. It fills
+// its join entry first, on the device that entry prefers, only when the
+// probe pays, both fit beside the chain's reservation, the cold-cache
+// policy (fuseFactor) takes the host-join entry, and this run pays no more
+// for both than for the host-join entry alone: the join entry's fill
+// streams beside the host joins, from the query's start or its bottom
+// filter's end (ready), the host-join entry's only once they ran, beside
+// the keys (exposed). A chain whose host-join entry is resident has run
+// before, so it may pay up to what one later run saves by probing on the
+// device (joinT - probeT), the break-even of filling once for a repeat. A
+// chain that leaves its join entry unpinned drops it: only one that pins
+// it was priced on prefer.
+func (e *Engine) pin(cr *chainRec, keys []evaluator.Eval, at vtime.Duration, in *groupby.Input, demand int64) {
+	if cr.deviceJoins {
+		cr.fills = []fill{{cr.join, at - cr.ready}}
 		return
 	}
-	cr.entry, cr.fills, cr.prefer, cr.miss, cr.joinEntry = cr.hostEntry, []fill{host}, prefer, miss, false
+	host := fill{keys: cr.entry}
+	prefer, miss := e.fusedPrefer(cr.entry)
+	if cr.join != nil && cr.probeT <= cr.joinT {
+		var keysT vtime.Duration
+		for _, ev := range keys {
+			keysT += ev.Modeled
+		}
+		// cost is what reading the host-join entry on dev, after filling
+		// parts there, adds to the query from at on, and the entry's misses
+		// there.
+		cost := func(dev *gpu.Device, parts []fill) (vtime.Duration, int64) {
+			miss, kT := e.fcache.MissBytes(dev.ID(), cr.entry), vtime.Duration(0)
+			if miss > 0 {
+				kT = keysT
+			}
+			return kT + exposed(parts, kT, func(i int) vtime.Duration {
+				return e.fcache.MissTime(dev.ID(), parts[i].keys, e.model, true, e.cfg.Degree)
+			}), miss
+		}
+		hostT, _ := cost(prefer, []fill{host})
+		both := []fill{{cr.join, at - cr.ready}, host}
+		bothT, bothMiss := cost(cr.prefer, both)
+		room := cr.prefer.TotalMemory() - cr.reservation(demand)
+		for _, k := range pinned(both) {
+			room -= k.Bytes()
+		}
+		var invest vtime.Duration
+		if miss == 0 {
+			invest = cr.joinT - cr.probeT
+		}
+		if room >= 0 && float64(miss) <= fuseFactor*float64(groupby.InputDeviceBytes(in)) && bothT <= hostT+invest {
+			cr.fills, cr.miss = both, bothMiss
+			return
+		}
+	}
+	cr.join, cr.fills, cr.prefer, cr.miss = nil, []fill{host}, prefer, miss
+}
+
+// pinned is every key the fills parts pin, in the order they cross.
+func pinned(parts []fill) []fusion.Key {
+	var keys []fusion.Key
+	for _, p := range parts {
+		keys = append(keys, p.keys...)
+	}
+	return keys
 }
 
 // nonNull is the share of the rows of the table that owns the probe key
@@ -496,7 +505,7 @@ func (e *Engine) fusedPrefer(entry []fusion.Key) (*gpu.Device, int64) {
 }
 
 // runAggregateFused attempts the group-by as a fused device chain through
-// onDevice, on prefer first. The returned info is declined when the chain
+// onDevice, on the device the chain prefers first. The returned info is declined when the chain
 // gave way — the caller then runs the staged path exactly as it would
 // without fusion. An error that is not a decline is a mid-chain fault on
 // every attempt: each chain spilled and released, and the caller routes
@@ -505,15 +514,15 @@ func (e *Engine) fusedPrefer(entry []fusion.Key) (*gpu.Device, int64) {
 // deviceKeys, when not 0, is the grouping key columns fused_pack builds
 // as well: it reads each, packs it, hashes the row and feeds the device's
 // KMV sketch, which only sizes the device's table. The caller passes them
-// when the entry is resident on prefer and charges the host key
-// evaluators otherwise, keysT, before the attempt. The chain pins
-// cr.fills in order. Cache fills are DMA streams that run concurrently
+// when the entry is resident there and charges the host key evaluators
+// otherwise, keysT, before the attempt. The chain pins cr.fills in order
+// (pin). Cache fills are DMA streams that run concurrently
 // with the host work the query has been charged since each part's images
 // existed — the key evaluators (LCOG/CCAT/HASH), and the host joins for a
 // join entry (the same overlap idiom as gpu.PipelineTime) — so only fill
 // time past that work is charged to the query (exposed). The fill bytes
 // are never discounted — the H2D counters see every uploaded byte.
-func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, opts groupby.GPUOptions, prefer *gpu.Device, deviceKeys int, keysT vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
+func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, opts groupby.GPUOptions, deviceKeys int, keysT vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
 	if in.NumRows == 0 {
 		return nil, nil, gpuRunInfo{declined: true}, nil
 	}
@@ -530,11 +539,11 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 	var fx *fusedExec
 	run := func(res *gpu.Reservation) ([]trace.Attr, error) {
 		dev := res.Device()
-		// Fuse/decline policy: how cold is the cache for this chain's entry
-		// columns on the chosen device? A join entry was weighed on prefer
-		// against the host-join entry, which passed this test (pickEntry);
-		// on any other device it takes the test too.
-		if miss := e.fcache.MissBytes(dev.ID(), cr.entry); !(cr.joinEntry && dev == prefer) && float64(miss) > fuseFactor*float64(inputBytes) {
+		// Fuse/decline policy: how cold is the cache on the chosen device for
+		// what the chain pins? A chain that pins its join entry was priced on
+		// the device it prefers (pin, settle); on any other device it takes
+		// the test too.
+		if miss := e.fcache.MissBytes(dev.ID(), pinned(cr.fills)); !(cr.join != nil && dev == cr.prefer) && float64(miss) > fuseFactor*float64(inputBytes) {
 			return []trace.Attr{trace.Str("decline", "cold-cache"), trace.Int("miss_bytes", miss)}, errFuseDecline
 		}
 
@@ -627,7 +636,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		}, nil
 	}
 	info, err := e.onDevice(op, f.q.base, &f.modeled, devCall{
-		op: "groupby", span: func(int) string { return "fused-chain" }, demand: cr.reservation(demand), prefer: prefer, run: run,
+		op: "groupby", span: func(int) string { return "fused-chain" }, demand: cr.reservation(demand), prefer: cr.prefer, run: run,
 	})
 	return out, fx, info, err
 }

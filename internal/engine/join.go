@@ -283,9 +283,7 @@ func (e *Engine) runChain(f *frame, links []*link, order []int, moved [][2]int) 
 // belong to, nil when they belong to none. A chain that probes on the
 // device takes each join as a fused_join stage instead of charging it
 // here (settle): the row is then empty, and the chain's attempt settles
-// the charge. Otherwise it keys the joins' output as the host-join entry
-// the group-by reads (pickEntry); a chain whose join entry is resident but
-// whose device probe would cost more than the host joins reads only that.
+// the charge.
 func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx, cr *chainRec) {
 	if cr != nil {
 		cr.settle(e.model, f.Len(), steps)
@@ -306,14 +304,6 @@ func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx, cr *chainR
 			attrs = append(attrs, trace.Int("skipped", int64(st.skipped)))
 		}
 		row.close(rows, st.detail, attrs...)
-	}
-	if cr != nil && cr.prefer != nil && !cr.deviceJoins {
-		host := &chainRec{needed: cr.needed}
-		e.entryKeys(host, f)
-		cr.hostEntry = host.entry
-		if cr.miss == 0 {
-			cr.entry, cr.joinEntry, cr.prefer = host.entry, false, nil
-		}
 	}
 }
 
