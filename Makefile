@@ -15,7 +15,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/serve ./internal/prof ./internal/hostmem \
                 ./internal/obsd ./internal/groupby ./internal/gpu
 
-.PHONY: build vet test race cpus bench check bench-smoke orphans fuzz-smoke size modeled-rises
+.PHONY: build vet test race cpus bench check bench-smoke orphans fuzz-smoke size modeled-rises event-moves
 
 build:
 	$(GO) build ./...
@@ -142,5 +142,13 @@ size:
 REV ?= HEAD
 modeled-rises:
 	sh scripts/modeled_rises.sh $(REV)
+
+# Device-event moves against a revision: for each "degree D nofusion B
+# [faults]" section of internal/engine/testdata/device_events.golden, the
+# statement and counter rows that moved against REV's, the first of them
+# and how many (scripts/event_moves.sh). Not part of check: a pull
+# request's CI prints it against the base branch.
+event-moves:
+	sh scripts/event_moves.sh $(REV)
 
 check: vet orphans test race cpus fuzz-smoke bench-smoke
