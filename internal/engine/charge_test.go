@@ -2,12 +2,15 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"blugpu/internal/columnar"
 	"blugpu/internal/fault"
 	"blugpu/internal/fusion"
+	"blugpu/internal/groupby"
 	"blugpu/internal/optimizer"
 	"blugpu/internal/trace"
 	"blugpu/internal/vtime"
@@ -337,7 +340,9 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 		check(t, cold, joinT, keys...)
 
 		warmFacts(t, e)
+		before := e.fcache.Stats()
 		fill = runCharged(t, e, sql)
+		after := e.fcache.Stats()
 		if !strings.HasPrefix(fill.gb.Detail, "gpu/fused/") || fill.gb.Agg.DeviceKeys || fill.gb.Agg.DeviceJoins != 0 {
 			t.Fatalf("group-by took %q (device keys %t, device joins %d), want the fused chain with host keys and join",
 				fill.gb.Detail, fill.gb.Agg.DeviceKeys, fill.gb.Agg.DeviceJoins)
@@ -356,6 +361,16 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 		want := fusion.DeviceBytes(rows) + fusion.BuildKey(0, 10).Bytes() + fusion.DeviceBytes(10)
 		if fill.gb.Agg.UploadBytes != want {
 			t.Errorf("filling chain uploaded %d bytes, want the joins' output and the join entry's misses, %d", fill.gb.Agg.UploadBytes, want)
+		}
+		// Both entries hold s_qty and s_price: each key is pinned and
+		// counted once, so the hits are the join entry's three resident
+		// sales columns and the misses its build table, its st_name and the
+		// join's st_name.
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 3 || misses != 3 {
+			t.Errorf("filling chain counted %d hits and %d misses, want 3 and 3", hits, misses)
+		}
+		if fill.gb.Agg.SavedBytes != 3*fusion.DeviceBytes(rows) {
+			t.Errorf("filling chain saved %d bytes, want the three resident sales columns' %d", fill.gb.Agg.SavedBytes, 3*fusion.DeviceBytes(rows))
 		}
 		check(t, fill, joinT, keys...)
 	})
@@ -435,9 +450,7 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 		runCharged(t, e, "SELECT st_name, COUNT(*) AS n FROM stores GROUP BY st_name")
 		const cheaper = "SELECT s_month, SUM(s_qty) AS t FROM sales JOIN stores ON s_store_sk = st_store_sk GROUP BY s_month"
 		runCharged(t, e, cheaper)
-		if r := runCharged(t, e, cheaper); r.gb.Agg.UploadBytes != fusion.BuildKey(0, 10).Bytes() {
-			t.Fatalf("the cheaper probe's chain uploaded %d bytes, want the stores build table's %d", r.gb.Agg.UploadBytes, fusion.BuildKey(0, 10).Bytes())
-		}
+		runCharged(t, e, cheaper)
 		sales, stores := e.tables["sales"], e.tables["stores"]
 		join := []fusion.Key{
 			fusion.ColumnKey(sales.Column("s_store_sk")), fusion.ColumnKey(sales.Column("s_qty")), fusion.ColumnKey(sales.Column("s_price")),
@@ -524,6 +537,31 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 		left(t, probed)
 		check(t, probed, joinT, append(keys, "LCOV")...)
 	})
+}
+
+// TestPinPricesSharedKeysOnce: a chain that fills its join entry beside
+// the host-join entry pins and prices a key both entries hold once, with
+// the join entry. Here the join entry's fill, {shared, joinOnly}, runs past
+// the host joins by half of shared's fill: filling both then costs that
+// half and hostOnly, less than the host-join entry's {shared, hostOnly}
+// alone, so the chain fills both, each key once. Priced twice, shared
+// would make both cost more than the host-join entry alone.
+func TestPinPricesSharedKeysOnce(t *testing.T) {
+	e := newTestEngine(t, 1_000)
+	m, dev := e.model, e.sched.Devices()[0]
+	key := func(h uint64) fusion.Key { return fusion.Key{H: h, N: 10_000, T: columnar.Int64} }
+	shared, joinOnly, hostOnly := key(1), key(2), key(3)
+	ft := func(k fusion.Key) vtime.Duration { return fusion.FillTime(k, m, true, e.cfg.Degree) }
+	cr := &chainRec{
+		join: []fusion.Key{shared, joinOnly}, entry: []fusion.Key{shared, hostOnly},
+		prefer: dev, miss: shared.Bytes() + joinOnly.Bytes(), probeT: 1, joinT: 2,
+	}
+	at := ft(joinOnly) + ft(shared)/2
+	e.pin(cr, nil, at, &groupby.Input{NumRows: 100_000, KeyBits: 16}, 0)
+	want := []fill{{[]fusion.Key{shared, joinOnly}, at}, {keys: []fusion.Key{hostOnly}}}
+	if !reflect.DeepEqual(cr.fills, want) || cr.prefer != dev {
+		t.Errorf("pinned %v on device %d, want %v on device 0", cr.fills, cr.prefer.ID(), want)
+	}
 }
 
 // warmFacts runs a group-by over the sales columns TestFusedJoinChargedOnce's

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/evaluator"
@@ -395,7 +396,10 @@ func (e *Engine) pin(cr *chainRec, keys []evaluator.Eval, at vtime.Duration, in 
 			}), miss
 		}
 		hostT, _ := cost(prefer, []fill{host})
-		both := []fill{{cr.join, at - cr.ready}, host}
+		// The join entry already pins the bottom's unlisted columns the
+		// group-by reads: the host-join entry fills only the rest.
+		rest := slices.DeleteFunc(slices.Clone(cr.entry), func(k fusion.Key) bool { return slices.Contains(cr.join, k) })
+		both := []fill{{cr.join, at - cr.ready}, {keys: rest}}
 		bothT, bothMiss := cost(cr.prefer, both)
 		room := cr.prefer.TotalMemory() - cr.reservation(demand)
 		for _, k := range pinned(both) {
