@@ -131,11 +131,8 @@ func (h *Harness) rolapGated() (ran, gated []QueryRun, mem int64, mon *monitor.M
 			return nil, nil, 0, nil, err
 		}
 	}
-	eng, err := h.newEngine(h.cfg.Degree, mem)
+	eng, err := h.newEngine(h.cfg.Degree, mem, h.cfg.Faults)
 	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	if err := h.Data.RegisterAll(eng); err != nil {
 		return nil, nil, 0, nil, err
 	}
 	old := h.Eng
@@ -222,11 +219,8 @@ func (h *Harness) Table3(w io.Writer) error {
 // streams at the given degree and returns (gpuOn, gpuOff) queries/hour.
 func (h *Harness) throughput(runs []QueryRun, streams, degree int) (float64, float64, error) {
 	// Re-measure profiles at the requested degree.
-	eng, err := h.newEngine(degree, 0)
+	eng, err := h.newEngine(degree, 0, h.cfg.Faults)
 	if err != nil {
-		return 0, 0, err
-	}
-	if err := h.Data.RegisterAll(eng); err != nil {
 		return 0, 0, err
 	}
 	old := h.Eng

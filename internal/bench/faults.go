@@ -8,7 +8,6 @@ import (
 	"blugpu/internal/columnar"
 	"blugpu/internal/engine"
 	"blugpu/internal/fault"
-	"blugpu/internal/vtime"
 	"blugpu/internal/workload"
 )
 
@@ -27,7 +26,7 @@ func (h *Harness) Faults(w io.Writer) error {
 		D2H:     0.2,
 		Kernel:  0.3,
 	})
-	faulted, err := h.newFaultedEngine(inj)
+	faulted, err := h.newEngine(h.cfg.Degree, h.cfg.DeviceMemory, inj)
 	if err != nil {
 		return err
 	}
@@ -86,30 +85,6 @@ func (h *Harness) Faults(w io.Writer) error {
 		return fmt.Errorf("bench: fault sweep degraded incorrectly (%d errors, %d mismatches)", errored, mismatches)
 	}
 	return nil
-}
-
-// newFaultedEngine builds a second engine over the harness dataset with
-// the given injector wired into every device.
-func (h *Harness) newFaultedEngine(inj *fault.Injector) (*engine.Engine, error) {
-	spec := vtime.TeslaK40()
-	if h.cfg.DeviceMemory > 0 {
-		spec.DeviceMemory = h.cfg.DeviceMemory
-	}
-	eng, err := engine.New(engine.Config{
-		Devices:    h.cfg.Devices,
-		DeviceSpec: spec,
-		Degree:     h.cfg.Degree,
-		Race:       h.cfg.Race,
-		Faults:     inj,
-		Tracer:     h.cfg.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := h.Data.RegisterAll(eng); err != nil {
-		return nil, err
-	}
-	return eng, nil
 }
 
 // DiffResults compares two query results row by row and returns a short

@@ -78,33 +78,38 @@ func NewHarness(cfg Config) (*Harness, error) {
 	}
 	h := &Harness{cfg: cfg}
 	h.Data = workload.Generate(cfg.SF, cfg.Seed)
-	eng, err := h.newEngine(cfg.Degree, cfg.DeviceMemory)
+	eng, err := h.newEngine(cfg.Degree, cfg.DeviceMemory, cfg.Faults)
 	if err != nil {
 		return nil, err
 	}
 	h.Eng = eng
-	if err := h.Data.RegisterAll(h.Eng); err != nil {
-		return nil, err
-	}
 	return h, nil
 }
 
 // newEngine builds an engine over the harness dataset with the given
-// degree and device memory (0 = full K40).
-func (h *Harness) newEngine(degree int, devMem int64) (*engine.Engine, error) {
+// degree, device memory (0 = full K40) and fault injector (nil for none),
+// the harness's devices, data path and tracer.
+func (h *Harness) newEngine(degree int, devMem int64, inj *fault.Injector) (*engine.Engine, error) {
 	spec := vtime.TeslaK40()
 	if devMem > 0 {
 		spec.DeviceMemory = devMem
 	}
-	return engine.New(engine.Config{
+	eng, err := engine.New(engine.Config{
 		Devices:    h.cfg.Devices,
 		DeviceSpec: spec,
 		Degree:     degree,
 		Race:       h.cfg.Race,
 		NoFusion:   h.cfg.NoFusion,
-		Faults:     h.cfg.Faults,
+		Faults:     inj,
 		Tracer:     h.cfg.Trace,
 	})
+	if err != nil {
+		return nil, err
+	}
+	if err := h.Data.RegisterAll(eng); err != nil {
+		return nil, err
+	}
+	return eng, nil
 }
 
 // QueryRun is one measured query execution.

@@ -8,6 +8,7 @@ package bench
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -215,29 +216,41 @@ func TestTraceFaultAttribution(t *testing.T) {
 }
 
 // TestFaultsExperimentReportsTrace checks the blubench surface: the
-// faults experiment prints the trace accounting line when tracing is on.
+// faults experiment prints the trace accounting line when tracing is on,
+// and runs the harness's data path — fused chains on the default arm,
+// none with NoFusion, whose sweep is the paper's staged path.
 func TestFaultsExperimentReportsTrace(t *testing.T) {
-	tr := trace.New()
-	h, err := NewHarness(Config{SF: 0.004, Seed: 7, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := h.Faults(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "fault span attributes") {
-		t.Errorf("faults output missing trace accounting line:\n%s", out)
-	}
-	if strings.Contains(out, "0 fault span attributes") && tr.FaultAttrCount() == 0 && injTotalFromOutput(out) > 0 {
-		t.Error("faults fired but none reached the trace")
-	}
-	if tr.Orphans() != 0 {
-		t.Errorf("orphans = %d", tr.Orphans())
-	}
-	if got, want := tr.FaultAttrCount(), injTotalFromOutput(out); got != want {
-		t.Errorf("trace shows %d fault attributes, experiment reported %d injected", got, want)
+	for _, noFusion := range []bool{false, true} {
+		t.Run(fmt.Sprintf("nofusion=%t", noFusion), func(t *testing.T) {
+			tr := trace.New()
+			h, err := NewHarness(Config{SF: 0.02, Seed: 7, Trace: tr, NoFusion: noFusion})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			if err := h.Faults(&sb); err != nil {
+				t.Fatal(err)
+			}
+			out := sb.String()
+			if !strings.Contains(out, "fault span attributes") {
+				t.Errorf("faults output missing trace accounting line:\n%s", out)
+			}
+			if tr.Orphans() != 0 {
+				t.Errorf("orphans = %d", tr.Orphans())
+			}
+			if got, want := tr.FaultAttrCount(), injTotalFromOutput(out); got != want {
+				t.Errorf("trace shows %d fault attributes, experiment reported %d injected", got, want)
+			}
+			chains := 0
+			for _, sp := range tr.Spans() {
+				if sp.Name == "fused-chain" {
+					chains++
+				}
+			}
+			if (chains > 0) == noFusion {
+				t.Errorf("the sweep ran %d fused-chain attempts with NoFusion %t", chains, noFusion)
+			}
+		})
 	}
 }
 
