@@ -509,23 +509,23 @@ func (e *Engine) fusedPrefer(entry []fusion.Key) (*gpu.Device, int64) {
 }
 
 // runAggregateFused attempts the group-by as a fused device chain through
-// onDevice, on the device the chain prefers first. The returned info is declined when the chain
-// gave way — the caller then runs the staged path exactly as it would
-// without fusion. An error that is not a decline is a mid-chain fault on
-// every attempt: each chain spilled and released, and the caller routes
-// to the CPU.
+// onDevice, on the device the chain prefers first. The returned info is
+// declined when the chain gave way — the caller then runs the staged path
+// exactly as it would without fusion. An error that is not a decline is a
+// mid-chain fault on every attempt: each chain spilled and released, and
+// the caller routes to the CPU.
 //
 // deviceKeys, when not 0, is the grouping key columns fused_pack builds
 // as well: it reads each, packs it, hashes the row and feeds the device's
 // KMV sketch, which only sizes the device's table. The caller passes them
 // when the entry is resident there and charges the host key evaluators
 // otherwise, keysT, before the attempt. The chain pins cr.fills in order
-// (pin). Cache fills are DMA streams that run concurrently
-// with the host work the query has been charged since each part's images
-// existed — the key evaluators (LCOG/CCAT/HASH), and the host joins for a
-// join entry (the same overlap idiom as gpu.PipelineTime) — so only fill
-// time past that work is charged to the query (exposed). The fill bytes
-// are never discounted — the H2D counters see every uploaded byte.
+// (pin). Cache fills are DMA streams that run concurrently with the host
+// work the query has been charged since each part's images existed — the
+// key evaluators (LCOG/CCAT/HASH), and the host joins for a join entry
+// (the same overlap idiom as gpu.PipelineTime) — so only fill time past
+// that work is charged to the query (exposed). The fill bytes are never
+// discounted — the H2D counters see every uploaded byte.
 func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64, opts groupby.GPUOptions, deviceKeys int, keysT vtime.Duration, f *frame, op trace.Context) (*groupby.Result, *fusedExec, gpuRunInfo, error) {
 	if in.NumRows == 0 {
 		return nil, nil, gpuRunInfo{declined: true}, nil
