@@ -15,7 +15,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/columnar ./internal/expr \
                 ./internal/serve ./internal/prof ./internal/hostmem \
                 ./internal/obsd ./internal/groupby ./internal/gpu
 
-.PHONY: build vet test race cpus bench check bench-smoke orphans fuzz-smoke size modeled-rises event-moves
+.PHONY: build vet test race cpus bench check bench-smoke orphans fuzz-smoke size modeled-rises event-moves unlinked
 
 build:
 	$(GO) build ./...
@@ -150,5 +150,13 @@ modeled-rises:
 # request's CI prints it against the base branch.
 event-moves:
 	sh scripts/event_moves.sh $(REV)
+
+# Functions no shipped binary links: every function and method declared
+# in a non-test file under internal/ that go tool nm finds in none of the
+# cmd/* binaries and ./benchmark, built with inlining off, with its file,
+# line and length (scripts/unlinked.sh). What it lists only tests reach.
+# Not part of check; it gates nothing.
+unlinked:
+	sh scripts/unlinked.sh
 
 check: vet orphans test race cpus fuzz-smoke bench-smoke

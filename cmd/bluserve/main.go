@@ -15,7 +15,8 @@
 //	/healthz          scheduler device health + circuit-breaker state +
 //	                  firing alerts (a severity-page alert answers 503)
 //	/debug/queries    per-query latency rollups + recent requests
-//	/debug/explain    EXPLAIN ANALYZE decision audit for ?q=<sql>
+//	/debug/explain    EXPLAIN ANALYZE decision audit for ?q=<sql>,
+//	                  admitted and logged as POST /query "explain":true
 //	/debug/alerts     alert rule states + recent transitions (JSON)
 //	/debug/dash       self-contained HTML dashboard over the embedded
 //	                  time-series history (inline SVG sparklines)

@@ -1,6 +1,7 @@
 package columnar
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -58,10 +59,11 @@ func (v *vec[T]) IsNull(i int) bool {
 func (v *vec[T]) Nulls() *Bitmap { return v.nulls }
 
 // rename fills dst as v's header under name: it shares the vector, the
-// bitmap, the provenance key and the memoized content hash.
+// bitmap, the provenance key and the content-hash memo, so a hash either
+// header computes is the other's too.
 func (v *vec[T]) rename(dst *vec[T], name string) {
 	dst.name, dst.data, dst.nulls, dst.prov = name, v.data, v.nulls, v.prov
-	dst.hash.p.Store(v.hash.p.Load())
+	dst.hash.shared = cmp.Or(v.hash.shared, &v.hash)
 }
 
 // --- Int64 ---

@@ -269,6 +269,27 @@ func TestRenameSharesStorageAndHash(t *testing.T) {
 	}
 }
 
+// TestRenamedHeaderHashesOnce: a hash a renamed header computes — here a
+// header renamed from a header — is memoized on the column it was renamed
+// from, so a column renamed afresh for every query is walked once.
+func TestRenamedHeaderHashesOnce(t *testing.T) {
+	ib, sb := NewInt64Builder("i"), NewStringBuilder("s")
+	for i := 0; i < 100; i++ {
+		ib.Append(int64(i))
+		sb.Append(string(rune('a' + i%5)))
+	}
+	i, s := ib.Build(), sb.Build()
+	for _, tc := range []struct {
+		src  Column
+		memo *hashMemo
+	}{{i, &i.hash}, {s, &s.hash}} {
+		h := tc.src.Rename("a").Rename("b").ContentHash()
+		if p := tc.memo.p.Load(); p == nil || *p != h {
+			t.Errorf("%s: the hash a renamed header computed is not memoized on the column", tc.src.Name())
+		}
+	}
+}
+
 // TestContentHashConcurrent: the memo is filled by whichever goroutine
 // gets there first; every caller sees the same value (run under -race).
 func TestContentHashConcurrent(t *testing.T) {

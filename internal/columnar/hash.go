@@ -1,14 +1,19 @@
 package columnar
 
 import (
+	"cmp"
 	"math"
 	"sync/atomic"
 )
 
-// hashMemo caches a column's content hash on the column object. Columns
+// hashMemo caches a column's content hash on the column object, shared
+// with every header renamed from it, which holds the same values. Columns
 // are immutable, so the first computed value is final: a second goroutine
 // racing the first computes and stores the same value.
-type hashMemo struct{ p atomic.Pointer[uint64] }
+type hashMemo struct {
+	p      atomic.Pointer[uint64]
+	shared *hashMemo // the memo of the column this header was renamed from
+}
 
 // store memoizes h and returns it.
 func (m *hashMemo) store(h uint64) uint64 {
@@ -74,10 +79,11 @@ func (v *vec[T]) Key() uint64 {
 
 // ContentHash implements Column.
 func (v *vec[T]) ContentHash() uint64 {
-	if p := v.hash.p.Load(); p != nil {
+	m := cmp.Or(v.hash.shared, &v.hash)
+	if p := m.p.Load(); p != nil {
 		return *p
 	}
-	return v.hash.store(v.hashValues())
+	return m.store(v.hashValues())
 }
 
 // hashValues hashes the vector's length, values and NULL positions.
@@ -112,10 +118,11 @@ func (c *StringColumn) Key() uint64 {
 
 // ContentHash implements Column; the dictionary is part of the content.
 func (c *StringColumn) ContentHash() uint64 {
-	if p := c.hash.p.Load(); p != nil {
+	m := cmp.Or(c.hash.shared, &c.hash)
+	if p := m.p.Load(); p != nil {
 		return *p
 	}
-	return c.hash.store(c.hashDict(c.hashValues()))
+	return m.store(c.hashDict(c.hashValues()))
 }
 
 // hashDict folds every dictionary entry into h.

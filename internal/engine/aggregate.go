@@ -320,13 +320,13 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		// The device shipped only the first k groups of the ORDER BY
 		// above. The host names the same k: TopK over the output's sort
 		// keys, whose rows are in canonical key order, so the Sort above
-		// orders exactly the rows it would have kept, ties included.
+		// orders exactly the rows it would have kept, ties included. No
+		// key fixes the list: the part takes no step.
 		words, offs, err := sortKeyWords(f, n.TopKeys, e.cfg.Degree)
 		if err != nil {
 			return row.fail(err)
 		}
 		f.parts[0].rows = bsort.TopK(bsort.NewFlatKeySource(words, out.Groups, offs[len(n.TopKeys)]), k, e.cfg.Degree)
-		f.sel = selUnkeyed
 	}
 	q.wallHost(buildStart)
 	e.addCPU(f, e.model.CPUTime(float64(f.Len()*len(items)), e.model.CPUExprRate, e.cfg.Degree))

@@ -548,10 +548,10 @@ func TestFusedJoinChargedOnce(t *testing.T) {
 // would make both cost more than the host-join entry alone.
 func TestPinPricesSharedKeysOnce(t *testing.T) {
 	e := newTestEngine(t, 1_000)
-	m, dev := e.model, e.sched.Devices()[0]
+	dev := e.sched.Devices()[0]
 	key := func(h uint64) fusion.Key { return fusion.Key{H: h, N: 10_000, T: columnar.Int64} }
 	shared, joinOnly, hostOnly := key(1), key(2), key(3)
-	ft := func(k fusion.Key) vtime.Duration { return fusion.FillTime(k, m, true, e.cfg.Degree) }
+	ft := e.fcache.FillTime
 	cr := &chainRec{
 		join: []fusion.Key{shared, joinOnly}, entry: []fusion.Key{shared, hostOnly},
 		prefer: dev, miss: shared.Bytes() + joinOnly.Bytes(), probeT: 1, joinT: 2,

@@ -151,57 +151,56 @@ func TestStarJoinCopiesOnce(t *testing.T) {
 // materialize would have copied — so the cache finds what the copy would
 // have found. The star below has no predicate, so every sales row
 // matches and the fact part stays unlisted, while the dimension parts
-// are listed with provenance. Over lists no key fixes (a sort's), the
-// frame is materialized and keyed by content, as before.
+// are listed with provenance; the filtered scan's one part is listed by
+// its filter's step. Over lists no key fixes (a sort's: listed, no
+// steps), the frame is materialized and keyed by content. Two arms hold
+// the join's step rule: a filtered bottom's columns are keyed in place
+// and differ from the same columns after a join that matches every row
+// once, and a dimension listed by an earlier join keeps its key through
+// such a join.
 func TestEntryKeysMatchMaterialize(t *testing.T) {
-	const sql = "SELECT st_name, m_name, SUM(s_qty) AS q FROM sales JOIN stores ON s_store_sk = st_store_sk " +
+	const star = "SELECT st_name, m_name, SUM(s_qty) AS q FROM sales JOIN stores ON s_store_sk = st_store_sk " +
 		"JOIN months ON s_month = m_month GROUP BY st_name, m_name"
+	const filtered = "SELECT s_month, SUM(s_qty) AS q FROM sales WHERE s_price < 40 GROUP BY s_month"
 	for _, tc := range []struct {
 		name   string
-		sel    selKind
-		copies int // columns entryKeys copies
+		sql    string
+		unkey  bool // clear every part's steps, as a sort's lists would
+		copies int  // columns entryKeys copies
+		needed int  // the entry's columns
 	}{
-		{"provenance", selNone, 0},
-		{"unkeyed lists", selUnkeyed, 2},
+		{"join provenance", star, false, 0, 3},
+		{"filter provenance", filtered, false, 0, 3},
+		{"unkeyed lists", star, true, 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := starEngine(t, 6_000)
-			stmt, err := sqlparse.Parse(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := e.plan(stmt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var agg *plan.Aggregate
-			for n := p.Root; n != nil && agg == nil; n = plan.Input(n) {
-				agg, _ = n.(*plan.Aggregate)
-			}
-			if agg == nil {
-				t.Fatalf("no group-by in %s", p.Root)
-			}
+			agg := planAggregate(t, e, tc.sql)
 			// Two frames of one input: one keyed in place, one copied.
 			frames := make([]*frame, 2)
+			listed := 0
 			for i := range frames {
-				if frames[i], err = e.exec(agg.Input, qctx{}); err != nil {
+				f, err := e.exec(agg.Input, qctx{})
+				if err != nil {
 					t.Fatal(err)
 				}
-				frames[i].sel = tc.sel
+				for j := range f.parts {
+					if f.parts[j].rows == nil {
+						continue
+					}
+					listed++
+					if tc.unkey {
+						f.parts[j].steps = nil
+					} else if !f.parts[j].keyed() {
+						t.Fatalf("part %s is listed with no provenance", f.parts[j].tbl.Name())
+					}
+				}
+				frames[i] = f
+			}
+			if listed == 0 {
+				t.Fatal("no listed part to key")
 			}
 			f, mat := frames[0], frames[1]
-			var unlisted, listed int
-			for _, pt := range f.parts {
-				switch {
-				case pt.rows == nil:
-					unlisted++
-				case len(pt.steps) > 0:
-					listed++
-				}
-			}
-			if unlisted != 1 || listed != 2 {
-				t.Fatalf("%d unlisted and %d provenance-listed parts, want 1 and 2", unlisted, listed)
-			}
 
 			copies := 0
 			copyHook = func(columnar.Column) { copies++ }
@@ -219,12 +218,64 @@ func TestEntryKeysMatchMaterialize(t *testing.T) {
 					want = append(want, fusion.ColumnKey(c))
 				}
 			}
-			if len(want) != 3 {
-				t.Fatalf("%d needed columns, want 3", len(want))
+			if len(want) != tc.needed {
+				t.Fatalf("%d needed columns, want %d", len(want), tc.needed)
 			}
 			if !slices.Equal(cr.entry, want) {
 				t.Errorf("entry keys %v, want materialize's %v", cr.entry, want)
 			}
 		})
 	}
+
+	// keysOf runs the first node under sql's group-by that pick holds and
+	// keys the named columns of its output.
+	keysOf := func(t *testing.T, e *Engine, sql string, pick func(plan.Node) bool, cols ...string) []fusion.Key {
+		t.Helper()
+		agg := planAggregate(t, e, sql)
+		var n plan.Node
+		for cur := agg.Input; cur != nil && n == nil; cur = plan.Input(cur) {
+			if pick(cur) {
+				n = cur
+			}
+		}
+		if n == nil {
+			t.Fatalf("no such node under %s", agg)
+		}
+		f, err := e.exec(n, qctx{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frameKeys(f, func(name string) bool { return slices.Contains(cols, name) })
+	}
+	isFilter := func(n plan.Node) bool { _, ok := n.(*plan.Filter); return ok }
+	isJoin := func(table string) func(plan.Node) bool {
+		return func(n plan.Node) bool { j, ok := n.(*plan.Join); return ok && j.Table == table }
+	}
+
+	t.Run("filtered bottom through identity join", func(t *testing.T) {
+		// Every filtered sales row finds its one store: the join lists no
+		// part, yet its output is keyed apart from the filter's.
+		e := starEngine(t, 6_000)
+		const sql = "SELECT st_name, SUM(s_qty) AS q FROM sales JOIN stores ON s_store_sk = st_store_sk " +
+			"WHERE s_price < 40 GROUP BY st_name"
+		bottom := keysOf(t, e, sql, isFilter, "s_qty")
+		joined := keysOf(t, e, sql, isJoin("stores"), "s_qty")
+		if len(bottom) != 1 || len(joined) != 1 || bottom[0].N != joined[0].N {
+			t.Fatalf("filtered bottom %v, joined %v: want one s_qty key of one length each", bottom, joined)
+		}
+		if bottom[0] == joined[0] {
+			t.Errorf("s_qty keyed %v both under and over the identity join", bottom[0])
+		}
+	})
+
+	t.Run("listed dimension through identity join", func(t *testing.T) {
+		// stores is listed by its join; every row then finds its month, so
+		// the months join lists nothing, and st_name keeps its key.
+		e := starEngine(t, 6_000)
+		first := keysOf(t, e, star, isJoin("stores"), "st_name")
+		second := keysOf(t, e, star, isJoin("months"), "st_name")
+		if len(first) != 1 || !slices.Equal(first, second) {
+			t.Errorf("st_name keyed %v after the stores join, %v after the months join", first, second)
+		}
+	})
 }

@@ -149,7 +149,7 @@ func New(cfg Config) (*Engine, error) {
 		s.SetSink(e.mon)
 		e.sched = s
 		if !cfg.NoFusion {
-			e.fcache = fusion.NewCache()
+			e.fcache = fusion.NewCache(e.model, cfg.Degree)
 		}
 	}
 	return e, nil

@@ -118,8 +118,7 @@ func (e *Engine) execFilter(n *plan.Filter, q qctx) (*frame, error) {
 	e.addCPU(f, e.model.CPUTime(float64(tbl.Rows()), e.model.CPUExprRate, e.cfg.Degree))
 	row.close(len(rows), n.Pred.String(), trace.Int("rows", int64(len(rows))))
 	if len(rows) < tbl.Rows() {
-		f.parts[0].rows = rows
-		f.sel, f.selKey = selKeyed, predKey(tbl, n.Pred)
+		f.parts[0].rows, f.parts[0].steps = rows, []uint64{filterSide, predKey(tbl, n.Pred), 0}
 	}
 	return f, nil
 }
@@ -228,12 +227,13 @@ func (e *Engine) execLimit(n *plan.Limit, q qctx) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A limit cuts every part's list; one that cuts nothing leaves them
-	// alone.
+	// A limit cuts every part's list, which no key fixes then; one that
+	// cuts nothing leaves them alone.
 	if n.N < f.Len() {
 		var first []int32
 		for i := range f.parts {
 			p := &f.parts[i]
+			p.steps = nil
 			if p.rows != nil {
 				p.rows = p.rows[:n.N]
 				continue
@@ -243,7 +243,6 @@ func (e *Engine) execLimit(n *plan.Limit, q qctx) (*frame, error) {
 			}
 			p.rows = first
 		}
-		f.sel = selUnkeyed
 	}
 	// Limit charges no modeled time and emits no span: a zero-width row.
 	f.ops = append(f.ops, OpStat{Op: "limit", Depth: q.depth, Rows: f.Len(), Start: f.at(), End: f.at()})

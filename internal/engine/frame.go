@@ -17,19 +17,12 @@ import (
 // No operator copies a value on the way: the next join's probe key, the
 // sort key and the evaluator chain read their columns through their
 // part's list, and an operator that needs the values lined up calls
-// materialize, the one place columns are copied.
+// materialize, the one place columns are copied. What fixes a listed
+// part's rows is recorded on the part alone (part.steps), so the frame
+// carries no state of its own about its lists.
 type frame struct {
-	q     qctx
-	parts []part
-	// sel records how the lists were narrowed since the frame's last join
-	// or copy: not at all, by a filter — selKey is then its predicate's
-	// identity over its input (predKey), which a join mixes into its
-	// own — or by a sort or a limit, whose lists no key fixes.
-	sel    selKind
-	selKey uint64
-	// unkeyed: a join ran over lists no key fixes, so the parts' steps do
-	// not determine their rows, and copies are keyed by content.
-	unkeyed bool
+	q       qctx
+	parts   []part
 	modeled vtime.Duration
 	phases  []des.Phase
 	ops     []OpStat
@@ -42,22 +35,16 @@ type part struct {
 	// rows lists tbl's rows in frame order; nil holds every row, in order.
 	// Lists are never written once made, so parts may share one.
 	rows []int32
-	// steps is the part's provenance: one (side, probe identity, build
-	// identity) triple per join that listed it, in join order. A column
-	// copied through the list is keyed by its source column's key mixed
-	// with each triple in turn, so the fusion cache never hashes a join's
-	// output: equal provenance is equal content.
+	// steps is the part's provenance, what fixed its list: one (side,
+	// identity, identity) triple per operator that did, in order — a
+	// filter's (filterSide, predKey, 0), a join's (side, probe identity,
+	// build identity). A column copied through the list is keyed by its
+	// source column's key mixed with each triple in turn, so the fusion
+	// cache never hashes a filter's or a join's output: equal provenance
+	// is equal content. A sort, a limit and a group-by's top-k leave a
+	// list no key fixes and no steps.
 	steps []uint64
 }
-
-// selKind is how a frame's lists were narrowed since its last join.
-type selKind uint8
-
-const (
-	selNone    selKind = iota
-	selKeyed           // a filter's list, keyed by frame.selKey
-	selUnkeyed         // a sort's or a limit's list
-)
 
 // Len is the frame's row count: the logical one, which operator rows,
 // spans and every modeled formula use.
@@ -103,17 +90,15 @@ func (f *frame) lined() bool { return len(f.parts) == 1 && f.parts[0].rows == ni
 func (f *frame) table() *columnar.Table { return f.parts[0].tbl }
 
 // setTable makes tbl the frame's content: one part, no list.
-func (f *frame) setTable(tbl *columnar.Table) {
-	f.parts = []part{{tbl: tbl}}
-	f.sel, f.selKey, f.unkeyed = selNone, 0, false
-}
+func (f *frame) setTable(tbl *columnar.Table) { f.parts = []part{{tbl: tbl}} }
 
-// keyed reports whether p's lists carry a key: p is listed, by joins
-// alone, over lists a key fixes. A copy of its column is keyed by its
-// part's provenance then, and by content otherwise.
-func (f *frame) keyed(p part) bool {
-	return p.rows != nil && len(p.steps) > 0 && f.sel == selNone && !f.unkeyed
-}
+// keyed reports whether a key fixes p's rows: p is unlisted, or its steps
+// fixed its list. A copy of a listed part's column is keyed by the part's
+// provenance then, and by content otherwise.
+func (p part) keyed() bool { return p.rows == nil || len(p.steps) > 0 }
+
+// filtered reports whether p's last step is a filter's.
+func (p part) filtered() bool { return len(p.steps) > 0 && p.steps[len(p.steps)-3] == filterSide }
 
 // composeParts composes each part's list with sel, a list of places in
 // the frame, and returns the rows composed: a part with no list takes sel
@@ -134,7 +119,7 @@ func composeParts(parts []part, sel []int32, degree int) int {
 // frame, inside the row of the operator that asked for it: derive,
 // window, an expression project, a filter over a join's output, or the
 // query result. A query copies a column at most once, here. A copied
-// column is keyed by its part's provenance when the lists carry one, by
+// column is keyed by its part's provenance when the part is keyed, by
 // content otherwise; a part with no list hands its columns on as they
 // are. A lined-up frame is left alone.
 func (e *Engine) materialize(f *frame) {
@@ -151,7 +136,7 @@ func (e *Engine) materialize(f *frame) {
 		for _, c := range p.tbl.Columns() {
 			if p.rows != nil {
 				g := columnar.GatherColumnDegree(c, c.Name(), p.rows, e.cfg.Degree)
-				if f.keyed(p) {
+				if p.keyed() {
 					g = columnar.WithKey(g, provenanceKey(c, p.steps))
 				}
 				c = g

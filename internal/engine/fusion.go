@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"blugpu/internal/columnar"
 	"blugpu/internal/evaluator"
 	"blugpu/internal/expr"
 	"blugpu/internal/fusion"
@@ -158,27 +157,23 @@ func (cr *chainRec) member(n plan.Node) bool { return cr != nil && cr.members[n]
 // with its input before recording its stage, and the group-by with its
 // own input, which is the entry of a stage-less chain — a scan's, a
 // join's or a project's output. Every needed column is keyed where it
-// lives (frameKeys), and nothing is copied. A frame holding a listed part
-// no key fixes is materialized as any other reader of lined-up values
-// would, and its copies are keyed by content.
+// lives (frameKeys), and nothing is copied. A frame holding a part no key
+// fixes is materialized as any other reader of lined-up values would, and
+// its copies are keyed by content.
 func (e *Engine) entryKeys(cr *chainRec, f *frame) {
 	if len(cr.stages) > 0 {
 		return
 	}
-	for _, p := range f.parts {
-		if p.rows != nil && !f.keyed(p) {
-			e.materialize(f)
-			break
-		}
+	if slices.ContainsFunc(f.parts, func(p part) bool { return !p.keyed() }) {
+		e.materialize(f)
 	}
 	cr.entry = frameKeys(f, func(name string) bool { return cr.needed[name] })
 }
 
 // frameKeys keys f's columns that read holds, part by part in column
-// order: an unlisted part's column by its own key, a filtered frame's —
-// its list is over a lined-up table — by its key mixed with the filter's
-// (frame.selKey), and a listed part's by its provenance (frame.keyed),
-// exactly the key materialize gives its copy.
+// order: an unlisted part's column by its own key, a listed part's by its
+// provenance, exactly the key materialize gives its copy. Every part of f
+// must be keyed.
 func frameKeys(f *frame, read func(string) bool) []fusion.Key {
 	var keys []fusion.Key
 	n := f.Len()
@@ -188,8 +183,6 @@ func frameKeys(f *frame, read func(string) bool) []fusion.Key {
 			case !read(c.Name()):
 			case p.rows == nil:
 				keys = append(keys, fusion.ColumnKey(c))
-			case f.sel == selKeyed:
-				keys = append(keys, fusion.Key{H: columnar.MixKeys(c.Key(), f.selKey), N: n, T: c.Type()})
 			default:
 				keys = append(keys, fusion.Key{H: provenanceKey(c, p.steps), N: n, T: c.Type()})
 			}
@@ -276,48 +269,38 @@ func planFusedChain(n *plan.Aggregate) *chainRec {
 // placeJoins prepares a chain that spans the joins of links, over their
 // bottom f, before any of them runs. It keys the chain's join entry — f's
 // columns the chain reads (frameKeys); per join, its build table, keyed by
-// the dimension key column's key mixed with the join predicate's, and the
-// dimension's columns the chain reads — and decides Figure 3 on what is
-// known before the joins: f's rows times each join's kept fraction and its
-// probe key's share of non-NULL rows in the statistics. When the group-by
-// goes to the device, it picks the device the chain prefers and the join
-// entry's misses there, from which the joins' charge is settled once they
-// have run (settle). A chain it cannot key is left to the host joins: the
-// join that cannot run reports why.
+// its build identity (sides.build), and the dimension's columns the chain
+// reads — and decides Figure 3 on what is known before the joins: f's rows
+// times each join's kept fraction and its probe key's share of non-NULL
+// rows in the statistics. When the group-by goes to the device, it picks
+// the device the chain prefers and the join entry's misses there, from
+// which the joins' charge is settled once they have run (settle). A chain
+// it cannot key is left to the host joins: the join that cannot run
+// reports why.
 func (e *Engine) placeJoins(cr *chainRec, f *frame, links []*link) {
-	if len(f.parts) != 1 || (f.parts[0].rows != nil && f.sel != selKeyed) {
-		return
-	}
-	idx := make([]int, len(links))
-	for i := range idx {
-		idx[i] = i
-	}
-	if !e.evalPreds(links, idx) {
+	if len(f.parts) != 1 || !f.parts[0].keyed() {
 		return
 	}
 	read := func(name string) bool { return cr.needed[name] || cr.joinKeys[name] }
 	join := frameKeys(f, read)
 	rows := float64(f.Len())
+	// left is what each join reads, as far as its sides go: the bottom
+	// and the tables the joins before it joined.
+	left := &frame{parts: []part{f.parts[0]}}
 	for i, l := range links {
-		right := e.tables[l.n.Table]
-		if right == nil || right.Rows() == 0 {
+		s, err := e.joinSides(left, l.n)
+		if err != nil || s.right.Rows() == 0 || !e.evalPreds(links, []int{i}) {
 			return
 		}
-		bcol, pcol := l.n.RightCol, l.n.LeftCol
-		if right.Column(bcol) == nil {
-			bcol, pcol = pcol, bcol
-		}
-		rk, ok := right.Column(bcol).(*columnar.Int64Column)
-		if !ok {
-			return
-		}
-		h, n := rk.Key(), right.Rows()
+		n := s.right.Rows()
 		if l.n.Pred != nil {
-			h, n = columnar.MixKeys(h, predKey(right, l.n.Pred)), len(l.kept)
+			n = len(l.kept)
 		}
-		rows *= float64(n) / float64(right.Rows()) * e.nonNull(pcol, f.parts[0].tbl.Name(), links[:i])
-		join = append(join, fusion.BuildKey(h, n))
-		join = append(join, frameKeys(&frame{parts: []part{{tbl: right}}}, func(name string) bool { return name != bcol && read(name) })...)
+		rows *= float64(n) / float64(s.right.Rows()) * e.nonNull(left.parts[s.lpart].tbl.Name(), s.lcol)
+		dim := part{tbl: s.right}
+		join = append(join, fusion.BuildKey(s.build, n))
+		join = append(join, frameKeys(&frame{parts: []part{dim}}, func(name string) bool { return name != s.rcol && read(name) })...)
+		left.parts = append(left.parts, dim)
 	}
 	cr.join = join
 	if f.parts[0].rows != nil {
@@ -392,7 +375,7 @@ func (e *Engine) pin(cr *chainRec, keys []evaluator.Eval, at vtime.Duration, in 
 				kT = keysT
 			}
 			return kT + exposed(parts, kT, func(i int) vtime.Duration {
-				return e.fcache.MissTime(dev.ID(), parts[i].keys, e.model, true, e.cfg.Degree)
+				return e.fcache.MissTime(dev.ID(), parts[i].keys)
 			}), miss
 		}
 		hostT, _ := cost(prefer, []fill{host})
@@ -426,19 +409,12 @@ func pinned(parts []fill) []fusion.Key {
 	return keys
 }
 
-// nonNull is the share of the rows of the table that owns the probe key
-// column col — the bottom's table, or one an earlier join of the chain
-// joined — whose key is not NULL, from its statistics: a NULL key matches
-// nothing. It is 1 when no table's statistics know the column.
-func (e *Engine) nonNull(col, bottom string, earlier []*link) float64 {
-	for i := -1; i < len(earlier); i++ {
-		table := bottom
-		if i >= 0 {
-			table = earlier[i].n.Table
-		}
-		if ts := e.stats[table]; ts != nil && ts.Rows > 0 && ts.Columns[col] != nil {
-			return 1 - float64(ts.Columns[col].Nulls)/float64(ts.Rows)
-		}
+// nonNull is the share of table's rows whose column col — a probe key —
+// is not NULL, from its statistics: a NULL key matches nothing. It is 1
+// when the statistics do not know the column.
+func (e *Engine) nonNull(table, col string) float64 {
+	if ts := e.stats[table]; ts != nil && ts.Rows > 0 && ts.Columns[col] != nil {
+		return 1 - float64(ts.Columns[col].Nulls)/float64(ts.Rows)
 	}
 	return 1
 }
@@ -570,7 +546,7 @@ func (e *Engine) runAggregateFused(cr *chainRec, in *groupby.Input, demand int64
 		fillT := make([]vtime.Duration, len(cr.fills))
 		var saved, uploaded int64
 		for i, p := range cr.fills {
-			lease, err := e.fcache.Ensure(dev, p.keys, res.Span(), e.model, true, e.cfg.Degree)
+			lease, err := e.fcache.Ensure(dev, p.keys, res.Span())
 			if err != nil {
 				if errors.Is(err, gpu.ErrInjected) {
 					return fault(err)

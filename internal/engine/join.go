@@ -23,10 +23,11 @@ import (
 const joinGrain = 4096
 
 // probeSide and buildSide tag the side a join output column was gathered
-// from in its provenance key.
+// from in its provenance key, filterSide a filter's list.
 const (
-	probeSide uint64 = 1
-	buildSide uint64 = 2
+	probeSide  uint64 = 1
+	buildSide  uint64 = 2
+	filterSide uint64 = 3
 )
 
 // sqlOrderOnly, when set, runs every chain in SQL order. Tests hold the
@@ -44,7 +45,6 @@ type link struct {
 // new parts, and what the join's operator row and span record.
 type joined struct {
 	parts   []part
-	unkeyed bool
 	t       vtime.Duration
 	table   string
 	detail  string
@@ -131,21 +131,12 @@ func (e *Engine) starOrder(f *frame, links []*link) (order []int, moved [][2]int
 		return nil, nil
 	}
 	movable := func(i int) bool {
-		n := links[i].n
-		right := e.tables[n.Table]
-		if right == nil {
+		s, err := e.joinSides(f, links[i].n)
+		if err != nil {
 			return false
 		}
-		lcol, rcol := n.LeftCol, n.RightCol
-		if !f.hasColumn(lcol) {
-			lcol, rcol = rcol, lcol
-		}
-		rk, ok := right.Column(rcol).(*columnar.Int64Column)
-		if !ok || !f.hasColumn(lcol) {
-			return false
-		}
-		for _, c := range right.Columns() {
-			if c.Name() == lcol && lcol == rcol {
+		for _, c := range s.right.Columns() {
+			if c.Name() == s.lcol && s.lcol == s.rcol {
 				continue
 			}
 			if f.hasColumn(c.Name()) {
@@ -157,7 +148,7 @@ func (e *Engine) starOrder(f *frame, links []*link) (order []int, moved [][2]int
 				}
 			}
 		}
-		return rk.KeyIndex().Unique()
+		return s.rk.KeyIndex().Unique()
 	}
 	order = make([]int, len(links))
 	for i := range order {
@@ -261,7 +252,6 @@ func (e *Engine) runChain(f *frame, links []*link, order []int, moved [][2]int) 
 			return steps, err
 		}
 		cur.parts = st.parts
-		cur.sel, cur.selKey, cur.unkeyed = selNone, 0, st.unkeyed
 		steps = append(steps, st)
 		for _, r := range moved {
 			if r[1] != p+1 {
@@ -291,7 +281,6 @@ func (e *Engine) chargeJoins(f *frame, steps []joined, n int, q qctx, cr *chainR
 	for p, st := range steps {
 		row := f.open("join", q.depth+n-1-p)
 		f.parts = st.parts
-		f.sel, f.selKey, f.unkeyed = selNone, 0, st.unkeyed
 		rows := f.Len()
 		if cr == nil || !cr.deviceJoins {
 			e.addCPU(f, st.t)
@@ -326,32 +315,11 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 	n := l.n
 	// Everything that can reject the join is checked before any work is
 	// done on its behalf.
-	right := e.tables[n.Table]
-	if right == nil {
-		return joined{}, fmt.Errorf("engine: unknown join table %q", n.Table)
+	s, err := e.joinSides(left, n)
+	if err != nil {
+		return joined{}, err
 	}
-	// Resolve which condition column belongs to which side.
-	lcol, rcol := n.LeftCol, n.RightCol
-	if !left.hasColumn(lcol) && left.hasColumn(rcol) {
-		lcol, rcol = rcol, lcol
-	}
-	lc, lpart := left.find(lcol)
-	if lc == nil || right.Column(rcol) == nil {
-		return joined{}, fmt.Errorf("engine: join condition %s=%s references unknown columns", n.LeftCol, n.RightCol)
-	}
-	lk, ok := lc.(*columnar.Int64Column)
-	if !ok {
-		return joined{}, fmt.Errorf("engine: join column %q must be an integer key", lcol)
-	}
-	rk, ok := right.Column(rcol).(*columnar.Int64Column)
-	if !ok {
-		return joined{}, fmt.Errorf("engine: join column %q must be an integer key", rcol)
-	}
-	if n.Pred != nil {
-		if _, err := n.Pred.TypeOf(right); err != nil {
-			return joined{}, err
-		}
-	}
+	right, lcol, rcol, lk, rk, lpart := s.right, s.lcol, s.rcol, s.lk, s.rk, s.lpart
 	// The output is both sides restricted to the columns read above the
 	// join (late materialization): the left parts narrowed, the joined
 	// table's columns as a new part. Column names must stay unique.
@@ -382,24 +350,21 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 	q := left.q
 	hostStart := time.Now()
 
-	// A side's identity in its copied columns' provenance keys: its key
-	// column's key — the one a copy of it would carry — and what narrowed
-	// its rows: the left's filter, the joined table's predicate.
-	leftID, rightID := provenanceKey(lk, left.parts[lpart].steps), rk.Key()
-	if left.sel == selKeyed {
-		leftID = columnar.MixKeys(leftID, left.selKey)
-	}
+	// A side's identity in its copied columns' provenance keys: the key a
+	// copy of its key column would carry — the left's provenance, a filter
+	// under it included — and the joined table's build identity. The
+	// sides fix the match when the left key's part is keyed.
+	leftID, rightID := provenanceKey(lk, left.parts[lpart].steps), s.build
+	keyed := left.parts[lpart].keyed()
 	lrows := left.parts[lpart].rows
 	var kept []int32 // the joined table's rows the predicate keeps; nil: every row
 	var predT vtime.Duration
 	if n.Pred != nil {
 		if kept = l.kept; kept == nil {
-			var err error
 			if kept, err = expr.EvalPredicate(right, n.Pred, e.cfg.Degree); err != nil {
 				return joined{}, &stepFailed{err}
 			}
 		}
-		rightID = columnar.MixKeys(rightID, predKey(right, n.Pred))
 		predT = e.model.CPUTime(float64(right.Rows()), e.model.CPUExprRate, e.cfg.Degree)
 	}
 
@@ -412,7 +377,6 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 	var leftPos, rightRows []int32
 	var buildN, probeN, composed int
 	var rng *keyRange // the kept keys' range, when the probe tests it first
-	var err error
 	if buildRight {
 		var keep *columnar.Bitmap
 		if kept != nil {
@@ -456,12 +420,14 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 	}
 	q.wallHost(hostStart)
 
-	// Compose the left lists and record each listed part's provenance:
-	// the step a copy through its list mixes into its source column's
-	// key, with the two sides' identities, which fix the rows. A part the
-	// join hands on unlisted and unfiltered takes no step: its columns
-	// come out as they went in. Over lists no key fixes (a sort's or a
-	// limit's) the steps are not taken, and copies are keyed by content.
+	// Record each keyed part's provenance and compose the left lists: the
+	// step a copy through its list mixes into its source column's key,
+	// with the two sides' identities, which fix the rows. A left part
+	// takes the step when the join lists it, or when its last step is a
+	// filter's; one a join listed before keeps its key through a join
+	// that matches every row once, in order, since its columns come out
+	// as they went in. A part no key fixes (a sort's or a limit's list)
+	// takes no step, and its copies are keyed by content.
 	composeStart := time.Now()
 	leftSide, rightSide := probeSide, buildSide
 	probeID, buildID := leftID, rightID
@@ -469,17 +435,16 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 		leftSide, rightSide = rightSide, leftSide
 		probeID, buildID = buildID, probeID
 	}
-	keyed := left.sel != selUnkeyed && !left.unkeyed
-	if leftPos != nil {
-		composed += composeParts(parts, leftPos, e.cfg.Degree)
-	}
 	step := func(steps []uint64, side uint64) []uint64 {
 		return append(steps[:len(steps):len(steps)], side, probeID, buildID)
 	}
 	for i := range parts {
-		if keyed && (leftPos != nil || left.sel != selNone) {
-			parts[i].steps = step(parts[i].steps, leftSide)
+		if p := &parts[i]; keyed && p.keyed() && (leftPos != nil || p.filtered()) {
+			p.steps = step(p.steps, leftSide)
 		}
+	}
+	if leftPos != nil {
+		composed += composeParts(parts, leftPos, e.cfg.Degree)
 	}
 	if rightTbl != nil {
 		rp := part{tbl: rightTbl, rows: rightRows}
@@ -499,7 +464,7 @@ func (e *Engine) joinStep(left *frame, l *link, wanted func(string) bool) (joine
 			e.model.CPUTime(float64(probeN-m.skipped), e.model.CPUHashProbeRate, e.cfg.Degree)
 	}
 	st := joined{
-		parts: parts, unkeyed: !keyed, table: n.Table, kept: -1, skipped: -1,
+		parts: parts, table: n.Table, kept: -1, skipped: -1,
 		t: predT +
 			e.model.CPUTime(float64(buildN), e.model.CPUHashBuildRate, e.cfg.Degree) +
 			probeT +
@@ -593,6 +558,53 @@ func narrow(tbl *columnar.Table, keep func(name string) bool) *columnar.Table {
 		}
 	}
 	return columnar.MustNewTable(tbl.Name(), cols...)
+}
+
+// sides is a join resolved to its sides.
+type sides struct {
+	right      *columnar.Table // the joined table
+	lcol, rcol string          // the left's key column, the joined table's
+	lk, rk     *columnar.Int64Column
+	lpart      int    // the left part that holds lk
+	build      uint64 // the build's identity: rk's key, and the predicate's
+}
+
+// joinSides resolves which of n's condition columns is left's and which
+// its joined table's — the left's is the one left has, the written order
+// when it has neither — checks that both are integer keys and that the
+// predicate types over the joined table, and keys the build: the rows it
+// keeps, fixed by rk's key mixed with the predicate's (predKey). joinStep,
+// starOrder and placeJoins resolve every join through it, over what the
+// join reads as far as they know it, so they agree on a join's sides.
+func (e *Engine) joinSides(left *frame, n *plan.Join) (sides, error) {
+	right := e.tables[n.Table]
+	if right == nil {
+		return sides{}, fmt.Errorf("engine: unknown join table %q", n.Table)
+	}
+	lcol, rcol := n.LeftCol, n.RightCol
+	if !left.hasColumn(lcol) && left.hasColumn(rcol) {
+		lcol, rcol = rcol, lcol
+	}
+	lc, lpart := left.find(lcol)
+	if lc == nil || right.Column(rcol) == nil {
+		return sides{}, fmt.Errorf("engine: join condition %s=%s references unknown columns", n.LeftCol, n.RightCol)
+	}
+	lk, ok := lc.(*columnar.Int64Column)
+	if !ok {
+		return sides{}, fmt.Errorf("engine: join column %q must be an integer key", lcol)
+	}
+	rk, ok := right.Column(rcol).(*columnar.Int64Column)
+	if !ok {
+		return sides{}, fmt.Errorf("engine: join column %q must be an integer key", rcol)
+	}
+	build := rk.Key()
+	if n.Pred != nil {
+		if _, err := n.Pred.TypeOf(right); err != nil {
+			return sides{}, err
+		}
+		build = columnar.MixKeys(build, predKey(right, n.Pred))
+	}
+	return sides{right: right, lcol: lcol, rcol: rcol, lk: lk, rk: rk, lpart: lpart, build: build}, nil
 }
 
 // provenanceKey is the key a copy of c through a list with the given

@@ -229,9 +229,11 @@ func (e *Engine) execSort(n *plan.Sort, q qctx) (*frame, error) {
 			trace.Int("jobs", int64(stats.Jobs)), trace.Int("gpu-jobs", int64(stats.GPUJobs))).Sort = sortRecord(stats)
 		// The sort's output is its permutation composed with every part's
 		// list: the paper's tuples stay where they are, and only the first
-		// rows a limit keeps are ever copied.
+		// rows a limit keeps are ever copied. No key fixes the lists then.
 		composeParts(f.parts, perm, e.cfg.Degree)
-		f.sel = selUnkeyed
+		for i := range f.parts {
+			f.parts[i].steps = nil
+		}
 	}
 	return f, nil
 }

@@ -133,15 +133,17 @@ type deviceCache struct {
 // Cache is the engine-wide device-resident column cache. Safe for
 // concurrent use.
 type Cache struct {
-	mu    sync.Mutex
-	devs  map[int]*deviceCache
-	seq   uint64
-	stats Stats
+	mu     sync.Mutex
+	devs   map[int]*deviceCache
+	seq    uint64
+	stats  Stats
+	model  *vtime.CostModel
+	degree int
 }
 
-// NewCache returns an empty cache.
-func NewCache() *Cache {
-	return &Cache{devs: make(map[int]*deviceCache)}
+// NewCache returns an empty cache whose fills model prices at degree.
+func NewCache(model *vtime.CostModel, degree int) *Cache {
+	return &Cache{devs: make(map[int]*deviceCache), model: model, degree: degree}
 }
 
 func (c *Cache) deviceLocked(id int) *deviceCache {
@@ -173,16 +175,17 @@ func (c *Cache) MissBytes(devID int, keys []Key) int64 {
 }
 
 // FillTime is the time Ensure charges to fill the image key addresses:
-// the copy into the pinned segment and its transfer. It is the one place
-// that charge is written, so MissTime prices exactly what Ensure charges.
-func FillTime(key Key, model *vtime.CostModel, pinned bool, degree int) vtime.Duration {
+// the copy into the pinned segment and its transfer from there. It is the
+// one place that charge is written, so MissTime prices exactly what
+// Ensure charges.
+func (c *Cache) FillTime(key Key) vtime.Duration {
 	bytes := key.Bytes()
-	return model.HostCopy(bytes, degree) + model.Transfer(bytes, pinned)
+	return c.model.HostCopy(bytes, c.degree) + c.model.Transfer(bytes, true)
 }
 
 // MissTime is the time Ensure would charge, right now, to fill the images
 // keys address that are not resident on device devID.
-func (c *Cache) MissTime(devID int, keys []Key, model *vtime.CostModel, pinned bool, degree int) vtime.Duration {
+func (c *Cache) MissTime(devID int, keys []Key) vtime.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dc := c.devs[devID]
@@ -193,7 +196,7 @@ func (c *Cache) MissTime(devID int, keys []Key, model *vtime.CostModel, pinned b
 				continue
 			}
 		}
-		t += FillTime(key, model, pinned, degree)
+		t += c.FillTime(key)
 	}
 	return t
 }
@@ -259,7 +262,7 @@ func (c *Cache) evictOneLocked(dc *deviceCache) int64 {
 // are evicted LRU-first before giving up with ErrNoRoom (decline — run
 // staged); injected reserve/H2D faults propagate as-is (chain fault —
 // spill and fall back). On error the lease is already unwound.
-func (c *Cache) Ensure(dev *gpu.Device, keys []Key, sp trace.SpanID, model *vtime.CostModel, pinned bool, degree int) (*Lease, error) {
+func (c *Cache) Ensure(dev *gpu.Device, keys []Key, sp trace.SpanID) (*Lease, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dc := c.deviceLocked(dev.ID())
@@ -306,11 +309,11 @@ func (c *Cache) Ensure(dev *gpu.Device, keys []Key, sp trace.SpanID, model *vtim
 		// MEMCPY evaluator (host copy), then crosses PCIe once (FillTime).
 		// This is the only charge for that gather: the engine hands a chain
 		// its entry by key and copies nothing first.
-		if _, err := res.CopyToDevice(bytes, pinned); err != nil {
+		if _, err := res.CopyToDevice(bytes, true); err != nil {
 			res.Release()
 			return fail(err)
 		}
-		lease.Modeled += FillTime(key, model, pinned, degree)
+		lease.Modeled += c.FillTime(key)
 		c.seq++
 		e := &entry{key: key, bytes: bytes, res: res, pins: 1, lastUse: c.seq}
 		dc.entries[key] = e

@@ -92,11 +92,10 @@ func TestColumnKeyPinned(t *testing.T) {
 
 func TestEnsureHitSkipsTransfer(t *testing.T) {
 	dev := testDevice(t, 0, nil)
-	c := NewCache()
-	model := vtime.Default()
+	c := NewCache(vtime.Default(), 4)
 	cols := keys(intCol("x", []int64{1, 2, 3}), intCol("y", []int64{4, 5, 6}))
 
-	l1, err := c.Ensure(dev, cols, 0, model, true, 4)
+	l1, err := c.Ensure(dev, cols, 0)
 	if err != nil {
 		t.Fatalf("first Ensure: %v", err)
 	}
@@ -108,7 +107,7 @@ func TestEnsureHitSkipsTransfer(t *testing.T) {
 
 	// Equal content in fresh slices: both columns must hit.
 	again := keys(intCol("x2", []int64{1, 2, 3}), intCol("y2", []int64{4, 5, 6}))
-	l2, err := c.Ensure(dev, again, 0, model, true, 4)
+	l2, err := c.Ensure(dev, again, 0)
 	if err != nil {
 		t.Fatalf("second Ensure: %v", err)
 	}
@@ -133,12 +132,12 @@ func TestEnsureHitSkipsTransfer(t *testing.T) {
 // never copies — is sized by its N, fills and then hits like any other.
 func TestKeySizesTheImage(t *testing.T) {
 	dev := testDevice(t, 0, nil)
-	c := NewCache()
+	c := NewCache(vtime.Default(), 4)
 	k := []Key{{H: 0x9e3779b97f4a7c15, N: 1001, T: columnar.Float64}}
 	if got := c.MissBytes(0, k); got != DeviceBytes(1001) {
 		t.Fatalf("MissBytes = %d, want %d", got, DeviceBytes(1001))
 	}
-	l, err := c.Ensure(dev, k, 0, vtime.Default(), true, 4)
+	l, err := c.Ensure(dev, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +160,13 @@ func TestKeySizesTheImage(t *testing.T) {
 // charge Ensure then makes for the misses.
 func TestBuildTableIsAnEntry(t *testing.T) {
 	dev := testDevice(t, 0, nil)
-	c := NewCache()
-	m := vtime.Default()
+	c := NewCache(vtime.Default(), 4)
 	col := Key{H: 0x9e3779b97f4a7c15, N: 500, T: columnar.Int64}
 	bt := BuildKey(col.H, 500)
 	if bt == col || bt.Bytes() != 500*16 {
 		t.Fatalf("build table key %+v (%d B), column key %+v", bt, bt.Bytes(), col)
 	}
-	l, err := c.Ensure(dev, []Key{col}, 0, m, true, 4)
+	l, err := c.Ensure(dev, []Key{col}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +175,15 @@ func TestBuildTableIsAnEntry(t *testing.T) {
 	if got := c.MissBytes(0, keys); got != 500*16 {
 		t.Fatalf("MissBytes = %d, want the build table's %d", got, 500*16)
 	}
-	want := c.MissTime(0, keys, m, true, 4)
-	if l, err = c.Ensure(dev, keys, 0, m, true, 4); err != nil {
+	want := c.MissTime(0, keys)
+	if l, err = c.Ensure(dev, keys, 0); err != nil {
 		t.Fatal(err)
 	}
 	l.Release()
 	if l.Modeled != want || l.Uploaded != 500*16 || l.Saved != DeviceBytes(500) {
 		t.Fatalf("fill charged %v (MissTime %v), uploaded %d, saved %d", l.Modeled, want, l.Uploaded, l.Saved)
 	}
-	if got := c.MissTime(0, keys, m, true, 4); got != 0 {
+	if got := c.MissTime(0, keys); got != 0 {
 		t.Fatalf("MissTime after the fill = %v", got)
 	}
 }
@@ -193,24 +191,23 @@ func TestBuildTableIsAnEntry(t *testing.T) {
 func TestEvictionLRUAndNoRoom(t *testing.T) {
 	// Room for exactly one 4-row column image (16 bytes packed).
 	dev := testDevice(t, DeviceBytes(4), nil)
-	c := NewCache()
-	model := vtime.Default()
+	c := NewCache(vtime.Default(), 4)
 	a := intCol("a", []int64{1, 2, 3, 4})
 	b := intCol("b", []int64{5, 6, 7, 8})
 
-	la, err := c.Ensure(dev, keys(a), 0, model, true, 4)
+	la, err := c.Ensure(dev, keys(a), 0)
 	if err != nil {
 		t.Fatalf("Ensure a: %v", err)
 	}
 
 	// While a is pinned, b cannot fit and nothing is evictable.
-	if _, err := c.Ensure(dev, keys(b), 0, model, true, 4); !errors.Is(err, ErrNoRoom) {
+	if _, err := c.Ensure(dev, keys(b), 0); !errors.Is(err, ErrNoRoom) {
 		t.Fatalf("Ensure b with a pinned: %v, want ErrNoRoom", err)
 	}
 	la.Release()
 
 	// Unpinned, a is the LRU victim.
-	lb, err := c.Ensure(dev, keys(b), 0, model, true, 4)
+	lb, err := c.Ensure(dev, keys(b), 0)
 	if err != nil {
 		t.Fatalf("Ensure b after release: %v", err)
 	}
@@ -240,8 +237,8 @@ func TestEvictionLRUAndNoRoom(t *testing.T) {
 func TestEnsureFaultPropagates(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 1, H2D: 1.0})
 	dev := testDevice(t, 0, inj)
-	c := NewCache()
-	_, err := c.Ensure(dev, keys(intCol("a", []int64{1, 2})), 0, vtime.Default(), true, 4)
+	c := NewCache(vtime.Default(), 4)
+	_, err := c.Ensure(dev, keys(intCol("a", []int64{1, 2})), 0)
 	if !errors.Is(err, gpu.ErrInjected) {
 		t.Fatalf("Ensure under H2D fault: %v, want ErrInjected", err)
 	}
@@ -299,12 +296,11 @@ func BenchmarkCacheEnsure(b *testing.B) {
 	}
 	cols := keys(intCol("k", vals))
 	dev := gpu.NewDevice(0, vtime.TeslaK40())
-	model := vtime.Default()
 	b.Run("fill", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := NewCache()
-			l, err := c.Ensure(dev, cols, 0, model, true, 4)
+			c := NewCache(vtime.Default(), 4)
+			l, err := c.Ensure(dev, cols, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -313,8 +309,8 @@ func BenchmarkCacheEnsure(b *testing.B) {
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
-		c := NewCache()
-		l, err := c.Ensure(dev, cols, 0, model, true, 4)
+		c := NewCache(vtime.Default(), 4)
+		l, err := c.Ensure(dev, cols, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -322,7 +318,7 @@ func BenchmarkCacheEnsure(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			l, err := c.Ensure(dev, cols, 0, model, true, 4)
+			l, err := c.Ensure(dev, cols, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

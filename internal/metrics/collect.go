@@ -16,15 +16,15 @@ import (
 
 // Sources names the live objects one scrape snapshots. Monitor is
 // required; the rest are optional (nil/empty is skipped). Explain, when
-// set, backs the /debug/explain endpoint: it runs a query and returns
-// its EXPLAIN ANALYZE decision audit.
+// set, backs the /debug/explain endpoint: it runs a query under the
+// request's context and returns its EXPLAIN ANALYZE decision audit.
 type Sources struct {
 	Monitor    *monitor.Monitor
 	Sched      *sched.Scheduler
 	Devices    []*gpu.Device
 	Tracer     *trace.Tracer
 	GPUEnabled bool
-	Explain    func(sql string) (*explain.Report, error)
+	Explain    func(ctx context.Context, sql string) (*explain.Report, error)
 	// Admission, when set, snapshots the serving layer's admission state
 	// per scrape (queue depth, outcome counters, per-class waits).
 	Admission func() *AdmissionSnapshot
@@ -61,8 +61,8 @@ type EngineLike interface {
 // Admission source — it is a property of the serving layer, which a
 // bare engine does not have.
 func SourcesFromEngine(e EngineLike) func() Sources {
-	explainQuery := func(sql string) (*explain.Report, error) {
-		rep, _, err := e.ExplainAnalyzeNamedCtx(context.Background(), "", sql)
+	explainQuery := func(ctx context.Context, sql string) (*explain.Report, error) {
+		rep, _, err := e.ExplainAnalyzeNamedCtx(ctx, "", sql)
 		return rep, err
 	}
 	return func() Sources {

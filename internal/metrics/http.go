@@ -50,7 +50,7 @@ func writeDebugExplain(w http.ResponseWriter, req *http.Request, src Sources) {
 		http.Error(w, "missing q parameter (the SQL to explain)", http.StatusBadRequest)
 		return
 	}
-	rep, err := src.Explain(sql)
+	rep, err := src.Explain(req.Context(), sql)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

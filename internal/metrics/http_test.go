@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -130,7 +131,7 @@ func TestDebugQueries(t *testing.T) {
 
 func TestDebugExplain(t *testing.T) {
 	src := testSources(t)
-	src.Explain = func(sql string) (*explain.Report, error) {
+	src.Explain = func(_ context.Context, sql string) (*explain.Report, error) {
 		if sql != "SELECT 1" {
 			return nil, errors.New("bad sql")
 		}

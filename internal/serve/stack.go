@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"time"
 
+	"blugpu/internal/explain"
 	"blugpu/internal/metrics"
 	"blugpu/internal/obsd"
 	"blugpu/internal/prof"
@@ -85,12 +87,22 @@ func NewStack(exec StackExecutor, opts StackOptions) (*Stack, error) {
 	}
 	st.Server = server
 
+	// /debug/explain runs its statement as POST /query {"explain":true}
+	// does: admitted, logged, and its spans taken out of the tracer.
+	explainQuery := func(ctx context.Context, sql string) (*explain.Report, error) {
+		resp, err := server.Do(ctx, Request{SQL: sql, Explain: true})
+		if err != nil {
+			return nil, err
+		}
+		return resp.Report, nil
+	}
 	engineSources := metrics.SourcesFromEngine(exec)
 	st.Sources = func() metrics.Sources {
 		src := engineSources()
 		src.Admission = server.AdmissionSnapshot
 		src.Prof = st.Prof
 		src.Obs = st.Obs.ObsSnapshot
+		src.Explain = explainQuery
 		return src
 	}
 

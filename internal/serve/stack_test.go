@@ -243,6 +243,39 @@ func TestStackServesDocumentedRoutes(t *testing.T) {
 	}
 }
 
+// TestStackExplainIsAdmitted: GET /debug/explain runs its statement
+// through admission, as POST /query {"explain":true} does, so each audit
+// is in the query log and its spans leave the tracer with it: three
+// audits leave the tracer holding none.
+func TestStackExplainIsAdmitted(t *testing.T) {
+	var logBuf bytes.Buffer
+	_, h, base := bootStack(t, 0.002, StackOptions{Config: Config{Log: qlog.New(&logBuf), SlowQuery: -1}})
+	const groupBy = "SELECT ss_store_sk, SUM(ss_net_paid) AS total FROM store_sales GROUP BY ss_store_sk"
+	const audits = 3
+	for i := 0; i < audits; i++ {
+		code, _, data := httpDo(t, http.MethodGet, base+"/debug/explain?q="+url.QueryEscape(groupBy), "", "")
+		if rep, err := explain.Decode(data); code != http.StatusOK || err != nil || !rep.Reconciled() {
+			t.Fatalf("/debug/explain: HTTP %d, not a reconciled report (%v): %.200s", code, err, data)
+		}
+		if held := h.Eng.Tracer().Held(); held != 0 {
+			t.Errorf("after audit %d the tracer holds %d spans, want 0", i+1, held)
+		}
+	}
+	recs, err := qlog.Decode(logBuf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := 0
+	for _, r := range recs {
+		if r.SQL == groupBy && r.Outcome == qlog.OutcomeOK {
+			logged++
+		}
+	}
+	if logged != audits {
+		t.Errorf("the query log has %d of the %d audits", logged, audits)
+	}
+}
+
 // TestStackPagesOnFleetFailure drives the shipped default rules through
 // a real fleet failure on an injected clock: every device breaker trips,
 // AllBreakersOpen goes pending and fires within its hold-down (two
