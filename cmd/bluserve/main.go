@@ -16,7 +16,10 @@
 //	                  firing alerts (a severity-page alert answers 503)
 //	/debug/queries    per-query latency rollups + recent requests
 //	/debug/explain    EXPLAIN ANALYZE decision audit for ?q=<sql>,
-//	                  admitted and logged as POST /query "explain":true
+//	                  admitted and logged as POST /query "explain":true,
+//	                  and refused with its codes: 429 (shed) or 503
+//	                  (draining) with Retry-After, 504 on a deadline,
+//	                  400 otherwise, the request ID in X-Request-ID
 //	/debug/alerts     alert rule states + recent transitions (JSON)
 //	/debug/dash       self-contained HTML dashboard over the embedded
 //	                  time-series history (inline SVG sparklines)

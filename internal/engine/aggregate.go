@@ -334,7 +334,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 	if out.Stats.Kept > 0 {
 		attrs = append(attrs, trace.Int("kept", int64(out.Stats.Kept)))
 	}
-	rec := &explain.AggRecord{
+	rec := &explain.GroupbyReport{
 		Keys:          n.Keys,
 		InputRows:     rows,
 		EstRows:       cr.preJoinRows(),
@@ -343,7 +343,7 @@ func (e *Engine) execAggregate(n *plan.Aggregate, q qctx) (*frame, error) {
 		ActualGroups:  int64(out.Groups),
 		Kept:          int64(out.Stats.Kept),
 		RelErr:        relErr,
-		MemoryDemand:  est.MemoryDemand,
+		DemandBytes:   est.MemoryDemand,
 		Decision:      decision.String(),
 		Reason:        reason.String(),
 		Path:          detail,

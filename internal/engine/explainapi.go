@@ -11,52 +11,42 @@ import (
 	"blugpu/internal/trace"
 )
 
-// monTotals is a point-in-time snapshot of the monitor counters the
-// explain report reconciles. Subtracting two snapshots taken around one
-// query yields that query's Totals. Only valid for single-query use:
-// concurrent queries on the same engine would interleave their deltas.
-type monTotals struct {
-	kernels       uint64
-	transfers     uint64
-	transferBytes int64
-	retries       uint64
-	placeRetries  uint64
-	fallbacks     uint64
-	faults        uint64
-}
-
-func (e *Engine) monTotals() monTotals {
-	var t monTotals
+// monitorColumns snapshots the monitor counters the explain report
+// reconciles into the monitor columns of its ledger; monitorDelta
+// subtracts an earlier snapshot, leaving the query's deltas. Only valid
+// for single-query use: concurrent queries on the same engine would
+// interleave their deltas.
+func (e *Engine) monitorColumns() explain.TotalsReport {
+	var t explain.TotalsReport
 	for _, k := range e.mon.Kernels() {
-		t.kernels += k.Count
+		t.Kernels += k.Count
 	}
 	h2d, d2h := e.mon.Transfers()
-	t.transfers = h2d.Count + d2h.Count
-	t.transferBytes = h2d.Bytes + d2h.Bytes
+	t.Transfers = h2d.Count + d2h.Count
+	t.TransferBytes = h2d.Bytes + d2h.Bytes
 	for _, r := range e.mon.Retries() {
 		if r.Op == "place" {
-			t.placeRetries += r.Count
+			t.PlaceRetries += r.Count
 		} else {
-			t.retries += r.Count
+			t.Retries += r.Count
 		}
 	}
 	for _, fb := range e.mon.Fallbacks() {
-		t.fallbacks += fb.Count
+		t.Fallbacks += fb.Count
 	}
-	t.faults = e.mon.FaultTotal()
+	t.Faults = e.mon.FaultTotal()
 	return t
 }
 
-func (t monTotals) sub(o monTotals) explain.Totals {
-	return explain.Totals{
-		Kernels:       t.kernels - o.kernels,
-		Transfers:     t.transfers - o.transfers,
-		TransferBytes: t.transferBytes - o.transferBytes,
-		Retries:       t.retries - o.retries,
-		PlaceRetries:  t.placeRetries - o.placeRetries,
-		Fallbacks:     t.fallbacks - o.fallbacks,
-		Faults:        t.faults - o.faults,
-	}
+func monitorDelta(t, o explain.TotalsReport) explain.TotalsReport {
+	t.Kernels -= o.Kernels
+	t.Transfers -= o.Transfers
+	t.TransferBytes -= o.TransferBytes
+	t.Retries -= o.Retries
+	t.PlaceRetries -= o.PlaceRetries
+	t.Fallbacks -= o.Fallbacks
+	t.Faults -= o.Faults
+	return t
 }
 
 // ExplainAnalyzeNamedCtx is QueryNamedCtxAttrs plus the decision audit:
@@ -83,7 +73,7 @@ func (e *Engine) executeAudited(ctx context.Context, name string, p *plan.Plan, 
 		// audit ran stays.
 		defer e.tracer.CompareAndSwap(tr, nil)
 	}
-	before := e.monTotals()
+	before := e.monitorColumns()
 	orphans0 := tr.Orphans()
 	host0 := e.registry.Stats()
 	e.registry.ResetWatermark()
@@ -97,16 +87,9 @@ func (e *Engine) executeAudited(ctx context.Context, name string, p *plan.Plan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	// The plan-time call is paired with the group-by that ran: a plan has
-	// at most one.
-	for _, op := range res.Ops {
-		if op.Agg != nil {
-			op.Agg.Plan = pr
-		}
-	}
 	seq := res.TraceSeq
 
-	after := e.monTotals()
+	monitor := monitorDelta(e.monitorColumns(), before)
 	host1 := e.registry.Stats()
 	busy := make([]explain.DeviceBusy, len(e.devices))
 	for i, d := range e.devices {
@@ -132,14 +115,15 @@ func (e *Engine) executeAudited(ctx context.Context, name string, p *plan.Plan, 
 		Modeled:    res.Modeled,
 		Rows:       res.Table.Rows(),
 		Ops:        res.Ops,
+		Prognosis:  pr,
 		Spans:      tr.QuerySpans(seq),
-		Monitor:    after.sub(before),
-		Host: explain.HostMemStats{
-			WatermarkBytes: host1.Watermark,
-			FreeSpans:      host1.FreeSpans,
-			MaxFreeSpans:   host1.MaxFreeSpans,
-			Allocs:         host1.Allocs - host0.Allocs,
-			Fails:          host1.Fails - host0.Fails,
+		Monitor:    monitor,
+		Host: explain.MemoryReport{
+			HostWatermarkBytes: host1.Watermark,
+			HostFreeSpans:      host1.FreeSpans,
+			HostMaxFreeSpans:   host1.MaxFreeSpans,
+			HostAllocs:         host1.Allocs - host0.Allocs,
+			HostAllocFails:     host1.Fails - host0.Fails,
 		},
 		Busy:    busy,
 		Orphans: tr.Orphans() - orphans0,

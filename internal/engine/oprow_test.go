@@ -229,17 +229,22 @@ func TestOneEstimate(t *testing.T) {
 	if !strings.Contains(text, "groups~24 ") {
 		t.Errorf("EXPLAIN does not estimate 24 groups:\n%s", text)
 	}
-	_, res, err := e.ExplainAnalyzeNamedCtx(context.Background(), "q", sql)
+	rep, res, err := e.ExplainAnalyzeNamedCtx(context.Background(), "q", sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range res.Ops {
-		if a := op.Agg; a != nil {
-			if a.Plan == nil || a.Plan.Estimate.Groups != a.Groups || a.Groups != 24 {
-				t.Errorf("runtime estimate %d groups, prognosis %+v", a.Groups, a.Plan)
+		if op.Agg != nil && op.Agg.Plan != nil {
+			t.Errorf("the audit attached a plan to the engine's group-by row: %+v", op.Agg.Plan)
+		}
+	}
+	for _, op := range rep.Ops {
+		if g := op.Groupby; g != nil {
+			if g.Plan == nil || g.Plan.Groups != g.Groups || g.Groups != 24 {
+				t.Errorf("runtime estimate %d groups, prognosis %+v", g.Groups, g.Plan)
 			}
-			if a.Plan != nil && a.Plan.Estimate.MemoryDemand != a.MemoryDemand {
-				t.Errorf("runtime demand %d, prognosis %d", a.MemoryDemand, a.Plan.Estimate.MemoryDemand)
+			if g.Plan != nil && g.Plan.DemandBytes != g.DemandBytes {
+				t.Errorf("runtime demand %d, prognosis %d", g.DemandBytes, g.Plan.DemandBytes)
 			}
 		}
 	}

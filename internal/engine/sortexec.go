@@ -185,8 +185,8 @@ func (e *Engine) hybridSort(src *bsort.FlatKeySource, f *frame, op trace.Context
 }
 
 // sortRecord converts bsort stats to the operator row's shape.
-func sortRecord(stats bsort.Stats) *explain.SortRecord {
-	return &explain.SortRecord{
+func sortRecord(stats bsort.Stats) *explain.SortReport {
+	return &explain.SortReport{
 		Jobs: stats.Jobs, GPUJobs: stats.GPUJobs, CPUJobs: stats.CPUJobs,
 		Requeues: stats.Requeues, Fallbacks: stats.Fallbacks, MaxDepth: stats.MaxDepth,
 	}

@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -46,9 +47,9 @@ func buildTestInput(t *testing.T) Input {
 		{Op: "scan", Detail: "t", Depth: 2, Rows: 1000, Span: scan.ID(), Start: 0, End: vtime.Time(0.001), Modeled: vtime.Duration(0.001)},
 		{Op: "groupby", Detail: "gpu/grpby_k1", Depth: 1, Rows: 8, Span: op.ID(),
 			Start: vtime.Time(0.001), End: vtime.Time(0.0014), Modeled: vtime.Duration(0.0003),
-			Agg: &AggRecord{
-				Keys: []string{"k"}, Plan: &pr, InputRows: 1000, EstGroups: 8, ActualGroups: 8,
-				MemoryDemand: 4096, Decision: "gpu", Reason: "eligible", Path: "gpu/grpby_k1",
+			Agg: &GroupbyReport{
+				Keys: []string{"k"}, InputRows: 1000, EstGroups: 8, ActualGroups: 8,
+				DemandBytes: 4096, Decision: "gpu", Reason: "eligible", Path: "gpu/grpby_k1",
 				Attempts: 2, Retries: 1, Devices: []int{0, 1},
 			}},
 		{Op: "limit", Depth: 0, Rows: 8, Span: 0, Start: vtime.Time(0.0014), End: vtime.Time(0.0014)},
@@ -62,9 +63,10 @@ func buildTestInput(t *testing.T) Input {
 		Modeled:    vtime.Duration(0.0014),
 		Rows:       8,
 		Ops:        ops,
+		Prognosis:  &pr,
 		Spans:      tr.QuerySpans(1),
-		Monitor:    Totals{Kernels: 2, Transfers: 2, TransferBytes: 2560, Retries: 1, Faults: 1},
-		Host:       HostMemStats{WatermarkBytes: 4096, FreeSpans: 1, MaxFreeSpans: 2, Allocs: 3},
+		Monitor:    TotalsReport{Kernels: 2, Transfers: 2, TransferBytes: 2560, Retries: 1, Faults: 1},
+		Host:       MemoryReport{HostWatermarkBytes: 4096, HostFreeSpans: 1, HostMaxFreeSpans: 2, HostAllocs: 3},
 		Orphans:    0,
 	}
 }
@@ -158,6 +160,35 @@ func TestRenderDeterminismAndJSONRoundTrip(t *testing.T) {
 	}
 	if back.Query != r1.Query || len(back.Ops) != len(r1.Ops) || !back.Reconciled() {
 		t.Fatalf("round trip lost data: %+v", back)
+	}
+}
+
+// TestBuildLeavesInputAlone: Build copies the engine's records and adds
+// the plan, the rounding and the span counts to its copies, so two
+// builds from one Input render the same bytes and the records the Input
+// came from read as the engine wrote them.
+func TestBuildLeavesInputAlone(t *testing.T) {
+	in := buildTestInput(t)
+	in.Ops[1].Agg.RelErr = 1.0 / 3 // a value the report rounds
+	in.Ops = append(in.Ops, OpRecord{Op: "sort", Depth: 0, Rows: 8, Sort: &SortReport{Jobs: 1, CPUJobs: 1}})
+	agg, srt := *in.Ops[1].Agg, *in.Ops[3].Sort
+	r1, r2 := Build(in), Build(in)
+	j1, err := r1.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, _ := r2.JSON()
+	if string(j1) != string(j2) {
+		t.Fatalf("two builds from one input differ:\n%s\n%s", j1, j2)
+	}
+	if g := r1.Ops[2].Groupby; g.RelErr != 0.333333 || g.Plan == nil {
+		t.Errorf("report group-by rel_err %v plan %v, want 0.333333 and the prognosis", g.RelErr, g.Plan)
+	}
+	if !reflect.DeepEqual(*in.Ops[1].Agg, agg) || in.Ops[1].Agg.Plan != nil || in.Ops[1].Agg.RelErr != 1.0/3 {
+		t.Errorf("Build wrote through the group-by record: %+v", *in.Ops[1].Agg)
+	}
+	if *in.Ops[3].Sort != srt || srt.JobSpans != 0 {
+		t.Errorf("Build wrote through the sort record: %+v", *in.Ops[3].Sort)
 	}
 }
 

@@ -194,12 +194,8 @@ func ValidateReport(data []byte) error {
 		return fmt.Errorf("explain: schema %d, want %d", int(schema), ReportSchema)
 	}
 	for _, key := range []string{"query", "plan", "thresholds"} {
-		v, ok := doc[key]
-		if !ok {
-			return fmt.Errorf("explain: missing %q", key)
-		}
-		if _, ok := v.(string); !ok {
-			return fmt.Errorf("explain: %q is not a string", key)
+		if _, ok := doc[key].(string); !ok {
+			return fmt.Errorf("explain: %q is missing or not a string", key)
 		}
 	}
 	for _, key := range []string{"modeled_ms", "rows", "unattributed", "orphans"} {
@@ -207,13 +203,9 @@ func ValidateReport(data []byte) error {
 			return err
 		}
 	}
-	opsV, ok := doc["ops"]
+	ops, ok := doc["ops"].([]any)
 	if !ok {
-		return fmt.Errorf("explain: missing \"ops\"")
-	}
-	ops, ok := opsV.([]any)
-	if !ok {
-		return fmt.Errorf("explain: \"ops\" is not an array")
+		return fmt.Errorf("explain: \"ops\" is missing or not an array")
 	}
 	if len(ops) == 0 {
 		return fmt.Errorf("explain: report has no operators")
@@ -235,25 +227,21 @@ func ValidateReport(data []byte) error {
 			return fmt.Errorf("explain: ops[%d] missing bool \"attributed\"", i)
 		}
 	}
-	for _, key := range []string{"totals", "memory"} {
-		v, ok := doc[key]
+	for _, sec := range []struct {
+		name string
+		keys []string
+	}{
+		{"totals", []string{"kernels", "kernel_spans", "transfers", "transfer_spans", "fallbacks", "fallback_spans"}},
+		{"memory", []string{"device_high_water_bytes", "host_watermark_bytes", "host_free_spans"}},
+	} {
+		m, ok := doc[sec.name].(map[string]any)
 		if !ok {
-			return fmt.Errorf("explain: missing %q", key)
+			return fmt.Errorf("explain: %q is missing or not an object", sec.name)
 		}
-		if _, ok := v.(map[string]any); !ok {
-			return fmt.Errorf("explain: %q is not an object", key)
-		}
-	}
-	totals := doc["totals"].(map[string]any)
-	for _, key := range []string{"kernels", "kernel_spans", "transfers", "transfer_spans", "fallbacks", "fallback_spans"} {
-		if _, ok := totals[key].(float64); !ok {
-			return fmt.Errorf("explain: totals missing number %q", key)
-		}
-	}
-	memory := doc["memory"].(map[string]any)
-	for _, key := range []string{"device_high_water_bytes", "host_watermark_bytes", "host_free_spans"} {
-		if _, ok := memory[key].(float64); !ok {
-			return fmt.Errorf("explain: memory missing number %q", key)
+		for _, key := range sec.keys {
+			if _, ok := m[key].(float64); !ok {
+				return fmt.Errorf("explain: %s missing number %q", sec.name, key)
+			}
 		}
 	}
 	return nil

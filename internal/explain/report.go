@@ -13,32 +13,6 @@ import (
 // documents from a different schema.
 const ReportSchema = 1
 
-// Totals are the monitor-counter deltas the engine attributes to one
-// query (snapshots taken immediately before and after execution).
-type Totals struct {
-	Kernels       uint64
-	Transfers     uint64
-	TransferBytes int64
-	// Retries counts cross-device group-by retries; PlaceRetries counts
-	// the scheduler's same-placement retries down its candidate ranking
-	// (those have no dedicated span, so they reconcile separately).
-	Retries      uint64
-	PlaceRetries uint64
-	Fallbacks    uint64
-	Faults       uint64
-}
-
-// HostMemStats is the pinned host segment's per-query accounting.
-type HostMemStats struct {
-	// WatermarkBytes is the segment's in-use peak during the query (the
-	// registry's watermark, re-armed just before execution).
-	WatermarkBytes int64
-	FreeSpans      int
-	MaxFreeSpans   int
-	Allocs         uint64
-	Fails          uint64
-}
-
 // Input is everything Build joins into a report.
 type Input struct {
 	Query      string
@@ -49,16 +23,21 @@ type Input struct {
 	Thresholds optimizer.Thresholds
 	Modeled    vtime.Duration
 	Rows       int
-	// Ops are the engine hooks' records in execution order.
+	// Ops are the engine hooks' records in execution order; Build reads
+	// them and writes nothing back.
 	Ops []OpRecord
-	// Spans is the query's complete span subtree (Tracer.QuerySpans) and
-	// Root the query-root span id.
+	// Prognosis is the plan-time Figure-3 call (from table statistics)
+	// for the plan's group-by, when the planner produced one; Build
+	// pairs it with the group-by that ran (a plan has at most one).
+	Prognosis *optimizer.Prognosis
+	// Spans is the query's complete span subtree (Tracer.QuerySpans).
 	Spans []trace.Span
-	Root  trace.SpanID
-	// Monitor holds the query's counter deltas; Host the pinned-segment
-	// accounting; Orphans the tracer's orphaned-device-event delta.
-	Monitor Totals
-	Host    HostMemStats
+	// Monitor holds the query's counter deltas in the monitor columns of
+	// the ledger, and Host the pinned-segment accounting in the host
+	// columns of the memory section; Build fills the rest of each.
+	// Orphans is the tracer's orphaned-device-event delta.
+	Monitor TotalsReport
+	Host    MemoryReport
 	// Busy is the per-device busy-time delta across the query, split by
 	// activity kind. Modeled virtual time, so the rendered resources
 	// section stays deterministic.
@@ -88,31 +67,58 @@ type PlanReport struct {
 }
 
 // GroupbyReport is the estimate-accountability and path audit of one
-// group-by operator.
+// group-by operator: the facts only the engine's aggregate executor
+// knows, recorded by it as the operator's row.
 type GroupbyReport struct {
-	Keys []string    `json:"keys"`
+	Keys []string `json:"keys"`
+	// Plan is the plan-time half of the audit; Build fills it from
+	// Input.Prognosis.
 	Plan *PlanReport `json:"plan,omitempty"`
-	// InputRows/Groups/DemandBytes are what the runtime Figure-3 decision
-	// actually saw — EstRows in place of InputRows when it decided before
-	// the joins below ran; EstGroups is the KMV estimate that sized the
-	// device table, ActualGroups what the operator produced.
-	InputRows     int64   `json:"input_rows"`
-	EstRows       int64   `json:"est_rows,omitempty"`
-	Groups        int64   `json:"groups"`
-	EstGroups     int64   `json:"est_groups"`
-	ActualGroups  int64   `json:"actual_groups"`
-	Kept          int64   `json:"kept,omitempty"`
-	RelErr        float64 `json:"rel_err"`
-	DemandBytes   int64   `json:"demand_bytes"`
-	Decision      string  `json:"decision"`
-	Reason        string  `json:"reason"`
-	Path          string  `json:"path"`
-	Attempts      int     `json:"attempts"`
-	Retries       int     `json:"retries"`
-	FallbackCause string  `json:"fallback_cause,omitempty"`
-	Devices       []int   `json:"devices,omitempty"`
-	// Fused-chain audit: present only when the group-by ran as a fused
-	// device chain (see AggRecord).
+	// InputRows is the exact input cardinality. Groups and DemandBytes
+	// are what the runtime Figure-3 decision estimated from table
+	// statistics; EstRows, when not 0, is the row estimate it decided on
+	// instead of InputRows: a fused chain that spans the joins below
+	// decides before they run, on the probe side's rows times each join's
+	// kept fraction.
+	InputRows int64 `json:"input_rows"`
+	EstRows   int64 `json:"est_rows,omitempty"`
+	Groups    int64 `json:"groups"`
+	// EstGroups is the KMV sketch's group-count estimate, which sizes the
+	// device's hash table; ActualGroups is what the group-by produced.
+	// Kept is the groups a device top-k selection let leave the device —
+	// the k of an ORDER BY ... LIMIT k above — and 0 when every group did.
+	// RelErr is |EstGroups-ActualGroups|/ActualGroups (0 when
+	// ActualGroups is 0), which Build rounds to 1e-6.
+	EstGroups    int64   `json:"est_groups"`
+	ActualGroups int64   `json:"actual_groups"`
+	Kept         int64   `json:"kept,omitempty"`
+	RelErr       float64 `json:"rel_err"`
+	DemandBytes  int64   `json:"demand_bytes"`
+	// Decision/Reason are the runtime Figure-3 outcome; Path is what
+	// finally executed ("gpu/<kernel>" or "cpu (<reason>)").
+	Decision string `json:"decision"`
+	Reason   string `json:"reason"`
+	Path     string `json:"path"`
+	// Attempts counts device placements tried; Retries the cross-device
+	// retries among them; FallbackCause is the terminal GPU error that
+	// routed the query to the CPU (empty when the GPU path succeeded or
+	// was never tried). Devices lists the device ids of successful
+	// placements, in order.
+	Attempts      int    `json:"attempts"`
+	Retries       int    `json:"retries"`
+	FallbackCause string `json:"fallback_cause,omitempty"`
+	Devices       []int  `json:"devices,omitempty"`
+	// Fused marks a group-by that ran as a fused device chain: its input
+	// operators executed on-device under one chain-level reservation, and
+	// H2D collapsed to column-cache misses. The fields below it are set
+	// only then. FusedStages counts the fused pipeline stages ahead of
+	// the group-by; SavedBytes/UploadBytes are the H2D bytes avoided
+	// (cache hits) vs moved (cache fills); ChainHighWater is the chain
+	// reservation's peak allocation. DeviceKeys marks a chain whose
+	// fused_pack built the grouping keys, its entry resident, where the
+	// host key evaluators are charged otherwise; DeviceJoins counts the
+	// joins it probed on the device against resident build tables, where
+	// the host joins are charged otherwise.
 	Fused          bool  `json:"fused,omitempty"`
 	FusedStages    int   `json:"fused_stages,omitempty"`
 	DeviceKeys     bool  `json:"device_keys,omitempty"`
@@ -123,14 +129,14 @@ type GroupbyReport struct {
 }
 
 // SortReport is the hybrid sort's job-queue breakdown. JobSpans is the
-// span-side count of "sort-job" spans under the operator, which must
-// equal Jobs in a fully attributed run.
+// span-side count of "sort-job" spans under the operator, which Build
+// fills and which must equal Jobs in a fully attributed run.
 type SortReport struct {
 	Jobs      int `json:"jobs"`
 	GPUJobs   int `json:"gpu_jobs"`
 	CPUJobs   int `json:"cpu_jobs"`
-	Requeues  int `json:"requeues"`
-	Fallbacks int `json:"fallbacks"`
+	Requeues  int `json:"requeues"`  // duplicate ranges the GPU handed back
+	Fallbacks int `json:"fallbacks"` // GPU-eligible jobs that ended up on the host
 	MaxDepth  int `json:"max_depth"`
 	JobSpans  int `json:"job_spans"`
 }
@@ -163,8 +169,14 @@ type OpReport struct {
 }
 
 // TotalsReport is the query-level double-entry ledger: each monitor
-// counter next to its span-tree counterpart. Mismatches lists every
-// disagreement (empty in a reconciled run).
+// counter next to its span-tree counterpart. The monitor columns
+// (Kernels, Transfers, TransferBytes, Retries, PlaceRetries, Fallbacks,
+// Faults) are the counter deltas the engine took around the query;
+// Retries counts cross-device group-by retries and PlaceRetries the
+// scheduler's same-placement retries down its candidate ranking (those
+// have no dedicated span, so they reconcile separately). Build fills
+// the span columns and Mismatches, which lists every disagreement
+// (empty in a reconciled run).
 type TotalsReport struct {
 	Kernels           uint64   `json:"kernels"`
 	KernelSpans       int      `json:"kernel_spans"`
@@ -188,7 +200,11 @@ type TotalsReport struct {
 // MemoryReport is the query's memory accounting.
 type MemoryReport struct {
 	// DeviceHighWaterBytes is the largest single device reservation the
-	// query held (max demand among successful placements).
+	// query held (max demand among successful placements), which Build
+	// reads off the spans. The host columns are the pinned segment's:
+	// HostWatermarkBytes its in-use peak during the query (the registry's
+	// watermark, re-armed just before execution), the rest its state
+	// after the query and its allocation deltas across it.
 	DeviceHighWaterBytes int64  `json:"device_high_water_bytes"`
 	HostWatermarkBytes   int64  `json:"host_watermark_bytes"`
 	HostFreeSpans        int    `json:"host_free_spans"`
@@ -254,6 +270,7 @@ type spanStats struct {
 	quarantineSkips            int
 	retries, fallbacks, faults int
 	jobSpans                   int
+	highWater                  int64 // largest demand among successful placements
 }
 
 // Build joins the engine's operator records, the query's span subtree
@@ -307,14 +324,19 @@ func Build(in Input) *Report {
 			st.jobSpans++
 		case "sched":
 			if s.Name == "place" {
+				var demand int64
 				ok := false
 				for _, a := range s.Attrs {
-					if a.Key == "device" {
+					switch {
+					case a.Key == "device":
 						ok = true
+					case a.Key == "demand_bytes" && a.IsInt:
+						demand = a.Int
 					}
 				}
 				if ok {
 					st.placements++
+					st.highWater = max(st.highWater, demand)
 				} else {
 					st.placeFails++
 				}
@@ -349,28 +371,6 @@ func Build(in Input) *Report {
 		tally(s, st)
 		for _, c := range children[id] {
 			walk(c, st)
-		}
-	}
-
-	// deviceHighWater scans successful placements for the largest demand.
-	var deviceHighWater int64
-	for i := range in.Spans {
-		s := &in.Spans[i]
-		if s.Cat != "sched" || s.Name != "place" {
-			continue
-		}
-		var demand int64
-		ok := false
-		for _, a := range s.Attrs {
-			if a.Key == "demand_bytes" && a.IsInt {
-				demand = a.Int
-			}
-			if a.Key == "device" {
-				ok = true
-			}
-		}
-		if ok && demand > deviceHighWater {
-			deviceHighWater = demand
 		}
 	}
 
@@ -413,53 +413,24 @@ func Build(in Input) *Report {
 		op.Fallbacks = st.fallbacks
 		op.Faults = st.faults
 		if rec.Agg != nil {
-			a := rec.Agg
-			g := &GroupbyReport{
-				Keys:          a.Keys,
-				InputRows:     a.InputRows,
-				EstRows:       a.EstRows,
-				Groups:        a.Groups,
-				EstGroups:     a.EstGroups,
-				ActualGroups:  a.ActualGroups,
-				RelErr:        math.Round(a.RelErr*1e6) / 1e6,
-				DemandBytes:   a.MemoryDemand,
-				Decision:      a.Decision,
-				Reason:        a.Reason,
-				Path:          a.Path,
-				Attempts:      a.Attempts,
-				Retries:       a.Retries,
-				FallbackCause: a.FallbackCause,
-				Devices:       a.Devices,
-				Kept:          a.Kept,
-			}
-			if a.Fused {
-				g.Fused = true
-				g.FusedStages = a.FusedStages
-				g.DeviceKeys = a.DeviceKeys
-				g.DeviceJoins = a.DeviceJoins
-				g.SavedBytes = a.SavedBytes
-				g.UploadBytes = a.UploadBytes
-				g.ChainHighWater = a.ChainHighWater
-			}
-			if a.Plan != nil {
+			g := *rec.Agg
+			g.RelErr = math.Round(g.RelErr*1e6) / 1e6
+			if p := in.Prognosis; p != nil {
 				g.Plan = &PlanReport{
-					Rows:        a.Plan.Estimate.Rows,
-					Groups:      a.Plan.Estimate.Groups,
-					DemandBytes: a.Plan.Estimate.MemoryDemand,
-					Decision:    a.Plan.Decision.String(),
-					Reason:      a.Plan.Reason.String(),
-					Agrees:      a.Plan.Decision.String() == a.Decision,
+					Rows:        p.Estimate.Rows,
+					Groups:      p.Estimate.Groups,
+					DemandBytes: p.Estimate.MemoryDemand,
+					Decision:    p.Decision.String(),
+					Reason:      p.Reason.String(),
+					Agrees:      p.Decision.String() == g.Decision,
 				}
 			}
-			op.Groupby = g
+			op.Groupby = &g
 		}
 		if rec.Sort != nil {
-			s := rec.Sort
-			op.Sort = &SortReport{
-				Jobs: s.Jobs, GPUJobs: s.GPUJobs, CPUJobs: s.CPUJobs,
-				Requeues: s.Requeues, Fallbacks: s.Fallbacks, MaxDepth: s.MaxDepth,
-				JobSpans: st.jobSpans,
-			}
+			s := *rec.Sort
+			s.JobSpans = st.jobSpans
+			op.Sort = &s
 		}
 		execOrder = append(execOrder, op)
 	}
@@ -486,24 +457,17 @@ func Build(in Input) *Report {
 	}
 	r.Unattributed = unattributed
 
-	t := TotalsReport{
-		Kernels:           in.Monitor.Kernels,
-		KernelSpans:       qt.kernels,
-		Transfers:         in.Monitor.Transfers,
-		TransferSpans:     qt.transfers,
-		TransferBytes:     in.Monitor.TransferBytes,
-		TransferSpanBytes: qt.transferBytes,
-		Retries:           in.Monitor.Retries,
-		RetrySpans:        qt.retries,
-		PlaceRetries:      in.Monitor.PlaceRetries,
-		Fallbacks:         in.Monitor.Fallbacks,
-		FallbackSpans:     qt.fallbacks,
-		Faults:            in.Monitor.Faults,
-		FaultAttrs:        qt.faults,
-		Placements:        qt.placements,
-		PlaceFailures:     qt.placeFails,
-		QuarantineSkips:   qt.quarantineSkips,
-	}
+	t := in.Monitor
+	t.KernelSpans = qt.kernels
+	t.TransferSpans = qt.transfers
+	t.TransferSpanBytes = qt.transferBytes
+	t.RetrySpans = qt.retries
+	t.FallbackSpans = qt.fallbacks
+	t.FaultAttrs = qt.faults
+	t.Placements = qt.placements
+	t.PlaceFailures = qt.placeFails
+	t.QuarantineSkips = qt.quarantineSkips
+	t.Mismatches = nil
 	mismatch := func(name string, counter uint64, spans int) {
 		if counter != uint64(spans) {
 			t.Mismatches = append(t.Mismatches,
@@ -521,14 +485,8 @@ func Build(in Input) *Report {
 	mismatch("faults", t.Faults, t.FaultAttrs)
 	r.Totals = t
 
-	r.Memory = MemoryReport{
-		DeviceHighWaterBytes: deviceHighWater,
-		HostWatermarkBytes:   in.Host.WatermarkBytes,
-		HostFreeSpans:        in.Host.FreeSpans,
-		HostMaxFreeSpans:     in.Host.MaxFreeSpans,
-		HostAllocs:           in.Host.Allocs,
-		HostAllocFails:       in.Host.Fails,
-	}
+	r.Memory = in.Host
+	r.Memory.DeviceHighWaterBytes = qt.highWater
 	return r
 }
 

@@ -54,9 +54,6 @@ func MustNew(k int) *Sketch {
 	return s
 }
 
-// K returns the sketch size parameter.
-func (s *Sketch) K() int { return s.k }
-
 // Observed returns the total number of values offered to the sketch.
 func (s *Sketch) Observed() uint64 { return s.n }
 

@@ -51,6 +51,12 @@ func writeDebugExplain(w http.ResponseWriter, req *http.Request, src Sources) {
 		return
 	}
 	rep, err := src.Explain(req.Context(), sql)
+	if h, ok := err.(http.Handler); ok {
+		// The source answers its own failures: the serving stack's
+		// refusals and deadlines, as POST /query answers them.
+		h.ServeHTTP(w, req)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -237,6 +237,14 @@ func writeQueryError(w http.ResponseWriter, err error, clientID string) {
 	writeJSON(w, code, body)
 }
 
+// queryError is a Do failure that answers as POST /query does; the
+// admin surface's /debug/explain serves it as its response.
+type queryError struct{ error }
+
+func (e queryError) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	writeQueryError(w, e.error, "")
+}
+
 // TableRows materializes result columns row-major for JSON: NULL → null,
 // integers and finite floats as numbers, ±Inf and NaN as the strings
 // "+Inf", "-Inf" and "NaN" (JSON has no number for them; these are the

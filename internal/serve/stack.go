@@ -88,11 +88,12 @@ func NewStack(exec StackExecutor, opts StackOptions) (*Stack, error) {
 	st.Server = server
 
 	// /debug/explain runs its statement as POST /query {"explain":true}
-	// does: admitted, logged, and its spans taken out of the tracer.
+	// does: admitted, logged, and its spans taken out of the tracer; a
+	// failure answers with POST /query's status and request ID.
 	explainQuery := func(ctx context.Context, sql string) (*explain.Report, error) {
 		resp, err := server.Do(ctx, Request{SQL: sql, Explain: true})
 		if err != nil {
-			return nil, err
+			return nil, queryError{err}
 		}
 		return resp.Report, nil
 	}

@@ -276,6 +276,38 @@ func TestStackExplainIsAdmitted(t *testing.T) {
 	}
 }
 
+// TestStackExplainRefusal: /debug/explain answers a refusal as POST
+// /query does. On a drained stack it is a 503 with Retry-After, and its
+// X-Request-ID, echoed in the body, names the query log's record of the
+// refusal: outcome shed, reason draining.
+func TestStackExplainRefusal(t *testing.T) {
+	var logBuf bytes.Buffer
+	st, _, base := bootStack(t, 0.002, StackOptions{Config: Config{Log: qlog.New(&logBuf), SlowQuery: -1}})
+	st.Server.Drain(0)
+	const groupBy = "SELECT ss_store_sk, SUM(ss_net_paid) AS total FROM store_sales GROUP BY ss_store_sk"
+	code, hdr, data := httpDo(t, http.MethodGet, base+"/debug/explain?q="+url.QueryEscape(groupBy), "", "")
+	id := hdr.Get("X-Request-ID")
+	var eb errorBody
+	if err := json.Unmarshal(data, &eb); err != nil || code != http.StatusServiceUnavailable ||
+		hdr.Get("Retry-After") == "" || id == "" || eb.RequestID != id {
+		t.Fatalf("drained /debug/explain: HTTP %d, Retry-After %q, X-Request-ID %q, body %s; want 503 naming one ID twice",
+			code, hdr.Get("Retry-After"), id, data)
+	}
+	recs, err := qlog.Decode(logBuf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.RequestID == id {
+			if r.Outcome != qlog.OutcomeShed || r.Reason != "draining" {
+				t.Errorf("request %s logged as %s (%q), want shed (draining)", id, r.Outcome, r.Reason)
+			}
+			return
+		}
+	}
+	t.Errorf("no query-log record for request %s", id)
+}
+
 // TestStackPagesOnFleetFailure drives the shipped default rules through
 // a real fleet failure on an injected clock: every device breaker trips,
 // AllBreakersOpen goes pending and fires within its hold-down (two

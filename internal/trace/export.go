@@ -23,44 +23,52 @@ import (
 // Only virtual time is exported, so a fixed-seed run produces
 // byte-identical output; wall-clock bounds appear in WriteFlame instead.
 func (t *Tracer) ExportChrome(w io.Writer) error {
-	spans := t.Spans()
 	bw := bufio.NewWriter(w)
 	bw.WriteString("[\n")
-	for i, s := range spans {
+	for i, s := range t.Spans() {
 		if i > 0 {
 			bw.WriteString(",\n")
 		}
-		dur := s.End.Sub(s.Start)
-		if dur < 0 {
-			dur = 0
-		}
-		fmt.Fprintf(bw, `{"name":%s,"cat":%s,"ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d`,
-			jsonString(s.Name), jsonString(s.Cat),
-			float64(s.Start)*1e6, dur.Seconds()*1e6, s.Query, s.Depth)
-		if len(s.Attrs) > 0 {
-			bw.WriteString(`,"args":{`)
-			for j, a := range s.Attrs {
-				if j > 0 {
-					bw.WriteByte(',')
-				}
-				key := a.Key
-				if j > 0 && duplicateKeyBefore(s.Attrs, j) {
-					key = fmt.Sprintf("%s#%d", a.Key, j)
-				}
-				bw.WriteString(jsonString(key))
-				bw.WriteByte(':')
-				if a.IsInt {
-					fmt.Fprintf(bw, "%d", a.Int)
-				} else {
-					bw.WriteString(jsonString(a.Str))
-				}
-			}
-			bw.WriteByte('}')
-		}
-		bw.WriteByte('}')
+		writeEvent(bw, &s, s.Cat, s.Depth, float64(s.Start)*1e6, s.End.Sub(s.Start).Seconds()*1e6, nil)
 	}
 	bw.WriteString("\n]\n")
 	return bw.Flush()
+}
+
+// writeEvent writes one complete ("ph":"X") event for span s: pid is
+// its query, a negative dur writes as 0. The args object carries
+// request_id first when reqID is not nil, then the span's attributes in
+// recording order; a key already used — a repeated attribute, or one
+// named request_id beside the injected one — gets its attribute index
+// appended, so every JSON key stays distinct. A span without either has
+// no args object.
+func writeEvent(bw *bufio.Writer, s *Span, cat string, tid int, tsUs, durUs float64, reqID *string) {
+	fmt.Fprintf(bw, `{"name":%s,"cat":%s,"ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d`,
+		jsonString(s.Name), jsonString(cat), tsUs, max(durUs, 0), s.Query, tid)
+	if reqID == nil && len(s.Attrs) == 0 {
+		bw.WriteByte('}')
+		return
+	}
+	bw.WriteString(`,"args":{`)
+	if reqID != nil {
+		bw.WriteString(`"request_id":` + jsonString(*reqID))
+	}
+	for j, a := range s.Attrs {
+		if j > 0 || reqID != nil {
+			bw.WriteByte(',')
+		}
+		key := a.Key
+		if duplicateKeyBefore(s.Attrs, j) || reqID != nil && key == "request_id" {
+			key = fmt.Sprintf("%s#%d", a.Key, j)
+		}
+		bw.WriteString(jsonString(key) + ":")
+		if a.IsInt {
+			fmt.Fprintf(bw, "%d", a.Int)
+		} else {
+			bw.WriteString(jsonString(a.Str))
+		}
+	}
+	bw.WriteString("}}")
 }
 
 // duplicateKeyBefore reports whether attrs[j].Key already appeared at a

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"fmt"
+	"bufio"
 	"io"
 	"sort"
 	"sync"
@@ -135,8 +135,9 @@ func (r *Ring) Stats() (added uint64, retained, slow int) {
 	return r.added, len(r.recent), len(r.slow)
 }
 
-// ExportChrome writes the retained traces for entries as one Chrome
-// trace-event JSON array. Each span contributes two complete events:
+// ExportChromeEntries writes the retained traces for entries as one
+// Chrome trace-event JSON array, each event's args led by its entry's
+// request_id. Each span contributes two complete events:
 // its modeled virtual-time interval (cat as recorded, tid = depth) and,
 // when wall bounds were captured, its wall-clock interval (cat prefixed
 // "wall-", tid = depth+100 so the wall track groups below the modeled
@@ -155,62 +156,23 @@ func ExportChromeEntries(w io.Writer, entries []RingEntry) error {
 			}
 		}
 	}
-	first := true
-	if _, err := io.WriteString(w, "[\n"); err != nil {
-		return err
-	}
-	writeEvent := func(name, cat string, tsUs, durUs float64, pid uint64, tid int, attrs []Attr, reqID string) error {
-		if durUs < 0 {
-			durUs = 0
-		}
-		sep := ",\n"
-		if first {
-			sep = ""
-			first = false
-		}
-		if _, err := fmt.Fprintf(w, `%s{"name":%s,"cat":%s,"ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d`,
-			sep, jsonString(name), jsonString(cat), tsUs, durUs, pid, tid); err != nil {
-			return err
-		}
-		io.WriteString(w, `,"args":{`)
-		fmt.Fprintf(w, `%s:%s`, jsonString("request_id"), jsonString(reqID))
-		for j, a := range attrs {
-			io.WriteString(w, ",")
-			key := a.Key
-			// The injected request_id claims its key first; suffix any
-			// colliding span attr like a repeated attr key.
-			if key == "request_id" || duplicateKeyBefore(attrs, j) {
-				key = fmt.Sprintf("%s#%d", a.Key, j)
-			}
-			io.WriteString(w, jsonString(key))
-			io.WriteString(w, ":")
-			if a.IsInt {
-				fmt.Fprintf(w, "%d", a.Int)
-			} else {
-				io.WriteString(w, jsonString(a.Str))
-			}
-		}
-		_, err := io.WriteString(w, "}}")
-		return err
-	}
+	bw := bufio.NewWriter(w)
+	bw.WriteString("[\n")
+	sep := ""
 	for _, e := range entries {
-		for _, s := range e.Spans {
-			dur := s.End.Sub(s.Start)
-			if err := writeEvent(s.Name, s.Cat, float64(s.Start)*1e6, dur.Seconds()*1e6,
-				s.Query, s.Depth, s.Attrs, e.RequestID); err != nil {
-				return err
-			}
+		for i := range e.Spans {
+			s := &e.Spans[i]
+			bw.WriteString(sep)
+			sep = ",\n"
+			writeEvent(bw, s, s.Cat, s.Depth, float64(s.Start)*1e6, s.End.Sub(s.Start).Seconds()*1e6, &e.RequestID)
 			if s.WallStart.IsZero() {
 				continue
 			}
-			wallTs := float64(s.WallStart.Sub(base)) / float64(time.Microsecond)
-			wallDur := float64(s.WallEnd.Sub(s.WallStart)) / float64(time.Microsecond)
-			if err := writeEvent(s.Name, "wall-"+s.Cat, wallTs, wallDur,
-				s.Query, s.Depth+100, s.Attrs, e.RequestID); err != nil {
-				return err
-			}
+			bw.WriteString(sep)
+			writeEvent(bw, s, "wall-"+s.Cat, s.Depth+100, float64(s.WallStart.Sub(base))/float64(time.Microsecond),
+				float64(s.WallEnd.Sub(s.WallStart))/float64(time.Microsecond), &e.RequestID)
 		}
 	}
-	_, err := io.WriteString(w, "\n]\n")
-	return err
+	bw.WriteString("\n]\n")
+	return bw.Flush()
 }

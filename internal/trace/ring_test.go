@@ -80,6 +80,46 @@ func TestRingSlowRetentionOutlivesEviction(t *testing.T) {
 	}
 }
 
+// TestExportChromeEntriesBytes pins the ring export byte for byte: the
+// injected request_id first (empty when the entry has none), a span
+// attribute of that name and a repeated key each suffixed with their
+// index, escaped strings, and a wall event only for a span with wall
+// bounds, its ts relative to the earliest wall start; a span that ends
+// before it starts has dur 0.
+func TestExportChromeEntriesBytes(t *testing.T) {
+	wall := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	entries := []RingEntry{
+		{RequestID: "req-1", Spans: []Span{
+			{Query: 1, Cat: "query", Name: "q \"one\"", Start: 0, End: vtime.Time(0.002),
+				WallStart: wall.Add(time.Millisecond), WallEnd: wall.Add(3 * time.Millisecond),
+				Attrs: []Attr{Str("request_id", "client"), Int("rows", 4)}},
+			{Query: 1, Depth: 1, Cat: "gpu", Name: "attempt", Start: vtime.Time(0.0005), End: vtime.Time(0.001),
+				Attrs: []Attr{Str("fault", "kernel"), Str("fault", "h2d\n\tline\x01"), Int("device", 0)}},
+		}},
+		{Spans: []Span{
+			{Query: 2, Cat: "query", Name: "q2", Start: vtime.Time(0.003), End: vtime.Time(0.0035),
+				WallStart: wall, WallEnd: wall.Add(500 * time.Microsecond)},
+			{Query: 2, Depth: 1, Cat: "op", Name: "backwards", Start: vtime.Time(0.0035), End: vtime.Time(0.003)},
+		}},
+	}
+	const want = `[
+{"name":"q \"one\"","cat":"query","ph":"X","ts":0.000,"dur":2000.000,"pid":1,"tid":0,"args":{"request_id":"req-1","request_id#0":"client","rows":4}},
+{"name":"q \"one\"","cat":"wall-query","ph":"X","ts":1000.000,"dur":2000.000,"pid":1,"tid":100,"args":{"request_id":"req-1","request_id#0":"client","rows":4}},
+{"name":"attempt","cat":"gpu","ph":"X","ts":500.000,"dur":500.000,"pid":1,"tid":1,"args":{"request_id":"req-1","fault":"kernel","fault#1":"h2d\n\tline\u0001","device":0}},
+{"name":"q2","cat":"query","ph":"X","ts":3000.000,"dur":500.000,"pid":2,"tid":0,"args":{"request_id":""}},
+{"name":"q2","cat":"wall-query","ph":"X","ts":0.000,"dur":500.000,"pid":2,"tid":100,"args":{"request_id":""}},
+{"name":"backwards","cat":"op","ph":"X","ts":3500.000,"dur":0.000,"pid":2,"tid":1,"args":{"request_id":""}}
+]
+`
+	var buf bytes.Buffer
+	if err := ExportChromeEntries(&buf, entries); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Errorf("ring export moved:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
 func TestExportChromeEntriesValidates(t *testing.T) {
 	r := NewRing(8, 4)
 	r.Add(ringEntry("req-1", 2*time.Millisecond, false))
